@@ -14,7 +14,9 @@
 //!
 //! Directionality is per metric: throughput-like metrics regress when they
 //! *drop* below `baseline * (1 - tolerance)`; latency/failure-like metrics
-//! regress when they *rise* above `baseline * (1 + tolerance)`. Each metric
+//! regress when they *rise* above `baseline * (1 + tolerance)`; exact counts
+//! (allocator calls per memo expression, modelled compile bytes) regress
+//! when they move at all, whatever the tolerance. Each banded metric
 //! also carries an absolute slack floor so zero-valued baselines stay
 //! meaningful (a relative band around 0 has zero width). Neutral fields
 //! (seeds, event counts, digests) are ignored. A cell present in the
@@ -261,11 +263,14 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     Ok(v)
 }
 
-/// Whether a metric regresses by dropping or by rising.
+/// Whether a metric regresses by dropping, by rising, or by moving at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Direction {
     HigherIsBetter,
     LowerIsBetter,
+    /// A deterministic count: any difference is a change of behaviour, so
+    /// neither the tolerance nor the floor applies.
+    Exact,
 }
 
 /// The gated metrics: direction plus an absolute slack floor. Fields not
@@ -312,6 +317,14 @@ const METRICS: &[(&str, Direction, f64)] = &[
     ("size_ratio", Direction::HigherIsBetter, 0.5),
     ("encode_speedup", Direction::HigherIsBetter, 0.5),
     ("decode_speedup", Direction::HigherIsBetter, 0.5),
+    // Compile-path metrics (BENCH_compile.json), per template. Allocator
+    // calls and the `sizes::*` model are counts that repeat exactly; the
+    // real heap per memo expression is a count too but depends on the
+    // standard library's growth policy, so it gets a band. Wall-clock
+    // (`compile_ns`, `ns_per_transformation`) stays ungated.
+    ("alloc_calls_per_expr", Direction::Exact, 0.0),
+    ("modelled_peak_bytes", Direction::Exact, 0.0),
+    ("heap_bytes_per_expr", Direction::LowerIsBetter, 64.0),
 ];
 
 /// One extracted (cell-or-aggregate, metric) observation.
@@ -339,7 +352,7 @@ pub struct Regression {
 
 fn entry_key(obj: &Value, kind: &str) -> String {
     let mut key = kind.to_string();
-    for id in ["policy", "scenario", "codec"] {
+    for id in ["policy", "scenario", "codec", "template"] {
         if let Some(v) = obj.get(id).and_then(Value::as_str) {
             let _ = write!(key, " {id}={v}");
         }
@@ -423,6 +436,7 @@ pub fn compare(baseline: &Value, current: &Value, tolerance: f64) -> Vec<Regress
         let regressed = match direction {
             Direction::HigherIsBetter => cur.value < base.value - slack,
             Direction::LowerIsBetter => cur.value > base.value + slack,
+            Direction::Exact => cur.value != base.value,
         };
         if regressed {
             regressions.push(Regression {
@@ -477,7 +491,9 @@ pub fn self_test() -> Result<(), String> {
      "time_to_recovery_s": {"mean": 640.0, "ci95": 90.0}},
     {"scenario": "open_loop_scale", "codec": "v2",
      "bytes_per_event": 5.1, "size_ratio": 5.5,
-     "encode_speedup": 9.0, "decode_speedup": 8.0}
+     "encode_speedup": 9.0, "decode_speedup": 8.0},
+    {"template": "sales_q01", "alloc_calls_per_expr": 0.028,
+     "modelled_peak_bytes": 183889408, "heap_bytes_per_expr": 151.6}
   ]
 }"#;
     let regressed = baseline.replace("\"completed\": 1000", "\"completed\": 800");
@@ -523,9 +539,16 @@ pub fn self_test() -> Result<(), String> {
     // A trace-codec compression collapse must trip size_ratio.
     let bloated = baseline.replace("\"size_ratio\": 5.5", "\"size_ratio\": 2.0");
     match compare_text(baseline, &bloated, 0.10) {
-        Ok(r) if r.len() == 1 && r[0].what.contains("size_ratio") => Ok(()),
-        Ok(r) => Err(format!("codec size-ratio collapse not caught: {r:?}")),
-        Err(e) => Err(format!("self-test codec doc failed to parse: {e:?}")),
+        Ok(r) if r.len() == 1 && r[0].what.contains("size_ratio") => {}
+        Ok(r) => return Err(format!("codec size-ratio collapse not caught: {r:?}")),
+        Err(e) => return Err(format!("self-test codec doc failed to parse: {e:?}")),
+    }
+    // Exact counts trip on a move far inside the band, in either direction.
+    let cheaper_model = baseline.replace("183889408", "183889407");
+    match compare_text(baseline, &cheaper_model, 0.10) {
+        Ok(r) if r.len() == 1 && r[0].what.contains("modelled_peak_bytes") => Ok(()),
+        Ok(r) => Err(format!("one-byte move of an exact count not caught: {r:?}")),
+        Err(e) => Err(format!("self-test compile doc failed to parse: {e:?}")),
     }
 }
 
@@ -714,6 +737,38 @@ mod tests {
         let trips = compare_text(base, &slower, 0.10).unwrap();
         assert_eq!(trips.len(), 1, "{trips:?}");
         assert!(trips[0].what.contains("decode_speedup"));
+    }
+
+    #[test]
+    fn compile_counts_are_exact_and_keyed_by_template() {
+        let base = r#"{"cells": [
+            {"template": "sales_q01", "alloc_calls_per_expr": 0.028,
+             "modelled_peak_bytes": 183889408, "heap_bytes_per_expr": 151.6,
+             "ns_per_transformation": 334},
+            {"template": "oltp_point_sale", "alloc_calls_per_expr": 42.0,
+             "modelled_peak_bytes": 104960, "heap_bytes_per_expr": 855.5,
+             "ns_per_transformation": null}]}"#;
+        assert_eq!(compare_text(base, base, 0.10).unwrap(), vec![]);
+        // Wall-clock is informational, and the heap column has a band.
+        let slower = base.replace("334", "9000").replace("151.6", "160.0");
+        assert_eq!(compare_text(base, &slower, 0.10).unwrap(), vec![]);
+        // The exact columns trip on the smallest move, up or down, and name
+        // the template it happened on.
+        let one_more_call = base.replace("42.0", "42.5");
+        let trips = compare_text(base, &one_more_call, 0.10).unwrap();
+        assert_eq!(trips.len(), 1, "{trips:?}");
+        assert!(trips[0]
+            .what
+            .contains("template=oltp_point_sale alloc_calls_per_expr"));
+        let fewer_modelled = base.replace("183889408", "183889000");
+        let trips = compare_text(base, &fewer_modelled, 0.10).unwrap();
+        assert_eq!(trips.len(), 1, "{trips:?}");
+        assert!(trips[0]
+            .what
+            .contains("template=sales_q01 modelled_peak_bytes"));
+        // A memo that regrows per-expression heap trips the band.
+        let fat = base.replace("151.6", "1245.2");
+        assert_eq!(compare_text(base, &fat, 0.10).unwrap().len(), 1);
     }
 
     #[test]

@@ -44,14 +44,20 @@ impl ThreadedThrottle {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
+    /// The broker's current compilation target, when it constrains memory
+    /// at all. Reads the broker only; never called with the ladder locked.
+    fn broker_target(&self) -> Option<u64> {
+        self.broker
+            .pressure()
+            .is_constrained()
+            .then(|| self.broker.target_for_kind(SubcomponentKind::Compilation))
+    }
+
     /// Refresh the dynamic-threshold input from the broker. Embedders call
-    /// this from a housekeeping thread; the governor also calls it lazily.
+    /// this from a housekeeping thread; the governor applies the same
+    /// refresh inside every charge.
     pub fn refresh_target(&self) {
-        let target = if self.broker.pressure().is_constrained() {
-            Some(self.broker.target_for_kind(SubcomponentKind::Compilation))
-        } else {
-            None
-        };
+        let target = self.broker_target();
         self.ladder.lock().set_compilation_target(target);
     }
 
@@ -86,8 +92,11 @@ struct ThrottledGovernor {
 
 impl MemoryGovernor for ThrottledGovernor {
     fn on_allocation(&mut self, used_bytes: u64, _peak_bytes: u64) -> GovernorDirective {
-        self.throttle.refresh_target();
+        // One ladder acquisition per charge: the target is read from the
+        // broker first and installed under the same lock as the report.
+        let target = self.throttle.broker_target();
         let mut ladder = self.throttle.ladder.lock();
+        ladder.set_compilation_target(target);
         loop {
             let now = self.throttle.now();
             match ladder.report_memory(self.task, used_bytes, now) {

@@ -1,6 +1,6 @@
 //! Cardinality estimation from catalog statistics.
 
-use crate::logical::{ColumnRef, JoinPredicate, LogicalOp, Predicate};
+use crate::logical::{ColumnRef, JoinPredicate, Predicate};
 use throttledb_catalog::Catalog;
 
 /// Minimum row estimate — never let cardinalities collapse to zero, the cost
@@ -130,17 +130,21 @@ impl<'a> CardinalityEstimator<'a> {
         rows.max(MIN_ROWS)
     }
 
-    /// Output rows of a join given child cardinalities.
-    ///
-    /// Per equi-join predicate the classic `|L|·|R| / max(ndv(l), ndv(r))`
-    /// formula; with no predicate it is a cross product.
-    pub fn join_rows(&self, left_rows: f64, right_rows: f64, predicates: &[JoinPredicate]) -> f64 {
+    /// What one equi-join predicate divides a join's cardinality by:
+    /// `max(ndv(l), ndv(r))` of the classic `|L|·|R| / max(ndv(l), ndv(r))`
+    /// formula. The memo looks this up once per distinct predicate.
+    pub fn join_predicate_ndv(&self, predicate: &JoinPredicate) -> f64 {
+        self.distinct_values(&predicate.left)
+            .max(self.distinct_values(&predicate.right))
+            .max(1.0)
+    }
+
+    /// Output rows of a join given child cardinalities and the
+    /// [`join_predicate_ndv`](Self::join_predicate_ndv) of each of its
+    /// equi-join predicates; with no predicate it is a cross product.
+    pub fn join_rows(left_rows: f64, right_rows: f64, ndvs: impl IntoIterator<Item = f64>) -> f64 {
         let mut rows = left_rows * right_rows;
-        for p in predicates {
-            let ndv = self
-                .distinct_values(&p.left)
-                .max(self.distinct_values(&p.right))
-                .max(1.0);
+        for ndv in ndvs {
             rows /= ndv;
         }
         rows.max(MIN_ROWS)
@@ -158,23 +162,14 @@ impl<'a> CardinalityEstimator<'a> {
         groups.min(input_rows).max(MIN_ROWS)
     }
 
-    /// Output rows for any logical operator given its children's rows.
-    pub fn operator_rows(&self, op: &LogicalOp, child_rows: &[f64]) -> f64 {
-        match op {
-            LogicalOp::Get {
-                table, predicates, ..
-            } => self.get_rows(table, predicates),
-            LogicalOp::Join { predicates, .. } => {
-                self.join_rows(child_rows[0], child_rows[1], predicates)
-            }
-            LogicalOp::Filter { selectivity_ppm } => {
-                (child_rows[0] * (*selectivity_ppm as f64 / 1_000_000.0)).max(MIN_ROWS)
-            }
-            LogicalOp::Aggregate { group_by, .. } => self.aggregate_rows(child_rows[0], group_by),
-            LogicalOp::Project { .. } => child_rows[0],
-            LogicalOp::Sort { .. } => child_rows[0],
-            LogicalOp::Limit { count } => (child_rows[0]).min(*count as f64).max(MIN_ROWS),
-        }
+    /// Output rows of a residual filter with the given selectivity.
+    pub fn filter_rows(input_rows: f64, selectivity_ppm: u32) -> f64 {
+        (input_rows * (selectivity_ppm as f64 / 1_000_000.0)).max(MIN_ROWS)
+    }
+
+    /// Output rows of a `LIMIT count`.
+    pub fn limit_rows(input_rows: f64, count: u64) -> f64 {
+        input_rows.min(count as f64).max(MIN_ROWS)
     }
 }
 
@@ -263,14 +258,11 @@ mod tests {
         let e = est(&cat);
         let orders = e.table_rows("orders");
         let customers = e.table_rows("customer");
-        let joined = e.join_rows(
-            orders,
-            customers,
-            &[JoinPredicate {
-                left: col("orders", "o_custkey"),
-                right: col("customer", "c_custkey"),
-            }],
-        );
+        let ndv = e.join_predicate_ndv(&JoinPredicate {
+            left: col("orders", "o_custkey"),
+            right: col("customer", "c_custkey"),
+        });
+        let joined = CardinalityEstimator::join_rows(orders, customers, [ndv]);
         // FK->PK join keeps roughly the fact-side cardinality.
         assert!(
             (joined - orders).abs() / orders < 0.01,
@@ -280,9 +272,7 @@ mod tests {
 
     #[test]
     fn cross_join_multiplies() {
-        let cat = tpch_schema(1.0);
-        let e = est(&cat);
-        assert_eq!(e.join_rows(100.0, 50.0, &[]), 5000.0);
+        assert_eq!(CardinalityEstimator::join_rows(100.0, 50.0, []), 5000.0);
     }
 
     #[test]
@@ -316,24 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn operator_rows_dispatches() {
-        let cat = tpch_schema(1.0);
-        let e = est(&cat);
-        assert_eq!(
-            e.operator_rows(&LogicalOp::Limit { count: 10 }, &[500.0]),
-            10.0
-        );
-        assert_eq!(
-            e.operator_rows(&LogicalOp::Project { column_count: 3 }, &[500.0]),
-            500.0
-        );
-        let filtered = e.operator_rows(
-            &LogicalOp::Filter {
-                selectivity_ppm: 500_000,
-            },
-            &[500.0],
-        );
-        assert_eq!(filtered, 250.0);
+    fn filter_and_limit_rows() {
+        assert_eq!(CardinalityEstimator::limit_rows(500.0, 10), 10.0);
+        assert_eq!(CardinalityEstimator::limit_rows(5.0, 10), 5.0);
+        assert_eq!(CardinalityEstimator::filter_rows(500.0, 500_000), 250.0);
+        assert_eq!(CardinalityEstimator::filter_rows(500.0, 1), 1.0);
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //!
 //! This is the "optimize inputs / implement" half of a Cascades optimizer,
 //! run as a bottom-up pass over the memo. Every physical alternative
-//! considered charges compilation memory, just like logical alternatives do.
+//! considered charges compilation memory, just like logical alternatives do
+//! — but considering one builds nothing: alternatives are costed straight
+//! from the memo's operators, a group remembers its winner as a
+//! [`PhysicalChoice`], and a [`PhysicalOp`] with owned names exists only for
+//! the operators of the plan [`extract_plan`] returns.
 
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::{Cost, CostModel};
-use crate::logical::LogicalOp;
-use crate::memo::{GroupId, Memo, Winner};
+use crate::logical::{LogicalOp, Predicate};
+use crate::memo::{GroupId, Memo, MemoExpr, MemoOp, Winner};
 use crate::memory::{sizes, CompilationMemory};
 use crate::physical::{PhysicalOp, PhysicalPlan};
-use throttledb_catalog::Catalog;
+use throttledb_catalog::{Catalog, IndexDef, TableDef};
 
 /// Context shared by the implementation pass.
 pub struct ImplementationContext<'a> {
@@ -20,6 +24,22 @@ pub struct ImplementationContext<'a> {
     pub estimator: CardinalityEstimator<'a>,
     /// Cost model.
     pub model: CostModel,
+}
+
+/// Which physical implementation of a logical expression was chosen. Only
+/// scans and joins have more than one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhysicalChoice {
+    /// Full sequential scan.
+    TableScan,
+    /// Seek on the n-th of the indexes the scan's filters can use.
+    IndexSeek(u32),
+    /// Hash join, building on the right child.
+    HashJoin,
+    /// Nested-loop join.
+    NestedLoopJoin,
+    /// The single implementation of a unary operator.
+    Only,
 }
 
 /// Compute winners for `group` and (recursively) everything it depends on.
@@ -34,204 +54,199 @@ pub fn optimize_group(
     if let Some(w) = &memo.group(group).winner {
         return Some(w.total_cost);
     }
-    let expr_ids = memo.group(group).exprs.clone();
     let mut best: Option<Winner> = None;
 
-    for expr_id in expr_ids {
-        let (op, children) = {
-            let e = memo.expr(expr_id);
-            (e.op.clone(), e.children.clone())
-        };
+    let mut next = memo.group(group).first_expr;
+    'members: while let Some(expr_id) = next {
+        let expr = *memo.expr(expr_id);
+        next = expr.next_in_group;
         // Optimize children first.
-        let mut child_costs = Vec::with_capacity(children.len());
-        let mut ok = true;
-        for c in &children {
+        let mut child_total = Cost::ZERO;
+        for c in expr.children() {
             match optimize_group(memo, *c, ctx, mem) {
-                Some(cost) => child_costs.push(cost),
-                None => {
-                    ok = false;
-                    break;
-                }
+                Some(cost) => child_total = child_total + cost,
+                None => continue 'members,
             }
         }
-        if !ok {
-            continue;
-        }
-        let child_total: Cost = child_costs.iter().fold(Cost::ZERO, |acc, c| acc + *c);
 
-        for alternative in physical_alternatives(memo, group, &op, &children, ctx) {
-            mem.charge(sizes::PHYSICAL_EXPR_BYTES);
-            let (phys_op, local_cost, memory_bytes) = alternative;
-            let total_cost = local_cost + child_total;
-            let better = match &best {
-                None => true,
-                Some(b) => total_cost.total() < b.total_cost.total(),
-            };
-            if better {
-                best = Some(Winner {
-                    op: phys_op,
-                    children: children.clone(),
-                    local_cost,
-                    total_cost,
-                    memory_bytes,
-                });
-            }
-        }
+        for_each_alternative(
+            memo,
+            group,
+            &expr,
+            ctx,
+            |choice, local_cost, memory_bytes| {
+                mem.charge(sizes::PHYSICAL_EXPR_BYTES);
+                let total_cost = local_cost + child_total;
+                if best.map_or(true, |b| total_cost.total() < b.total_cost.total()) {
+                    best = Some(Winner {
+                        expr: expr_id,
+                        choice,
+                        local_cost,
+                        total_cost,
+                        memory_bytes,
+                    });
+                }
+            },
+        );
     }
 
-    let cost = best.as_ref().map(|w| w.total_cost);
     memo.group_mut(group).winner = best;
-    cost
+    best.map(|w| w.total_cost)
 }
 
-/// Generate the physical alternatives for one logical expression.
-/// Returns `(operator, local cost, execution memory)` triples.
-fn physical_alternatives(
+/// The indexes a scan could seek on: for each filter with a single target
+/// column, every index of the table led by that column — what
+/// `TableDef::indexes_on` collects, without a `Vec` per filter on the
+/// point-query path.
+fn seek_indexes<'a>(
+    table: &'a TableDef,
+    predicates: &'a [Predicate],
+) -> impl Iterator<Item = &'a IndexDef> {
+    let columns = predicates.iter().filter_map(Predicate::column);
+    let indexes = table.indexes.iter();
+    columns.flat_map(move |col| indexes.clone().filter(|ix| ix.covers_prefix(&col.column)))
+}
+
+/// Cost the physical alternatives of one logical expression, handing each
+/// `(choice, local cost, execution memory)` to `consider`.
+fn for_each_alternative(
     memo: &Memo,
     group: GroupId,
-    op: &LogicalOp,
-    children: &[GroupId],
+    expr: &MemoExpr,
     ctx: &ImplementationContext<'_>,
-) -> Vec<(PhysicalOp, Cost, u64)> {
+    mut consider: impl FnMut(PhysicalChoice, Cost, u64),
+) {
     let model = &ctx.model;
-    let out_rows = memo.group(group).rows;
-    match op {
-        LogicalOp::Get {
-            table,
-            binding,
-            predicates,
-        } => {
-            let mut alts = Vec::new();
-            let (pages, raw_rows) = match ctx.catalog.table(table) {
-                Some(t) => (t.total_pages() as f64, t.row_count() as f64),
-                None => (1000.0, 100_000.0),
-            };
-            alts.push((
-                PhysicalOp::TableScan {
-                    table: table.clone(),
-                    binding: binding.clone(),
-                    predicates: predicates.clone(),
-                },
-                model.table_scan(raw_rows, pages),
-                0,
-            ));
-            // An index seek is possible when some predicate's column is the
-            // leading key of an index on this table.
-            if let Some(t) = ctx.catalog.table(table) {
-                for pred in predicates {
-                    let Some(col) = pred.column() else { continue };
-                    for index in t.indexes_on(&col.column) {
-                        alts.push((
-                            PhysicalOp::IndexSeek {
-                                table: table.clone(),
-                                binding: binding.clone(),
-                                index: index.name.clone(),
-                                predicates: predicates.clone(),
-                            },
-                            model.index_seek(out_rows, pages),
-                            0,
-                        ));
-                    }
-                }
-            }
-            alts
-        }
-        LogicalOp::Join { kind, predicates } => {
-            let left = memo.group(children[0]);
-            let right = memo.group(children[1]);
-            let mut alts = Vec::new();
+    let out = memo.group(group);
+    let input = |nth: usize| memo.group(expr.children[nth]);
+    let plain = match expr.op {
+        MemoOp::Join { preds, .. } => {
+            let (left, right) = (input(0), input(1));
             // Hash join: build on the right child.
-            if !predicates.is_empty() {
-                alts.push((
-                    PhysicalOp::HashJoin {
-                        kind: *kind,
-                        predicates: predicates.clone(),
-                    },
-                    model.hash_join(right.rows, left.rows, out_rows),
+            if !preds.is_empty() {
+                consider(
+                    PhysicalChoice::HashJoin,
+                    model.hash_join(right.rows, left.rows, out.rows),
                     model.hash_join_memory(right.rows, right.row_width),
-                ));
+                );
             }
             // Nested loops: re-evaluate the right side per left row.
             let right_cost = right
                 .winner
-                .as_ref()
                 .map(|w| w.total_cost.total())
                 .unwrap_or(right.rows * model.cpu_per_row);
-            alts.push((
-                PhysicalOp::NestedLoopJoin {
-                    kind: *kind,
-                    predicates: predicates.clone(),
-                },
-                model.nested_loop_join(left.rows, right_cost, out_rows),
-                0,
-            ));
-            alts
+            let cost = model.nested_loop_join(left.rows, right_cost, out.rows);
+            return consider(PhysicalChoice::NestedLoopJoin, cost, 0);
         }
-        LogicalOp::Aggregate {
-            group_by,
-            aggregate_count,
+        MemoOp::Plain(id) => memo.names().plain(id),
+    };
+    match plain {
+        LogicalOp::Get {
+            table, predicates, ..
         } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::HashAggregate {
-                    group_by: group_by.clone(),
-                    aggregate_count: *aggregate_count,
-                },
-                model.hash_aggregate(input.rows, out_rows),
-                model.hash_aggregate_memory(out_rows, memo.group(group).row_width),
-            )]
+            let table = ctx.catalog.table(table);
+            let (pages, raw_rows) = match table {
+                Some(t) => (t.total_pages() as f64, t.row_count() as f64),
+                None => (1000.0, 100_000.0),
+            };
+            let scan = model.table_scan(raw_rows, pages);
+            consider(PhysicalChoice::TableScan, scan, 0);
+            // An index seek is possible when some predicate's column is the
+            // leading key of an index on this table.
+            let seeks = table.map(|t| seek_indexes(t, predicates));
+            for (nth, _) in seeks.into_iter().flatten().enumerate() {
+                let cost = model.index_seek(out.rows, pages);
+                consider(PhysicalChoice::IndexSeek(nth as u32), cost, 0);
+            }
         }
-        LogicalOp::Filter { selectivity_ppm } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Filter {
-                    selectivity_ppm: *selectivity_ppm,
-                },
-                model.streaming(input.rows),
-                0,
-            )]
+        LogicalOp::Join { .. } => unreachable!("joins are stored as MemoOp::Join"),
+        LogicalOp::Aggregate { .. } => consider(
+            PhysicalChoice::Only,
+            model.hash_aggregate(input(0).rows, out.rows),
+            model.hash_aggregate_memory(out.rows, out.row_width),
+        ),
+        LogicalOp::Filter { .. } | LogicalOp::Project { .. } => {
+            consider(PhysicalChoice::Only, model.streaming(input(0).rows), 0)
         }
-        LogicalOp::Project { column_count } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Project {
-                    column_count: *column_count,
-                },
-                model.streaming(input.rows),
-                0,
-            )]
-        }
-        LogicalOp::Sort { key_count } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Sort {
-                    key_count: *key_count,
-                },
-                model.sort(input.rows),
-                model.sort_memory(input.rows, input.row_width),
-            )]
-        }
+        LogicalOp::Sort { .. } => consider(
+            PhysicalChoice::Only,
+            model.sort(input(0).rows),
+            model.sort_memory(input(0).rows, input(0).row_width),
+        ),
         LogicalOp::Limit { count } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Limit { count: *count },
-                model.streaming(input.rows.min(*count as f64)),
-                0,
-            )]
+            let rows = input(0).rows.min(*count as f64);
+            consider(PhysicalChoice::Only, model.streaming(rows), 0)
         }
     }
 }
 
+/// Build the chosen implementation of `expr` with owned names.
+fn materialize(
+    memo: &Memo,
+    expr: &MemoExpr,
+    choice: PhysicalChoice,
+    catalog: &Catalog,
+) -> Option<PhysicalOp> {
+    let names = memo.names();
+    let plain = match expr.op {
+        MemoOp::Join { kind, preds } => {
+            let predicates = memo.pred_list(preds).iter();
+            let predicates = predicates.map(|p| names.join_predicate(*p)).collect();
+            return Some(match choice {
+                PhysicalChoice::HashJoin => PhysicalOp::HashJoin { kind, predicates },
+                _ => PhysicalOp::NestedLoopJoin { kind, predicates },
+            });
+        }
+        MemoOp::Plain(id) => names.plain(id),
+    };
+    Some(match plain.clone() {
+        LogicalOp::Get {
+            table,
+            binding,
+            predicates,
+        } => match choice {
+            PhysicalChoice::IndexSeek(nth) => PhysicalOp::IndexSeek {
+                index: {
+                    let mut seeks = seek_indexes(catalog.table(&table)?, &predicates);
+                    seeks.nth(nth as usize)?.name.clone()
+                },
+                table,
+                binding,
+                predicates,
+            },
+            _ => PhysicalOp::TableScan {
+                table,
+                binding,
+                predicates,
+            },
+        },
+        LogicalOp::Join { .. } => unreachable!("joins are stored as MemoOp::Join"),
+        LogicalOp::Aggregate {
+            group_by,
+            aggregate_count,
+        } => PhysicalOp::HashAggregate {
+            group_by,
+            aggregate_count,
+        },
+        LogicalOp::Filter { selectivity_ppm } => PhysicalOp::Filter { selectivity_ppm },
+        LogicalOp::Project { column_count } => PhysicalOp::Project { column_count },
+        LogicalOp::Sort { key_count } => PhysicalOp::Sort { key_count },
+        LogicalOp::Limit { count } => PhysicalOp::Limit { count },
+    })
+}
+
 /// Extract the winner of `group` as a materialized [`PhysicalPlan`] tree.
-pub fn extract_plan(memo: &Memo, group: GroupId) -> Option<PhysicalPlan> {
+/// `catalog` must be the one the winners were costed against.
+pub fn extract_plan(memo: &Memo, group: GroupId, catalog: &Catalog) -> Option<PhysicalPlan> {
     let g = memo.group(group);
     let w = g.winner.as_ref()?;
-    let mut children = Vec::with_capacity(w.children.len());
-    for c in &w.children {
-        children.push(extract_plan(memo, *c)?);
+    let expr = memo.expr(w.expr);
+    let mut children = Vec::with_capacity(expr.children().len());
+    for c in expr.children() {
+        children.push(extract_plan(memo, *c, catalog)?);
     }
     Some(PhysicalPlan {
-        op: w.op.clone(),
+        op: materialize(memo, expr, w.choice, catalog)?,
         children,
         est_rows: g.rows,
         est_row_width: g.row_width,
@@ -254,14 +269,14 @@ mod tests {
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
         let plan = Binder::new(&cat).bind(&parse(sql).unwrap()).unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
         let ctx = ImplementationContext {
             catalog: &cat,
             estimator: est,
             model: CostModel::default(),
         };
         optimize_group(&mut memo, root, &ctx, &mut mem).expect("optimizable");
-        let phys = extract_plan(&memo, root).expect("winner");
+        let phys = extract_plan(&memo, root, &cat).expect("winner");
         (memo, root, phys)
     }
 
@@ -345,7 +360,7 @@ mod tests {
         let plan = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
         let ctx = ImplementationContext {
             catalog: &cat,
             estimator: est,
@@ -371,7 +386,7 @@ mod tests {
         let plan = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
         let before = mem.used_bytes();
         let ctx = ImplementationContext {
             catalog: &cat,
@@ -391,7 +406,7 @@ mod tests {
         let plan = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
-        assert!(extract_plan(&memo, root).is_none());
+        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
+        assert!(extract_plan(&memo, root, &cat).is_none());
     }
 }

@@ -40,6 +40,7 @@ pub mod implementation;
 pub mod logical;
 pub mod memo;
 pub mod memory;
+pub mod names;
 pub mod physical;
 pub mod rules;
 pub mod search;

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 pub use throttledb_sqlparse::JoinKind;
 
-/// An f64 wrapper with total equality/hashing, so operators containing
-/// literals can live in the memo's hash-based duplicate detection.
+/// An f64 wrapper with total equality, so operators containing literals
+/// can be compared when the memo looks for duplicates.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OrderedF64(pub f64);
 
@@ -22,11 +22,6 @@ impl PartialEq for OrderedF64 {
     }
 }
 impl Eq for OrderedF64 {}
-impl std::hash::Hash for OrderedF64 {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.to_bits().hash(state);
-    }
-}
 impl From<f64> for OrderedF64 {
     fn from(v: f64) -> Self {
         OrderedF64(v)
@@ -34,7 +29,7 @@ impl From<f64> for OrderedF64 {
 }
 
 /// A fully resolved column reference.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColumnRef {
     /// The binding name used in the query (alias or table name).
     pub binding: String,
@@ -63,7 +58,7 @@ impl fmt::Display for ColumnRef {
 
 /// A resolved single-table predicate in a shape the cardinality estimator
 /// understands.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Predicate {
     /// `col = literal`.
     Equals {
@@ -103,7 +98,7 @@ pub enum Predicate {
     /// A disjunction of predicates over the same table.
     Or(Vec<Predicate>),
     /// Anything the binder could not classify; carries a guessed selectivity
-    /// (stored ×1e6 to stay hashable).
+    /// (stored ×1e6 to stay comparable).
     Opaque {
         /// Guessed selectivity in millionths.
         selectivity_ppm: u32,
@@ -125,7 +120,7 @@ impl Predicate {
 }
 
 /// An equi-join condition `left = right` between two bindings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JoinPredicate {
     /// Column from the left input.
     pub left: ColumnRef,
@@ -134,11 +129,11 @@ pub struct JoinPredicate {
 }
 
 impl JoinPredicate {
-    /// Flip the sides (used by the join-commutativity rule).
-    pub fn flipped(&self) -> JoinPredicate {
+    /// Swap the sides.
+    pub fn flipped(self) -> JoinPredicate {
         JoinPredicate {
-            left: self.right.clone(),
-            right: self.left.clone(),
+            left: self.right,
+            right: self.left,
         }
     }
 }
@@ -152,7 +147,7 @@ impl fmt::Display for JoinPredicate {
 /// A logical operator. Children are kept outside the operator (in the plan
 /// tree or in memo group references), so the same operator value can be
 /// shared by both representations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LogicalOp {
     /// Scan of a base table with pushed-down filters. Leaf.
     Get {
@@ -399,7 +394,7 @@ mod tests {
             left: ColumnRef::new("f", "fact", "k"),
             right: ColumnRef::new("d", "dim", "key"),
         };
-        let q = p.flipped();
+        let q = p.clone().flipped();
         assert_eq!(q.left, p.right);
         assert_eq!(q.right, p.left);
         assert_eq!(q.flipped(), p);

@@ -1,50 +1,135 @@
 //! The memo: groups of logically equivalent expressions.
 //!
-//! The memo is where compilation memory goes. Every group and every group
-//! expression inserted charges the compilation's
-//! [`crate::memory::CompilationMemory`] account, so the
-//! number of alternatives explored maps directly to bytes — "the memory
-//! consumed during optimization is closely related to the number of
-//! considered alternatives."
+//! The memo is where compilation memory goes, and two different quantities
+//! are measured on it:
+//!
+//! * **Modelled bytes** — every group and every group expression inserted
+//!   charges the compilation's [`crate::memory::CompilationMemory`] account
+//!   with the [`sizes`] of a production optimizer's memo objects, so the
+//!   number of alternatives explored maps directly to bytes — "the memory
+//!   consumed during optimization is closely related to the number of
+//!   considered alternatives." This is what the gateway ladder and the
+//!   broker see, and the paper's subject.
+//! * **Real heap** — what this process allocates to hold the same memo: a
+//!   small constant per expression. Names are resolved once into the
+//!   compilation's [`Names`] table when the bound plan enters the memo, so
+//!   an operator is a `Copy` value of integer ids, a group's covered
+//!   bindings are a bitset, children are a fixed pair, join predicate lists
+//!   sit back to back in one arena, a group's members are threaded through
+//!   the expression array, and duplicate detection hashes a candidate and
+//!   compares it with the stored expressions. Adding an alternative
+//!   allocates nothing beyond amortized growth of those few arrays.
+//!
+//! The first must not move when the second does.
 
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::Cost;
+use crate::error::OptimizerError;
+use crate::implementation::PhysicalChoice;
 use crate::logical::{LogicalOp, LogicalPlan};
 use crate::memory::{sizes, CompilationMemory};
-use crate::physical::PhysicalOp;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use crate::names::{BindingSet, Names, PlainId, PredRef};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use throttledb_sqlparse::JoinKind;
 
 /// Identifies a memo group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
+impl GroupId {
+    /// Fills the child slots an operator of lower arity does not use.
+    pub const NONE: GroupId = GroupId(u32::MAX);
+}
+
 /// Identifies a logical expression within the memo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(pub u32);
 
+/// A join's equi-join predicates, ordered and oriented: a range of the
+/// memo's predicate arena, read through [`Memo::pred_list`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PredList {
+    start: u32,
+    len: u32,
+}
+
+impl PredList {
+    /// True for a join without equi-join predicates (a cross product).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// A logical operator as the memo stores it: a [`LogicalOp`] with its names
+/// resolved in the compilation's [`Names`].
+#[derive(Debug, Clone, Copy)]
+pub enum MemoOp {
+    /// A scan or unary operator. Rules only rewrite joins, so these stay
+    /// as the binder built them, in the name table.
+    Plain(PlainId),
+    /// Join of two inputs.
+    Join {
+        /// Inner/left/right.
+        kind: JoinKind,
+        /// Equi-join conditions.
+        preds: PredList,
+    },
+}
+
+impl MemoOp {
+    /// A join whose predicate list the memo assigns when it stores it.
+    fn join(kind: JoinKind) -> MemoOp {
+        let preds = PredList::default();
+        MemoOp::Join { kind, preds }
+    }
+
+    /// True for join operators (the target of the reordering rules).
+    pub fn is_join(&self) -> bool {
+        matches!(self, MemoOp::Join { .. })
+    }
+
+    /// Everything two operators must agree on to be equal, a join's
+    /// predicate list aside.
+    fn key(&self) -> (bool, u32) {
+        match *self {
+            MemoOp::Plain(id) => (false, id.0),
+            MemoOp::Join { kind, .. } => (true, kind as u32),
+        }
+    }
+}
+
 /// A logical expression stored in the memo: an operator over child groups.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemoExpr {
-    /// This expression's id.
-    pub id: ExprId,
     /// The group it belongs to.
     pub group: GroupId,
     /// The operator.
-    pub op: LogicalOp,
-    /// Child groups, `op.arity()` of them.
-    pub children: Vec<GroupId>,
+    pub op: MemoOp,
+    /// Child groups, padded with [`GroupId::NONE`].
+    pub children: [GroupId; 2],
     /// Bitmask of transformation rules already applied to this expression.
     pub rules_applied: u32,
+    /// The group's next member, in insertion order.
+    pub next_in_group: Option<ExprId>,
 }
 
-/// The best physical implementation found for a group.
-#[derive(Debug, Clone)]
+impl MemoExpr {
+    /// The child groups the operator actually has.
+    pub fn children(&self) -> &[GroupId] {
+        let arity = self.children.iter().take_while(|c| **c != GroupId::NONE);
+        &self.children[..arity.count()]
+    }
+}
+
+/// The best physical implementation found for a group. The operator with
+/// owned names is built from it only if it ends up in the extracted plan.
+#[derive(Debug, Clone, Copy)]
 pub struct Winner {
-    /// The chosen physical operator.
-    pub op: PhysicalOp,
-    /// Child groups (winners are looked up recursively at extraction).
-    pub children: Vec<GroupId>,
+    /// The logical expression that won (its children are the plan's).
+    pub expr: ExprId,
+    /// Which of its physical implementations.
+    pub choice: PhysicalChoice,
     /// Cost of this operator alone.
     pub local_cost: Cost,
     /// Cost of the whole subtree.
@@ -55,34 +140,50 @@ pub struct Winner {
 
 /// A memo group: the set of logically equivalent expressions plus shared
 /// logical properties (cardinality, width, covered bindings) and the winner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Group {
-    /// Group id.
-    pub id: GroupId,
-    /// Member logical expressions.
-    pub exprs: Vec<ExprId>,
     /// Estimated output rows.
     pub rows: f64,
     /// Estimated output row width in bytes.
     pub row_width: u32,
     /// Query bindings (table aliases) covered by this group.
-    pub bindings: BTreeSet<String>,
+    pub bindings: BindingSet,
     /// Best implementation found so far, if the group has been optimized.
     pub winner: Option<Winner>,
+    /// First member; the rest hang off [`MemoExpr::next_in_group`].
+    pub first_expr: Option<ExprId>,
+    /// Last member so far.
+    pub last_expr: Option<ExprId>,
 }
+
+/// Marks an unused slot of the duplicate-detection table.
+const EMPTY: u32 = u32::MAX;
 
 /// The memo structure.
 #[derive(Debug, Default)]
 pub struct Memo {
+    names: Names,
     groups: Vec<Group>,
     exprs: Vec<MemoExpr>,
-    dedup: HashMap<(LogicalOp, Vec<GroupId>), ExprId>,
+    /// Every join expression's predicate list, back to back.
+    preds: Vec<PredRef>,
+    /// Duplicate detection: an open-addressing table of indexes into
+    /// `exprs`, at most half full, probed linearly. The expressions are
+    /// the keys; nothing is copied into the table.
+    slots: Vec<u32>,
+    /// Randomly keyed, like a `HashMap`'s: operators derive from user SQL.
+    hasher: RandomState,
 }
 
 impl Memo {
     /// An empty memo.
     pub fn new() -> Self {
         Memo::default()
+    }
+
+    /// The compilation's name table.
+    pub fn names(&self) -> &Names {
+        &self.names
     }
 
     /// Number of groups.
@@ -120,142 +221,252 @@ impl Memo {
         (0..self.exprs.len() as u32).map(ExprId)
     }
 
-    /// Iterate all group ids.
-    pub fn group_ids(&self) -> impl Iterator<Item = GroupId> {
-        (0..self.groups.len() as u32).map(GroupId)
+    /// A join's predicates.
+    pub fn pred_list(&self, list: PredList) -> &[PredRef] {
+        &self.preds[list.start as usize..(list.start + list.len) as usize]
     }
 
-    /// Recursively insert a plan tree, creating one group per node (reusing
-    /// existing groups when an identical expression already exists).
-    /// Returns the root group.
+    /// The predicates of `op` when it is a join, none otherwise.
+    fn op_preds(&self, op: &MemoOp) -> &[PredRef] {
+        match op {
+            MemoOp::Join { preds, .. } => self.pred_list(*preds),
+            MemoOp::Plain(_) => &[],
+        }
+    }
+
+    /// Recursively insert a plan tree, resolving its names and creating one
+    /// group per node (reusing existing groups when an identical expression
+    /// already exists). Returns the root group, or an error when the plan
+    /// is malformed or joins more than [`crate::names::MAX_BINDINGS`]
+    /// tables.
     pub fn insert_plan(
         &mut self,
-        plan: &LogicalPlan,
+        plan: LogicalPlan,
         est: &CardinalityEstimator<'_>,
         mem: &mut CompilationMemory,
-    ) -> GroupId {
-        let children: Vec<GroupId> = plan
-            .children
-            .iter()
-            .map(|c| self.insert_plan(c, est, mem))
-            .collect();
-        self.insert_expr(plan.op.clone(), children, est, mem).0
+    ) -> Result<GroupId, OptimizerError> {
+        if plan.children.len() != plan.op.arity() {
+            let what = format!("{} with {} inputs", plan.op.name(), plan.children.len());
+            return Err(OptimizerError::Unsupported(what));
+        }
+        let mut children = [GroupId::NONE; 2];
+        for (slot, child) in children.iter_mut().zip(plan.children) {
+            *slot = self.insert_plan(child, est, mem)?;
+        }
+        let mut scanned = BindingSet::default();
+        let mut preds = Vec::new();
+        let op = match plan.op {
+            LogicalOp::Join { kind, predicates } => {
+                for p in predicates {
+                    preds.push(self.names.pred_ref(p, est)?);
+                }
+                MemoOp::join(kind)
+            }
+            plain => {
+                if let LogicalOp::Get { binding, .. } = &plain {
+                    scanned = BindingSet::single(self.names.binding_id(binding)?);
+                }
+                MemoOp::Plain(self.names.plain_id(plain))
+            }
+        };
+        Ok(self.insert_expr(op, &preds, children, scanned, est, mem).0)
     }
 
-    /// Insert an expression; if an identical one exists, return its group.
+    /// Insert a join; if an identical one exists, return its group.
     /// Otherwise create a new group for it. Returns the group and, when the
     /// expression was new, its id.
-    pub fn insert_expr(
+    pub fn insert_join(
         &mut self,
-        op: LogicalOp,
-        children: Vec<GroupId>,
+        kind: JoinKind,
+        preds: &[PredRef],
+        children: [GroupId; 2],
         est: &CardinalityEstimator<'_>,
         mem: &mut CompilationMemory,
     ) -> (GroupId, Option<ExprId>) {
-        let key = (op.clone(), children.clone());
-        if let Some(existing) = self.dedup.get(&key) {
-            return (self.exprs[existing.0 as usize].group, None);
+        let none_scanned = BindingSet::default();
+        self.insert_expr(MemoOp::join(kind), preds, children, none_scanned, est, mem)
+    }
+
+    /// `insert_join` for any operator: `preds` is the predicate list when
+    /// `op` is a join (its own `PredList` is assigned when it is stored) and
+    /// `scanned` the binding when it is a scan.
+    fn insert_expr(
+        &mut self,
+        op: MemoOp,
+        preds: &[PredRef],
+        children: [GroupId; 2],
+        scanned: BindingSet,
+        est: &CardinalityEstimator<'_>,
+        mem: &mut CompilationMemory,
+    ) -> (GroupId, Option<ExprId>) {
+        let hash = self.hash(&op, preds, &children);
+        if let Some(existing) = self.find(hash, &op, preds, &children) {
+            return (self.expr(existing).group, None);
         }
         let group_id = GroupId(self.groups.len() as u32);
-        let (rows, row_width, bindings) = self.derive_properties(&op, &children, est);
+        let (rows, row_width) = self.derive_properties(&op, preds, &children, est);
+        let inputs = children.iter().filter(|c| **c != GroupId::NONE);
+        let bindings = inputs.fold(scanned, |all, c| all.union(self.group(*c).bindings));
         self.groups.push(Group {
-            id: group_id,
-            exprs: Vec::new(),
             rows,
             row_width,
             bindings,
             winner: None,
+            first_expr: None,
+            last_expr: None,
         });
         mem.charge(sizes::GROUP_BYTES);
-        let expr_id = self.push_expr(group_id, op, children, mem);
-        self.dedup.insert(key, expr_id);
+        let expr_id = self.push_expr(group_id, op, preds, children, hash, mem);
         (group_id, Some(expr_id))
     }
 
-    /// Add an alternative expression to an *existing* group (the result of a
+    /// Add an alternative join to an *existing* group (the result of a
     /// transformation rule). Returns `Some(expr)` if it was new, `None` if an
     /// identical expression already existed anywhere in the memo.
-    pub fn add_expr_to_group(
+    pub fn add_join_to_group(
         &mut self,
         group: GroupId,
-        op: LogicalOp,
-        children: Vec<GroupId>,
+        kind: JoinKind,
+        preds: &[PredRef],
+        children: [GroupId; 2],
         mem: &mut CompilationMemory,
     ) -> Option<ExprId> {
-        let key = (op.clone(), children.clone());
-        if self.dedup.contains_key(&key) {
-            return None;
+        let op = MemoOp::join(kind);
+        let hash = self.hash(&op, preds, &children);
+        match self.find(hash, &op, preds, &children) {
+            Some(_) => None,
+            None => Some(self.push_expr(group, op, preds, children, hash, mem)),
         }
-        let expr_id = self.push_expr(group, op, children, mem);
-        self.dedup.insert(key, expr_id);
-        Some(expr_id)
     }
 
     fn push_expr(
         &mut self,
         group: GroupId,
-        op: LogicalOp,
-        children: Vec<GroupId>,
+        mut op: MemoOp,
+        new_preds: &[PredRef],
+        children: [GroupId; 2],
+        hash: u64,
         mem: &mut CompilationMemory,
     ) -> ExprId {
+        if let MemoOp::Join { preds, .. } = &mut op {
+            *preds = PredList {
+                start: self.preds.len() as u32,
+                len: new_preds.len() as u32,
+            };
+            self.preds.extend_from_slice(new_preds);
+        }
         let expr_id = ExprId(self.exprs.len() as u32);
         self.exprs.push(MemoExpr {
-            id: expr_id,
             group,
             op,
             children,
             rules_applied: 0,
+            next_in_group: None,
         });
-        self.groups[group.0 as usize].exprs.push(expr_id);
+        let members = &mut self.groups[group.0 as usize];
+        match members.last_expr.replace(expr_id) {
+            Some(previous) => self.exprs[previous.0 as usize].next_in_group = Some(expr_id),
+            None => members.first_expr = Some(expr_id),
+        }
+        if self.exprs.len() * 2 > self.slots.len() {
+            self.grow_slots();
+        } else {
+            place(&mut self.slots, hash, expr_id.0);
+        }
         mem.charge(sizes::LOGICAL_EXPR_BYTES);
         expr_id
     }
 
-    /// Derive a new group's logical properties from its defining expression.
+    fn hash(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u64 {
+        self.hasher.hash_one((op.key(), preds, children))
+    }
+
+    /// The stored expression equal to the candidate, if any: same operator,
+    /// same ordered and oriented predicates, same children.
+    fn find(
+        &self,
+        hash: u64,
+        op: &MemoOp,
+        preds: &[PredRef],
+        children: &[GroupId; 2],
+    ) -> Option<ExprId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at] != EMPTY {
+            let stored = &self.exprs[self.slots[at] as usize];
+            if stored.op.key() == op.key()
+                && stored.children == *children
+                && self.op_preds(&stored.op) == preds
+            {
+                return Some(ExprId(self.slots[at]));
+            }
+            at = (at + 1) & mask;
+        }
+        None
+    }
+
+    /// Double the duplicate-detection table and re-place every expression.
+    fn grow_slots(&mut self) {
+        let mut slots = std::mem::take(&mut self.slots);
+        let size = (slots.len() * 2).max(16);
+        slots.clear();
+        slots.resize(size, EMPTY);
+        for (at, e) in self.exprs.iter().enumerate() {
+            let hash = self.hash(&e.op, self.op_preds(&e.op), &e.children);
+            place(&mut slots, hash, at as u32);
+        }
+        self.slots = slots;
+    }
+
+    /// Derive a new group's cardinality and row width from its defining
+    /// expression.
     fn derive_properties(
         &self,
-        op: &LogicalOp,
-        children: &[GroupId],
+        op: &MemoOp,
+        preds: &[PredRef],
+        children: &[GroupId; 2],
         est: &CardinalityEstimator<'_>,
-    ) -> (f64, u32, BTreeSet<String>) {
-        let child_rows: Vec<f64> = children.iter().map(|c| self.group(*c).rows).collect();
-        let rows = est.operator_rows(op, &child_rows);
-        let (row_width, bindings) = match op {
-            LogicalOp::Get { table, binding, .. } => {
-                let mut b = BTreeSet::new();
-                b.insert(binding.clone());
-                (est.table_row_width(table), b)
+    ) -> (f64, u32) {
+        let input = |nth: usize| self.group(children[nth]);
+        let plain = match *op {
+            MemoOp::Join { .. } => {
+                let ndvs = preds.iter().map(|p| self.names.ndv(*p));
+                return (
+                    CardinalityEstimator::join_rows(input(0).rows, input(1).rows, ndvs),
+                    input(0).row_width + input(1).row_width,
+                );
             }
-            LogicalOp::Join { .. } => {
-                let left = self.group(children[0]);
-                let right = self.group(children[1]);
-                let mut b = left.bindings.clone();
-                b.extend(right.bindings.iter().cloned());
-                (left.row_width + right.row_width, b)
-            }
+            MemoOp::Plain(id) => self.names.plain(id),
+        };
+        match plain {
+            LogicalOp::Get {
+                table, predicates, ..
+            } => (est.get_rows(table, predicates), est.table_row_width(table)),
+            LogicalOp::Join { .. } => unreachable!("joins are stored as MemoOp::Join"),
+            LogicalOp::Filter { selectivity_ppm } => (
+                CardinalityEstimator::filter_rows(input(0).rows, *selectivity_ppm),
+                input(0).row_width,
+            ),
             LogicalOp::Aggregate {
                 group_by,
                 aggregate_count,
-            } => {
-                let child = self.group(children[0]);
-                (
-                    (group_by.len() as u32 + aggregate_count) * 8 + 16,
-                    child.bindings.clone(),
-                )
-            }
-            LogicalOp::Project { column_count } => {
-                let child = self.group(children[0]);
-                (
-                    (*column_count * 8 + 8).min(child.row_width.max(8)),
-                    child.bindings.clone(),
-                )
-            }
-            _ => {
-                let child = self.group(children[0]);
-                (child.row_width, child.bindings.clone())
-            }
-        };
-        (rows, row_width, bindings)
+            } => (
+                est.aggregate_rows(input(0).rows, group_by),
+                (group_by.len() as u32 + aggregate_count) * 8 + 16,
+            ),
+            LogicalOp::Project { column_count } => (
+                input(0).rows,
+                (column_count * 8 + 8).min(input(0).row_width.max(8)),
+            ),
+            LogicalOp::Sort { .. } => (input(0).rows, input(0).row_width),
+            LogicalOp::Limit { count } => (
+                CardinalityEstimator::limit_rows(input(0).rows, *count),
+                input(0).row_width,
+            ),
+        }
     }
 
     /// Clear all winners (used before a re-costing pass after exploration
@@ -267,29 +478,51 @@ impl Memo {
     }
 }
 
+/// Put `value` in the first free slot at or after `hash`'s home.
+fn place(slots: &mut [u32], hash: u64, value: u32) {
+    let mask = slots.len() - 1;
+    let mut at = hash as usize & mask;
+    while slots[at] != EMPTY {
+        at = (at + 1) & mask;
+    }
+    slots[at] = value;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::logical::{ColumnRef, JoinPredicate};
     use throttledb_catalog::tpch_schema;
-    use throttledb_sqlparse::JoinKind;
 
-    fn get_op(table: &str) -> LogicalOp {
-        LogicalOp::Get {
+    fn get(table: &str) -> LogicalPlan {
+        LogicalPlan::leaf(LogicalOp::Get {
             table: table.into(),
             binding: table.into(),
             predicates: vec![],
-        }
+        })
     }
 
-    fn join_op(l: &str, lc: &str, r: &str, rc: &str) -> LogicalOp {
-        LogicalOp::Join {
-            kind: JoinKind::Inner,
-            predicates: vec![JoinPredicate {
-                left: ColumnRef::new(l, l, lc),
-                right: ColumnRef::new(r, r, rc),
-            }],
-        }
+    fn orders_join_customer() -> LogicalPlan {
+        LogicalPlan::binary(
+            LogicalOp::Join {
+                kind: JoinKind::Inner,
+                predicates: vec![JoinPredicate {
+                    left: ColumnRef::new("orders", "orders", "o_custkey"),
+                    right: ColumnRef::new("customer", "customer", "c_custkey"),
+                }],
+            },
+            get("orders"),
+            get("customer"),
+        )
+    }
+
+    /// The members of `group`, in order.
+    fn members(memo: &Memo, group: GroupId) -> Vec<ExprId> {
+        let first = memo.group(group).first_expr;
+        let members = std::iter::successors(first, |e| memo.expr(*e).next_in_group);
+        let members: Vec<ExprId> = members.collect();
+        assert_eq!(members.last(), memo.group(group).last_expr.as_ref());
+        members
     }
 
     #[test]
@@ -298,16 +531,34 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let plan = LogicalPlan::binary(
-            join_op("orders", "o_custkey", "customer", "c_custkey"),
-            LogicalPlan::leaf(get_op("orders")),
-            LogicalPlan::leaf(get_op("customer")),
-        );
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo
+            .insert_plan(orders_join_customer(), &est, &mut mem)
+            .unwrap();
         assert_eq!(memo.group_count(), 3);
         assert_eq!(memo.expr_count(), 3);
-        assert_eq!(memo.group(root).bindings.len(), 2);
+        let [orders, customer] = memo.expr(members(&memo, root)[0]).children;
+        let covered = memo.group(root).bindings;
+        assert_eq!(
+            covered,
+            memo.group(orders)
+                .bindings
+                .union(memo.group(customer).bindings)
+        );
+        assert_ne!(covered, memo.group(orders).bindings);
         assert!(mem.used_bytes() >= 3 * sizes::GROUP_BYTES);
+    }
+
+    #[test]
+    fn malformed_plans_are_rejected_not_indexed_out_of_bounds() {
+        let cat = tpch_schema(0.1);
+        let est = CardinalityEstimator::new(&cat);
+        let mut mem = CompilationMemory::unlimited();
+        let mut plan = orders_join_customer();
+        plan.children.pop();
+        assert!(matches!(
+            Memo::new().insert_plan(plan, &est, &mut mem),
+            Err(OptimizerError::Unsupported(_))
+        ));
     }
 
     #[test]
@@ -316,46 +567,70 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let (g1, created1) = memo.insert_expr(get_op("orders"), vec![], &est, &mut mem);
-        let (g2, created2) = memo.insert_expr(get_op("orders"), vec![], &est, &mut mem);
-        assert!(created1.is_some());
-        assert!(created2.is_none());
+        let g1 = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
+        let g2 = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
         assert_eq!(g1, g2);
         assert_eq!(memo.expr_count(), 1);
+        // The whole join is found again too, predicates and children included.
+        let j1 = memo
+            .insert_plan(orders_join_customer(), &est, &mut mem)
+            .unwrap();
+        let j2 = memo
+            .insert_plan(orders_join_customer(), &est, &mut mem)
+            .unwrap();
+        assert_eq!(j1, j2);
+        assert_eq!(memo.expr_count(), 3);
     }
 
     #[test]
-    fn add_expr_to_group_dedups_alternatives() {
+    fn duplicate_detection_survives_table_growth() {
         let cat = tpch_schema(0.1);
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let (go, _) = memo.insert_expr(get_op("orders"), vec![], &est, &mut mem);
-        let (gc, _) = memo.insert_expr(get_op("customer"), vec![], &est, &mut mem);
-        let (gj, _) = memo.insert_expr(
-            join_op("orders", "o_custkey", "customer", "c_custkey"),
-            vec![go, gc],
-            &est,
-            &mut mem,
-        );
+        let limit = |count| LogicalPlan::unary(LogicalOp::Limit { count }, get("orders"));
+        let groups: Vec<GroupId> = (0..500)
+            .map(|count| memo.insert_plan(limit(count), &est, &mut mem).unwrap())
+            .collect();
+        assert_eq!(memo.expr_count(), 501);
+        for (count, group) in groups.iter().enumerate() {
+            let again = memo.insert_plan(limit(count as u64), &est, &mut mem);
+            assert_eq!(again.unwrap(), *group);
+        }
+        assert_eq!(memo.expr_count(), 501);
+    }
+
+    #[test]
+    fn add_join_to_group_dedups_alternatives() {
+        let cat = tpch_schema(0.1);
+        let est = CardinalityEstimator::new(&cat);
+        let mut mem = CompilationMemory::unlimited();
+        let mut memo = Memo::new();
+        let gj = memo
+            .insert_plan(orders_join_customer(), &est, &mut mem)
+            .unwrap();
+        let join = *memo.expr(members(&memo, gj)[0]);
+        let [go, gc] = join.children;
+        let flipped: Vec<PredRef> = memo
+            .op_preds(&join.op)
+            .iter()
+            .map(|p| p.flipped())
+            .collect();
+        // Same predicate, same orientation, same children: a duplicate.
+        let same = memo.op_preds(&join.op).to_vec();
+        let dup = memo.add_join_to_group(gj, JoinKind::Inner, &same, [go, gc], &mut mem);
+        assert!(dup.is_none());
         // The commuted alternative is new...
-        let alt = memo.add_expr_to_group(
-            gj,
-            join_op("customer", "c_custkey", "orders", "o_custkey"),
-            vec![gc, go],
-            &mut mem,
-        );
+        let alt = memo.add_join_to_group(gj, JoinKind::Inner, &flipped, [gc, go], &mut mem);
         assert!(alt.is_some());
         // ...but adding it again is a no-op.
-        let again = memo.add_expr_to_group(
-            gj,
-            join_op("customer", "c_custkey", "orders", "o_custkey"),
-            vec![gc, go],
-            &mut mem,
-        );
+        let again = memo.add_join_to_group(gj, JoinKind::Inner, &flipped, [gc, go], &mut mem);
         assert!(again.is_none());
-        assert_eq!(memo.group(gj).exprs.len(), 2);
+        assert_eq!(members(&memo, gj), vec![ExprId(2), alt.unwrap()]);
         assert_eq!(memo.group_count(), 3, "no extra group for the alternative");
+        // Orientation is part of a predicate list's identity.
+        let unflipped = memo.add_join_to_group(gj, JoinKind::Inner, &same, [gc, go], &mut mem);
+        assert!(unflipped.is_some());
     }
 
     #[test]
@@ -364,16 +639,13 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let (go, _) = memo.insert_expr(get_op("orders"), vec![], &est, &mut mem);
-        let (gc, _) = memo.insert_expr(get_op("customer"), vec![], &est, &mut mem);
+        let go = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
+        let gc = memo.insert_plan(get("customer"), &est, &mut mem).unwrap();
         assert_eq!(memo.group(go).rows, 1_500_000.0);
         assert_eq!(memo.group(gc).rows, 150_000.0);
-        let (gj, _) = memo.insert_expr(
-            join_op("orders", "o_custkey", "customer", "c_custkey"),
-            vec![go, gc],
-            &est,
-            &mut mem,
-        );
+        let gj = memo
+            .insert_plan(orders_join_customer(), &est, &mut mem)
+            .unwrap();
         let j = memo.group(gj);
         // FK->PK join keeps the orders cardinality.
         assert!((j.rows - 1_500_000.0).abs() < 1.0);
@@ -389,10 +661,10 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        memo.insert_expr(get_op("orders"), vec![], &est, &mut mem);
+        memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
         let one = mem.used_bytes();
         assert_eq!(one, sizes::GROUP_BYTES + sizes::LOGICAL_EXPR_BYTES);
-        memo.insert_expr(get_op("customer"), vec![], &est, &mut mem);
+        memo.insert_plan(get("customer"), &est, &mut mem).unwrap();
         assert_eq!(mem.used_bytes(), 2 * one);
     }
 
@@ -402,14 +674,10 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let (g, _) = memo.insert_expr(get_op("orders"), vec![], &est, &mut mem);
+        let g = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
         memo.group_mut(g).winner = Some(Winner {
-            op: PhysicalOp::TableScan {
-                table: "orders".into(),
-                binding: "orders".into(),
-                predicates: vec![],
-            },
-            children: vec![],
+            expr: ExprId(0),
+            choice: PhysicalChoice::TableScan,
             local_cost: Cost::ZERO,
             total_cost: Cost::ZERO,
             memory_bytes: 0,

@@ -8,6 +8,15 @@
 //! they acquire the corresponding gateway — blocking the compilation if the
 //! gateway is full — and on timeout or predicted exhaustion they direct the
 //! optimizer to finish with the best plan found so far or abort.
+//!
+//! The bytes charged here are **modelled**: the [`sizes`] a production
+//! optimizer's memo objects would occupy, which is the quantity the paper
+//! throttles on. They are not this process's heap — the memo holding the
+//! same alternatives really costs a hundred-odd bytes per expression (see
+//! [`crate::memo`]) — and the sequence of charges is a fixed function of
+//! the query, pinned per template by `tests/compile_fingerprint.rs`, so the
+//! representation can get cheaper without the ladder or the broker seeing
+//! a different compilation.
 
 use throttledb_membroker::Clerk;
 

@@ -8,10 +8,9 @@ use crate::implementation::{extract_plan, optimize_group, ImplementationContext}
 use crate::memo::Memo;
 use crate::memory::{sizes, CompilationMemory, GovernorDirective, MemoryGovernor};
 use crate::physical::PhysicalPlan;
-use crate::rules::{apply_rule, Rule};
+use crate::rules::{Exploration, Rule};
 use crate::stage::{OptimizationStage, StagePolicy};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use throttledb_catalog::Catalog;
 use throttledb_membroker::Clerk;
 use throttledb_sqlparse::SelectStatement;
@@ -114,7 +113,11 @@ impl<'a> Optimizer<'a> {
         // Seed the memo with the initial plan and cost it, so a best-effort
         // plan exists from the earliest possible moment.
         let mut memo = Memo::new();
-        let root = memo.insert_plan(&initial_plan, &estimator, &mut mem);
+        let inserted = memo.insert_plan(initial_plan, &estimator, &mut mem);
+        let root = inserted.map_err(|unsupported| {
+            mem.finish();
+            unsupported
+        })?;
         let ctx = ImplementationContext {
             catalog: self.catalog,
             estimator,
@@ -139,19 +142,15 @@ impl<'a> Optimizer<'a> {
         let mut aborted: Option<String> = None;
 
         if budget.transformation_limit > 0 {
-            let mut queue: VecDeque<crate::memo::ExprId> = memo.expr_ids().collect();
-            'explore: while let Some(expr_id) = queue.pop_front() {
+            let mut exploration = Exploration::default();
+            exploration.queue.extend(memo.expr_ids());
+            'explore: while let Some(expr_id) = exploration.queue.pop_front() {
                 for rule in Rule::ALL {
                     if transformations >= budget.transformation_limit {
                         break 'explore;
                     }
-                    let outcome = apply_rule(rule, &mut memo, expr_id, &estimator, &mut mem);
-                    transformations += outcome
-                        .attempted
-                        .max(u64::from(!outcome.new_exprs.is_empty()));
-                    for new_expr in outcome.new_exprs {
-                        queue.push_back(new_expr);
-                    }
+                    transformations +=
+                        exploration.apply_rule(rule, &mut memo, expr_id, &estimator, &mut mem);
                     match mem.pending_directive() {
                         GovernorDirective::Continue => {}
                         GovernorDirective::FinishWithBestPlan => {
@@ -175,7 +174,8 @@ impl<'a> Optimizer<'a> {
         // Final costing pass over everything explored.
         memo.clear_winners();
         optimize_group(&mut memo, root, &ctx, &mut mem);
-        let plan = extract_plan(&memo, root).ok_or(OptimizerError::NoPlanAvailable)?;
+        let plan =
+            extract_plan(&memo, root, self.catalog).ok_or(OptimizerError::NoPlanAvailable)?;
 
         let stats = CompileStats {
             peak_memory_bytes: mem.peak_bytes(),
@@ -419,6 +419,35 @@ mod tests {
             opt.optimize(&stmt),
             Err(OptimizerError::UnknownTable(_))
         ));
+    }
+
+    #[test]
+    fn from_list_wider_than_the_binding_set_is_unsupported_not_a_panic() {
+        let cat = tpch_schema(1.0);
+        let opt = Optimizer::new(&cat);
+        let from_list = |aliases: usize| {
+            let tables: Vec<String> = (0..aliases).map(|i| format!("nation n{i}")).collect();
+            parse(&format!("SELECT COUNT(*) FROM {}", tables.join(", "))).unwrap()
+        };
+        // 256 aliases fill the binding set exactly and still compile...
+        let widest = opt.optimize(&from_list(256)).unwrap();
+        assert_eq!(widest.plan.scan_count(), 256);
+        // ...one more is refused, through the governed path too, and the
+        // refusal releases everything the compilation had been charged.
+        let err = opt.optimize(&from_list(257)).unwrap_err();
+        assert!(
+            matches!(&err, OptimizerError::Unsupported(why) if why.contains("256")),
+            "{err}"
+        );
+        let broker = MemoryBroker::new(BrokerConfig::paper_machine());
+        let clerk = broker.register(SubcomponentKind::Compilation);
+        let governed = opt.optimize_with_governor(
+            &from_list(257),
+            Box::new(UnlimitedGovernor),
+            Some(clerk.clone()),
+        );
+        assert!(matches!(governed, Err(OptimizerError::Unsupported(_))));
+        assert_eq!(clerk.used_bytes(), 0);
     }
 
     #[test]

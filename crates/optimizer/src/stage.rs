@@ -80,7 +80,10 @@ impl StagePolicy {
         }
         let from_cost = self.full_budget_per_log_cost * initial_cost.max(1.0).ln();
         let from_tables = self.full_budget_per_table * table_count as u64;
-        let budget = (from_cost as u64 + from_tables).min(self.full_budget_cap);
+        // A wide cross product costs +inf, which casts to `u64::MAX`.
+        let budget = (from_cost as u64)
+            .saturating_add(from_tables)
+            .min(self.full_budget_cap);
         StageBudget {
             stage: OptimizationStage::Full,
             transformation_limit: budget.max(self.quick_budget),
@@ -91,6 +94,14 @@ impl StagePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn infinite_cost_gets_the_capped_budget_not_an_overflow() {
+        let p = StagePolicy::default();
+        let b = p.choose(f64::INFINITY, 256);
+        assert_eq!(b.stage, OptimizationStage::Full);
+        assert_eq!(b.transformation_limit, p.full_budget_cap);
+    }
 
     #[test]
     fn point_lookup_is_trivial() {

@@ -14,14 +14,13 @@
 //! block the failing test prints over the golden file.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use throttledb_catalog::{sales_schema, tpch_schema, Catalog, SalesScale};
 use throttledb_membroker::{BrokerConfig, MemoryBroker, SubcomponentKind};
 use throttledb_optimizer::{GovernorDirective, MemoryGovernor, Optimizer, OptimizerError};
 use throttledb_sqlparse::parse;
 use throttledb_workload::{
-    fnv1a_64, oltp_templates, sales_templates, tpch_like_templates, QueryTemplate,
+    fnv1a_64, oltp_templates, sales_templates, tpch_like_templates, Fnv64, QueryTemplate,
 };
 
 const GOLDEN: &str = include_str!("golden/compile_fingerprint.txt");
@@ -52,21 +51,19 @@ const LIMITS: [Limit; 3] = [
     },
 ];
 
-/// Folds every `(used, peak)` it is shown into an FNV-1a digest.
+/// Counts the `(used, peak)` pairs it is shown and folds them into an
+/// FNV-1a digest.
 struct Recorder {
     limit: Limit,
-    calls: Arc<AtomicU64>,
-    digest: Arc<AtomicU64>,
+    seen: Arc<Mutex<(u64, Fnv64)>>,
 }
 
 impl MemoryGovernor for Recorder {
     fn on_allocation(&mut self, used: u64, peak: u64) -> GovernorDirective {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let mut h = self.digest.load(Ordering::Relaxed);
-        for byte in used.to_le_bytes().into_iter().chain(peak.to_le_bytes()) {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.digest.store(h, Ordering::Relaxed);
+        let mut seen = self.seen.lock().expect("no panic while recording");
+        seen.0 += 1;
+        seen.1.update(&used.to_le_bytes());
+        seen.1.update(&peak.to_le_bytes());
         if used > self.limit.above {
             self.limit.directive
         } else {
@@ -79,12 +76,10 @@ fn fingerprint(catalog: &Catalog, template: &QueryTemplate, limit: Limit) -> Str
     let stmt = parse(&template.sql).expect("templates parse");
     let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 44));
     let clerk = broker.register(SubcomponentKind::Compilation);
-    let calls = Arc::new(AtomicU64::new(0));
-    let digest = Arc::new(AtomicU64::new(0xcbf2_9ce4_8422_2325));
+    let seen = Arc::new(Mutex::new((0, Fnv64::new())));
     let governor = Recorder {
         limit,
-        calls: Arc::clone(&calls),
-        digest: Arc::clone(&digest),
+        seen: Arc::clone(&seen),
     };
     let result = Optimizer::new(catalog).optimize_with_governor(
         &stmt,
@@ -119,11 +114,11 @@ fn fingerprint(catalog: &Catalog, template: &QueryTemplate, limit: Limit) -> Str
         Err(OptimizerError::Aborted(_)) => line.push_str("aborted"),
         Err(other) => panic!("{}: unexpected error {other}", template.name),
     }
+    let (charges, digest) = *seen.lock().expect("no panic while recording");
     let _ = write!(
         line,
-        " charges={} charge_digest={:016x} broker_total={}",
-        calls.load(Ordering::Relaxed),
-        digest.load(Ordering::Relaxed),
+        " charges={charges} charge_digest={:016x} broker_total={}",
+        digest.finish(),
         clerk.total_allocated(),
     );
     line
