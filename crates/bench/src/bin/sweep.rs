@@ -12,14 +12,15 @@
 //! `--shards` change wall-clock time and nothing else, which CI enforces by
 //! diffing the `--cells-out` file between `--workers 4` and `--workers 1`
 //! runs and between `--shards 4` and `--shards 1` runs. `--out` writes the
-//! full `BENCH_sweep.json` (cells + wall-clock timing + sweep metadata);
-//! see `docs/EXPERIMENTS.md` for the schema.
+//! full `BENCH_sweep.json` (the cells under the sweep's totals); see
+//! `docs/EXPERIMENTS.md` for the schema. No file carries host time: that
+//! is the repository benchmark's job (`benchmark/`).
 //!
-//! `--shard-scale-out` switches on the shard-scaling benchmark: every
-//! (scenario, seed) runs sequentially at 1 shard and at `--shards` (default
-//! 4) generator shards, and the path receives `BENCH_shard_scale.json` —
-//! the shard-count-invariant cells plus per-scenario `shard_speedup`
-//! aggregates the regression gate holds to within tolerance.
+//! `--shard-scale-out` switches on the shard grid: every (scenario, seed)
+//! runs at 1 shard (the inline arrival feed) and at `--shards` (default 4)
+//! generator shards, the run fails unless the rows are identical, and the
+//! path receives `BENCH_shard_scale.json`, whose rows the regression gate
+//! holds exactly.
 //!
 //! `--policies` switches on the admission-policy laboratory: instead of the
 //! plain (scenario × seed) sweep, the full (policy × scenario × seed) grid
@@ -53,7 +54,7 @@ fn usage() -> ExitCode {
     eprintln!("defaults: --scenarios compile_storm --seeds 2007 --scale quick");
     eprintln!("          --workers <available parallelism> --shards 1");
     eprintln!("          --faults alone sweeps every chaos scenario across all policies");
-    eprintln!("          --shard-scale-out measures 1 shard vs --shards (default 4)");
+    eprintln!("          --shard-scale-out runs 1 shard and --shards (default 4), rows must match");
     ExitCode::from(2)
 }
 
@@ -172,31 +173,25 @@ fn main() -> ExitCode {
             workers,
         };
         eprintln!(
-            "shard scaling: {} scenario(s) x {} seed(s) at 1 and {} shard(s), one cell at a time...",
+            "shard grid: {} scenario(s) x {} seed(s) at 1 and {} shard(s), one cell at a time...",
             spec.scenarios.len(),
             spec.seeds.len(),
             top
         );
         let outcome = run_shard_scale(&spec);
         println!(
-            "{:<22} {:>6} {:>7} {:>12} {:>9} {:>12}",
-            "scenario", "seed", "shards", "events", "wall-ms", "events/s"
+            "{:<22} {:>6} {:>7} {:>12} {:>12} {:>17}",
+            "scenario", "seed", "shards", "events", "arrivals", "arrival-digest"
         );
         for c in &outcome.cells {
             println!(
-                "{:<22} {:>6} {:>7} {:>12} {:>9.0} {:>12.0}",
+                "{:<22} {:>6} {:>7} {:>12} {:>12} {:>17x}",
                 c.cell.scenario,
                 c.cell.seed,
                 c.shards,
                 c.cell.events_dispatched,
-                c.timing.wall_ms,
-                c.timing.events_per_sec
-            );
-        }
-        for s in &outcome.speedups {
-            println!(
-                "speedup: {} at {} shards = {:.2}x",
-                s.scenario, s.shards, s.shard_speedup
+                c.cell.arrivals,
+                c.cell.arrival_digest
             );
         }
         println!(
@@ -208,7 +203,14 @@ fn main() -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("shard-scaling results written to {path}");
+        println!("shard grid written to {path}");
+        if let Some(c) = outcome.divergent() {
+            eprintln!(
+                "error: {} seed {} at {} shard(s) differs from its first row",
+                c.cell.scenario, c.cell.seed, c.shards
+            );
+            return ExitCode::FAILURE;
+        }
         return ExitCode::SUCCESS;
     }
 
@@ -336,12 +338,12 @@ fn main() -> ExitCode {
     let outcome = run_sweep(&spec);
 
     println!(
-        "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>9} {:>12}",
-        "scenario", "seed", "subm", "done", "fail", "events", "peak-q", "wall-ms", "events/s"
+        "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>12}",
+        "scenario", "seed", "subm", "done", "fail", "events", "peak-q", "arrivals"
     );
-    for (cell, timing) in outcome.cells.iter().zip(outcome.timings.iter()) {
+    for cell in &outcome.cells {
         println!(
-            "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>9.0} {:>12.0}",
+            "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>12}",
             cell.scenario,
             cell.seed,
             cell.submitted,
@@ -349,8 +351,7 @@ fn main() -> ExitCode {
             cell.failed,
             cell.events_dispatched,
             cell.peak_queue_depth,
-            timing.wall_ms,
-            timing.events_per_sec
+            cell.arrivals
         );
     }
     println!(

@@ -274,8 +274,8 @@ enum Direction {
 }
 
 /// The gated metrics: direction plus an absolute slack floor. Fields not
-/// listed here are identity (policy/scenario/seed) or informative (event
-/// counts, digests, wall-clock) and are never gated.
+/// listed here are identity (policy/scenario/seed) or informative
+/// (digests, per-machine rates) and are never gated.
 ///
 /// The floor is what makes zero-valued baselines meaningful: a purely
 /// relative band around 0 has zero width, so a lower-is-better metric at
@@ -296,23 +296,20 @@ const METRICS: &[(&str, Direction, f64)] = &[
     ("shed", Direction::LowerIsBetter, 2.0),
     ("retries_abandoned", Direction::LowerIsBetter, 2.0),
     ("breaker_transitions", Direction::LowerIsBetter, 2.0),
-    // Open-loop arrival metrics (BENCH_sweep.json cells). Arrival counts
-    // are deterministic per (scenario, seed), so any movement at all is a
-    // semantic change; the floors only keep zero-valued closed-loop cells
-    // from tripping on a scenario that later gains a small source.
-    ("arrivals", Direction::HigherIsBetter, 2.0),
-    ("arrivals_admitted", Direction::HigherIsBetter, 2.0),
-    ("arrivals_shed", Direction::LowerIsBetter, 2.0),
-    // Shard-scaling (BENCH_shard_scale.json aggregates). The speedup is a
-    // same-machine events/sec ratio, so — unlike the raw rates, which stay
-    // ungated — it transfers across machines; the floor absorbs scheduler
-    // noise around a ~2-3x baseline without masking a real collapse back
-    // toward 1x.
-    ("shard_speedup", Direction::HigherIsBetter, 0.25),
+    // Event-loop and open-loop arrival counts (BENCH_sweep.json and
+    // BENCH_shard_scale.json cells). They are deterministic per (scenario,
+    // seed) and independent of worker and shard counts, so any movement at
+    // all is a change of behaviour. The shard grid's 1-shard and N-shard
+    // rows are held to the same committed values, hence to each other.
+    ("events_dispatched", Direction::Exact, 0.0),
+    ("peak_queue_depth", Direction::Exact, 0.0),
+    ("arrivals", Direction::Exact, 0.0),
+    ("arrivals_admitted", Direction::Exact, 0.0),
+    ("arrivals_shed", Direction::Exact, 0.0),
     // Trace-codec metrics (BENCH_trace.json). Sizes and ratios are
     // deterministic per (codec, scenario); the throughput rates are
     // same-machine and stay ungated, but the v2-over-v1 speedups are
-    // ratios and transfer across machines like shard_speedup does.
+    // same-machine ratios and transfer across machines.
     ("bytes_per_event", Direction::LowerIsBetter, 0.5),
     ("size_ratio", Direction::HigherIsBetter, 0.5),
     ("encode_speedup", Direction::HigherIsBetter, 0.5),
@@ -360,9 +357,9 @@ fn entry_key(obj: &Value, kind: &str) -> String {
     if let Some(seed) = obj.get("seed").and_then(Value::as_f64) {
         let _ = write!(key, " seed={seed}");
     }
-    // Shard-scaling documents measure the *same* (scenario, seed) at
-    // several shard counts; the count is identity there, or two cells
-    // would collide on one key and a vanished shard count could hide.
+    // The shard grid runs the *same* (scenario, seed) at several shard
+    // counts; the count is identity there, or two cells would collide on
+    // one key and a vanished shard count could hide.
     if let Some(shards) = obj.get("shards").and_then(Value::as_f64) {
         let _ = write!(key, " shards={shards}");
     }
@@ -672,42 +669,46 @@ mod tests {
     }
 
     #[test]
-    fn arrival_metrics_are_gated_directionally() {
+    fn event_loop_counts_are_exact() {
         let base = r#"{"cells": [{"scenario": "open_loop_poisson", "seed": 1,
+            "events_dispatched": 4131, "peak_queue_depth": 113,
             "arrivals": 1200, "arrivals_admitted": 1100, "arrivals_shed": 100,
             "arrival_digest": "ignored"}]}"#;
-        // Identical arrivals pass.
         assert_eq!(compare_text(base, base, 0.10).unwrap(), vec![]);
-        // An admission drop beyond tolerance trips arrivals_admitted.
-        let fewer = base.replace("\"arrivals_admitted\": 1100", "\"arrivals_admitted\": 900");
-        let trips = compare_text(base, &fewer, 0.10).unwrap();
-        assert_eq!(trips.len(), 1, "{trips:?}");
-        assert!(trips[0].what.contains("arrivals_admitted"));
-        // A shed storm trips arrivals_shed.
-        let stormy = base.replace("\"arrivals_shed\": 100", "\"arrivals_shed\": 400");
-        let trips = compare_text(base, &stormy, 0.10).unwrap();
-        assert_eq!(trips.len(), 1, "{trips:?}");
-        assert!(trips[0].what.contains("arrivals_shed"));
+        // One arrival more or fewer, admitted or shed, one event or one
+        // queue slot: each trips its own column whatever the tolerance.
+        for (metric, from, to) in [
+            ("arrivals_admitted", "1100", "1101"),
+            ("arrivals_shed", "100", "99"),
+            ("events_dispatched", "4131", "4130"),
+            ("peak_queue_depth", "113", "114"),
+        ] {
+            let moved = base.replace(
+                &format!("\"{metric}\": {from}"),
+                &format!("\"{metric}\": {to}"),
+            );
+            let trips = compare_text(base, &moved, 0.50).unwrap();
+            assert_eq!(trips.len(), 1, "{trips:?}");
+            assert!(trips[0].what.contains(metric));
+        }
     }
 
     #[test]
-    fn shard_speedup_is_gated_per_shard_count() {
+    fn shard_count_is_cell_identity() {
         let base = r#"{"cells": [
             {"scenario": "open_loop_scale", "seed": 2007, "shards": 1, "arrivals": 100},
-            {"scenario": "open_loop_scale", "seed": 2007, "shards": 4, "arrivals": 100}],
-          "aggregates": [
-            {"scenario": "open_loop_scale", "shards": 4, "shard_speedup": 2.5}]}"#;
-        // Identical documents pass; measurement noise within the floor passes.
+            {"scenario": "open_loop_scale", "seed": 2007, "shards": 4, "arrivals": 100}]}"#;
         assert_eq!(compare_text(base, base, 0.10).unwrap(), vec![]);
-        let noisy = base.replace("2.5", "2.3");
-        assert_eq!(compare_text(base, &noisy, 0.10).unwrap(), vec![]);
-        // A collapse back toward 1x trips shard_speedup.
-        let collapsed = base.replace("2.5", "1.1");
-        let trips = compare_text(base, &collapsed, 0.10).unwrap();
+        // A row that moves at one shard count only trips that row.
+        let split = base.replace(
+            "\"shards\": 4, \"arrivals\": 100",
+            "\"shards\": 4, \"arrivals\": 101",
+        );
+        let trips = compare_text(base, &split, 0.10).unwrap();
         assert_eq!(trips.len(), 1, "{trips:?}");
-        assert!(trips[0].what.contains("shard_speedup"));
-        // The shard count is identity: losing the 4-shard cell is a missing
-        // cell, not a silent merge with its 1-shard sibling.
+        assert!(trips[0].what.contains("shards=4 arrivals"));
+        // Losing the 4-shard cell is a missing cell, not a silent merge
+        // with its 1-shard sibling.
         let lost = base.replace(
             ",\n            {\"scenario\": \"open_loop_scale\", \"seed\": 2007, \"shards\": 4, \"arrivals\": 100}",
             "",

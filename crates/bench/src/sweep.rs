@@ -8,13 +8,14 @@
 //!   scale) coordinates: every worker characterizes nothing (profiles are
 //!   precomputed per scenario and shared), every run is seeded, and results
 //!   land in a slot keyed by cell index, so the merged output is
-//!   cell-for-cell identical whatever `--workers` is. Wall-clock timings —
-//!   the only nondeterministic quantity — are kept in a separate `timing`
-//!   section so the deterministic `cells` section can be diffed directly
-//!   (CI does exactly that: `--workers 4` vs `--workers 1`).
+//!   cell-for-cell identical whatever `--workers` or `--shards` is (CI
+//!   diffs exactly that). No cell carries a wall-clock column: host-time
+//!   measurements belong to the repository benchmark (`benchmark/`), which
+//!   repeats and pairs its runs; here only the end-to-end sweep time is
+//!   kept, for the console.
 //! * **Machine-readable output** — [`SweepOutcome::full_json`] emits the
 //!   `BENCH_sweep.json` schema documented in `docs/EXPERIMENTS.md`:
-//!   per-cell admission counters, simulation events/sec, and the peak
+//!   per-cell admission counters, events dispatched and the peak
 //!   event-queue depth, plus the recorded trace digest as a compact
 //!   fingerprint of the run's entire admission history.
 
@@ -38,10 +39,10 @@ pub struct SweepSpec {
     /// Worker threads (clamped to at least 1). Affects wall-clock only.
     pub workers: usize,
     /// Generator shards per cell (clamped to at least 1). Like `workers`,
-    /// affects wall-clock only: the sharded engine's schedule is
-    /// byte-identical to the single-threaded one, so every deterministic
-    /// cell field is invariant under this knob — CI diffs `--shards 4`
-    /// against `--shards 1` to prove it.
+    /// affects wall-clock only: the threaded arrival feed replays the
+    /// inline feed's schedule byte for byte, so every cell field is
+    /// invariant under this knob — CI diffs `--shards 4` against
+    /// `--shards 1` to prove it.
     pub shards: u32,
 }
 
@@ -84,16 +85,6 @@ pub struct SweepCell {
     pub trace_digest: u64,
 }
 
-/// The wall-clock measurements of one cell (nondeterministic by nature;
-/// reported separately from [`SweepCell`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SweepTiming {
-    /// Cell wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Simulation events dispatched per wall-clock second.
-    pub events_per_sec: f64,
-}
-
 /// Everything a sweep produced.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
@@ -103,16 +94,9 @@ pub struct SweepOutcome {
     pub workers: usize,
     /// Deterministic cell results, ordered by (scenario index, seed index).
     pub cells: Vec<SweepCell>,
-    /// Per-cell wall-clock measurements, parallel to `cells`.
-    pub timings: Vec<SweepTiming>,
-    /// End-to-end sweep wall time in milliseconds (characterization,
-    /// warm-up and all).
+    /// End-to-end sweep wall time in milliseconds, characterization
+    /// included (console only; never written to a BENCH file).
     pub total_wall_ms: f64,
-    /// Total wall time of the untimed warm-up cell runs (first coordinate,
-    /// results discarded), summed across workers. Each worker thread runs
-    /// the warm-up before claiming cells, so every first *timed* cell is
-    /// measured against a warm thread, not just a warm process.
-    pub warmup_wall_ms: f64,
 }
 
 /// Run the sweep. Panics on an unknown scenario name (the CLI validates
@@ -138,70 +122,40 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepOutcome {
         .flat_map(|(si, _)| spec.seeds.iter().map(move |&seed| (si, seed)))
         .collect();
 
-    // Warm-up: every worker thread runs the first cell once, untimed and
-    // discarded, before claiming any timed cell. A single pre-spawn
-    // warm-up only warmed the *process* (lazily-initialized tables) plus
-    // the main thread; each spawned worker still paid its own per-thread
-    // cold start (allocator arenas, first-touch page faults) on its first
-    // timed cell, so with `--workers 4` up to four cells per sweep ran
-    // skewed. Results are deterministic per config, so the extra runs move
-    // only wall time, never cell values.
-    let warmup_micros = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<(SweepCell, SweepTiming)>>> =
-        Mutex::new(vec![None; coords.len()]);
+    let results: Mutex<Vec<Option<SweepCell>>> = Mutex::new(vec![None; coords.len()]);
 
     std::thread::scope(|scope| {
         for _ in 0..workers.min(coords.len().max(1)) {
-            scope.spawn(|| {
-                if let Some(&(scenario_idx, seed)) = coords.first() {
-                    let warmup_started = Instant::now();
-                    let _ = run_cell(
-                        &spec.scenarios[scenario_idx],
-                        seed,
-                        spec.scale,
-                        profiles[scenario_idx].clone(),
-                        spec.shards,
-                    );
-                    warmup_micros.fetch_add(
-                        warmup_started.elapsed().as_micros() as usize,
-                        Ordering::Relaxed,
-                    );
-                }
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(scenario_idx, seed)) = coords.get(idx) else {
-                        break;
-                    };
-                    let name = &spec.scenarios[scenario_idx];
-                    let measured = run_cell(
-                        name,
-                        seed,
-                        spec.scale,
-                        profiles[scenario_idx].clone(),
-                        spec.shards,
-                    );
-                    results.lock().expect("no poisoned workers")[idx] = Some(measured);
-                }
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(scenario_idx, seed)) = coords.get(idx) else {
+                    break;
+                };
+                let name = &spec.scenarios[scenario_idx];
+                let cell = run_cell(
+                    name,
+                    seed,
+                    spec.scale,
+                    profiles[scenario_idx].clone(),
+                    spec.shards,
+                );
+                results.lock().expect("no poisoned workers")[idx] = Some(cell);
             });
         }
     });
-    let warmup_wall_ms = warmup_micros.load(Ordering::Relaxed) as f64 / 1e3;
 
-    let mut cells = Vec::with_capacity(coords.len());
-    let mut timings = Vec::with_capacity(coords.len());
-    for slot in results.into_inner().expect("workers joined") {
-        let (cell, timing) = slot.expect("every cell ran");
-        cells.push(cell);
-        timings.push(timing);
-    }
+    let cells = results
+        .into_inner()
+        .expect("workers joined")
+        .into_iter()
+        .map(|slot| slot.expect("every cell ran"))
+        .collect();
     SweepOutcome {
         scale: spec.scale,
         workers,
         cells,
-        timings,
         total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        warmup_wall_ms,
     }
 }
 
@@ -234,16 +188,9 @@ fn json_escape(s: &str) -> String {
 
 /// Serialize one cell object; all three JSON documents go through here so
 /// the CI-diffed `--cells-out` file can never drift from the `cells`
-/// section of `BENCH_sweep.json` (which only appends the wall-clock
-/// fields) or of `BENCH_shard_scale.json` (which also prepends the shard
-/// count the cell ran at).
-fn write_cell(
-    out: &mut String,
-    c: &SweepCell,
-    shards: Option<u32>,
-    timing: Option<&SweepTiming>,
-    last: bool,
-) {
+/// section of `BENCH_sweep.json` or of `BENCH_shard_scale.json` (which
+/// prepends the shard count the cell ran at).
+fn write_cell(out: &mut String, c: &SweepCell, shards: Option<u32>, last: bool) {
     out.push_str("    {");
     if let Some(n) = shards {
         let _ = write!(out, "\"shards\": {n}, ");
@@ -270,13 +217,6 @@ fn write_cell(
         c.arrival_digest,
         c.trace_digest,
     );
-    if let Some(t) = timing {
-        let _ = write!(
-            out,
-            ", \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}",
-            t.wall_ms, t.events_per_sec
-        );
-    }
     let _ = writeln!(out, "}}{}", if last { "" } else { "," });
 }
 
@@ -290,63 +230,46 @@ impl SweepOutcome {
         out.push_str(scale_str(self.scale));
         out.push_str("\",\n  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            write_cell(&mut out, c, None, None, i + 1 == self.cells.len());
+            write_cell(&mut out, c, None, i + 1 == self.cells.len());
         }
         out.push_str("  ]\n}\n");
         out
     }
 
-    /// The full `BENCH_sweep.json` document: sweep metadata and wall-clock
-    /// timing alongside the deterministic cells.
-    ///
-    /// The headline `events_per_sec` is the *steady-state* rate: total
-    /// events over the sum of per-cell wall times. Characterization and
-    /// the warm-up cell are excluded — dividing by end-to-end wall time
-    /// (the old behaviour) understated the simulator by ~500x on a quick
-    /// sweep, because optimizer characterization dominates its wall clock.
+    /// The full `BENCH_sweep.json` document: the deterministic cells under
+    /// the sweep's totals. Exact counts only — no host-time field.
     pub fn full_json(&self) -> String {
         let total_events: u64 = self.cells.iter().map(|c| c.events_dispatched).sum();
         let total_arrivals: u64 = self.cells.iter().map(|c| c.arrivals).sum();
-        let steady_wall_ms: f64 = self.timings.iter().map(|t| t.wall_ms).sum();
-        let events_per_sec = total_events as f64 / (steady_wall_ms / 1e3).max(1e-9);
         let mut out = String::new();
         out.push_str("{\n  \"benchmark\": \"sweep\",\n");
         let _ = write!(
             out,
-            "  \"scale\": \"{}\",\n  \"workers\": {},\n  \"total_wall_ms\": {:.1},\n  \
-             \"warmup_wall_ms\": {:.1},\n  \"steady_wall_ms\": {:.1},\n  \
-             \"total_events_dispatched\": {},\n  \"total_arrivals\": {},\n  \
-             \"events_per_sec\": {:.0},\n",
+            "  \"scale\": \"{}\",\n  \"total_events_dispatched\": {},\n  \
+             \"total_arrivals\": {},\n",
             scale_str(self.scale),
-            self.workers,
-            self.total_wall_ms,
-            self.warmup_wall_ms,
-            steady_wall_ms,
             total_events,
             total_arrivals,
-            events_per_sec,
         );
         out.push_str("  \"cells\": [\n");
-        for (i, (c, t)) in self.cells.iter().zip(self.timings.iter()).enumerate() {
-            write_cell(&mut out, c, None, Some(t), i + 1 == self.cells.len());
+        for (i, c) in self.cells.iter().enumerate() {
+            write_cell(&mut out, c, None, i + 1 == self.cells.len());
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-/// Run and measure one (scenario, seed) cell at `shards` generator shards.
-/// The deterministic fields depend only on (scenario, seed, scale) — the
-/// shard count, like the worker count, moves wall-clock time and nothing
-/// else.
+/// Run one (scenario, seed) cell at `shards` generator shards. The result
+/// depends only on (scenario, seed, scale) — the shard count, like the
+/// worker count, moves wall-clock time and nothing else.
 fn run_cell(
     name: &str,
     seed: u64,
     scale: Scale,
     profiles: Arc<WorkloadProfiles>,
     shards: u32,
-) -> (SweepCell, SweepTiming) {
-    let cell_started = Instant::now();
+) -> SweepCell {
     let scenario = Scenario::builtin(name, scale)
         .expect("validated by the caller")
         .with_seed(seed);
@@ -355,9 +278,8 @@ fn run_cell(
         .with_profiles(profiles)
         .with_shards(shards.max(1))
         .run();
-    let wall_ms = cell_started.elapsed().as_secs_f64() * 1e3;
     let metrics = &outcome.metrics;
-    let cell = SweepCell {
+    SweepCell {
         scenario: name.to_string(),
         seed,
         submitted: outcome.phases.iter().map(|p| p.submitted).sum(),
@@ -372,19 +294,12 @@ fn run_cell(
         arrivals_shed: metrics.arrivals_shed,
         arrival_digest: metrics.arrival_digest,
         trace_digest: outcome.trace.as_ref().expect("recording enabled").digest(),
-    };
-    let timing = SweepTiming {
-        wall_ms,
-        events_per_sec: metrics.events_dispatched as f64 / (wall_ms / 1e3).max(1e-9),
-    };
-    (cell, timing)
+    }
 }
 
-// --- the shard-scaling benchmark -----------------------------------------
+// --- the shard-invariance grid -------------------------------------------
 
-/// What the shard-scaling benchmark runs: every (scenario, seed) at every
-/// shard count, sequentially (a measured cell gets the whole machine — its
-/// generator shards *are* the parallelism under test).
+/// What the shard grid runs: every (scenario, seed) at every shard count.
 #[derive(Debug, Clone)]
 pub struct ShardScaleSpec {
     /// Built-in scenario names, in output order.
@@ -393,167 +308,87 @@ pub struct ShardScaleSpec {
     pub seeds: Vec<u64>,
     /// Scale every cell runs at.
     pub scale: Scale,
-    /// Shard counts to measure, in output order. Must include `1` for the
-    /// speedup aggregates to exist (it is the denominator).
+    /// Shard counts to run, in output order.
     pub shard_counts: Vec<u32>,
-    /// Worker threads for the up-front scenario characterization only —
-    /// the measured cells themselves always run one at a time.
+    /// Worker threads for the up-front scenario characterization; the
+    /// cells themselves run one at a time (their generator shards are the
+    /// parallelism).
     pub workers: usize,
 }
 
-/// One measured (scenario, seed, shard count) cell.
+/// One (scenario, seed, shard count) cell.
 #[derive(Debug, Clone)]
 pub struct ShardScaleCell {
     /// Generator shards the cell ran with.
     pub shards: u32,
-    /// The deterministic result — byte-identical across `shards` values,
-    /// which [`ShardScaleOutcome::shard_scale_json`] exposes for the gate.
+    /// The result — identical across `shards` values, which
+    /// [`ShardScaleOutcome::divergent`] checks and the gate re-checks
+    /// against the baseline.
     pub cell: SweepCell,
-    /// The cell's wall-clock measurement.
-    pub timing: SweepTiming,
 }
 
-/// Per-(scenario, shard count) throughput ratio over the same scenario's
-/// single-shard runs. A pure ratio of events/sec on the same machine and
-/// build, so — unlike the raw rates — it is meaningful to commit as a
-/// baseline and gate across machines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSpeedup {
-    /// Scenario name.
-    pub scenario: String,
-    /// Shard count the numerator ran with.
-    pub shards: u32,
-    /// (events/sec at `shards`) / (events/sec at 1), summed over seeds.
-    pub shard_speedup: f64,
-}
-
-/// Everything the shard-scaling benchmark produced.
+/// Everything the shard grid produced.
 #[derive(Debug, Clone)]
 pub struct ShardScaleOutcome {
-    /// The benchmark's scale.
+    /// The grid's scale.
     pub scale: Scale,
-    /// Measured cells, ordered by (scenario, shard count, seed).
+    /// Cells, ordered by (scenario, shard count, seed).
     pub cells: Vec<ShardScaleCell>,
-    /// Speedup aggregates for every shard count above 1, scenario-major.
-    pub speedups: Vec<ShardSpeedup>,
-    /// End-to-end wall time in milliseconds.
+    /// End-to-end wall time in milliseconds (console only).
     pub total_wall_ms: f64,
 }
 
-/// Run the shard-scaling grid. Cells run strictly one at a time so each
-/// measurement owns the machine; determinism still holds cell-for-cell
-/// (the engine's sharded schedule is byte-identical to the single-threaded
-/// one), which the shard-equivalence tests prove and the gate re-checks
-/// against the committed `BENCH_shard_scale.json` baseline.
+/// Run the shard grid: the same cells over the inline arrival feed
+/// (1 shard) and the threaded one. How fast each feed runs is the
+/// repository benchmark's question (`sim_firehose` primary vs alt); this
+/// grid records that they produce the same rows.
 pub fn run_shard_scale(spec: &ShardScaleSpec) -> ShardScaleOutcome {
     let started = Instant::now();
     let profiles = characterize_scenarios(&spec.scenarios, spec.scale, spec.workers.max(1));
-
-    // Warm-up, untimed and discarded, mirroring `run_sweep`: the first
-    // measured cell must not absorb allocator/page-fault warm-up, or the
-    // first shard count's events/sec (usually the speedup denominator)
-    // would be understated.
-    if let (Some(name), Some(&shards), Some(&seed)) = (
-        spec.scenarios.first(),
-        spec.shard_counts.first(),
-        spec.seeds.first(),
-    ) {
-        let _ = run_cell(name, seed, spec.scale, profiles[0].clone(), shards);
-    }
-
     let mut cells = Vec::new();
     for (scenario_idx, name) in spec.scenarios.iter().enumerate() {
         for &shards in &spec.shard_counts {
             for &seed in &spec.seeds {
-                let (cell, timing) = run_cell(
+                let cell = run_cell(
                     name,
                     seed,
                     spec.scale,
                     profiles[scenario_idx].clone(),
                     shards,
                 );
-                cells.push(ShardScaleCell {
-                    shards,
-                    cell,
-                    timing,
-                });
+                cells.push(ShardScaleCell { shards, cell });
             }
         }
     }
-
-    // events/sec per (scenario, shard count), events and wall summed over
-    // seeds; the speedup is the ratio against the same scenario at 1.
-    let rate = |name: &str, shards: u32| -> f64 {
-        let (events, wall_ms) = cells
-            .iter()
-            .filter(|c| c.shards == shards && c.cell.scenario == name)
-            .fold((0u64, 0.0f64), |(e, w), c| {
-                (e + c.cell.events_dispatched, w + c.timing.wall_ms)
-            });
-        events as f64 / (wall_ms / 1e3).max(1e-9)
-    };
-    let mut speedups = Vec::new();
-    if spec.shard_counts.contains(&1) {
-        for name in &spec.scenarios {
-            let base = rate(name, 1);
-            for &shards in &spec.shard_counts {
-                if shards == 1 {
-                    continue;
-                }
-                speedups.push(ShardSpeedup {
-                    scenario: name.clone(),
-                    shards,
-                    shard_speedup: rate(name, shards) / base.max(1e-9),
-                });
-            }
-        }
-    }
-
     ShardScaleOutcome {
         scale: spec.scale,
         cells,
-        speedups,
         total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
     }
 }
 
 impl ShardScaleOutcome {
-    /// The `BENCH_shard_scale.json` document: the measured cells (their
-    /// deterministic fields are shard-count-invariant — the gate re-checks
-    /// them against the baseline) and the `shard_speedup` aggregates the
-    /// gate holds to within tolerance.
+    /// The first cell whose row differs from the same (scenario, seed) at
+    /// the grid's first shard count, if any. `None` is the only acceptable
+    /// answer; the `sweep` binary fails the run otherwise.
+    pub fn divergent(&self) -> Option<&ShardScaleCell> {
+        self.cells.iter().find(|c| {
+            self.cells
+                .iter()
+                .find(|r| r.cell.scenario == c.cell.scenario && r.cell.seed == c.cell.seed)
+                .is_some_and(|reference| reference.cell != c.cell)
+        })
+    }
+
+    /// The `BENCH_shard_scale.json` document: every cell, keyed by the
+    /// shard count it ran at. Exact counts only.
     pub fn shard_scale_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"benchmark\": \"shard_scale\",\n  \"scale\": \"");
         out.push_str(scale_str(self.scale));
         out.push_str("\",\n  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            write_cell(
-                &mut out,
-                &c.cell,
-                Some(c.shards),
-                Some(&c.timing),
-                i + 1 == self.cells.len(),
-            );
-        }
-        out.push_str("  ],\n  \"aggregates\": [\n");
-        for (i, s) in self.speedups.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"shards\": {}, \"shard_speedup\": {:.3}}}",
-                json_escape(&s.scenario),
-                s.shards,
-                s.shard_speedup,
-            );
-            let _ = writeln!(
-                out,
-                "{}",
-                if i + 1 == self.speedups.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
+            write_cell(&mut out, &c.cell, Some(c.shards), i + 1 == self.cells.len());
         }
         out.push_str("  ]\n}\n");
         out
@@ -1167,11 +1002,9 @@ mod tests {
         let parallel = run_sweep(&tiny_spec(4));
         assert_eq!(sequential.cells, parallel.cells);
         assert_eq!(sequential.cells_json(), parallel.cells_json());
-        // Every spawned worker runs its own untimed warm-up cell, so the
-        // recorded warm-up wall time is a sum across workers — nonzero for
-        // any worker count, and never part of a timed cell.
-        assert!(sequential.warmup_wall_ms > 0.0);
-        assert!(parallel.warmup_wall_ms > 0.0);
+        // The full document adds totals, not host time: it is
+        // worker-invariant too.
+        assert_eq!(sequential.full_json(), parallel.full_json());
         assert_eq!(sequential.cells.len(), 2);
         for cell in &sequential.cells {
             assert!(
@@ -1240,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_scale_grid_reports_invariant_cells_and_a_speedup() {
+    fn shard_grid_reports_invariant_cells_keyed_by_shard_count() {
         let spec = ShardScaleSpec {
             scenarios: vec!["open_loop_poisson".to_string()],
             seeds: vec![2007],
@@ -1248,49 +1081,42 @@ mod tests {
             shard_counts: vec![1, 2],
             workers: 4,
         };
-        let outcome = run_shard_scale(&spec);
+        let mut outcome = run_shard_scale(&spec);
         assert_eq!(outcome.cells.len(), 2);
         assert_eq!(outcome.cells[0].shards, 1);
         assert_eq!(outcome.cells[1].shards, 2);
-        // The deterministic result is shard-count-invariant.
+        // The result is shard-count-invariant.
         assert_eq!(outcome.cells[0].cell, outcome.cells[1].cell);
-        assert_eq!(outcome.speedups.len(), 1);
-        assert_eq!(outcome.speedups[0].shards, 2);
-        assert!(outcome.speedups[0].shard_speedup > 0.0);
-        // The JSON parses and the gate extracts the speedup aggregate under
-        // a shard-count-qualified key, distinct from the per-cell keys.
-        let doc = crate::gate::parse(&outcome.shard_scale_json()).expect("own JSON parses");
+        assert!(outcome.divergent().is_none());
+        // The JSON parses, carries no host-time column, and the gate keys
+        // the two rows apart by shard count.
+        let json = outcome.shard_scale_json();
+        assert!(!json.contains("wall_ms") && !json.contains("per_sec"));
+        let doc = crate::gate::parse(&json).expect("own JSON parses");
         let entries = crate::gate::extract(&doc);
-        let speedup = entries
-            .iter()
-            .find(|e| e.metric == "shard_speedup")
-            .expect("speedup aggregate extracted");
-        assert_eq!(speedup.key, "aggregate scenario=open_loop_poisson shards=2");
-        assert!(entries
-            .iter()
-            .any(|e| e.key == "cell scenario=open_loop_poisson seed=2007 shards=1"));
-        assert!(entries
-            .iter()
-            .any(|e| e.key == "cell scenario=open_loop_poisson seed=2007 shards=2"));
+        for shards in [1, 2] {
+            let key = format!("cell scenario=open_loop_poisson seed=2007 shards={shards}");
+            assert!(entries
+                .iter()
+                .any(|e| e.key == key && e.metric == "events_dispatched"));
+        }
+        // A row that moves with the shard count is reported.
+        outcome.cells[1].cell.arrival_digest ^= 1;
+        assert_eq!(outcome.divergent().map(|c| c.shards), Some(2));
     }
 
     #[test]
-    fn aggregate_events_per_sec_comes_from_steady_state_sums() {
+    fn sweep_documents_carry_no_host_time() {
         let outcome = run_sweep(&tiny_spec(1));
-        assert!(outcome.warmup_wall_ms > 0.0, "warm-up cell must be timed");
-        let steady_ms: f64 = outcome.timings.iter().map(|t| t.wall_ms).sum();
         let total_events: u64 = outcome.cells.iter().map(|c| c.events_dispatched).sum();
-        let expected = total_events as f64 / (steady_ms / 1e3).max(1e-9);
         let json = outcome.full_json();
+        assert!(!json.contains("wall_ms") && !json.contains("per_sec"));
         let doc = crate::gate::parse(&json).expect("own JSON parses");
-        let reported = doc.get("events_per_sec").and_then(|v| match v {
+        let reported = doc.get("total_events_dispatched").and_then(|v| match v {
             crate::gate::Value::Num(n) => Some(*n),
             _ => None,
         });
-        assert_eq!(reported, Some(expected.round()));
-        // The aggregate excludes characterization and warm-up: steady wall
-        // is strictly less than end-to-end wall.
-        assert!(steady_ms < outcome.total_wall_ms);
+        assert_eq!(reported, Some(total_events as f64));
     }
 
     #[test]

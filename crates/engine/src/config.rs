@@ -10,13 +10,14 @@ use throttledb_workload::ClientModel;
 /// One open-loop arrival source: an aggregate client population modeled as
 /// a stochastic arrival *process* instead of per-client closed-loop state.
 ///
-/// A source costs the server one pending timing-wheel event (its next
-/// arrival) regardless of how many users it models, which is what lets a
-/// single sweep cell push tens of millions of arrivals through admission.
+/// A source costs the server one pending next-arrival instant, held
+/// beside the timing wheel and merged with it by `(time, seq)`,
+/// regardless of how many users it models, which is what lets a single
+/// sweep cell push tens of millions of arrivals through admission.
 /// Arrivals beyond [`ArrivalSourceConfig::max_in_flight`] concurrent
 /// queries are shed at the door — before any query content is sampled — so
-/// an overloaded source stays cheap: one event and one digest fold per
-/// rejected arrival.
+/// an overloaded source stays cheap: one gap sample and one digest fold
+/// per rejected arrival.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalSourceConfig {
     /// Source name ("web", "api", "batch", ...), used in per-source metrics.
@@ -263,13 +264,14 @@ pub struct ServerConfig {
     /// abandoned instead of requeued (fail fast). `None` disables the
     /// deadline.
     pub query_deadline: Option<SimDuration>,
-    /// Number of shards a single run spreads across worker cores: arrival
-    /// sources are partitioned `index % shards` onto generator shards
-    /// that pre-compute arrival instants one epoch (broker tick) ahead,
-    /// exchanged with the decision spine at deterministic epoch barriers.
-    /// `1` (the default) is a true no-op — the single-threaded path runs
-    /// unchanged — and any value produces byte-identical traces, metrics
-    /// and digests (see `docs/EXPERIMENTS.md` §8).
+    /// Where the arrival sources' instants are sampled. `1` (the default)
+    /// samples them inline on the event loop's own thread, one instant
+    /// ahead per source. Above 1, sources are partitioned `index % shards`
+    /// onto generator threads that pre-compute instants an epoch (broker
+    /// tick) at a time and hand them to the loop at deterministic epoch
+    /// barriers. The event loop is the same either way and any value
+    /// produces byte-identical traces, metrics and digests (see
+    /// `docs/EXPERIMENTS.md` §8).
     pub shards: u32,
 }
 

@@ -24,18 +24,12 @@ pub struct ThroughputComparison {
 impl ThroughputComparison {
     /// Relative throughput improvement of throttling
     /// (`throttled / unthrottled − 1`), using post-warm-up completions.
-    pub fn improvement(&self) -> f64 {
+    /// `None` when the baseline completed nothing after warm-up: there is
+    /// no ratio to report, however the throttled run did.
+    pub fn improvement(&self) -> Option<f64> {
         let t = self.throttled.completed_after_warmup as f64;
         let u = self.unthrottled.completed_after_warmup as f64;
-        if u == 0.0 {
-            if t == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            t / u - 1.0
-        }
+        (u > 0.0).then(|| t / u - 1.0)
     }
 
     /// Print the figure in the paper's format: completions per time slice.
@@ -54,11 +48,14 @@ impl ThroughputComparison {
             let u = u_rows.get(i).map(|(_, c)| *c).unwrap_or(0);
             println!("{:>12} {:>12} {:>14}", secs, count, u);
         }
+        let improvement = match self.improvement() {
+            Some(ratio) => format!("{:+.0}%", ratio * 100.0),
+            None => "n/a (baseline completed 0)".to_string(),
+        };
         println!(
-            "sustained/slice: throttled {:.1} vs non-throttled {:.1}  (improvement {:+.0}%)",
+            "sustained/slice: throttled {:.1} vs non-throttled {:.1}  (improvement {improvement})",
             self.throttled.sustained_throughput_per_slice(),
             self.unthrottled.sustained_throughput_per_slice(),
-            self.improvement() * 100.0
         );
         println!(
             "failures: throttled {} (oom {}, compile-timeout {}, grant-timeout {}) vs non-throttled {} (oom {})",
@@ -361,14 +358,33 @@ mod tests {
         assert!(cmp.unthrottled.completed_after_warmup > 0);
         // Throttling must not be materially worse, and the unthrottled run
         // must show the memory-pressure symptoms the paper describes.
+        let improvement = cmp.improvement().expect("the baseline completed queries");
         assert!(
-            cmp.improvement() > -0.10,
+            improvement > -0.10,
             "throttling should not lose throughput: {:+.1}%",
-            cmp.improvement() * 100.0
+            improvement * 100.0
         );
         assert!(
             cmp.unthrottled.compile_memory.max_value() > cmp.throttled.compile_memory.max_value()
         );
+    }
+
+    #[test]
+    fn improvement_over_an_idle_baseline_is_not_a_number_to_print() {
+        let metrics = |completed| {
+            let mut m = RunMetrics::new(SimDuration::from_secs(600), SimTime::ZERO, 3);
+            m.completed_after_warmup = completed;
+            m
+        };
+        let cmp = |throttled, unthrottled| ThroughputComparison {
+            clients: 35,
+            throttled: metrics(throttled),
+            unthrottled: metrics(unthrottled),
+        };
+        assert_eq!(cmp(12, 0).improvement(), None);
+        assert_eq!(cmp(0, 0).improvement(), None);
+        assert_eq!(cmp(12, 8).improvement(), Some(0.5));
+        assert_eq!(cmp(0, 8).improvement(), Some(-1.0));
     }
 
     #[test]

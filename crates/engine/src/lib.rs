@@ -26,6 +26,8 @@
 pub mod config;
 pub mod experiment;
 pub mod fault;
+#[cfg(test)]
+mod merge_tests;
 pub mod metrics;
 pub mod profile;
 pub mod server;
@@ -42,7 +44,7 @@ pub use experiment::{
     throughput_experiment_with_profiles, AblationRow, ClassSweepRow, SweepRow,
     ThroughputComparison,
 };
-pub use metrics::{ArrivalSourceMetrics, ClassMetrics, FailureKind, RunMetrics};
+pub use metrics::{ArrivalSourceMetrics, ClassMetrics, DispatchCounts, FailureKind, RunMetrics};
 pub use profile::{CompileProfile, WorkloadProfiles};
 pub use server::Server;
 pub use stages::QueryLifecycle;

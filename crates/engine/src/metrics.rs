@@ -63,6 +63,54 @@ pub struct ArrivalSourceMetrics {
     pub failed: u64,
 }
 
+/// How many events of each kind the run's event loop dispatched: one
+/// counter per kind of timing-wheel event, plus the open-loop arrivals,
+/// which fire from the arrival plane and never sit on the wheel. The
+/// counters sum to [`RunMetrics::events_dispatched`]; `Server::finish`
+/// checks it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DispatchCounts {
+    /// Materialized clients' submissions.
+    pub submit: u64,
+    /// Cohort-compressed clients' submissions.
+    pub cohort_submit: u64,
+    /// Compilation memory-growth steps.
+    pub compile_step: u64,
+    /// Gateway-wait timeouts (fired, whether or not the query still waited).
+    pub compile_timeout: u64,
+    /// Grant-wait timeouts (fired, whether or not the query still waited).
+    pub grant_timeout: u64,
+    /// Execution completions.
+    pub exec_finish: u64,
+    /// Broker recalculation ticks.
+    pub broker_tick: u64,
+    /// Fault windows opening.
+    pub fault_begin: u64,
+    /// Fault windows closing.
+    pub fault_end: u64,
+    /// Memory-leak fault allocation steps.
+    pub leak_step: u64,
+    /// Open-loop arrivals (admitted + shed), dispatched off the wheel.
+    pub external_arrivals: u64,
+}
+
+impl DispatchCounts {
+    /// Every dispatched event: the wheel kinds plus the arrivals.
+    pub fn total(&self) -> u64 {
+        self.submit
+            + self.cohort_submit
+            + self.compile_step
+            + self.compile_timeout
+            + self.grant_timeout
+            + self.exec_finish
+            + self.broker_tick
+            + self.fault_begin
+            + self.fault_end
+            + self.leak_step
+            + self.external_arrivals
+    }
+}
+
 /// Metrics collected over one simulated run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMetrics {
@@ -90,9 +138,10 @@ pub struct RunMetrics {
     pub warmup: SimTime,
     /// Slice width.
     pub slice: SimDuration,
-    /// Total simulation events the run's event loop dispatched (the sweep
-    /// harness divides this by wall time for events/sec).
+    /// Total simulation events the run's event loop dispatched.
     pub events_dispatched: u64,
+    /// The same total broken down by event kind.
+    pub dispatch: DispatchCounts,
     /// Peak number of simultaneously pending events in the event queue.
     pub peak_queue_depth: usize,
     /// Arrivals shed by the circuit breakers (load-shed while open).
@@ -148,6 +197,7 @@ impl RunMetrics {
             warmup,
             slice,
             events_dispatched: 0,
+            dispatch: DispatchCounts::default(),
             peak_queue_depth: 0,
             shed: 0,
             breaker_transitions: 0,

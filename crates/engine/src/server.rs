@@ -10,7 +10,7 @@ use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
 use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, RunMetrics};
 use crate::profile::{CompileProfile, WorkloadProfiles};
-use crate::shard::{unpack_arrival, ArrivalPlane};
+use crate::shard::ArrivalPlane;
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
 use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
@@ -22,7 +22,7 @@ use throttledb_executor::GrantOutcome;
 use throttledb_executor::GrantRequestId;
 use throttledb_membroker::{Clerk, MemoryBroker, SubcomponentKind};
 use throttledb_plancache::PlanCache;
-use throttledb_sim::{ArrivalSampler, EventQueue, SimDuration, SimRng, SimTime};
+use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use throttledb_workload::{ClientModel, TemplateId, Uniquifier, WorkloadMix};
 
 /// Discrete events driving the simulation.
@@ -37,10 +37,6 @@ pub(crate) enum Event {
         attempts: u32,
         first_at: SimTime,
     },
-    /// The next query of an open-loop arrival source arrives. Exactly one
-    /// such event is pending per source — the self-perpetuating
-    /// next-arrival sample — regardless of the modeled population size.
-    Arrival { source: u32 },
     /// One compilation memory-growth step completes.
     CompileStep { query: u64 },
     /// A gateway wait reached its timeout.
@@ -57,19 +53,6 @@ pub(crate) enum Event {
     FaultEnd { index: u32 },
     /// One allocation increment of an active memory-leak fault.
     LeakStep { index: u32 },
-}
-
-/// One step of the sharded merge loop (see `Server::shard_next`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardStep {
-    /// Dispatch the timing wheel's head event.
-    Wheel,
-    /// Dispatch the given source's buffered front arrival.
-    Source(u32),
-    /// Receive one epoch from the generator shards before deciding.
-    Pump,
-    /// Nothing fires strictly before the boundary.
-    Done,
 }
 
 /// One arrival decision's contribution to the streaming FNV-1a arrival
@@ -104,17 +87,13 @@ pub(crate) enum PlanKey {
     Compiled(TemplateId, u64),
 }
 
-/// Runtime state of one open-loop arrival source.
+/// Admission accounting of one open-loop arrival source.
 ///
-/// The whole modeled population is this struct plus one pending wheel
-/// event: the next-arrival sample. Each source draws from its own forked
-/// RNG stream, so sources never perturb each other (or the closed-loop
-/// workload stream).
+/// The whole modeled population is this struct plus the source's slot in
+/// the [`ArrivalPlane`], which holds its private RNG stream, its sampler
+/// and its one pending next-arrival instant.
+#[derive(Default)]
 pub(crate) struct SourceRuntime {
-    /// This source's private RNG stream.
-    pub rng: SimRng,
-    /// Stateful sampler over the source's arrival process.
-    pub sampler: ArrivalSampler,
     /// Queries of this source currently in the pipeline.
     pub in_flight: u32,
     /// Total arrivals offered (admitted + shed).
@@ -236,9 +215,10 @@ pub struct Server {
     /// Whether a cohort-compressed population has been started; cohort
     /// runs require the population to stay constant afterwards.
     pub(crate) cohort_started: bool,
-    /// The generator shards of a `shards > 1` run with arrival sources
-    /// (see [`crate::shard`]); `None` runs the single-threaded path.
-    pub(crate) arrival_plane: Option<ArrivalPlane>,
+    /// Where the sources' arrival instants come from, and their pending
+    /// `(time, seq)` merge candidates (see [`crate::shard`]). Empty until
+    /// [`Server::begin`].
+    pub(crate) arrival_plane: ArrivalPlane,
 }
 
 impl Server {
@@ -277,24 +257,10 @@ impl Server {
             config.class_assignment()
         };
         let class_bounds = config.class_bounds();
-        // Every source gets a private stream forked off a dedicated base —
-        // never off the workload RNG, so configuring sources leaves the
-        // closed-loop draw sequence untouched.
-        let mut source_base = SimRng::seed_from_u64(config.seed ^ 0xA221_4A15_0000_0001);
         let sources = config
             .arrivals
             .iter()
-            .enumerate()
-            .map(|(index, src)| SourceRuntime {
-                rng: source_base.fork(index as u64),
-                sampler: src.process.sampler(),
-                in_flight: 0,
-                arrivals: 0,
-                admitted: 0,
-                shed: 0,
-                completed: 0,
-                failed: 0,
-            })
+            .map(|_| SourceRuntime::default())
             .collect();
         let plan_cache = PlanCache::new(256 << 20, Some(cache_clerk));
         let mut metrics = RunMetrics::new(
@@ -358,7 +324,7 @@ impl Server {
             arrival_digest: 0xcbf2_9ce4_8422_2325,
             class_bounds,
             cohort_started: false,
-            arrival_plane: None,
+            arrival_plane: ArrivalPlane::default(),
             config,
         }
     }
@@ -383,220 +349,148 @@ impl Server {
     /// client population.
     pub fn begin(&mut self) {
         self.queue.schedule(self.now, Event::BrokerTick);
-        if self.config.shards > 1 && !self.sources.is_empty() {
-            self.begin_sharded();
-            return;
-        }
-        let end = SimTime::ZERO + self.config.duration;
-        for (index, src) in self.sources.iter_mut().enumerate() {
-            let gap = src.sampler.next_gap(&mut src.rng, self.now);
-            let at = self.now + gap;
-            if at < end {
-                self.queue.schedule(
-                    at,
-                    Event::Arrival {
-                        source: index as u32,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Start the generator shards of a `shards > 1` run: hand each
-    /// worker clones of its sources' RNG streams and samplers (the
-    /// spine's own copies go untouched from here), then reserve the
-    /// first-arrival sequence numbers in source index order — exactly
-    /// the numbers the single-threaded `begin` would have consumed.
-    fn begin_sharded(&mut self) {
-        let end = SimTime::ZERO + self.config.duration;
-        let generators = self
-            .sources
+        // Every source gets a private stream forked off a dedicated base —
+        // never off the workload RNG, so configuring sources leaves the
+        // closed-loop draw sequence untouched.
+        let mut source_base = SimRng::seed_from_u64(self.config.seed ^ 0xA221_4A15_0000_0001);
+        let streams = self
+            .config
+            .arrivals
             .iter()
-            .map(|src| (src.rng.clone(), src.sampler.clone()))
+            .enumerate()
+            .map(|(index, src)| (source_base.fork(index as u64), src.process.sampler()))
             .collect();
-        let mut plane = ArrivalPlane::spawn(
+        self.arrival_plane = ArrivalPlane::start(
             self.config.shards as usize,
-            generators,
+            streams,
             self.now,
-            end,
+            SimTime::ZERO + self.config.duration,
             self.config.broker_tick,
+            || self.queue.reserve_seq(),
         );
-        for index in 0..self.sources.len() {
-            if plane.first_exists()[index] {
-                plane.slots[index].reserved = Some(self.queue.reserve_seq());
-            }
-        }
-        self.arrival_plane = Some(plane);
     }
 
     /// Advance the simulation, processing every event scheduled strictly
     /// before `until`, then park the clock at `until`. Events at or beyond
-    /// the boundary stay queued, so a later call picks up exactly where
+    /// the boundary stay pending, so a later call picks up exactly where
     /// this one stopped.
+    ///
+    /// One loop for every configuration: the timing wheel's head is merged
+    /// with the arrival plane's per-source candidates into one global
+    /// `(time, seq)` order (`shard.rs` has the protocol). Whatever key comes
+    /// first among the earliest known arrival, the earliest arrival still
+    /// in flight from a generator shard and the boundary bounds what the
+    /// wheel may pop; with no sources that is one queue call per event.
     pub fn run_until(&mut self, until: SimTime) {
-        if let Some(mut plane) = self.arrival_plane.take() {
-            self.run_until_sharded(until, &mut plane);
-            self.arrival_plane = Some(plane);
-            return;
-        }
-        while let Some(ev) = self.queue.pop_before(until) {
-            self.now = ev.at;
-            self.dispatch(ev.payload);
+        let boundary = (until, 0);
+        loop {
+            let (arrival, source, unsealed) = self.arrival_plane.candidates();
+            let bound = boundary.min(arrival).min(unsealed);
+            if let Some(ev) = self.queue.pop_before_stamp(bound) {
+                self.now = ev.at;
+                self.dispatch(ev.payload);
+            } else if bound == boundary {
+                break;
+            } else if bound == unsealed {
+                // An arrival whose instant is not delivered yet could
+                // precede everything else: receive an epoch first.
+                self.arrival_plane.pump();
+            } else {
+                self.dispatch_arrival(source, arrival.0, until);
+            }
         }
         self.now = self.now.max(until);
     }
 
     /// Route one popped event to its handler.
     fn dispatch(&mut self, event: Event) {
+        let counts = &mut self.metrics.dispatch;
         match event {
-            Event::Submit { client } => self.on_submit(client),
+            Event::Submit { client } => {
+                counts.submit += 1;
+                self.on_submit(client)
+            }
             Event::CohortSubmit {
                 client,
                 attempts,
                 first_at,
-            } => self.on_cohort_submit(client, attempts, first_at),
-            Event::Arrival { source } => self.on_arrival(source),
-            Event::CompileStep { query } => self.on_compile_step(query),
-            Event::CompileTimeout { query, level } => self.on_compile_timeout(query, level),
-            Event::GrantTimeout { query } => self.on_grant_timeout(query),
-            Event::ExecFinish { query } => self.on_exec_finish(query),
-            Event::BrokerTick => self.on_broker_tick(),
-            Event::FaultBegin { index } => self.on_fault_begin(index),
-            Event::FaultEnd { index } => self.on_fault_end(index),
-            Event::LeakStep { index } => self.on_leak_step(index),
+            } => {
+                counts.cohort_submit += 1;
+                self.on_cohort_submit(client, attempts, first_at)
+            }
+            Event::CompileStep { query } => {
+                counts.compile_step += 1;
+                self.on_compile_step(query)
+            }
+            Event::CompileTimeout { query, level } => {
+                counts.compile_timeout += 1;
+                self.on_compile_timeout(query, level)
+            }
+            Event::GrantTimeout { query } => {
+                counts.grant_timeout += 1;
+                self.on_grant_timeout(query)
+            }
+            Event::ExecFinish { query } => {
+                counts.exec_finish += 1;
+                self.on_exec_finish(query)
+            }
+            Event::BrokerTick => {
+                counts.broker_tick += 1;
+                self.on_broker_tick()
+            }
+            Event::FaultBegin { index } => {
+                counts.fault_begin += 1;
+                self.on_fault_begin(index)
+            }
+            Event::FaultEnd { index } => {
+                counts.fault_end += 1;
+                self.on_fault_end(index)
+            }
+            Event::LeakStep { index } => {
+                counts.leak_step += 1;
+                self.on_leak_step(index)
+            }
         }
     }
 
-    /// The sharded event loop: merge the timing wheel's head with the
-    /// per-source arrival buffers into one global `(time, seq)` order,
-    /// pumping the generator shards whenever an unsealed frontier could
-    /// still precede the best candidate. Byte-identical to the
-    /// single-threaded loop by the seq-reservation protocol (see
-    /// [`crate::shard`]).
-    fn run_until_sharded(&mut self, until: SimTime, plane: &mut ArrivalPlane) {
-        loop {
-            match self.shard_next(plane, until) {
-                ShardStep::Pump => plane.pump(),
-                ShardStep::Done => break,
-                ShardStep::Wheel => {
-                    let ev = self.queue.pop().expect("peeked wheel event pops");
-                    self.now = ev.at;
-                    self.dispatch(ev.payload);
-                }
-                ShardStep::Source(source) => {
-                    let s = source as usize;
-                    let packed = plane.slots[s]
-                        .front()
-                        .expect("source candidate has a buffered head");
-                    plane.slots[s].consume(1);
-                    let (at, has_next) = unpack_arrival(packed);
-                    self.now = SimTime::from_micros(at);
-                    self.queue.external_pop(self.now);
-                    self.arrival_decision(source);
-                    // Reserve the next arrival's seq *after* the
-                    // admission pipeline's own schedules, where the
-                    // single-threaded path schedules the next arrival.
-                    plane.slots[s].reserved = if has_next {
-                        Some(self.queue.reserve_seq())
-                    } else {
-                        None
-                    };
-                    if self.sources[s].in_flight >= self.config.arrivals[s].max_in_flight {
-                        self.drain_shed(plane, s, until);
-                    }
-                }
-            }
-        }
-        self.now = self.now.max(until);
-    }
-
-    /// Pick the next sharded-loop action (see `run_until_sharded`): the
-    /// earliest `(time, seq)` key over the wheel head and the per-source
-    /// buffer fronts — released only if no unsealed source could still
-    /// precede it and it lies before `until` — else pump or stop.
-    fn shard_next(&self, plane: &ArrivalPlane, until: SimTime) -> ShardStep {
-        let until_key = (until.as_micros(), 0u64);
-        // Best buffered arrival: per-source fronts carry their reserved
-        // seq, and within a source time and seq are both increasing.
-        let mut best: Option<((u64, u64), u32)> = None;
-        // Frontier of the sources whose next arrival time is still
-        // unknown: it fires at `(>= seal, reserved seq)`, so the exact
-        // safety bound is the min of those keys.
-        let mut blocked: Option<(u64, u64)> = None;
-        for (s, slot) in plane.slots.iter().enumerate() {
-            let Some(seq) = slot.reserved else { continue };
-            match slot.front() {
-                Some(packed) => {
-                    let key = ((unpack_arrival(packed).0, seq), s as u32);
-                    if best.map_or(true, |b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                None => {
-                    let key = (plane.seals[slot.shard], seq);
-                    if blocked.map_or(true, |b| key < b) {
-                        blocked = Some(key);
-                    }
-                }
-            }
-        }
-        let wheel = self
-            .queue
-            .peek_stamp()
-            .map(|(at, seq)| (at.as_micros(), seq));
-        let (key, step) = match (wheel, best) {
-            (Some(w), Some((b, s))) if b < w => (b, ShardStep::Source(s)),
-            (Some(w), _) => (w, ShardStep::Wheel),
-            (None, Some((b, s))) => (b, ShardStep::Source(s)),
-            (None, None) => {
-                // Nothing runnable. If an unknown arrival could still land
-                // before the boundary, wait for it; otherwise we are done.
-                return match blocked {
-                    Some(b) if b < until_key => ShardStep::Pump,
-                    _ => ShardStep::Done,
-                };
-            }
-        };
-        if key >= until_key {
-            // The candidate parks at the boundary — but only once no
-            // unknown arrival can precede the boundary either.
-            return match blocked {
-                Some(b) if b < until_key => ShardStep::Pump,
-                _ => ShardStep::Done,
-            };
-        }
-        match blocked {
-            Some(b) if b <= key => ShardStep::Pump,
-            _ => step,
+    /// Fire `source`'s front arrival, due at `at`: decide its admission,
+    /// then reserve the next arrival's sequence number — *after* the
+    /// admission pipeline's own schedules, where a wheel-scheduled arrival
+    /// would have scheduled its successor. An arrival that leaves the
+    /// source at its concurrency cap opens a bulk-shed run.
+    fn dispatch_arrival(&mut self, source: usize, at: SimTime, until: SimTime) {
+        self.now = at;
+        let has_next = self.arrival_plane.advance(source);
+        self.queue.external_pop(self.now);
+        self.metrics.dispatch.external_arrivals += 1;
+        self.arrival_decision(source as u32);
+        self.arrival_plane.reserved[source] = has_next.then(|| self.queue.reserve_seq());
+        if self.sources[source].in_flight >= self.config.arrivals[source].max_in_flight {
+            self.drain_shed(source, until);
         }
     }
 
     /// Bulk-shed fast path: while a source sits at its concurrency cap,
     /// its arrivals are pure sheds — a counter bump, a digest fold and
-    /// seq bookkeeping, with no RNG draws, no trace events and no wheel
-    /// mutations. Every bound the merge compares against is therefore
-    /// *stable* across the drain except this source's own key, so the
+    /// seq bookkeeping, with no workload RNG draws, no trace events and no
+    /// wheel mutations. Every bound the merge compares against is therefore
+    /// *stable* across the run except this source's own key, so the
     /// whole burst is dispatched against one precomputed bound instead
-    /// of re-running the full candidate selection per arrival.
-    fn drain_shed(&mut self, plane: &mut ArrivalPlane, s: usize, until: SimTime) {
+    /// of re-running the candidate selection per arrival.
+    fn drain_shed(&mut self, s: usize, until: SimTime) {
         debug_assert!(
             self.sources[s].in_flight >= self.config.arrivals[s].max_in_flight,
             "drain_shed entered below the concurrency cap"
         );
-        let mut bound = (until.as_micros(), 0u64);
-        if let Some((at, seq)) = self.queue.peek_stamp() {
-            bound = bound.min((at.as_micros(), seq));
-        }
-        for (o, slot) in plane.slots.iter().enumerate() {
-            if o == s {
-                continue;
-            }
-            let Some(seq) = slot.reserved else { continue };
-            let key = match slot.front() {
-                Some(packed) => (unpack_arrival(packed).0, seq),
-                None => (plane.seals[slot.shard], seq),
-            };
-            bound = bound.min(key);
+        // With its reservation taken out, the source is invisible to the
+        // candidate scan: what remains is everyone else's bound.
+        let Some(first_seq) = self.arrival_plane.reserved[s].take() else {
+            return;
+        };
+        let (arrival, _, unsealed) = self.arrival_plane.candidates();
+        let mut bound = (until, 0).min(arrival).min(unsealed);
+        if let Some(wheel) = self.queue.peek_stamp() {
+            bound = bound.min(wheel);
         }
         // The burst itself never schedules, pops or completes anything, so
         // `in_flight` stays at the cap and the queue's internal state is
@@ -606,48 +500,35 @@ impl Server {
         // the reservations a pure run takes are consecutive from
         // `peek_seq` — arrival `i > 0`'s merge key is simply
         // `(at_i, base + i - 1)`.
-        let slot = &mut plane.slots[s];
-        let Some(first_seq) = slot.reserved else {
-            return;
-        };
+        let plane = &mut self.arrival_plane;
         let base = self.queue.peek_seq();
         let mut key_seq = first_seq;
         let mut popped = 0u64;
-        let mut last_at = 0u64;
         let mut exhausted = false;
         let mut digest = self.arrival_digest;
-        while let Some(run) = slot.front_run() {
-            let mut taken = 0usize;
-            let mut stop = false;
-            for &packed in run {
-                let (at, has_next) = unpack_arrival(packed);
-                if (at, key_seq) >= bound {
-                    stop = true;
-                    break;
-                }
-                taken += 1;
-                digest = fold_arrival_digest(digest, at, s as u32, 1);
-                last_at = at;
-                popped += 1;
-                if !has_next {
-                    exhausted = true;
-                    stop = true;
-                    break;
-                }
-                key_seq = base + popped - 1;
-            }
-            slot.consume(taken);
-            if stop {
+        // A threaded feed's buffer can run dry mid-burst; the merge loop
+        // pumps and the next arrival re-enters here.
+        while let Some(at) = plane.front(s) {
+            if (at, key_seq) >= bound {
                 break;
             }
+            digest = fold_arrival_digest(digest, at.as_micros(), s as u32, 1);
+            self.now = at;
+            popped += 1;
+            if !plane.advance(s) {
+                exhausted = true;
+                break;
+            }
+            key_seq = base + popped - 1;
         }
         if popped == 0 {
+            plane.reserved[s] = Some(first_seq);
             return;
         }
         let reserved = popped - exhausted as u64;
-        slot.reserved = (!exhausted).then(|| base + reserved - 1);
-        self.now = SimTime::from_micros(last_at);
+        plane.reserved[s] = (!exhausted).then(|| base + reserved - 1);
         self.queue.external_batch(popped, reserved, self.now);
+        self.metrics.dispatch.external_arrivals += popped;
         self.arrival_digest = digest;
         let src = &mut self.sources[s];
         src.arrivals += popped;
@@ -759,30 +640,14 @@ impl Server {
         });
     }
 
-    /// One open-loop arrival: decide admission, fold the decision into the
-    /// streaming digest, and sample the source's next arrival.
+    /// Decide one arrival's admission at `self.now`, update the source's
+    /// counters and fold the decision into the streaming digest.
     ///
     /// Order matters for cost: the concurrency cap is checked *before* any
-    /// query content is drawn, so an overloaded source sheds at one cheap
-    /// event (~a digest fold) per arrival instead of paying template
-    /// selection and uniquification for work it then discards.
-    fn on_arrival(&mut self, source: u32) {
-        self.arrival_decision(source);
-        let end = SimTime::ZERO + self.config.duration;
-        let s = source as usize;
-        let src = &mut self.sources[s];
-        let gap = src.sampler.next_gap(&mut src.rng, self.now);
-        let at = self.now + gap;
-        if at < end {
-            self.queue.schedule(at, Event::Arrival { source });
-        }
-    }
-
-    /// Decide one arrival's admission at `self.now`, update the source's
-    /// counters and fold the decision into the streaming digest. Shared
-    /// verbatim by the single-threaded and sharded dispatch paths, so
-    /// the two can never drift. Returns the decision code.
-    fn arrival_decision(&mut self, source: u32) -> u8 {
+    /// query content is drawn, so an overloaded source sheds at a digest
+    /// fold per arrival instead of paying template selection and
+    /// uniquification for work it then discards.
+    fn arrival_decision(&mut self, source: u32) {
         let s = source as usize;
         self.sources[s].arrivals += 1;
         let code: u8 = if self.sources[s].in_flight >= self.config.arrivals[s].max_in_flight {
@@ -796,14 +661,8 @@ impl Server {
             self.sources[s].shed += 1;
             2 // shed by the class breaker
         };
-        self.fold_arrival(self.now, source, code);
-        code
-    }
-
-    /// Fold one arrival decision into the streaming FNV-1a digest.
-    fn fold_arrival(&mut self, at: SimTime, source: u32, code: u8) {
         self.arrival_digest =
-            fold_arrival_digest(self.arrival_digest, at.as_micros(), source, code);
+            fold_arrival_digest(self.arrival_digest, self.now.as_micros(), source, code);
     }
 
     /// Replace the workload mix submissions are sampled from. TPC-H-like
@@ -1024,8 +883,8 @@ impl Server {
         self.active_clients
     }
 
-    /// Total simulation events dispatched so far — the sweep harness
-    /// divides this by wall time for an events/sec throughput figure.
+    /// Total simulation events dispatched so far: timing-wheel events
+    /// plus open-loop arrivals.
     pub fn events_dispatched(&self) -> u64 {
         self.queue.dispatched()
     }
@@ -1271,6 +1130,11 @@ impl Server {
     /// Fold per-class results into the run metrics.
     fn finalize_metrics(mut self) -> RunMetrics {
         self.metrics.events_dispatched = self.queue.dispatched();
+        assert_eq!(
+            self.metrics.dispatch.total(),
+            self.metrics.events_dispatched,
+            "per-kind dispatch counts must add up to the queue's dispatch count"
+        );
         self.metrics.peak_queue_depth = self.queue.peak_len();
         let mut class_clients = vec![0u32; self.classes.len()];
         if self.config.cohort_compressed {
@@ -1618,7 +1482,7 @@ mod tests {
     #[test]
     fn overloaded_source_sheds_at_the_cap_cheaply() {
         // λ far above what max_in_flight = 2 can drain: almost everything
-        // sheds at the door, and a cap-shed arrival costs one event — so
+        // sheds at the door, and a cap-shed arrival counts as one event — so
         // dispatched events stay within a small multiple of the arrival
         // count instead of 18× (the admitted-query event cost).
         let profiles = profiles();
@@ -1680,11 +1544,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_byte_identical_to_single_threaded() {
-        // The tentpole's equivalence claim at the engine level: the same
-        // open-loop run with the arrival plane split across generator
-        // shards reproduces the single-threaded schedule exactly —
-        // trace, digest, counters, dispatch count and peak queue depth.
+    fn threaded_feed_run_is_byte_identical_to_inline_feed_run() {
+        // The same open-loop run with arrival instants precomputed by
+        // generator shards reproduces the inline feed's schedule exactly
+        // — trace, digest, counters, dispatch count and peak queue depth.
         let profiles = profiles();
         let run = |shards: u32| {
             let mut cfg = ServerConfig::quick(4, true);
@@ -1733,10 +1596,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_overloaded_source_sheds_identically_and_cheaply() {
-        // The bulk-shed drain: an at-cap firehose must stay byte-exact
-        // with the single-threaded path and keep the ~1-event-per-shed
-        // cost contract.
+    fn threaded_feed_overloaded_source_sheds_identically_and_cheaply() {
+        // The bulk-shed run: an at-cap firehose must be byte-exact across
+        // the two feeds and keep the ~1-event-per-shed cost contract.
         let profiles = profiles();
         let run = |shards: u32| {
             let mut cfg = ServerConfig::quick(0, true);
@@ -1758,8 +1620,8 @@ mod tests {
 
     #[test]
     fn shards_without_sources_are_a_true_no_op() {
-        // A closed-loop config has no arrival plane to shard: shards = 4
-        // must take exactly the single-threaded path.
+        // A closed-loop config has no sources to feed: shards = 4 spawns
+        // nothing and runs like shards = 1.
         let profiles = profiles();
         let run = |shards: u32| {
             let mut cfg = ServerConfig::quick(8, true);

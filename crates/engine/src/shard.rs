@@ -1,36 +1,46 @@
-//! The sharded arrival plane: generator shards + the decision spine.
+//! The arrival plane: where each open-loop source's next instant comes
+//! from, and the per-source state the server's event loop merges on.
 //!
-//! With `ServerConfig::shards > 1`, a run's open-loop arrival *instants*
-//! are produced by worker threads ("generator shards") while every
-//! admission decision stays on the main thread (the "spine"), which
-//! merges generated arrivals with the timing wheel's own events into one
-//! global `(time, seq)` schedule. The split is sound because arrival
-//! generation is feedback-free: each source's sampler draws only from
-//! its own forked RNG stream and the previous arrival's time, so shard
-//! `k` can precompute the instants for sources `index % shards == k`
-//! arbitrarily far ahead of the simulation clock.
-//!
-//! Determinism is byte-exact with the single-threaded path because the
-//! spine reserves each arrival's sequence number from the shared event
-//! queue (`EventQueue::reserve_seq`) at exactly the moments the
-//! single-threaded engine would have called `schedule` for it:
+//! Arrivals never sit on the timing wheel. [`crate::Server::run_until`]
+//! is one loop that merges the wheel's head with one candidate per
+//! source — the source's next arrival instant, keyed by a sequence
+//! number reserved from the shared event queue
+//! (`EventQueue::reserve_seq`) — into one global `(time, seq)` order. The
+//! reservations are taken at exactly the moments a wheel-scheduled
+//! arrival event would have been scheduled:
 //!
 //! * at [`crate::Server::begin`], after the broker tick, once per source
-//!   in index order iff the source's first arrival lands inside the run
-//!   (the `Init` handshake carries that bit per source); and
+//!   in index order iff the source's first arrival lands inside the run;
+//!   and
 //! * at the *end* of processing each arrival — after `submit_query`'s
-//!   own pipeline-event schedules — iff the worker's one-sample
-//!   lookahead says a next arrival lands inside the run (`has_next`).
+//!   own pipeline-event schedules — iff a next arrival lands inside the
+//!   run.
 //!
-//! Workers deliver arrivals in lockstep epochs (one broker tick wide)
-//! over bounded channels and seal each epoch at its barrier; a merged
-//! candidate is released only when its `(time, seq)` key precedes every
-//! sealed frontier, so the spine replays the exact single-threaded
-//! order. The protocol's merge discipline is the same one
-//! `throttledb_sim::shard::EpochMerge` proves against a sorted-vec
-//! oracle; this module is its engine-shaped instantiation (per-source
-//! slots instead of generic mailboxes, because each source's sequence
-//! number is known even before its next arrival time is).
+//! so the merged order is the one a single queue holding every event
+//! would produce (`engine/tests/arrival_fingerprint.rs` holds values
+//! recorded from exactly that arrangement). The loop is the same for
+//! every configuration; what `ServerConfig::shards` selects is the
+//! **feed** behind [`ArrivalPlane::front`] and [`ArrivalPlane::advance`]:
+//!
+//! * **inline** (`shards = 1`): the spine samples `next_gap` itself, one
+//!   instant ahead per source. Nothing is buffered and a source's front
+//!   is always known.
+//! * **threaded** (`shards > 1`): worker threads ("generator shards")
+//!   own sources `index % shards == k` and precompute their instants,
+//!   which is sound because arrival generation is feedback-free — each
+//!   sampler draws only from its own forked RNG stream and the previous
+//!   arrival's time. Workers deliver in lockstep epochs over bounded
+//!   channels and seal each epoch at its barrier; a source whose buffer
+//!   ran dry is known only to fire at or after its shard's seal, and the
+//!   loop pumps another epoch before releasing anything that key could
+//!   precede. The merge discipline is the one
+//!   `throttledb_sim::shard::EpochMerge` proves against a sorted-vec
+//!   oracle (per-source slots instead of generic mailboxes, because each
+//!   source's sequence number is known before its next arrival time is).
+//!
+//! Both feeds replay the same recurrence `t_{k+1} = t_k + next_gap(rng,
+//! t_k)` from the same streams, so the shard count changes wall-clock
+//! time and nothing else.
 //!
 //! Workers need no input from the spine, so the plane cannot deadlock:
 //! a worker blocked on a full channel is released when the plane drops
@@ -45,112 +55,256 @@ use throttledb_sim::{ArrivalSampler, SimDuration, SimRng, SimTime};
 /// channel backpressures it.
 const EPOCH_PIPELINE: usize = 8;
 
+/// A `(time, seq)` merge key later than any event's.
+const NEVER: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+
 /// One arrival on the wire: the instant in microseconds shifted left one
 /// bit, with the low bit carrying `has_next` (whether the *following*
 /// arrival lands inside the run). Packing halves the bytes a 10M-arrival
 /// run pushes through the channels and buffers, and the shift preserves
 /// the per-source time order.
-pub(crate) fn pack_arrival(at_us: u64, has_next: bool) -> u64 {
+fn pack_arrival(at_us: u64, has_next: bool) -> u64 {
     debug_assert!(at_us < 1 << 63, "arrival instant overflows the packing");
     (at_us << 1) | has_next as u64
 }
 
-/// Inverse of [`pack_arrival`]: `(microseconds, has_next)`.
-pub(crate) fn unpack_arrival(packed: u64) -> (u64, bool) {
-    (packed >> 1, packed & 1 != 0)
+/// Inverse of [`pack_arrival`]: `(instant, has_next)`.
+fn unpack_arrival(packed: u64) -> (SimTime, bool) {
+    (SimTime::from_micros(packed >> 1), packed & 1 != 0)
 }
 
-/// One message from a generator shard to the spine.
-pub(crate) enum ShardMsg {
-    /// Handshake: per owned source (in owned order), whether its first
-    /// arrival lands inside the run — the bit the spine needs to mirror
-    /// the single-threaded `begin`'s conditional first-arrival schedule.
-    Init(Vec<bool>),
-    /// One sealed epoch: per owned source (in owned order), the
-    /// [`pack_arrival`]-encoded instants in `[previous barrier,
-    /// until_us)`.
-    Epoch {
-        /// Exclusive seal frontier (µs): no later message from this
-        /// shard carries an arrival before it.
-        until_us: u64,
-        /// Arrival batches, indexed like the shard's owned-source list.
-        sources: Vec<Vec<u64>>,
-    },
+/// One sealed epoch from a generator shard to the spine.
+struct Epoch {
+    /// Exclusive seal frontier: no later epoch from this shard carries an
+    /// arrival before it.
+    until: SimTime,
+    /// Per owned source (in owned order), the [`pack_arrival`]-encoded
+    /// instants in `[previous barrier, until)`.
+    sources: Vec<Vec<u64>>,
 }
 
-/// Spine-side state of one arrival source.
-#[derive(Debug, Default)]
-pub(crate) struct SourceSlot {
-    /// Sequence number reserved for the source's next arrival (`None`
-    /// once the source is exhausted). Known even while the arrival's
-    /// *time* is still in flight from the worker.
-    pub(crate) reserved: Option<u64>,
+/// One source's arrival recurrence `t_{k+1} = t_k + next_gap(rng, t_k)`,
+/// held one instant ahead. Both feeds step it, so they cannot draw
+/// different instants from one stream.
+struct Generator {
+    rng: SimRng,
+    sampler: ArrivalSampler,
+    /// The next arrival's instant; `None` once it would land at or after
+    /// the end of the run.
+    next: Option<SimTime>,
+}
+
+impl Generator {
+    /// Step past `next` and say whether a further arrival lands before
+    /// `end`.
+    fn advance(&mut self, end: SimTime) -> bool {
+        let at = self.next.expect("advance past a live instant");
+        let follow = at + self.sampler.next_gap(&mut self.rng, at);
+        self.next = (follow < end).then_some(follow);
+        self.next.is_some()
+    }
+}
+
+/// Spine-side buffer of one source of the threaded feed.
+#[derive(Default)]
+struct SourceBuffer {
     /// Delivered batches not yet fully dispatched, consumed in place (no
     /// per-arrival copying): `head` indexes into the front batch, and the
     /// invariant is that every queued batch is non-empty with
     /// `head < front.len()`.
     batches: VecDeque<Vec<u64>>,
     head: usize,
-    /// Index into the plane's per-shard seal/receiver arrays.
-    pub(crate) shard: usize,
+    /// Index into the per-shard seal/receiver arrays.
+    shard: usize,
 }
 
-impl SourceSlot {
-    /// The source's next undispatched arrival (packed), if delivered.
-    pub(crate) fn front(&self) -> Option<u64> {
-        self.batches.front().map(|batch| batch[self.head])
+/// The spine's handle on the generator shards.
+struct Workers {
+    /// Per-source buffers, indexed by source index.
+    buffers: Vec<SourceBuffer>,
+    /// Per-shard sealed frontier; `SimTime::MAX` once the shard's stream
+    /// is complete (its worker exited).
+    seals: Vec<SimTime>,
+    /// Per-shard owned-source lists (`index % shards`), in index order.
+    owned: Vec<Vec<usize>>,
+    receivers: Vec<Option<Receiver<Epoch>>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+/// Where the sources' instants come from (see the [module docs](self)).
+enum Feed {
+    Inline {
+        sources: Vec<Generator>,
+        /// End of the run: arrivals land strictly before it.
+        end: SimTime,
+    },
+    Threaded(Workers),
+}
+
+/// Per-source merge state plus the feed behind it (see the
+/// [module docs](self)). The default plane has no sources.
+pub(crate) struct ArrivalPlane {
+    /// Per source: the sequence number reserved for its next arrival
+    /// (`None` once the source is exhausted). With the threaded feed it
+    /// is known even while the arrival's *time* is still in flight from
+    /// the worker.
+    pub(crate) reserved: Vec<Option<u64>>,
+    feed: Feed,
+}
+
+impl Default for ArrivalPlane {
+    fn default() -> Self {
+        ArrivalPlane {
+            reserved: Vec::new(),
+            feed: Feed::Inline {
+                sources: Vec::new(),
+                end: SimTime::ZERO,
+            },
+        }
+    }
+}
+
+impl ArrivalPlane {
+    /// Start the feed for a run over `[start, end)` and take the first
+    /// reservations. `streams` holds each source's private RNG stream and
+    /// sampler; `shards` picks the feed, `epoch` is the threaded feed's
+    /// barrier interval, and `reserve` hands out the event queue's next
+    /// sequence number — called once per source whose first arrival lands
+    /// inside the run, in index order.
+    pub(crate) fn start(
+        shards: usize,
+        streams: Vec<(SimRng, ArrivalSampler)>,
+        start: SimTime,
+        end: SimTime,
+        epoch: SimDuration,
+        mut reserve: impl FnMut() -> u64,
+    ) -> Self {
+        // First instants are sampled here for either feed; a worker takes
+        // its sources over from the second instant on.
+        let sources: Vec<Generator> = streams
+            .into_iter()
+            .map(|(mut rng, mut sampler)| {
+                let at = start + sampler.next_gap(&mut rng, start);
+                Generator {
+                    rng,
+                    sampler,
+                    next: (at < end).then_some(at),
+                }
+            })
+            .collect();
+        let reserved = sources
+            .iter()
+            .map(|src| src.next.is_some().then(&mut reserve))
+            .collect();
+        let feed = if shards > 1 && !sources.is_empty() {
+            Feed::Threaded(Workers::spawn(shards, sources, start, end, epoch))
+        } else {
+            Feed::Inline { sources, end }
+        };
+        ArrivalPlane { reserved, feed }
     }
 
-    /// The front batch's undispatched tail, if any.
-    pub(crate) fn front_run(&self) -> Option<&[u64]> {
-        self.batches.front().map(|batch| &batch[self.head..])
+    /// Source `s`'s next undispatched instant, if known. Always known
+    /// for a live source of the inline feed; `None` with the threaded
+    /// feed while the instant is still in flight from its worker.
+    #[inline]
+    pub(crate) fn front(&self, s: usize) -> Option<SimTime> {
+        match &self.feed {
+            Feed::Inline { sources, .. } => sources[s].next,
+            Feed::Threaded(workers) => {
+                let buffer = &workers.buffers[s];
+                buffer
+                    .batches
+                    .front()
+                    .map(|batch| unpack_arrival(batch[buffer.head]).0)
+            }
+        }
     }
 
-    /// Drop the next `n` arrivals (they were dispatched). `n` must not
-    /// cross a batch boundary beyond the front batch's tail.
-    pub(crate) fn consume(&mut self, n: usize) {
-        self.head += n;
-        if let Some(batch) = self.batches.front() {
-            debug_assert!(self.head <= batch.len());
-            if self.head == batch.len() {
-                self.batches.pop_front();
-                self.head = 0;
+    /// Consume source `s`'s front (it was dispatched) and say whether a
+    /// next arrival lands inside the run — whether the caller owes the
+    /// source a fresh reservation.
+    #[inline]
+    pub(crate) fn advance(&mut self, s: usize) -> bool {
+        match &mut self.feed {
+            Feed::Inline { sources, end } => sources[s].advance(*end),
+            Feed::Threaded(workers) => {
+                let buffer = &mut workers.buffers[s];
+                let batch = buffer.batches.front().expect("advance past a known front");
+                let (_, has_next) = unpack_arrival(batch[buffer.head]);
+                buffer.head += 1;
+                if buffer.head == batch.len() {
+                    buffer.batches.pop_front();
+                    buffer.head = 0;
+                }
+                has_next
+            }
+        }
+    }
+
+    /// The merge's view of the sources: the earliest known arrival key
+    /// with its source, and the earliest key an arrival still in flight
+    /// from a worker could have (it fires at or after its shard's seal,
+    /// under its reserved seq). A key later than any event's stands for
+    /// "none". Sources without a reservation are invisible here.
+    #[inline]
+    pub(crate) fn candidates(&self) -> ((SimTime, u64), usize, (SimTime, u64)) {
+        let (mut best, mut source, mut unsealed) = (NEVER, 0, NEVER);
+        for (s, reserved) in self.reserved.iter().enumerate() {
+            let Some(seq) = *reserved else { continue };
+            match (self.front(s), &self.feed) {
+                (Some(at), _) if (at, seq) < best => (best, source) = ((at, seq), s),
+                (Some(_), _) => {}
+                (None, Feed::Threaded(workers)) => {
+                    let seal = workers.seals[workers.buffers[s].shard];
+                    unsealed = unsealed.min((seal, seq));
+                }
+                (None, Feed::Inline { .. }) => unreachable!("a reserved inline source is live"),
+            }
+        }
+        (best, source, unsealed)
+    }
+
+    /// Receive one epoch from every live shard (lockstep), extending the
+    /// per-source buffers and the sealed frontiers. A disconnected shard
+    /// has shipped its whole stream: its seal moves to `SimTime::MAX`.
+    pub(crate) fn pump(&mut self) {
+        let Feed::Threaded(workers) = &mut self.feed else {
+            unreachable!("only the threaded feed has arrivals in flight");
+        };
+        for shard in 0..workers.receivers.len() {
+            let Some(rx) = workers.receivers[shard].as_ref() else {
+                continue;
+            };
+            match rx.recv() {
+                Ok(Epoch { until, sources }) => {
+                    for (pos, batch) in sources.into_iter().enumerate() {
+                        if !batch.is_empty() {
+                            workers.buffers[workers.owned[shard][pos]]
+                                .batches
+                                .push_back(batch);
+                        }
+                    }
+                    workers.seals[shard] = until;
+                }
+                Err(_) => {
+                    workers.seals[shard] = SimTime::MAX;
+                    workers.receivers[shard] = None;
+                }
             }
         }
     }
 }
 
-/// The spine's handle on the generator shards (see the
-/// [module docs](self)).
-pub(crate) struct ArrivalPlane {
-    /// Per-source merge state, indexed by source index.
-    pub(crate) slots: Vec<SourceSlot>,
-    /// Per-shard sealed frontier (µs); `u64::MAX` once the shard's
-    /// stream is complete (its worker exited).
-    pub(crate) seals: Vec<u64>,
-    /// Per-shard owned-source lists (`index % shards`), in index order.
-    owned: Vec<Vec<usize>>,
-    receivers: Vec<Option<Receiver<ShardMsg>>>,
-    handles: Vec<JoinHandle<()>>,
-    /// Per source: whether its first arrival lands inside the run, from
-    /// the `Init` handshake.
-    first_exists: Vec<bool>,
-}
-
-impl ArrivalPlane {
-    /// Spawn one generator shard per non-empty `index % shards` class
-    /// and complete the `Init` handshake. `generators` holds each
-    /// source's private RNG stream and sampler, cloned from the spine's
-    /// (which the sharded path then never touches); `start`/`end` bound
-    /// the run and `epoch` is the barrier interval.
-    pub(crate) fn spawn(
+impl Workers {
+    /// Spawn one generator shard per non-empty `index % shards` class.
+    fn spawn(
         shards: usize,
-        generators: Vec<(SimRng, ArrivalSampler)>,
+        sources: Vec<Generator>,
         start: SimTime,
         end: SimTime,
         epoch: SimDuration,
     ) -> Self {
-        debug_assert!(shards >= 1 && !generators.is_empty());
         // The window is a pure batching knob: generation is feedback-free,
         // so widening it changes which message an arrival ships in, never
         // the arrival itself. Wide windows keep the per-epoch costs (one
@@ -158,97 +312,46 @@ impl ArrivalPlane {
         // of long runs; the bounded pipeline still caps worker run-ahead
         // at `EPOCH_PIPELINE` windows of samples.
         let epoch = epoch.max(SimDuration::from_secs(1));
-        let sources = generators.len();
         let mut owned: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for index in 0..sources {
-            owned[index % shards].push(index);
+        let mut generators: Vec<Vec<Generator>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut buffers = Vec::with_capacity(sources.len());
+        for (index, source) in sources.into_iter().enumerate() {
+            let shard = index % shards;
+            owned[shard].push(index);
+            generators[shard].push(source);
+            buffers.push(SourceBuffer {
+                shard,
+                ..SourceBuffer::default()
+            });
         }
-        let mut slots: Vec<SourceSlot> = (0..sources).map(|_| SourceSlot::default()).collect();
-        let mut seals = vec![u64::MAX; shards];
-        let mut receivers: Vec<Option<Receiver<ShardMsg>>> = Vec::with_capacity(shards);
+        // A shard with nothing to generate stays sealed at MAX forever and
+        // never blocks the merge.
+        let mut seals = vec![SimTime::MAX; shards];
+        let mut receivers = Vec::with_capacity(shards);
         let mut handles = Vec::new();
-        let mut generators: Vec<Option<(SimRng, ArrivalSampler)>> =
-            generators.into_iter().map(Some).collect();
-        for (shard, owned_sources) in owned.iter().enumerate() {
-            if owned_sources.is_empty() {
-                // A shard with nothing to generate stays sealed at MAX
-                // forever and never blocks the merge.
+        for (shard, gens) in generators.into_iter().enumerate() {
+            if gens.is_empty() {
                 receivers.push(None);
                 continue;
             }
-            for &index in owned_sources {
-                slots[index].shard = shard;
-            }
-            let gens: Vec<(SimRng, ArrivalSampler)> = owned_sources
-                .iter()
-                .map(|&index| generators[index].take().expect("each source owned once"))
-                .collect();
             let (tx, rx) = sync_channel(EPOCH_PIPELINE);
             handles.push(std::thread::spawn(move || {
                 generate(gens, start, end, epoch, tx);
             }));
             receivers.push(Some(rx));
-            seals[shard] = start.as_micros();
+            seals[shard] = start;
         }
-        // Init handshake, shards in index order: which sources open with
-        // a live first arrival.
-        let mut first_exists = vec![false; sources];
-        for (shard, rx) in receivers.iter().enumerate() {
-            let Some(rx) = rx else { continue };
-            match rx.recv() {
-                Ok(ShardMsg::Init(flags)) => {
-                    for (pos, exists) in flags.into_iter().enumerate() {
-                        first_exists[owned[shard][pos]] = exists;
-                    }
-                }
-                _ => unreachable!("workers send Init first"),
-            }
-        }
-        ArrivalPlane {
-            slots,
+        Workers {
+            buffers,
             seals,
             owned,
             receivers,
             handles,
-            first_exists,
-        }
-    }
-
-    /// Per source, whether its first arrival lands inside the run — the
-    /// spine reserves a sequence number for exactly these, in index
-    /// order, mirroring the single-threaded `begin`.
-    pub(crate) fn first_exists(&self) -> &[bool] {
-        &self.first_exists
-    }
-
-    /// Receive one epoch from every live shard (lockstep), extending the
-    /// per-source buffers and the sealed frontiers. A disconnected shard
-    /// has shipped its whole stream: its seal moves to `u64::MAX`.
-    pub(crate) fn pump(&mut self) {
-        for shard in 0..self.receivers.len() {
-            let Some(rx) = self.receivers[shard].as_ref() else {
-                continue;
-            };
-            match rx.recv() {
-                Ok(ShardMsg::Epoch { until_us, sources }) => {
-                    for (pos, batch) in sources.into_iter().enumerate() {
-                        if !batch.is_empty() {
-                            self.slots[self.owned[shard][pos]].batches.push_back(batch);
-                        }
-                    }
-                    self.seals[shard] = until_us;
-                }
-                Ok(ShardMsg::Init(_)) => unreachable!("Init is consumed at spawn"),
-                Err(_) => {
-                    self.seals[shard] = u64::MAX;
-                    self.receivers[shard] = None;
-                }
-            }
         }
     }
 }
 
-impl Drop for ArrivalPlane {
+impl Drop for Workers {
     fn drop(&mut self) {
         // Unblock workers parked on a full channel, then reap them.
         self.receivers.clear();
@@ -258,31 +361,16 @@ impl Drop for ArrivalPlane {
     }
 }
 
-/// Generator-shard body: replay each owned source's arrival recurrence
-/// `t_{k+1} = t_k + next_gap(rng, t_k)` (identical draws to the
-/// single-threaded engine), ship it epoch by epoch, and exit once every
-/// owned source is exhausted — closing the channel is the final seal.
+/// Generator-shard body: step each owned source through its recurrence,
+/// ship the instants epoch by epoch, and exit once every owned source is
+/// exhausted — closing the channel is the final seal.
 fn generate(
-    mut gens: Vec<(SimRng, ArrivalSampler)>,
+    mut gens: Vec<Generator>,
     start: SimTime,
     end: SimTime,
     epoch: SimDuration,
-    tx: SyncSender<ShardMsg>,
+    tx: SyncSender<Epoch>,
 ) {
-    // First arrivals, exactly as the single-threaded `begin` samples them.
-    let mut next: Vec<Option<SimTime>> = gens
-        .iter_mut()
-        .map(|(rng, sampler)| {
-            let at = start + sampler.next_gap(rng, start);
-            (at < end).then_some(at)
-        })
-        .collect();
-    if tx
-        .send(ShardMsg::Init(next.iter().map(Option::is_some).collect()))
-        .is_err()
-    {
-        return;
-    }
     let mut window_end = start + epoch;
     // Last window's batch sizes, as capacity hints: steady-rate sources
     // would otherwise regrow every batch from zero, and the doubling
@@ -293,28 +381,21 @@ fn generate(
             .iter()
             .map(|&n| Vec::with_capacity(n + n / 4 + 8))
             .collect();
-        for (pos, (rng, sampler)) in gens.iter_mut().enumerate() {
-            while let Some(at) = next[pos] {
-                if at >= window_end {
-                    break;
-                }
-                // One-sample lookahead: the spine needs to know, while
-                // processing this arrival, whether the single-threaded
-                // engine would have scheduled a next one.
-                let follow = at + sampler.next_gap(rng, at);
-                let has_next = follow < end;
+        for (pos, source) in gens.iter_mut().enumerate() {
+            while let Some(at) = source.next.filter(|&at| at < window_end) {
+                // Stepping first is the one-sample lookahead the spine
+                // needs: while it processes this arrival it must know
+                // whether to reserve a sequence number for a next one.
+                let has_next = source.advance(end);
                 batches[pos].push(pack_arrival(at.as_micros(), has_next));
-                next[pos] = has_next.then_some(follow);
             }
             hint[pos] = batches[pos].len();
         }
-        if tx
-            .send(ShardMsg::Epoch {
-                until_us: window_end.as_micros(),
-                sources: batches,
-            })
-            .is_err()
-        {
+        let sealed = Epoch {
+            until: window_end,
+            sources: batches,
+        };
+        if tx.send(sealed).is_err() {
             return;
         }
         if window_end >= end {

@@ -241,8 +241,8 @@ impl ScenarioRunner {
         self
     }
 
-    /// Run across `shards` generator shards (default 1, the
-    /// single-threaded path). Any value produces byte-identical traces,
+    /// Run across `shards` generator shards (default 1: arrival instants
+    /// sampled inline). Any value produces byte-identical traces,
     /// reports and digests — the determinism tests prove it — so this
     /// only trades wall-clock time, never results.
     pub fn with_shards(mut self, shards: u32) -> Self {

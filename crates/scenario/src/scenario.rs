@@ -471,8 +471,8 @@ impl Scenario {
     /// for a million modeled users (≥ 10 M arrivals even at quick scale)
     /// over a cohort-compressed 64-client closed loop. Nearly all arrivals
     /// shed at the 512-slot cap — by design: each shed arrival costs one
-    /// wheel event and one digest fold, so the cell measures the admission
-    /// path's per-arrival overhead at wheel-limited rates.
+    /// gap sample and one digest fold, so the cell measures the admission
+    /// path's per-arrival overhead.
     pub fn open_loop_scale(scale: Scale) -> Self {
         let mut base = Self::custom_base(scale, 2007);
         base.cohort_compressed = true;

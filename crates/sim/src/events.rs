@@ -237,8 +237,8 @@ pub struct EventQueue<E> {
     live: usize,
     /// Events pending *outside* the queue's own structures: sequence
     /// numbers reserved through [`EventQueue::reserve_seq`] whose firing
-    /// is driven by an external plane (the engine's sharded arrival
-    /// plane). They count toward depth accounting but deliberately not
+    /// is driven by an external plane (the engine's arrival plane). They
+    /// count toward depth accounting but deliberately not
     /// toward `live`, whose value gates the small-mode migration and the
     /// wheel's "live events exist somewhere" invariants.
     external: usize,
@@ -382,6 +382,10 @@ impl<E> EventQueue<E> {
     /// caller.
     pub fn peek_stamp(&self) -> Option<(SimTime, u64)> {
         if self.small {
+            // Band tail and late root are both before the horizon and every
+            // parked event is at or past it, so the earlier of the two is
+            // the global head; scan the parked list only in the rare moment
+            // both in-horizon structures are empty.
             let in_horizon = match (self.band.last(), self.late.first()) {
                 (Some(b), Some(l)) => Some(b.key().min(l.key())),
                 (Some(b), None) => Some(b.key()),
@@ -505,21 +509,7 @@ impl<E> EventQueue<E> {
 
     /// Time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.small {
-            // Band tail and late root are both before the horizon and every
-            // parked event is at or past it, so the earlier of the two is
-            // the global head; scan the parked list only in the rare moment
-            // both in-horizon structures are empty.
-            let head = match (self.band.last(), self.late.first()) {
-                (Some(b), Some(l)) => Some(b.key().min(l.key()).0),
-                (Some(b), None) => Some(b.at),
-                (None, Some(l)) => Some(l.at),
-                (None, None) => self.parked.iter().map(|e| e.at).min(),
-            };
-            return head.map(SimTime::from_micros);
-        }
-        // Invariant 4: the earliest live event is always at the staged head.
-        self.staged.last().map(|e| SimTime::from_micros(e.at))
+        self.peek_stamp().map(|(at, _)| at)
     }
 
     /// Pop the next event only if it fires strictly before `until`, leaving
@@ -528,7 +518,16 @@ impl<E> EventQueue<E> {
     /// count, workload mix, budgets), and continue, without disturbing
     /// events already scheduled beyond the boundary.
     pub fn pop_before(&mut self, until: SimTime) -> Option<ScheduledEvent<E>> {
-        if self.peek_time()? < until {
+        self.pop_before_stamp((until, 0))
+    }
+
+    /// Pop the next event only if its `(time, seq)` key precedes `bound`.
+    /// This is the merge primitive: a loop that interleaves the queue with
+    /// externally driven events (see [`EventQueue::reserve_seq`]) passes
+    /// the smaller of its earliest external key and its window boundary
+    /// `(until, 0)`, and makes one queue call per event either way.
+    pub fn pop_before_stamp(&mut self, bound: (SimTime, u64)) -> Option<ScheduledEvent<E>> {
+        if self.peek_stamp()? < bound {
             self.pop()
         } else {
             None
@@ -1101,6 +1100,29 @@ mod tests {
         }
         assert_eq!(rest, vec!["b", "c", "d"]);
         assert!(q.pop_before(SimTime::MAX).is_none());
+    }
+
+    #[test]
+    fn pop_before_stamp_breaks_same_instant_ties_by_seq() {
+        for force in [false, true] {
+            let mut q = EventQueue::new();
+            if force {
+                q.force_wheel();
+            }
+            let t = SimTime::from_secs(3);
+            let a = q.schedule(t, "a");
+            let external = q.reserve_seq();
+            let b = q.schedule(t, "b");
+            assert!(a.seq() < external && external < b.seq());
+            // Against the external key only "a" precedes it at that instant.
+            assert_eq!(q.pop_before_stamp((t, external)).unwrap().payload, "a");
+            assert!(q.pop_before_stamp((t, external)).is_none());
+            q.external_pop(t);
+            // `(t, 0)` is `pop_before(t)`: nothing at `t` itself pops.
+            assert!(q.pop_before_stamp((t, 0)).is_none());
+            assert_eq!(q.pop_before_stamp((t, u64::MAX)).unwrap().payload, "b");
+            assert!(q.pop_before_stamp((SimTime::MAX, u64::MAX)).is_none());
+        }
     }
 
     #[test]

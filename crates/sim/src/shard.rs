@@ -11,7 +11,7 @@
 //! sealed past the candidate). The merged order is therefore identical
 //! to what a single queue holding every event would produce — the
 //! property the in-module proptests check against a sorted-vec oracle,
-//! and the property the engine's sharded arrival plane builds on.
+//! and the property the engine's threaded arrival feed builds on.
 //!
 //! Sequence numbers are expected to come from one shared counter (the
 //! engine reserves them through `EventQueue::reserve_seq`), so `(time,
