@@ -1,4 +1,5 @@
-//! Heap vs timing-wheel event-queue microbenchmark.
+//! Event-queue microbenchmark: `EventQueue` (the banded queue the engine
+//! runs on) against `HeapEventQueue` (the reference binary heap).
 //!
 //! Two patterns, each at 1k / 100k / 1M scheduled events:
 //!
@@ -11,7 +12,9 @@
 //! Besides the criterion groups, running this bench (`cargo bench -p
 //! throttledb-bench --bench event_queue`) rewrites `BENCH_event_queue.json`
 //! at the repo root with events/sec for both implementations and the
-//! wheel/heap speedup — the measured record of the queue swap.
+//! queue/heap speedup. The built-in scenarios peak at a few hundred pending
+//! events (`docs/EXPERIMENTS.md` §9 has the table); the 100k and 1M rows
+//! show what the queue does far past that.
 
 use criterion::{black_box, Criterion};
 use std::fmt::Write as _;
@@ -23,8 +26,8 @@ use throttledb_sim::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
 const FILL_HORIZON_US: u64 = 30_000_000;
 
 /// Think-time-like delays for the churn pattern: exponential with a 10 s
-/// mean, so most successors land in the wheel's near window and the tail
-/// exercises the far heap, like the engine's own mix.
+/// mean, so most successors land within a few band widths and the tail
+/// parks minutes out, like the engine's own mix.
 fn churn_delay(rng: &mut SimRng) -> SimDuration {
     SimDuration::from_secs_f64(rng.exponential(10.0))
 }
@@ -36,7 +39,7 @@ fn fill_times(n: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn fill_drain_wheel(times: &[u64]) -> u64 {
+fn fill_drain_queue(times: &[u64]) -> u64 {
     let mut q = EventQueue::new();
     for (i, &t) in times.iter().enumerate() {
         q.schedule(SimTime::from_micros(t), i as u64);
@@ -64,7 +67,7 @@ fn fill_drain_heap(times: &[u64]) -> u64 {
 
 /// Closed-loop churn over a pending set of `n` events: `rounds` pops, each
 /// immediately replaced. Returns the number of dispatched events.
-fn churn_wheel(n: usize, rounds: usize, seed: u64) -> u64 {
+fn churn_queue(n: usize, rounds: usize, seed: u64) -> u64 {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut q = EventQueue::new();
     for i in 0..n {
@@ -111,7 +114,7 @@ struct Row {
     pattern: &'static str,
     events: usize,
     heap_eps: f64,
-    wheel_eps: f64,
+    queue_eps: f64,
 }
 
 fn main() {
@@ -123,7 +126,7 @@ fn main() {
         let mut group = c.benchmark_group(format!("event_queue/fill_drain_{n}"));
         group.sample_size(10);
         group.bench_function("heap", |b| b.iter(|| fill_drain_heap(black_box(&times))));
-        group.bench_function("wheel", |b| b.iter(|| fill_drain_wheel(black_box(&times))));
+        group.bench_function("queue", |b| b.iter(|| fill_drain_queue(black_box(&times))));
         group.finish();
     }
 
@@ -143,7 +146,7 @@ fn main() {
             pattern: "fill_drain",
             events: n,
             heap_eps: measure(runs, || fill_drain_heap(&times)),
-            wheel_eps: measure(runs, || fill_drain_wheel(&times)),
+            queue_eps: measure(runs, || fill_drain_queue(&times)),
         });
     }
     for &n in &[1_000usize, 100_000, 1_000_000] {
@@ -154,29 +157,29 @@ fn main() {
             pattern: "churn",
             events: n,
             heap_eps: measure(runs, || churn_heap(n, rounds, 11)),
-            wheel_eps: measure(runs, || churn_wheel(n, rounds, 11)),
+            queue_eps: measure(runs, || churn_queue(n, rounds, 11)),
         });
     }
 
     println!(
         "\n{:<12} {:>10} {:>16} {:>16} {:>9}",
-        "pattern", "events", "heap ev/s", "wheel ev/s", "speedup"
+        "pattern", "events", "heap ev/s", "queue ev/s", "speedup"
     );
     let mut json = String::from("{\n  \"benchmark\": \"event_queue\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let speedup = r.wheel_eps / r.heap_eps.max(1e-12);
+        let speedup = r.queue_eps / r.heap_eps.max(1e-12);
         println!(
             "{:<12} {:>10} {:>16.0} {:>16.0} {:>8.2}x",
-            r.pattern, r.events, r.heap_eps, r.wheel_eps, speedup
+            r.pattern, r.events, r.heap_eps, r.queue_eps, speedup
         );
         let _ = writeln!(
             json,
             "    {{\"pattern\": \"{}\", \"events\": {}, \"heap_events_per_sec\": {:.0}, \
-             \"wheel_events_per_sec\": {:.0}, \"speedup\": {:.2}}}{}",
+             \"queue_events_per_sec\": {:.0}, \"speedup\": {:.2}}}{}",
             r.pattern,
             r.events,
             r.heap_eps,
-            r.wheel_eps,
+            r.queue_eps,
             speedup,
             if i + 1 < rows.len() { "," } else { "" },
         );

@@ -65,7 +65,7 @@ pub struct SweepCell {
     pub phases: usize,
     /// Simulation events dispatched by the run's event loop.
     pub events_dispatched: u64,
-    /// Peak pending events in the timing-wheel queue.
+    /// Peak pending events in the event queue.
     pub peak_queue_depth: usize,
     /// Open-loop arrivals offered across all sources (0 for purely
     /// closed-loop scenarios).
@@ -122,35 +122,16 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepOutcome {
         .flat_map(|(si, _)| spec.seeds.iter().map(move |&seed| (si, seed)))
         .collect();
 
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SweepCell>>> = Mutex::new(vec![None; coords.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(coords.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(scenario_idx, seed)) = coords.get(idx) else {
-                    break;
-                };
-                let name = &spec.scenarios[scenario_idx];
-                let cell = run_cell(
-                    name,
-                    seed,
-                    spec.scale,
-                    profiles[scenario_idx].clone(),
-                    spec.shards,
-                );
-                results.lock().expect("no poisoned workers")[idx] = Some(cell);
-            });
-        }
+    let cells = fan_out(coords.len(), workers, |idx| {
+        let (scenario_idx, seed) = coords[idx];
+        run_cell(
+            &spec.scenarios[scenario_idx],
+            seed,
+            spec.scale,
+            profiles[scenario_idx].clone(),
+            spec.shards,
+        )
     });
-
-    let cells = results
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|slot| slot.expect("every cell ran"))
-        .collect();
     SweepOutcome {
         scale: spec.scale,
         workers,
@@ -530,60 +511,42 @@ pub fn run_policy_sweep(spec: &PolicySweepSpec) -> PolicySweepOutcome {
         })
         .collect();
 
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<PolicyCell>>> = Mutex::new(vec![None; coords.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(coords.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(policy_idx, scenario_idx, seed)) = coords.get(idx) else {
-                    break;
-                };
-                let policy = spec.policies[policy_idx];
-                let name = &spec.scenarios[scenario_idx];
-                let scenario = Scenario::builtin(name, spec.scale)
-                    .expect("validated above")
-                    .with_seed(seed)
-                    .with_policy(policy);
-                let outcome = ScenarioRunner::new(scenario)
-                    .with_profiles(profiles[scenario_idx].clone())
-                    .run();
-                let metrics = &outcome.metrics;
-                let mut wait = Histogram::new("policy-wait-us");
-                for h in &metrics.throttle.wait_histograms {
-                    wait.merge(h);
-                }
-                let (degraded, admitted) = metrics.classes.iter().fold((0, 0), |(d, a), c| {
-                    (
-                        d + c.grants.degraded,
-                        a + c.grants.admitted + c.grants.degraded,
-                    )
-                });
-                let cell = PolicyCell {
-                    policy: policy.name(),
-                    scenario: name.clone(),
-                    seed,
-                    submitted: outcome.phases.iter().map(|p| p.submitted).sum(),
-                    completed: metrics.completed.total(),
-                    failed: metrics.failed.total(),
-                    best_effort: metrics.best_effort_plans,
-                    degraded_grants: degraded,
-                    admitted_grants: admitted,
-                    p99_wait_us: wait.percentile(99.0),
-                    throughput_per_slice: metrics.sustained_throughput_per_slice(),
-                };
-                results.lock().expect("no poisoned workers")[idx] = Some(cell);
-            });
+    let cells = fan_out(coords.len(), workers, |idx| {
+        let (policy_idx, scenario_idx, seed) = coords[idx];
+        let policy = spec.policies[policy_idx];
+        let name = &spec.scenarios[scenario_idx];
+        let scenario = Scenario::builtin(name, spec.scale)
+            .expect("validated above")
+            .with_seed(seed)
+            .with_policy(policy);
+        let outcome = ScenarioRunner::new(scenario)
+            .with_profiles(profiles[scenario_idx].clone())
+            .run();
+        let metrics = &outcome.metrics;
+        let mut wait = Histogram::new("policy-wait-us");
+        for h in &metrics.throttle.wait_histograms {
+            wait.merge(h);
+        }
+        let (degraded, admitted) = metrics.classes.iter().fold((0, 0), |(d, a), c| {
+            (
+                d + c.grants.degraded,
+                a + c.grants.admitted + c.grants.degraded,
+            )
+        });
+        PolicyCell {
+            policy: policy.name(),
+            scenario: name.clone(),
+            seed,
+            submitted: outcome.phases.iter().map(|p| p.submitted).sum(),
+            completed: metrics.completed.total(),
+            failed: metrics.failed.total(),
+            best_effort: metrics.best_effort_plans,
+            degraded_grants: degraded,
+            admitted_grants: admitted,
+            p99_wait_us: wait.percentile(99.0),
+            throughput_per_slice: metrics.sustained_throughput_per_slice(),
         }
     });
-
-    let cells: Vec<PolicyCell> = results
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|slot| slot.expect("every cell ran"))
-        .collect();
 
     // Aggregate each (policy, scenario) over its seed axis. Cells are
     // slot-ordered, so the fold order (and thus the aggregate bytes) is the
@@ -724,52 +687,34 @@ pub fn run_resilience_sweep(spec: &PolicySweepSpec) -> ResilienceSweepOutcome {
         })
         .collect();
 
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<ResilienceCell>>> = Mutex::new(vec![None; coords.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(coords.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(policy_idx, scenario_idx, seed)) = coords.get(idx) else {
-                    break;
-                };
-                let policy = spec.policies[policy_idx];
-                let name = &spec.scenarios[scenario_idx];
-                let scenario = Scenario::builtin(name, spec.scale)
-                    .expect("validated above")
-                    .with_seed(seed)
-                    .with_policy(policy);
-                let outcome = ScenarioRunner::new(scenario)
-                    .with_profiles(profiles[scenario_idx].clone())
-                    .run();
-                let m = &outcome.metrics;
-                let cell = ResilienceCell {
-                    policy: policy.name(),
-                    scenario: name.clone(),
-                    seed,
-                    completed: m.completed.total(),
-                    failed: m.failed.total(),
-                    shed: m.shed,
-                    breaker_transitions: m.breaker_transitions,
-                    brownout_admits: m.brownout_admits,
-                    retries_abandoned: m.retries_abandoned,
-                    fault_seconds: m.fault_seconds(),
-                    goodput_under_fault: m.goodput_under_fault(),
-                    time_to_recovery_s: m.time_to_recovery(),
-                    throughput_per_slice: m.sustained_throughput_per_slice(),
-                };
-                results.lock().expect("no poisoned workers")[idx] = Some(cell);
-            });
+    let cells = fan_out(coords.len(), workers, |idx| {
+        let (policy_idx, scenario_idx, seed) = coords[idx];
+        let policy = spec.policies[policy_idx];
+        let name = &spec.scenarios[scenario_idx];
+        let scenario = Scenario::builtin(name, spec.scale)
+            .expect("validated above")
+            .with_seed(seed)
+            .with_policy(policy);
+        let outcome = ScenarioRunner::new(scenario)
+            .with_profiles(profiles[scenario_idx].clone())
+            .run();
+        let m = &outcome.metrics;
+        ResilienceCell {
+            policy: policy.name(),
+            scenario: name.clone(),
+            seed,
+            completed: m.completed.total(),
+            failed: m.failed.total(),
+            shed: m.shed,
+            breaker_transitions: m.breaker_transitions,
+            brownout_admits: m.brownout_admits,
+            retries_abandoned: m.retries_abandoned,
+            fault_seconds: m.fault_seconds(),
+            goodput_under_fault: m.goodput_under_fault(),
+            time_to_recovery_s: m.time_to_recovery(),
+            throughput_per_slice: m.sustained_throughput_per_slice(),
         }
     });
-
-    let cells: Vec<ResilienceCell> = results
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|slot| slot.expect("every cell ran"))
-        .collect();
 
     let mut aggregates = Vec::with_capacity(spec.policies.len() * spec.scenarios.len());
     for policy in &spec.policies {
@@ -879,6 +824,35 @@ impl ResilienceSweepOutcome {
     }
 }
 
+/// Run `job` for every index in `0..n` on up to `workers` scoped threads
+/// and return the results in index order. Threads claim indexes off one
+/// shared cursor and each result lands in its own index-keyed slot, so the
+/// output does not depend on `workers` or on which thread ran which index —
+/// the property every driver's byte-identical-at-any-worker-count guarantee
+/// rests on. A panicking job propagates when the scope joins.
+fn fan_out<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..workers.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
+                }
+                let result = job(idx);
+                slots.lock().expect("no poisoned workers")[idx] = Some(result);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("workers joined")
+        .into_iter()
+        .map(|slot| slot.expect("every index ran"))
+        .collect()
+}
+
 /// Characterize each scenario's workload once, fanned across `workers`
 /// (shared by [`run_sweep`]-style drivers; deterministic per config).
 fn characterize_scenarios(
@@ -886,30 +860,14 @@ fn characterize_scenarios(
     scale: Scale,
     workers: usize,
 ) -> Vec<Arc<WorkloadProfiles>> {
-    let mut profiles: Vec<Option<Arc<WorkloadProfiles>>> = vec![None; scenarios.len()];
-    {
-        let next = AtomicUsize::new(0);
-        let slots = Mutex::new(&mut profiles);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(scenarios.len().max(1)) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = scenarios.get(idx) else {
-                        break;
-                    };
-                    let scenario = Scenario::builtin(name, scale)
-                        .unwrap_or_else(|| panic!("unknown scenario {name:?}"));
-                    let config = scenario.runtime_config();
-                    let characterized = Arc::new(WorkloadProfiles::characterize_full(&config));
-                    slots.lock().expect("no poisoned workers")[idx] = Some(characterized);
-                });
-            }
-        });
-    }
-    profiles
-        .into_iter()
-        .map(|p| p.expect("every scenario characterized"))
-        .collect()
+    fan_out(scenarios.len(), workers, |idx| {
+        let name = &scenarios[idx];
+        let scenario =
+            Scenario::builtin(name, scale).unwrap_or_else(|| panic!("unknown scenario {name:?}"));
+        Arc::new(WorkloadProfiles::characterize_full(
+            &scenario.runtime_config(),
+        ))
+    })
 }
 
 fn write_mean_ci(out: &mut String, name: &str, m: MeanCi) {

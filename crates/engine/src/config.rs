@@ -11,7 +11,7 @@ use throttledb_workload::ClientModel;
 /// a stochastic arrival *process* instead of per-client closed-loop state.
 ///
 /// A source costs the server one pending next-arrival instant, held
-/// beside the timing wheel and merged with it by `(time, seq)`,
+/// beside the event queue and merged with it by `(time, seq)`,
 /// regardless of how many users it models, which is what lets a single
 /// sweep cell push tens of millions of arrivals through admission.
 /// Arrivals beyond [`ArrivalSourceConfig::max_in_flight`] concurrent

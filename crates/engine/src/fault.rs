@@ -4,8 +4,8 @@
 //! clock during which some part of the simulated machine misbehaves. The
 //! scenario crate builds these from its declarative `FaultPlan` and
 //! installs them via [`crate::Server::install_faults`] before the run
-//! starts; the server turns each spec into ordinary events on the timing
-//! wheel (`FaultBegin` / `LeakStep` / `FaultEnd`), so faults replay
+//! starts; the server turns each spec into ordinary events on the event
+//! queue (`FaultBegin` / `LeakStep` / `FaultEnd`), so faults replay
 //! byte-identically like everything else in the simulation.
 //!
 //! Fault effects are applied to the *machine model*, not painted onto the

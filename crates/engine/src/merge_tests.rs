@@ -1,5 +1,5 @@
 //! Edge cases of the one event loop ([`Server::run_until`]): arrivals and
-//! wheel events that share an instant, arrivals on the window boundary
+//! queued events that share an instant, arrivals on the window boundary
 //! and at the end of the run, and windows cut at arbitrary places. Every
 //! case runs over the inline and the threaded feed.
 //!
@@ -108,7 +108,7 @@ fn an_arrival_and_a_wheel_event_at_one_instant_fire_in_seq_order() {
         ]);
         server.begin();
         server.run_until(at(5 * SEC + 500_000));
-        // The arrival at 6 s already holds its sequence number, so a wheel
+        // The arrival at 6 s already holds its sequence number, so a queue
         // event scheduled now for that instant comes after it.
         server
             .queue

@@ -64,8 +64,8 @@ pub struct ArrivalSourceMetrics {
 }
 
 /// How many events of each kind the run's event loop dispatched: one
-/// counter per kind of timing-wheel event, plus the open-loop arrivals,
-/// which fire from the arrival plane and never sit on the wheel. The
+/// counter per kind of queued event, plus the open-loop arrivals, which
+/// fire from the arrival plane and never sit on the event queue. The
 /// counters sum to [`RunMetrics::events_dispatched`]; `Server::finish`
 /// checks it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,12 +90,12 @@ pub struct DispatchCounts {
     pub fault_end: u64,
     /// Memory-leak fault allocation steps.
     pub leak_step: u64,
-    /// Open-loop arrivals (admitted + shed), dispatched off the wheel.
+    /// Open-loop arrivals (admitted + shed), dispatched off the queue.
     pub external_arrivals: u64,
 }
 
 impl DispatchCounts {
-    /// Every dispatched event: the wheel kinds plus the arrivals.
+    /// Every dispatched event: the queued kinds plus the arrivals.
     pub fn total(&self) -> u64 {
         self.submit
             + self.cohort_submit
@@ -154,7 +154,7 @@ pub struct RunMetrics {
     pub brownout_admits: u64,
     /// Retry chains abandoned because the per-client retry budget or the
     /// total query deadline was exhausted (the client gave up and moved on
-    /// instead of churning the wheel).
+    /// instead of churning the queue).
     pub retries_abandoned: u64,
     /// Completions that landed inside an active fault window.
     pub completed_during_fault: u64,

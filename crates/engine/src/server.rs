@@ -375,12 +375,12 @@ impl Server {
     /// the boundary stay pending, so a later call picks up exactly where
     /// this one stopped.
     ///
-    /// One loop for every configuration: the timing wheel's head is merged
+    /// One loop for every configuration: the event queue's head is merged
     /// with the arrival plane's per-source candidates into one global
     /// `(time, seq)` order (`shard.rs` has the protocol). Whatever key comes
     /// first among the earliest known arrival, the earliest arrival still
     /// in flight from a generator shard and the boundary bounds what the
-    /// wheel may pop; with no sources that is one queue call per event.
+    /// queue may pop; with no sources that is one queue call per event.
     pub fn run_until(&mut self, until: SimTime) {
         let boundary = (until, 0);
         loop {
@@ -455,7 +455,7 @@ impl Server {
 
     /// Fire `source`'s front arrival, due at `at`: decide its admission,
     /// then reserve the next arrival's sequence number — *after* the
-    /// admission pipeline's own schedules, where a wheel-scheduled arrival
+    /// admission pipeline's own schedules, where a queue-scheduled arrival
     /// would have scheduled its successor. An arrival that leaves the
     /// source at its concurrency cap opens a bulk-shed run.
     fn dispatch_arrival(&mut self, source: usize, at: SimTime, until: SimTime) {
@@ -473,7 +473,7 @@ impl Server {
     /// Bulk-shed fast path: while a source sits at its concurrency cap,
     /// its arrivals are pure sheds — a counter bump, a digest fold and
     /// seq bookkeeping, with no workload RNG draws, no trace events and no
-    /// wheel mutations. Every bound the merge compares against is therefore
+    /// queue mutations. Every bound the merge compares against is therefore
     /// *stable* across the run except this source's own key, so the
     /// whole burst is dispatched against one precomputed bound instead
     /// of re-running the candidate selection per arrival.
@@ -489,8 +489,8 @@ impl Server {
         };
         let (arrival, _, unsealed) = self.arrival_plane.candidates();
         let mut bound = (until, 0).min(arrival).min(unsealed);
-        if let Some(wheel) = self.queue.peek_stamp() {
-            bound = bound.min(wheel);
+        if let Some(head) = self.queue.peek_stamp() {
+            bound = bound.min(head);
         }
         // The burst itself never schedules, pops or completes anything, so
         // `in_flight` stays at the cap and the queue's internal state is
@@ -699,7 +699,7 @@ impl Server {
 
     /// Install a set of timed faults (see [`FaultSpec`]). Call once, before
     /// [`Server::begin`]: each fault becomes a pair of begin/end events on
-    /// the wheel, so injection is part of the deterministic event order and
+    /// the queue, so injection is part of the deterministic event order and
     /// replays byte-identically. Faults whose windows extend past the run
     /// simply never clear (their effects last to the end).
     pub fn install_faults(&mut self, faults: &[FaultSpec]) {
@@ -883,8 +883,8 @@ impl Server {
         self.active_clients
     }
 
-    /// Total simulation events dispatched so far: timing-wheel events
-    /// plus open-loop arrivals.
+    /// Total simulation events dispatched so far: queued events plus
+    /// open-loop arrivals.
     pub fn events_dispatched(&self) -> u64 {
         self.queue.dispatched()
     }

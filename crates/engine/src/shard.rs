@@ -1,12 +1,12 @@
 //! The arrival plane: where each open-loop source's next instant comes
 //! from, and the per-source state the server's event loop merges on.
 //!
-//! Arrivals never sit on the timing wheel. [`crate::Server::run_until`]
-//! is one loop that merges the wheel's head with one candidate per
+//! Arrivals never sit on the event queue. [`crate::Server::run_until`]
+//! is one loop that merges the queue's head with one candidate per
 //! source — the source's next arrival instant, keyed by a sequence
 //! number reserved from the shared event queue
 //! (`EventQueue::reserve_seq`) — into one global `(time, seq)` order. The
-//! reservations are taken at exactly the moments a wheel-scheduled
+//! reservations are taken at exactly the moments a queue-scheduled
 //! arrival event would have been scheduled:
 //!
 //! * at [`crate::Server::begin`], after the broker tick, once per source

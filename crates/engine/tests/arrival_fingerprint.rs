@@ -7,11 +7,11 @@
 //! streaming arrival digest, the dispatch count, the peak queue depth, the
 //! per-source counters and a digest of the whole recorded trace. Every
 //! cell runs beside a small closed-loop population and is cut into
-//! `run_until` slices at awkward instants, so wheel events interleave with
+//! `run_until` slices at awkward instants, so queued events interleave with
 //! arrivals and arrivals stay pending across slice boundaries.
 //!
 //! The golden was recorded while arrivals were still `Event::Arrival`
-//! entries on the timing wheel. `scenario/tests/shard_equivalence.rs`
+//! entries on the event queue. `scenario/tests/shard_equivalence.rs`
 //! compares the inline and threaded feeds of one merge loop with each
 //! other; these committed values are the witness that does not share code
 //! with what it checks. To re-record after a *deliberate* model change,
@@ -87,7 +87,7 @@ fn sources(family: &str, at_cap: bool, count: usize) -> Vec<ArrivalSourceConfig>
 }
 
 /// Three overlapping fault windows: a compile stall, lost CPUs and a
-/// memory leak (whose `LeakStep` events ride the wheel between arrivals).
+/// memory leak (whose `LeakStep` events ride the queue between arrivals).
 fn faults() -> Vec<FaultSpec> {
     let window = |start, secs, kind| FaultSpec {
         start: SimTime::ZERO + SimDuration::from_secs(start),

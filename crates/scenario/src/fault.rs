@@ -5,7 +5,7 @@
 //! portable across scales and phase schedules; the runner converts each
 //! event into an absolute engine [`FaultSpec`] and installs the lot via
 //! [`throttledb_engine::Server::install_faults`] before the first phase
-//! begins. From there the engine treats faults as ordinary timing-wheel
+//! begins. From there the engine treats faults as ordinary queued
 //! events: same seed ⇒ byte-identical trace, including the recorded
 //! `fault`/`shed`/`breaker` lines.
 
@@ -49,7 +49,7 @@ impl FaultEvent {
 /// a plan runs exactly as it did before the chaos layer existed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// The scheduled fault events, in any order (the engine's timing wheel
+    /// The scheduled fault events, in any order (the engine's event queue
     /// sequences them).
     pub events: Vec<FaultEvent>,
 }

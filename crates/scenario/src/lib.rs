@@ -27,7 +27,7 @@
 //! * [`FaultPlan`] — deterministic chaos: timed fault events (memory-leak
 //!   ramps, compile stalls, executor slot loss, grant-budget collapse,
 //!   client surges) attached to any scenario. Faults ride the engine's
-//!   timing wheel like every other event, so faulted runs record and
+//!   event queue like every other event, so faulted runs record and
 //!   replay byte-identically too; the chaos built-ins
 //!   (`memory_leak_creep`, `retry_storm`, …) exercise the governor's
 //!   graceful-degradation machinery end to end.

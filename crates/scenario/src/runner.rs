@@ -285,7 +285,7 @@ impl ScenarioRunner {
         if let Some(sink) = sink {
             server.set_trace_sink(sink);
         }
-        // Faults are ordinary timing-wheel events: installed once, before
+        // Faults are ordinary queued events: installed once, before
         // the first phase, they fire at their absolute offsets regardless
         // of the phase schedule around them.
         server.install_faults(&scenario.faults.to_specs());

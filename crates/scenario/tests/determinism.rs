@@ -6,8 +6,8 @@
 //!   reports (and survives an encode/decode round trip);
 //! * a different seed produces a different trace;
 //! * the golden traces under `tests/golden/` — recorded on the original
-//!   `BinaryHeap` event queue, before the timing-wheel and
-//!   template-interning refactor — are still reproduced byte for byte.
+//!   `BinaryHeap` event queue, before it was replaced and templates were
+//!   interned — are still reproduced byte for byte.
 
 use std::sync::Arc;
 use throttledb_engine::{ServerConfig, WorkloadProfiles};

@@ -230,37 +230,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A mutable virtual clock. The event loop owns one and advances it as events
-/// are dispatched; components read it through a shared reference.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// A clock starting at time zero.
-    pub fn new() -> Self {
-        SimClock { now: SimTime::ZERO }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock to `t`. Panics in debug builds if time would move
-    /// backwards — the event queue guarantees monotonicity.
-    pub fn advance_to(&mut self, t: SimTime) {
-        debug_assert!(
-            t >= self.now,
-            "clock moved backwards: {} -> {}",
-            self.now,
-            t
-        );
-        self.now = t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,15 +273,6 @@ mod tests {
         let d = SimDuration::from_micros(100);
         assert_eq!(d.mul_f64(2.5), SimDuration::from_micros(250));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_to(SimTime::from_secs(1));
-        c.advance_to(SimTime::from_secs(1));
-        assert_eq!(c.now().as_secs(), 1);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! * [`clock`] — virtual time ([`SimTime`], [`SimDuration`]) with microsecond
 //!   resolution.
 //! * [`events`] — a monotonic event queue / scheduler with stable FIFO
-//!   ordering for simultaneous events, implemented as a timing wheel
-//!   (near-future buckets + a far-future overflow heap) over a slab
-//!   [`arena`] so the hot scheduling path is allocation-free.
-//! * [`arena`] — the slab/free-list allocator backing the event queue.
+//!   ordering for simultaneous events: a sorted band of imminent events in
+//!   front of an unsorted parked list, plus the binary heap it is tested
+//!   against.
 //! * [`arrival`] — open-loop arrival processes (Poisson, MMPP,
 //!   bounded-Pareto, diurnal) for request streams decoupled from service
 //!   times.
@@ -35,7 +34,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
 pub mod arrival;
 pub mod clock;
 pub mod events;
@@ -44,7 +42,6 @@ pub mod series;
 pub mod shard;
 pub mod stats;
 
-pub use arena::Arena;
 pub use arrival::{ArrivalProcess, ArrivalSampler};
 pub use clock::{SimDuration, SimTime};
 pub use events::{EventId, EventQueue, HeapEventQueue, ScheduledEvent};
