@@ -1243,6 +1243,32 @@ mod tests {
     }
 
     #[test]
+    fn unthrottled_35_clients_keep_executing() {
+        // The grant-stage lost wakeup: 35 unthrottled compilations squeeze
+        // the broker's execution target until every grant queues; with no
+        // grant held there is no release, so only the broker tick's budget
+        // raise (and a head-of-line timeout) can start anyone again.
+        let cfg = ServerConfig::quick(35, false);
+        let mut server = Server::new(cfg.clone(), profiles());
+        server.enable_trace();
+        server.set_active_clients(cfg.clients);
+        server.begin();
+        server.run_until(SimTime::ZERO + cfg.duration);
+        let trace = server.take_trace();
+        let metrics = server.finish();
+        assert!(
+            trace
+                .iter()
+                .any(|e| matches!(e, TraceEvent::ExecStarted { .. })),
+            "no query ever received a grant"
+        );
+        assert!(
+            metrics.completed_after_warmup > 0,
+            "35 unthrottled clients completed nothing after warm-up"
+        );
+    }
+
+    #[test]
     fn unthrottled_run_uses_more_compile_memory_at_peak() {
         let profiles = profiles();
         let throttled = Server::new(ServerConfig::quick(16, true), profiles.clone()).run();

@@ -60,13 +60,15 @@ impl Server {
         if !self.grant_to_query.contains_key(&(class, grant_id)) {
             return;
         }
-        if self.classes[class].grants.cancel(grant_id) {
+        // Cancelling may admit the waiters queued behind this one.
+        if self.with_grants(class, |grants, now, out| grants.cancel(grant_id, now, out)) {
             self.grant_to_query.remove(&(class, grant_id));
             self.fail_query(id, FailureKind::GrantTimeout);
         }
     }
 
-    /// Start every query whose queued grant was just admitted by a release.
+    /// Start every query whose queued grant was just admitted by a release,
+    /// a cancel or a budget change.
     pub(crate) fn start_admitted(
         &mut self,
         class: usize,

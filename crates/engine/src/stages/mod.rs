@@ -26,7 +26,7 @@ use crate::profile::CompileProfile;
 use crate::server::Server;
 use crate::trace::TraceEvent;
 use throttledb_core::{GatewayLadder, ThrottleConfig};
-use throttledb_executor::{GrantManager, GrantRequestId};
+use throttledb_executor::{GrantManager, GrantOutcome, GrantRequestId};
 use throttledb_governor::{BreakerConfig, CircuitBreaker, CostPolicy, PidPolicy, Policy};
 use throttledb_membroker::{Clerk, SubcomponentKind};
 use throttledb_sim::SimTime;
@@ -270,16 +270,28 @@ impl Server {
         self.scratch_resumed = resumed;
     }
 
-    /// Release the grant held by `(class, grant_id)` and start every
-    /// admitted waiter, recycling the server's scratch buffer.
-    pub(crate) fn release_grant(&mut self, class: usize, grant_id: GrantRequestId) {
+    /// Run one mutation of `class`'s grant pool — a release, a cancel, a
+    /// budget change — and start every waiter it admits, recycling the
+    /// server's scratch buffer.
+    pub(crate) fn with_grants<R>(
+        &mut self,
+        class: usize,
+        op: impl FnOnce(&GrantManager, SimTime, &mut Vec<(GrantRequestId, GrantOutcome)>) -> R,
+    ) -> R {
         let mut admitted = std::mem::take(&mut self.scratch_admitted);
         admitted.clear();
-        self.classes[class]
-            .grants
-            .release_at_into(grant_id, self.now, &mut admitted);
+        let result = op(&self.classes[class].grants, self.now, &mut admitted);
         self.start_admitted(class, &admitted);
         self.scratch_admitted = admitted;
+        result
+    }
+
+    /// Release the grant held by `(class, grant_id)` and start every
+    /// admitted waiter.
+    pub(crate) fn release_grant(&mut self, class: usize, grant_id: GrantRequestId) {
+        self.with_grants(class, |grants, now, out| {
+            grants.release_at_into(grant_id, now, out)
+        });
     }
 
     /// Fail `id` out of whatever stage it is in: release its ladder and
@@ -351,10 +363,13 @@ impl Server {
             );
             // Scenario knob × active grant-collapse faults (both 1.0 in
             // fair weather).
-            class.grants.set_budget(scaled_budget(
+            let grant_budget = scaled_budget(
                 scaled_budget(exec_target, class.spec.grant_fraction),
                 self.grant_budget_scale * self.fault_grant_scale,
-            ));
+            );
+            self.with_grants(idx, |grants, now, out| {
+                grants.set_budget(grant_budget, now, out)
+            });
             self.resume_tasks(idx, &resumed);
         }
         self.scratch_resumed = resumed;

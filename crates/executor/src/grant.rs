@@ -92,9 +92,17 @@ impl GrantManager {
     }
 
     /// Change the budget (e.g. on a broker notification). Does not revoke
-    /// outstanding grants; future requests see the new value.
-    pub fn set_budget(&self, budget_bytes: u64) {
-        self.inner.lock().pool.set_budget(budget_bytes);
+    /// outstanding grants; queued requests the new budget lets in are
+    /// granted and appended to `out`, exactly as a release would.
+    pub fn set_budget(
+        &self,
+        budget_bytes: u64,
+        now: SimTime,
+        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+    ) {
+        self.with_admissions(out, |pool, admitted| {
+            pool.set_budget(budget_bytes, now, admitted)
+        });
     }
 
     /// Bytes currently granted out.
@@ -176,15 +184,43 @@ impl GrantManager {
         now: SimTime,
         out: &mut Vec<(GrantRequestId, GrantOutcome)>,
     ) {
-        let mut inner = self.inner.lock();
-        let released = inner.pool.held(id);
-        let mut admitted = std::mem::take(&mut inner.admitted_scratch);
-        admitted.clear();
-        inner.pool.release_into(id, now, &mut admitted);
-        if let Some(c) = &self.clerk {
-            if let Some(bytes) = released {
+        self.with_admissions(out, |pool, admitted| {
+            let released = pool.held(id);
+            pool.release_into(id, now, admitted);
+            if let (Some(c), Some(bytes)) = (&self.clerk, released) {
                 c.free(bytes);
             }
+        });
+    }
+
+    /// Abandon a queued request (the query timed out waiting for its grant —
+    /// a "resource" error to the client); requests queued behind it that
+    /// now fit are granted and appended to `out`. Returns true if it was
+    /// queued.
+    pub fn cancel(
+        &self,
+        id: GrantRequestId,
+        now: SimTime,
+        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+    ) -> bool {
+        self.with_admissions(out, |pool, admitted| pool.cancel(id, now, admitted))
+    }
+
+    /// Run one pool mutation, report the grants it admitted to the clerk
+    /// and hand them to the caller.
+    fn with_admissions<R>(
+        &self,
+        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+        op: impl FnOnce(
+            &mut ResourcePool<GrantRequestId>,
+            &mut Vec<(GrantRequestId, AdmissionDecision)>,
+        ) -> R,
+    ) -> R {
+        let mut inner = self.inner.lock();
+        let mut admitted = std::mem::take(&mut inner.admitted_scratch);
+        admitted.clear();
+        let result = op(&mut inner.pool, &mut admitted);
+        if let Some(c) = &self.clerk {
             for (_, decision) in &admitted {
                 if let Some(bytes) = decision.units() {
                     c.allocate(bytes);
@@ -197,12 +233,7 @@ impl GrantManager {
                 .map(|&(id, decision)| (id, GrantOutcome::from_admission(decision))),
         );
         inner.admitted_scratch = admitted;
-    }
-
-    /// Abandon a queued request (the query timed out waiting for its grant —
-    /// a "resource" error to the client). Returns true if it was queued.
-    pub fn cancel(&self, id: GrantRequestId) -> bool {
-        self.inner.lock().pool.cancel(id)
+        result
     }
 }
 
@@ -283,8 +314,10 @@ mod tests {
         let (a, _) = m.request(10 * MB);
         let (b, out) = m.request(10 * MB);
         assert_eq!(out, GrantOutcome::Queued);
-        assert!(m.cancel(b));
-        assert!(!m.cancel(b));
+        let mut admitted = Vec::new();
+        assert!(m.cancel(b, SimTime::ZERO, &mut admitted));
+        assert!(!m.cancel(b, SimTime::ZERO, &mut admitted));
+        assert!(admitted.is_empty());
         assert!(m.release(a).is_empty());
     }
 
@@ -300,10 +333,29 @@ mod tests {
     }
 
     #[test]
+    fn budget_raise_grants_queued_requests_and_reports_them() {
+        let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30));
+        let clerk = broker.register(SubcomponentKind::Execution);
+        let m = GrantManager::new(100 * MB, Some(clerk.clone()));
+        let mut admitted = Vec::new();
+        m.set_budget(MB, SimTime::ZERO, &mut admitted);
+        let (a, out) = m.request_at(60 * MB, SimTime::ZERO, SimTime::MAX);
+        assert_eq!(out, GrantOutcome::Queued);
+        m.set_budget(100 * MB, SimTime::from_secs(5), &mut admitted);
+        assert_eq!(
+            admitted,
+            vec![(a, GrantOutcome::Granted { bytes: 60 * MB })]
+        );
+        assert_eq!(clerk.used_bytes(), 60 * MB);
+    }
+
+    #[test]
     fn budget_can_shrink_at_runtime() {
         let m = GrantManager::new(100 * MB, None);
         let (_a, _) = m.request(50 * MB);
-        m.set_budget(40 * MB);
+        let mut admitted = Vec::new();
+        m.set_budget(40 * MB, SimTime::ZERO, &mut admitted);
+        assert!(admitted.is_empty());
         let (_b, out) = m.request(30 * MB);
         assert_eq!(
             out,

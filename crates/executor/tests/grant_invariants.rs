@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use throttledb_executor::{GrantManager, GrantOutcome, GrantRequestId};
+use throttledb_sim::SimTime;
 
 const MB: u64 = 1 << 20;
 const BUDGET: u64 = 64 * MB;
@@ -22,12 +23,13 @@ proptest! {
         let mut outstanding: Vec<GrantRequestId> = Vec::new();
         let mut queued: VecDeque<GrantRequestId> = VecDeque::new();
         let mut cancelled: Vec<GrantRequestId> = Vec::new();
+        let mut admitted = Vec::new();
 
         for (op, mb, pick) in ops {
             match op {
                 // Request: 1..32 MB against the 64 MB budget.
                 0 | 1 => {
-                    let (id, outcome) = m.request(mb * MB);
+                    let (id, outcome) = m.request_at(mb * MB, SimTime::ZERO, SimTime::MAX);
                     match outcome {
                         GrantOutcome::Granted { bytes } => {
                             prop_assert_eq!(bytes, mb * MB, "full grants give what was asked");
@@ -48,17 +50,7 @@ proptest! {
                 2 => {
                     if !outstanding.is_empty() {
                         let id = outstanding.remove(pick % outstanding.len());
-                        let admitted = m.release(id);
-                        // FIFO: admitted ids must be exactly the queue's prefix.
-                        for (aid, outcome) in admitted {
-                            let front = queued.pop_front();
-                            prop_assert_eq!(Some(aid), front,
-                                "admissions must come from the queue head");
-                            prop_assert!(!matches!(outcome, GrantOutcome::Queued));
-                            prop_assert!(!cancelled.contains(&aid),
-                                "a cancelled waiter must never be admitted");
-                            outstanding.push(aid);
-                        }
+                        m.release_at_into(id, SimTime::ZERO, &mut admitted);
                     }
                 }
                 // Cancel a random queued waiter (a grant-wait timeout).
@@ -66,11 +58,23 @@ proptest! {
                     if !queued.is_empty() {
                         let idx = pick % queued.len();
                         let id = queued.remove(idx).expect("index in range");
-                        prop_assert!(m.cancel(id), "queued waiter must be cancellable");
-                        prop_assert!(!m.cancel(id), "double cancel is a no-op");
+                        prop_assert!(m.cancel(id, SimTime::ZERO, &mut admitted),
+                            "queued waiter must be cancellable");
+                        prop_assert!(!m.cancel(id, SimTime::ZERO, &mut admitted),
+                            "double cancel is a no-op");
                         cancelled.push(id);
                     }
                 }
+            }
+            // FIFO: a release or a cancel admits exactly a prefix of the
+            // queue, and never a cancelled waiter.
+            for (aid, outcome) in admitted.drain(..) {
+                let front = queued.pop_front();
+                prop_assert_eq!(Some(aid), front, "admissions must come from the queue head");
+                prop_assert!(!matches!(outcome, GrantOutcome::Queued));
+                prop_assert!(!cancelled.contains(&aid),
+                    "a cancelled waiter must never be admitted");
+                outstanding.push(aid);
             }
             // Invariant 1: never oversubscribed.
             prop_assert!(m.in_use_bytes() <= BUDGET,
@@ -80,15 +84,17 @@ proptest! {
         }
 
         // Drain: cancel every remaining waiter, release every grant.
-        for id in queued.drain(..) {
-            prop_assert!(m.cancel(id));
+        // Back to front: cancelling behind a head that does not fit admits
+        // nobody, so every remaining waiter is still there to cancel.
+        for id in queued.drain(..).rev() {
+            prop_assert!(m.cancel(id, SimTime::ZERO, &mut admitted));
             cancelled.push(id);
         }
         prop_assert_eq!(m.queued(), 0, "no waiter leaked after cancel");
         for id in outstanding.drain(..) {
-            let admitted = m.release(id);
-            prop_assert!(admitted.is_empty(), "empty queue admits nothing");
+            m.release_at_into(id, SimTime::ZERO, &mut admitted);
         }
+        prop_assert!(admitted.is_empty(), "a drained queue admits nothing");
         prop_assert_eq!(m.in_use_bytes(), 0, "all grants returned");
     }
 }

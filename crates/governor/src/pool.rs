@@ -4,9 +4,10 @@
 //! memory bytes, per-class admission slots) against a fixed budget. When a
 //! request does not fit it either receives a *degraded* allocation — the
 //! caller accepts less than it asked for, e.g. a reduced memory grant that
-//! will spill — or joins the pool's FIFO [`WaitQueue`]. Releases admit
-//! waiters in strict FIFO order, so large requests cannot be starved by
-//! small latecomers.
+//! will spill — or joins the pool's FIFO [`WaitQueue`]. Every call that
+//! can make room — a release, a cancel, a budget change — admits waiters
+//! in strict FIFO order, so large requests cannot be starved by small
+//! latecomers and no waiter that fits is left queued.
 
 use crate::decision::AdmissionDecision;
 use crate::queue::{WaitQueue, WaiterKey};
@@ -83,10 +84,12 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
         self.budget
     }
 
-    /// Change the budget. Outstanding allocations are not revoked; future
-    /// requests and releases see the new value.
-    pub fn set_budget(&mut self, budget: u64) {
+    /// Change the budget and admit, FIFO, every queued request the new
+    /// budget lets in (appended to `out`, as [`ResourcePool::release_into`]
+    /// does). Outstanding allocations are not revoked when it shrinks.
+    pub fn set_budget(&mut self, budget: u64, now: SimTime, out: &mut Vec<(T, AdmissionDecision)>) {
         self.budget = budget;
+        self.admit_waiters_into(now, out);
     }
 
     /// Units currently allocated.
@@ -128,25 +131,25 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
             "tag already has an outstanding or queued request"
         );
         let wanted = units.max(1);
-        let available = self.budget.saturating_sub(self.in_use);
-        if self.queue.is_empty() && wanted <= available {
-            self.in_use += wanted;
-            self.outstanding.insert(tag, wanted);
-            self.stats.admitted += 1;
-            return AdmissionDecision::Admit { units: wanted };
-        }
-        let minimum = self.minimum_for(wanted);
-        if self.min_fraction > 0.0 && self.queue.is_empty() && minimum <= available && available > 0
-        {
-            self.in_use += available;
-            self.outstanding.insert(tag, available);
-            self.stats.degraded += 1;
-            return AdmissionDecision::Degrade { units: available };
-        }
-        let key = self.queue.push((tag, wanted), now, deadline);
-        self.keys.insert(tag, key);
-        self.stats.queued += 1;
-        AdmissionDecision::Wait { deadline }
+        let immediate = if self.queue.is_empty() {
+            self.grantable(wanted)
+        } else {
+            None
+        };
+        let decision = match immediate {
+            Some(decision) => {
+                self.grant(tag, decision);
+                decision
+            }
+            None => {
+                let key = self.queue.push((tag, wanted), now, deadline);
+                self.keys.insert(tag, key);
+                self.stats.queued += 1;
+                AdmissionDecision::Wait { deadline }
+            }
+        };
+        self.debug_check();
+        decision
     }
 
     /// Release the allocation held by `tag` and admit queued requests FIFO
@@ -165,20 +168,24 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
     /// release (the engine's event loop does exactly that).
     pub fn release_into(&mut self, tag: T, now: SimTime, out: &mut Vec<(T, AdmissionDecision)>) {
         match self.outstanding.remove(&tag) {
-            Some(units) => {
-                self.in_use = self.in_use.saturating_sub(units);
-            }
+            Some(units) => self.in_use -= units,
             None => {
-                self.cancel(tag);
-                return;
+                self.unlink(tag);
             }
         }
-        self.admit_waiters_into(now, out)
+        self.admit_waiters_into(now, out);
     }
 
-    /// Abandon a queued request (timeout / caller gave up). Returns true if
-    /// it was actually queued. O(1).
-    pub fn cancel(&mut self, tag: T) -> bool {
+    /// Abandon a queued request (timeout / caller gave up) in O(1), then
+    /// admit whoever queued behind it and now fits, appending them to
+    /// `out`. Returns true if `tag` was actually queued.
+    pub fn cancel(&mut self, tag: T, now: SimTime, out: &mut Vec<(T, AdmissionDecision)>) -> bool {
+        let cancelled = self.unlink(tag);
+        self.admit_waiters_into(now, out);
+        cancelled
+    }
+
+    fn unlink(&mut self, tag: T) -> bool {
         let Some(key) = self.keys.remove(&tag) else {
             return false;
         };
@@ -193,31 +200,69 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
         ((wanted as f64 * self.min_fraction) as u64).max(1)
     }
 
+    /// What a request for `wanted` units would receive right now: all of
+    /// it, everything available when that is at least its minimum
+    /// fraction, or nothing.
+    fn grantable(&self, wanted: u64) -> Option<AdmissionDecision> {
+        let available = self.budget.saturating_sub(self.in_use);
+        if wanted <= available {
+            Some(AdmissionDecision::Admit { units: wanted })
+        } else if self.min_fraction > 0.0 && self.minimum_for(wanted) <= available {
+            Some(AdmissionDecision::Degrade { units: available })
+        } else {
+            None
+        }
+    }
+
+    fn grant(&mut self, tag: T, decision: AdmissionDecision) {
+        let units = decision.units().expect("grantable decisions carry units");
+        if matches!(decision, AdmissionDecision::Admit { .. }) {
+            self.stats.admitted += 1;
+        } else {
+            self.stats.degraded += 1;
+        }
+        self.in_use += units;
+        self.outstanding.insert(tag, units);
+    }
+
+    /// The one admit loop: every mutating call ends here, so a waiter that
+    /// fits is never left queued.
     fn admit_waiters_into(&mut self, now: SimTime, admitted: &mut Vec<(T, AdmissionDecision)>) {
-        while let Some((_, wanted)) = self.queue.front().copied() {
-            let available = self.budget.saturating_sub(self.in_use);
-            let decision = if wanted <= available {
-                self.stats.admitted += 1;
-                AdmissionDecision::Admit { units: wanted }
-            } else if self.min_fraction > 0.0
-                && self.minimum_for(wanted) <= available
-                && available > 0
-            {
-                self.stats.degraded += 1;
-                AdmissionDecision::Degrade { units: available }
-            } else {
+        while let Some(&(tag, wanted)) = self.queue.front() {
+            let Some(decision) = self.grantable(wanted) else {
                 break;
             };
             let waiter = self.queue.pop_front().expect("front exists");
-            let (tag, _) = waiter.payload;
             self.keys.remove(&tag);
             if now != SimTime::MAX {
                 self.stats.wait_time.record(waiter.waited(now).as_micros());
             }
-            let units = decision.units().expect("admissions carry units");
-            self.in_use += units;
-            self.outstanding.insert(tag, units);
+            self.grant(tag, decision);
             admitted.push((tag, decision));
+        }
+        self.debug_check();
+    }
+
+    /// Debug builds check the pool's two laws after every mutating call:
+    /// `in_use` is the sum of the outstanding allocations, and the queue's
+    /// head could not be admitted right now (work conservation).
+    fn debug_check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(
+            self.in_use,
+            self.outstanding.values().sum::<u64>(),
+            "in_use drifted from the outstanding allocations"
+        );
+        if let Some(head) = self.queue.iter().next() {
+            let (_, wanted) = head.payload;
+            assert!(
+                self.grantable(wanted).is_none(),
+                "lost wakeup: the queue head fits ({wanted} units, budget {}, in use {})",
+                self.budget,
+                self.in_use
+            );
         }
     }
 }
@@ -294,10 +339,12 @@ mod tests {
     #[test]
     fn cancel_removes_queued_requests() {
         let mut p = pool(10 * MB);
+        let mut out = Vec::new();
         p.request(1, 10 * MB, now(), SimTime::MAX);
         p.request(2, 10 * MB, now(), SimTime::MAX);
-        assert!(p.cancel(2));
-        assert!(!p.cancel(2));
+        assert!(p.cancel(2, now(), &mut out));
+        assert!(!p.cancel(2, now(), &mut out));
+        assert!(out.is_empty());
         assert!(p.release(1, SimTime::MAX).is_empty());
         assert_eq!(p.queued_len(), 0);
         assert_eq!(p.stats().cancelled, 1);
@@ -317,7 +364,9 @@ mod tests {
     fn shrunken_budget_blocks_new_requests() {
         let mut p = pool(100 * MB);
         p.request(1, 50 * MB, now(), SimTime::MAX);
-        p.set_budget(40 * MB);
+        let mut out = Vec::new();
+        p.set_budget(40 * MB, now(), &mut out);
+        assert!(out.is_empty());
         assert!(matches!(
             p.request(2, 30 * MB, now(), SimTime::MAX),
             AdmissionDecision::Wait { .. }
@@ -359,5 +408,46 @@ mod tests {
         );
         let admitted = p.release(1, SimTime::MAX);
         assert_eq!(admitted, vec![(2, AdmissionDecision::Admit { units: 2 })]);
+    }
+
+    #[test]
+    fn raising_the_budget_admits_waiters_when_nobody_holds() {
+        // The grant-stage wedge: the budget was squeezed below every
+        // request, nothing is held, so no release will ever come — the
+        // budget raise itself must admit.
+        let mut p = pool(100 * MB);
+        let mut out = Vec::new();
+        p.set_budget(MB, now(), &mut out);
+        assert!(matches!(
+            p.request(1, 60 * MB, now(), SimTime::MAX),
+            AdmissionDecision::Wait { .. }
+        ));
+        assert!(matches!(
+            p.request(2, 30 * MB, now(), SimTime::MAX),
+            AdmissionDecision::Wait { .. }
+        ));
+        p.set_budget(100 * MB, SimTime::from_secs(5), &mut out);
+        assert_eq!(
+            out,
+            vec![
+                (1, AdmissionDecision::Admit { units: 60 * MB }),
+                (2, AdmissionDecision::Admit { units: 30 * MB }),
+            ]
+        );
+        assert_eq!(p.queued_len(), 0);
+        assert_eq!(p.in_use(), 90 * MB);
+        assert_eq!(p.stats().wait_time.count(), 2);
+    }
+
+    #[test]
+    fn cancelling_the_head_admits_a_fitting_second_waiter() {
+        let mut p = pool(100 * MB);
+        let mut out = Vec::new();
+        p.request(1, 90 * MB, now(), SimTime::MAX);
+        p.request(2, 80 * MB, now(), SimTime::MAX); // head: 10 MB < 25% of 80
+        p.request(3, 10 * MB, now(), SimTime::MAX); // fits, but FIFO holds it
+        assert!(p.cancel(2, SimTime::from_secs(30), &mut out));
+        assert_eq!(out, vec![(3, AdmissionDecision::Admit { units: 10 * MB })]);
+        assert_eq!(p.queued_len(), 0);
     }
 }

@@ -224,7 +224,10 @@ fn different_seeds_diverge() {
 /// re-recorded once, when the exponential retry backoff replaced the flat
 /// retry delay (a deliberate timing change for consecutive failures); the
 /// five chaos goldens pin the fault-injection layer, including the
-/// recorded `fault`/`shed`/`breaker` lines. The open-loop golden is the
+/// recorded `fault`/`shed`/`breaker` lines. `paper_figure3`,
+/// `open_loop_poisson` and `retry_storm` were re-recorded once more when
+/// grant-pool budget raises and grant timeouts began admitting queued
+/// grants (the lost-wakeup fix): their old bytes encoded the bug. The open-loop golden is the
 /// one whose `--shards 4` replay drives a *live* arrival plane (the
 /// closed-loop goldens have no sources, so their sharded run is the
 /// single-threaded path by construction): it pins the sharded engine's
