@@ -11,10 +11,10 @@
 
 use crate::config::ThrottleConfig;
 use crate::dynamic::DynamicThresholds;
-use crate::gateway::{Gateway, GatewayAdmission};
 use crate::stats::ThrottleStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use throttledb_governor::{AdmissionDecision, ResourcePool};
 use throttledb_sim::{SimDuration, SimTime};
 
 /// Identifies one compilation task registered with the ladder.
@@ -29,7 +29,7 @@ pub enum LadderDecision {
     /// The compilation must wait for gateway `level`; if it is still waiting
     /// after `timeout` it should be aborted with a timeout error.
     Wait {
-        /// Gateway level being waited for (0-based).
+        /// The gateway level being waited for (0-based).
         level: usize,
         /// That gateway's timeout.
         timeout: SimDuration,
@@ -41,11 +41,10 @@ pub enum LadderDecision {
 
 impl LadderDecision {
     /// Translate into the resource-governor layer's common
-    /// [`AdmissionDecision`](throttledb_governor::AdmissionDecision)
-    /// vocabulary: *proceed* is a (single-slot) admission, *wait* carries an
-    /// absolute deadline derived from the gateway timeout, and *finish
-    /// best-effort* is a degraded admission — the compilation continues, but
-    /// with reduced service.
+    /// [`AdmissionDecision`] vocabulary: *proceed* is a (single-slot)
+    /// admission, *wait* carries an absolute deadline derived from the
+    /// gateway timeout, and *finish best-effort* is a degraded admission —
+    /// the compilation continues, but with reduced service.
     pub fn admission(self, now: SimTime) -> throttledb_governor::AdmissionDecision {
         match self {
             LadderDecision::Proceed => throttledb_governor::AdmissionDecision::Admit { units: 1 },
@@ -87,18 +86,21 @@ struct TaskState {
 }
 
 /// The ordered set of memory-monitor gateways plus per-task state.
+///
+/// Each gateway is a counting semaphore: a [`ResourcePool`] of unit
+/// requests whose budget is the gateway's concurrency limit, with
+/// `min_fraction = 1.0` so a slot is all or nothing.
 #[derive(Debug)]
 pub struct GatewayLadder {
     config: ThrottleConfig,
-    gateways: Vec<Gateway>,
+    gateways: Vec<ResourcePool<TaskId>>,
     tasks: HashMap<TaskId, TaskState>,
     compilation_target: Option<u64>,
     stats: ThrottleStats,
     next_task: u64,
-    /// Scratch buffer bridging `finish_task_into`'s [`TaskId`] output to
-    /// the governor [`Policy`](throttledb_governor::Policy) trait's bare
-    /// `u64` ids without allocating per release.
-    policy_scratch: Vec<TaskId>,
+    /// Reused buffer the gateways append their admissions to, so a
+    /// release allocates nothing.
+    admitted: Vec<(TaskId, AdmissionDecision)>,
 }
 
 impl GatewayLadder {
@@ -108,7 +110,7 @@ impl GatewayLadder {
         let gateways = config
             .monitors
             .iter()
-            .map(|m| Gateway::new(m.concurrency.resolve(config.cpus)))
+            .map(|m| ResourcePool::new("gateway", m.concurrency.resolve(config.cpus).into(), 1.0))
             .collect();
         let stats = ThrottleStats::new(config.monitor_count());
         GatewayLadder {
@@ -118,7 +120,7 @@ impl GatewayLadder {
             compilation_target: None,
             stats,
             next_task: 0,
-            policy_scratch: Vec::new(),
+            admitted: Vec::new(),
         }
     }
 
@@ -139,12 +141,12 @@ impl GatewayLadder {
 
     /// Number of holders of gateway `level`.
     pub fn holders_at(&self, level: usize) -> u32 {
-        self.gateways[level].in_use()
+        self.gateways[level].in_use() as u32
     }
 
     /// Number of compilations queued at gateway `level`.
     pub fn waiting_at(&self, level: usize) -> usize {
-        self.gateways[level].queued()
+        self.gateways[level].queued_len()
     }
 
     /// Install (or clear) the broker's compilation-memory target used by the
@@ -223,28 +225,23 @@ impl GatewayLadder {
             let held = self.tasks[&task].held;
             held < required
         } {
-            let level = self.tasks[&task].held;
-            let deadline = now.saturating_add(self.config.monitors[level].timeout);
-            match self.gateways[level].request_at(task, now, deadline) {
-                GatewayAdmission::Acquired | GatewayAdmission::AlreadyHeld => {
-                    let state = self.tasks.get_mut(&task).expect("task exists");
-                    state.held = level + 1;
-                    state.waiting_at = None;
-                    state.wait_started = None;
-                    self.stats.acquisitions[level] += 1;
-                }
-                GatewayAdmission::Queued => {
-                    let state = self.tasks.get_mut(&task).expect("task exists");
-                    if state.waiting_at != Some(level) {
-                        state.waiting_at = Some(level);
-                        state.wait_started = Some(now);
-                        self.stats.waits[level] += 1;
-                    }
-                    return LadderDecision::Wait {
-                        level,
-                        timeout: self.config.monitors[level].timeout,
-                    };
-                }
+            let state = &self.tasks[&task];
+            let level = state.held;
+            let timeout = self.config.monitors[level].timeout;
+            // Re-asked while still queued here: keep its place in line.
+            if state.waiting_at == Some(level) {
+                return LadderDecision::Wait { level, timeout };
+            }
+            let decision = self.gateways[level].request(task, 1, now, now.saturating_add(timeout));
+            let state = self.tasks.get_mut(&task).expect("task exists");
+            if decision.admitted() {
+                state.held = level + 1;
+                self.stats.acquisitions[level] += 1;
+            } else {
+                state.waiting_at = Some(level);
+                state.wait_started = Some(now);
+                self.stats.waits[level] += 1;
+                return LadderDecision::Wait { level, timeout };
             }
         }
         LadderDecision::Proceed
@@ -256,7 +253,11 @@ impl GatewayLadder {
     pub fn timeout_task(&mut self, task: TaskId, now: SimTime) {
         if let Some(state) = self.tasks.get_mut(&task) {
             if let Some(level) = state.waiting_at.take() {
-                self.gateways[level].cancel_wait(task);
+                // Everyone behind a waiter that did not fit needs a slot
+                // too, so leaving the queue never admits anyone.
+                self.admitted.clear();
+                self.gateways[level].cancel(task, now, &mut self.admitted);
+                debug_assert!(self.admitted.is_empty(), "a unit-request cancel admitted");
                 if let Some(started) = state.wait_started.take() {
                     self.stats.record_wait(level, now.saturating_since(started));
                 }
@@ -282,6 +283,14 @@ impl GatewayLadder {
     /// engine can recycle one scratch buffer across every release instead
     /// of allocating a vector per completed query.
     pub fn finish_task_into(&mut self, task: TaskId, now: SimTime, out: &mut Vec<TaskId>) {
+        self.finish(task, now);
+        out.extend(self.admitted.iter().map(|&(t, _)| t));
+    }
+
+    /// Drop `task`, releasing its gateways in reverse order; the tasks this
+    /// admits are left in `self.admitted`.
+    fn finish(&mut self, task: TaskId, now: SimTime) {
+        self.admitted.clear();
         let Some(state) = self.tasks.remove(&task) else {
             return;
         };
@@ -291,15 +300,14 @@ impl GatewayLadder {
         }
         // If it was still queued somewhere, leave the queue.
         if let Some(level) = state.waiting_at {
-            self.gateways[level].cancel_wait(task);
+            self.gateways[level].cancel(task, now, &mut self.admitted);
         }
         // Release held gateways in reverse acquisition order.
-        let first_admitted = out.len();
         for level in (0..state.held).rev() {
-            self.gateways[level].release_into(task, out);
+            self.gateways[level].release_into(task, now, &mut self.admitted);
         }
         // Update the state of every newly admitted task.
-        for &resumed in &out[first_admitted..] {
+        for &(resumed, _) in &self.admitted {
             if let Some(s) = self.tasks.get_mut(&resumed) {
                 let level = s.waiting_at.take().unwrap_or(s.held);
                 if let Some(started) = s.wait_started.take() {
@@ -341,11 +349,8 @@ impl throttledb_governor::Policy for GatewayLadder {
     }
 
     fn finish_into(&mut self, task: u64, now: SimTime, resumed: &mut Vec<u64>) {
-        let mut scratch = std::mem::take(&mut self.policy_scratch);
-        scratch.clear();
-        self.finish_task_into(TaskId(task), now, &mut scratch);
-        resumed.extend(scratch.iter().map(|t| t.0));
-        self.policy_scratch = scratch;
+        self.finish(TaskId(task), now);
+        resumed.extend(self.admitted.iter().map(|&(t, _)| t.0));
     }
 
     fn tick(
@@ -367,7 +372,7 @@ impl throttledb_governor::Policy for GatewayLadder {
     }
 
     fn waiting(&self) -> usize {
-        self.gateways.iter().map(|g| g.queued()).sum()
+        self.gateways.iter().map(|g| g.queued_len()).sum()
     }
 }
 
@@ -501,6 +506,30 @@ mod tests {
             "b keeps holding the small gateway while queued"
         );
         assert_eq!(l.waiting_at(1), 1);
+    }
+
+    #[test]
+    fn rereporting_while_queued_keeps_its_place() {
+        let mut l = small_ladder();
+        let a = l.begin_task();
+        let b = l.begin_task();
+        let c = l.begin_task();
+        l.report_memory(a, 30 * MB, now(0));
+        for (t, at) in [(b, 1), (c, 2)] {
+            assert!(matches!(
+                l.report_memory(t, 30 * MB, now(at)),
+                LadderDecision::Wait { level: 1, .. }
+            ));
+        }
+        // b asks again without being resumed: the same wait, neither a
+        // second queue entry nor a second counted wait.
+        assert!(matches!(
+            l.report_memory(b, 31 * MB, now(3)),
+            LadderDecision::Wait { level: 1, .. }
+        ));
+        assert_eq!(l.waiting_at(1), 2);
+        assert_eq!(l.stats().waits[1], 2);
+        assert_eq!(l.finish_task(a, now(4)), vec![b]);
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!
 //! * [`config`] — thresholds, concurrency limits, timeouts, the per-CPU
 //!   scaling rules and the `F` fractions for dynamic thresholds.
-//! * [`gateway`] — a single admission gate: a counting semaphore expressed
-//!   as an explicit, non-blocking state machine with a FIFO wait queue.
 //! * [`ladder`] — the ordered set of gateways plus per-task state: decides,
-//!   on every memory report, whether a compilation proceeds or waits.
+//!   on every memory report, whether a compilation proceeds or waits. Each
+//!   gateway is a counting semaphore — a unit-request
+//!   [`ResourcePool`](throttledb_governor::ResourcePool) from the governor
+//!   layer, whose FIFO queue every choke point shares.
 //! * [`dynamic`] — §4.1 extension 1: thresholds recomputed from the broker's
 //!   compilation-memory target (`threshold = target · F / S`).
 //! * [`threaded`] — a real, blocking deployment of the ladder for
@@ -70,14 +71,12 @@
 
 pub mod config;
 pub mod dynamic;
-pub mod gateway;
 pub mod ladder;
 pub mod stats;
 pub mod threaded;
 
 pub use config::{Concurrency, MonitorConfig, ThrottleConfig};
 pub use dynamic::DynamicThresholds;
-pub use gateway::{Gateway, GatewayAdmission};
 pub use ladder::{GatewayLadder, LadderDecision, TaskId};
 pub use stats::ThrottleStats;
 pub use threaded::ThreadedThrottle;

@@ -4,9 +4,8 @@
 //! exhaustion yields a best-effort plan, never an out-of-memory failure),
 //! and the release-in-reverse-order invariant of `finish_task`.
 
-use throttledb_core::{
-    Gateway, GatewayAdmission, GatewayLadder, LadderDecision, TaskId, ThrottleConfig,
-};
+use throttledb_core::{GatewayLadder, LadderDecision, TaskId, ThrottleConfig};
+use throttledb_governor::ResourcePool;
 use throttledb_sim::SimTime;
 
 const MB: u64 = 1 << 20;
@@ -23,21 +22,24 @@ fn ladder() -> GatewayLadder {
 
 #[test]
 fn waiters_resume_in_fifo_order_across_successive_releases() {
-    let mut g = Gateway::new(1);
+    // A gateway is a unit-request pool that never degrades; capacity 1.
+    let mut g: ResourcePool<TaskId> = ResourcePool::new("gateway", 1, 1.0);
     let ids: Vec<TaskId> = (0..6).map(TaskId).collect();
-    assert_eq!(g.request(ids[0]), GatewayAdmission::Acquired);
+    assert!(g.request(ids[0], 1, now(0), SimTime::MAX).admitted());
     for id in &ids[1..] {
-        assert_eq!(g.request(*id), GatewayAdmission::Queued);
+        assert!(!g.request(*id, 1, now(0), SimTime::MAX).admitted());
     }
     // Drain: each release must admit exactly the longest-queued waiter.
     let mut resumed = Vec::new();
+    let mut admitted = Vec::new();
     let mut current = ids[0];
     while g.in_use() > 0 {
-        let admitted = g.release(current);
+        admitted.clear();
+        g.release_into(current, now(1), &mut admitted);
         assert!(admitted.len() <= 1);
-        if let Some(next) = admitted.first() {
-            resumed.push(*next);
-            current = *next;
+        if let Some(&(next, _)) = admitted.first() {
+            resumed.push(next);
+            current = next;
         } else {
             break;
         }

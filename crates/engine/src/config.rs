@@ -180,7 +180,7 @@ pub struct ServerConfig {
     pub cpus: u32,
     /// Memory broker configuration (paper: 4 GB).
     pub broker: BrokerConfig,
-    /// Gateway-ladder configuration (enabled = throttled run).
+    /// The gateway ladder's configuration (enabled = throttled run).
     pub throttle: ThrottleConfig,
     /// Number of closed-loop clients. May be zero when at least one
     /// open-loop [`ArrivalSourceConfig`] supplies the load.

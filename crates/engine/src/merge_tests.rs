@@ -86,7 +86,7 @@ fn digest_of(decisions: &[(u64, u32, u8)]) -> u64 {
 }
 
 #[test]
-fn an_arrival_and_a_wheel_event_at_one_instant_fire_in_seq_order() {
+fn an_arrival_and_a_queued_event_at_one_instant_fire_in_seq_order() {
     for shards in [1, 2] {
         let mut server = Server::new(config(10 * SEC, vec![metronome(1, 64)], shards), profiles());
         server.enable_trace();

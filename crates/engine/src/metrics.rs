@@ -76,7 +76,7 @@ pub struct DispatchCounts {
     pub cohort_submit: u64,
     /// Compilation memory-growth steps.
     pub compile_step: u64,
-    /// Gateway-wait timeouts (fired, whether or not the query still waited).
+    /// Timeouts of gateway waits (fired, whether or not the query still waited).
     pub compile_timeout: u64,
     /// Grant-wait timeouts (fired, whether or not the query still waited).
     pub grant_timeout: u64,

@@ -18,7 +18,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use throttledb_bufferpool::HitRateModel;
-use throttledb_executor::GrantOutcome;
 use throttledb_executor::GrantRequestId;
 use throttledb_membroker::{Clerk, MemoryBroker, SubcomponentKind};
 use throttledb_plancache::PlanCache;
@@ -168,7 +167,7 @@ pub struct Server {
     /// instead of allocating a vector per completed query.
     pub(crate) scratch_resumed: Vec<u64>,
     /// Reused buffer for grant-pool admissions, same discipline.
-    pub(crate) scratch_admitted: Vec<(GrantRequestId, GrantOutcome)>,
+    pub(crate) scratch_admitted: Vec<(GrantRequestId, throttledb_governor::AdmissionDecision)>,
     /// Installed fault specs (see [`crate::Server::install_faults`]).
     pub(crate) faults: Vec<FaultSpec>,
     /// Per-fault active flag; effect multipliers are recomputed from the

@@ -10,7 +10,8 @@ use super::QueryLifecycle;
 use crate::metrics::FailureKind;
 use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
-use throttledb_executor::{GrantOutcome, GrantRequestId};
+use throttledb_executor::GrantRequestId;
+use throttledb_governor::AdmissionDecision;
 
 impl Server {
     /// Ask the class grant pool for `exec_grant_bytes` of execution memory
@@ -22,7 +23,7 @@ impl Server {
         let class = q.class;
         let requested = exec_grant_bytes.max(1 << 20);
         let deadline = self.now + self.config.grant_timeout;
-        let (grant_id, outcome) = self.classes[class]
+        let (grant_id, decision) = self.classes[class]
             .grants
             .request_at(requested, self.now, deadline);
         if let Some(q) = self.queries.get_mut(&id) {
@@ -30,11 +31,9 @@ impl Server {
             q.grant_requested = requested;
         }
         self.grant_to_query.insert((class, grant_id), id);
-        match outcome {
-            GrantOutcome::Granted { bytes } | GrantOutcome::Reduced { bytes } => {
-                self.start_exec(id, bytes);
-            }
-            GrantOutcome::Queued => {
+        match decision.units() {
+            Some(bytes) => self.start_exec(id, bytes),
+            None => {
                 if let Some(q) = self.queries.get_mut(&id) {
                     q.lifecycle.advance(QueryLifecycle::WaitingForGrant);
                 }
@@ -72,14 +71,13 @@ impl Server {
     pub(crate) fn start_admitted(
         &mut self,
         class: usize,
-        admitted: &[(GrantRequestId, GrantOutcome)],
+        admitted: &[(GrantRequestId, AdmissionDecision)],
     ) {
-        for &(grant_id, outcome) in admitted {
-            if let Some(&qid) = self.grant_to_query.get(&(class, grant_id)) {
-                let bytes = match outcome {
-                    GrantOutcome::Granted { bytes } | GrantOutcome::Reduced { bytes } => bytes,
-                    GrantOutcome::Queued => continue,
-                };
+        for &(grant_id, decision) in admitted {
+            if let (Some(&qid), Some(bytes)) = (
+                self.grant_to_query.get(&(class, grant_id)),
+                decision.units(),
+            ) {
                 self.start_exec(qid, bytes);
             }
         }

@@ -26,8 +26,10 @@ use crate::profile::CompileProfile;
 use crate::server::Server;
 use crate::trace::TraceEvent;
 use throttledb_core::{GatewayLadder, ThrottleConfig};
-use throttledb_executor::{GrantManager, GrantOutcome, GrantRequestId};
-use throttledb_governor::{BreakerConfig, CircuitBreaker, CostPolicy, PidPolicy, Policy};
+use throttledb_executor::{GrantManager, GrantRequestId};
+use throttledb_governor::{
+    AdmissionDecision, BreakerConfig, CircuitBreaker, CostPolicy, PidPolicy, Policy,
+};
 use throttledb_membroker::{Clerk, SubcomponentKind};
 use throttledb_sim::SimTime;
 
@@ -276,7 +278,7 @@ impl Server {
     pub(crate) fn with_grants<R>(
         &mut self,
         class: usize,
-        op: impl FnOnce(&GrantManager, SimTime, &mut Vec<(GrantRequestId, GrantOutcome)>) -> R,
+        op: impl FnOnce(&GrantManager, SimTime, &mut Vec<(GrantRequestId, AdmissionDecision)>) -> R,
     ) -> R {
         let mut admitted = std::mem::take(&mut self.scratch_admitted);
         admitted.clear();

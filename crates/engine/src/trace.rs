@@ -48,7 +48,7 @@ pub enum TraceEvent {
         at: SimTime,
         /// Query id.
         query: u64,
-        /// Gateway level (0-based).
+        /// The gateway level (0-based).
         level: usize,
     },
     /// The ladder finished a compilation best-effort instead of blocking.

@@ -1,11 +1,13 @@
 //! Execution memory grants (the "resource semaphore").
 //!
-//! Since the resource-governor refactor this is a thin, thread-safe facade
-//! over [`throttledb_governor::ResourcePool`]: the FIFO queue, budget
-//! accounting and wait statistics live in the shared governor layer — the
-//! same substrate that backs the gateway ladder's per-level queues — and
-//! this module adds grant-request identity, broker clerk reporting and the
-//! grant-flavoured [`GrantOutcome`] vocabulary.
+//! A thin, thread-safe facade over [`throttledb_governor::ResourcePool`]:
+//! the FIFO queue, budget accounting, wait statistics and the
+//! [`AdmissionDecision`] vocabulary are the governor layer's — the same
+//! pool every gateway-ladder level and the PID controller's slots are —
+//! and this module adds grant-request identity and broker clerk
+//! reporting. Every call that can admit queued requests (a release, a
+//! cancel, a budget change) reports them to the clerk and appends them
+//! to the caller's buffer, so no admission can be dropped.
 
 use parking_lot::Mutex;
 use throttledb_governor::{AdmissionDecision, PoolStats, ResourcePool};
@@ -15,42 +17,6 @@ use throttledb_sim::SimTime;
 /// Identifies a grant request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GrantRequestId(pub u64);
-
-/// Outcome of a grant request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantOutcome {
-    /// The full requested grant was given.
-    Granted {
-        /// Bytes granted.
-        bytes: u64,
-    },
-    /// A reduced grant was given (the query will spill and run slower).
-    Reduced {
-        /// Bytes granted (less than requested).
-        bytes: u64,
-    },
-    /// No memory is available; the request is queued FIFO.
-    Queued,
-}
-
-impl GrantOutcome {
-    /// Translate a governor [`AdmissionDecision`] into grant vocabulary.
-    ///
-    /// Panics on [`AdmissionDecision::Reject`]: grant pools queue requests
-    /// that do not fit, they never reject them, and mapping a reject to
-    /// `Queued` would leave the caller waiting for an admission that can
-    /// never come.
-    pub fn from_admission(decision: AdmissionDecision) -> Self {
-        match decision {
-            AdmissionDecision::Admit { units } => GrantOutcome::Granted { bytes: units },
-            AdmissionDecision::Degrade { units } => GrantOutcome::Reduced { bytes: units },
-            AdmissionDecision::Wait { .. } => GrantOutcome::Queued,
-            AdmissionDecision::Reject => {
-                unreachable!("grant pools queue requests, they never reject")
-            }
-        }
-    }
-}
 
 /// A query never receives less than this fraction of its request when the
 /// manager falls back to a reduced grant.
@@ -67,9 +33,6 @@ pub struct GrantManager {
 struct Inner {
     pool: ResourcePool<GrantRequestId>,
     next_id: u64,
-    /// Reused buffer for pool admissions (see
-    /// [`GrantManager::release_at_into`]).
-    admitted_scratch: Vec<(GrantRequestId, AdmissionDecision)>,
 }
 
 impl GrantManager {
@@ -80,15 +43,9 @@ impl GrantManager {
             inner: Mutex::new(Inner {
                 pool: ResourcePool::new("exec-grants", budget_bytes, MIN_GRANT_FRACTION),
                 next_id: 0,
-                admitted_scratch: Vec::new(),
             }),
             clerk,
         }
-    }
-
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.inner.lock().pool.budget()
     }
 
     /// Change the budget (e.g. on a broker notification). Does not revoke
@@ -98,28 +55,14 @@ impl GrantManager {
         &self,
         budget_bytes: u64,
         now: SimTime,
-        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+        out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) {
-        self.with_admissions(out, |pool, admitted| {
-            pool.set_budget(budget_bytes, now, admitted)
-        });
+        self.with_admissions(out, |pool, out| pool.set_budget(budget_bytes, now, out));
     }
 
     /// Bytes currently granted out.
     pub fn in_use_bytes(&self) -> u64 {
         self.inner.lock().pool.in_use()
-    }
-
-    /// Number of requests waiting in the queue.
-    pub fn queued(&self) -> usize {
-        self.inner.lock().pool.queued_len()
-    }
-
-    /// Lifetime counters: (full grants, reduced grants, queued requests).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        let inner = self.inner.lock();
-        let stats = inner.pool.stats();
-        (stats.admitted, stats.degraded, stats.queued)
     }
 
     /// A snapshot of the underlying pool's statistics, including the
@@ -128,65 +71,39 @@ impl GrantManager {
         self.inner.lock().pool.stats().clone()
     }
 
-    /// Request `bytes` of execution memory. The request is granted in full
-    /// when it fits, granted reduced when at least the minimum fraction fits
-    /// and nothing else is queued, and queued otherwise.
-    pub fn request(&self, bytes: u64) -> (GrantRequestId, GrantOutcome) {
-        self.request_at(bytes, SimTime::ZERO, SimTime::MAX)
-    }
-
-    /// Like [`GrantManager::request`], stamping virtual time on a queued
-    /// request so wait durations are recorded when it is later admitted.
+    /// Request `bytes` of execution memory at `now`. The request is
+    /// admitted in full when it fits, degraded (a reduced grant: the query
+    /// will spill) when at least the minimum fraction fits and nothing else
+    /// is queued, and queued until `deadline` otherwise; a queued request's
+    /// wait is recorded when it is later admitted.
     pub fn request_at(
         &self,
         bytes: u64,
         now: SimTime,
         deadline: SimTime,
-    ) -> (GrantRequestId, GrantOutcome) {
+    ) -> (GrantRequestId, AdmissionDecision) {
         let mut inner = self.inner.lock();
         let id = GrantRequestId(inner.next_id);
         inner.next_id += 1;
         let decision = inner.pool.request(id, bytes, now, deadline);
-        if let Some(granted) = decision.units() {
-            if let Some(c) = &self.clerk {
-                c.allocate(granted);
-            }
+        if let (Some(c), Some(granted)) = (&self.clerk, decision.units()) {
+            c.allocate(granted);
         }
-        (id, GrantOutcome::from_admission(decision))
+        (id, decision)
     }
 
-    /// Release the grant held by `id` (a query finished or was aborted).
-    /// Returns the queued requests that were granted as a result, with their
-    /// outcomes.
-    pub fn release(&self, id: GrantRequestId) -> Vec<(GrantRequestId, GrantOutcome)> {
-        self.release_at(id, SimTime::MAX)
-    }
-
-    /// Like [`GrantManager::release`], recording the admitted waiters' wait
-    /// durations as of `now`.
-    pub fn release_at(
-        &self,
-        id: GrantRequestId,
-        now: SimTime,
-    ) -> Vec<(GrantRequestId, GrantOutcome)> {
-        let mut out = Vec::new();
-        self.release_at_into(id, now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`GrantManager::release_at`]: admitted
-    /// waiters are appended to `out`, and the pool-level admission scratch
-    /// buffer is recycled inside the manager, so the engine's release path
-    /// performs no allocation per completed query.
+    /// Release the grant held by `id` (a query finished or was aborted) at
+    /// `now`; the queued requests granted as a result are appended to
+    /// `out`, so the engine can recycle one buffer across every release.
     pub fn release_at_into(
         &self,
         id: GrantRequestId,
         now: SimTime,
-        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+        out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) {
-        self.with_admissions(out, |pool, admitted| {
+        self.with_admissions(out, |pool, out| {
             let released = pool.held(id);
-            pool.release_into(id, now, admitted);
+            pool.release_into(id, now, out);
             if let (Some(c), Some(bytes)) = (&self.clerk, released) {
                 c.free(bytes);
             }
@@ -201,38 +118,31 @@ impl GrantManager {
         &self,
         id: GrantRequestId,
         now: SimTime,
-        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+        out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) -> bool {
-        self.with_admissions(out, |pool, admitted| pool.cancel(id, now, admitted))
+        self.with_admissions(out, |pool, out| pool.cancel(id, now, out))
     }
 
-    /// Run one pool mutation, report the grants it admitted to the clerk
-    /// and hand them to the caller.
+    /// Run one pool mutation that appends admissions to `out`, and report
+    /// the bytes of each new one to the clerk.
     fn with_admissions<R>(
         &self,
-        out: &mut Vec<(GrantRequestId, GrantOutcome)>,
+        out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
         op: impl FnOnce(
             &mut ResourcePool<GrantRequestId>,
             &mut Vec<(GrantRequestId, AdmissionDecision)>,
         ) -> R,
     ) -> R {
         let mut inner = self.inner.lock();
-        let mut admitted = std::mem::take(&mut inner.admitted_scratch);
-        admitted.clear();
-        let result = op(&mut inner.pool, &mut admitted);
+        let first = out.len();
+        let result = op(&mut inner.pool, out);
         if let Some(c) = &self.clerk {
-            for (_, decision) in &admitted {
+            for (_, decision) in &out[first..] {
                 if let Some(bytes) = decision.units() {
                     c.allocate(bytes);
                 }
             }
         }
-        out.extend(
-            admitted
-                .iter()
-                .map(|&(id, decision)| (id, GrantOutcome::from_admission(decision))),
-        );
-        inner.admitted_scratch = admitted;
         result
     }
 }
@@ -243,82 +153,99 @@ mod tests {
     use throttledb_membroker::{BrokerConfig, MemoryBroker, SubcomponentKind};
 
     const MB: u64 = 1 << 20;
+    const QUEUED: AdmissionDecision = AdmissionDecision::Wait {
+        deadline: SimTime::MAX,
+    };
+
+    fn request(m: &GrantManager, bytes: u64) -> (GrantRequestId, AdmissionDecision) {
+        m.request_at(bytes, SimTime::ZERO, SimTime::MAX)
+    }
+
+    fn release(m: &GrantManager, id: GrantRequestId) -> Vec<(GrantRequestId, AdmissionDecision)> {
+        let mut admitted = Vec::new();
+        m.release_at_into(id, SimTime::ZERO, &mut admitted);
+        admitted
+    }
 
     #[test]
     fn grants_within_budget_are_immediate() {
         let m = GrantManager::new(100 * MB, None);
-        let (a, out_a) = m.request(40 * MB);
-        let (_b, out_b) = m.request(40 * MB);
-        assert_eq!(out_a, GrantOutcome::Granted { bytes: 40 * MB });
-        assert_eq!(out_b, GrantOutcome::Granted { bytes: 40 * MB });
+        let (a, out_a) = request(&m, 40 * MB);
+        let (_b, out_b) = request(&m, 40 * MB);
+        assert_eq!(out_a, AdmissionDecision::Admit { units: 40 * MB });
+        assert_eq!(out_b, AdmissionDecision::Admit { units: 40 * MB });
         assert_eq!(m.in_use_bytes(), 80 * MB);
-        m.release(a);
+        release(&m, a);
         assert_eq!(m.in_use_bytes(), 40 * MB);
     }
 
     #[test]
     fn oversized_request_gets_reduced_grant() {
         let m = GrantManager::new(100 * MB, None);
-        let (_a, _) = m.request(70 * MB);
-        let (_b, out) = m.request(80 * MB);
-        match out {
-            GrantOutcome::Reduced { bytes } => {
-                assert_eq!(bytes, 30 * MB, "gets whatever is left");
-            }
-            other => panic!("expected a reduced grant, got {other:?}"),
-        }
+        request(&m, 70 * MB);
+        let (_b, out) = request(&m, 80 * MB);
+        assert_eq!(
+            out,
+            AdmissionDecision::Degrade { units: 30 * MB },
+            "gets whatever is left"
+        );
     }
 
     #[test]
     fn request_queues_when_below_minimum_fraction() {
         let m = GrantManager::new(100 * MB, None);
-        let (_a, _) = m.request(95 * MB);
+        request(&m, 95 * MB);
         // 5 MB available < 25% of 80 MB -> must queue.
-        let (_b, out) = m.request(80 * MB);
-        assert_eq!(out, GrantOutcome::Queued);
-        assert_eq!(m.queued(), 1);
+        let (_b, out) = request(&m, 80 * MB);
+        assert_eq!(out, QUEUED);
+        assert_eq!(m.pool_stats().queued, 1);
     }
 
     #[test]
     fn release_admits_waiters_in_fifo_order() {
         let m = GrantManager::new(100 * MB, None);
-        let (a, _) = m.request(90 * MB);
-        let (b, ob) = m.request(60 * MB);
-        let (c, oc) = m.request(10 * MB);
-        assert_eq!(ob, GrantOutcome::Queued);
-        assert_eq!(oc, GrantOutcome::Queued);
-        let admitted = m.release(a);
+        let (a, _) = request(&m, 90 * MB);
+        let (b, ob) = request(&m, 60 * MB);
+        let (c, oc) = request(&m, 10 * MB);
+        assert_eq!(ob, QUEUED);
+        assert_eq!(oc, QUEUED);
         // b is admitted first (FIFO); c fits in the remainder.
-        assert_eq!(admitted.len(), 2);
-        assert_eq!(admitted[0].0, b);
-        assert!(matches!(admitted[0].1, GrantOutcome::Granted { .. }));
-        assert_eq!(admitted[1].0, c);
+        assert_eq!(
+            release(&m, a),
+            vec![
+                (b, AdmissionDecision::Admit { units: 60 * MB }),
+                (c, AdmissionDecision::Admit { units: 10 * MB }),
+            ]
+        );
     }
 
     #[test]
     fn fifo_prevents_starvation_of_large_requests() {
         let m = GrantManager::new(100 * MB, None);
-        let (a, _) = m.request(90 * MB);
-        let (_big, out_big) = m.request(80 * MB);
-        assert_eq!(out_big, GrantOutcome::Queued);
+        let (a, _) = request(&m, 90 * MB);
+        let (big, out_big) = request(&m, 80 * MB);
+        assert_eq!(out_big, QUEUED);
         // A small latecomer must not jump the queue.
-        let (_small, out_small) = m.request(5 * MB);
-        assert_eq!(out_small, GrantOutcome::Queued);
-        let admitted = m.release(a);
-        assert!(matches!(admitted[0].1, GrantOutcome::Granted { bytes } if bytes == 80 * MB));
+        let (_small, out_small) = request(&m, 5 * MB);
+        assert_eq!(out_small, QUEUED);
+        let admitted = release(&m, a);
+        assert_eq!(
+            admitted[0],
+            (big, AdmissionDecision::Admit { units: 80 * MB })
+        );
     }
 
     #[test]
     fn cancel_removes_from_queue() {
         let m = GrantManager::new(10 * MB, None);
-        let (a, _) = m.request(10 * MB);
-        let (b, out) = m.request(10 * MB);
-        assert_eq!(out, GrantOutcome::Queued);
+        let (a, _) = request(&m, 10 * MB);
+        let (b, out) = request(&m, 10 * MB);
+        assert_eq!(out, QUEUED);
         let mut admitted = Vec::new();
         assert!(m.cancel(b, SimTime::ZERO, &mut admitted));
         assert!(!m.cancel(b, SimTime::ZERO, &mut admitted));
         assert!(admitted.is_empty());
-        assert!(m.release(a).is_empty());
+        assert!(release(&m, a).is_empty());
     }
 
     #[test]
@@ -326,9 +253,9 @@ mod tests {
         let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30));
         let clerk = broker.register(SubcomponentKind::Execution);
         let m = GrantManager::new(100 * MB, Some(clerk.clone()));
-        let (a, _) = m.request(30 * MB);
+        let (a, _) = request(&m, 30 * MB);
         assert_eq!(clerk.used_bytes(), 30 * MB);
-        m.release(a);
+        release(&m, a);
         assert_eq!(clerk.used_bytes(), 0);
     }
 
@@ -339,12 +266,12 @@ mod tests {
         let m = GrantManager::new(100 * MB, Some(clerk.clone()));
         let mut admitted = Vec::new();
         m.set_budget(MB, SimTime::ZERO, &mut admitted);
-        let (a, out) = m.request_at(60 * MB, SimTime::ZERO, SimTime::MAX);
-        assert_eq!(out, GrantOutcome::Queued);
+        let (a, out) = request(&m, 60 * MB);
+        assert_eq!(out, QUEUED);
         m.set_budget(100 * MB, SimTime::from_secs(5), &mut admitted);
         assert_eq!(
             admitted,
-            vec![(a, GrantOutcome::Granted { bytes: 60 * MB })]
+            vec![(a, AdmissionDecision::Admit { units: 60 * MB })]
         );
         assert_eq!(clerk.used_bytes(), 60 * MB);
     }
@@ -352,17 +279,13 @@ mod tests {
     #[test]
     fn budget_can_shrink_at_runtime() {
         let m = GrantManager::new(100 * MB, None);
-        let (_a, _) = m.request(50 * MB);
+        request(&m, 50 * MB);
         let mut admitted = Vec::new();
         m.set_budget(40 * MB, SimTime::ZERO, &mut admitted);
         assert!(admitted.is_empty());
-        let (_b, out) = m.request(30 * MB);
-        assert_eq!(
-            out,
-            GrantOutcome::Queued,
-            "shrunken budget blocks new grants"
-        );
-        let (full, reduced, queued) = m.counters();
-        assert_eq!((full, reduced, queued), (1, 0, 1));
+        let (_b, out) = request(&m, 30 * MB);
+        assert_eq!(out, QUEUED, "shrunken budget blocks new grants");
+        let stats = m.pool_stats();
+        assert_eq!((stats.admitted, stats.degraded, stats.queued), (1, 0, 1));
     }
 }

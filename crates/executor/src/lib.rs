@@ -24,4 +24,4 @@ pub mod exec;
 pub mod grant;
 
 pub use exec::{ExecutionModel, ExecutionProfile};
-pub use grant::{GrantManager, GrantOutcome, GrantRequestId};
+pub use grant::{GrantManager, GrantRequestId};

@@ -8,7 +8,8 @@
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use throttledb_executor::{GrantManager, GrantOutcome, GrantRequestId};
+use throttledb_executor::{GrantManager, GrantRequestId};
+use throttledb_governor::AdmissionDecision;
 use throttledb_sim::SimTime;
 
 const MB: u64 = 1 << 20;
@@ -24,6 +25,7 @@ proptest! {
         let mut queued: VecDeque<GrantRequestId> = VecDeque::new();
         let mut cancelled: Vec<GrantRequestId> = Vec::new();
         let mut admitted = Vec::new();
+        let mut from_queue = 0u64;
 
         for (op, mb, pick) in ops {
             match op {
@@ -31,19 +33,20 @@ proptest! {
                 0 | 1 => {
                     let (id, outcome) = m.request_at(mb * MB, SimTime::ZERO, SimTime::MAX);
                     match outcome {
-                        GrantOutcome::Granted { bytes } => {
-                            prop_assert_eq!(bytes, mb * MB, "full grants give what was asked");
+                        AdmissionDecision::Admit { units } => {
+                            prop_assert_eq!(units, mb * MB, "full grants give what was asked");
                             prop_assert!(queued.is_empty(),
                                 "a grant can only bypass an empty queue");
                             outstanding.push(id);
                         }
-                        GrantOutcome::Reduced { bytes } => {
-                            prop_assert!(bytes < mb * MB);
-                            prop_assert!(bytes >= 1);
+                        AdmissionDecision::Degrade { units } => {
+                            prop_assert!(units < mb * MB);
+                            prop_assert!(units >= 1);
                             prop_assert!(queued.is_empty());
                             outstanding.push(id);
                         }
-                        GrantOutcome::Queued => queued.push_back(id),
+                        AdmissionDecision::Wait { .. } => queued.push_back(id),
+                        AdmissionDecision::Reject => panic!("grant pools never reject"),
                     }
                 }
                 // Release a random outstanding grant.
@@ -71,16 +74,19 @@ proptest! {
             for (aid, outcome) in admitted.drain(..) {
                 let front = queued.pop_front();
                 prop_assert_eq!(Some(aid), front, "admissions must come from the queue head");
-                prop_assert!(!matches!(outcome, GrantOutcome::Queued));
+                prop_assert!(outcome.admitted());
                 prop_assert!(!cancelled.contains(&aid),
                     "a cancelled waiter must never be admitted");
                 outstanding.push(aid);
+                from_queue += 1;
             }
             // Invariant 1: never oversubscribed.
             prop_assert!(m.in_use_bytes() <= BUDGET,
                 "in_use {} exceeds budget {}", m.in_use_bytes(), BUDGET);
-            // The manager's queue mirrors the model queue exactly.
-            prop_assert_eq!(m.queued(), queued.len());
+            // The manager's queue mirrors the model queue exactly: all that
+            // ever queued, less the cancelled and the admitted.
+            let stats = m.pool_stats();
+            prop_assert_eq!(stats.queued - stats.cancelled - from_queue, queued.len() as u64);
         }
 
         // Drain: cancel every remaining waiter, release every grant.
@@ -90,7 +96,8 @@ proptest! {
             prop_assert!(m.cancel(id, SimTime::ZERO, &mut admitted));
             cancelled.push(id);
         }
-        prop_assert_eq!(m.queued(), 0, "no waiter leaked after cancel");
+        let stats = m.pool_stats();
+        prop_assert_eq!(stats.queued - stats.cancelled, from_queue, "no waiter leaked after cancel");
         for id in outstanding.drain(..) {
             m.release_at_into(id, SimTime::ZERO, &mut admitted);
         }

@@ -3,9 +3,9 @@
 //! The paper applies one throttling *policy* at several choke points:
 //! gateway-ladder levels gate compilations, the grant queue gates
 //! executions, and the memory broker gates every subcomponent's growth.
-//! Before the governor layer each choke point answered in its own dialect
-//! (`LadderDecision`, `GrantOutcome`, `NotificationKind`); this module is
-//! the shared vocabulary they all translate into.
+//! The grant pools and the ladder's gateways answer in it directly (both
+//! are [`ResourcePool`](crate::ResourcePool)s); `LadderDecision` and broker
+//! notifications translate into it.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -9,20 +9,24 @@
 //! and the broker's pressure notifications. This crate factors the common
 //! machinery out of those call sites:
 //!
-//! * [`WaitQueue`] — the shared FIFO wait queue: deadlines per waiter and
-//!   O(1) cancellation via slot-indexed tickets, replacing the per-crate
-//!   `VecDeque` + linear-scan queues.
+//! * [`ResourcePool`] — the one FIFO admission primitive: a budget, a
+//!   [`WaitQueue`] and [`PoolStats`], with a single admit loop that every
+//!   mutating call (request, release, cancel, budget change) reaches, so a
+//!   waiter that fits is never left queued. Each gateway of the core
+//!   crate's ladder is a pool of unit requests (its concurrency limit is
+//!   the budget), so are [`PidPolicy`]'s slots, and each workload class's
+//!   execution grant manager is a pool of bytes.
+//! * [`WaitQueue`] — the FIFO wait queue under every pool: deadlines per
+//!   waiter and O(1) cancellation via slot-indexed tickets.
 //! * [`AdmissionDecision`] — the common decision vocabulary
-//!   (admit / degrade / wait-with-deadline / reject) that
-//!   `LadderDecision`, `GrantOutcome` and broker notifications all
-//!   translate into.
-//! * [`ResourcePool`] — a budgeted pool (budget + queue + [`PoolStats`])
-//!   used by the execution grant manager and by the engine's per-class
-//!   workload pools.
+//!   (admit / degrade / wait-with-deadline / reject) the pools answer in
+//!   and `LadderDecision` and broker notifications translate into.
 //! * [`Policy`] — the pluggable compilation-admission policy interface,
 //!   with a PID feedback controller ([`PidPolicy`]) and a cost-based
-//!   planner ([`CostPolicy`]); the paper's gateway ladder implements the
-//!   trait in `throttledb-core`.
+//!   planner ([`CostPolicy`], which keeps its own queue: its
+//!   always-admit-one floor and in-place reservation growth are policy,
+//!   not queueing); the paper's gateway ladder implements the trait in
+//!   `throttledb-core`.
 //! * [`ThrottleStats`] — the admission counters every policy reports
 //!   through (formerly private to the core crate's ladder).
 //! * [`CircuitBreaker`] — a per-class Closed/Open/HalfOpen breaker over a

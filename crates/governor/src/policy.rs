@@ -13,8 +13,8 @@
 //!   this trait directly, so the baseline runs byte-identically to the
 //!   pre-trait engine);
 //! * [`PidPolicy`] — a PID feedback controller that servos a concurrency
-//!   limit on the broker's predicted memory pressure, admitting from a
-//!   single FIFO wait queue;
+//!   limit on the broker's predicted memory pressure, admitting through a
+//!   unit-request [`ResourcePool`] whose budget is that limit;
 //! * [`CostPolicy`] — a cost-based planner that reserves each template's
 //!   profiled peak compilation bytes against the broker's compilation
 //!   target before admitting.
@@ -22,6 +22,8 @@
 //! Task identifiers are bare `u64`s at this layer; `throttledb-core`
 //! wraps them in its `TaskId` newtype.
 
+use crate::decision::AdmissionDecision;
+use crate::pool::ResourcePool;
 use crate::stats::ThrottleStats;
 use std::collections::{HashMap, VecDeque};
 use throttledb_sim::{SimDuration, SimTime};
@@ -125,6 +127,8 @@ struct QueuedTask {
     /// Peak-byte estimate captured when the task first contended.
     want: u64,
     admitted: bool,
+    /// Queued for admission ([`CostPolicy`] only: for [`PidPolicy`] a set
+    /// `wait_started` is the flag).
     waiting: bool,
     wait_started: Option<SimTime>,
     best_effort: bool,
@@ -134,8 +138,9 @@ struct QueuedTask {
 ///
 /// The measured variable is the broker's *predicted* compilation-memory
 /// pressure (trend-extrapolated usage over the target); the setpoint is
-/// 1.0. Headroom raises the limit, overshoot lowers it, and waiters are
-/// admitted from a single FIFO queue whenever the limit opens up. The
+/// 1.0. Headroom raises the limit, overshoot lowers it, and the limit is
+/// the budget of a pool of unit slots, so its FIFO queue admits waiters
+/// whenever the limit opens up or a slot is released. The
 /// integral term only winds while there is either overshoot or a
 /// non-empty queue, so an idle system does not accumulate correction.
 #[derive(Debug)]
@@ -152,10 +157,10 @@ pub struct PidPolicy {
     last_error: f64,
     last_tick: Option<SimTime>,
     limit: f64,
-    admitted_count: usize,
-    waiting_count: usize,
     tasks: HashMap<u64, QueuedTask>,
-    queue: VecDeque<u64>,
+    slots: ResourcePool<u64>,
+    /// Reused buffer the slot pool appends its admissions to.
+    admitted: Vec<(u64, AdmissionDecision)>,
     stats: ThrottleStats,
     next_task: u64,
 }
@@ -179,10 +184,9 @@ impl PidPolicy {
             last_error: 0.0,
             last_tick: None,
             limit: base,
-            admitted_count: 0,
-            waiting_count: 0,
             tasks: HashMap::new(),
-            queue: VecDeque::new(),
+            slots: ResourcePool::new("pid-slots", base as u64, 1.0),
+            admitted: Vec::new(),
             stats: ThrottleStats::new(1),
             next_task: 0,
         }
@@ -195,30 +199,21 @@ impl PidPolicy {
 
     fn admit(&mut self, task: u64, now: SimTime) {
         let state = self.tasks.get_mut(&task).expect("task exists");
-        if state.waiting {
-            state.waiting = false;
-            self.waiting_count -= 1;
-            if let Some(started) = state.wait_started.take() {
-                self.stats.record_wait(0, now.saturating_since(started));
-            }
+        if let Some(started) = state.wait_started.take() {
+            self.stats.record_wait(0, now.saturating_since(started));
         }
         state.admitted = true;
-        self.admitted_count += 1;
         self.stats.acquisitions[0] += 1;
     }
 
-    fn drain_queue(&mut self, now: SimTime, resumed: &mut Vec<u64>) {
-        while self.admitted_count < self.limit() {
-            let Some(next) = self.queue.pop_front() else {
-                break;
-            };
-            // Entries for tasks that timed out or finished are tombstones.
-            if !self.tasks.get(&next).is_some_and(|t| t.waiting) {
-                continue;
-            }
-            self.admit(next, now);
-            resumed.push(next);
+    /// Admit (and resume) everyone the slot pool just let in.
+    fn resume_admitted(&mut self, now: SimTime, resumed: &mut Vec<u64>) {
+        let admitted = std::mem::take(&mut self.admitted);
+        for &(task, _) in &admitted {
+            self.admit(task, now);
+            resumed.push(task);
         }
+        self.admitted = admitted;
     }
 }
 
@@ -242,7 +237,6 @@ impl Policy for PidPolicy {
         _signals: &PolicySignals,
         now: SimTime,
     ) -> PolicyDecision {
-        let limit = self.limit();
         let Some(state) = self.tasks.get_mut(&task) else {
             return PolicyDecision::Proceed;
         };
@@ -250,23 +244,20 @@ impl Policy for PidPolicy {
         if state.admitted || bytes <= self.exempt_bytes {
             return PolicyDecision::Proceed;
         }
-        if state.waiting {
+        if state.wait_started.is_some() {
             // Still queued; the caller re-asked without being resumed.
             return PolicyDecision::Wait {
                 level: 0,
                 timeout: self.wait_timeout,
             };
         }
-        if self.admitted_count < limit {
+        let deadline = now.saturating_add(self.wait_timeout);
+        if self.slots.request(task, 1, now, deadline).admitted() {
             self.admit(task, now);
             return PolicyDecision::Proceed;
         }
-        let state = self.tasks.get_mut(&task).expect("task exists");
-        state.waiting = true;
         state.wait_started = Some(now);
-        self.waiting_count += 1;
         self.stats.waits[0] += 1;
-        self.queue.push_back(task);
         PolicyDecision::Wait {
             level: 0,
             timeout: self.wait_timeout,
@@ -275,13 +266,14 @@ impl Policy for PidPolicy {
 
     fn timeout(&mut self, task: u64, now: SimTime) {
         if let Some(state) = self.tasks.get_mut(&task) {
-            if state.waiting {
-                state.waiting = false;
-                self.waiting_count -= 1;
-                if let Some(started) = state.wait_started.take() {
-                    self.stats.record_wait(0, now.saturating_since(started));
-                }
+            if let Some(started) = state.wait_started.take() {
+                self.stats.record_wait(0, now.saturating_since(started));
                 self.stats.timeouts += 1;
+                // Everyone behind a waiter that did not fit needs a slot
+                // too, so leaving the queue never admits anyone.
+                self.admitted.clear();
+                self.slots.cancel(task, now, &mut self.admitted);
+                debug_assert!(self.admitted.is_empty(), "a unit-request cancel admitted");
             }
         }
     }
@@ -294,16 +286,12 @@ impl Policy for PidPolicy {
         if state.bytes <= self.exempt_bytes {
             self.stats.exempt_compilations += 1;
         }
-        if state.admitted {
-            self.admitted_count -= 1;
+        if let Some(started) = state.wait_started {
+            self.stats.record_wait(0, now.saturating_since(started));
         }
-        if state.waiting {
-            self.waiting_count -= 1;
-            if let Some(started) = state.wait_started {
-                self.stats.record_wait(0, now.saturating_since(started));
-            }
-        }
-        self.drain_queue(now, resumed);
+        self.admitted.clear();
+        self.slots.release_into(task, now, &mut self.admitted);
+        self.resume_admitted(now, resumed);
     }
 
     fn tick(
@@ -324,10 +312,11 @@ impl Policy for PidPolicy {
             // overshoot always, headroom while someone is waiting — and let
             // waiter-less headroom only unwind leftover negative correction
             // (never accumulate positive credit an idle system can't use).
-            if error < 0.0 || self.waiting_count > 0 || self.integral < 0.0 {
+            let waiting = self.slots.queued_len() > 0;
+            if error < 0.0 || waiting || self.integral < 0.0 {
                 let cap = self.base_limit / self.ki.max(1e-9);
                 let mut next = (self.integral + error * dt).clamp(-cap, cap);
-                if error > 0.0 && self.waiting_count == 0 {
+                if error > 0.0 && !waiting {
                     next = next.min(0.0);
                 }
                 self.integral = next;
@@ -340,7 +329,10 @@ impl Policy for PidPolicy {
                 .clamp(self.min_limit, self.max_limit);
         }
         self.last_error = error;
-        self.drain_queue(now, resumed);
+        self.admitted.clear();
+        self.slots
+            .set_budget(self.limit() as u64, now, &mut self.admitted);
+        self.resume_admitted(now, resumed);
     }
 
     fn stats(&self) -> &ThrottleStats {
@@ -352,7 +344,7 @@ impl Policy for PidPolicy {
     }
 
     fn waiting(&self) -> usize {
-        self.waiting_count
+        self.slots.queued_len()
     }
 }
 

@@ -79,11 +79,6 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
         }
     }
 
-    /// The configured budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Change the budget and admit, FIFO, every queued request the new
     /// budget lets in (appended to `out`, as [`ResourcePool::release_into`]
     /// does). Outstanding allocations are not revoked when it shrinks.
@@ -153,19 +148,10 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
     }
 
     /// Release the allocation held by `tag` and admit queued requests FIFO
-    /// while they fit. `now` is used to record wait times; pass
-    /// [`SimTime::MAX`] from time-free contexts to skip recording. If `tag`
-    /// was still queued this cancels it instead.
-    pub fn release(&mut self, tag: T, now: SimTime) -> Vec<(T, AdmissionDecision)> {
-        let mut admitted = Vec::new();
-        self.release_into(tag, now, &mut admitted);
-        admitted
-    }
-
-    /// Allocation-free variant of [`ResourcePool::release`]: admitted
-    /// waiters are appended to `out` instead of returned in a fresh vector,
-    /// so a steady-state caller can recycle one scratch buffer across every
-    /// release (the engine's event loop does exactly that).
+    /// while they fit, appending them to `out` so a steady-state caller can
+    /// recycle one scratch buffer across every release (the engine's event
+    /// loop does exactly that). `now` stamps the admitted waiters' wait
+    /// times. If `tag` was still queued this cancels it instead.
     pub fn release_into(&mut self, tag: T, now: SimTime, out: &mut Vec<(T, AdmissionDecision)>) {
         match self.outstanding.remove(&tag) {
             Some(units) => self.in_use -= units,
@@ -234,9 +220,7 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
             };
             let waiter = self.queue.pop_front().expect("front exists");
             self.keys.remove(&tag);
-            if now != SimTime::MAX {
-                self.stats.wait_time.record(waiter.waited(now).as_micros());
-            }
+            self.stats.wait_time.record(waiter.waited(now).as_micros());
             self.grant(tag, decision);
             admitted.push((tag, decision));
         }
@@ -281,6 +265,12 @@ mod tests {
         SimTime::from_secs(1)
     }
 
+    fn release(p: &mut ResourcePool<u64>, tag: u64, now: SimTime) -> Vec<(u64, AdmissionDecision)> {
+        let mut admitted = Vec::new();
+        p.release_into(tag, now, &mut admitted);
+        admitted
+    }
+
     #[test]
     fn admits_within_budget() {
         let mut p = pool(100 * MB);
@@ -311,7 +301,7 @@ mod tests {
         let d3 = p.request(3, 10 * MB, now(), SimTime::from_secs(100));
         assert!(matches!(d2, AdmissionDecision::Wait { .. }));
         assert!(matches!(d3, AdmissionDecision::Wait { .. }));
-        let admitted = p.release(1, SimTime::from_secs(20));
+        let admitted = release(&mut p, 1, SimTime::from_secs(20));
         assert_eq!(admitted.len(), 2);
         assert_eq!(admitted[0].0, 2, "FIFO: 2 before 3");
         assert_eq!(admitted[0].1, AdmissionDecision::Admit { units: 60 * MB });
@@ -331,7 +321,7 @@ mod tests {
             p.request(3, 5 * MB, now(), SimTime::MAX),
             AdmissionDecision::Wait { .. }
         ));
-        let admitted = p.release(1, SimTime::MAX);
+        let admitted = release(&mut p, 1, SimTime::MAX);
         assert_eq!(admitted[0].0, 2, "large waiter admitted first");
         assert_eq!(admitted[0].1, AdmissionDecision::Admit { units: 80 * MB });
     }
@@ -345,7 +335,7 @@ mod tests {
         assert!(p.cancel(2, now(), &mut out));
         assert!(!p.cancel(2, now(), &mut out));
         assert!(out.is_empty());
-        assert!(p.release(1, SimTime::MAX).is_empty());
+        assert!(release(&mut p, 1, SimTime::MAX).is_empty());
         assert_eq!(p.queued_len(), 0);
         assert_eq!(p.stats().cancelled, 1);
     }
@@ -355,7 +345,7 @@ mod tests {
         let mut p = pool(10 * MB);
         p.request(1, 10 * MB, now(), SimTime::MAX);
         p.request(2, 10 * MB, now(), SimTime::MAX);
-        assert!(p.release(2, SimTime::MAX).is_empty());
+        assert!(release(&mut p, 2, SimTime::MAX).is_empty());
         assert_eq!(p.queued_len(), 0);
         assert_eq!(p.in_use(), 10 * MB);
     }
@@ -386,7 +376,7 @@ mod tests {
             AdmissionDecision::Wait { .. }
         ));
         assert_eq!(p.stats().degraded, 0);
-        let admitted = p.release(1, SimTime::MAX);
+        let admitted = release(&mut p, 1, SimTime::MAX);
         assert_eq!(
             admitted,
             vec![(2, AdmissionDecision::Admit { units: 80 * MB })]
@@ -406,7 +396,7 @@ mod tests {
                 deadline: SimTime::MAX
             }
         );
-        let admitted = p.release(1, SimTime::MAX);
+        let admitted = release(&mut p, 1, SimTime::MAX);
         assert_eq!(admitted, vec![(2, AdmissionDecision::Admit { units: 2 })]);
     }
 

@@ -1,13 +1,12 @@
 //! The shared FIFO wait queue.
 //!
-//! Every choke point in the system — gateway-ladder levels, the execution
-//! memory-grant queue, per-class admission pools — queues waiters the same
-//! way: strict FIFO with a per-waiter deadline and O(1) cancellation. The
-//! queue is a slab of slots plus a ring of `(slot, generation)` tickets:
-//! cancelling a waiter vacates its slot in O(1) and leaves a stale ticket
-//! behind, which later pops recognise by its generation mismatch and skip.
-//! This replaces the `VecDeque::retain` linear scans the per-crate queues
-//! used before the governor layer existed.
+//! Every [`ResourcePool`](crate::ResourcePool) — each gateway-ladder
+//! level, the PID controller's slots, each execution memory-grant pool —
+//! queues waiters here: strict FIFO with a per-waiter deadline and O(1)
+//! cancellation. The queue is a slab of slots plus a ring of
+//! `(slot, generation)` tickets: cancelling a waiter vacates its slot in
+//! O(1) and leaves a stale ticket behind, which later pops recognise by
+//! its generation mismatch and skip.
 
 use throttledb_sim::{SimDuration, SimTime};
 
@@ -40,10 +39,31 @@ impl<T> Waiter<T> {
     }
 }
 
+/// One slot of the slab. A key is live exactly while its slot is `Live`
+/// with the key's generation; vacating bumps the generation, so stale keys
+/// never match a later waiter. An enum rather than a generation beside an
+/// `Option<Waiter>`: the generation then shares the tag's word, one word
+/// less per slot.
 #[derive(Debug, Clone)]
-struct Slot<T> {
-    generation: u32,
-    entry: Option<Waiter<T>>,
+enum Slot<T> {
+    Live { generation: u32, waiter: Waiter<T> },
+    Vacant { generation: u32 },
+}
+
+impl<T> Slot<T> {
+    fn generation(&self) -> u32 {
+        match self {
+            Slot::Live { generation, .. } | Slot::Vacant { generation } => *generation,
+        }
+    }
+
+    /// The waiter `key` names, if it is still queued here.
+    fn get(&self, key: WaiterKey) -> Option<&Waiter<T>> {
+        match self {
+            Slot::Live { generation, waiter } if *generation == key.generation => Some(waiter),
+            _ => None,
+        }
+    }
 }
 
 /// FIFO wait queue with deadlines and O(1) cancellation.
@@ -118,24 +138,17 @@ impl<T> WaitQueue<T> {
             enqueued_at: now,
             deadline,
         };
-        let index = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize].entry = Some(entry);
-                i
-            }
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    generation: 0,
-                    entry: Some(entry),
-                });
-                i
-            }
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::Vacant { generation: 0 });
+            self.slots.len() as u32 - 1
+        });
+        let slot = &mut self.slots[index as usize];
+        let generation = slot.generation();
+        *slot = Slot::Live {
+            generation,
+            waiter: entry,
         };
-        let key = WaiterKey {
-            index,
-            generation: self.slots[index as usize].generation,
-        };
+        let key = WaiterKey { index, generation };
         self.order.push_back(key);
         self.len += 1;
         key
@@ -143,45 +156,38 @@ impl<T> WaitQueue<T> {
 
     /// True when `key` still refers to a live waiter.
     pub fn contains(&self, key: WaiterKey) -> bool {
-        self.slots
-            .get(key.index as usize)
-            .map(|s| s.generation == key.generation && s.entry.is_some())
-            .unwrap_or(false)
+        self.get(key).is_some()
     }
 
     /// The deadline of a live waiter.
     pub fn deadline(&self, key: WaiterKey) -> Option<SimTime> {
-        self.slots.get(key.index as usize).and_then(|s| {
-            if s.generation == key.generation {
-                s.entry.as_ref().map(|e| e.deadline)
-            } else {
-                None
-            }
-        })
+        self.get(key).map(|w| w.deadline)
     }
 
     /// Remove a waiter by key in O(1). Returns it if it was still queued.
     pub fn cancel(&mut self, key: WaiterKey) -> Option<Waiter<T>> {
-        let slot = self.slots.get_mut(key.index as usize)?;
-        if slot.generation != key.generation {
-            return None;
-        }
-        let entry = slot.entry.take()?;
-        self.vacate(key.index);
-        Some(entry)
+        self.get(key)?;
+        let vacant = Slot::Vacant {
+            generation: key.generation.wrapping_add(1),
+        };
+        let Slot::Live { waiter, .. } =
+            std::mem::replace(&mut self.slots[key.index as usize], vacant)
+        else {
+            unreachable!("`get` found the slot live");
+        };
+        self.free.push(key.index);
+        self.len -= 1;
+        Some(waiter)
     }
 
     /// Pop the longest-waiting live waiter.
     pub fn pop_front(&mut self) -> Option<Waiter<T>> {
         loop {
+            // A stale ticket (cancelled or popped waiter) cancels nothing.
             let key = self.order.pop_front()?;
-            let slot = &mut self.slots[key.index as usize];
-            if slot.generation != key.generation {
-                continue; // stale ticket from a cancelled or popped waiter
+            if let Some(waiter) = self.cancel(key) {
+                return Some(waiter);
             }
-            let entry = slot.entry.take().expect("live ticket has an entry");
-            self.vacate(key.index);
-            return Some(entry);
         }
     }
 
@@ -189,36 +195,22 @@ impl<T> WaitQueue<T> {
     /// tickets encountered at the head, hence `&mut`).
     pub fn front(&mut self) -> Option<&T> {
         self.skip_stale();
-        let key = self.order.front()?;
-        self.slots[key.index as usize]
-            .entry
-            .as_ref()
-            .map(|e| &e.payload)
+        let key = *self.order.front()?;
+        self.get(key).map(|w| &w.payload)
     }
 
     /// Iterate over live waiters in FIFO order (skipping cancelled tickets).
     pub fn iter(&self) -> impl Iterator<Item = &Waiter<T>> {
-        self.order.iter().filter_map(|key| {
-            let slot = &self.slots[key.index as usize];
-            if slot.generation == key.generation {
-                slot.entry.as_ref()
-            } else {
-                None
-            }
-        })
+        self.order.iter().filter_map(|&key| self.get(key))
     }
 
-    fn vacate(&mut self, index: u32) {
-        let slot = &mut self.slots[index as usize];
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(index);
-        self.len -= 1;
+    fn get(&self, key: WaiterKey) -> Option<&Waiter<T>> {
+        self.slots.get(key.index as usize)?.get(key)
     }
 
     fn skip_stale(&mut self) {
-        while let Some(key) = self.order.front() {
-            let slot = &self.slots[key.index as usize];
-            if slot.generation == key.generation && slot.entry.is_some() {
+        while let Some(&key) = self.order.front() {
+            if self.get(key).is_some() {
                 break;
             }
             self.order.pop_front();

@@ -111,7 +111,7 @@ fn check(ops: Vec<(u8, u64, u64, u64)>, min_fraction: f64, unit: bool) {
 }
 
 proptest! {
-    /// Gateway / PID shape: one slot per request, never degraded.
+    /// Ladder / PID shape: one slot per request, never degraded.
     #[test]
     fn unit_requests_match_the_reference_model(
         ops in proptest::collection::vec((0u8..5, 0u64..24, 1u64..2, 0u64..6), 1..200),

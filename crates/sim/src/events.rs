@@ -688,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_then_slot_reuse_does_not_confuse_handles() {
+    fn stale_handle_never_cancels_a_later_event() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_secs(1), "a");
         q.cancel(a);
@@ -800,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_stamp_matches_peek_time_in_both_modes() {
+    fn peek_stamp_names_the_next_pop() {
         let mut q = EventQueue::new();
         let mut rng = SimRng::seed_from_u64(7);
         for i in 0..300u64 {
@@ -848,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_agree_on_a_mixed_workload() {
+    fn queue_and_heap_agree_on_a_mixed_workload() {
         // Differential check against the reference heap with the pending
         // set held past 4 096 events (deeper than any built-in scenario
         // runs): pops interleaved with schedules relative to the popped
@@ -999,7 +999,7 @@ mod tests {
         /// Differential check against the reference heap over times spanning
         /// several band widths, so the drain crosses horizon advances.
         #[test]
-        fn prop_wheel_matches_heap_exactly(
+        fn prop_queue_matches_heap_exactly(
             times in proptest::collection::vec(0u64..200_000_000, 1..300),
         ) {
             let mut queue = EventQueue::new();

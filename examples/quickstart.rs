@@ -40,10 +40,7 @@ fn main() {
             outcome.stats.stage,
         );
     }
-    println!(
-        "\nGateway ladder statistics: {}",
-        throttle.stats().summary_line()
-    );
+    println!("\nLadder statistics: {}", throttle.stats().summary_line());
     let snap = broker.snapshot();
     println!(
         "Broker: {} clerks, {:.0} MB live of {:.0} MB brokered, pressure {}",
