@@ -20,10 +20,10 @@
 //! `crates/bench/baselines/BENCH_compile.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
+use throttledb_bench::gate::{render, Field};
 use throttledb_catalog::{sales_schema, tpch_schema, Catalog, SalesScale};
 use throttledb_optimizer::Optimizer;
 use throttledb_sqlparse::parse;
@@ -166,15 +166,15 @@ fn main() {
         "heap B/expr",
         "modelled B"
     );
-    let mut json = String::from("{\n  \"benchmark\": \"compile\",\n  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    let mut cells = Vec::new();
+    for r in &rows {
         let exprs = r.memo_exprs.max(1) as f64;
         // Trivial-stage templates apply no rule; their wall-clock is the
         // whole compile.
         let ns_per_transformation = if r.transformations > 0 {
-            format!("{:.0}", r.compile_ns / r.transformations as f64)
+            Field::Fixed(r.compile_ns / r.transformations as f64, 0)
         } else {
-            "null".to_string()
+            Field::Null
         };
         println!(
             "{:<22} {:>8} {:>8} {:>11.1} {:>9} {:>10.3} {:>10.1} {:>13}",
@@ -182,31 +182,34 @@ fn main() {
             r.transformations,
             r.memo_exprs,
             r.compile_ns / 1e3,
-            ns_per_transformation,
+            ns_per_transformation.to_string(),
             r.alloc_calls as f64 / exprs,
             r.heap_peak_bytes as f64 / exprs,
             r.modelled_peak_bytes
         );
-        let _ = writeln!(
-            json,
-            "    {{\"template\": \"{}\", \"transformations\": {}, \"memo_exprs\": {}, \
-             \"compile_ns\": {:.0}, \"ns_per_transformation\": {}, \"alloc_calls\": {}, \
-             \"alloc_calls_per_expr\": {:.3}, \"heap_peak_bytes\": {}, \
-             \"heap_bytes_per_expr\": {:.1}, \"modelled_peak_bytes\": {}}}{}",
-            r.template,
-            r.transformations,
-            r.memo_exprs,
-            r.compile_ns,
-            ns_per_transformation,
-            r.alloc_calls,
-            r.alloc_calls as f64 / exprs,
-            r.heap_peak_bytes,
-            r.heap_peak_bytes as f64 / exprs,
-            r.modelled_peak_bytes,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
+        cells.push(vec![
+            ("template", Field::Text(r.template.clone())),
+            ("transformations", Field::Count(r.transformations)),
+            ("memo_exprs", Field::Count(r.memo_exprs as u64)),
+            ("compile_ns", Field::Fixed(r.compile_ns, 0)),
+            ("ns_per_transformation", ns_per_transformation),
+            ("alloc_calls", Field::Count(r.alloc_calls)),
+            (
+                "alloc_calls_per_expr",
+                Field::Fixed(r.alloc_calls as f64 / exprs, 3),
+            ),
+            ("heap_peak_bytes", Field::Count(r.heap_peak_bytes)),
+            (
+                "heap_bytes_per_expr",
+                Field::Fixed(r.heap_peak_bytes as f64 / exprs, 1),
+            ),
+            ("modelled_peak_bytes", Field::Count(r.modelled_peak_bytes)),
+        ]);
     }
-    json.push_str("  ]\n}\n");
+    let json = render(
+        &[("benchmark", Field::Text("compile".to_string()))],
+        &[("cells", &cells)],
+    );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compile.json");
     match std::fs::write(path, &json) {

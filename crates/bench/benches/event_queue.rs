@@ -17,8 +17,8 @@
 //! show what the queue does far past that.
 
 use criterion::{black_box, Criterion};
-use std::fmt::Write as _;
 use std::time::Instant;
+use throttledb_bench::gate::{render, Field};
 use throttledb_sim::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
 
 /// Virtual horizon the fill pattern spreads its events over: ~30 s, the
@@ -165,26 +165,25 @@ fn main() {
         "\n{:<12} {:>10} {:>16} {:>16} {:>9}",
         "pattern", "events", "heap ev/s", "queue ev/s", "speedup"
     );
-    let mut json = String::from("{\n  \"benchmark\": \"event_queue\",\n  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    let mut results = Vec::new();
+    for r in &rows {
         let speedup = r.queue_eps / r.heap_eps.max(1e-12);
         println!(
             "{:<12} {:>10} {:>16.0} {:>16.0} {:>8.2}x",
             r.pattern, r.events, r.heap_eps, r.queue_eps, speedup
         );
-        let _ = writeln!(
-            json,
-            "    {{\"pattern\": \"{}\", \"events\": {}, \"heap_events_per_sec\": {:.0}, \
-             \"queue_events_per_sec\": {:.0}, \"speedup\": {:.2}}}{}",
-            r.pattern,
-            r.events,
-            r.heap_eps,
-            r.queue_eps,
-            speedup,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
+        results.push(vec![
+            ("pattern", Field::Text(r.pattern.to_string())),
+            ("events", Field::Count(r.events as u64)),
+            ("heap_events_per_sec", Field::Fixed(r.heap_eps, 0)),
+            ("queue_events_per_sec", Field::Fixed(r.queue_eps, 0)),
+            ("speedup", Field::Fixed(speedup, 2)),
+        ]);
     }
-    json.push_str("  ]\n}\n");
+    let json = render(
+        &[("benchmark", Field::Text("event_queue".to_string()))],
+        &[("results", &results)],
+    );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_event_queue.json");
     match std::fs::write(path, &json) {

@@ -22,9 +22,9 @@
 //! loudly if the codec ever regresses below it.
 
 use criterion::{black_box, Criterion};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+use throttledb_bench::gate::{render, Field, Row};
 use throttledb_engine::{FailureKind, TraceEvent, WorkloadProfiles};
 use throttledb_scenario::{Scale, Scenario, ScenarioRunner, Trace, TraceReaderV2, TraceWriterV2};
 use throttledb_sim::{SimRng, SimTime};
@@ -290,37 +290,39 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n  \"benchmark\": \"trace_codec\",\n  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"codec\": \"{}\", \"events\": {}, \"bytes\": {}, \
-             \"bytes_per_event\": {:.2}, \"encode_events_per_sec\": {:.0}, \
-             \"decode_events_per_sec\": {:.0}}}{}",
-            r.scenario,
-            r.codec,
-            r.events,
-            r.bytes,
-            r.bytes as f64 / r.events as f64,
-            r.encode_eps,
-            r.decode_eps,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"aggregates\": [\n");
-    for (i, s) in speedups.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"codec\": \"v2\", \"size_ratio\": {:.2}, \
-             \"encode_speedup\": {:.2}, \"decode_speedup\": {:.2}}}{}",
-            s.scenario,
-            s.size_ratio,
-            s.encode_speedup,
-            s.decode_speedup,
-            if i + 1 < speedups.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ]\n}\n");
+    let cells: Vec<Row> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("scenario", Field::Text(r.scenario.clone())),
+                ("codec", Field::Text(r.codec.to_string())),
+                ("events", Field::Count(r.events as u64)),
+                ("bytes", Field::Count(r.bytes as u64)),
+                (
+                    "bytes_per_event",
+                    Field::Fixed(r.bytes as f64 / r.events as f64, 2),
+                ),
+                ("encode_events_per_sec", Field::Fixed(r.encode_eps, 0)),
+                ("decode_events_per_sec", Field::Fixed(r.decode_eps, 0)),
+            ]
+        })
+        .collect();
+    let aggregates: Vec<Row> = speedups
+        .iter()
+        .map(|s| {
+            vec![
+                ("scenario", Field::Text(s.scenario.clone())),
+                ("codec", Field::Text("v2".to_string())),
+                ("size_ratio", Field::Fixed(s.size_ratio, 2)),
+                ("encode_speedup", Field::Fixed(s.encode_speedup, 2)),
+                ("decode_speedup", Field::Fixed(s.decode_speedup, 2)),
+            ]
+        })
+        .collect();
+    let json = render(
+        &[("benchmark", Field::Text("trace_codec".to_string()))],
+        &[("cells", &cells), ("aggregates", &aggregates)],
+    );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
     match std::fs::write(path, &json) {

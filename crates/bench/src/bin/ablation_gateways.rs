@@ -1,9 +1,9 @@
 //! Ablation A1: monitor count, dynamic thresholds and best-effort plans.
-use throttledb_bench::experiment_config;
+use throttledb_bench::experiment_config_or_exit;
 use throttledb_engine::ablation;
 
 fn main() {
-    let (cfg, _) = experiment_config(35);
+    let cfg = experiment_config_or_exit(35);
     let rows = ablation(&cfg, 35);
     println!("== Ablation A1: gateway design choices at 35 clients ==");
     println!(

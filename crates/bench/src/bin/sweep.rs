@@ -1,46 +1,43 @@
-//! Fan a (scenario × seed) sweep across worker threads, deterministically.
+//! Fan a (policy × scenario × shard count × seed) grid across worker
+//! threads, deterministically, into one BENCH document.
 //!
 //! ```text
 //! sweep [--scenarios a,b,...] [--seeds 1,2,...] [--scale quick|paper]
 //!       [--workers N] [--shards N] [--out PATH] [--cells-out PATH]
 //!       [--policies ladder,pid,cost] [--policies-out PATH]
+//!       [--faults] [--resilience-out PATH]
 //!       [--shard-scale-out PATH]
 //! sweep --list
 //! ```
 //!
-//! Cell results depend only on (scenario, seed, scale): `--workers` and
+//! Every mode is the same grid driver with a different document kind, picked
+//! by the first of these that applies:
+//!
+//! * `--shard-scale-out` — every (scenario, seed) at 1 shard (the inline
+//!   arrival feed) and at `--shards` (default 4) generator shards; the path
+//!   receives `BENCH_shard_scale.json`, and the run fails unless the rows
+//!   are identical;
+//! * `--faults` — the resilience laboratory: the chaos scenarios (default:
+//!   every fault-injection built-in) across the policy grid (default: all
+//!   policies); `--resilience-out` receives `BENCH_resilience.json`;
+//! * `--policies` — the admission-policy laboratory; `--policies-out`
+//!   receives `BENCH_policies.json`;
+//! * otherwise the (scenario × seed) sweep: `--out` receives the full
+//!   `BENCH_sweep.json` (the cells under the sweep's totals), `--cells-out`
+//!   the cells alone.
+//!
+//! Cell results depend only on their coordinates: `--workers` and
 //! `--shards` change wall-clock time and nothing else, which CI enforces by
-//! diffing the `--cells-out` file between `--workers 4` and `--workers 1`
-//! runs and between `--shards 4` and `--shards 1` runs. `--out` writes the
-//! full `BENCH_sweep.json` (the cells under the sweep's totals); see
-//! `docs/EXPERIMENTS.md` for the schema. No file carries host time: that
-//! is the repository benchmark's job (`benchmark/`).
+//! diffing the documents between `--workers 4` and `--workers 1` runs and
+//! between `--shards 4` and `--shards 1` runs. See `docs/EXPERIMENTS.md`
+//! for the schemas. No file carries host time: that is the repository
+//! benchmark's job (`benchmark/`).
 //!
-//! `--shard-scale-out` switches on the shard grid: every (scenario, seed)
-//! runs at 1 shard (the inline arrival feed) and at `--shards` (default 4)
-//! generator shards, the run fails unless the rows are identical, and the
-//! path receives `BENCH_shard_scale.json`, whose rows the regression gate
-//! holds exactly.
-//!
-//! `--policies` switches on the admission-policy laboratory: instead of the
-//! plain (scenario × seed) sweep, the full (policy × scenario × seed) grid
-//! runs and `--policies-out` receives the `BENCH_policies.json` scoreboard
-//! (per-cell metrics plus per-(policy, scenario) mean ± 95% CI aggregates
-//! over seeds; fully deterministic, diffable across worker counts).
-//!
-//! `--faults` switches on the resilience laboratory: the chaos scenarios
-//! (default: every fault-injection built-in) run across the policy grid,
-//! and `--resilience-out` receives the `BENCH_resilience.json` scoreboard
-//! (goodput under fault, time to recovery, shed/abandon counters, with the
-//! same mean ± 95% CI aggregation and worker-count invariance).
-//!
-//! Exit codes: 0 success, 1 I/O error, 2 usage error.
+//! Exit codes: 0 success, 1 I/O error or diverging shard rows, 2 usage
+//! error.
 
 use std::process::ExitCode;
-use throttledb_bench::sweep::{
-    run_policy_sweep, run_resilience_sweep, run_shard_scale, run_sweep, PolicySweepSpec,
-    ShardScaleSpec, SweepSpec,
-};
+use throttledb_bench::sweep::{run_grid, GridSpec, Kind};
 use throttledb_engine::PolicyKind;
 use throttledb_scenario::{Scale, Scenario};
 
@@ -67,18 +64,20 @@ fn main() -> ExitCode {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut shards = 1u32;
-    let mut out = None;
-    let mut cells_out = None;
-    let mut shard_scale_out = None;
     let mut policies: Option<Vec<PolicyKind>> = None;
-    let mut policies_out = None;
     let mut faults = false;
-    let mut resilience_out = None;
     let mut scenarios_set = false;
+    // (flag, path) for every `--*-out` given; the last one of a flag wins.
+    let mut paths: Vec<(&str, String)> = Vec::new();
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--out" | "--cells-out" | "--shard-scale-out" | "--policies-out"
+            | "--resilience-out" => match iter.next() {
+                Some(path) => paths.push((arg.as_str(), path.clone())),
+                None => return usage(),
+            },
             "--list" => {
                 for name in Scenario::builtin_names() {
                     println!("{name}");
@@ -112,18 +111,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => shards = n,
                 _ => return usage(),
             },
-            "--shard-scale-out" => match iter.next() {
-                Some(path) => shard_scale_out = Some(path.clone()),
-                None => return usage(),
-            },
-            "--out" => match iter.next() {
-                Some(path) => out = Some(path.clone()),
-                None => return usage(),
-            },
-            "--cells-out" => match iter.next() {
-                Some(path) => cells_out = Some(path.clone()),
-                None => return usage(),
-            },
             "--policies" => match iter.next().map(|list| {
                 list.split(',')
                     .map(|p| PolicyKind::parse(p.trim()).ok_or(p))
@@ -136,18 +123,29 @@ fn main() -> ExitCode {
                 }
                 _ => return usage(),
             },
-            "--policies-out" => match iter.next() {
-                Some(path) => policies_out = Some(path.clone()),
-                None => return usage(),
-            },
             "--faults" => faults = true,
-            "--resilience-out" => match iter.next() {
-                Some(path) => resilience_out = Some(path.clone()),
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
+
+    let path_of = |flag: &str| {
+        paths
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, path)| path.clone())
+    };
+    // The first mode that applies picks the document kind, and each kind
+    // writes only its own outputs: (flag, cells section only).
+    let (kind, outputs): (Kind, &[(&str, bool)]) = if path_of("--shard-scale-out").is_some() {
+        (Kind::ShardScale, &[("--shard-scale-out", false)])
+    } else if faults {
+        (Kind::Resilience, &[("--resilience-out", false)])
+    } else if policies.is_some() {
+        (Kind::Policies, &[("--policies-out", false)])
+    } else {
+        (Kind::Sweep, &[("--out", false), ("--cells-out", true)])
+    };
 
     if faults && !scenarios_set {
         scenarios = Scenario::chaos_names()
@@ -155,7 +153,6 @@ fn main() -> ExitCode {
             .map(|s| s.to_string())
             .collect();
     }
-
     for name in &scenarios {
         if Scenario::builtin(name, scale).is_none() {
             eprintln!("unknown scenario {name:?} (try --list)");
@@ -163,217 +160,61 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = shard_scale_out {
-        let top = if shards > 1 { shards } else { 4 };
-        let spec = ShardScaleSpec {
-            scenarios,
-            seeds,
-            scale,
-            shard_counts: vec![1, top],
-            workers,
-        };
-        eprintln!(
-            "shard grid: {} scenario(s) x {} seed(s) at 1 and {} shard(s), one cell at a time...",
-            spec.scenarios.len(),
-            spec.seeds.len(),
-            top
-        );
-        let outcome = run_shard_scale(&spec);
-        println!(
-            "{:<22} {:>6} {:>7} {:>12} {:>12} {:>17}",
-            "scenario", "seed", "shards", "events", "arrivals", "arrival-digest"
-        );
-        for c in &outcome.cells {
-            println!(
-                "{:<22} {:>6} {:>7} {:>12} {:>12} {:>17x}",
-                c.cell.scenario,
-                c.cell.seed,
-                c.shards,
-                c.cell.events_dispatched,
-                c.cell.arrivals,
-                c.cell.arrival_digest
-            );
-        }
-        println!(
-            "total: {} cells in {:.0} ms",
-            outcome.cells.len(),
-            outcome.total_wall_ms
-        );
-        if let Err(e) = std::fs::write(&path, outcome.shard_scale_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("shard grid written to {path}");
-        if let Some(c) = outcome.divergent() {
-            eprintln!(
-                "error: {} seed {} at {} shard(s) differs from its first row",
-                c.cell.scenario, c.cell.seed, c.shards
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if faults {
-        let spec = PolicySweepSpec {
-            policies: policies.unwrap_or_else(|| PolicyKind::all().to_vec()),
-            scenarios,
-            seeds,
-            scale,
-            workers,
-        };
-        eprintln!(
-            "resilience grid: {} policy(ies) x {} chaos scenario(s) x {} seed(s) on {} worker(s)...",
-            spec.policies.len(),
-            spec.scenarios.len(),
-            spec.seeds.len(),
-            spec.workers
-        );
-        let outcome = run_resilience_sweep(&spec);
-        println!(
-            "{:<8} {:<26} {:>6} {:>6} {:>5} {:>5} {:>6} {:>10} {:>11}",
-            "policy",
-            "scenario",
-            "seed",
-            "done",
-            "fail",
-            "shed",
-            "aband",
-            "goodput/s",
-            "recovery-s"
-        );
-        for cell in &outcome.cells {
-            println!(
-                "{:<8} {:<26} {:>6} {:>6} {:>5} {:>5} {:>6} {:>10.4} {:>11.0}",
-                cell.policy,
-                cell.scenario,
-                cell.seed,
-                cell.completed,
-                cell.failed,
-                cell.shed,
-                cell.retries_abandoned,
-                cell.goodput_under_fault,
-                cell.time_to_recovery_s,
-            );
-        }
-        println!(
-            "total: {} cells in {:.0} ms on {} worker(s)",
-            outcome.cells.len(),
-            outcome.total_wall_ms,
-            outcome.workers
-        );
-        if let Some(path) = resilience_out {
-            if let Err(e) = std::fs::write(&path, outcome.resilience_json()) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("resilience scoreboard written to {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(policies) = policies {
-        let spec = PolicySweepSpec {
-            policies,
-            scenarios,
-            seeds,
-            scale,
-            workers,
-        };
-        eprintln!(
-            "policy grid: {} policy(ies) x {} scenario(s) x {} seed(s) on {} worker(s)...",
-            spec.policies.len(),
-            spec.scenarios.len(),
-            spec.seeds.len(),
-            spec.workers
-        );
-        let outcome = run_policy_sweep(&spec);
-        println!(
-            "{:<8} {:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>12}",
-            "policy", "scenario", "seed", "subm", "done", "fail", "p99-wait-us", "tput/slice"
-        );
-        for cell in &outcome.cells {
-            println!(
-                "{:<8} {:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>12.2}",
-                cell.policy,
-                cell.scenario,
-                cell.seed,
-                cell.submitted,
-                cell.completed,
-                cell.failed,
-                cell.p99_wait_us,
-                cell.throughput_per_slice,
-            );
-        }
-        println!(
-            "total: {} cells in {:.0} ms on {} worker(s)",
-            outcome.cells.len(),
-            outcome.total_wall_ms,
-            outcome.workers
-        );
-        if let Some(path) = policies_out {
-            if let Err(e) = std::fs::write(&path, outcome.policies_json()) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("policy scoreboard written to {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let spec = SweepSpec {
+    let spec = GridSpec {
+        kind,
+        policies: match (kind, policies) {
+            (Kind::Policies | Kind::Resilience, Some(p)) => p,
+            (Kind::Resilience, None) => PolicyKind::all().to_vec(),
+            _ => vec![PolicyKind::Ladder],
+        },
         scenarios,
+        shard_counts: match kind {
+            Kind::ShardScale => vec![1, if shards > 1 { shards } else { 4 }],
+            _ => vec![shards],
+        },
         seeds,
         scale,
         workers,
-        shards,
     };
     eprintln!(
-        "sweeping {} scenario(s) x {} seed(s) on {} worker(s), {} shard(s) per cell...",
+        "{} grid: {} policy(ies) x {} scenario(s) x {} shard count(s) x {} seed(s) on {} worker(s)...",
+        kind.name(),
+        spec.policies.len(),
         spec.scenarios.len(),
+        spec.shard_counts.len(),
         spec.seeds.len(),
-        spec.workers,
-        spec.shards
+        spec.workers
     );
-    let outcome = run_sweep(&spec);
-
-    println!(
-        "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>12}",
-        "scenario", "seed", "subm", "done", "fail", "events", "peak-q", "arrivals"
-    );
-    for cell in &outcome.cells {
-        println!(
-            "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>12}",
-            cell.scenario,
-            cell.seed,
-            cell.submitted,
-            cell.completed,
-            cell.failed,
-            cell.events_dispatched,
-            cell.peak_queue_depth,
-            cell.arrivals
-        );
-    }
+    let outcome = run_grid(&spec);
+    print!("{}", outcome.table());
     println!(
         "total: {} cells in {:.0} ms on {} worker(s)",
         outcome.cells.len(),
         outcome.total_wall_ms,
-        outcome.workers
+        outcome.spec.workers
     );
 
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, outcome.full_json()) {
+    for &(flag, cells_only) in outputs {
+        let Some(path) = path_of(flag) else {
+            continue;
+        };
+        let document = if cells_only {
+            outcome.cells_document()
+        } else {
+            outcome.document()
+        };
+        if let Err(e) = std::fs::write(&path, document) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("full results written to {path}");
+        println!("wrote {path}");
     }
-    if let Some(path) = cells_out {
-        if let Err(e) = std::fs::write(&path, outcome.cells_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("deterministic cells written to {path}");
+    if let Some(c) = outcome.divergent() {
+        eprintln!(
+            "error: {} seed {} at {} shard(s) differs from its first row",
+            c.scenario, c.seed, c.shards
+        );
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -1,16 +1,18 @@
-//! The BENCH regression gate.
+//! The BENCH document format — its one writer, its one parser — and the
+//! regression gate.
 //!
-//! The gate diffs a current `BENCH_sweep.json`-cells or
-//! `BENCH_policies.json` document against a committed baseline and reports
-//! every metric that regressed beyond a relative tolerance. CI runs it
-//! after the sweep step and fails the build on any regression; the
-//! baseline-update workflow (see `README.md`) is the only way to accept an
-//! intentional change.
+//! The gate diffs a current BENCH document against a committed baseline
+//! and reports every metric that regressed beyond a relative tolerance. It
+//! reads six document kinds: the sweep cells, `BENCH_policies.json`,
+//! `BENCH_resilience.json`, `BENCH_shard_scale.json`, `BENCH_trace.json`
+//! and `BENCH_compile.json`. CI runs it after the sweep and bench steps and
+//! fails the build on any regression; the baseline-update workflow (see
+//! `README.md`) is the only way to accept an intentional change.
 //!
-//! Both documents are hand-rolled JSON (the workspace `serde` is a no-op
-//! stub), so the gate carries its own minimal recursive-descent parser —
-//! enough for the two schemas it diffs, strict about everything it
-//! accepts.
+//! The workspace `serde` is a no-op stub, so every BENCH file is written
+//! by [`render`] and read back by [`parse`], a minimal recursive-descent
+//! parser that is strict about everything it accepts. A document is a
+//! header of scalar members followed by arrays of one-line [`Row`]s.
 //!
 //! Directionality is per metric: throughput-like metrics regress when they
 //! *drop* below `baseline * (1 - tolerance)`; latency/failure-like metrics
@@ -19,13 +21,102 @@
 //! when they move at all, whatever the tolerance. Each banded metric
 //! also carries an absolute slack floor so zero-valued baselines stay
 //! meaningful (a relative band around 0 has zero width). Neutral fields
-//! (seeds, event counts, digests) are ignored. A cell present in the
+//! (seeds, digests, wall-clock) are ignored. A cell present in the
 //! baseline but missing from the current document is a coverage regression
 //! and fails the gate outright.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value (only what the two BENCH schemas need).
+/// One member of a BENCH document, with the formatting it is written in.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Field {
+    /// An exact count, in decimal.
+    Count(u64),
+    /// A float with a fixed number of decimal places.
+    Fixed(f64, usize),
+    /// A 64-bit digest, as a 16-digit hex string.
+    Hex(u64),
+    /// A string, escaped.
+    Text(String),
+    /// `null`.
+    Null,
+    /// A mean with its 95% confidence half-width, six decimals each.
+    MeanCi {
+        /// Sample mean.
+        mean: f64,
+        /// 95% confidence half-width.
+        ci95: f64,
+    },
+}
+
+impl Field {
+    /// The value as a number: counts and floats, `None` otherwise.
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Field::Count(n) => Some(n as f64),
+            Field::Fixed(v, _) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Field {
+    /// The member's JSON text.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Count(n) => write!(f, "{n}"),
+            Field::Fixed(v, places) => write!(f, "{:.*}", *places, v),
+            Field::Hex(d) => write!(f, "\"{d:016x}\""),
+            Field::Null => f.write_str("null"),
+            Field::MeanCi { mean, ci95 } => {
+                write!(f, "{{\"mean\": {mean:.6}, \"ci95\": {ci95:.6}}}")
+            }
+            Field::Text(s) => {
+                f.write_char('"')?;
+                for c in s.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        '\n' => f.write_str("\\n")?,
+                        '\t' => f.write_str("\\t")?,
+                        '\r' => f.write_str("\\r")?,
+                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c => f.write_char(c)?,
+                    }
+                }
+                f.write_char('"')
+            }
+        }
+    }
+}
+
+/// One line of a document's array: named fields, in output order.
+pub type Row = Vec<(&'static str, Field)>;
+
+/// Render a BENCH document: the `head` members one per line, then each
+/// named section as an array with one row per line.
+pub fn render(head: &[(&str, Field)], sections: &[(&str, &[Row])]) -> String {
+    let mut members: Vec<String> = head
+        .iter()
+        .map(|(name, field)| format!("\"{name}\": {field}"))
+        .collect();
+    for (name, rows) in sections {
+        let mut section = format!("\"{name}\": [\n");
+        for (i, row) in rows.iter().enumerate() {
+            section.push_str("    {");
+            for (j, (column, field)) in row.iter().enumerate() {
+                let sep = if j == 0 { "" } else { ", " };
+                let _ = write!(section, "{sep}\"{column}\": {field}");
+            }
+            section.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
+        }
+        section.push_str("  ]");
+        members.push(section);
+    }
+    format!("{{\n  {}\n}}\n", members.join(",\n  "))
+}
+
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -573,6 +664,67 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{} junk").is_err());
+    }
+
+    #[test]
+    fn writer_round_trips_every_field_kind() {
+        let text = "a\"b\\c\nd\te\r\u{1}f";
+        let num = Value::Num;
+        let kinds = [
+            (Field::Count(10_798_973), num(10_798_973.0)),
+            (Field::Fixed(0.011905, 6), num(0.011905)),
+            (Field::Fixed(9.75, 2), num(9.75)),
+            (Field::Fixed(15_040_348.4, 0), num(15_040_348.0)),
+            (
+                Field::Hex(0xcbf2_9ce4),
+                Value::Str("00000000cbf29ce4".to_string()),
+            ),
+            (Field::Text(text.to_string()), Value::Str(text.to_string())),
+            (Field::Null, Value::Null),
+            (
+                Field::MeanCi {
+                    mean: 6.2,
+                    ci95: 0.723892,
+                },
+                Value::Obj(vec![
+                    ("mean".to_string(), num(6.2)),
+                    ("ci95".to_string(), num(0.723892)),
+                ]),
+            ),
+        ];
+        let row: Row = kinds.iter().map(|(f, _)| ("f", f.clone())).collect();
+        assert_eq!(
+            Field::Text(text.to_string()).to_string(),
+            r#""a\"b\\c\nd\te\r\u0001f""#
+        );
+        for (field, expected) in &kinds {
+            let doc = render(
+                &[("h", field.clone())],
+                &[("rows", &[vec![("f", field.clone())]])],
+            );
+            let parsed =
+                parse(&doc).unwrap_or_else(|e| panic!("{field:?} renders bad JSON: {e:?}"));
+            assert_eq!(parsed.get("h"), Some(expected), "{field:?} in the head");
+            let Some(Value::Arr(rows)) = parsed.get("rows") else {
+                panic!("rows section lost: {doc}");
+            };
+            assert_eq!(rows[0].get("f"), Some(expected), "{field:?} in a row");
+        }
+        // Rows and sections keep their order; an empty section stays an array.
+        let doc = render(
+            &[("benchmark", Field::Text("t".to_string()))],
+            &[("cells", &[row.clone(), row]), ("aggregates", &[])],
+        );
+        assert!(
+            doc.starts_with("{\n  \"benchmark\": \"t\",\n  \"cells\": [\n    {\"f\": 10798973, ")
+        );
+        assert!(
+            doc.ends_with("}\n  ],\n  \"aggregates\": [\n  ]\n}\n"),
+            "{doc}"
+        );
+        let parsed = parse(&doc).expect("own document parses");
+        assert!(matches!(parsed.get("cells"), Some(Value::Arr(r)) if r.len() == 2));
+        assert_eq!(parsed.get("aggregates"), Some(&Value::Arr(Vec::new())));
     }
 
     fn doc(completed: u64, p99: u64, mean: f64) -> String {

@@ -1072,7 +1072,10 @@ impl Server {
             }
             QueryOrigin::Source { source } => {
                 let src = &mut self.sources[source as usize];
-                src.in_flight = src.in_flight.saturating_sub(1);
+                src.in_flight = src
+                    .in_flight
+                    .checked_sub(1)
+                    .expect("a source query ends only after it was admitted");
                 src.failed += 1;
             }
         }

@@ -197,7 +197,7 @@ impl Server {
                     query: id,
                     level,
                 });
-                self.running_cpu_tasks = self.running_cpu_tasks.saturating_sub(1);
+                self.end_cpu_task();
                 self.queue.schedule(
                     self.now + timeout,
                     Event::CompileTimeout { query: id, level },
@@ -248,7 +248,7 @@ impl Server {
         }
         self.task_to_query.remove(&(class, task));
         self.finish_policy_task(class, task);
-        self.running_cpu_tasks = self.running_cpu_tasks.saturating_sub(1);
+        self.end_cpu_task();
 
         // Cache the plan (uniquified submissions mean this rarely helps —
         // by design; the key is the copy-free (template, submission) pair).

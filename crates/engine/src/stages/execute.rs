@@ -69,7 +69,7 @@ impl Server {
         let Some(q) = self.queries.remove(&id) else {
             return;
         };
-        self.running_cpu_tasks = self.running_cpu_tasks.saturating_sub(1);
+        self.end_cpu_task();
         if let Some(grant_id) = q.grant_id {
             self.release_grant(q.class, grant_id);
         }
@@ -102,7 +102,10 @@ impl Server {
             }
             QueryOrigin::Source { source } => {
                 let src = &mut self.sources[source as usize];
-                src.in_flight = src.in_flight.saturating_sub(1);
+                src.in_flight = src
+                    .in_flight
+                    .checked_sub(1)
+                    .expect("a source query ends only after it was admitted");
                 src.completed += 1;
             }
         }

@@ -296,6 +296,15 @@ impl Server {
         });
     }
 
+    /// A compile step or an execution left the CPU. An end without a start
+    /// is a lifecycle bug, so this panics on underflow in every build.
+    pub(crate) fn end_cpu_task(&mut self) {
+        self.running_cpu_tasks = self
+            .running_cpu_tasks
+            .checked_sub(1)
+            .expect("a CPU task ends only after it started");
+    }
+
     /// Fail `id` out of whatever stage it is in: release its ladder and
     /// grant holdings (admitting waiters), record the failure, and schedule
     /// the client's retry — "those aborted queries likely need to be
@@ -307,7 +316,7 @@ impl Server {
         self.compile_clerk.free(q.compile_bytes);
         self.task_to_query.remove(&(q.class, q.task));
         if q.lifecycle.is_compiling() {
-            self.running_cpu_tasks = self.running_cpu_tasks.saturating_sub(1);
+            self.end_cpu_task();
         }
         self.finish_policy_task(q.class, q.task);
         if let Some(grant_id) = q.grant_id {
