@@ -547,144 +547,160 @@ mod tests {
         }
     }
 
+    /// Runs `spec` with one worker and with four, checks the two agree cell
+    /// for cell and byte for byte, and checks the shared document shape:
+    /// `cells` cells, `aggregates` aggregate rows each folding both seeds
+    /// into a nonnegative interval, no host time, and a document the gate
+    /// parses. Returns the four-worker outcome, its document and its rows.
+    fn worker_invariant(
+        spec: GridSpec,
+        cells: usize,
+        aggregates: usize,
+    ) -> (GridOutcome, String, Vec<Row>) {
+        let kind = spec.kind;
+        let sequential = run_grid(&spec);
+        let outcome = run_grid(&GridSpec { workers: 4, ..spec });
+        assert_eq!(sequential.cells, outcome.cells, "{kind:?}");
+        let document = outcome.document();
+        assert_eq!(sequential.document(), document, "{kind:?}");
+        assert_eq!(sequential.cells_document(), outcome.cells_document());
+        assert_eq!(outcome.cells.len(), cells, "{kind:?}");
+        assert!(outcome.divergent().is_none(), "{kind:?}");
+
+        assert!(!document.contains("wall_ms") && !document.contains("per_sec"));
+        crate::gate::parse(&document).expect("own document parses");
+        let rows = outcome.aggregates();
+        assert_eq!(rows.len(), aggregates, "{kind:?}");
+        for row in &rows {
+            assert_eq!(
+                lookup(row, "seeds"),
+                Some(&Field::Count(2)),
+                "{kind:?} lost a seed"
+            );
+            for (column, field) in row {
+                if let Field::MeanCi { ci95, .. } = field {
+                    assert!(*ci95 >= 0.0, "{kind:?} {column}");
+                }
+            }
+        }
+        (outcome, document, rows)
+    }
+
     #[test]
     fn parallel_and_sequential_sweeps_agree_cell_for_cell() {
-        let ladder = [PolicyKind::Ladder];
-        // (spec, cells, aggregates) for each document kind.
-        let cases = [
-            (spec(Kind::Sweep, &ladder, "compile_storm", &[1]), 2, 0),
-            (
-                spec(Kind::ShardScale, &ladder, "open_loop_poisson", &[1, 2]),
-                4,
-                0,
-            ),
-            (
-                spec(Kind::Policies, &PolicyKind::all(), "compile_storm", &[1]),
-                6,
-                3,
-            ),
-            (
-                spec(
-                    Kind::Resilience,
-                    &[PolicyKind::Ladder, PolicyKind::Pid],
-                    "retry_storm",
-                    &[1],
-                ),
-                4,
-                2,
-            ),
-        ];
-        for (spec, cells, aggregates) in cases {
-            let kind = spec.kind;
-            let sequential = run_grid(&spec);
-            let mut outcome = run_grid(&GridSpec { workers: 4, ..spec });
-            assert_eq!(sequential.cells, outcome.cells, "{kind:?}");
-            let document = outcome.document();
-            assert_eq!(sequential.document(), document, "{kind:?}");
-            assert_eq!(sequential.cells_document(), outcome.cells_document());
-            assert_eq!(outcome.cells.len(), cells, "{kind:?}");
-            assert!(outcome.divergent().is_none(), "{kind:?}");
-
-            // The document parses, carries no host time, and every
-            // aggregate folds both seeds into a nonnegative interval.
-            assert!(!document.contains("wall_ms") && !document.contains("per_sec"));
-            crate::gate::parse(&document).expect("own document parses");
-            let rows = outcome.aggregates();
-            assert_eq!(rows.len(), aggregates, "{kind:?}");
-            for row in &rows {
-                assert_eq!(
-                    lookup(row, "seeds"),
-                    Some(&Field::Count(2)),
-                    "{kind:?} lost a seed"
-                );
-                for (column, field) in row {
-                    if let Field::MeanCi { ci95, .. } = field {
-                        assert!(*ci95 >= 0.0, "{kind:?} {column}");
-                    }
-                }
+        let (outcome, _, _) = worker_invariant(
+            spec(Kind::Sweep, &[PolicyKind::Ladder], "compile_storm", &[1]),
+            2,
+            0,
+        );
+        for cell in &outcome.cells {
+            assert!(
+                cell.sample("completed") > 0.0,
+                "{}/{} idle",
+                cell.scenario,
+                cell.seed
+            );
+            assert!(cell.sample("events_dispatched") > 0.0);
+            assert!(cell.sample("peak_queue_depth") > 0.0);
+            // Closed loop: the arrival columns are present (for the gate)
+            // but zero.
+            for column in ["arrivals", "arrivals_admitted", "arrivals_shed"] {
+                assert_eq!(cell.get(column), Some(&Field::Count(0)));
             }
+        }
+        // Different seeds really are different runs.
+        let digest = |c: &Cell| c.get("trace_digest").cloned();
+        assert_ne!(digest(&outcome.cells[0]), digest(&outcome.cells[1]));
+    }
 
-            match kind {
-                Kind::Sweep => {
-                    for cell in &outcome.cells {
-                        assert!(
-                            cell.sample("completed") > 0.0,
-                            "{}/{} idle",
-                            cell.scenario,
-                            cell.seed
-                        );
-                        assert!(cell.sample("events_dispatched") > 0.0);
-                        assert!(cell.sample("peak_queue_depth") > 0.0);
-                        // Closed loop: the arrival columns are present (for
-                        // the gate) but zero.
-                        for column in ["arrivals", "arrivals_admitted", "arrivals_shed"] {
-                            assert_eq!(cell.get(column), Some(&Field::Count(0)));
-                        }
-                    }
-                    // Different seeds really are different runs.
-                    let digest = |c: &Cell| c.get("trace_digest").cloned();
-                    assert_ne!(digest(&outcome.cells[0]), digest(&outcome.cells[1]));
-                }
-                Kind::ShardScale => {
-                    let shards: Vec<u32> = outcome.cells.iter().map(|c| c.shards).collect();
-                    assert_eq!(shards, [1, 1, 2, 2]);
-                    // The gate keys the rows apart by shard count.
-                    let doc = crate::gate::parse(&document).expect("own document parses");
-                    let entries = crate::gate::extract(&doc);
-                    for shards in [1, 2] {
-                        let key =
-                            format!("cell scenario=open_loop_poisson seed=2007 shards={shards}");
-                        assert!(entries
-                            .iter()
-                            .any(|e| e.key == key && e.metric == "events_dispatched"));
-                    }
-                    // A row that moves with the shard count is reported.
-                    let cell = &mut outcome.cells[3];
-                    if let Some((_, Field::Hex(d))) = cell
-                        .columns
-                        .iter_mut()
-                        .find(|(c, _)| *c == "arrival_digest")
-                    {
-                        *d ^= 1;
-                    }
-                    assert_eq!(
-                        outcome.divergent().map(|c| (c.seed, c.shards)),
-                        Some((2008, 2))
-                    );
-                }
-                Kind::Policies => {
-                    for cell in &outcome.cells {
-                        assert!(
-                            cell.sample("completed") > 0.0,
-                            "{:?}/{} idle",
-                            cell.policy,
-                            cell.seed
-                        );
-                        assert!(cell.sample("failure_rate") <= 1.0);
-                        assert!(cell.sample("degrade_rate") <= 1.0);
-                    }
-                    for row in &rows {
-                        let mean = match lookup(row, "throughput_per_slice") {
-                            Some(Field::MeanCi { mean, .. }) => *mean,
-                            other => panic!("no throughput aggregate: {other:?}"),
-                        };
-                        assert!(mean > 0.0);
-                    }
-                }
-                Kind::Resilience => {
-                    for cell in &outcome.cells {
-                        // The retry-storm fault window is a quarter of the run.
-                        assert!(
-                            cell.sample("fault_seconds") > 0.0,
-                            "{:?}/{} saw no fault",
-                            cell.policy,
-                            cell.seed
-                        );
-                        assert!(cell.sample("time_to_recovery_s") >= 0.0);
-                        assert!(cell.sample("goodput_under_fault") >= 0.0);
-                    }
-                }
-            }
+    #[test]
+    fn shard_grid_reports_invariant_cells_keyed_by_shard_count() {
+        let (mut outcome, document, _) = worker_invariant(
+            spec(
+                Kind::ShardScale,
+                &[PolicyKind::Ladder],
+                "open_loop_poisson",
+                &[1, 2],
+            ),
+            4,
+            0,
+        );
+        let shards: Vec<u32> = outcome.cells.iter().map(|c| c.shards).collect();
+        assert_eq!(shards, [1, 1, 2, 2]);
+        // The gate keys the rows apart by shard count.
+        let doc = crate::gate::parse(&document).expect("own document parses");
+        let entries = crate::gate::extract(&doc);
+        for shards in [1, 2] {
+            let key = format!("cell scenario=open_loop_poisson seed=2007 shards={shards}");
+            assert!(entries
+                .iter()
+                .any(|e| e.key == key && e.metric == "events_dispatched"));
+        }
+        // A row that moves with the shard count is reported.
+        let cell = &mut outcome.cells[3];
+        if let Some((_, Field::Hex(d))) = cell
+            .columns
+            .iter_mut()
+            .find(|(c, _)| *c == "arrival_digest")
+        {
+            *d ^= 1;
+        }
+        assert_eq!(
+            outcome.divergent().map(|c| (c.seed, c.shards)),
+            Some((2008, 2))
+        );
+    }
+
+    #[test]
+    fn policy_grid_is_worker_count_invariant_byte_for_byte() {
+        // 3 policies x 1 scenario x 2 seeds.
+        let (outcome, _, rows) = worker_invariant(
+            spec(Kind::Policies, &PolicyKind::all(), "compile_storm", &[1]),
+            6,
+            3,
+        );
+        for cell in &outcome.cells {
+            assert!(
+                cell.sample("completed") > 0.0,
+                "{:?}/{} idle",
+                cell.policy,
+                cell.seed
+            );
+            assert!(cell.sample("failure_rate") <= 1.0);
+            assert!(cell.sample("degrade_rate") <= 1.0);
+        }
+        for row in &rows {
+            let mean = match lookup(row, "throughput_per_slice") {
+                Some(Field::MeanCi { mean, .. }) => *mean,
+                other => panic!("no throughput aggregate: {other:?}"),
+            };
+            assert!(mean > 0.0);
+        }
+    }
+
+    #[test]
+    fn resilience_grid_is_worker_count_invariant_and_sees_the_faults() {
+        // 2 policies x 1 scenario x 2 seeds.
+        let (outcome, _, _) = worker_invariant(
+            spec(
+                Kind::Resilience,
+                &[PolicyKind::Ladder, PolicyKind::Pid],
+                "retry_storm",
+                &[1],
+            ),
+            4,
+            2,
+        );
+        for cell in &outcome.cells {
+            // The retry-storm fault window is a quarter of the run.
+            assert!(
+                cell.sample("fault_seconds") > 0.0,
+                "{:?}/{} saw no fault",
+                cell.policy,
+                cell.seed
+            );
+            assert!(cell.sample("time_to_recovery_s") >= 0.0);
+            assert!(cell.sample("goodput_under_fault") >= 0.0);
         }
     }
 
