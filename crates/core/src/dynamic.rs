@@ -40,16 +40,27 @@ impl DynamicThresholds {
         compilation_target_bytes: Option<u64>,
         category_counts: &[usize],
     ) -> Vec<u64> {
-        let static_thresholds: Vec<u64> =
-            config.monitors.iter().map(|m| m.threshold_bytes).collect();
+        let mut out = Vec::new();
+        Self::effective_into(config, compilation_target_bytes, category_counts, &mut out);
+        out
+    }
+
+    /// [`DynamicThresholds::effective`] into a caller-owned buffer (cleared
+    /// first), so the ladder's per-report recomputation allocates nothing.
+    pub fn effective_into(
+        config: &ThrottleConfig,
+        compilation_target_bytes: Option<u64>,
+        category_counts: &[usize],
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        out.extend(config.monitors.iter().map(|m| m.threshold_bytes));
         let Some(target) = compilation_target_bytes else {
-            return static_thresholds;
+            return;
         };
         if !config.dynamic_thresholds {
-            return static_thresholds;
+            return;
         }
-
-        let mut out = static_thresholds.clone();
         for level in 1..config.monitors.len() {
             let fraction = config.monitors[level - 1].dynamic_fraction;
             let occupants = category_counts.get(level).copied().unwrap_or(0).max(1) as u64;
@@ -57,9 +68,10 @@ impl DynamicThresholds {
             // Throttle-only: never raise a threshold above its static value,
             // and keep the ladder strictly increasing above the previous level.
             let floor = out[level - 1] + 1;
-            out[level] = dynamic.min(static_thresholds[level]).max(floor);
+            out[level] = dynamic
+                .min(config.monitors[level].threshold_bytes)
+                .max(floor);
         }
-        out
     }
 }
 

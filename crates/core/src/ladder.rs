@@ -101,6 +101,11 @@ pub struct GatewayLadder {
     /// Reused buffer the gateways append their admissions to, so a
     /// release allocates nothing.
     admitted: Vec<(TaskId, AdmissionDecision)>,
+    /// `category_counts()`, kept up to date on every change of a task's
+    /// held count so a report need not walk `tasks`.
+    counts: Vec<usize>,
+    /// Reused buffer for the effective thresholds of a report.
+    thresholds: Vec<u64>,
 }
 
 impl GatewayLadder {
@@ -113,6 +118,7 @@ impl GatewayLadder {
             .map(|m| ResourcePool::new("gateway", m.concurrency.resolve(config.cpus).into(), 1.0))
             .collect();
         let stats = ThrottleStats::new(config.monitor_count());
+        let counts = vec![0; config.monitor_count() + 1];
         GatewayLadder {
             config,
             gateways,
@@ -121,6 +127,8 @@ impl GatewayLadder {
             stats,
             next_task: 0,
             admitted: Vec::new(),
+            counts,
+            thresholds: Vec::new(),
         }
     }
 
@@ -180,6 +188,8 @@ impl GatewayLadder {
         let id = TaskId(self.next_task);
         self.next_task += 1;
         self.tasks.insert(id, TaskState::default());
+        self.counts[0] += 1;
+        self.check_counts();
         self.stats.compilations_started += 1;
         id
     }
@@ -192,7 +202,12 @@ impl GatewayLadder {
         if !self.config.enabled {
             return LadderDecision::Proceed;
         }
-        let thresholds = self.effective_thresholds();
+        DynamicThresholds::effective_into(
+            &self.config,
+            self.compilation_target,
+            &self.counts,
+            &mut self.thresholds,
+        );
         let Some(state) = self.tasks.get_mut(&task) else {
             // Unknown task: treat as unthrottled rather than panic, matching
             // the robustness stance of a production gate.
@@ -218,7 +233,7 @@ impl GatewayLadder {
         }
 
         // How many gateways should this compilation hold now?
-        let required = thresholds.iter().filter(|t| bytes > **t).count();
+        let required = self.thresholds.iter().filter(|t| bytes > **t).count();
 
         // Climb the ladder one gateway at a time.
         while {
@@ -236,6 +251,9 @@ impl GatewayLadder {
             let state = self.tasks.get_mut(&task).expect("task exists");
             if decision.admitted() {
                 state.held = level + 1;
+                self.counts[level] -= 1;
+                self.counts[level + 1] += 1;
+                self.check_counts();
                 self.stats.acquisitions[level] += 1;
             } else {
                 state.waiting_at = Some(level);
@@ -294,6 +312,7 @@ impl GatewayLadder {
         let Some(state) = self.tasks.remove(&task) else {
             return;
         };
+        self.counts[state.held] -= 1;
         self.stats.compilations_finished += 1;
         if state.bytes <= self.config.exempt_bytes {
             self.stats.exempt_compilations += 1;
@@ -313,8 +332,23 @@ impl GatewayLadder {
                 if let Some(started) = s.wait_started.take() {
                     self.stats.record_wait(level, now.saturating_since(started));
                 }
-                s.held = s.held.max(level + 1);
+                let held = s.held.max(level + 1);
+                self.counts[s.held] -= 1;
+                self.counts[held] += 1;
+                s.held = held;
                 self.stats.acquisitions[level] += 1;
+            }
+        }
+        self.check_counts();
+    }
+
+    /// Debug builds: the incremental counts equal a full recount
+    /// ([`GatewayLadder::category_counts`], done without allocating).
+    fn check_counts(&self) {
+        if cfg!(debug_assertions) {
+            for (held, &count) in self.counts.iter().enumerate() {
+                let recount = self.tasks.values().filter(|t| t.held == held).count();
+                assert_eq!(count, recount, "category {held} count drifted");
             }
         }
     }

@@ -44,7 +44,9 @@ pub use experiment::{
     throughput_experiment_with_profiles, AblationRow, ClassSweepRow, SweepRow,
     ThroughputComparison,
 };
-pub use metrics::{ArrivalSourceMetrics, ClassMetrics, DispatchCounts, FailureKind, RunMetrics};
+pub use metrics::{
+    ArrivalSourceMetrics, ClassMetrics, DispatchCounts, FailureKind, GaugePeaks, RunMetrics,
+};
 pub use profile::{CompileProfile, WorkloadProfiles};
 pub use server::Server;
 pub use stages::QueryLifecycle;

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use throttledb_core::ThrottleStats;
 use throttledb_governor::PoolStats;
-use throttledb_sim::{GaugeTimeline, SimDuration, SimTime, TimeSeries};
+use throttledb_sim::{SimDuration, SimTime, TimeSeries};
 
 /// Why a query failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -14,6 +14,41 @@ pub enum FailureKind {
     CompileTimeout,
     /// Timed out waiting for an execution memory grant.
     GrantTimeout,
+}
+
+/// Running high-water marks of a gauge: over the whole run and since the
+/// last phase boundary. Two words, however many samples.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GaugePeaks {
+    run: u64,
+    phase: u64,
+}
+
+impl GaugePeaks {
+    /// Fold in a sample; true when it is a new high for the phase.
+    pub fn record(&mut self, value: u64) -> bool {
+        self.run = self.run.max(value);
+        let new_high = value > self.phase;
+        if new_high {
+            self.phase = value;
+        }
+        new_high
+    }
+
+    /// Start a new phase: its peak restarts from 0.
+    pub fn start_phase(&mut self) {
+        self.phase = 0;
+    }
+
+    /// The highest sample of the run, or 0 if none.
+    pub fn max_value(&self) -> u64 {
+        self.run
+    }
+
+    /// The highest sample since the last [`GaugePeaks::start_phase`].
+    pub fn phase_max(&self) -> u64 {
+        self.phase
+    }
 }
 
 /// Per-workload-class results of one run (one entry per configured class).
@@ -128,8 +163,9 @@ pub struct RunMetrics {
     pub best_effort_plans: u64,
     /// Total successful completions after warm-up.
     pub completed_after_warmup: u64,
-    /// Compilation-memory timeline (total across concurrent compilations).
-    pub compile_memory: GaugeTimeline,
+    /// Peaks of the compilation memory in use (total across concurrent
+    /// compilations).
+    pub compile_memory: GaugePeaks,
     /// Final gateway-ladder statistics, merged across all workload classes.
     pub throttle: ThrottleStats,
     /// Per-workload-class breakdown (one entry per configured class).
@@ -191,7 +227,7 @@ impl RunMetrics {
             grant_timeouts: 0,
             best_effort_plans: 0,
             completed_after_warmup: 0,
-            compile_memory: GaugeTimeline::new("compile-memory"),
+            compile_memory: GaugePeaks::default(),
             throttle: ThrottleStats::new(throttle_levels),
             classes: Vec::new(),
             warmup,
@@ -330,6 +366,18 @@ mod tests {
         assert_eq!(m.completed.total(), 3);
         assert_eq!(m.completed_after_warmup, 2);
         assert!(m.sustained_throughput_per_slice() > 0.0);
+    }
+
+    #[test]
+    fn gauge_peaks_restart_per_phase_and_keep_the_run_high() {
+        let mut g = GaugePeaks::default();
+        assert!(g.record(50));
+        assert!(g.record(90));
+        assert!(!g.record(20), "below the phase high");
+        g.start_phase();
+        assert_eq!(g.phase_max(), 0, "an empty phase reports 0");
+        assert!(g.record(20), "a new phase measures from 0");
+        assert_eq!((g.phase_max(), g.max_value()), (20, 90));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use throttledb_bufferpool::HitRateModel;
 use throttledb_executor::GrantRequestId;
-use throttledb_membroker::{Clerk, MemoryBroker, SubcomponentKind};
+use throttledb_membroker::{BrokerDecision, Clerk, MemoryBroker, SubcomponentKind};
 use throttledb_plancache::PlanCache;
 use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use throttledb_workload::{ClientModel, TemplateId, Uniquifier, WorkloadMix};
@@ -73,14 +73,14 @@ fn fold_arrival_digest(mut h: u64, at_us: u64, source: u32, code: u8) -> u64 {
 /// Plan-cache key: a compact, copyable stand-in for the query text the
 /// paper's text-keyed cache would hash.
 ///
-/// Lookups key on the FNV-1a digest of the submission's uniquified SQL;
-/// insertions key on the (template, submission) pair that produced the
-/// plan. The two variants can never collide, preserving the workload's
-/// designed-in property that the uniquifier defeats the cache — while the
-/// hot path stops cloning SQL strings entirely.
+/// Lookups key on the uniquifier's key for the submission's uniquified SQL
+/// (equal exactly when the texts are); insertions key on the (template,
+/// submission) pair that produced the plan. The two variants can never
+/// collide, preserving the workload's designed-in property that the
+/// uniquifier defeats the cache — while the hot path never builds SQL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum PlanKey {
-    /// Digest of a submission's uniquified text (lookup side).
+    /// Key of a submission's uniquified text (lookup side).
     Text(u64),
     /// A compiled plan's identity (insert side).
     Compiled(TemplateId, u64),
@@ -159,15 +159,14 @@ pub struct Server {
     /// [`Server::set_trace_sink`]): every recorded event is forwarded here
     /// as it happens, so a run can be serialized without buffering.
     pub(crate) trace_sink: Option<Rc<RefCell<dyn TraceSink>>>,
-    /// Running compile-memory high-water mark since the last phase boundary
-    /// (trace recording only).
-    pub(crate) trace_peak: u64,
     /// Reused buffer for admission-policy releases (see `fail_query` /
     /// `finish_compile`): the release path appends admitted tasks here
     /// instead of allocating a vector per completed query.
     pub(crate) scratch_resumed: Vec<u64>,
     /// Reused buffer for grant-pool admissions, same discipline.
     pub(crate) scratch_admitted: Vec<(GrantRequestId, throttledb_governor::AdmissionDecision)>,
+    /// Reused buffer for the broker tick's decisions, same discipline.
+    pub(crate) scratch_decisions: Vec<BrokerDecision>,
     /// Installed fault specs (see [`crate::Server::install_faults`]).
     pub(crate) faults: Vec<FaultSpec>,
     /// Per-fault active flag; effect multipliers are recomputed from the
@@ -302,9 +301,9 @@ impl Server {
             grant_budget_scale: 1.0,
             trace: None,
             trace_sink: None,
-            trace_peak: 0,
             scratch_resumed: Vec::new(),
             scratch_admitted: Vec::new(),
+            scratch_decisions: Vec::new(),
             faults: Vec::new(),
             fault_active: Vec::new(),
             leak_allocated: Vec::new(),
@@ -923,10 +922,11 @@ impl Server {
     }
 
     /// Record a phase boundary: emits a [`TraceEvent::PhaseStart`] and
-    /// resets the compile-memory high-water mark that
-    /// [`TraceEvent::CompilePeak`] events are measured against.
+    /// resets the phase's compile-memory high-water mark (see
+    /// [`Server::phase_compile_peak`]), which [`TraceEvent::CompilePeak`]
+    /// events are also measured against.
     pub fn trace_phase_start(&mut self, name: &str, clients: u32) {
-        self.trace_peak = 0;
+        self.metrics.compile_memory.start_phase();
         let at = self.now;
         self.trace_push(TraceEvent::PhaseStart {
             at,
@@ -962,15 +962,20 @@ impl Server {
         }
     }
 
+    /// The highest aggregate compile memory sampled since the last
+    /// [`Server::trace_phase_start`] (0 if none). Read after a phase's
+    /// `run_until(end)`, it is the peak over the phase's `[start, end)`.
+    pub fn phase_compile_peak(&self) -> u64 {
+        self.metrics.compile_memory.phase_max()
+    }
+
     /// Record the aggregate compile-memory gauge, plus a trace peak event
     /// when it reaches a new high since the last phase boundary. Every
-    /// compile-memory sample must flow through here so the gauge and the
-    /// trace agree on per-phase peaks.
+    /// compile-memory sample must flow through here so the peaks and the
+    /// trace agree.
     pub(crate) fn record_compile_gauge(&mut self) {
         let used = self.compile_clerk.used_bytes();
-        self.metrics.compile_memory.record(self.now, used);
-        if self.trace_enabled() && used > self.trace_peak {
-            self.trace_peak = used;
+        if self.metrics.compile_memory.record(used) && self.trace_enabled() {
             self.trace_push(TraceEvent::CompilePeak {
                 at: self.now,
                 bytes: used,

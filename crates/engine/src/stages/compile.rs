@@ -36,13 +36,14 @@ impl Server {
     ///
     /// This is the allocation-free hot path: the template is chosen as an
     /// interned [`throttledb_workload::TemplateId`], its profile is a dense
-    /// vector lookup, and the uniquifier perturbs a cached parse and hands
-    /// back only the digest of the unique text — no SQL string is cloned or
-    /// built per submission (the RNG draws are identical to the allocating
-    /// path, so seeded runs are unchanged; see the workload crate's
-    /// equivalence tests). The draw sequence is origin-independent, which
-    /// is what makes a cohort-compressed run's trace byte-identical to the
-    /// same population materialized as individual clients.
+    /// vector lookup, and the uniquifier perturbs a cached snapshot of the
+    /// template's literals and hands back only a key of the unique text —
+    /// no SQL is parsed, rendered or cloned per submission (the RNG draws
+    /// are identical to the allocating path, so seeded runs are unchanged;
+    /// see the workload crate's equivalence tests). The draw sequence is
+    /// origin-independent, which is what makes a cohort-compressed run's
+    /// trace byte-identical to the same population materialized as
+    /// individual clients.
     pub(crate) fn submit_query(&mut self, origin: QueryOrigin) -> bool {
         let class = match origin {
             QueryOrigin::Client { client } | QueryOrigin::Cohort { client, .. } => {
@@ -92,7 +93,7 @@ impl Server {
         }
 
         // The uniquifier defeats the plan cache (as in the paper); text
-        // digests and compiled-plan keys live in disjoint `PlanKey`
+        // keys and compiled-plan keys live in disjoint `PlanKey`
         // variants, so this lookup misses by construction — exactly the
         // old text-keyed behaviour, without carrying the text.
         if self.plan_cache.get(&PlanKey::Text(digest)).is_some() {

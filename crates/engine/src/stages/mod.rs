@@ -30,7 +30,7 @@ use throttledb_executor::{GrantManager, GrantRequestId};
 use throttledb_governor::{
     AdmissionDecision, BreakerConfig, CircuitBreaker, CostPolicy, PidPolicy, Policy,
 };
-use throttledb_membroker::{Clerk, SubcomponentKind};
+use throttledb_membroker::{Clerk, MemoryBroker, SubcomponentKind};
 use throttledb_sim::SimTime;
 
 /// Who submitted a query — and therefore where its completion / failure
@@ -339,22 +339,23 @@ impl Server {
     /// execution budget over the class grant pools, and squeeze the plan
     /// cache under pressure.
     pub(crate) fn on_broker_tick(&mut self) {
-        let decisions = self.broker.recalculate(self.now);
+        let mut decisions = std::mem::take(&mut self.scratch_decisions);
+        self.broker.recalculate_into(self.now, &mut decisions);
         let constrained = decisions
             .iter()
             .any(|d| d.notification.target_bytes.is_some());
-        let compile_target = if constrained {
-            Some(self.broker.target_for_kind(SubcomponentKind::Compilation))
-        } else {
-            None
-        };
-        let exec_target = self.broker.target_for_kind(SubcomponentKind::Execution);
+        let compile_goal = self
+            .broker
+            .target_in(&decisions, SubcomponentKind::Compilation);
+        let compile_target = constrained.then_some(compile_goal);
+        let exec_target = self
+            .broker
+            .target_in(&decisions, SubcomponentKind::Execution);
         // The broker's memory-pressure trend signal: predicted compilation
         // demand over the recalculation horizon, relative to the kind's
         // target. >1 means the sampled trend overshoots the entitlement —
         // feedback policies tighten before the memory is actually committed.
-        let compile_goal = self.broker.target_for_kind(SubcomponentKind::Compilation);
-        let pressure = self.broker.predicted_by_kind(SubcomponentKind::Compilation) as f64
+        let pressure = MemoryBroker::predicted_in(&decisions, SubcomponentKind::Compilation) as f64
             / compile_goal.max(1) as f64;
         // Each class throttles independently on its own compilation counts,
         // so the broker's compilation target must be split across classes
@@ -394,6 +395,7 @@ impl Server {
                 self.plan_cache.shrink_to(target);
             }
         }
+        self.scratch_decisions = decisions;
         if self.now + self.config.broker_tick < throttledb_sim::SimTime::ZERO + self.config.duration
         {
             self.queue.schedule(

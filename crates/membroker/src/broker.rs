@@ -65,6 +65,20 @@ pub struct MemoryBroker {
 struct Inner {
     accounts: Vec<ClerkAccount>,
     recalculations: u64,
+    /// Per-recalculation working vectors, reused so a tick allocates
+    /// nothing once they have grown to the clerk count.
+    scratch: Scratch,
+}
+
+/// Working vectors of one recalculation, one slot per clerk.
+#[derive(Debug, Default)]
+struct Scratch {
+    current: Vec<u64>,
+    predicted: Vec<u64>,
+    kinds: Vec<SubcomponentKind>,
+    demands: Vec<u64>,
+    targets: Vec<u64>,
+    fill: WaterFill,
 }
 
 impl MemoryBroker {
@@ -130,6 +144,16 @@ impl MemoryBroker {
             .sum()
     }
 
+    /// [`MemoryBroker::predicted_by_kind`] read off the `decisions` the last
+    /// recalculation returned (each carries its clerk's prediction).
+    pub fn predicted_in(decisions: &[BrokerDecision], kind: SubcomponentKind) -> u64 {
+        decisions
+            .iter()
+            .filter(|d| d.notification.kind_of_component == kind)
+            .map(|d| d.notification.predicted_bytes)
+            .sum()
+    }
+
     /// Bytes still available before hitting the brokered limit (saturating).
     pub fn available_bytes(&self) -> u64 {
         self.config
@@ -162,6 +186,23 @@ impl MemoryBroker {
             .filter(|a| a.clerk().kind() == kind)
             .filter_map(|a| a.clerk().target_bytes())
             .sum();
+        self.installed_or_entitlement(kind, installed)
+    }
+
+    /// [`MemoryBroker::target_for_kind`] read off the `decisions` the last
+    /// recalculation returned, without taking the broker's lock again.
+    pub fn target_in(&self, decisions: &[BrokerDecision], kind: SubcomponentKind) -> u64 {
+        let installed = decisions
+            .iter()
+            .filter(|d| d.notification.kind_of_component == kind)
+            .filter_map(|d| d.notification.target_bytes)
+            .sum();
+        self.installed_or_entitlement(kind, installed)
+    }
+
+    /// The installed target sum, or the kind's entitlement share of
+    /// brokered memory when nothing is installed.
+    fn installed_or_entitlement(&self, kind: SubcomponentKind, installed: u64) -> u64 {
         if installed > 0 {
             installed
         } else {
@@ -178,14 +219,33 @@ impl MemoryBroker {
     /// per clerk. Targets are installed on the clerks so subcomponents that
     /// poll (rather than receive notifications) see the same numbers.
     pub fn recalculate(&self, now: SimTime) -> Vec<BrokerDecision> {
-        let mut inner = self.inner.lock();
+        let mut out = Vec::new();
+        self.recalculate_into(now, &mut out);
+        out
+    }
+
+    /// [`MemoryBroker::recalculate`] into a caller-owned buffer (cleared
+    /// first). With the broker's internal working vectors reused as well,
+    /// a recalculation allocates nothing at steady state.
+    pub fn recalculate_into(&self, now: SimTime, out: &mut Vec<BrokerDecision>) {
+        out.clear();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.recalculations += 1;
         let horizon = self.config.prediction_horizon;
         let brokered = self.config.brokered_bytes();
+        let Scratch {
+            current,
+            predicted,
+            kinds,
+            demands,
+            targets,
+            fill,
+        } = &mut inner.scratch;
 
         // Pass 1: sample usage and predictions.
-        let mut current = Vec::with_capacity(inner.accounts.len());
-        let mut predicted = Vec::with_capacity(inner.accounts.len());
+        current.clear();
+        predicted.clear();
         for account in inner.accounts.iter_mut() {
             current.push(account.sample(now));
             predicted.push(account.predict(horizon));
@@ -195,7 +255,6 @@ impl MemoryBroker {
         // Unconstrained: clear targets, everyone may grow. "If the system is
         // not using all available physical memory, no action is taken."
         if predicted_total <= brokered {
-            let mut out = Vec::with_capacity(inner.accounts.len());
             for (i, account) in inner.accounts.iter_mut().enumerate() {
                 account.clerk().install_target(None);
                 account.set_verdict(NotificationKind::Grow);
@@ -210,30 +269,30 @@ impl MemoryBroker {
                     },
                 });
             }
-            return out;
+            return;
         }
 
         // Constrained: compute per-clerk targets by water-filling the
         // brokered bytes across squeezable clerks according to their
         // entitlement weights; unsqueezable (Fixed) clerks keep their demand.
-        let demands: Vec<u64> = current
-            .iter()
-            .zip(predicted.iter())
-            .map(|(c, p)| (*c).max(*p))
-            .collect();
-        let targets = compute_targets(
-            &inner
-                .accounts
+        demands.clear();
+        demands.extend(
+            current
                 .iter()
-                .map(|a| a.clerk().kind())
-                .collect::<Vec<_>>(),
-            &demands,
+                .zip(predicted.iter())
+                .map(|(c, p)| (*c).max(*p)),
+        );
+        kinds.clear();
+        kinds.extend(inner.accounts.iter().map(|a| a.clerk().kind()));
+        fill.compute(
+            kinds,
+            demands,
             brokered,
             self.config.min_target_bytes,
+            targets,
         );
 
         let hysteresis = self.config.target_hysteresis;
-        let mut out = Vec::with_capacity(inner.accounts.len());
         for (i, account) in inner.accounts.iter_mut().enumerate() {
             let kind = account.clerk().kind();
             let target = targets[i];
@@ -259,7 +318,6 @@ impl MemoryBroker {
                 },
             });
         }
-        out
     }
 
     /// A point-in-time view of the broker for reports and figures.
@@ -288,84 +346,106 @@ impl MemoryBroker {
     }
 }
 
-/// Water-fill `brokered` bytes across clerks.
-///
-/// * `Fixed` clerks are satisfied first at their full demand.
-/// * The remainder is divided among squeezable clerks proportionally to
-///   their [`SubcomponentKind::entitlement_weight`]; any clerk whose demand
-///   is below its share is granted its demand and the slack is redistributed
-///   to the still-unsatisfied clerks (classic water-filling), iterating until
-///   a fixed point.
-/// * Every target is at least `min_target` (even if that oversubscribes a
-///   pathologically tiny machine — the broker is advisory, not an allocator).
-fn compute_targets(
-    kinds: &[SubcomponentKind],
-    demands: &[u64],
-    brokered: u64,
-    min_target: u64,
-) -> Vec<u64> {
-    debug_assert_eq!(kinds.len(), demands.len());
-    let n = kinds.len();
-    let mut targets = vec![0u64; n];
-    let mut remaining = brokered;
+/// The water-filling pass's own working vectors, reused across
+/// recalculations.
+#[derive(Debug, Default)]
+struct WaterFill {
+    unsatisfied: Vec<usize>,
+    next_round: Vec<usize>,
+    settled: Vec<bool>,
+}
 
-    // Fixed clerks first.
-    for i in 0..n {
-        if !kinds[i].is_squeezable() {
-            targets[i] = demands[i];
-            remaining = remaining.saturating_sub(demands[i]);
-        }
-    }
+impl WaterFill {
+    /// Water-fill `brokered` bytes across clerks into `targets` (one per
+    /// clerk, overwritten).
+    ///
+    /// * `Fixed` clerks are satisfied first at their full demand.
+    /// * The remainder is divided among squeezable clerks proportionally to
+    ///   their [`SubcomponentKind::entitlement_weight`]; any clerk whose
+    ///   demand is below its share is granted its demand and the slack is
+    ///   redistributed to the still-unsatisfied clerks (classic
+    ///   water-filling), iterating until a fixed point.
+    /// * Every target is at least `min_target` (even if that oversubscribes
+    ///   a pathologically tiny machine — the broker is advisory, not an
+    ///   allocator).
+    fn compute(
+        &mut self,
+        kinds: &[SubcomponentKind],
+        demands: &[u64],
+        brokered: u64,
+        min_target: u64,
+        targets: &mut Vec<u64>,
+    ) {
+        debug_assert_eq!(kinds.len(), demands.len());
+        let n = kinds.len();
+        targets.clear();
+        targets.resize(n, 0);
+        let mut remaining = brokered;
 
-    // Water-fill the rest.
-    let mut unsatisfied: Vec<usize> = (0..n).filter(|&i| kinds[i].is_squeezable()).collect();
-    let mut settled = vec![false; n];
-    loop {
-        let weight_sum: f64 = unsatisfied
-            .iter()
-            .map(|&i| kinds[i].entitlement_weight())
-            .sum();
-        if unsatisfied.is_empty() || weight_sum <= f64::EPSILON {
-            break;
-        }
-        let mut progressed = false;
-        let mut next_round = Vec::new();
-        let pool = remaining;
-        for &i in &unsatisfied {
-            let share = (pool as f64 * kinds[i].entitlement_weight() / weight_sum) as u64;
-            if demands[i] <= share {
-                // Fully satisfied below its share; grant demand, release slack.
+        // Fixed clerks first.
+        for i in 0..n {
+            if !kinds[i].is_squeezable() {
                 targets[i] = demands[i];
-                settled[i] = true;
                 remaining = remaining.saturating_sub(demands[i]);
-                progressed = true;
-            } else {
-                next_round.push(i);
             }
         }
-        if !progressed {
-            // Everyone left wants more than their share: cap them at it.
-            let pool = remaining;
-            for &i in &next_round {
-                let share = (pool as f64 * kinds[i].entitlement_weight() / weight_sum) as u64;
-                targets[i] = share;
-                settled[i] = true;
-            }
-            break;
-        }
-        unsatisfied = next_round;
-    }
 
-    for i in 0..n {
-        if kinds[i].is_squeezable() && !settled[i] && targets[i] == 0 {
-            // Degenerate case (no weights left): give the minimum.
-            targets[i] = min_target;
+        // Water-fill the rest.
+        let WaterFill {
+            unsatisfied,
+            next_round,
+            settled,
+        } = self;
+        unsatisfied.clear();
+        unsatisfied.extend((0..n).filter(|&i| kinds[i].is_squeezable()));
+        settled.clear();
+        settled.resize(n, false);
+        loop {
+            let weight_sum: f64 = unsatisfied
+                .iter()
+                .map(|&i| kinds[i].entitlement_weight())
+                .sum();
+            if unsatisfied.is_empty() || weight_sum <= f64::EPSILON {
+                break;
+            }
+            let mut progressed = false;
+            next_round.clear();
+            let pool = remaining;
+            for &i in unsatisfied.iter() {
+                let share = (pool as f64 * kinds[i].entitlement_weight() / weight_sum) as u64;
+                if demands[i] <= share {
+                    // Fully satisfied below its share; grant demand, release slack.
+                    targets[i] = demands[i];
+                    settled[i] = true;
+                    remaining = remaining.saturating_sub(demands[i]);
+                    progressed = true;
+                } else {
+                    next_round.push(i);
+                }
+            }
+            if !progressed {
+                // Everyone left wants more than their share: cap them at it.
+                let pool = remaining;
+                for &i in next_round.iter() {
+                    let share = (pool as f64 * kinds[i].entitlement_weight() / weight_sum) as u64;
+                    targets[i] = share;
+                    settled[i] = true;
+                }
+                break;
+            }
+            std::mem::swap(unsatisfied, next_round);
         }
-        if kinds[i].is_squeezable() {
-            targets[i] = targets[i].max(min_target);
+
+        for i in 0..n {
+            if kinds[i].is_squeezable() && !settled[i] && targets[i] == 0 {
+                // Degenerate case (no weights left): give the minimum.
+                targets[i] = min_target;
+            }
+            if kinds[i].is_squeezable() {
+                targets[i] = targets[i].max(min_target);
+            }
         }
     }
-    targets
 }
 
 #[cfg(test)]
@@ -375,6 +455,17 @@ mod tests {
 
     const MB: u64 = 1 << 20;
     const GB: u64 = 1 << 30;
+
+    fn compute_targets(
+        kinds: &[SubcomponentKind],
+        demands: &[u64],
+        brokered: u64,
+        min_target: u64,
+    ) -> Vec<u64> {
+        let mut targets = Vec::new();
+        WaterFill::default().compute(kinds, demands, brokered, min_target, &mut targets);
+        targets
+    }
 
     fn broker(total: u64) -> Arc<MemoryBroker> {
         MemoryBroker::new(BrokerConfig::with_total_memory(total))
@@ -635,6 +726,50 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             prop_assert_eq!(run(&allocs), run(&allocs));
+        }
+
+        #[test]
+        fn prop_recalculate_into_matches_recalculate_and_the_kind_queries(
+            steps in proptest::collection::vec(
+                proptest::collection::vec(0u64..600_000_000u64, 4..5),
+                1..6,
+            ),
+            total_mb in 256u64..4096u64,
+        ) {
+            // Two brokers fed identically: one through the allocating
+            // wrapper, one through a reused buffer. Every tick's decisions
+            // must agree, and reading targets and predictions off them must
+            // agree with the lock-taking per-kind queries.
+            let kinds = [
+                SubcomponentKind::BufferPool,
+                SubcomponentKind::Compilation,
+                SubcomponentKind::Execution,
+                SubcomponentKind::Fixed,
+            ];
+            let a = broker(total_mb * MB);
+            let b = broker(total_mb * MB);
+            let ca: Vec<_> = kinds.iter().map(|k| a.register(*k)).collect();
+            let cb: Vec<_> = kinds.iter().map(|k| b.register(*k)).collect();
+            let mut reused = Vec::new();
+            for (tick, allocs) in steps.iter().enumerate() {
+                for (i, bytes) in allocs.iter().enumerate() {
+                    ca[i].free(ca[i].used_bytes());
+                    cb[i].free(cb[i].used_bytes());
+                    ca[i].allocate(*bytes);
+                    cb[i].allocate(*bytes);
+                }
+                let now = SimTime::from_secs(5 * (tick as u64 + 1));
+                let fresh = a.recalculate(now);
+                b.recalculate_into(now, &mut reused);
+                prop_assert_eq!(&fresh, &reused);
+                for kind in SubcomponentKind::ALL {
+                    prop_assert_eq!(b.target_in(&reused, kind), b.target_for_kind(kind));
+                    prop_assert_eq!(
+                        MemoryBroker::predicted_in(&reused, kind),
+                        b.predicted_by_kind(kind)
+                    );
+                }
+            }
         }
     }
 }

@@ -184,18 +184,13 @@ impl Clerk {
     }
 
     /// Report that `bytes` were freed. Freeing more than is live is a
-    /// subcomponent accounting bug; the count saturates at zero and the
-    /// excess is ignored (debug builds assert).
+    /// subcomponent accounting bug, so it panics in every build.
     pub fn free(&self, bytes: u64) {
-        self.shared.total_freed.fetch_add(bytes, Ordering::Relaxed);
         let mut cur = self.shared.used.load(Ordering::Relaxed);
         loop {
-            debug_assert!(
-                cur >= bytes,
-                "clerk {} freed more than allocated",
-                self.shared.id
-            );
-            let next = cur.saturating_sub(bytes);
+            let next = cur
+                .checked_sub(bytes)
+                .unwrap_or_else(|| panic!("clerk {} freed more than allocated", self.shared.id));
             match self.shared.used.compare_exchange_weak(
                 cur,
                 next,
@@ -206,6 +201,7 @@ impl Clerk {
                 Err(actual) => cur = actual,
             }
         }
+        self.shared.total_freed.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Live bytes currently reported by this subcomponent.
@@ -280,17 +276,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "freed more than allocated"))]
+    #[should_panic(expected = "freed more than allocated")]
     fn over_free_is_detected_in_debug() {
         let c = clerk(SubcomponentKind::PlanCache);
         c.allocate(5);
         c.free(10);
-        // In release builds we saturate instead.
-        #[cfg(not(debug_assertions))]
-        {
-            assert_eq!(c.used_bytes(), 0);
-            panic!("freed more than allocated"); // keep the test shape identical
-        }
     }
 
     #[test]

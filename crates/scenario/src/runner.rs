@@ -322,8 +322,8 @@ impl ScenarioRunner {
                 compile_timeouts: after.compile_timeouts - before.compile_timeouts,
                 grant_timeouts: after.grant_timeouts - before.grant_timeouts,
                 best_effort_plans: after.best_effort - before.best_effort,
-                // Attributed from the gauge; the trace replay must agree.
-                peak_compile_bytes: 0,
+                // The trace replay must agree.
+                peak_compile_bytes: server.phase_compile_peak(),
             });
         }
 
@@ -332,11 +332,6 @@ impl ScenarioRunner {
         server.trace_end();
         let trace = record.then(|| Trace::new(server.take_trace()));
         let metrics = server.finish();
-        for report in &mut phases {
-            report.peak_compile_bytes = metrics
-                .compile_memory
-                .max_in_range(report.start, report.end);
-        }
 
         ScenarioOutcome {
             scenario: scenario.name,

@@ -220,18 +220,6 @@ impl GaugeTimeline {
         self.samples.iter().map(|(_, v)| *v).max().unwrap_or(0)
     }
 
-    /// The maximum value sampled in the half-open window `[start, end)`,
-    /// or 0 if no sample falls inside. Scenario phase reports use this to
-    /// attribute gauge peaks to the phase in which they occurred.
-    pub fn max_in_range(&self, start: SimTime, end: SimTime) -> u64 {
-        self.samples
-            .iter()
-            .filter(|(t, _)| *t >= start && *t < end)
-            .map(|(_, v)| *v)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The value in effect at time `t` (last sample at or before `t`).
     pub fn value_at(&self, t: SimTime) -> Option<u64> {
         self.samples
@@ -381,30 +369,6 @@ mod tests {
         g.record(SimTime::from_secs(31), 20);
         g.record(SimTime::from_secs(32), 40);
         assert_eq!(g.longest_plateau(), SimDuration::from_secs(30));
-    }
-
-    #[test]
-    fn gauge_max_in_range_is_half_open() {
-        let mut g = GaugeTimeline::new("mem");
-        g.record(SimTime::from_secs(0), 10);
-        g.record(SimTime::from_secs(5), 50);
-        g.record(SimTime::from_secs(10), 90);
-        g.record(SimTime::from_secs(15), 20);
-        // [0, 10) excludes the sample at t=10.
-        assert_eq!(
-            g.max_in_range(SimTime::from_secs(0), SimTime::from_secs(10)),
-            50
-        );
-        // [10, 20) includes it.
-        assert_eq!(
-            g.max_in_range(SimTime::from_secs(10), SimTime::from_secs(20)),
-            90
-        );
-        // An empty window reports 0.
-        assert_eq!(
-            g.max_in_range(SimTime::from_secs(20), SimTime::from_secs(30)),
-            0
-        );
     }
 
     #[test]

@@ -8,26 +8,25 @@
 //! RNG, and re-render. The result is semantically near-identical but textually
 //! unique, so a text-keyed plan cache always misses.
 //!
-//! Two entry points share the exact same RNG draws and rendered bytes:
+//! Two entry points share the exact same RNG draws:
 //!
 //! * [`Uniquifier::uniquify`] — parse, perturb, render to a fresh `String`
-//!   (the original API; tests and one-off callers);
-//! * [`Uniquifier::uniquify_digest`] — the engine's hot path: perturbs a
-//!   *cached* parse of the template in place (resetting literals from a
-//!   snapshot first), renders into a reused buffer, and returns only the
-//!   64-bit FNV-1a digest of the text. After the first submission of each
-//!   template this allocates nothing, while producing bit-for-bit the same
-//!   RNG stream — and therefore the same simulation — as the allocating
-//!   path.
+//!   (the real compile path and one-off callers);
+//! * [`Uniquifier::uniquify_digest`] — the engine's hot path. It never
+//!   renders: it perturbs a cached snapshot of the template's numeric
+//!   literals and folds the template id, the perturbed values and the
+//!   `LIMIT` tag (when the text path would add one) into a 64-bit key. Two
+//!   keys are equal exactly when the two `uniquify` texts are, so a cache
+//!   keyed on either behaves the same. After the first submission of each
+//!   template it allocates nothing.
 
 use crate::catalog::TemplateId;
 use std::fmt::Write as _;
 use throttledb_sim::SimRng;
-use throttledb_sqlparse::{parse, Literal, SelectStatement};
+use throttledb_sqlparse::{parse, Literal};
 
-/// 64-bit FNV-1a over `bytes` — the digest the engine keys its plan-cache
-/// lookups on (cheap, stable, and good enough for a cache that is designed
-/// to miss).
+/// 64-bit FNV-1a over `bytes`: the workspace's cheap, stable digest (trace
+/// and fingerprint digests; the uniquifier's keys fold through [`Fnv64`]).
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash = Fnv64::new();
     hash.update(bytes);
@@ -69,13 +68,15 @@ impl Default for Fnv64 {
     }
 }
 
-/// A template parsed once, with a snapshot of its numeric literals so each
-/// submission can re-perturb from the original values.
+/// A template's numeric literals, snapshotted once so each submission can
+/// re-perturb from the original values without touching the parse tree.
 #[derive(Debug, Clone)]
 struct Prepared {
-    stmt: SelectStatement,
     /// Original numeric-literal values in visitor order.
     originals: Vec<f64>,
+    /// Whether the template renders back to its own text. Only then can
+    /// `uniquify` output equal the template and need its `LIMIT` tag.
+    renders_verbatim: bool,
 }
 
 impl Prepared {
@@ -87,17 +88,18 @@ impl Prepared {
                 originals.push(*n);
             }
         });
-        Prepared { stmt, originals }
+        Prepared {
+            originals,
+            renders_verbatim: stmt.to_string() == sql,
+        }
     }
 }
 
 /// Rewrites query templates into unique instances.
 #[derive(Debug, Default, Clone)]
 pub struct Uniquifier {
-    /// Cached parses, indexed by [`TemplateId`].
+    /// Cached literal snapshots, indexed by [`TemplateId`].
     prepared: Vec<Option<Prepared>>,
-    /// Reused render buffer for the digest path.
-    buf: String,
 }
 
 impl Uniquifier {
@@ -143,14 +145,14 @@ impl Uniquifier {
         text
     }
 
-    /// Allocation-free variant for the engine's submission path: perturb
-    /// the cached parse of template `id` (whose text is `template_sql`),
-    /// and return the FNV-1a digest of the uniquified SQL instead of the
-    /// text itself.
+    /// Allocation-free, render-free variant for the engine's submission
+    /// path: perturb template `id`'s literals (its text is `template_sql`)
+    /// and return a key for the uniquified SQL instead of the text itself.
     ///
-    /// Consumes exactly the RNG draws of [`Uniquifier::uniquify`] and
-    /// digests exactly the bytes it would have produced (verified by test),
-    /// so swapping the engine onto this path changes no simulation outcome.
+    /// Consumes exactly the RNG draws of [`Uniquifier::uniquify`], and two
+    /// keys are equal exactly when the texts `uniquify` would have produced
+    /// are (verified by test), so swapping the engine onto this path changes
+    /// no simulation outcome.
     pub fn uniquify_digest(
         &mut self,
         id: TemplateId,
@@ -163,37 +165,49 @@ impl Uniquifier {
             self.prepared.resize_with(slot + 1, || None);
         }
         let prepared = self.prepared[slot].get_or_insert_with(|| Prepared::new(template_sql));
-        // Reset each literal to the template's original value and perturb it
-        // in one pass — the same visit order, and therefore the same RNG
-        // draws, as perturbing a fresh parse.
-        let originals = &prepared.originals;
-        let mut i = 0;
-        prepared.stmt.for_each_literal_mut(&mut |lit| {
-            if let Literal::Number(n) = lit {
-                *n = originals[i];
-                i += 1;
-            }
-            perturb_literal(lit, rng);
-        });
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        let _ = write!(buf, "{}", prepared.stmt);
-        if buf == template_sql {
-            let _ = write!(buf, " LIMIT {}", 1_000_000 + submission_id % 1_000);
+        let mut key = Fnv64::new();
+        key.update(&(slot as u64).to_le_bytes());
+        // The same visit order, and therefore the same RNG draws, as
+        // perturbing a fresh parse.
+        let mut unchanged = true;
+        for &original in &prepared.originals {
+            let value = rendered_bits(perturb_value(original, rng));
+            unchanged &= value == rendered_bits(original);
+            key.update(&value.to_le_bytes());
         }
-        let digest = fnv1a_64(buf.as_bytes());
-        self.buf = buf;
-        digest
+        // `uniquify` tags its text exactly when the rendering equals the
+        // template: a verbatim-rendering template whose literals all
+        // rendered unchanged.
+        if prepared.renders_verbatim && unchanged {
+            key.update(&[1]);
+            key.update(&(submission_id % 1_000).to_le_bytes());
+        }
+        key.finish()
     }
 }
 
-/// Nudge a numeric literal by up to ±3% (at least ±1) so selectivities stay
+/// A literal's value as its rendering distinguishes it: `-0` and `0` both
+/// render as `0`, every other value renders uniquely.
+fn rendered_bits(n: f64) -> u64 {
+    if n == 0.0 {
+        0
+    } else {
+        n.to_bits()
+    }
+}
+
+/// Nudge a numeric value by up to ±3% (at least ±1) so selectivities stay
 /// close to the template's but the text is unique.
+fn perturb_value(n: f64, rng: &mut SimRng) -> f64 {
+    let magnitude = (n.abs() * 0.03).max(1.0);
+    let delta = rng.uniform_f64(0.0, magnitude * 2.0) - magnitude;
+    (n + delta).round()
+}
+
+/// Perturb a numeric literal in place (see [`perturb_value`]).
 fn perturb_literal(lit: &mut Literal, rng: &mut SimRng) {
     if let Literal::Number(n) = lit {
-        let magnitude = (n.abs() * 0.03).max(1.0);
-        let delta = rng.uniform_f64(0.0, magnitude * 2.0) - magnitude;
-        *n = (*n + delta).round();
+        *n = perturb_value(*n, rng);
     }
 }
 
@@ -202,7 +216,7 @@ mod tests {
     use super::*;
     use crate::catalog::TemplateCatalog;
     use crate::templates::{oltp_templates, sales_templates, tpch_like_templates};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn uniquified_queries_still_parse() {
@@ -265,10 +279,11 @@ mod tests {
 
     #[test]
     fn digest_path_matches_the_allocating_path_exactly() {
-        // The hot path must consume the same RNG draws and digest the same
-        // bytes as the allocating path, template by template, submission by
-        // submission — this equality is what lets the engine switch paths
-        // without perturbing any seeded experiment.
+        // The hot path must consume the same RNG draws as the allocating
+        // path, and its keys must be equal exactly when the texts are —
+        // over every template, many submissions each — so the engine can
+        // switch paths without perturbing any seeded experiment or any
+        // plan-cache outcome.
         let catalog = TemplateCatalog::from_templates(
             sales_templates()
                 .into_iter()
@@ -279,21 +294,57 @@ mod tests {
         let mut hot = Uniquifier::new();
         let mut rng_a = SimRng::seed_from_u64(23);
         let mut rng_b = SimRng::seed_from_u64(23);
-        for round in 0..5u64 {
+        let mut key_of_text: HashMap<String, u64> = HashMap::new();
+        let mut text_of_key: HashMap<u64, String> = HashMap::new();
+        for round in 0..200u64 {
             for (id, t) in catalog.iter() {
                 let sub = round * 100 + id.index() as u64;
                 let text = reference.uniquify(&t.sql, &mut rng_a, sub);
-                let digest = hot.uniquify_digest(id, &t.sql, &mut rng_b, sub);
+                let key = hot.uniquify_digest(id, &t.sql, &mut rng_b, sub);
+                let known_key = *key_of_text.entry(text.clone()).or_insert(key);
+                assert_eq!(known_key, key, "one text, two keys: {text}");
+                let known_text = text_of_key.entry(key).or_insert_with(|| text.clone());
                 assert_eq!(
-                    digest,
-                    fnv1a_64(text.as_bytes()),
-                    "digest mismatch for {} round {round}",
+                    *known_text, text,
+                    "one key, two texts ({} round {round})",
                     t.name
                 );
             }
         }
+        // Repeats happened, so "equal texts give equal keys" was exercised.
+        assert!(key_of_text.len() < 200 * catalog.len());
         // And the RNG streams stayed in lockstep throughout.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
+    fn digest_path_tags_exactly_when_the_text_path_does() {
+        // A literal of 0 perturbs to 0 or ±1, so the text of this
+        // verbatim-rendering template often equals it and must be tagged;
+        // the keys follow the tag's `submission_id % 1000` exactly as the
+        // texts do.
+        let mut catalog = TemplateCatalog::new();
+        let id = catalog.intern(crate::templates::QueryTemplate {
+            name: "zero".into(),
+            kind: crate::templates::WorkloadKind::Oltp,
+            sql: "SELECT a FROM t WHERE (b = 0)".into(),
+        });
+        let reference = Uniquifier::new();
+        let mut hot = Uniquifier::new();
+        let mut rng_a = SimRng::seed_from_u64(31);
+        let mut rng_b = SimRng::seed_from_u64(31);
+        let mut pairs = Vec::new();
+        for sub in [5, 1005, 6, 5, 7, 1007, 5, 6, 7, 2005, 8, 9] {
+            let text = reference.uniquify(catalog.sql(id), &mut rng_a, sub);
+            let key = hot.uniquify_digest(id, catalog.sql(id), &mut rng_b, sub);
+            pairs.push((text, key));
+        }
+        assert!(pairs.iter().any(|(text, _)| text.contains("LIMIT")));
+        for (text_a, key_a) in &pairs {
+            for (text_b, key_b) in &pairs {
+                assert_eq!(text_a == text_b, key_a == key_b, "{text_a} vs {text_b}");
+            }
+        }
     }
 
     #[test]
