@@ -11,6 +11,8 @@ pub enum OptimizerError {
     UnknownColumn(String),
     /// A column name is ambiguous between two bound tables.
     AmbiguousColumn(String),
+    /// Two FROM-list entries expose the same name (`FROM t, t`).
+    DuplicateBinding(String),
     /// The governor aborted the compilation (e.g. a gateway timeout).
     Aborted(String),
     /// The governor demanded a best-effort plan but exploration had not yet
@@ -26,6 +28,9 @@ impl fmt::Display for OptimizerError {
             OptimizerError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             OptimizerError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
             OptimizerError::AmbiguousColumn(c) => write!(f, "ambiguous column: {c}"),
+            OptimizerError::DuplicateBinding(b) => {
+                write!(f, "FROM list exposes the name {b} more than once")
+            }
             OptimizerError::Aborted(why) => write!(f, "compilation aborted: {why}"),
             OptimizerError::NoPlanAvailable => {
                 write!(f, "compilation interrupted before any plan was available")
@@ -49,6 +54,9 @@ mod tests {
         assert!(OptimizerError::UnknownColumn("bar".into())
             .to_string()
             .contains("bar"));
+        assert!(OptimizerError::DuplicateBinding("baz".into())
+            .to_string()
+            .contains("baz"));
         assert!(OptimizerError::Aborted("timeout".into())
             .to_string()
             .contains("timeout"));

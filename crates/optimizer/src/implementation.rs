@@ -159,7 +159,6 @@ fn for_each_alternative(
                 consider(PhysicalChoice::IndexSeek(nth as u32), cost, 0);
             }
         }
-        LogicalOp::Join { .. } => unreachable!("joins are stored as MemoOp::Join"),
         LogicalOp::Aggregate { .. } => consider(
             PhysicalChoice::Only,
             model.hash_aggregate(input(0).rows, out.rows),
@@ -220,7 +219,6 @@ fn materialize(
                 predicates,
             },
         },
-        LogicalOp::Join { .. } => unreachable!("joins are stored as MemoOp::Join"),
         LogicalOp::Aggregate {
             group_by,
             aggregate_count,
@@ -268,8 +266,8 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let plan = Binder::new(&cat).bind(&parse(sql).unwrap()).unwrap();
-        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
+        let bound = Binder::new(&cat).bind(&parse(sql).unwrap()).unwrap();
+        let root = memo.insert_plan(bound, &est, &mut mem);
         let ctx = ImplementationContext {
             catalog: &cat,
             estimator: est,
@@ -357,10 +355,10 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let plan = Binder::new(&cat)
+        let bound = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
+        let root = memo.insert_plan(bound, &est, &mut mem);
         let ctx = ImplementationContext {
             catalog: &cat,
             estimator: est,
@@ -383,10 +381,10 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let plan = Binder::new(&cat)
+        let bound = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
+        let root = memo.insert_plan(bound, &est, &mut mem);
         let before = mem.used_bytes();
         let ctx = ImplementationContext {
             catalog: &cat,
@@ -403,10 +401,10 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        let plan = Binder::new(&cat)
+        let bound = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(plan, &est, &mut mem).unwrap();
+        let root = memo.insert_plan(bound, &est, &mut mem);
         assert!(extract_plan(&memo, root, &cat).is_none());
     }
 }

@@ -1,15 +1,19 @@
-//! The logical algebra: resolved operators the memo explores.
+//! The logical algebra: resolved column references, classified predicates
+//! and the operators the memo keeps whole.
 //!
-//! The binder lowers a parsed [`SelectStatement`](throttledb_sqlparse::SelectStatement)
-//! into a tree of [`LogicalOp`]s with *resolved* column references and
-//! *classified* predicates (single-table filters pushed into `Get`,
-//! equi-join conditions attached to `Join`). Keeping predicates in this
-//! simplified, resolved form lets the cardinality estimator work directly
-//! from catalog statistics without re-walking SQL expressions.
+//! The binder classifies a parsed
+//! [`SelectStatement`](throttledb_sqlparse::SelectStatement)'s predicates
+//! into single-table filters, pushed into a `Get`, and equi-join
+//! conditions, attached to joins, with every column reference resolved.
+//! Keeping predicates in this simplified, resolved form lets the
+//! cardinality estimator work directly from catalog statistics without
+//! re-walking SQL expressions. Joins are not [`LogicalOp`]s: rules rewrite
+//! them, so the memo stores them as [`crate::memo::MemoOp::Join`] over
+//! interned predicates, and keeps only scans and unary operators whole in
+//! the compilation's [`crate::names::Names`] table.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-pub use throttledb_sqlparse::JoinKind;
 
 /// An f64 wrapper with total equality, so operators containing literals
 /// can be compared when the memo looks for duplicates.
@@ -144,9 +148,8 @@ impl fmt::Display for JoinPredicate {
     }
 }
 
-/// A logical operator. Children are kept outside the operator (in the plan
-/// tree or in memo group references), so the same operator value can be
-/// shared by both representations.
+/// A scan or unary operator, kept whole in the compilation's name table.
+/// Its input, if any, is a memo group.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LogicalOp {
     /// Scan of a base table with pushed-down filters. Leaf.
@@ -157,13 +160,6 @@ pub enum LogicalOp {
         binding: String,
         /// Filters applying only to this table.
         predicates: Vec<Predicate>,
-    },
-    /// Join of two inputs.
-    Join {
-        /// Inner/left/right.
-        kind: JoinKind,
-        /// Equi-join conditions.
-        predicates: Vec<JoinPredicate>,
     },
     /// Residual filter (predicates that reference multiple tables but are
     /// not equi-joins, or HAVING applied above an aggregate).
@@ -196,197 +192,9 @@ pub enum LogicalOp {
     },
 }
 
-impl LogicalOp {
-    /// Number of children this operator expects.
-    pub fn arity(&self) -> usize {
-        match self {
-            LogicalOp::Get { .. } => 0,
-            LogicalOp::Join { .. } => 2,
-            LogicalOp::Filter { .. }
-            | LogicalOp::Aggregate { .. }
-            | LogicalOp::Project { .. }
-            | LogicalOp::Sort { .. }
-            | LogicalOp::Limit { .. } => 1,
-        }
-    }
-
-    /// True for join operators (the target of the reordering rules).
-    pub fn is_join(&self) -> bool {
-        matches!(self, LogicalOp::Join { .. })
-    }
-
-    /// Short name for debugging output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LogicalOp::Get { .. } => "Get",
-            LogicalOp::Join { .. } => "Join",
-            LogicalOp::Filter { .. } => "Filter",
-            LogicalOp::Aggregate { .. } => "Aggregate",
-            LogicalOp::Project { .. } => "Project",
-            LogicalOp::Sort { .. } => "Sort",
-            LogicalOp::Limit { .. } => "Limit",
-        }
-    }
-}
-
-/// A logical plan tree (binder output, memo input).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogicalPlan {
-    /// The operator at this node.
-    pub op: LogicalOp,
-    /// Child plans, `op.arity()` of them.
-    pub children: Vec<LogicalPlan>,
-}
-
-impl LogicalPlan {
-    /// Create a leaf plan node.
-    pub fn leaf(op: LogicalOp) -> Self {
-        debug_assert_eq!(op.arity(), 0);
-        LogicalPlan {
-            op,
-            children: Vec::new(),
-        }
-    }
-
-    /// Create a unary plan node.
-    pub fn unary(op: LogicalOp, child: LogicalPlan) -> Self {
-        debug_assert_eq!(op.arity(), 1);
-        LogicalPlan {
-            op,
-            children: vec![child],
-        }
-    }
-
-    /// Create a binary plan node.
-    pub fn binary(op: LogicalOp, left: LogicalPlan, right: LogicalPlan) -> Self {
-        debug_assert_eq!(op.arity(), 2);
-        LogicalPlan {
-            op,
-            children: vec![left, right],
-        }
-    }
-
-    /// Total number of operator nodes in the tree.
-    pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(|c| c.node_count()).sum::<usize>()
-    }
-
-    /// Number of `Get` leaves (base tables).
-    pub fn table_count(&self) -> usize {
-        match &self.op {
-            LogicalOp::Get { .. } => 1,
-            _ => self.children.iter().map(|c| c.table_count()).sum(),
-        }
-    }
-
-    /// Number of join operators in the tree.
-    pub fn join_count(&self) -> usize {
-        let own = usize::from(self.op.is_join());
-        own + self.children.iter().map(|c| c.join_count()).sum::<usize>()
-    }
-
-    /// Depth-first visit.
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a LogicalPlan)) {
-        f(self);
-        for c in &self.children {
-            c.walk(f);
-        }
-    }
-
-    /// Render an indented tree (for debugging and EXPLAIN-style output).
-    pub fn display_indented(&self) -> String {
-        fn rec(plan: &LogicalPlan, depth: usize, out: &mut String) {
-            out.push_str(&"  ".repeat(depth));
-            match &plan.op {
-                LogicalOp::Get {
-                    table,
-                    binding,
-                    predicates,
-                } => {
-                    out.push_str(&format!(
-                        "Get {table} as {binding} [{} filters]\n",
-                        predicates.len()
-                    ));
-                }
-                LogicalOp::Join { kind, predicates } => {
-                    out.push_str(&format!(
-                        "Join {kind:?} on {} predicate(s)\n",
-                        predicates.len()
-                    ));
-                }
-                other => out.push_str(&format!("{}\n", other.name())),
-            }
-            for c in &plan.children {
-                rec(c, depth + 1, out);
-            }
-        }
-        let mut s = String::new();
-        rec(self, 0, &mut s);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn get(table: &str) -> LogicalPlan {
-        LogicalPlan::leaf(LogicalOp::Get {
-            table: table.to_string(),
-            binding: table.to_string(),
-            predicates: vec![],
-        })
-    }
-
-    fn join(left: LogicalPlan, right: LogicalPlan) -> LogicalPlan {
-        LogicalPlan::binary(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                predicates: vec![JoinPredicate {
-                    left: ColumnRef::new("a", "a", "k"),
-                    right: ColumnRef::new("b", "b", "k"),
-                }],
-            },
-            left,
-            right,
-        )
-    }
-
-    #[test]
-    fn arity_matches_structure() {
-        assert_eq!(
-            LogicalOp::Get {
-                table: "t".into(),
-                binding: "t".into(),
-                predicates: vec![]
-            }
-            .arity(),
-            0
-        );
-        assert_eq!(LogicalOp::Limit { count: 1 }.arity(), 1);
-        assert_eq!(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                predicates: vec![]
-            }
-            .arity(),
-            2
-        );
-    }
-
-    #[test]
-    fn counts_over_a_small_tree() {
-        let plan = LogicalPlan::unary(
-            LogicalOp::Aggregate {
-                group_by: vec![],
-                aggregate_count: 1,
-            },
-            join(join(get("a"), get("b")), get("c")),
-        );
-        assert_eq!(plan.table_count(), 3);
-        assert_eq!(plan.join_count(), 2);
-        assert_eq!(plan.node_count(), 6);
-    }
 
     #[test]
     fn join_predicate_flip_swaps_sides() {
@@ -424,22 +232,5 @@ mod tests {
             .column(),
             None
         );
-    }
-
-    #[test]
-    fn display_indented_shows_structure() {
-        let plan = join(get("fact"), get("dim"));
-        let s = plan.display_indented();
-        assert!(s.contains("Join"));
-        assert!(s.contains("Get fact"));
-        assert!(s.contains("  Get dim"));
-    }
-
-    #[test]
-    fn walk_visits_all_nodes() {
-        let plan = join(get("a"), join(get("b"), get("c")));
-        let mut names = Vec::new();
-        plan.walk(&mut |p| names.push(p.op.name()));
-        assert_eq!(names, vec!["Join", "Get", "Join", "Get", "Get"]);
     }
 }

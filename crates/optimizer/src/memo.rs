@@ -11,22 +11,23 @@
 //!   considered alternatives." This is what the gateway ladder and the
 //!   broker see, and the paper's subject.
 //! * **Real heap** — what this process allocates to hold the same memo: a
-//!   small constant per expression. Names are resolved once into the
-//!   compilation's [`Names`] table when the bound plan enters the memo, so
-//!   an operator is a `Copy` value of integer ids, a group's covered
-//!   bindings are a bitset, children are a fixed pair, join predicate lists
-//!   sit back to back in one arena, a group's members are threaded through
-//!   the expression array, and duplicate detection hashes a candidate and
-//!   compares it with the stored expressions. Adding an alternative
-//!   allocates nothing beyond amortized growth of those few arrays.
+//!   small constant per expression. The binder has already resolved every
+//!   name into the compilation's [`Names`] table, which the memo takes over
+//!   with the [`BoundQuery`] it is seeded from, so an operator is a `Copy`
+//!   value of integer ids, a group's covered bindings are a bitset,
+//!   children are a fixed pair, join predicate lists sit back to back in
+//!   one arena, a group's members are threaded through the expression
+//!   array, and duplicate detection hashes a candidate and compares it with
+//!   the stored expressions. Adding an alternative allocates nothing beyond
+//!   amortized growth of those few arrays.
 //!
 //! The first must not move when the second does.
 
+use crate::binder::BoundQuery;
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::Cost;
-use crate::error::OptimizerError;
 use crate::implementation::PhysicalChoice;
-use crate::logical::{LogicalOp, LogicalPlan};
+use crate::logical::LogicalOp;
 use crate::memory::{sizes, CompilationMemory};
 use crate::names::{BindingSet, Names, PlainId, PredRef};
 use std::collections::hash_map::RandomState;
@@ -46,8 +47,9 @@ impl GroupId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(pub u32);
 
-/// A join's equi-join predicates, ordered and oriented: a range of the
-/// memo's predicate arena, read through [`Memo::pred_list`].
+/// A join's equi-join predicates, ordered and oriented: a range of a
+/// predicate arena — the memo's, read through [`Memo::pred_list`], or a
+/// [`BoundQuery`]'s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PredList {
     start: u32,
@@ -55,14 +57,30 @@ pub struct PredList {
 }
 
 impl PredList {
+    /// Append `preds` to `arena` and return their range.
+    pub(crate) fn append(
+        arena: &mut Vec<PredRef>,
+        preds: impl IntoIterator<Item = PredRef>,
+    ) -> PredList {
+        let start = arena.len() as u32;
+        arena.extend(preds);
+        let len = arena.len() as u32 - start;
+        PredList { start, len }
+    }
+
+    /// The predicates this list ranges over in `arena`.
+    pub(crate) fn of(self, arena: &[PredRef]) -> &[PredRef] {
+        &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+
     /// True for a join without equi-join predicates (a cross product).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 }
 
-/// A logical operator as the memo stores it: a [`LogicalOp`] with its names
-/// resolved in the compilation's [`Names`].
+/// A logical operator with its names resolved in the compilation's
+/// [`Names`]: what the binder emits and the memo stores.
 #[derive(Debug, Clone, Copy)]
 pub enum MemoOp {
     /// A scan or unary operator. Rules only rewrite joins, so these stay
@@ -82,11 +100,6 @@ impl MemoOp {
     fn join(kind: JoinKind) -> MemoOp {
         let preds = PredList::default();
         MemoOp::Join { kind, preds }
-    }
-
-    /// True for join operators (the target of the reordering rules).
-    pub fn is_join(&self) -> bool {
-        matches!(self, MemoOp::Join { .. })
     }
 
     /// Everything two operators must agree on to be equal, a join's
@@ -223,7 +236,7 @@ impl Memo {
 
     /// A join's predicates.
     pub fn pred_list(&self, list: PredList) -> &[PredRef] {
-        &self.preds[list.start as usize..(list.start + list.len) as usize]
+        list.of(&self.preds)
     }
 
     /// The predicates of `op` when it is a join, none otherwise.
@@ -234,42 +247,29 @@ impl Memo {
         }
     }
 
-    /// Recursively insert a plan tree, resolving its names and creating one
-    /// group per node (reusing existing groups when an identical expression
-    /// already exists). Returns the root group, or an error when the plan
-    /// is malformed or joins more than [`crate::names::MAX_BINDINGS`]
-    /// tables.
+    /// Seed an empty memo with a bound query: take over its name table and
+    /// insert its expressions in order, one group each. Returns the group
+    /// of the last expression, the query's root.
     pub fn insert_plan(
         &mut self,
-        plan: LogicalPlan,
+        bound: BoundQuery,
         est: &CardinalityEstimator<'_>,
         mem: &mut CompilationMemory,
-    ) -> Result<GroupId, OptimizerError> {
-        if plan.children.len() != plan.op.arity() {
-            let what = format!("{} with {} inputs", plan.op.name(), plan.children.len());
-            return Err(OptimizerError::Unsupported(what));
+    ) -> GroupId {
+        self.names = bound.names;
+        let mut groups = Vec::with_capacity(bound.exprs.len());
+        let mut root = GroupId::NONE;
+        for e in &bound.exprs {
+            let children = e.children.map(|c| c.map_or(GroupId::NONE, |at| groups[at]));
+            let scanned = e.scans.map_or_else(BindingSet::default, BindingSet::single);
+            let preds = match e.op {
+                MemoOp::Join { preds, .. } => preds.of(&bound.preds),
+                MemoOp::Plain(_) => &[],
+            };
+            root = self.insert_expr(e.op, preds, children, scanned, est, mem).0;
+            groups.push(root);
         }
-        let mut children = [GroupId::NONE; 2];
-        for (slot, child) in children.iter_mut().zip(plan.children) {
-            *slot = self.insert_plan(child, est, mem)?;
-        }
-        let mut scanned = BindingSet::default();
-        let mut preds = Vec::new();
-        let op = match plan.op {
-            LogicalOp::Join { kind, predicates } => {
-                for p in predicates {
-                    preds.push(self.names.pred_ref(p, est)?);
-                }
-                MemoOp::join(kind)
-            }
-            plain => {
-                if let LogicalOp::Get { binding, .. } = &plain {
-                    scanned = BindingSet::single(self.names.binding_id(binding)?);
-                }
-                MemoOp::Plain(self.names.plain_id(plain))
-            }
-        };
-        Ok(self.insert_expr(op, &preds, children, scanned, est, mem).0)
+        root
     }
 
     /// Insert a join; if an identical one exists, return its group.
@@ -349,11 +349,7 @@ impl Memo {
         mem: &mut CompilationMemory,
     ) -> ExprId {
         if let MemoOp::Join { preds, .. } = &mut op {
-            *preds = PredList {
-                start: self.preds.len() as u32,
-                len: new_preds.len() as u32,
-            };
-            self.preds.extend_from_slice(new_preds);
+            *preds = PredList::append(&mut self.preds, new_preds.iter().copied());
         }
         let expr_id = ExprId(self.exprs.len() as u32);
         self.exprs.push(MemoExpr {
@@ -445,7 +441,6 @@ impl Memo {
             LogicalOp::Get {
                 table, predicates, ..
             } => (est.get_rows(table, predicates), est.table_row_width(table)),
-            LogicalOp::Join { .. } => unreachable!("joins are stored as MemoOp::Join"),
             LogicalOp::Filter { selectivity_ppm } => (
                 CardinalityEstimator::filter_rows(input(0).rows, *selectivity_ppm),
                 input(0).row_width,
@@ -491,29 +486,23 @@ fn place(slots: &mut [u32], hash: u64, value: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::{ColumnRef, JoinPredicate};
-    use throttledb_catalog::tpch_schema;
+    use crate::binder::Binder;
+    use throttledb_catalog::{tpch_schema, Catalog};
+    use throttledb_sqlparse::parse;
 
-    fn get(table: &str) -> LogicalPlan {
-        LogicalPlan::leaf(LogicalOp::Get {
-            table: table.into(),
-            binding: table.into(),
-            predicates: vec![],
-        })
-    }
+    /// Seeds four groups: orders, customer, their join and a projection.
+    const ORDERS_CUSTOMER: &str =
+        "SELECT o.o_orderkey FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey";
+    const ORDERS: GroupId = GroupId(0);
+    const CUSTOMER: GroupId = GroupId(1);
+    const JOIN: GroupId = GroupId(2);
 
-    fn orders_join_customer() -> LogicalPlan {
-        LogicalPlan::binary(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                predicates: vec![JoinPredicate {
-                    left: ColumnRef::new("orders", "orders", "o_custkey"),
-                    right: ColumnRef::new("customer", "customer", "c_custkey"),
-                }],
-            },
-            get("orders"),
-            get("customer"),
-        )
+    /// A memo seeded with `sql` bound against `catalog`, and its root.
+    fn seeded(catalog: &Catalog, sql: &str, mem: &mut CompilationMemory) -> (Memo, GroupId) {
+        let bound = Binder::new(catalog).bind(&parse(sql).unwrap()).unwrap();
+        let mut memo = Memo::new();
+        let root = memo.insert_plan(bound, &CardinalityEstimator::new(catalog), mem);
+        (memo, root)
     }
 
     /// The members of `group`, in order.
@@ -528,16 +517,14 @@ mod tests {
     #[test]
     fn insert_plan_creates_one_group_per_node() {
         let cat = tpch_schema(0.1);
-        let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        let root = memo
-            .insert_plan(orders_join_customer(), &est, &mut mem)
-            .unwrap();
-        assert_eq!(memo.group_count(), 3);
-        assert_eq!(memo.expr_count(), 3);
-        let [orders, customer] = memo.expr(members(&memo, root)[0]).children;
-        let covered = memo.group(root).bindings;
+        let (memo, root) = seeded(&cat, ORDERS_CUSTOMER, &mut mem);
+        assert_eq!(memo.group_count(), 4);
+        assert_eq!(memo.expr_count(), 4);
+        assert_eq!(memo.expr(members(&memo, root)[0]).children(), [JOIN]);
+        let [orders, customer] = memo.expr(members(&memo, JOIN)[0]).children;
+        assert_eq!((orders, customer), (ORDERS, CUSTOMER));
+        let covered = memo.group(JOIN).bindings;
         assert_eq!(
             covered,
             memo.group(orders)
@@ -545,20 +532,8 @@ mod tests {
                 .union(memo.group(customer).bindings)
         );
         assert_ne!(covered, memo.group(orders).bindings);
-        assert!(mem.used_bytes() >= 3 * sizes::GROUP_BYTES);
-    }
-
-    #[test]
-    fn malformed_plans_are_rejected_not_indexed_out_of_bounds() {
-        let cat = tpch_schema(0.1);
-        let est = CardinalityEstimator::new(&cat);
-        let mut mem = CompilationMemory::unlimited();
-        let mut plan = orders_join_customer();
-        plan.children.pop();
-        assert!(matches!(
-            Memo::new().insert_plan(plan, &est, &mut mem),
-            Err(OptimizerError::Unsupported(_))
-        ));
+        assert_eq!(memo.group(root).bindings, covered);
+        assert!(mem.used_bytes() >= 4 * sizes::GROUP_BYTES);
     }
 
     #[test]
@@ -566,20 +541,17 @@ mod tests {
         let cat = tpch_schema(0.1);
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        let g1 = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
-        let g2 = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
-        assert_eq!(g1, g2);
-        assert_eq!(memo.expr_count(), 1);
-        // The whole join is found again too, predicates and children included.
-        let j1 = memo
-            .insert_plan(orders_join_customer(), &est, &mut mem)
-            .unwrap();
-        let j2 = memo
-            .insert_plan(orders_join_customer(), &est, &mut mem)
-            .unwrap();
-        assert_eq!(j1, j2);
-        assert_eq!(memo.expr_count(), 3);
+        let (mut memo, _) = seeded(&cat, ORDERS_CUSTOMER, &mut mem);
+        let join = *memo.expr(members(&memo, JOIN)[0]);
+        let preds = memo.op_preds(&join.op).to_vec();
+        // The whole join is found again, predicates and children included.
+        let again = memo.insert_join(JoinKind::Inner, &preds, join.children, &est, &mut mem);
+        assert_eq!(again, (JOIN, None));
+        assert_eq!(memo.expr_count(), 4);
+        // Without its predicate it is another expression, in another group.
+        let (group, expr) = memo.insert_join(JoinKind::Inner, &[], join.children, &est, &mut mem);
+        assert!(expr.is_some());
+        assert_ne!(group, JOIN);
     }
 
     #[test]
@@ -587,29 +559,41 @@ mod tests {
         let cat = tpch_schema(0.1);
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        let limit = |count| LogicalPlan::unary(LogicalOp::Limit { count }, get("orders"));
-        let groups: Vec<GroupId> = (0..500)
-            .map(|count| memo.insert_plan(limit(count), &est, &mut mem).unwrap())
+        let from: Vec<String> = (0..30).map(|i| format!("nation n{i}")).collect();
+        let sql = format!("SELECT COUNT(*) FROM {}", from.join(", "));
+        let (mut memo, _) = seeded(&cat, &sql, &mut mem);
+        let seeds = memo.expr_count();
+        let scans: Vec<GroupId> = memo
+            .expr_ids()
+            .map(|e| *memo.expr(e))
+            .filter(|e| e.children().is_empty())
+            .map(|e| e.group)
             .collect();
-        assert_eq!(memo.expr_count(), 501);
-        for (count, group) in groups.iter().enumerate() {
-            let again = memo.insert_plan(limit(count as u64), &est, &mut mem);
-            assert_eq!(again.unwrap(), *group);
+        assert_eq!(scans.len(), 30);
+        let pairs: Vec<[GroupId; 2]> = scans
+            .iter()
+            .flat_map(|a| scans.iter().filter(move |b| *b != a).map(move |b| [*a, *b]))
+            .collect();
+        let groups: Vec<GroupId> = pairs
+            .iter()
+            .map(|c| memo.insert_join(JoinKind::Inner, &[], *c, &est, &mut mem).0)
+            .collect();
+        // Every ordered pair is a new cross product but the seeded n0 ⋈ n1.
+        let grown = memo.expr_count();
+        assert_eq!(grown, seeds + pairs.len() - 1);
+        for (children, group) in pairs.iter().zip(&groups) {
+            let again = memo.insert_join(JoinKind::Inner, &[], *children, &est, &mut mem);
+            assert_eq!(again, (*group, None));
         }
-        assert_eq!(memo.expr_count(), 501);
+        assert_eq!(memo.expr_count(), grown);
     }
 
     #[test]
     fn add_join_to_group_dedups_alternatives() {
         let cat = tpch_schema(0.1);
-        let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        let gj = memo
-            .insert_plan(orders_join_customer(), &est, &mut mem)
-            .unwrap();
-        let join = *memo.expr(members(&memo, gj)[0]);
+        let (mut memo, _) = seeded(&cat, ORDERS_CUSTOMER, &mut mem);
+        let join = *memo.expr(members(&memo, JOIN)[0]);
         let [go, gc] = join.children;
         let flipped: Vec<PredRef> = memo
             .op_preds(&join.op)
@@ -618,40 +602,34 @@ mod tests {
             .collect();
         // Same predicate, same orientation, same children: a duplicate.
         let same = memo.op_preds(&join.op).to_vec();
-        let dup = memo.add_join_to_group(gj, JoinKind::Inner, &same, [go, gc], &mut mem);
+        let dup = memo.add_join_to_group(JOIN, JoinKind::Inner, &same, [go, gc], &mut mem);
         assert!(dup.is_none());
         // The commuted alternative is new...
-        let alt = memo.add_join_to_group(gj, JoinKind::Inner, &flipped, [gc, go], &mut mem);
+        let alt = memo.add_join_to_group(JOIN, JoinKind::Inner, &flipped, [gc, go], &mut mem);
         assert!(alt.is_some());
         // ...but adding it again is a no-op.
-        let again = memo.add_join_to_group(gj, JoinKind::Inner, &flipped, [gc, go], &mut mem);
+        let again = memo.add_join_to_group(JOIN, JoinKind::Inner, &flipped, [gc, go], &mut mem);
         assert!(again.is_none());
-        assert_eq!(members(&memo, gj), vec![ExprId(2), alt.unwrap()]);
-        assert_eq!(memo.group_count(), 3, "no extra group for the alternative");
+        assert_eq!(members(&memo, JOIN), vec![ExprId(2), alt.unwrap()]);
+        assert_eq!(memo.group_count(), 4, "no extra group for the alternative");
         // Orientation is part of a predicate list's identity.
-        let unflipped = memo.add_join_to_group(gj, JoinKind::Inner, &same, [gc, go], &mut mem);
+        let unflipped = memo.add_join_to_group(JOIN, JoinKind::Inner, &same, [gc, go], &mut mem);
         assert!(unflipped.is_some());
     }
 
     #[test]
     fn group_properties_reflect_statistics() {
         let cat = tpch_schema(1.0);
-        let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        let go = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
-        let gc = memo.insert_plan(get("customer"), &est, &mut mem).unwrap();
-        assert_eq!(memo.group(go).rows, 1_500_000.0);
-        assert_eq!(memo.group(gc).rows, 150_000.0);
-        let gj = memo
-            .insert_plan(orders_join_customer(), &est, &mut mem)
-            .unwrap();
-        let j = memo.group(gj);
+        let (memo, _) = seeded(&cat, ORDERS_CUSTOMER, &mut mem);
+        assert_eq!(memo.group(ORDERS).rows, 1_500_000.0);
+        assert_eq!(memo.group(CUSTOMER).rows, 150_000.0);
+        let j = memo.group(JOIN);
         // FK->PK join keeps the orders cardinality.
         assert!((j.rows - 1_500_000.0).abs() < 1.0);
         assert_eq!(
             j.row_width,
-            memo.group(go).row_width + memo.group(gc).row_width
+            memo.group(ORDERS).row_width + memo.group(CUSTOMER).row_width
         );
     }
 
@@ -660,21 +638,26 @@ mod tests {
         let cat = tpch_schema(0.1);
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
-        let one = mem.used_bytes();
-        assert_eq!(one, sizes::GROUP_BYTES + sizes::LOGICAL_EXPR_BYTES);
-        memo.insert_plan(get("customer"), &est, &mut mem).unwrap();
-        assert_eq!(mem.used_bytes(), 2 * one);
+        let (mut memo, _) = seeded(&cat, ORDERS_CUSTOMER, &mut mem);
+        let one = sizes::GROUP_BYTES + sizes::LOGICAL_EXPR_BYTES;
+        assert_eq!(mem.used_bytes(), 4 * one);
+        let children = [CUSTOMER, ORDERS];
+        let (cross, _) = memo.insert_join(JoinKind::Inner, &[], children, &est, &mut mem);
+        assert_eq!(mem.used_bytes(), 5 * one);
+        let children = [ORDERS, CUSTOMER];
+        memo.add_join_to_group(cross, JoinKind::Inner, &[], children, &mut mem);
+        assert_eq!(
+            mem.used_bytes(),
+            5 * one + sizes::LOGICAL_EXPR_BYTES,
+            "an alternative adds no group"
+        );
     }
 
     #[test]
     fn clear_winners_resets_all_groups() {
         let cat = tpch_schema(0.1);
-        let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
-        let mut memo = Memo::new();
-        let g = memo.insert_plan(get("orders"), &est, &mut mem).unwrap();
+        let (mut memo, g) = seeded(&cat, "SELECT o_orderkey FROM orders", &mut mem);
         memo.group_mut(g).winner = Some(Winner {
             expr: ExprId(0),
             choice: PhysicalChoice::TableScan,

@@ -1,12 +1,14 @@
 //! The per-compilation name table.
 //!
-//! When a bound plan enters the memo its names are resolved **once** into
-//! this table, so that exploring an alternative touches no `String`:
+//! The binder resolves a statement's names **once**, while it classifies
+//! its predicates, into this table, so that exploring an alternative
+//! touches no `String`:
 //!
+//! * every binding (table alias) is its FROM-list position, a
+//!   [`BindingId`] and a bit in a [`BindingSet`];
 //! * every distinct equi-join predicate becomes a [`PredRef`] — with the
 //!   bindings of its two sides and its `max(ndv)` looked up here, not once
 //!   per new join group;
-//! * every binding (table alias) becomes a bit position in a [`BindingSet`];
 //! * scans and unary operators, which no rule rewrites, are kept as the
 //!   binder built them and referred to by [`PlainId`].
 //!
@@ -14,18 +16,19 @@
 //! so comparing ids is exactly comparing what they stand for. Lookups are
 //! linear scans: a query has tens of names, and scanning them beats building
 //! a hash map per compilation. The table lives and dies with one compilation
-//! (aliases are user input; nothing is interned globally); owned names leave
-//! it only when [`crate::implementation::extract_plan`] builds the final plan.
+//! (aliases are user input; nothing is interned globally); the memo takes it
+//! over from the binder, and owned names leave it only when
+//! [`crate::implementation::extract_plan`] builds the final plan.
 
 use crate::cardinality::CardinalityEstimator;
-use crate::error::OptimizerError;
 use crate::logical::{JoinPredicate, LogicalOp};
 
-/// Widest FROM/JOIN list the memo accepts (SQL Server's own limit) and the
-/// width of a [`BindingSet`].
+/// Widest FROM/JOIN list the binder accepts (SQL Server's own limit) and
+/// the width of a [`BindingSet`].
 pub const MAX_BINDINGS: usize = 256;
 
-/// A query binding (table alias): its bit position in a [`BindingSet`].
+/// A query binding (table alias): its FROM-list position, and its bit
+/// position in a [`BindingSet`].
 pub type BindingId = u8;
 
 /// Identifies a scan or unary operator kept in the table.
@@ -83,28 +86,14 @@ struct JoinPredEntry {
 /// The name table of one compilation.
 #[derive(Debug, Default)]
 pub struct Names {
-    bindings: Vec<String>,
     plain: Vec<LogicalOp>,
     join_predicates: Vec<JoinPredEntry>,
 }
 
 impl Names {
-    /// Resolve a binding name; fails on the 257th distinct one.
-    pub fn binding_id(&mut self, name: &str) -> Result<BindingId, OptimizerError> {
-        let known = self.bindings.iter().position(|b| b == name);
-        let at = known.unwrap_or_else(|| {
-            self.bindings.push(name.to_string());
-            self.bindings.len() - 1
-        });
-        BindingId::try_from(at).map_err(|_| {
-            OptimizerError::Unsupported(format!("more than {MAX_BINDINGS} tables in one query"))
-        })
-    }
-
     /// Keep a scan or unary operator. Joins are not kept whole: their
     /// predicates go through [`Names::pred_ref`].
     pub fn plain_id(&mut self, op: LogicalOp) -> PlainId {
-        debug_assert!(!op.is_join());
         let known = self.plain.iter().position(|k| *k == op);
         let at = known.unwrap_or_else(|| {
             self.plain.push(op);
@@ -113,31 +102,30 @@ impl Names {
         PlainId(at as u32)
     }
 
-    /// Resolve an equi-join predicate, looking its `ndv` up once.
+    /// Resolve an equi-join predicate whose left and right columns belong
+    /// to the bindings `sides`, looking its `ndv` up once.
     pub fn pred_ref(
         &mut self,
         predicate: JoinPredicate,
+        sides: [BindingId; 2],
         est: &CardinalityEstimator<'_>,
-    ) -> Result<PredRef, OptimizerError> {
+    ) -> PredRef {
         for (at, known) in self.join_predicates.iter().enumerate() {
             let known = &known.predicate;
             if *known == predicate {
-                return Ok(PredRef((at as u32) << 1));
+                return PredRef((at as u32) << 1);
             }
             if known.left == predicate.right && known.right == predicate.left {
-                return Ok(PredRef((at as u32) << 1 | 1));
+                return PredRef((at as u32) << 1 | 1);
             }
         }
-        let entry = JoinPredEntry {
-            sides: [
-                self.binding_id(&predicate.left.binding)?,
-                self.binding_id(&predicate.right.binding)?,
-            ],
-            ndv: est.join_predicate_ndv(&predicate),
+        let ndv = est.join_predicate_ndv(&predicate);
+        self.join_predicates.push(JoinPredEntry {
             predicate,
-        };
-        self.join_predicates.push(entry);
-        Ok(PredRef((self.join_predicates.len() as u32 - 1) << 1))
+            sides,
+            ndv,
+        });
+        PredRef((self.join_predicates.len() as u32 - 1) << 1)
     }
 
     /// A kept scan or unary operator.
@@ -167,5 +155,34 @@ impl Names {
         } else {
             stored
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::logical::ColumnRef;
+    use throttledb_catalog::tpch_schema;
+
+    #[test]
+    fn both_orientations_of_a_predicate_intern_to_one_entry() {
+        let cat = tpch_schema(0.1);
+        let est = CardinalityEstimator::new(&cat);
+        let mut names = Names::default();
+        let a_x = ColumnRef::new("o", "orders", "o_custkey");
+        let b_y = ColumnRef::new("c", "customer", "c_custkey");
+        let ab = JoinPredicate {
+            left: a_x,
+            right: b_y,
+        };
+        let forward = names.pred_ref(ab.clone(), [0, 1], &est);
+        let backward = names.pred_ref(ab.clone().flipped(), [1, 0], &est);
+        assert_eq!(names.join_predicates.len(), 1, "one predicate");
+        assert_eq!(backward, forward.flipped(), "opposite orientation");
+        assert_eq!(names.join_predicate(forward), ab);
+        assert_eq!(names.join_predicate(backward), ab.flipped());
+        assert_eq!(names.left_binding(forward), 0);
+        assert_eq!(names.left_binding(backward), 1);
+        assert_eq!(names.ndv(forward), names.ndv(backward));
     }
 }

@@ -213,19 +213,18 @@ fn as_inner_join(memo: &Memo, expr_id: ExprId) -> Option<(PredList, [GroupId; 2]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binder::Binder;
-    use crate::logical::LogicalPlan;
+    use crate::binder::{Binder, BoundQuery};
     use throttledb_catalog::{tpch_schema, Catalog};
     use throttledb_sqlparse::parse;
 
-    fn bind(catalog: &Catalog, sql: &str) -> LogicalPlan {
+    fn bind(catalog: &Catalog, sql: &str) -> BoundQuery {
         Binder::new(catalog).bind(&parse(sql).unwrap()).unwrap()
     }
 
     /// Find the topmost join group in a freshly inserted plan.
     fn top_join_expr(memo: &Memo) -> ExprId {
         memo.expr_ids()
-            .filter(|e| memo.expr(*e).op.is_join())
+            .filter(|e| matches!(memo.expr(*e).op, MemoOp::Join { .. }))
             .last()
             .expect("plan contains a join")
     }
@@ -245,8 +244,7 @@ mod tests {
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
         let mut run = Exploration::default();
-        memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem)
-            .unwrap();
+        memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem);
         let join = top_join_expr(&memo);
         let group = memo.expr(join).group;
         let before = member_count(&memo, group);
@@ -284,8 +282,7 @@ mod tests {
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
         let mut run = Exploration::default();
-        memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem)
-            .unwrap();
+        memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem);
         let join = top_join_expr(&memo);
         run.apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
         assert_eq!(run.queue.len(), 1);
@@ -305,7 +302,7 @@ mod tests {
         let mut memo = Memo::new();
         let mut run = Exploration::default();
         let plan = bind(&cat, "SELECT o_orderkey FROM orders");
-        memo.insert_plan(plan, &est, &mut mem).unwrap();
+        memo.insert_plan(plan, &est, &mut mem);
         let get = memo
             .expr_ids()
             .find(|e| matches!(memo.expr(*e).op, MemoOp::Plain(_)))
@@ -330,7 +327,7 @@ mod tests {
              JOIN orders o ON l.l_orderkey = o.o_orderkey \
              JOIN customer c ON o.o_custkey = c.c_custkey",
         );
-        memo.insert_plan(plan, &est, &mut mem).unwrap();
+        memo.insert_plan(plan, &est, &mut mem);
         let top = top_join_expr(&memo);
         let groups_before = memo.group_count();
         let attempted = run.apply_rule(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
@@ -365,7 +362,7 @@ mod tests {
              JOIN orders o ON c.c_custkey = o.o_custkey \
              JOIN nation n ON c.c_nationkey = n.n_nationkey",
         );
-        memo.insert_plan(plan, &est, &mut mem).unwrap();
+        memo.insert_plan(plan, &est, &mut mem);
         let top = top_join_expr(&memo);
         let groups_before = memo.group_count();
         let attempted = run.apply_rule(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
@@ -389,8 +386,7 @@ mod tests {
         let est = CardinalityEstimator::new(&cat);
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
-        memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem)
-            .unwrap();
+        memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem);
         let before_used = mem.used_bytes();
         let join = top_join_expr(&memo);
         Exploration::default().apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);

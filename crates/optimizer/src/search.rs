@@ -1,4 +1,5 @@
-//! The optimizer driver: bind → memo → staged exploration → costing.
+//! The optimizer driver: bind (every name resolved once) → seed the memo →
+//! staged exploration → costing.
 
 use crate::binder::Binder;
 use crate::cardinality::CardinalityEstimator;
@@ -102,9 +103,8 @@ impl<'a> Optimizer<'a> {
         mut mem: CompilationMemory,
     ) -> Result<OptimizationOutcome, OptimizerError> {
         let estimator = CardinalityEstimator::new(self.catalog);
-        let binder = Binder::new(self.catalog);
-        let initial_plan = binder.bind(stmt)?;
-        let table_count = initial_plan.table_count();
+        let bound = Binder::new(self.catalog).bind(stmt)?;
+        let table_count = bound.table_count();
 
         // Fixed per-query overhead: parse tree, binding, statistics loads.
         mem.charge(sizes::QUERY_OVERHEAD_BYTES);
@@ -113,11 +113,7 @@ impl<'a> Optimizer<'a> {
         // Seed the memo with the initial plan and cost it, so a best-effort
         // plan exists from the earliest possible moment.
         let mut memo = Memo::new();
-        let inserted = memo.insert_plan(initial_plan, &estimator, &mut mem);
-        let root = inserted.map_err(|unsupported| {
-            mem.finish();
-            unsupported
-        })?;
+        let root = memo.insert_plan(bound, &estimator, &mut mem);
         let ctx = ImplementationContext {
             catalog: self.catalog,
             estimator,
@@ -448,6 +444,24 @@ mod tests {
         );
         assert!(matches!(governed, Err(OptimizerError::Unsupported(_))));
         assert_eq!(clerk.used_bytes(), 0);
+    }
+
+    #[test]
+    fn duplicate_exposed_names_fail_before_anything_is_charged() {
+        let cat = tpch_schema(1.0);
+        let opt = Optimizer::new(&cat);
+        let broker = MemoryBroker::new(BrokerConfig::paper_machine());
+        let clerk = broker.register(SubcomponentKind::Compilation);
+        for sql in [
+            "SELECT COUNT(*) FROM orders, orders",
+            "SELECT COUNT(*) FROM orders o JOIN customer o ON o.o_custkey = o.o_custkey",
+        ] {
+            let stmt = parse(sql).unwrap();
+            let governed =
+                opt.optimize_with_governor(&stmt, Box::new(UnlimitedGovernor), Some(clerk.clone()));
+            assert!(matches!(governed, Err(OptimizerError::DuplicateBinding(_))));
+        }
+        assert_eq!(clerk.total_allocated(), 0);
     }
 
     #[test]
