@@ -1,9 +1,7 @@
 //! Figure 3: throughput at 30 clients, throttled vs non-throttled.
-use throttledb_bench::experiment_config_or_exit;
-use throttledb_engine::throughput_experiment;
+use throttledb_bench::{experiment::figure, experiment_config_or_exit};
 
 fn main() {
-    let cfg = experiment_config_or_exit(30);
-    let cmp = throughput_experiment(&cfg, 30);
-    cmp.print("Figure 3");
+    let (scale, seed) = experiment_config_or_exit();
+    print!("{}", figure(3, scale, seed));
 }

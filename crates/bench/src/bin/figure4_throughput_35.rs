@@ -1,9 +1,7 @@
 //! Figure 4: throughput at 35 clients, throttled vs non-throttled.
-use throttledb_bench::experiment_config_or_exit;
-use throttledb_engine::throughput_experiment;
+use throttledb_bench::{experiment::figure, experiment_config_or_exit};
 
 fn main() {
-    let cfg = experiment_config_or_exit(35);
-    let cmp = throughput_experiment(&cfg, 35);
-    cmp.print("Figure 4");
+    let (scale, seed) = experiment_config_or_exit();
+    print!("{}", figure(4, scale, seed));
 }

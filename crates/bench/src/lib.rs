@@ -14,11 +14,11 @@
 
 #![deny(missing_docs)]
 
+pub mod experiment;
 pub mod gate;
 pub mod sweep;
 
 use std::fmt;
-use throttledb_engine::ServerConfig;
 use throttledb_scenario::Scale;
 
 /// An argument the figure binaries cannot use.
@@ -42,10 +42,10 @@ impl fmt::Display for ArgError {
     }
 }
 
-/// The figure binaries' configuration from their arguments (program name
-/// excluded): an optional `quick|paper` scale (default `paper`) and an
-/// optional seed (default 2007), at `clients` clients, throttled.
-pub fn experiment_config(args: &[String], clients: u32) -> Result<ServerConfig, ArgError> {
+/// The figure binaries' arguments (program name excluded): an optional
+/// `quick|paper` scale (default `paper`) and an optional seed (default
+/// 2007).
+pub fn experiment_config(args: &[String]) -> Result<(Scale, u64), ArgError> {
     let scale = match args.first() {
         None => Scale::Paper,
         Some(s) => Scale::parse(s).ok_or_else(|| ArgError::UnknownScale(s.clone()))?,
@@ -57,21 +57,16 @@ pub fn experiment_config(args: &[String], clients: u32) -> Result<ServerConfig, 
     if let Some(extra) = args.get(2) {
         return Err(ArgError::Extra(extra.clone()));
     }
-    let mut cfg = match scale {
-        Scale::Quick => ServerConfig::quick(clients, true),
-        Scale::Paper => ServerConfig::paper(clients, true),
-    };
-    cfg.seed = seed;
-    Ok(cfg)
+    Ok((scale, seed))
 }
 
 /// [`experiment_config`] over the process arguments. On a bad argument it
 /// prints the error and the usage line and exits with status 2.
-pub fn experiment_config_or_exit(clients: u32) -> ServerConfig {
+pub fn experiment_config_or_exit() -> (Scale, u64) {
     let mut args = std::env::args();
     let program = args.next().unwrap_or_default();
     let args: Vec<String> = args.collect();
-    experiment_config(&args, clients).unwrap_or_else(|e| {
+    experiment_config(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         eprintln!("usage: {program} [quick|paper] [seed]");
         std::process::exit(2)
@@ -88,19 +83,17 @@ mod tests {
 
     #[test]
     fn default_experiment_config_is_paper_scale() {
-        let cfg = experiment_config(&[], 30).expect("no arguments is valid");
-        assert_eq!(cfg.clients, 30);
-        assert_eq!(cfg.seed, 2007);
-        assert!(cfg.duration.as_secs() >= 28_800);
-        let quick = experiment_config(&args(&["quick", "7"]), 35).expect("valid");
-        assert_eq!(quick.seed, 7);
-        assert!(quick.duration < cfg.duration);
+        assert_eq!(experiment_config(&[]), Ok((Scale::Paper, 2007)));
+        assert_eq!(
+            experiment_config(&args(&["quick", "7"])),
+            Ok((Scale::Quick, 7))
+        );
     }
 
     #[test]
     fn experiment_config_rejects_an_unknown_scale() {
         assert_eq!(
-            experiment_config(&args(&["quik", "2007"]), 35).err(),
+            experiment_config(&args(&["quik", "2007"])).err(),
             Some(ArgError::UnknownScale("quik".to_string()))
         );
     }
@@ -108,7 +101,7 @@ mod tests {
     #[test]
     fn experiment_config_rejects_a_non_numeric_seed() {
         assert_eq!(
-            experiment_config(&args(&["quick", "2OO7"]), 35).err(),
+            experiment_config(&args(&["quick", "2OO7"])).err(),
             Some(ArgError::BadSeed("2OO7".to_string()))
         );
     }
@@ -116,7 +109,7 @@ mod tests {
     #[test]
     fn experiment_config_rejects_extra_arguments() {
         assert_eq!(
-            experiment_config(&args(&["quick", "2007", "extra", "junk"]), 35).err(),
+            experiment_config(&args(&["quick", "2007", "extra", "junk"])).err(),
             Some(ArgError::Extra("extra".to_string()))
         );
     }
