@@ -37,7 +37,7 @@
 //! error.
 
 use std::process::ExitCode;
-use throttledb_bench::sweep::{run_grid, GridSpec, Kind};
+use throttledb_bench::sweep::{run_grid, Admission, GridSpec, Kind};
 use throttledb_engine::PolicyKind;
 use throttledb_scenario::{Scale, Scenario};
 
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut shards = 1u32;
-    let mut policies: Option<Vec<PolicyKind>> = None;
+    let mut policies: Option<Vec<Admission>> = None;
     let mut faults = false;
     let mut scenarios_set = false;
     // (flag, path) for every `--*-out` given; the last one of a flag wins.
@@ -113,7 +113,7 @@ fn main() -> ExitCode {
             },
             "--policies" => match iter.next().map(|list| {
                 list.split(',')
-                    .map(|p| PolicyKind::parse(p.trim()).ok_or(p))
+                    .map(|p| PolicyKind::parse(p.trim()).map(Admission::Policy).ok_or(p))
                     .collect::<Result<Vec<_>, _>>()
             }) {
                 Some(Ok(parsed)) if !parsed.is_empty() => policies = Some(parsed),
@@ -162,12 +162,13 @@ fn main() -> ExitCode {
 
     let spec = GridSpec {
         kind,
-        policies: match (kind, policies) {
+        admissions: match (kind, policies) {
             (Kind::Policies | Kind::Resilience, Some(p)) => p,
-            (Kind::Resilience, None) => PolicyKind::all().to_vec(),
-            _ => vec![PolicyKind::Ladder],
+            (Kind::Resilience, None) => PolicyKind::all().map(Admission::Policy).to_vec(),
+            _ => vec![Admission::Policy(PolicyKind::Ladder)],
         },
         scenarios,
+        clients: vec![None],
         shard_counts: match kind {
             Kind::ShardScale => vec![1, if shards > 1 { shards } else { 4 }],
             _ => vec![shards],
@@ -179,7 +180,7 @@ fn main() -> ExitCode {
     eprintln!(
         "{} grid: {} policy(ies) x {} scenario(s) x {} shard count(s) x {} seed(s) on {} worker(s)...",
         kind.name(),
-        spec.policies.len(),
+        spec.admissions.len(),
         spec.scenarios.len(),
         spec.shard_counts.len(),
         spec.seeds.len(),

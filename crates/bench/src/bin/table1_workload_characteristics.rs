@@ -1,9 +1,9 @@
 //! Table T1: SALES vs TPC-H workload characteristics (compile memory, compile
 //! time, joins) — the §5.1 claims.
-use throttledb_catalog::{sales_schema, tpch_schema, SalesScale};
+use throttledb_catalog::tpch_schema;
 use throttledb_engine::{ServerConfig, WorkloadProfiles};
 use throttledb_sqlparse::parse;
-use throttledb_workload::{oltp_templates, sales_templates, tpch_like_templates};
+use throttledb_workload::{sales_templates, tpch_like_templates};
 
 fn main() {
     let cfg = ServerConfig::paper(30, true);
@@ -43,9 +43,6 @@ fn main() {
             p.exec_grant_bytes as f64 / 1e6
         );
     }
-    let oltp_cat = sales_schema(SalesScale::paper());
-    let _ = oltp_cat;
-    let _ = oltp_templates();
     let avg = |v: &Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
     println!(
         "SALES mean compile memory: {:.0} MB; TPC-H-like mean: {:.1} MB; ratio: {:.0}x",

@@ -47,6 +47,8 @@ pub enum Field {
         /// 95% confidence half-width.
         ci95: f64,
     },
+    /// A per-slice count series as `[[slice start seconds, count], ...]`.
+    Slices(Vec<(u64, u64)>),
 }
 
 impl Field {
@@ -70,6 +72,11 @@ impl fmt::Display for Field {
             Field::Null => f.write_str("null"),
             Field::MeanCi { mean, ci95 } => {
                 write!(f, "{{\"mean\": {mean:.6}, \"ci95\": {ci95:.6}}}")
+            }
+            Field::Slices(slices) => {
+                let pairs: Vec<String> =
+                    slices.iter().map(|(s, n)| format!("[{s}, {n}]")).collect();
+                write!(f, "[{}]", pairs.join(", "))
             }
             Field::Text(s) => {
                 f.write_char('"')?;
@@ -454,6 +461,10 @@ fn entry_key(obj: &Value, kind: &str) -> String {
     if let Some(shards) = obj.get("shards").and_then(Value::as_f64) {
         let _ = write!(key, " shards={shards}");
     }
+    // Likewise the paper grid runs one scenario at several client counts.
+    if let Some(clients) = obj.get("clients").and_then(Value::as_f64) {
+        let _ = write!(key, " clients={clients}");
+    }
     key
 }
 
@@ -691,6 +702,14 @@ mod tests {
                     ("ci95".to_string(), num(0.723892)),
                 ]),
             ),
+            (
+                Field::Slices(vec![(1200, 15), (1800, 0)]),
+                Value::Arr(vec![
+                    Value::Arr(vec![num(1200.0), num(15.0)]),
+                    Value::Arr(vec![num(1800.0), num(0.0)]),
+                ]),
+            ),
+            (Field::Slices(Vec::new()), Value::Arr(Vec::new())),
         ];
         let row: Row = kinds.iter().map(|(f, _)| ("f", f.clone())).collect();
         assert_eq!(

@@ -1,10 +1,13 @@
-//! The grid driver behind every document `sweep` writes.
+//! The grid driver behind every document `sweep` writes and every paper
+//! figure the bench binaries print ([`Kind::Paper`], [`crate::experiment`]).
 //!
-//! [`run_grid`] runs the (policy × scenario × shard count × seed) product
-//! at one scale, fanning the cells across OS threads; any axis may be a
-//! single value. A [`Kind`] says which BENCH document the grid feeds: the
-//! columns each cell projects out of its run, whether runs record a trace,
-//! and which columns are averaged over seeds into `aggregates`.
+//! [`run_grid`] runs the ([`Admission`] × scenario × client count × shard
+//! count × seed) product at one scale, fanning the cells across OS
+//! threads; any axis may be a single value, and a client count of `None`
+//! keeps the scenario's own schedule. A [`Kind`] says which document the
+//! grid feeds: the columns each cell projects out of its run, whether runs
+//! record a trace, and which columns are averaged over seeds into
+//! `aggregates`.
 //!
 //! * **Determinism** — a cell's result depends only on its coordinates:
 //!   profiles are characterized once per scenario and shared, every run is
@@ -39,6 +42,9 @@ pub enum Kind {
     Policies,
     /// The resilience laboratory: `BENCH_resilience.json`.
     Resilience,
+    /// The paper's figures: completions, failures by cause, sustained and
+    /// peak levels, and the post-warm-up completions per slice.
+    Paper,
 }
 
 impl Kind {
@@ -49,6 +55,7 @@ impl Kind {
             Kind::ShardScale => "shard_scale",
             Kind::Policies => "policies",
             Kind::Resilience => "resilience",
+            Kind::Paper => "paper",
         }
     }
 
@@ -59,7 +66,7 @@ impl Kind {
     /// The columns averaged over seeds into `aggregates` (none: no section).
     fn averaged(self) -> &'static [&'static str] {
         match self {
-            Kind::Sweep | Kind::ShardScale => &[],
+            Kind::Sweep | Kind::ShardScale | Kind::Paper => &[],
             Kind::Policies => &[
                 "throughput_per_slice",
                 "p99_wait_us",
@@ -76,12 +83,10 @@ impl Kind {
         }
     }
 
-    /// The columns the console table shows.
+    /// The measured columns the console table shows after the keys.
     fn console(self) -> &'static [&'static str] {
         match self {
             Kind::Sweep => &[
-                "scenario",
-                "seed",
                 "submitted",
                 "completed",
                 "failed",
@@ -89,18 +94,8 @@ impl Kind {
                 "peak_queue_depth",
                 "arrivals",
             ],
-            Kind::ShardScale => &[
-                "scenario",
-                "seed",
-                "shards",
-                "events_dispatched",
-                "arrivals",
-                "arrival_digest",
-            ],
+            Kind::ShardScale => &["events_dispatched", "arrivals", "arrival_digest"],
             Kind::Policies => &[
-                "policy",
-                "scenario",
-                "seed",
                 "submitted",
                 "completed",
                 "failed",
@@ -108,9 +103,6 @@ impl Kind {
                 "throughput_per_slice",
             ],
             Kind::Resilience => &[
-                "policy",
-                "scenario",
-                "seed",
                 "completed",
                 "failed",
                 "shed",
@@ -118,19 +110,21 @@ impl Kind {
                 "goodput_under_fault",
                 "time_to_recovery_s",
             ],
+            Kind::Paper => &["completed_after_warmup", "failed", "throughput_per_slice"],
         }
     }
 
     /// The cell's measured columns, in document order.
     fn project(self, outcome: &ScenarioOutcome) -> Row {
         let m = &outcome.metrics;
-        let submitted = (
+        let count = |column, n| (column, Field::Count(n));
+        let submitted = count(
             "submitted",
-            Field::Count(outcome.phases.iter().map(|p| p.submitted).sum()),
+            outcome.phases.iter().map(|p| p.submitted).sum(),
         );
-        let completed = ("completed", Field::Count(m.completed.total()));
-        let failed = ("failed", Field::Count(m.failed.total()));
-        let best_effort = ("best_effort", Field::Count(m.best_effort_plans));
+        let completed = count("completed", m.completed.total());
+        let failed = count("failed", m.failed.total());
+        let best_effort = count("best_effort", m.best_effort_plans);
         let throughput = (
             "throughput_per_slice",
             Field::Fixed(m.sustained_throughput_per_slice(), 6),
@@ -190,20 +184,88 @@ impl Kind {
                 ("time_to_recovery_s", Field::Fixed(m.time_to_recovery(), 6)),
                 throughput,
             ],
+            Kind::Paper => vec![
+                count("completed_after_warmup", m.completed_after_warmup),
+                failed,
+                count("oom", m.oom_failures),
+                count("compile_timeouts", m.compile_timeouts),
+                count("grant_timeouts", m.grant_timeouts),
+                best_effort,
+                throughput,
+                count("peak_compile_bytes", m.compile_memory.max_value()),
+                count("gateway_acquisitions", m.throttle.acquisitions.iter().sum()),
+                ("figure_rows", Field::Slices(m.figure_rows())),
+            ],
         }
     }
 }
 
-/// What to run: every (policy, scenario, shard count, seed) coordinate, in
-/// that order, at one scale.
+/// How a cell admits compilations: a policy over the scenario's throttle,
+/// the throttle off, or one of the ablation's variants of it (§4.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// The scenario's throttle under this policy.
+    Policy(PolicyKind),
+    /// The throttle disabled: the paper's non-throttled baseline.
+    Off,
+    /// The first monitor only, holding the whole dynamic share.
+    OneMonitor,
+    /// The first two monitors, splitting the dynamic share 60/40.
+    TwoMonitors,
+    /// All monitors, static thresholds.
+    StaticThresholds,
+    /// All monitors, no best-effort plans.
+    NoBestEffort,
+}
+
+impl Admission {
+    /// The name documents key a row by; a policy keeps its own.
+    pub fn name(self) -> &'static str {
+        match self {
+            Admission::Policy(policy) => policy.name(),
+            Admission::Off => "off",
+            Admission::OneMonitor => "one_monitor",
+            Admission::TwoMonitors => "two_monitors",
+            Admission::StaticThresholds => "static_thresholds",
+            Admission::NoBestEffort => "no_best_effort",
+        }
+    }
+
+    /// `scenario` admitted this way (every other setting untouched).
+    fn apply(self, mut scenario: Scenario) -> Scenario {
+        let throttle = &mut scenario.base.throttle;
+        match self {
+            Admission::Policy(policy) => return scenario.with_policy(policy),
+            Admission::Off => throttle.enabled = false,
+            Admission::OneMonitor => {
+                throttle.monitors.truncate(1);
+                throttle.monitors[0].dynamic_fraction = 1.0;
+            }
+            Admission::TwoMonitors => {
+                throttle.monitors.truncate(2);
+                throttle.monitors[0].dynamic_fraction = 0.6;
+                throttle.monitors[1].dynamic_fraction = 0.4;
+            }
+            Admission::StaticThresholds => throttle.dynamic_thresholds = false,
+            Admission::NoBestEffort => throttle.best_effort_plans = false,
+        }
+        scenario
+    }
+}
+
+/// What to run: every (admission, scenario, client count, shard count,
+/// seed) coordinate, in that order, at one scale.
 #[derive(Debug, Clone)]
 pub struct GridSpec {
     /// The document the grid produces.
     pub kind: Kind,
-    /// Admission policies, in output order.
-    pub policies: Vec<PolicyKind>,
+    /// Admissions, in output order.
+    pub admissions: Vec<Admission>,
     /// Built-in scenario names, in output order.
     pub scenarios: Vec<String>,
+    /// Client counts, in output order: `None` runs the scenario's own
+    /// schedule, `Some(n)` every phase at `n` clients.
+    pub clients: Vec<Option<u32>>,
     /// Generator shards per run, in output order (each at least 1). Like
     /// `workers`, a wall-clock knob: the threaded arrival feed replays the
     /// inline feed's schedule byte for byte.
@@ -219,10 +281,12 @@ pub struct GridSpec {
 /// The deterministic result of one coordinate of the grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// Admission policy.
-    pub policy: PolicyKind,
+    /// Admission.
+    pub admission: Admission,
     /// Scenario name.
     pub scenario: String,
+    /// Closed-loop clients of the run's busiest phase.
+    pub clients: u32,
     /// Generator shards the run used.
     pub shards: u32,
     /// RNG seed.
@@ -233,13 +297,13 @@ pub struct Cell {
 
 impl Cell {
     /// A measured column by name.
-    fn get(&self, column: &str) -> Option<&Field> {
+    pub(crate) fn get(&self, column: &str) -> Option<&Field> {
         lookup(&self.columns, column)
     }
 
     /// A measured column, or one of the rates the policy laboratory
     /// derives from them, as a number.
-    fn sample(&self, column: &str) -> f64 {
+    pub(crate) fn sample(&self, column: &str) -> f64 {
         let num = |c| {
             self.get(c)
                 .and_then(Field::as_f64)
@@ -271,6 +335,30 @@ pub struct GridOutcome {
 
 /// Run the grid. Panics on an unknown scenario name (the CLI validates
 /// names up front).
+///
+/// # Examples
+///
+/// ```
+/// use throttledb_bench::experiment::count;
+/// use throttledb_bench::sweep::{run_grid, Admission, GridSpec, Kind};
+/// use throttledb_engine::PolicyKind;
+/// use throttledb_scenario::Scale;
+///
+/// // Figure 3's two legs at two client counts, admissions outermost.
+/// let grid = run_grid(&GridSpec {
+///     kind: Kind::Paper,
+///     admissions: vec![Admission::Policy(PolicyKind::Ladder), Admission::Off],
+///     scenarios: vec!["paper_figure3".to_string()],
+///     clients: vec![Some(2), Some(4)],
+///     shard_counts: vec![1],
+///     seeds: vec![2007],
+///     scale: Scale::Quick,
+///     workers: 2,
+/// });
+/// assert_eq!(grid.cells.len(), 4);
+/// assert_eq!((grid.cells[0].clients, grid.cells[2].admission), (2, Admission::Off));
+/// assert!(count(&grid.cells[1], "completed_after_warmup") > 0);
+/// ```
 pub fn run_grid(spec: &GridSpec) -> GridOutcome {
     let started = Instant::now();
     let spec = GridSpec {
@@ -281,30 +369,37 @@ pub fn run_grid(spec: &GridSpec) -> GridOutcome {
     // grid's wall-clock, so the per-scenario characterizations fan out too.
     let profiles = characterize_scenarios(&spec.scenarios, spec.scale, spec.workers);
     let mut coords = Vec::new();
-    for &policy in &spec.policies {
+    for &admission in &spec.admissions {
         for scenario in 0..spec.scenarios.len() {
-            for &shards in &spec.shard_counts {
-                for &seed in &spec.seeds {
-                    coords.push((policy, scenario, shards, seed));
+            for &clients in &spec.clients {
+                for &shards in &spec.shard_counts {
+                    for &seed in &spec.seeds {
+                        coords.push((admission, scenario, clients, shards, seed));
+                    }
                 }
             }
         }
     }
     let cells = fan_out(coords.len(), spec.workers, |idx| {
-        let (policy, scenario_idx, shards, seed) = coords[idx];
+        let (admission, scenario_idx, clients, shards, seed) = coords[idx];
         let name = &spec.scenarios[scenario_idx];
-        let scenario = Scenario::builtin(name, spec.scale)
+        let mut scenario = Scenario::builtin(name, spec.scale)
             .expect("characterized above")
-            .with_seed(seed)
-            .with_policy(policy);
+            .with_seed(seed);
+        if let Some(clients) = clients {
+            scenario = scenario.with_clients(clients);
+        }
+        let scenario = admission.apply(scenario);
+        let clients = scenario.max_clients();
         let outcome = ScenarioRunner::new(scenario)
             .record_trace(spec.kind.records_trace())
             .with_profiles(profiles[scenario_idx].clone())
             .with_shards(shards.max(1))
             .run();
         Cell {
-            policy,
+            admission,
             scenario: name.clone(),
+            clients,
             shards,
             seed,
             columns: spec.kind.project(&outcome),
@@ -321,13 +416,16 @@ impl GridOutcome {
     /// The identity columns the kind keys a row by, ahead of `seed(s)`.
     fn keys(&self, cell: &Cell) -> Row {
         let mut row = Row::new();
-        if matches!(self.spec.kind, Kind::Policies | Kind::Resilience) {
-            row.push(("policy", Field::Text(cell.policy.name().to_string())));
+        if !matches!(self.spec.kind, Kind::Sweep | Kind::ShardScale) {
+            row.push(("policy", Field::Text(cell.admission.name().to_string())));
         }
         if self.spec.kind == Kind::ShardScale {
             row.push(("shards", Field::Count(u64::from(cell.shards))));
         }
         row.push(("scenario", Field::Text(cell.scenario.clone())));
+        if self.spec.kind == Kind::Paper {
+            row.push(("clients", Field::Count(u64::from(cell.clients))));
+        }
         row
     }
 
@@ -344,10 +442,11 @@ impl GridOutcome {
             .collect()
     }
 
-    /// One row per (policy, scenario, shard count): the kind's averaged
-    /// columns as mean ± 95% CI over the seed axis. Seeds are the innermost
-    /// axis, so each group is a run of consecutive cells and the fold order
-    /// (hence every byte) is the same for any worker count.
+    /// One row per (admission, scenario, client count, shard count): the
+    /// kind's averaged columns as mean ± 95% CI over the seed axis. Seeds
+    /// are the innermost axis, so each group is a run of consecutive cells
+    /// and the fold order (hence every byte) is the same for any worker
+    /// count.
     fn aggregates(&self) -> Vec<Row> {
         let averaged = self.spec.kind.averaged();
         if averaged.is_empty() {
@@ -371,14 +470,18 @@ impl GridOutcome {
             .collect()
     }
 
-    /// The first cell whose columns differ from the same (policy, scenario,
-    /// seed) at the grid's first shard count, if any. `None` is the only
-    /// acceptable answer; the `sweep` binary fails the run otherwise.
+    /// The first cell whose columns differ from the same (admission,
+    /// scenario, client count, seed) at the grid's first shard count, if
+    /// any. `None` is the only acceptable answer; the `sweep` binary fails
+    /// the run otherwise.
     pub fn divergent(&self) -> Option<&Cell> {
         self.cells.iter().find(|c| {
             self.cells
                 .iter()
-                .find(|r| r.policy == c.policy && r.scenario == c.scenario && r.seed == c.seed)
+                .find(|r| {
+                    (r.admission, &r.scenario, r.clients, r.seed)
+                        == (c.admission, &c.scenario, c.clients, c.seed)
+                })
                 .is_some_and(|reference| reference.columns != c.columns)
         })
     }
@@ -427,10 +530,14 @@ impl GridOutcome {
         render(&[("scale", self.scale())], &[("cells", &self.rows())])
     }
 
-    /// The kind's console columns as an aligned text table: names and
-    /// digests as plain text, numbers right-aligned.
+    /// The row keys and the kind's console columns as an aligned text
+    /// table: names and digests as plain text, numbers right-aligned.
     pub fn table(&self) -> String {
-        let columns = self.spec.kind.console();
+        let mut columns: Vec<&str> = self.cells.first().map_or(Vec::new(), |cell| {
+            self.keys(cell).iter().map(|(name, _)| *name).collect()
+        });
+        columns.push("seed");
+        columns.extend(self.spec.kind.console());
         let rows = self.rows();
         let text: Vec<Vec<String>> = rows
             .iter()
@@ -538,8 +645,9 @@ mod tests {
     fn spec(kind: Kind, policies: &[PolicyKind], scenario: &str, shard_counts: &[u32]) -> GridSpec {
         GridSpec {
             kind,
-            policies: policies.to_vec(),
+            admissions: policies.iter().map(|&p| Admission::Policy(p)).collect(),
             scenarios: vec![scenario.to_string()],
+            clients: vec![None],
             shard_counts: shard_counts.to_vec(),
             seeds: vec![2007, 2008],
             scale: Scale::Quick,
@@ -663,7 +771,7 @@ mod tests {
             assert!(
                 cell.sample("completed") > 0.0,
                 "{:?}/{} idle",
-                cell.policy,
+                cell.admission,
                 cell.seed
             );
             assert!(cell.sample("failure_rate") <= 1.0);
@@ -696,11 +804,75 @@ mod tests {
             assert!(
                 cell.sample("fault_seconds") > 0.0,
                 "{:?}/{} saw no fault",
-                cell.policy,
+                cell.admission,
                 cell.seed
             );
             assert!(cell.sample("time_to_recovery_s") >= 0.0);
             assert!(cell.sample("goodput_under_fault") >= 0.0);
+        }
+    }
+
+    #[test]
+    fn paper_grid_is_worker_count_invariant_byte_for_byte() {
+        // 2 admissions x 1 scenario x 2 client counts x 2 seeds.
+        let spec = GridSpec {
+            admissions: vec![Admission::Policy(PolicyKind::Ladder), Admission::Off],
+            clients: vec![None, Some(10)],
+            ..spec(Kind::Paper, &[], "paper_figure3", &[1])
+        };
+        let (outcome, document, _) = worker_invariant(spec, 8, 0);
+        let clients: Vec<u32> = outcome.cells.iter().map(|c| c.clients).collect();
+        assert_eq!(clients, [30, 30, 10, 10, 30, 30, 10, 10]);
+        for cell in &outcome.cells {
+            assert!(
+                cell.sample("completed_after_warmup") > 0.0,
+                "{:?}/{}/{} idle",
+                cell.admission,
+                cell.clients,
+                cell.seed
+            );
+            assert!(matches!(
+                cell.get("figure_rows"),
+                Some(Field::Slices(rows)) if !rows.is_empty()
+            ));
+        }
+        // Only the throttled leg acquires gateways.
+        assert!(outcome.cells[..4]
+            .iter()
+            .all(|c| c.sample("gateway_acquisitions") > 0.0));
+        assert!(outcome.cells[4..]
+            .iter()
+            .all(|c| c.sample("gateway_acquisitions") == 0.0));
+        // The gate keys every cell apart, client count included, and skips
+        // the slice series.
+        let doc = crate::gate::parse(&document).expect("own document parses");
+        let entries = crate::gate::extract(&doc);
+        let mut keys: Vec<&str> = entries
+            .iter()
+            .filter(|e| e.metric == "failed")
+            .map(|e| e.key.as_str())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 8);
+        assert!(keys.contains(&"cell policy=off scenario=paper_figure3 seed=2008 clients=10"));
+    }
+
+    #[test]
+    fn a_client_count_reruns_a_paper_figure_at_another_figures_size() {
+        let run = |scenario: &str, clients| {
+            run_grid(&GridSpec {
+                admissions: vec![Admission::Policy(PolicyKind::Ladder), Admission::Off],
+                clients: vec![clients],
+                ..spec(Kind::Paper, &[], scenario, &[1])
+            })
+        };
+        let resized = run("paper_figure3", Some(35));
+        let figure4 = run("paper_figure4", None);
+        assert_eq!(resized.cells.len(), 4);
+        for (a, b) in resized.cells.iter().zip(&figure4.cells) {
+            assert_eq!((a.admission, a.clients, a.seed), (b.admission, 35, b.seed));
+            assert_eq!(a.columns, b.columns);
         }
     }
 

@@ -36,19 +36,15 @@ pub mod stages;
 pub mod trace;
 
 pub use config::{ArrivalSourceConfig, PolicyKind, ServerConfig, WorkloadClassConfig};
+pub use experiment::figure2_timeline;
 pub use fault::{FaultKind, FaultSpec};
-// Re-exported so downstream crates (scenario, bench) can configure and
-// decode circuit-breaker state without a direct governor dependency.
-pub use experiment::{
-    ablation, client_sweep, client_sweep_per_class, figure2_timeline, throughput_experiment,
-    throughput_experiment_with_profiles, AblationRow, ClassSweepRow, SweepRow,
-    ThroughputComparison,
-};
 pub use metrics::{
     ArrivalSourceMetrics, ClassMetrics, DispatchCounts, FailureKind, GaugePeaks, RunMetrics,
 };
 pub use profile::{CompileProfile, WorkloadProfiles};
 pub use server::Server;
 pub use stages::QueryLifecycle;
+// Re-exported so downstream crates (scenario, bench) can configure and
+// decode circuit-breaker state without a direct governor dependency.
 pub use throttledb_governor::{BreakerConfig, BreakerState};
 pub use trace::{TraceEvent, TraceSink};

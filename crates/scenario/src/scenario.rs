@@ -114,6 +114,16 @@ impl Scenario {
         self
     }
 
+    /// Run every phase at `clients` closed-loop clients (every other
+    /// setting untouched), so any built-in scenario can run at any client
+    /// count.
+    pub fn with_clients(mut self, clients: u32) -> Self {
+        for phase in &mut self.phases {
+            phase.clients = clients;
+        }
+        self
+    }
+
     /// Total virtual duration over all phases.
     pub fn total_duration(&self) -> SimDuration {
         self.phases
@@ -899,6 +909,16 @@ mod tests {
         let b = Scenario::compile_storm(Scale::Quick).with_seed(99);
         assert_eq!(b.base.seed, 99);
         assert_eq!(a.phases, b.phases);
+    }
+
+    #[test]
+    fn with_clients_sets_every_phase_and_the_runtime_config() {
+        let a = Scenario::compile_storm(Scale::Quick);
+        let b = Scenario::compile_storm(Scale::Quick).with_clients(17);
+        assert!(b.phases.iter().all(|p| p.clients == 17));
+        assert_eq!(b.runtime_config().clients, 17);
+        assert_eq!(a.total_duration(), b.total_duration());
+        assert_eq!(a.base, b.base);
     }
 
     #[test]

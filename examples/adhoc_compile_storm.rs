@@ -3,7 +3,7 @@
 //! that the medium/big gateways serialize the memory hogs while small
 //! diagnostic queries keep flowing.
 //!
-//! Run with: `cargo run --release -p throttledb-engine --example adhoc_compile_storm`
+//! Run with: `cargo run --release --example adhoc_compile_storm`
 
 use std::sync::Arc;
 use std::thread;

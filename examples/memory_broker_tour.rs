@@ -2,7 +2,7 @@
 //! memory squeezes the buffer pool, and see the dynamic gateway thresholds
 //! follow the broker's compilation target.
 //!
-//! Run with: `cargo run --release -p throttledb-engine --example memory_broker_tour`
+//! Run with: `cargo run --release --example memory_broker_tour`
 
 use throttledb_core::{DynamicThresholds, ThrottleConfig};
 use throttledb_membroker::{BrokerConfig, MemoryBroker, SubcomponentKind};

@@ -1,7 +1,7 @@
 //! Quickstart: build the paper's machine, throttle a burst of real
 //! compilations through the gateway ladder, and print the broker's view.
 //!
-//! Run with: `cargo run --release -p throttledb-engine --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use std::sync::Arc;
 use throttledb_catalog::{sales_schema, SalesScale};

@@ -1,17 +1,16 @@
 //! Run a reduced-scale SALES benchmark (the Figure 3 experiment at 1/8th
-//! duration) and print the throughput comparison.
+//! duration and 20 clients) and print the throughput comparison.
 //!
-//! Run with: `cargo run --release -p throttledb-engine --example sales_benchmark`
+//! Run with: `cargo run --release --example sales_benchmark`
 
-use throttledb_engine::{throughput_experiment, ServerConfig};
+use throttledb_bench::experiment::{comparison, count, paper_grid, LEGS};
+use throttledb_scenario::Scale;
 
 fn main() {
-    let clients = 20;
-    let cfg = ServerConfig::quick(clients, true);
-    let cmp = throughput_experiment(&cfg, clients);
-    cmp.print("SALES benchmark (reduced scale)");
+    let grid = paper_grid("paper_figure3", &LEGS, &[Some(20)], Scale::Quick, 2007);
+    print!("{}", comparison("SALES benchmark (reduced scale)", &grid));
     println!(
-        "\nthrottle stats (throttled run): {}",
-        cmp.throttled.throttle.summary_line()
+        "\ngateway acquisitions (throttled run): {}",
+        count(&grid.cells[0], "gateway_acquisitions")
     );
 }

@@ -2,30 +2,34 @@
 //! optimizer -> gateway ladder -> broker -> engine experiments.
 
 use std::sync::Arc;
+use throttledb_bench::experiment::{count, paper_grid, LEGS};
 use throttledb_engine::{
-    figure2_timeline, throughput_experiment_with_profiles, ArrivalSourceConfig, Server,
-    ServerConfig, WorkloadProfiles,
+    figure2_timeline, ArrivalSourceConfig, Server, ServerConfig, WorkloadProfiles,
 };
+use throttledb_scenario::Scale;
 use throttledb_sim::{ArrivalProcess, SimDuration, SimTime};
 
 #[test]
 fn quick_sales_run_reproduces_the_papers_qualitative_shape() {
-    let cfg = ServerConfig::quick(20, true);
-    let profiles = Arc::new(WorkloadProfiles::characterize_sales(&cfg));
-    let cmp = throughput_experiment_with_profiles(&cfg, 20, &profiles);
+    let grid = paper_grid("paper_figure3", &LEGS, &[Some(20)], Scale::Quick, 2007);
+    let [throttled, unthrottled] = &grid.cells[..] else {
+        panic!("one throttled and one unthrottled cell")
+    };
+    let t = |column| count(throttled, column);
+    let u = |column| count(unthrottled, column);
 
     // Both configurations make progress.
-    assert!(cmp.throttled.completed_after_warmup > 0);
-    assert!(cmp.unthrottled.completed_after_warmup > 0);
+    assert!(t("completed_after_warmup") > 0);
+    assert!(u("completed_after_warmup") > 0);
     // The unthrottled server lets concurrent compilations pile up memory.
     assert!(
-        cmp.unthrottled.compile_memory.max_value() >= cmp.throttled.compile_memory.max_value(),
+        u("peak_compile_bytes") >= t("peak_compile_bytes"),
         "throttling must cap concurrent compile memory"
     );
     // The throttled server engages its gateways and never hits OOM more often
     // than the unthrottled one.
-    assert!(cmp.throttled.throttle.acquisitions.iter().sum::<u64>() > 0);
-    assert!(cmp.throttled.oom_failures <= cmp.unthrottled.oom_failures);
+    assert!(t("gateway_acquisitions") > 0);
+    assert!(t("oom") <= u("oom"));
 }
 
 /// The full stack run at 1 and 4 generator shards: real optimizer
