@@ -13,8 +13,10 @@
 //! streaming sink, so even a 10M-arrival run serializes at O(1) memory.
 //! `--replay PATH` re-runs the scenario, streams the stored trace (either
 //! version, sniffed from the first bytes), and fails (exit 3) if the
-//! stored trace does not reproduce the live run — v1 compares per-phase
-//! reports, v2 additionally compares the incremental stream digest.
+//! stored stream does not reproduce the live one: the engine's event fold
+//! over the stored stream must equal its fold over the live stream
+//! (per-phase reports), and for v2 the incremental stream digests must
+//! match too.
 //! `--transcode SRC DST` converts between the two formats losslessly
 //! (direction sniffed from SRC). Exit codes: 0 success, 1 I/O/decode
 //! error, 2 usage/empty-metrics, 3 replay mismatch.

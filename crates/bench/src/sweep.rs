@@ -192,7 +192,7 @@ impl Kind {
                 count("grant_timeouts", m.grant_timeouts),
                 best_effort,
                 throughput,
-                count("peak_compile_bytes", m.compile_memory.max_value()),
+                count("peak_compile_bytes", m.peak_compile_bytes),
                 count("gateway_acquisitions", m.throttle.acquisitions.iter().sum()),
                 ("figure_rows", Field::Slices(m.figure_rows())),
             ],

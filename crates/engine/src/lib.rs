@@ -39,7 +39,8 @@ pub use config::{ArrivalSourceConfig, PolicyKind, ServerConfig, WorkloadClassCon
 pub use experiment::figure2_timeline;
 pub use fault::{FaultKind, FaultSpec};
 pub use metrics::{
-    ArrivalSourceMetrics, ClassMetrics, DispatchCounts, FailureKind, GaugePeaks, RunMetrics,
+    ArrivalSourceMetrics, ClassMetrics, DispatchCounts, FailureKind, MetricsFold, PhaseReport,
+    RunMetrics,
 };
 pub use profile::{CompileProfile, WorkloadProfiles};
 pub use server::Server;

@@ -1,6 +1,8 @@
 //! Run metrics: everything the figures and tables are built from.
 
+use crate::trace::TraceEvent;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use throttledb_core::ThrottleStats;
 use throttledb_governor::PoolStats;
 use throttledb_sim::{SimDuration, SimTime, TimeSeries};
@@ -16,38 +18,182 @@ pub enum FailureKind {
     GrantTimeout,
 }
 
-/// Running high-water marks of a gauge: over the whole run and since the
-/// last phase boundary. Two words, however many samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GaugePeaks {
-    run: u64,
-    phase: u64,
+/// Admission-control counters of one phase, plus the phase's compile-memory
+/// peak. [`MetricsFold`] is the only code that produces these, for a live
+/// run and for a recorded trace alike.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseReport {
+    /// Phase name.
+    pub name: String,
+    /// Phase start (virtual time).
+    pub start: SimTime,
+    /// Phase end (exclusive).
+    pub end: SimTime,
+    /// Active clients during the phase.
+    pub clients: u32,
+    /// Queries submitted in the phase.
+    pub submitted: u64,
+    /// Queries completed in the phase.
+    pub completed: u64,
+    /// Queries failed in the phase.
+    pub failed: u64,
+    /// Arrivals shed at the door by an open circuit breaker.
+    pub shed: u64,
+    /// Out-of-memory failures.
+    pub oom_failures: u64,
+    /// Compile-gateway timeout failures.
+    pub compile_timeouts: u64,
+    /// Grant-wait timeout failures.
+    pub grant_timeouts: u64,
+    /// Best-effort plans produced.
+    pub best_effort_plans: u64,
+    /// Peak aggregate compilation memory observed in the phase.
+    pub peak_compile_bytes: u64,
 }
 
-impl GaugePeaks {
-    /// Fold in a sample; true when it is a new high for the phase.
-    pub fn record(&mut self, value: u64) -> bool {
-        self.run = self.run.max(value);
-        let new_high = value > self.phase;
-        if new_high {
-            self.phase = value;
+impl PhaseReport {
+    /// Completions per simulated minute (throughput at phase granularity).
+    pub fn completions_per_minute(&self) -> f64 {
+        let mins = self.end.saturating_since(self.start).as_secs_f64() / 60.0;
+        if mins == 0.0 {
+            0.0
+        } else {
+            self.completed as f64 / mins
         }
-        new_high
+    }
+}
+
+impl fmt::Display for PhaseReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:<14} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>9.1} {:>9.0}",
+            self.name,
+            format!("{}s", self.start.as_secs()),
+            format!("{}s", self.end.as_secs()),
+            self.clients,
+            self.submitted,
+            self.completed,
+            self.failed,
+            self.shed,
+            self.best_effort_plans,
+            format!(
+                "{}/{}/{}",
+                self.oom_failures, self.compile_timeouts, self.grant_timeouts
+            ),
+            self.completions_per_minute(),
+            self.peak_compile_bytes as f64 / 1e6,
+        )
+    }
+}
+
+/// The one fold from [`TraceEvent`]s to counts: per-phase
+/// [`PhaseReport`]s and the run's totals.
+///
+/// The server feeds it every event it emits, with or without a trace
+/// consumer attached, and fills [`RunMetrics`]'s counters from its totals
+/// at finish; a recorded trace replays through the same fold. Memory is
+/// O(phases), so a multi-gigabyte stream replays in constant space.
+#[derive(Debug, Clone)]
+pub struct MetricsFold {
+    /// The reports in stream order. The first collects the events before
+    /// any phase boundary (the whole run, when no driver marks phases);
+    /// the rest are the phases. Events count into the last one.
+    reports: Vec<PhaseReport>,
+}
+
+impl Default for MetricsFold {
+    fn default() -> Self {
+        MetricsFold {
+            reports: vec![PhaseReport::default()],
+        }
+    }
+}
+
+impl MetricsFold {
+    /// An empty fold: no events, no phases.
+    pub fn new() -> Self {
+        MetricsFold::default()
     }
 
-    /// Start a new phase: its peak restarts from 0.
-    pub fn start_phase(&mut self) {
-        self.phase = 0;
+    /// Fold one event, in stream order.
+    pub fn observe(&mut self, ev: &TraceEvent) {
+        let current = self
+            .reports
+            .last_mut()
+            .expect("the fold always has a report open");
+        match ev {
+            TraceEvent::PhaseStart { at, name, clients } => {
+                current.end = *at;
+                self.reports.push(PhaseReport {
+                    name: name.clone(),
+                    start: *at,
+                    end: *at,
+                    clients: *clients,
+                    ..PhaseReport::default()
+                });
+            }
+            TraceEvent::End { at } => current.end = *at,
+            TraceEvent::Submitted { .. } => current.submitted += 1,
+            TraceEvent::Completed { .. } => current.completed += 1,
+            TraceEvent::BestEffort { .. } => current.best_effort_plans += 1,
+            TraceEvent::Failed { kind, .. } => {
+                current.failed += 1;
+                match kind {
+                    FailureKind::OutOfMemory => current.oom_failures += 1,
+                    FailureKind::CompileTimeout => current.compile_timeouts += 1,
+                    FailureKind::GrantTimeout => current.grant_timeouts += 1,
+                }
+            }
+            TraceEvent::CompilePeak { bytes, .. } => {
+                current.peak_compile_bytes = current.peak_compile_bytes.max(*bytes);
+            }
+            // A trace recorded before the chaos layer simply has no
+            // `shed` lines, so old goldens replay with `shed: 0`.
+            TraceEvent::Shed { .. } => current.shed += 1,
+            TraceEvent::GatewayBlocked { .. }
+            | TraceEvent::GrantQueued { .. }
+            | TraceEvent::ExecStarted { .. }
+            | TraceEvent::FaultInjected { .. }
+            | TraceEvent::FaultCleared { .. }
+            | TraceEvent::BreakerTransition { .. } => {}
+        }
     }
 
-    /// The highest sample of the run, or 0 if none.
-    pub fn max_value(&self) -> u64 {
-        self.run
+    /// The per-phase reports so far, one per [`TraceEvent::PhaseStart`].
+    pub fn phases(&self) -> &[PhaseReport] {
+        &self.reports[1..]
     }
 
-    /// The highest sample since the last [`GaugePeaks::start_phase`].
-    pub fn phase_max(&self) -> u64 {
-        self.phase
+    /// Close the fold and return the per-phase reports.
+    pub fn into_phases(mut self) -> Vec<PhaseReport> {
+        self.reports.split_off(1)
+    }
+
+    /// The run's totals: every event's counts as one report from time 0 to
+    /// the last boundary seen, with an empty name and no clients.
+    pub fn totals(&self) -> PhaseReport {
+        let mut run = PhaseReport::default();
+        for r in &self.reports {
+            run.end = r.end;
+            run.submitted += r.submitted;
+            run.completed += r.completed;
+            run.failed += r.failed;
+            run.shed += r.shed;
+            run.oom_failures += r.oom_failures;
+            run.compile_timeouts += r.compile_timeouts;
+            run.grant_timeouts += r.grant_timeouts;
+            run.best_effort_plans += r.best_effort_plans;
+            run.peak_compile_bytes = run.peak_compile_bytes.max(r.peak_compile_bytes);
+        }
+        run
+    }
+
+    /// The compile-memory peak of the current phase (of the run so far,
+    /// before the first phase boundary). A sample above it is a new
+    /// [`TraceEvent::CompilePeak`].
+    pub(crate) fn current_compile_peak(&self) -> u64 {
+        self.reports.last().map_or(0, |r| r.peak_compile_bytes)
     }
 }
 
@@ -153,19 +299,21 @@ pub struct RunMetrics {
     pub completed: TimeSeries,
     /// Failures bucketed per slice.
     pub failed: TimeSeries,
-    /// Out-of-memory failures.
+    /// Out-of-memory failures (from the event fold, at finish).
     pub oom_failures: u64,
-    /// Compile-gateway timeout failures.
+    /// Compile-gateway timeout failures (from the event fold, at finish).
     pub compile_timeouts: u64,
-    /// Grant-wait timeout failures.
+    /// Grant-wait timeout failures (from the event fold, at finish).
     pub grant_timeouts: u64,
-    /// Queries completed with a best-effort plan.
+    /// Queries completed with a best-effort plan (from the event fold, at
+    /// finish).
     pub best_effort_plans: u64,
-    /// Total successful completions after warm-up.
+    /// Total successful completions after warm-up (summed over
+    /// [`RunMetrics::classes`] at finish).
     pub completed_after_warmup: u64,
-    /// Peaks of the compilation memory in use (total across concurrent
-    /// compilations).
-    pub compile_memory: GaugePeaks,
+    /// Peak of the compilation memory in use, total across concurrent
+    /// compilations (from the event fold, at finish).
+    pub peak_compile_bytes: u64,
     /// Final gateway-ladder statistics, merged across all workload classes.
     pub throttle: ThrottleStats,
     /// Per-workload-class breakdown (one entry per configured class).
@@ -180,7 +328,8 @@ pub struct RunMetrics {
     pub dispatch: DispatchCounts,
     /// Peak number of simultaneously pending events in the event queue.
     pub peak_queue_depth: usize,
-    /// Arrivals shed by the circuit breakers (load-shed while open).
+    /// Arrivals shed by the circuit breakers (load-shed while open; from
+    /// the event fold, at finish).
     pub shed: u64,
     /// Circuit-breaker state transitions, summed across classes (flapping
     /// shows up here).
@@ -227,7 +376,7 @@ impl RunMetrics {
             grant_timeouts: 0,
             best_effort_plans: 0,
             completed_after_warmup: 0,
-            compile_memory: GaugePeaks::default(),
+            peak_compile_bytes: 0,
             throttle: ThrottleStats::new(throttle_levels),
             classes: Vec::new(),
             warmup,
@@ -250,22 +399,39 @@ impl RunMetrics {
         }
     }
 
-    /// Record a successful completion.
-    pub fn record_completion(&mut self, at: SimTime) {
-        self.completed.record(at);
-        if at >= self.warmup {
-            self.completed_after_warmup += 1;
-        }
-    }
-
-    /// Record a failure.
-    pub fn record_failure(&mut self, at: SimTime, kind: FailureKind) {
-        self.failed.record(at);
-        match kind {
-            FailureKind::OutOfMemory => self.oom_failures += 1,
-            FailureKind::CompileTimeout => self.compile_timeouts += 1,
-            FailureKind::GrantTimeout => self.grant_timeouts += 1,
-        }
+    /// Panic unless the run's counts agree, in every build. Three paths
+    /// count how queries ended: the event fold (`run`, its totals), the
+    /// per-slice series and the per-class counters. They must match for
+    /// completions, failures, best-effort plans and sheds; every failure
+    /// has exactly one kind; and every submission completed, failed, was
+    /// shed or is one of the `in_flight` queries still in the pipeline.
+    pub(crate) fn check_totals(&self, run: &PhaseReport, in_flight: u64) {
+        assert_eq!(
+            (run.completed, run.failed),
+            (self.completed.total(), self.failed.total()),
+            "the fold's completions and failures must match the per-slice series"
+        );
+        let classes = |count: fn(&ClassMetrics) -> u64| self.classes.iter().map(count).sum::<u64>();
+        assert_eq!(
+            [run.completed, run.failed, run.best_effort_plans, run.shed],
+            [
+                classes(|c| c.completed),
+                classes(|c| c.failed),
+                classes(|c| c.best_effort_plans),
+                classes(|c| c.shed),
+            ],
+            "the fold's completions, failures, best-effort plans and sheds must match the classes'"
+        );
+        assert_eq!(
+            run.failed,
+            run.oom_failures + run.compile_timeouts + run.grant_timeouts,
+            "every failure must have exactly one kind"
+        );
+        assert_eq!(
+            run.submitted,
+            run.completed + run.failed + run.shed + in_flight,
+            "every submission must complete, fail, be shed or still be in flight"
+        );
     }
 
     /// Total failures.
@@ -357,41 +523,184 @@ mod tests {
         RunMetrics::new(SimDuration::from_secs(3600), SimTime::from_secs(7200), 3)
     }
 
+    fn fold(events: &[TraceEvent]) -> MetricsFold {
+        let mut fold = MetricsFold::new();
+        for ev in events {
+            fold.observe(ev);
+        }
+        fold
+    }
+
+    fn phase(secs: u64, name: &str) -> TraceEvent {
+        TraceEvent::PhaseStart {
+            at: SimTime::from_secs(secs),
+            name: name.into(),
+            clients: 4,
+        }
+    }
+
+    fn peak(bytes: u64) -> TraceEvent {
+        TraceEvent::CompilePeak {
+            at: SimTime::ZERO,
+            bytes,
+        }
+    }
+
     #[test]
     fn completions_split_around_warmup() {
         let mut m = metrics();
-        m.record_completion(SimTime::from_secs(100));
-        m.record_completion(SimTime::from_secs(8000));
-        m.record_completion(SimTime::from_secs(9000));
+        for secs in [100, 8000, 9000] {
+            m.completed.record(SimTime::from_secs(secs));
+        }
         assert_eq!(m.completed.total(), 3);
-        assert_eq!(m.completed_after_warmup, 2);
+        assert_eq!(m.completed.total_from(m.warmup), 2);
         assert!(m.sustained_throughput_per_slice() > 0.0);
     }
 
     #[test]
     fn gauge_peaks_restart_per_phase_and_keep_the_run_high() {
-        let mut g = GaugePeaks::default();
-        assert!(g.record(50));
-        assert!(g.record(90));
-        assert!(!g.record(20), "below the phase high");
-        g.start_phase();
-        assert_eq!(g.phase_max(), 0, "an empty phase reports 0");
-        assert!(g.record(20), "a new phase measures from 0");
-        assert_eq!((g.phase_max(), g.max_value()), (20, 90));
+        let mut f = fold(&[peak(50), peak(90)]);
+        assert_eq!(
+            f.current_compile_peak(),
+            90,
+            "before any phase: the run so far"
+        );
+        f.observe(&phase(10, "next"));
+        assert_eq!(f.current_compile_peak(), 0, "an empty phase reports 0");
+        f.observe(&peak(20));
+        assert_eq!(f.current_compile_peak(), 20, "a new phase measures from 0");
+        assert_eq!(f.phases()[0].peak_compile_bytes, 20);
+        assert_eq!(f.totals().peak_compile_bytes, 90);
     }
 
     #[test]
     fn failures_are_classified() {
+        let failed = |secs, kind| TraceEvent::Failed {
+            at: SimTime::from_secs(secs),
+            query: secs,
+            kind,
+        };
+        let run = fold(&[
+            failed(10, FailureKind::OutOfMemory),
+            failed(20, FailureKind::CompileTimeout),
+            failed(30, FailureKind::CompileTimeout),
+            failed(40, FailureKind::GrantTimeout),
+        ])
+        .totals();
+        assert_eq!(run.oom_failures, 1);
+        assert_eq!(run.compile_timeouts, 2);
+        assert_eq!(run.grant_timeouts, 1);
+        assert_eq!(run.failed, 4);
+    }
+
+    #[test]
+    fn fold_segments_phases_and_totals_the_whole_run() {
+        let submitted = |query| TraceEvent::Submitted {
+            at: SimTime::from_secs(query),
+            query,
+            client: 0,
+            class: 0,
+        };
+        let f = fold(&[
+            submitted(0),
+            phase(10, "a"),
+            submitted(1),
+            submitted(2),
+            phase(20, "b"),
+            TraceEvent::End {
+                at: SimTime::from_secs(30),
+            },
+        ]);
+        let phases = f.phases();
+        assert_eq!(phases.len(), 2);
+        assert_eq!(
+            (phases[0].start, phases[0].end),
+            (SimTime::from_secs(10), SimTime::from_secs(20))
+        );
+        assert_eq!(
+            (phases[1].end, phases[1].submitted),
+            (SimTime::from_secs(30), 0)
+        );
+        assert_eq!(
+            phases[0].submitted, 2,
+            "events before the first phase count only in the run"
+        );
+        let run = f.totals();
+        assert_eq!(
+            (run.start, run.end, run.submitted),
+            (SimTime::ZERO, SimTime::from_secs(30), 3)
+        );
+        assert_eq!(f.into_phases().len(), 2);
+    }
+
+    /// Totals that pass every finish-time check: 10 submissions, 5
+    /// completed, 3 failed, 1 shed, 1 in flight, 2 best-effort plans.
+    fn consistent() -> (PhaseReport, RunMetrics) {
+        let run = PhaseReport {
+            submitted: 10,
+            completed: 5,
+            failed: 3,
+            oom_failures: 1,
+            compile_timeouts: 1,
+            grant_timeouts: 1,
+            shed: 1,
+            best_effort_plans: 2,
+            ..PhaseReport::default()
+        };
         let mut m = metrics();
-        m.record_failure(SimTime::from_secs(10), FailureKind::OutOfMemory);
-        m.record_failure(SimTime::from_secs(20), FailureKind::CompileTimeout);
-        m.record_failure(SimTime::from_secs(30), FailureKind::CompileTimeout);
-        m.record_failure(SimTime::from_secs(40), FailureKind::GrantTimeout);
-        assert_eq!(m.oom_failures, 1);
-        assert_eq!(m.compile_timeouts, 2);
-        assert_eq!(m.grant_timeouts, 1);
-        assert_eq!(m.total_failures(), 4);
-        assert_eq!(m.failed.total(), 4);
+        m.completed.record_n(SimTime::from_secs(10), 5);
+        m.failed.record_n(SimTime::from_secs(10), 3);
+        m.classes.push(ClassMetrics {
+            name: "default".into(),
+            clients: 4,
+            completed: 5,
+            completed_after_warmup: 0,
+            failed: 3,
+            best_effort_plans: 2,
+            shed: 1,
+            breaker_transitions: 0,
+            throttle: ThrottleStats::new(3),
+            grants: throttledb_executor::GrantManager::new(0, None).pool_stats(),
+        });
+        (run, m)
+    }
+
+    #[test]
+    fn finish_checks_accept_consistent_totals() {
+        let (run, m) = consistent();
+        m.check_totals(&run, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-slice series")]
+    fn finish_checks_catch_a_completion_the_series_missed() {
+        let (run, mut m) = consistent();
+        m.completed = TimeSeries::new("completed", m.slice);
+        m.completed.record_n(SimTime::from_secs(10), 4);
+        m.check_totals(&run, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "match the classes'")]
+    fn finish_checks_catch_a_shed_the_classes_missed() {
+        let (run, mut m) = consistent();
+        m.classes[0].shed = 0;
+        m.check_totals(&run, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one kind")]
+    fn finish_checks_catch_a_failure_without_a_kind() {
+        let (mut run, m) = consistent();
+        run.grant_timeouts = 0;
+        m.check_totals(&run, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "still be in flight")]
+    fn finish_checks_catch_a_lost_submission() {
+        let (run, m) = consistent();
+        m.check_totals(&run, 0);
     }
 
     #[test]
@@ -443,8 +752,8 @@ mod tests {
     #[test]
     fn figure_rows_exclude_warmup_slices() {
         let mut m = metrics();
-        m.record_completion(SimTime::from_secs(100));
-        m.record_completion(SimTime::from_secs(7300));
+        m.completed.record(SimTime::from_secs(100));
+        m.completed.record(SimTime::from_secs(7300));
         let rows = m.figure_rows();
         assert!(rows.iter().all(|(t, _)| *t >= 7200));
         assert_eq!(rows.iter().map(|(_, c)| *c).sum::<u64>(), 1);

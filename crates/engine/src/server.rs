@@ -8,7 +8,7 @@
 
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
-use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, RunMetrics};
+use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, MetricsFold, PhaseReport, RunMetrics};
 use crate::profile::{CompileProfile, WorkloadProfiles};
 use crate::shard::ArrivalPlane;
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
@@ -133,6 +133,10 @@ pub struct Server {
     pub(crate) next_query: u64,
     pub(crate) running_cpu_tasks: u32,
     pub(crate) metrics: RunMetrics,
+    /// Every event [`Server::trace_push`] emits, folded into per-phase
+    /// reports and run totals; [`Server::finish`] fills the metrics' counts
+    /// from it.
+    pub(crate) fold: MetricsFold,
     pub(crate) now: SimTime,
     /// Number of clients currently in the closed loop (scenario phases
     /// raise and lower this between windows).
@@ -288,6 +292,7 @@ impl Server {
             next_query: 0,
             running_cpu_tasks: 0,
             metrics,
+            fold: MetricsFold::new(),
             now: SimTime::ZERO,
             active_clients: 0,
             activation_order: if cohort {
@@ -858,8 +863,11 @@ impl Server {
         self.now
     }
 
-    /// The metrics accumulated so far (scenario phase reports snapshot
-    /// these at boundaries).
+    /// The metrics accumulated so far. The counts the event fold owns —
+    /// failures by kind, best-effort plans, sheds, the compile-memory peak
+    /// and completions after warm-up — are filled in by
+    /// [`Server::finish`]; read per-phase counts from
+    /// [`Server::phase_reports`].
     pub fn metrics(&self) -> &RunMetrics {
         &self.metrics
     }
@@ -870,8 +878,7 @@ impl Server {
     }
 
     /// Total open-loop arrivals offered so far, across every source
-    /// (admitted + shed). Scenario phase reports snapshot this at
-    /// boundaries.
+    /// (admitted + shed).
     pub fn arrivals_offered(&self) -> u64 {
         self.sources.iter().map(|s| s.arrivals).sum()
     }
@@ -921,12 +928,11 @@ impl Server {
         }
     }
 
-    /// Record a phase boundary: emits a [`TraceEvent::PhaseStart`] and
-    /// resets the phase's compile-memory high-water mark (see
-    /// [`Server::phase_compile_peak`]), which [`TraceEvent::CompilePeak`]
-    /// events are also measured against.
+    /// Record a phase boundary: emits a [`TraceEvent::PhaseStart`], which
+    /// opens a new report in [`Server::phase_reports`] whose compile-memory
+    /// peak, like the [`TraceEvent::CompilePeak`] events measured against
+    /// it, restarts from 0.
     pub fn trace_phase_start(&mut self, name: &str, clients: u32) {
-        self.metrics.compile_memory.start_phase();
         let at = self.now;
         self.trace_push(TraceEvent::PhaseStart {
             at,
@@ -943,17 +949,11 @@ impl Server {
         self.trace_push(TraceEvent::End { at });
     }
 
-    /// Whether any trace consumer (buffered vector or streaming sink) is
-    /// attached. Gates the derived events — e.g. [`TraceEvent::CompilePeak`]
-    /// — that only exist for trace readers.
-    fn trace_enabled(&self) -> bool {
-        self.trace.is_some() || self.trace_sink.is_some()
-    }
-
-    /// Hand `event` to every attached trace consumer: the streaming sink
-    /// first (it observes the event by reference), then the buffered
-    /// vector. No consumers attached means the event is dropped.
+    /// Fold `event` into the run's counts, then hand it to every attached
+    /// trace consumer: the streaming sink first (it observes the event by
+    /// reference), then the buffered vector.
     pub(crate) fn trace_push(&mut self, event: TraceEvent) {
+        self.fold.observe(&event);
         if let Some(sink) = self.trace_sink.as_ref() {
             sink.borrow_mut().event(&event);
         }
@@ -962,20 +962,18 @@ impl Server {
         }
     }
 
-    /// The highest aggregate compile memory sampled since the last
-    /// [`Server::trace_phase_start`] (0 if none). Read after a phase's
-    /// `run_until(end)`, it is the peak over the phase's `[start, end)`.
-    pub fn phase_compile_peak(&self) -> u64 {
-        self.metrics.compile_memory.phase_max()
+    /// The per-phase reports so far, one per [`Server::trace_phase_start`].
+    /// After [`Server::trace_end`] the last one ends at the run's close.
+    pub fn phase_reports(&self) -> &[PhaseReport] {
+        self.fold.phases()
     }
 
-    /// Record the aggregate compile-memory gauge, plus a trace peak event
-    /// when it reaches a new high since the last phase boundary. Every
-    /// compile-memory sample must flow through here so the peaks and the
-    /// trace agree.
+    /// Sample the aggregate compile-memory gauge: a new high since the last
+    /// phase boundary is a [`TraceEvent::CompilePeak`]. Every compile-memory
+    /// sample must flow through here so the peaks and the trace agree.
     pub(crate) fn record_compile_gauge(&mut self) {
         let used = self.compile_clerk.used_bytes();
-        if self.metrics.compile_memory.record(used) && self.trace_enabled() {
+        if used > self.fold.current_compile_peak() {
             self.trace_push(TraceEvent::CompilePeak {
                 at: self.now,
                 bytes: used,
@@ -1134,7 +1132,8 @@ impl Server {
         }
     }
 
-    /// Fold per-class results into the run metrics.
+    /// Fold per-class results and the event fold's totals into the run
+    /// metrics, then check that every count agrees.
     fn finalize_metrics(mut self) -> RunMetrics {
         self.metrics.events_dispatched = self.queue.dispatched();
         assert_eq!(
@@ -1199,6 +1198,16 @@ impl Server {
             .filter(|f| f.start < end)
             .map(|f| (f.start, f.end().min(end)))
             .collect();
+        let run = self.fold.totals();
+        let m = &mut self.metrics;
+        m.oom_failures = run.oom_failures;
+        m.compile_timeouts = run.compile_timeouts;
+        m.grant_timeouts = run.grant_timeouts;
+        m.best_effort_plans = run.best_effort_plans;
+        m.shed = run.shed;
+        m.peak_compile_bytes = run.peak_compile_bytes;
+        m.completed_after_warmup = m.classes.iter().map(|c| c.completed_after_warmup).sum();
+        m.check_totals(&run, self.queries.len() as u64);
         self.metrics
     }
 }
@@ -1246,7 +1255,7 @@ mod tests {
             metrics.throttle.acquisitions.iter().sum::<u64>() > 0,
             "SALES compilations must acquire gateways"
         );
-        assert!(metrics.compile_memory.max_value() > 100 << 20);
+        assert!(metrics.peak_compile_bytes > 100 << 20);
     }
 
     #[test]
@@ -1281,10 +1290,10 @@ mod tests {
         let throttled = Server::new(ServerConfig::quick(16, true), profiles.clone()).run();
         let unthrottled = Server::new(ServerConfig::quick(16, false), profiles).run();
         assert!(
-            unthrottled.compile_memory.max_value() > throttled.compile_memory.max_value(),
+            unthrottled.peak_compile_bytes > throttled.peak_compile_bytes,
             "throttling must cap concurrent compilation memory: {} vs {}",
-            unthrottled.compile_memory.max_value(),
-            throttled.compile_memory.max_value()
+            unthrottled.peak_compile_bytes,
+            throttled.peak_compile_bytes
         );
         assert!(throttled.throttle.compilations_started >= throttled.completed.total());
     }

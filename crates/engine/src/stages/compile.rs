@@ -79,7 +79,6 @@ impl Server {
         if self.breaker_admit(class, profile.peak_compile_bytes)
             == throttledb_governor::AdmissionDecision::Reject
         {
-            self.metrics.shed += 1;
             self.trace_push(TraceEvent::Shed {
                 at: self.now,
                 query: id,
@@ -205,7 +204,6 @@ impl Server {
                 );
             }
             PolicyDecision::FinishBestEffort => {
-                self.metrics.best_effort_plans += 1;
                 self.classes[class].best_effort_plans += 1;
                 self.trace_push(TraceEvent::BestEffort {
                     at: self.now,

@@ -8,6 +8,7 @@
 use super::{QueryLifecycle, QueryOrigin};
 use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
+use throttledb_executor::spill_slowdown;
 use throttledb_sim::SimDuration;
 
 impl Server {
@@ -32,14 +33,9 @@ impl Server {
 
         // CPU time: parallelized over the machine, inflated by spills and by
         // CPU contention.
-        let spill = if requested == 0 {
-            1.0
-        } else {
-            let fraction = (granted_bytes as f64 / requested as f64).clamp(0.05, 1.0);
-            1.0 + (1.0 / fraction - 1.0) * 0.45
-        };
-        let cpu_seconds =
-            profile.exec_cpu_seconds * spill / self.config.exec_parallelism * self.load_factor();
+        let cpu_seconds = profile.exec_cpu_seconds * spill_slowdown(granted_bytes, requested)
+            / self.config.exec_parallelism
+            * self.load_factor();
 
         // I/O time: whatever memory is not claimed by compilation, grants and
         // caches acts as the page buffer pool.
@@ -73,7 +69,7 @@ impl Server {
         if let Some(grant_id) = q.grant_id {
             self.release_grant(q.class, grant_id);
         }
-        self.metrics.record_completion(self.now);
+        self.metrics.completed.record(self.now);
         self.trace_push(TraceEvent::Completed {
             at: self.now,
             query: id,

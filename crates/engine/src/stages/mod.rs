@@ -323,7 +323,7 @@ impl Server {
             self.grant_to_query.remove(&(q.class, grant_id));
             self.release_grant(q.class, grant_id);
         }
-        self.metrics.record_failure(self.now, kind);
+        self.metrics.failed.record(self.now);
         self.trace_push(TraceEvent::Failed {
             at: self.now,
             query: id,

@@ -1,13 +1,15 @@
-//! The recorded admission/grant event stream of a run.
+//! The admission/grant event stream of a run.
 //!
-//! When tracing is enabled (see [`crate::server::Server::enable_trace`]),
-//! the pipeline stages record every admission-control decision the run
+//! The pipeline stages emit every admission-control decision the run
 //! makes: submissions, gateway blocks, best-effort finishes, grant queueing
 //! and issuance, completions, failures, and the running compile-memory
-//! peaks. The scenario subsystem (`throttledb-scenario`) serializes this
-//! stream to a line-oriented text format and replays it deterministically
-//! for regression comparison — a recorded trace is a golden file that a
-//! later build must reproduce byte for byte.
+//! peaks. Every event goes through the run's [`crate::metrics::MetricsFold`],
+//! the one place events become counts, and then to whichever consumers are
+//! attached: the buffered recording
+//! ([`crate::server::Server::enable_trace`]) and a streaming [`TraceSink`].
+//! The scenario subsystem (`throttledb-scenario`) serializes the stream and
+//! replays it through the same fold for regression comparison — a recorded
+//! trace is a golden file that a later build must reproduce byte for byte.
 
 use crate::metrics::FailureKind;
 use serde::{Deserialize, Serialize};

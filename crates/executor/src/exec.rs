@@ -17,19 +17,17 @@ pub struct ExecutionProfile {
     pub scan_count: usize,
 }
 
-impl ExecutionProfile {
-    /// Extra CPU factor applied when the query receives only
-    /// `granted / requested` of its memory grant and must spill.
-    /// A full grant costs nothing extra; a quarter grant roughly doubles the
-    /// hash/sort work (re-partitioning passes).
-    pub fn spill_slowdown(&self, granted_bytes: u64) -> f64 {
-        if self.requested_grant_bytes == 0 {
-            return 1.0;
-        }
-        let fraction = (granted_bytes as f64 / self.requested_grant_bytes as f64).clamp(0.05, 1.0);
-        // 1.0 at full grant, ~2.4 at a 25% grant, ~4.8 at a 5% grant.
-        1.0 + (1.0 / fraction - 1.0) * 0.45
+/// Extra CPU factor applied when a query receives only
+/// `granted / requested` of its memory grant and must spill. A full grant
+/// costs nothing extra; a quarter grant roughly doubles the hash/sort work
+/// (re-partitioning passes); a query that requested nothing never spills.
+pub fn spill_slowdown(granted_bytes: u64, requested_bytes: u64) -> f64 {
+    if requested_bytes == 0 {
+        return 1.0;
     }
+    let fraction = (granted_bytes as f64 / requested_bytes as f64).clamp(0.05, 1.0);
+    // 1.0 at full grant, ~2.4 at a 25% grant, ~4.8 at a 5% grant.
+    1.0 + (1.0 / fraction - 1.0) * 0.45
 }
 
 /// Builds execution profiles from optimizer plans and catalog statistics.
@@ -181,21 +179,12 @@ mod tests {
 
     #[test]
     fn spill_slowdown_grows_as_grant_shrinks() {
-        let p = ExecutionProfile {
-            cpu_seconds: 10.0,
-            footprint_bytes: 0,
-            requested_grant_bytes: 100 << 20,
-            scan_count: 1,
-        };
-        assert!((p.spill_slowdown(100 << 20) - 1.0).abs() < 1e-9);
-        let half = p.spill_slowdown(50 << 20);
-        let quarter = p.spill_slowdown(25 << 20);
+        let requested = 100 << 20;
+        assert!((spill_slowdown(requested, requested) - 1.0).abs() < 1e-9);
+        let half = spill_slowdown(50 << 20, requested);
+        let quarter = spill_slowdown(25 << 20, requested);
         assert!(half > 1.0 && quarter > half);
         // Zero-request queries are immune.
-        let none = ExecutionProfile {
-            requested_grant_bytes: 0,
-            ..p
-        };
-        assert_eq!(none.spill_slowdown(0), 1.0);
+        assert_eq!(spill_slowdown(0, 0), 1.0);
     }
 }

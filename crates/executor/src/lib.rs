@@ -23,5 +23,5 @@
 pub mod exec;
 pub mod grant;
 
-pub use exec::{ExecutionModel, ExecutionProfile};
+pub use exec::{spill_slowdown, ExecutionModel, ExecutionProfile};
 pub use grant::{GrantManager, GrantRequestId};

@@ -53,7 +53,7 @@ pub use fault::{FaultEvent, FaultPlan};
 pub use phase::{Phase, PhaseOverrides};
 pub use runner::{PhaseReport, ScenarioOutcome, ScenarioRunner};
 pub use scenario::{Scale, Scenario};
-pub use trace::{StreamingReplay, Trace, TraceError};
+pub use trace::{Trace, TraceError};
 pub use trace_v2::{
     is_v2, replay_v2, transcode_v1_to_v2, transcode_v2_to_v1, TraceReaderV2, TraceV2Error,
     TraceV2Summary, TraceWriterV2, TranscodeError, V2ReplaySummary, MAGIC_V2,

@@ -3,90 +3,21 @@
 //! The runner owns the bridge between the declarative [`Scenario`] model
 //! and the engine's phase hooks: it sizes the server for the largest
 //! phase, then alternates phase mutations (client count, mix, overrides)
-//! with [`Server::run_until`] windows at the phase boundaries, snapshotting
-//! the cumulative metrics at each boundary to produce per-phase
-//! [`PhaseReport`]s. With trace recording on, the run also yields a
-//! [`Trace`] whose replay must reproduce the same reports — the
-//! regression contract of the trace subsystem.
+//! with [`Server::run_until`] windows at the phase boundaries, marking
+//! each boundary with [`Server::trace_phase_start`]. The per-phase
+//! [`PhaseReport`]s are the engine's event fold over the run
+//! ([`Server::phase_reports`]); a recorded [`Trace`] replays through the
+//! same fold, so a stored trace reproduces the reports of the run that
+//! recorded it.
 
 use crate::scenario::Scenario;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
+pub use throttledb_engine::PhaseReport;
 use throttledb_engine::{RunMetrics, Server, TraceSink, WorkloadProfiles};
-use throttledb_sim::SimTime;
-
-/// Admission-control counters of one phase, plus the phase's compile-memory
-/// peak. Derivable both from live metrics snapshots and from a recorded
-/// trace — [`Trace::replay`] must reproduce these exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseReport {
-    /// Phase name.
-    pub name: String,
-    /// Phase start (virtual time).
-    pub start: SimTime,
-    /// Phase end (exclusive).
-    pub end: SimTime,
-    /// Active clients during the phase.
-    pub clients: u32,
-    /// Queries submitted in the phase.
-    pub submitted: u64,
-    /// Queries completed in the phase.
-    pub completed: u64,
-    /// Queries failed in the phase.
-    pub failed: u64,
-    /// Arrivals shed at the door by an open circuit breaker.
-    pub shed: u64,
-    /// Out-of-memory failures.
-    pub oom_failures: u64,
-    /// Compile-gateway timeout failures.
-    pub compile_timeouts: u64,
-    /// Grant-wait timeout failures.
-    pub grant_timeouts: u64,
-    /// Best-effort plans produced.
-    pub best_effort_plans: u64,
-    /// Peak aggregate compilation memory observed in the phase.
-    pub peak_compile_bytes: u64,
-}
-
-impl PhaseReport {
-    /// Completions per simulated minute (throughput at phase granularity).
-    pub fn completions_per_minute(&self) -> f64 {
-        let mins = self.end.saturating_since(self.start).as_secs_f64() / 60.0;
-        if mins == 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / mins
-        }
-    }
-}
-
-impl fmt::Display for PhaseReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<14} {:>7} {:>7} {:>6} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>9.1} {:>9.0}",
-            self.name,
-            format!("{}s", self.start.as_secs()),
-            format!("{}s", self.end.as_secs()),
-            self.clients,
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.shed,
-            self.best_effort_plans,
-            format!(
-                "{}/{}/{}",
-                self.oom_failures, self.compile_timeouts, self.grant_timeouts
-            ),
-            self.completions_per_minute(),
-            self.peak_compile_bytes as f64 / 1e6,
-        )
-    }
-}
 
 /// Everything a scenario run produced.
 #[derive(Debug, Clone)]
@@ -134,35 +65,6 @@ impl ScenarioOutcome {
     /// Total completions across all phases.
     pub fn total_completed(&self) -> u64 {
         self.phases.iter().map(|p| p.completed).sum()
-    }
-}
-
-/// Cumulative-counter snapshot taken at a phase boundary.
-#[derive(Debug, Clone, Copy, Default)]
-struct Snapshot {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    shed: u64,
-    oom: u64,
-    compile_timeouts: u64,
-    grant_timeouts: u64,
-    best_effort: u64,
-}
-
-impl Snapshot {
-    fn take(server: &Server) -> Snapshot {
-        let m = server.metrics();
-        Snapshot {
-            submitted: server.queries_submitted(),
-            completed: m.completed.total(),
-            failed: m.failed.total(),
-            shed: m.shed,
-            oom: m.oom_failures,
-            compile_timeouts: m.compile_timeouts,
-            grant_timeouts: m.grant_timeouts,
-            best_effort: m.best_effort_plans,
-        }
     }
 }
 
@@ -290,7 +192,6 @@ impl ScenarioRunner {
         // of the phase schedule around them.
         server.install_faults(&scenario.faults.to_specs());
 
-        let mut phases = Vec::with_capacity(scenario.phases.len());
         let mut begun = false;
         for phase in &scenario.phases {
             // Apply the phase's bindings at the boundary...
@@ -304,32 +205,13 @@ impl ScenarioRunner {
                 begun = true;
             }
             // ...then simulate the phase window.
-            let start = server.now();
-            let end = start + phase.duration;
-            let before = Snapshot::take(&server);
-            server.run_until(end);
-            let after = Snapshot::take(&server);
-            phases.push(PhaseReport {
-                name: phase.name.clone(),
-                start,
-                end,
-                clients: phase.clients,
-                submitted: after.submitted - before.submitted,
-                completed: after.completed - before.completed,
-                failed: after.failed - before.failed,
-                shed: after.shed - before.shed,
-                oom_failures: after.oom - before.oom,
-                compile_timeouts: after.compile_timeouts - before.compile_timeouts,
-                grant_timeouts: after.grant_timeouts - before.grant_timeouts,
-                best_effort_plans: after.best_effort - before.best_effort,
-                // The trace replay must agree.
-                peak_compile_bytes: server.phase_compile_peak(),
-            });
+            server.run_until(server.now() + phase.duration);
         }
 
-        // Close the stream through the server so the buffered trace and
-        // any installed sink observe the same final `End` event.
+        // Close the stream through the server so the fold, the buffered
+        // trace and any installed sink observe the same final `End` event.
         server.trace_end();
+        let phases = server.phase_reports().to_vec();
         let trace = record.then(|| Trace::new(server.take_trace()));
         let metrics = server.finish();
 

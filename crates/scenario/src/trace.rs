@@ -2,8 +2,9 @@
 //!
 //! A [`Trace`] wraps the engine's recorded admission/grant event stream
 //! ([`TraceEvent`]) with a line-oriented text codec and a replay that
-//! reconstructs per-phase [`PhaseReport`]s from the events alone. The
-//! regression workflow is:
+//! reconstructs per-phase [`PhaseReport`]s from the events alone, through
+//! the same [`MetricsFold`] the live run counts with. The regression
+//! workflow is:
 //!
 //! 1. run a scenario with recording on and save [`Trace::encode`]'s output
 //!    as a golden file;
@@ -17,8 +18,7 @@
 //! self-contained `key value` line format that stays diffable in code
 //! review and stable across serde swaps.
 
-use crate::runner::PhaseReport;
-use throttledb_engine::{BreakerState, FailureKind, TraceEvent};
+use throttledb_engine::{BreakerState, FailureKind, MetricsFold, PhaseReport, TraceEvent};
 use throttledb_sim::SimTime;
 
 /// Header line identifying the format and its version.
@@ -212,91 +212,6 @@ pub(crate) fn decode_line(line: &str) -> Option<TraceEvent> {
     })
 }
 
-/// Incremental replay: folds trace events one at a time into per-phase
-/// [`PhaseReport`]s, so a multi-gigabyte stream replays at O(phases)
-/// memory instead of O(events). [`Trace::replay`] is this fold applied to
-/// a buffered trace; the streaming v2 reader feeds it frame by frame.
-#[derive(Debug, Default)]
-pub struct StreamingReplay {
-    reports: Vec<PhaseReport>,
-    open: bool,
-    final_at: Option<SimTime>,
-}
-
-impl StreamingReplay {
-    /// An empty replay: no phases seen yet.
-    pub fn new() -> Self {
-        StreamingReplay::default()
-    }
-
-    /// Fold one event, in stream order.
-    pub fn observe(&mut self, ev: &TraceEvent) {
-        if let TraceEvent::PhaseStart { at, name, clients } = ev {
-            if let (true, Some(last)) = (self.open, self.reports.last_mut()) {
-                last.end = *at;
-            }
-            self.reports.push(PhaseReport {
-                name: name.clone(),
-                start: *at,
-                end: *at,
-                clients: *clients,
-                submitted: 0,
-                completed: 0,
-                failed: 0,
-                shed: 0,
-                oom_failures: 0,
-                compile_timeouts: 0,
-                grant_timeouts: 0,
-                best_effort_plans: 0,
-                peak_compile_bytes: 0,
-            });
-            self.open = true;
-            return;
-        }
-        if let TraceEvent::End { at } = ev {
-            self.final_at = Some(*at);
-        }
-        let Some(current) = self.reports.last_mut() else {
-            return;
-        };
-        match ev {
-            TraceEvent::Submitted { .. } => current.submitted += 1,
-            TraceEvent::Completed { .. } => current.completed += 1,
-            TraceEvent::BestEffort { .. } => current.best_effort_plans += 1,
-            TraceEvent::Failed { kind, .. } => {
-                current.failed += 1;
-                match kind {
-                    FailureKind::OutOfMemory => current.oom_failures += 1,
-                    FailureKind::CompileTimeout => current.compile_timeouts += 1,
-                    FailureKind::GrantTimeout => current.grant_timeouts += 1,
-                }
-            }
-            TraceEvent::CompilePeak { bytes, .. } => {
-                current.peak_compile_bytes = current.peak_compile_bytes.max(*bytes);
-            }
-            // A trace recorded before the chaos layer simply has no
-            // `shed` lines, so old goldens replay with `shed: 0`.
-            TraceEvent::Shed { .. } => current.shed += 1,
-            TraceEvent::GatewayBlocked { .. }
-            | TraceEvent::GrantQueued { .. }
-            | TraceEvent::ExecStarted { .. }
-            | TraceEvent::FaultInjected { .. }
-            | TraceEvent::FaultCleared { .. }
-            | TraceEvent::BreakerTransition { .. }
-            | TraceEvent::PhaseStart { .. }
-            | TraceEvent::End { .. } => {}
-        }
-    }
-
-    /// Close the fold and return the per-phase reports.
-    pub fn finish(mut self) -> Vec<PhaseReport> {
-        if let (Some(at), Some(last)) = (self.final_at, self.reports.last_mut()) {
-            last.end = at;
-        }
-        self.reports
-    }
-}
-
 /// A recorded admission/grant event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -387,16 +302,17 @@ impl Trace {
         throttledb_workload::fnv1a_64(self.encode().as_bytes())
     }
 
-    /// Replay the trace: reconstruct per-phase [`PhaseReport`]s from the
-    /// event stream alone. For a trace recorded by the scenario runner,
-    /// the result equals the live run's reports exactly — the regression
-    /// contract a golden trace file enforces.
+    /// Replay the trace: fold the event stream into per-phase
+    /// [`PhaseReport`]s. The live run folds the same events with the same
+    /// [`MetricsFold`], so for a trace recorded by the scenario runner the
+    /// result equals the run's reports — the regression contract a golden
+    /// trace file enforces.
     pub fn replay(&self) -> Vec<PhaseReport> {
-        let mut replay = StreamingReplay::new();
+        let mut fold = MetricsFold::new();
         for ev in &self.events {
-            replay.observe(ev);
+            fold.observe(ev);
         }
-        replay.finish()
+        fold.into_phases()
     }
 }
 

@@ -45,12 +45,11 @@
 //! matters at scale: the codec moves tens of MB/s per core more than a
 //! per-byte FNV chain allows.
 
-use crate::runner::PhaseReport;
-use crate::trace::{
-    decode_line, encode_event_into, StreamingReplay, TraceError, HEADER as V1_HEADER,
-};
+use crate::trace::{decode_line, encode_event_into, TraceError, HEADER as V1_HEADER};
 use std::io::{self, BufRead, Read, Write};
-use throttledb_engine::{BreakerState, FailureKind, TraceEvent, TraceSink};
+use throttledb_engine::{
+    BreakerState, FailureKind, MetricsFold, PhaseReport, TraceEvent, TraceSink,
+};
 use throttledb_sim::SimTime;
 
 /// Magic bytes opening every v2 trace. Shares the `throttledb-trace v`
@@ -1089,7 +1088,7 @@ impl<R: Read> Iterator for TraceReaderV2<R> {
 /// digest, and the event count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct V2ReplaySummary {
-    /// Reports reconstructed by [`StreamingReplay`].
+    /// Reports reconstructed by [`MetricsFold`].
     pub reports: Vec<PhaseReport>,
     /// The stream digest (verified against the trailer).
     pub digest: u64,
@@ -1105,14 +1104,14 @@ pub struct V2ReplaySummary {
 pub fn replay_v2<R: Read>(input: R) -> Result<V2ReplaySummary, TraceV2Error> {
     let mut reader = TraceReaderV2::new(input)?;
     let config_digest = reader.config_digest();
-    let mut replay = StreamingReplay::new();
+    let mut fold = MetricsFold::new();
     let mut events = 0u64;
     for ev in reader.by_ref() {
-        replay.observe(&ev?);
+        fold.observe(&ev?);
         events += 1;
     }
     Ok(V2ReplaySummary {
-        reports: replay.finish(),
+        reports: fold.into_phases(),
         digest: reader.digest.finish(),
         config_digest,
         events,

@@ -5,13 +5,17 @@
 //! * replay of a recorded trace reproduces the live run's per-phase
 //!   reports (and survives an encode/decode round trip);
 //! * a different seed produces a different trace;
+//! * what a run reports does not depend on whether anything consumes its
+//!   trace;
 //! * the golden traces under `tests/golden/` — recorded on the original
 //!   `BinaryHeap` event queue, before it was replaced and templates were
 //!   interned — are still reproduced byte for byte.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use throttledb_engine::{ServerConfig, WorkloadProfiles};
-use throttledb_scenario::{Phase, Scenario, ScenarioRunner, Trace};
+use throttledb_scenario::{Phase, Scale, Scenario, ScenarioRunner, Trace, TraceWriterV2};
 use throttledb_sim::SimDuration;
 use throttledb_workload::WorkloadMix;
 
@@ -317,6 +321,47 @@ fn golden_traces_replay_byte_identically() {
             sharded.phases, outcome.phases,
             "{name}: --shards 4 phase reports diverge"
         );
+    }
+}
+
+/// The engine folds every event whether or not anything consumes the
+/// trace, so a run with no consumer, with the buffered recording and with
+/// a v2 sink must agree on the phase reports and on every `RunMetrics`
+/// counter and peak.
+#[test]
+fn results_do_not_depend_on_trace_consumers() {
+    for name in ["compile_storm", "retry_storm"] {
+        let scenario = || {
+            Scenario::builtin(name, Scale::Quick)
+                .expect("builtin exists")
+                .with_seed(2007)
+        };
+        let profiles = Arc::new(WorkloadProfiles::characterize_full(
+            &scenario().runtime_config(),
+        ));
+        let runner = || ScenarioRunner::new(scenario()).with_profiles(profiles.clone());
+        let bare = runner().run();
+        let recorded = runner().record_trace(true).run();
+        let writer = TraceWriterV2::new(Vec::new(), &[], 0).expect("a Vec never fails");
+        let streamed = runner()
+            .with_trace_sink(Rc::new(RefCell::new(writer)))
+            .run();
+        assert!(bare.trace.is_none() && recorded.trace.is_some());
+        assert!(bare.metrics.peak_compile_bytes > 0 && bare.metrics.completed.total() > 0);
+        for (how, outcome) in [
+            ("the buffered recording", &recorded),
+            ("a v2 sink", &streamed),
+        ] {
+            assert_eq!(
+                outcome.phases, bare.phases,
+                "{name}: phase reports differ with {how}"
+            );
+            assert_eq!(
+                format!("{:?}", outcome.metrics),
+                format!("{:?}", bare.metrics),
+                "{name}: run metrics differ with {how}"
+            );
+        }
     }
 }
 
