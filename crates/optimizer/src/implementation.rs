@@ -59,7 +59,7 @@ pub fn optimize_group(
     let mut next = memo.group(group).first_expr;
     'members: while let Some(expr_id) = next {
         let expr = *memo.expr(expr_id);
-        next = expr.next_in_group;
+        next = expr.next_in_group();
         // Optimize children first.
         let mut child_total = Cost::ZERO;
         for c in expr.children() {

@@ -18,8 +18,10 @@
 //!   children are a fixed pair, join predicate lists sit back to back in
 //!   one arena, a group's members are threaded through the expression
 //!   array, and duplicate detection hashes a candidate and compares it with
-//!   the stored expressions. Adding an alternative allocates nothing beyond
-//!   amortized growth of those few arrays.
+//!   the stored expressions. Each expression is hashed once, when it is
+//!   first offered: it keeps the low word of its hash, so growing the
+//!   table re-places it without hashing again. Adding an alternative
+//!   allocates nothing beyond amortized growth of those few arrays.
 //!
 //! The first must not move when the second does.
 
@@ -31,7 +33,7 @@ use crate::logical::LogicalOp;
 use crate::memory::{sizes, CompilationMemory};
 use crate::names::{BindingSet, Names, PlainId, PredRef};
 use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
 use throttledb_sqlparse::JoinKind;
 
 /// Identifies a memo group.
@@ -123,11 +125,24 @@ pub struct MemoExpr {
     pub children: [GroupId; 2],
     /// Bitmask of transformation rules already applied to this expression.
     pub rules_applied: u32,
-    /// The group's next member, in insertion order.
-    pub next_in_group: Option<ExprId>,
+    /// The group's next member, in insertion order; [`NONE`] after the last.
+    next_in_group: u32,
+    /// The low word of the expression's hash, which is all of it a slot
+    /// index uses.
+    hash: u32,
 }
 
+/// Pinned because the memo's expressions are most of a compile's heap: a
+/// wider `MemoExpr` moves the benchmark's `compile_real` `peak_heap_mb` and
+/// `BENCH_compile.json`'s `heap_bytes_per_expr`.
+const _: () = assert!(std::mem::size_of::<MemoExpr>() == 36);
+
 impl MemoExpr {
+    /// The group's next member, in insertion order.
+    pub fn next_in_group(&self) -> Option<ExprId> {
+        (self.next_in_group != NONE).then_some(ExprId(self.next_in_group))
+    }
+
     /// The child groups the operator actually has.
     pub fn children(&self) -> &[GroupId] {
         let arity = self.children.iter().take_while(|c| **c != GroupId::NONE);
@@ -169,8 +184,9 @@ pub struct Group {
     pub last_expr: Option<ExprId>,
 }
 
-/// Marks an unused slot of the duplicate-detection table.
-const EMPTY: u32 = u32::MAX;
+/// Marks an unused slot of the duplicate-detection table and the end of a
+/// group's member chain.
+const NONE: u32 = u32::MAX;
 
 /// The memo structure.
 #[derive(Debug, Default)]
@@ -182,10 +198,14 @@ pub struct Memo {
     preds: Vec<PredRef>,
     /// Duplicate detection: an open-addressing table of indexes into
     /// `exprs`, at most half full, probed linearly. The expressions are
-    /// the keys; nothing is copied into the table.
+    /// the keys; nothing is copied into the table. Each is hashed once;
+    /// growth re-places it from its stored hash word.
     slots: Vec<u32>,
     /// Randomly keyed, like a `HashMap`'s: operators derive from user SQL.
     hasher: RandomState,
+    /// Hashes computed by [`Memo::hash`].
+    #[cfg(test)]
+    hashes: std::cell::Cell<usize>,
 }
 
 impl Memo {
@@ -345,7 +365,7 @@ impl Memo {
         mut op: MemoOp,
         new_preds: &[PredRef],
         children: [GroupId; 2],
-        hash: u64,
+        hash: u32,
         mem: &mut CompilationMemory,
     ) -> ExprId {
         if let MemoOp::Join { preds, .. } = &mut op {
@@ -357,11 +377,12 @@ impl Memo {
             op,
             children,
             rules_applied: 0,
-            next_in_group: None,
+            next_in_group: NONE,
+            hash,
         });
         let members = &mut self.groups[group.0 as usize];
         match members.last_expr.replace(expr_id) {
-            Some(previous) => self.exprs[previous.0 as usize].next_in_group = Some(expr_id),
+            Some(previous) => self.exprs[previous.0 as usize].next_in_group = expr_id.0,
             None => members.first_expr = Some(expr_id),
         }
         if self.exprs.len() * 2 > self.slots.len() {
@@ -373,15 +394,33 @@ impl Memo {
         expr_id
     }
 
-    fn hash(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u64 {
-        self.hasher.hash_one((op.key(), preds, children))
+    /// A candidate's hash: computed once per insert attempt and, when the
+    /// candidate is new, stored with it.
+    fn hash(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u32 {
+        #[cfg(test)]
+        self.hashes.set(self.hashes.get() + 1);
+        self.digest(op, preds, children)
+    }
+
+    /// The expression's keyed SipHash, cut to the word a slot index uses:
+    /// the operator key and both children as two packed words, then each
+    /// predicate. The predicates come last, so their count is not needed.
+    fn digest(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u32 {
+        let mut h = self.hasher.build_hasher();
+        let (is_join, id) = op.key();
+        h.write_u64(u64::from(is_join) << 32 | u64::from(id));
+        h.write_u64(u64::from(children[0].0) << 32 | u64::from(children[1].0));
+        for p in preds {
+            p.hash(&mut h);
+        }
+        h.finish() as u32
     }
 
     /// The stored expression equal to the candidate, if any: same operator,
     /// same ordered and oriented predicates, same children.
     fn find(
         &self,
-        hash: u64,
+        hash: u32,
         op: &MemoOp,
         preds: &[PredRef],
         children: &[GroupId; 2],
@@ -391,7 +430,7 @@ impl Memo {
         }
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
-        while self.slots[at] != EMPTY {
+        while self.slots[at] != NONE {
             let stored = &self.exprs[self.slots[at] as usize];
             if stored.op.key() == op.key()
                 && stored.children == *children
@@ -404,15 +443,22 @@ impl Memo {
         None
     }
 
-    /// Double the duplicate-detection table and re-place every expression.
+    /// Double the duplicate-detection table and re-place every expression
+    /// from its stored hash word.
     fn grow_slots(&mut self) {
         let mut slots = std::mem::take(&mut self.slots);
         let size = (slots.len() * 2).max(16);
+        // A slot index is the hash word masked, so the word must cover it.
+        debug_assert!(size as u64 <= 1 << 32, "{size} slots outgrow a u32 hash");
         slots.clear();
-        slots.resize(size, EMPTY);
+        slots.resize(size, NONE);
         for (at, e) in self.exprs.iter().enumerate() {
-            let hash = self.hash(&e.op, self.op_preds(&e.op), &e.children);
-            place(&mut slots, hash, at as u32);
+            debug_assert_eq!(
+                e.hash,
+                self.digest(&e.op, self.op_preds(&e.op), &e.children),
+                "stale hash on expression {at}"
+            );
+            place(&mut slots, e.hash, at as u32);
         }
         self.slots = slots;
     }
@@ -474,10 +520,10 @@ impl Memo {
 }
 
 /// Put `value` in the first free slot at or after `hash`'s home.
-fn place(slots: &mut [u32], hash: u64, value: u32) {
+fn place(slots: &mut [u32], hash: u32, value: u32) {
     let mask = slots.len() - 1;
     let mut at = hash as usize & mask;
-    while slots[at] != EMPTY {
+    while slots[at] != NONE {
         at = (at + 1) & mask;
     }
     slots[at] = value;
@@ -487,6 +533,8 @@ fn place(slots: &mut [u32], hash: u64, value: u32) {
 mod tests {
     use super::*;
     use crate::binder::Binder;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
     use throttledb_catalog::{tpch_schema, Catalog};
     use throttledb_sqlparse::parse;
 
@@ -508,7 +556,7 @@ mod tests {
     /// The members of `group`, in order.
     fn members(memo: &Memo, group: GroupId) -> Vec<ExprId> {
         let first = memo.group(group).first_expr;
-        let members = std::iter::successors(first, |e| memo.expr(*e).next_in_group);
+        let members = std::iter::successors(first, |e| memo.expr(*e).next_in_group());
         let members: Vec<ExprId> = members.collect();
         assert_eq!(members.last(), memo.group(group).last_expr.as_ref());
         members
@@ -586,6 +634,89 @@ mod tests {
             assert_eq!(again, (*group, None));
         }
         assert_eq!(memo.expr_count(), grown);
+        // One hash per offered expression, seeds included: growing the
+        // table several times hashed nothing again.
+        assert!(memo.slots.len() >= 16 << 6);
+        assert_eq!(memo.hashes.get(), seeds + 2 * pairs.len());
+    }
+
+    /// Seeds a memo whose join predicates give six oriented `PredRef`s.
+    const FOUR_WAY: &str = "SELECT COUNT(*) FROM customer c \
+         JOIN orders o ON c.c_custkey = o.o_custkey \
+         JOIN lineitem l ON o.o_orderkey = l.l_orderkey \
+         JOIN nation n ON c.c_nationkey = n.n_nationkey";
+
+    proptest! {
+        /// Random `insert_join` / `add_join_to_group` sequences, some ops
+        /// replaying earlier ones, against a map keyed by the whole
+        /// expression: the memo must make every dedup decision the map
+        /// makes, across at least four doublings of its table.
+        #[test]
+        fn dedup_matches_a_naive_map_across_growth(
+            ops in proptest::collection::vec(
+                (0u8..8, (0u32..u32::MAX, 0u32..u32::MAX), 0u32..864, 0u32..u32::MAX),
+                200..400,
+            ),
+        ) {
+            let cat = tpch_schema(0.1);
+            let est = CardinalityEstimator::new(&cat);
+            let mut mem = CompilationMemory::unlimited();
+            let (mut memo, _) = seeded(&cat, FOUR_WAY, &mut mem);
+            let mut refs: Vec<PredRef> = Vec::new();
+            let mut naive: HashMap<(JoinKind, Vec<PredRef>, [GroupId; 2]), GroupId> = HashMap::new();
+            for e in memo.expr_ids().map(|e| *memo.expr(e)) {
+                if let MemoOp::Join { kind, preds } = e.op {
+                    let preds = memo.pred_list(preds).to_vec();
+                    refs.extend(preds.iter().flat_map(|p| [*p, p.flipped()]));
+                    naive.insert((kind, preds, e.children), e.group);
+                }
+            }
+            prop_assert_eq!(refs.len(), 6);
+            prop_assert!(memo.group_count() >= 8);
+            let plain = memo.expr_count() - naive.len();
+            let mut duplicates = 0;
+            let mut done: Vec<(u8, [GroupId; 2], u32, GroupId)> = Vec::new();
+            for (sel, (a, b), code, target) in ops {
+                let groups = memo.group_count() as u32;
+                // Sixes and sevens replay an earlier op through the other call.
+                let (sel, children, code, target) = match sel {
+                    6 | 7 if !done.is_empty() => {
+                        let (sel, children, code, target) = done[a as usize % done.len()];
+                        ((sel + 3) % 6, children, code, target)
+                    }
+                    6 | 7 => continue,
+                    _ => {
+                        // Few child pairs, so many candidates differ in
+                        // their predicates alone.
+                        let children = [GroupId(a % 8), GroupId(b % 8)];
+                        (sel, children, code, GroupId(target % groups))
+                    }
+                };
+                done.push((sel, children, code, target));
+                let kind = [JoinKind::Inner, JoinKind::Left, JoinKind::Right][usize::from(sel % 3)];
+                // Up to three of the six predicates, repeats allowed.
+                let preds: Vec<PredRef> = (0..code % 4)
+                    .map(|i| refs[(code / 4 / 6u32.pow(i)) as usize % 6])
+                    .collect();
+                let key = (kind, preds.clone(), children);
+                let existing = naive.get(&key).copied();
+                duplicates += usize::from(existing.is_some());
+                let new = existing.is_none().then_some(ExprId(memo.expr_count() as u32));
+                if sel < 3 {
+                    let got = memo.insert_join(kind, &preds, children, &est, &mut mem);
+                    let group = existing.unwrap_or(GroupId(groups));
+                    prop_assert_eq!(got, (group, new));
+                    naive.insert(key, group);
+                } else {
+                    let got = memo.add_join_to_group(target, kind, &preds, children, &mut mem);
+                    prop_assert_eq!(got, new);
+                    naive.entry(key).or_insert(target);
+                }
+            }
+            prop_assert_eq!(memo.expr_count(), plain + naive.len());
+            prop_assert!(memo.slots.len() >= 16 << 4, "{} slots", memo.slots.len());
+            prop_assert!(duplicates > 20, "{duplicates} duplicates");
+        }
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Exploration {
             next = if next == last {
                 None
             } else {
-                memo.expr(inner_id).next_in_group
+                memo.expr(inner_id).next_in_group()
             };
             let Some((inner_preds, [a_group, b_group])) = as_inner_join(memo, inner_id) else {
                 continue;
@@ -231,7 +231,7 @@ mod tests {
 
     fn member_count(memo: &Memo, group: GroupId) -> usize {
         let first = memo.group(group).first_expr;
-        std::iter::successors(first, |e| memo.expr(*e).next_in_group).count()
+        std::iter::successors(first, |e| memo.expr(*e).next_in_group()).count()
     }
 
     const ORDERS_CUSTOMER: &str =
