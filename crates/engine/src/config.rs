@@ -189,13 +189,11 @@ pub struct ServerConfig {
     /// closed-loop population. Empty reproduces the paper's purely
     /// closed-loop runs.
     pub arrivals: Vec<ArrivalSourceConfig>,
-    /// Run the closed-loop population in cohort-compressed form: no
-    /// per-client vectors are materialized — retry state rides inside each
-    /// pending submit event and class membership is derived from the
-    /// contiguous [`ServerConfig::class_bounds`] ranges. Requires a
-    /// constant population (every phase at the same client count) and no
-    /// client-surge faults; a cohort run's trace is byte-identical to the
-    /// same population materialized as individual clients.
+    /// No effect. Every closed-loop client already runs the one compact
+    /// model: its retry chain rides in its pending submit event and its
+    /// class comes from [`ServerConfig::class_bounds`]. The field stays
+    /// only because the repository benchmark still assigns it; ROADMAP
+    /// item 8(A) deletes it.
     pub cohort_compressed: bool,
     /// Total simulated duration.
     pub duration: SimDuration,
@@ -429,21 +427,16 @@ impl ServerConfig {
     /// than the configured maximum participate (scenario phases resize the
     /// population): classes are interleaved proportionally to their
     /// normalized shares, so any partial population still covers every
-    /// class. A contiguous prefix over [`ServerConfig::class_assignment`]'s
-    /// ranges would instead starve the later classes entirely — while the
+    /// class. A contiguous prefix of client ids (see
+    /// [`ServerConfig::class_bounds`]) would instead starve the later classes entirely — while the
     /// broker kept reserving their grant and compile-target slices.
     pub fn activation_order(&self) -> Vec<u32> {
-        let assignment = self.class_assignment();
-        let mut class_totals = vec![0u32; self.classes.len()];
-        for class in &assignment {
-            class_totals[*class] += 1;
-        }
-        // Position of each client within its class (0-based).
-        let mut seen = vec![0u32; self.classes.len()];
-        let mut keyed: Vec<(u32, usize, u32)> = Vec::with_capacity(assignment.len());
-        for (client, class) in assignment.iter().enumerate() {
-            keyed.push((seen[*class], *class, client as u32));
-            seen[*class] += 1;
+        let bounds = self.class_bounds();
+        let class_totals: Vec<u32> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        // (position within the class, class, client id), 0-based.
+        let mut keyed: Vec<(u32, usize, u32)> = Vec::with_capacity(self.clients as usize);
+        for (class, range) in bounds.windows(2).enumerate() {
+            keyed.extend((range[0]..range[1]).map(|client| (client - range[0], class, client)));
         }
         // Sort by fractional position within the class ((pos+1)/total,
         // compared exactly via cross-multiplication), tie-broken by class
@@ -458,11 +451,11 @@ impl ServerConfig {
         keyed.into_iter().map(|(_, _, client)| client).collect()
     }
 
-    /// The fenceposts of [`ServerConfig::class_assignment`]'s contiguous
-    /// ranges, as `classes.len() + 1` client-id boundaries: class `i` owns
-    /// client ids `bounds[i] .. bounds[i + 1]`. Cohort-compressed runs map
-    /// a client id to its class through these bounds instead of
-    /// materializing the per-client assignment vector.
+    /// Deterministically assign clients to classes: contiguous ranges of
+    /// client ids sized by the normalized
+    /// [`WorkloadClassConfig::client_share`]s, with the last class absorbing
+    /// the rounding remainder. Returns the `classes.len() + 1` fenceposts:
+    /// class `i` owns client ids `bounds[i] .. bounds[i + 1]`.
     pub fn class_bounds(&self) -> Vec<u32> {
         let total_share: f64 = self.classes.iter().map(|c| c.client_share).sum();
         let mut bounds = Vec::with_capacity(self.classes.len() + 1);
@@ -475,26 +468,6 @@ impl ServerConfig {
         }
         bounds.push(self.clients);
         bounds
-    }
-
-    /// Deterministically assign each client to a class: contiguous ranges
-    /// sized by the normalized [`WorkloadClassConfig::client_share`]s, with
-    /// the last class absorbing rounding remainder. Returns one class index
-    /// per client id.
-    pub fn class_assignment(&self) -> Vec<usize> {
-        let total_share: f64 = self.classes.iter().map(|c| c.client_share).sum();
-        let mut assignment = vec![self.classes.len() - 1; self.clients as usize];
-        let mut start = 0usize;
-        let mut acc = 0.0;
-        for (idx, class) in self.classes.iter().enumerate().take(self.classes.len() - 1) {
-            acc += class.client_share / total_share;
-            let end = ((self.clients as f64 * acc).round() as usize).min(self.clients as usize);
-            for slot in assignment.iter_mut().take(end).skip(start) {
-                *slot = idx;
-            }
-            start = end;
-        }
-        assignment
     }
 }
 
@@ -535,7 +508,7 @@ mod tests {
         let c = ServerConfig::quick(10, true);
         assert_eq!(c.classes.len(), 1);
         assert_eq!(c.classes[0].name, "default");
-        assert_eq!(c.class_assignment(), vec![0; 10]);
+        assert_eq!(c.class_bounds(), vec![0, 10]);
         // The catch-all class uses the base ladder unchanged.
         assert_eq!(c.classes[0].scaled_throttle(&c.throttle), c.throttle);
     }
@@ -544,15 +517,14 @@ mod tests {
     fn standard_classes_validate_and_partition_clients() {
         let c = ServerConfig::quick(20, true).with_standard_classes();
         c.validate();
-        let assignment = c.class_assignment();
-        assert_eq!(assignment.len(), 20);
-        let count = |idx: usize| assignment.iter().filter(|a| **a == idx).count();
+        let bounds = c.class_bounds();
+        let count = |idx: usize| bounds[idx + 1] - bounds[idx];
         assert_eq!(count(0), 10, "50% share of 20 clients");
         assert_eq!(count(1), 6, "30% share");
         assert_eq!(count(2), 4, "20% share");
-        // Assignment is deterministic and contiguous.
-        assert_eq!(c.class_assignment(), assignment);
-        assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
+        // Assignment is deterministic and covers every client.
+        assert_eq!(c.class_bounds(), bounds);
+        assert_eq!(bounds, vec![0, 10, 16, 20]);
     }
 
     #[test]
@@ -590,11 +562,12 @@ mod tests {
         // Any partial prefix covers every class roughly by share: with
         // shares 50/30/20 over 20 clients, the first 5 activations must
         // already include all three classes.
-        let assignment = c.class_assignment();
+        let bounds = c.class_bounds();
+        let class_of = |client: u32| bounds.partition_point(|&b| b <= client) - 1;
         let classes_in = |n: usize| {
             let mut seen = std::collections::HashSet::new();
             for client in &order[..n] {
-                seen.insert(assignment[*client as usize]);
+                seen.insert(class_of(*client));
             }
             seen.len()
         };
@@ -602,7 +575,7 @@ mod tests {
         // And the 10-client prefix is close to the 5/3/2 share split.
         let mut counts = [0usize; 3];
         for client in &order[..10] {
-            counts[assignment[*client as usize]] += 1;
+            counts[class_of(*client)] += 1;
         }
         assert_eq!(counts.iter().sum::<usize>(), 10);
         assert!((4..=6).contains(&counts[0]), "default {counts:?}");
@@ -686,22 +659,22 @@ mod tests {
     }
 
     #[test]
-    fn class_bounds_match_class_assignment() {
-        for clients in [1u32, 7, 10, 20, 33] {
+    fn class_bounds_are_monotone_fenceposts_for_any_population() {
+        for clients in [0u32, 1, 7, 10, 20, 33] {
             let mut c = ServerConfig::quick(clients, true).with_standard_classes();
             c.clients = clients;
-            let assignment = c.class_assignment();
             let bounds = c.class_bounds();
             assert_eq!(bounds.len(), c.classes.len() + 1);
             assert_eq!(bounds[0], 0);
             assert_eq!(*bounds.last().unwrap(), clients);
-            for (client, class) in assignment.iter().enumerate() {
-                let client = client as u32;
-                assert!(
-                    bounds[*class] <= client && client < bounds[*class + 1],
-                    "client {client} of {clients}: class {class} vs bounds {bounds:?}"
-                );
-            }
+            assert!(
+                bounds.windows(2).all(|w| w[0] <= w[1]),
+                "{clients} clients: bounds {bounds:?} not monotone"
+            );
+            // The activation order is a permutation of exactly these ids.
+            let mut order = c.activation_order();
+            order.sort_unstable();
+            assert_eq!(order, (0..clients).collect::<Vec<u32>>());
         }
     }
 

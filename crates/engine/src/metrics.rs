@@ -251,10 +251,8 @@ pub struct ArrivalSourceMetrics {
 /// checks it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DispatchCounts {
-    /// Materialized clients' submissions.
+    /// Closed-loop clients' submissions, fresh work and retries.
     pub submit: u64,
-    /// Cohort-compressed clients' submissions.
-    pub cohort_submit: u64,
     /// Compilation memory-growth steps.
     pub compile_step: u64,
     /// Timeouts of gateway waits (fired, whether or not the query still waited).
@@ -279,7 +277,6 @@ impl DispatchCounts {
     /// Every dispatched event: the queued kinds plus the arrivals.
     pub fn total(&self) -> u64 {
         self.submit
-            + self.cohort_submit
             + self.compile_step
             + self.compile_timeout
             + self.grant_timeout

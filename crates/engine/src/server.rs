@@ -27,11 +27,10 @@ use throttledb_workload::{ClientModel, TemplateId, Uniquifier, WorkloadMix};
 /// Discrete events driving the simulation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// A client submits its next query.
-    Submit { client: u32 },
-    /// A cohort-compressed client submits: the retry chain's state rides in
-    /// the event, so an idle cohort member costs no per-client memory.
-    CohortSubmit {
+    /// A closed-loop client submits: fresh work (`attempts == 0`) or the
+    /// next retry of its current chain. The chain's state rides in the
+    /// event, so a client that leaves the loop drops its chain with it.
+    Submit {
         client: u32,
         attempts: u32,
         first_at: SimTime,
@@ -74,10 +73,11 @@ fn fold_arrival_digest(mut h: u64, at_us: u64, source: u32, code: u8) -> u64 {
 /// paper's text-keyed cache would hash.
 ///
 /// Lookups key on the uniquifier's key for the submission's uniquified SQL
-/// (equal exactly when the texts are); insertions key on the (template,
-/// submission) pair that produced the plan. The two variants can never
-/// collide, preserving the workload's designed-in property that the
-/// uniquifier defeats the cache — while the hot path never builds SQL.
+/// (equal exactly when the texts are; only a debug-build assertion looks
+/// one up); insertions key on the (template, submission) pair that
+/// produced the plan. The two variants can never collide, preserving the
+/// workload's designed-in property that the uniquifier defeats the cache —
+/// while the hot path never builds SQL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum PlanKey {
     /// Key of a submission's uniquified text (lookup side).
@@ -117,8 +117,6 @@ pub struct Server {
     pub(crate) compile_clerk: Clerk,
     /// One admission-pool runtime per configured workload class.
     pub(crate) classes: Vec<ClassRuntime>,
-    /// Client id -> class index (precomputed, deterministic).
-    pub(crate) class_by_client: Vec<usize>,
     pub(crate) plan_cache: PlanCache<TemplateId, PlanKey>,
     pub(crate) hit_model: HitRateModel,
     pub(crate) uniquifier: Uniquifier,
@@ -197,12 +195,6 @@ pub struct Server {
     /// Number of currently active fault windows (completions during any
     /// window count toward goodput-under-fault).
     pub(crate) active_faults: u32,
-    /// Consecutive failed/shed attempts per client (reset on success or
-    /// when the chain is abandoned); indexes the backoff exponent.
-    pub(crate) retry_attempts: Vec<u32>,
-    /// When each client's current retry chain first submitted (the total
-    /// query deadline is measured from here).
-    pub(crate) first_attempt_at: Vec<SimTime>,
     /// Runtime state of the configured open-loop arrival sources.
     pub(crate) sources: Vec<SourceRuntime>,
     /// Streaming FNV-1a digest over every arrival's admission decision
@@ -211,12 +203,9 @@ pub struct Server {
     /// cheap determinism witness for runs too large to trace.
     pub(crate) arrival_digest: u64,
     /// Fenceposts of the contiguous class ranges
-    /// (see [`ServerConfig::class_bounds`]); cohort-compressed runs derive
-    /// class membership from these instead of `class_by_client`.
+    /// (see [`ServerConfig::class_bounds`]): the one definition of a
+    /// client's class.
     pub(crate) class_bounds: Vec<u32>,
-    /// Whether a cohort-compressed population has been started; cohort
-    /// runs require the population to stay constant afterwards.
-    pub(crate) cohort_started: bool,
     /// Where the sources' arrival instants come from, and their pending
     /// `(time, seq)` merge candidates (see [`crate::shard`]). Empty until
     /// [`Server::begin`].
@@ -249,15 +238,6 @@ impl Server {
                 )
             })
             .collect();
-        // Cohort-compressed runs materialize no per-client state at all:
-        // class membership comes from the contiguous bounds and retry state
-        // rides inside the pending submit events.
-        let cohort = config.cohort_compressed;
-        let class_by_client = if cohort {
-            Vec::new()
-        } else {
-            config.class_assignment()
-        };
         let class_bounds = config.class_bounds();
         let sources = config
             .arrivals
@@ -273,14 +253,13 @@ impl Server {
         metrics.run_duration = config.duration;
         let mut client_model = config.client_model;
         client_model.oltp_fraction = config.oltp_fraction;
-        let clients = if cohort { 0 } else { config.clients as usize };
+        let clients = config.clients as usize;
         Server {
             rng: SimRng::seed_from_u64(config.seed),
             profiles,
             broker,
             compile_clerk,
             classes,
-            class_by_client,
             plan_cache,
             hit_model: HitRateModel::default(),
             uniquifier: Uniquifier::new(),
@@ -295,11 +274,7 @@ impl Server {
             fold: MetricsFold::new(),
             now: SimTime::ZERO,
             active_clients: 0,
-            activation_order: if cohort {
-                Vec::new()
-            } else {
-                config.activation_order()
-            },
+            activation_order: config.activation_order(),
             client_active: vec![false; clients],
             client_busy: vec![false; clients],
             mix: WorkloadMix::paper_default(config.oltp_fraction),
@@ -320,13 +295,10 @@ impl Server {
             lost_slots: 0,
             fault_grant_scale: 1.0,
             active_faults: 0,
-            retry_attempts: vec![0; clients],
-            first_attempt_at: vec![SimTime::ZERO; clients],
             sources,
             // FNV-1a offset basis: the empty-stream digest.
             arrival_digest: 0xcbf2_9ce4_8422_2325,
             class_bounds,
-            cohort_started: false,
             arrival_plane: ArrivalPlane::default(),
             config,
         }
@@ -409,17 +381,13 @@ impl Server {
     fn dispatch(&mut self, event: Event) {
         let counts = &mut self.metrics.dispatch;
         match event {
-            Event::Submit { client } => {
-                counts.submit += 1;
-                self.on_submit(client)
-            }
-            Event::CohortSubmit {
+            Event::Submit {
                 client,
                 attempts,
                 first_at,
             } => {
-                counts.cohort_submit += 1;
-                self.on_cohort_submit(client, attempts, first_at)
+                counts.submit += 1;
+                self.on_submit(client, attempts, first_at)
             }
             Event::CompileStep { query } => {
                 counts.compile_step += 1;
@@ -543,13 +511,11 @@ impl Server {
     /// order of [`ServerConfig::activation_order`], so a partial population
     /// covers every workload class by share instead of starving the later
     /// classes. New clients submit their first query within the next
-    /// simulated minute; removed clients leave the closed loop as soon as
-    /// their in-flight work completes.
+    /// simulated minute. A removed client leaves the closed loop once its
+    /// in-flight query ends or its pending submission comes due, and the
+    /// retry chain it was in ends there too: re-admitted after that, it
+    /// starts fresh work.
     pub fn set_active_clients(&mut self, n: u32) {
-        if self.config.cohort_compressed {
-            self.set_active_cohort(n);
-            return;
-        }
         let n = n.min(self.config.clients) as usize;
         for idx in 0..self.activation_order.len() {
             let client = self.activation_order[idx] as usize;
@@ -562,6 +528,8 @@ impl Server {
                         self.now + offset,
                         Event::Submit {
                             client: client as u32,
+                            attempts: 0,
+                            first_at: SimTime::ZERO,
                         },
                     );
                     self.client_busy[client] = true;
@@ -571,76 +539,6 @@ impl Server {
             }
         }
         self.active_clients = n as u32;
-    }
-
-    /// Start (or re-assert) a cohort-compressed population of `n` clients.
-    ///
-    /// The activation order and the per-client first-submission offsets are
-    /// drawn exactly as the materialized path draws them — same RNG, same
-    /// sequence — then the order is dropped: what remains is one pending
-    /// [`Event::CohortSubmit`] per active client. Cohort populations are
-    /// constant: repeating the same `n` is a no-op, changing it panics
-    /// (resizing would need the per-client participation vectors the mode
-    /// exists to avoid).
-    fn set_active_cohort(&mut self, n: u32) {
-        let n = n.min(self.config.clients);
-        if self.cohort_started {
-            assert_eq!(
-                n, self.active_clients,
-                "cohort-compressed runs require a constant population"
-            );
-            return;
-        }
-        self.cohort_started = true;
-        let order = self.config.activation_order();
-        for &client in order.iter().take(n as usize) {
-            let offset = SimDuration::from_millis(self.rng.uniform_u64(0, 60_000));
-            self.queue.schedule(
-                self.now + offset,
-                Event::CohortSubmit {
-                    client,
-                    attempts: 0,
-                    first_at: SimTime::ZERO,
-                },
-            );
-        }
-        self.active_clients = n;
-    }
-
-    /// Schedule a cohort client's next submission, bounded by the run's
-    /// end exactly like [`Server::schedule_submit`] (cohort populations are
-    /// constant, so the materialized path's `client_active` check is
-    /// trivially true).
-    pub(crate) fn schedule_cohort_submit(
-        &mut self,
-        client: u32,
-        attempts: u32,
-        first_at: SimTime,
-        delay: SimDuration,
-    ) {
-        let at = self.now + delay;
-        if at < SimTime::ZERO + self.config.duration {
-            self.queue.schedule(
-                at,
-                Event::CohortSubmit {
-                    client,
-                    attempts,
-                    first_at,
-                },
-            );
-        }
-    }
-
-    /// Dispatch a cohort client's submission: a fresh chain (attempts = 0)
-    /// starts its total-deadline clock now, mirroring the materialized
-    /// path's `first_attempt_at` bookkeeping.
-    fn on_cohort_submit(&mut self, client: u32, attempts: u32, first_at: SimTime) {
-        let first_at = if attempts == 0 { self.now } else { first_at };
-        self.submit_query(QueryOrigin::Cohort {
-            client,
-            attempts,
-            first_at,
-        });
     }
 
     /// Decide one arrival's admission at `self.now`, update the source's
@@ -712,11 +610,6 @@ impl Server {
         assert!(self.faults.is_empty(), "faults already installed");
         for (index, fault) in faults.iter().enumerate() {
             fault.validate();
-            assert!(
-                !(self.config.cohort_compressed
-                    && matches!(fault.kind, FaultKind::ClientSurge { .. })),
-                "client-surge faults resize the population, which cohort-compressed runs forbid"
-            );
             self.faults.push(*fault);
             self.fault_active.push(false);
             self.leak_allocated.push(0);
@@ -983,23 +876,33 @@ impl Server {
 
     // --- shared machine model ---------------------------------------------
 
-    /// The class index of `client`. Materialized populations read the
-    /// precomputed per-client vector; cohort-compressed ones derive it from
-    /// the contiguous class bounds (same assignment, no per-client memory).
+    /// The class index of `client`: the contiguous range of the class
+    /// bounds it falls in.
     pub(crate) fn class_of(&self, client: u32) -> usize {
-        if self.config.cohort_compressed {
-            self.class_bounds.partition_point(|&b| b <= client) - 1
-        } else {
-            self.class_by_client[client as usize]
-        }
+        self.class_bounds.partition_point(|&b| b <= client) - 1
     }
 
-    pub(crate) fn schedule_submit(&mut self, client: u32, delay: SimDuration) {
+    /// Schedule `client`'s next submission `delay` from now, carrying its
+    /// retry chain (`attempts == 0` for fresh work).
+    pub(crate) fn schedule_submit(
+        &mut self,
+        client: u32,
+        attempts: u32,
+        first_at: SimTime,
+        delay: SimDuration,
+    ) {
         let at = self.now + delay;
         // Strict bound to match run_until's exclusive boundary: an event at
         // exactly `duration` would never be popped.
         if self.client_active[client as usize] && at < SimTime::ZERO + self.config.duration {
-            self.queue.schedule(at, Event::Submit { client });
+            self.queue.schedule(
+                at,
+                Event::Submit {
+                    client,
+                    attempts,
+                    first_at,
+                },
+            );
             self.client_busy[client as usize] = true;
         } else {
             // The client leaves the closed loop (deactivated by a scenario
@@ -1023,36 +926,15 @@ impl Server {
     }
 
     /// A query's attempt failed or was shed: route the setback to its
-    /// origin. Closed-loop clients (materialized or cohort-compressed)
-    /// either schedule the capped exponential-backoff retry or — when the
-    /// retry budget or the total query deadline is exhausted — abandon the
-    /// chain and think about fresh work. The two closed-loop paths make
-    /// draw-for-draw identical RNG decisions; only where the retry state
-    /// lives differs. Open-loop arrivals never retry: the source's
-    /// in-flight slot is simply released.
+    /// origin. A closed-loop client either schedules the capped
+    /// exponential-backoff retry, carrying the chain forward in its next
+    /// submit event, or — when the retry budget or the total query
+    /// deadline is exhausted — abandons the chain and thinks about fresh
+    /// work. Open-loop arrivals never retry: the source's in-flight slot
+    /// is simply released.
     pub(crate) fn reschedule_after_setback(&mut self, origin: QueryOrigin) {
         match origin {
-            QueryOrigin::Client { client } => {
-                let idx = client as usize;
-                self.retry_attempts[idx] = self.retry_attempts[idx].saturating_add(1);
-                let attempts = self.retry_attempts[idx];
-                let over_budget =
-                    self.config.retry_budget > 0 && attempts > self.config.retry_budget;
-                let over_deadline = self
-                    .config
-                    .query_deadline
-                    .is_some_and(|d| self.now >= self.first_attempt_at[idx] + d);
-                if over_budget || over_deadline {
-                    self.metrics.retries_abandoned += 1;
-                    self.retry_attempts[idx] = 0;
-                    let think = self.client_model.think_time(&mut self.rng);
-                    self.schedule_submit(client, think);
-                } else {
-                    let delay = self.client_model.retry_delay(&mut self.rng, attempts);
-                    self.schedule_submit(client, delay);
-                }
-            }
-            QueryOrigin::Cohort {
+            QueryOrigin::Client {
                 client,
                 attempts,
                 first_at,
@@ -1067,10 +949,10 @@ impl Server {
                 if over_budget || over_deadline {
                     self.metrics.retries_abandoned += 1;
                     let think = self.client_model.think_time(&mut self.rng);
-                    self.schedule_cohort_submit(client, 0, SimTime::ZERO, think);
+                    self.schedule_submit(client, 0, SimTime::ZERO, think);
                 } else {
                     let delay = self.client_model.retry_delay(&mut self.rng, attempts);
-                    self.schedule_cohort_submit(client, attempts, first_at, delay);
+                    self.schedule_submit(client, attempts, first_at, delay);
                 }
             }
             QueryOrigin::Source { source } => {
@@ -1142,16 +1024,6 @@ impl Server {
             "per-kind dispatch counts must add up to the queue's dispatch count"
         );
         self.metrics.peak_queue_depth = self.queue.peak_len();
-        let mut class_clients = vec![0u32; self.classes.len()];
-        if self.config.cohort_compressed {
-            for (idx, count) in class_clients.iter_mut().enumerate() {
-                *count = self.class_bounds[idx + 1] - self.class_bounds[idx];
-            }
-        } else {
-            for class in &self.class_by_client {
-                class_clients[*class] += 1;
-            }
-        }
         for (src, spec) in self.sources.iter().zip(&self.config.arrivals) {
             self.metrics.arrivals += src.arrivals;
             self.metrics.arrivals_admitted += src.admitted;
@@ -1178,7 +1050,7 @@ impl Server {
             self.metrics.brownout_admits += brownout;
             self.metrics.classes.push(ClassMetrics {
                 name: class.spec.name.clone(),
-                clients: class_clients[idx],
+                clients: self.class_bounds[idx + 1] - self.class_bounds[idx],
                 completed: class.completed,
                 completed_after_warmup: class.completed_after_warmup,
                 failed: class.failed,
@@ -1432,63 +1304,6 @@ mod tests {
     }
 
     #[test]
-    fn cohort_compressed_run_is_trace_identical_to_materialized() {
-        // The tentpole's equivalence claim at the engine level: the same
-        // population run cohort-compressed (no per-client vectors, retry
-        // state in the events) produces the exact same event stream as the
-        // materialized run — including under retry budgets and deadlines,
-        // which exercise every cohort state-machine branch.
-        let profiles = profiles();
-        let run = |cohort: bool| {
-            let mut cfg = ServerConfig::quick(12, true).with_standard_classes();
-            cfg.cohort_compressed = cohort;
-            cfg.retry_budget = 3;
-            cfg.query_deadline = Some(SimDuration::from_secs(1800));
-            cfg.breaker = throttledb_governor::BreakerConfig {
-                enabled: true,
-                ..Default::default()
-            };
-            let mut server = Server::new(cfg.clone(), profiles.clone());
-            server.enable_trace();
-            server.set_active_clients(cfg.clients);
-            server.begin();
-            server.run_until(SimTime::ZERO + cfg.duration);
-            let trace = server.take_trace();
-            (trace, server.finish())
-        };
-        let (mat_trace, mat) = run(false);
-        let (coh_trace, coh) = run(true);
-        assert!(mat.completed.total() > 10, "run too idle to prove anything");
-        assert_eq!(
-            mat_trace, coh_trace,
-            "cohort-compressed trace diverged from the materialized population"
-        );
-        assert_eq!(mat.completed.total(), coh.completed.total());
-        assert_eq!(mat.total_failures(), coh.total_failures());
-        assert_eq!(mat.retries_abandoned, coh.retries_abandoned);
-        // Per-class client counts come from the bounds in cohort mode and
-        // from the materialized vector otherwise; they must agree.
-        for (m, c) in mat.classes.iter().zip(coh.classes.iter()) {
-            assert_eq!(m.clients, c.clients, "class {} population", m.name);
-            assert_eq!(m.completed, c.completed, "class {} completions", m.name);
-        }
-    }
-
-    #[test]
-    fn cohort_population_must_stay_constant() {
-        let profiles = profiles();
-        let mut cfg = ServerConfig::quick(8, true);
-        cfg.cohort_compressed = true;
-        let mut server = Server::new(cfg, profiles);
-        server.set_active_clients(8);
-        server.set_active_clients(8); // same n: no-op
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            server.set_active_clients(4)
-        }));
-        assert!(result.is_err(), "resizing a cohort population must panic");
-    }
-
-    #[test]
     fn open_loop_source_runs_without_clients_and_accounts_exactly() {
         let profiles = profiles();
         let run = || {
@@ -1554,7 +1369,6 @@ mod tests {
         // that is still live.
         let profiles = profiles();
         let mut cfg = ServerConfig::quick(8, true);
-        cfg.cohort_compressed = true;
         cfg.arrivals = vec![poisson_source(50.0, 0, 256)];
         let mut server = Server::new(cfg, profiles);
         server.enable_trace();

@@ -11,28 +11,32 @@ use crate::metrics::FailureKind;
 use crate::server::{Event, PlanKey, Server};
 use crate::trace::TraceEvent;
 use throttledb_governor::{PolicyDecision, PolicySignals};
+use throttledb_sim::SimTime;
 
 impl Server {
-    /// A materialized closed-loop client submits its next query: check its
-    /// participation, start a fresh chain's deadline clock, and hand off to
-    /// the shared submission path.
-    pub(crate) fn on_submit(&mut self, client: u32) {
+    /// A closed-loop client submits its next query: check its participation,
+    /// start a fresh chain's deadline clock, and hand off to the shared
+    /// submission path.
+    pub(crate) fn on_submit(&mut self, client: u32, attempts: u32, first_at: SimTime) {
         if !self.client_active[client as usize] {
             // The client was deactivated by a scenario phase after this
-            // submission was scheduled; it leaves the closed loop here.
+            // submission was scheduled; it leaves the closed loop here, and
+            // its retry chain ends with this event.
             self.client_busy[client as usize] = false;
             return;
         }
         // A fresh chain (not a retry) starts its total-deadline clock here.
-        if self.retry_attempts[client as usize] == 0 {
-            self.first_attempt_at[client as usize] = self.now;
-        }
-        self.submit_query(QueryOrigin::Client { client });
+        let first_at = if attempts == 0 { self.now } else { first_at };
+        self.submit_query(QueryOrigin::Client {
+            client,
+            attempts,
+            first_at,
+        });
     }
 
     /// Submit one query from any origin: choose a template, uniquify its
-    /// text, and start (or skip, on a plan-cache hit) compilation. Returns
-    /// whether the query entered the pipeline (`false` = shed at the door).
+    /// text, and start compilation. Returns whether the query entered the
+    /// pipeline (`false` = shed at the door).
     ///
     /// This is the allocation-free hot path: the template is chosen as an
     /// interned [`throttledb_workload::TemplateId`], its profile is a dense
@@ -41,14 +45,10 @@ impl Server {
     /// no SQL is parsed, rendered or cloned per submission (the RNG draws
     /// are identical to the allocating path, so seeded runs are unchanged;
     /// see the workload crate's equivalence tests). The draw sequence is
-    /// origin-independent, which is what makes a cohort-compressed run's
-    /// trace byte-identical to the same population materialized as
-    /// individual clients.
+    /// origin-independent: a retry draws exactly what fresh work does.
     pub(crate) fn submit_query(&mut self, origin: QueryOrigin) -> bool {
         let class = match origin {
-            QueryOrigin::Client { client } | QueryOrigin::Cohort { client, .. } => {
-                self.class_of(client)
-            }
+            QueryOrigin::Client { client, .. } => self.class_of(client),
             QueryOrigin::Source { source } => self.config.arrivals[source as usize].class,
         };
         let template =
@@ -91,30 +91,13 @@ impl Server {
             return false;
         }
 
-        // The uniquifier defeats the plan cache (as in the paper); text
-        // keys and compiled-plan keys live in disjoint `PlanKey`
-        // variants, so this lookup misses by construction — exactly the
-        // old text-keyed behaviour, without carrying the text.
-        if self.plan_cache.get(&PlanKey::Text(digest)).is_some() {
-            let query = Query {
-                origin,
-                class,
-                template,
-                profile,
-                task: self.classes[class].policy.begin(),
-                compile_step: self.config.compile_steps,
-                compile_bytes: 0,
-                lifecycle: QueryLifecycle::Compiling,
-                grant_id: None,
-                grant_requested: 0,
-            };
-            self.queries.insert(id, query);
-            // finish_compile releases the CPU slot the compile path would
-            // have taken; take it here so the accounting stays balanced.
-            self.running_cpu_tasks += 1;
-            self.finish_compile(id);
-            return true;
-        }
+        // The uniquifier defeats the plan cache (as in the paper): text
+        // keys are never inserted — plans go in under the disjoint
+        // `PlanKey::Compiled` variant — so every submission compiles.
+        debug_assert!(
+            self.plan_cache.get(&PlanKey::Text(digest)).is_none(),
+            "a uniquified submission hit the plan cache"
+        );
 
         let task = self.classes[class].policy.begin();
         self.task_to_query.insert((class, task), id);

@@ -9,7 +9,7 @@ use super::{QueryLifecycle, QueryOrigin};
 use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
 use throttledb_executor::spill_slowdown;
-use throttledb_sim::SimDuration;
+use throttledb_sim::{SimDuration, SimTime};
 
 impl Server {
     /// Begin executing query `id` with `granted_bytes` of execution memory.
@@ -83,18 +83,13 @@ impl Server {
             class.completed_after_warmup += 1;
         }
         self.breaker_record(q.class, true);
-        // Success ends the retry chain: closed-loop clients (materialized
-        // or cohort) think and submit fresh work; an open-loop arrival
-        // just releases its source's in-flight slot.
+        // Success ends the retry chain: a closed-loop client thinks and
+        // submits fresh work; an open-loop arrival just releases its
+        // source's in-flight slot.
         match q.origin {
-            QueryOrigin::Client { client } => {
-                self.retry_attempts[client as usize] = 0;
+            QueryOrigin::Client { client, .. } => {
                 let think = self.client_model.think_time(&mut self.rng);
-                self.schedule_submit(client, think);
-            }
-            QueryOrigin::Cohort { client, .. } => {
-                let think = self.client_model.think_time(&mut self.rng);
-                self.schedule_cohort_submit(client, 0, throttledb_sim::SimTime::ZERO, think);
+                self.schedule_submit(client, 0, SimTime::ZERO, think);
             }
             QueryOrigin::Source { source } => {
                 let src = &mut self.sources[source as usize];

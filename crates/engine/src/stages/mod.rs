@@ -36,24 +36,16 @@ use throttledb_sim::SimTime;
 /// Who submitted a query — and therefore where its completion / failure
 /// feedback is routed.
 ///
-/// The three variants are the server's three population models:
-/// materialized closed-loop clients carry retry state in per-client
-/// vectors; cohort-compressed clients carry it *here*, inside the query
-/// and its pending submit events, so a million-user population costs no
-/// per-client memory; open-loop sources have no retry chain at all — a
-/// failed arrival is simply gone, as in any open system.
+/// A closed-loop client's retry chain lives *here*, inside the query and
+/// its pending submit event, never in per-client state: a chain ends when
+/// its query completes, is abandoned, or its client leaves the loop.
+/// Open-loop sources have no retry chain at all — a failed arrival is
+/// simply gone, as in any open system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum QueryOrigin {
-    /// A materialized closed-loop client.
+    /// A closed-loop client.
     Client {
-        /// Client id (index into the server's per-client vectors).
-        client: u32,
-    },
-    /// A cohort-compressed closed-loop client: same id space and same
-    /// random draws as [`QueryOrigin::Client`], but the retry chain's
-    /// attempt count and first-submission time travel with the query.
-    Cohort {
-        /// Client id (class membership derives from the class bounds).
+        /// Client id (its class is the class-bounds range it falls in).
         client: u32,
         /// Consecutive setbacks on the current logical query.
         attempts: u32,
@@ -74,7 +66,7 @@ impl QueryOrigin {
     /// a trace without a per-arrival id allocation.
     pub(crate) fn client_id(self, clients: u32) -> u32 {
         match self {
-            QueryOrigin::Client { client } | QueryOrigin::Cohort { client, .. } => client,
+            QueryOrigin::Client { client, .. } => client,
             QueryOrigin::Source { source } => clients + source,
         }
     }

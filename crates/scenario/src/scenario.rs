@@ -13,9 +13,9 @@
 //!   load; and
 //! * **open-loop scenarios** (`open_loop_poisson`, `flash_crowd`,
 //!   `heavy_tail_arrivals`, `diurnal_arrivals`, `open_loop_scale`) —
-//!   arrival-process-driven populations with no (or only a
-//!   cohort-compressed) closed loop, where the offered rate is set by a
-//!   stochastic process instead of think times.
+//!   arrival-process-driven populations with no (or only a small)
+//!   closed loop, where the offered rate is set by a stochastic process
+//!   instead of think times.
 
 use crate::fault::FaultPlan;
 use crate::phase::Phase;
@@ -479,13 +479,12 @@ impl Scenario {
 
     /// The million-user scale cell: a 4 500/s Poisson firehose standing in
     /// for a million modeled users (≥ 10 M arrivals even at quick scale)
-    /// over a cohort-compressed 64-client closed loop. Nearly all arrivals
+    /// over a 64-client closed loop. Nearly all arrivals
     /// shed at the 512-slot cap — by design: each shed arrival costs one
     /// gap sample and one digest fold, so the cell measures the admission
     /// path's per-arrival overhead.
     pub fn open_loop_scale(scale: Scale) -> Self {
         let mut base = Self::custom_base(scale, 2007);
-        base.cohort_compressed = true;
         base.arrivals = vec![ArrivalSourceConfig {
             name: "firehose".to_string(),
             process: ArrivalProcess::Poisson {
@@ -499,7 +498,7 @@ impl Scenario {
         let phases = vec![Phase::steady("firehose", scale.minutes(40), 64, mix)];
         Scenario::new(
             "open_loop_scale",
-            "million-user firehose: 4500/s Poisson + cohort-compressed 64-client loop",
+            "million-user firehose: 4500/s Poisson + 64-client closed loop",
             base,
             phases,
         )
@@ -868,7 +867,6 @@ mod tests {
     #[test]
     fn scale_scenario_offers_ten_million_arrivals_even_at_quick_scale() {
         let s = Scenario::open_loop_scale(Scale::Quick);
-        assert!(s.base.cohort_compressed, "scale cell must compress cohorts");
         let offered: f64 = s
             .base
             .arrivals

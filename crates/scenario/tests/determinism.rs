@@ -101,68 +101,6 @@ fn replay_of_a_recorded_trace_reproduces_the_run() {
     assert_eq!(decoded.encode(), trace.encode());
 }
 
-/// The PR's headline equivalence contract at scenario scope: a constant-
-/// population multi-phase run must produce byte-identical traces and
-/// identical phase reports whether the client population is materialized
-/// (per-client vectors) or cohort-compressed (retry state carried in
-/// events, class membership via fenceposts). Mix shifts, think-time
-/// overrides and a grant degradation all happen mid-run, so the identity
-/// covers the phase-boundary machinery, not just a steady state.
-#[test]
-fn cohort_compression_is_trace_identical_at_scenario_scope() {
-    let scenario = |compressed: bool| {
-        let mut base = ServerConfig::quick(1, true);
-        base.warmup = SimDuration::ZERO;
-        base.seed = 23;
-        base.cohort_compressed = compressed;
-        let phases = vec![
-            Phase::steady(
-                "steady",
-                SimDuration::from_secs(420),
-                10,
-                WorkloadMix::paper_default(0.05),
-            ),
-            Phase::steady(
-                "storm",
-                SimDuration::from_secs(300),
-                10,
-                WorkloadMix::sales_only(),
-            )
-            .with_think_time(SimDuration::from_secs(3))
-            .with_grant_budget_scale(0.5),
-            Phase::steady(
-                "recovery",
-                SimDuration::from_secs(420),
-                10,
-                WorkloadMix::paper_default(0.05),
-            ),
-        ];
-        Scenario::new("cohort_probe", "cohort equivalence scenario", base, phases)
-    };
-    let profiles = profiles();
-    let run = |compressed| {
-        ScenarioRunner::new(scenario(compressed))
-            .record_trace(true)
-            .with_profiles(profiles.clone())
-            .run()
-    };
-    let materialized = run(false);
-    let compressed = run(true);
-    assert_eq!(
-        materialized.phases, compressed.phases,
-        "cohort compression changed the per-phase reports"
-    );
-    assert!(
-        materialized.phases.iter().map(|p| p.submitted).sum::<u64>() > 0,
-        "equivalence probe did no work"
-    );
-    assert_eq!(
-        materialized.trace.unwrap().encode(),
-        compressed.trace.unwrap().encode(),
-        "cohort compression changed the recorded trace"
-    );
-}
-
 /// Open-loop scenarios run end to end through the scenario runner: a
 /// zero-client phase schedule with a Poisson source offers load, admits
 /// work, folds a non-trivial arrival digest, and stays deterministic
