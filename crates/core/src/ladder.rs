@@ -13,13 +13,26 @@ use crate::config::ThrottleConfig;
 use crate::dynamic::DynamicThresholds;
 use crate::stats::ThrottleStats;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use throttledb_governor::{AdmissionDecision, ResourcePool};
-use throttledb_sim::{SimDuration, SimTime};
+use throttledb_governor::{AdmissionDecision, PoolTag, ResourcePool};
+use throttledb_sim::{SimDuration, SimTime, Slab, SlotRef};
 
-/// Identifies one compilation task registered with the ladder.
+/// Identifies one compilation task registered with the ladder: a packed
+/// [`SlotRef`] into the ladder's task slab, so a finished task's id goes
+/// stale instead of naming the task that reuses its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TaskId(pub u64);
+
+impl TaskId {
+    fn slot_ref(self) -> SlotRef {
+        SlotRef::from_bits(self.0)
+    }
+}
+
+impl PoolTag for TaskId {
+    fn slot(self) -> usize {
+        self.slot_ref().index()
+    }
+}
 
 /// The ladder's answer to a memory report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,10 +107,9 @@ struct TaskState {
 pub struct GatewayLadder {
     config: ThrottleConfig,
     gateways: Vec<ResourcePool<TaskId>>,
-    tasks: HashMap<TaskId, TaskState>,
+    tasks: Slab<TaskState>,
     compilation_target: Option<u64>,
     stats: ThrottleStats,
-    next_task: u64,
     /// Reused buffer the gateways append their admissions to, so a
     /// release allocates nothing.
     admitted: Vec<(TaskId, AdmissionDecision)>,
@@ -122,10 +134,9 @@ impl GatewayLadder {
         GatewayLadder {
             config,
             gateways,
-            tasks: HashMap::new(),
+            tasks: Slab::new(),
             compilation_target: None,
             stats,
-            next_task: 0,
             admitted: Vec::new(),
             counts,
             thresholds: Vec::new(),
@@ -185,9 +196,7 @@ impl GatewayLadder {
 
     /// Register a new compilation and return its task id.
     pub fn begin_task(&mut self) -> TaskId {
-        let id = TaskId(self.next_task);
-        self.next_task += 1;
-        self.tasks.insert(id, TaskState::default());
+        let id = TaskId(self.tasks.insert(TaskState::default()).to_bits());
         self.counts[0] += 1;
         self.check_counts();
         self.stats.compilations_started += 1;
@@ -208,7 +217,7 @@ impl GatewayLadder {
             &self.counts,
             &mut self.thresholds,
         );
-        let Some(state) = self.tasks.get_mut(&task) else {
+        let Some(state) = self.tasks.get_mut(task.slot_ref()) else {
             // Unknown task: treat as unthrottled rather than panic, matching
             // the robustness stance of a production gate.
             return LadderDecision::Proceed;
@@ -236,11 +245,12 @@ impl GatewayLadder {
         let required = self.thresholds.iter().filter(|t| bytes > **t).count();
 
         // Climb the ladder one gateway at a time.
+        let slot = task.slot_ref();
         while {
-            let held = self.tasks[&task].held;
+            let held = self.tasks.get(slot).expect("task exists").held;
             held < required
         } {
-            let state = &self.tasks[&task];
+            let state = self.tasks.get(slot).expect("task exists");
             let level = state.held;
             let timeout = self.config.monitors[level].timeout;
             // Re-asked while still queued here: keep its place in line.
@@ -248,7 +258,7 @@ impl GatewayLadder {
                 return LadderDecision::Wait { level, timeout };
             }
             let decision = self.gateways[level].request(task, 1, now, now.saturating_add(timeout));
-            let state = self.tasks.get_mut(&task).expect("task exists");
+            let state = self.tasks.get_mut(slot).expect("task exists");
             if decision.admitted() {
                 state.held = level + 1;
                 self.counts[level] -= 1;
@@ -269,7 +279,7 @@ impl GatewayLadder {
     /// caller should abort the compilation and then call
     /// [`GatewayLadder::finish_task`] to release whatever it already held.
     pub fn timeout_task(&mut self, task: TaskId, now: SimTime) {
-        if let Some(state) = self.tasks.get_mut(&task) {
+        if let Some(state) = self.tasks.get_mut(task.slot_ref()) {
             if let Some(level) = state.waiting_at.take() {
                 // Everyone behind a waiter that did not fit needs a slot
                 // too, so leaving the queue never admits anyone.
@@ -309,7 +319,7 @@ impl GatewayLadder {
     /// admits are left in `self.admitted`.
     fn finish(&mut self, task: TaskId, now: SimTime) {
         self.admitted.clear();
-        let Some(state) = self.tasks.remove(&task) else {
+        let Some(state) = self.tasks.remove(task.slot_ref()) else {
             return;
         };
         self.counts[state.held] -= 1;
@@ -327,7 +337,7 @@ impl GatewayLadder {
         }
         // Update the state of every newly admitted task.
         for &(resumed, _) in &self.admitted {
-            if let Some(s) = self.tasks.get_mut(&resumed) {
+            if let Some(s) = self.tasks.get_mut(resumed.slot_ref()) {
                 let level = s.waiting_at.take().unwrap_or(s.held);
                 if let Some(started) = s.wait_started.take() {
                     self.stats.record_wait(level, now.saturating_since(started));

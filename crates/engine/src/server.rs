@@ -14,17 +14,18 @@ use crate::shard::ArrivalPlane;
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
 use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use throttledb_bufferpool::HitRateModel;
 use throttledb_executor::GrantRequestId;
 use throttledb_membroker::{BrokerDecision, Clerk, MemoryBroker, SubcomponentKind};
 use throttledb_plancache::PlanCache;
-use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotRef};
 use throttledb_workload::{ClientModel, TemplateId, Uniquifier, WorkloadMix};
 
-/// Discrete events driving the simulation.
+/// Discrete events driving the simulation. A query's events name it by its
+/// slot in the server's query slab, so an event outliving its query finds
+/// the slot empty or reused under a newer generation, and does nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// A closed-loop client submits: fresh work (`attempts == 0`) or the
@@ -36,13 +37,13 @@ pub(crate) enum Event {
         first_at: SimTime,
     },
     /// One compilation memory-growth step completes.
-    CompileStep { query: u64 },
+    CompileStep { query: SlotRef },
     /// A gateway wait reached its timeout.
-    CompileTimeout { query: u64, level: usize },
+    CompileTimeout { query: SlotRef, level: usize },
     /// A grant wait reached its timeout.
-    GrantTimeout { query: u64 },
+    GrantTimeout { query: SlotRef },
     /// A query finished executing.
-    ExecFinish { query: u64 },
+    ExecFinish { query: SlotRef },
     /// Periodic broker recalculation / housekeeping.
     BrokerTick,
     /// An installed fault's window begins (index into the fault list).
@@ -52,6 +53,9 @@ pub(crate) enum Event {
     /// One allocation increment of an active memory-leak fault.
     LeakStep { index: u32 },
 }
+
+// Every pending event is one of these in the queue: it must not grow.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// One arrival decision's contribution to the streaming FNV-1a arrival
 /// digest: 8 time bytes, 4 source bytes, 1 decision byte, little-endian.
@@ -123,11 +127,10 @@ pub struct Server {
     pub(crate) client_model: ClientModel,
     pub(crate) rng: SimRng,
     pub(crate) queue: EventQueue<Event>,
-    pub(crate) queries: HashMap<u64, Query>,
-    /// (class, policy task handle) -> query id, for resuming admitted
-    /// waiters.
-    pub(crate) task_to_query: HashMap<(usize, u64), u64>,
-    pub(crate) grant_to_query: HashMap<(usize, GrantRequestId), u64>,
+    /// The in-flight queries. Each keeps its monotonic query number
+    /// (`Query::id`) for traces, so trace bytes do not depend on slot
+    /// reuse.
+    pub(crate) queries: Slab<Query>,
     pub(crate) next_query: u64,
     pub(crate) running_cpu_tasks: u32,
     pub(crate) metrics: RunMetrics,
@@ -265,9 +268,7 @@ impl Server {
             uniquifier: Uniquifier::new(),
             client_model,
             queue: EventQueue::new(),
-            queries: HashMap::new(),
-            task_to_query: HashMap::new(),
-            grant_to_query: HashMap::new(),
+            queries: Slab::new(),
             next_query: 0,
             running_cpu_tasks: 0,
             metrics,

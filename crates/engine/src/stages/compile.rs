@@ -6,12 +6,12 @@
 //! realised as virtual-time timeout events; admission is signalled by the
 //! policy when a holder releases.
 
-use super::{Query, QueryLifecycle, QueryOrigin};
+use super::{task_slot, Query, QueryLifecycle, QueryOrigin};
 use crate::metrics::FailureKind;
 use crate::server::{Event, PlanKey, Server};
 use crate::trace::TraceEvent;
 use throttledb_governor::{PolicyDecision, PolicySignals};
-use throttledb_sim::SimTime;
+use throttledb_sim::{SimTime, SlotRef};
 
 impl Server {
     /// A closed-loop client submits its next query: check its participation,
@@ -100,50 +100,49 @@ impl Server {
         );
 
         let task = self.classes[class].policy.begin();
-        self.task_to_query.insert((class, task), id);
-        self.queries.insert(
+        let query = self.queries.insert(Query {
             id,
-            Query {
-                origin,
-                class,
-                template,
-                profile,
-                task,
-                compile_step: 0,
-                compile_bytes: 0,
-                lifecycle: QueryLifecycle::Compiling,
-                grant_id: None,
-                grant_requested: 0,
-            },
-        );
+            origin,
+            class,
+            template,
+            profile,
+            task,
+            compile_step: 0,
+            compile_bytes: 0,
+            lifecycle: QueryLifecycle::Compiling,
+            grant_id: None,
+            grant_requested: 0,
+        });
+        self.classes[class].task_query.set(task_slot(task), query);
         self.running_cpu_tasks += 1;
         let step = self.compile_step_duration(&profile);
         self.queue
-            .schedule(self.now + step, Event::CompileStep { query: id });
+            .schedule(self.now + step, Event::CompileStep { query });
         true
     }
 
     /// One compilation memory-growth step: allocate the step's bytes, report
     /// the total to the class ladder, and act on its decision.
-    pub(crate) fn on_compile_step(&mut self, id: u64) {
-        let Some(q) = self.queries.get(&id) else {
+    pub(crate) fn on_compile_step(&mut self, query: SlotRef) {
+        let Some(q) = self.queries.get(query) else {
             return;
         };
         if q.lifecycle.waiting_level().is_some() {
             // A stale step event for a query that has since blocked.
             return;
         }
+        let id = q.id;
         let class = q.class;
         let profile = q.profile;
         let delta = (profile.peak_compile_bytes / self.config.compile_steps as u64).max(1);
 
         // Out-of-memory: the machine genuinely has no room for this step.
         if self.broker.available_bytes() < delta {
-            self.fail_query(id, FailureKind::OutOfMemory);
+            self.fail_query(query, FailureKind::OutOfMemory);
             return;
         }
         let (task, bytes, step) = {
-            let q = self.queries.get_mut(&id).expect("query exists");
+            let q = self.queries.get_mut(query).expect("query exists");
             q.compile_bytes += delta;
             q.compile_step += 1;
             (q.task, q.compile_bytes, q.compile_step)
@@ -163,17 +162,18 @@ impl Server {
         {
             PolicyDecision::Proceed => {
                 if step >= self.config.compile_steps {
-                    self.finish_compile(id);
+                    self.finish_compile(query);
                 } else {
                     let d = self.compile_step_duration(&profile);
                     self.queue
-                        .schedule(self.now + d, Event::CompileStep { query: id });
+                        .schedule(self.now + d, Event::CompileStep { query });
                 }
             }
             PolicyDecision::Wait { level, timeout } => {
-                if let Some(q) = self.queries.get_mut(&id) {
-                    q.lifecycle
-                        .advance(QueryLifecycle::WaitingAtGateway { level });
+                if let Some(q) = self.queries.get_mut(query) {
+                    q.lifecycle.advance(QueryLifecycle::WaitingAtGateway {
+                        level: level as u32,
+                    });
                 }
                 self.trace_push(TraceEvent::GatewayBlocked {
                     at: self.now,
@@ -181,10 +181,8 @@ impl Server {
                     level,
                 });
                 self.end_cpu_task();
-                self.queue.schedule(
-                    self.now + timeout,
-                    Event::CompileTimeout { query: id, level },
-                );
+                self.queue
+                    .schedule(self.now + timeout, Event::CompileTimeout { query, level });
             }
             PolicyDecision::FinishBestEffort => {
                 self.classes[class].best_effort_plans += 1;
@@ -192,43 +190,46 @@ impl Server {
                     at: self.now,
                     query: id,
                 });
-                self.finish_compile(id);
+                self.finish_compile(query);
             }
         }
     }
 
     /// A gateway wait expired. If the query is still blocked at that level,
     /// abort it with a compile-timeout failure.
-    pub(crate) fn on_compile_timeout(&mut self, id: u64, level: usize) {
-        let still_waiting = self
-            .queries
-            .get(&id)
-            .map(|q| q.lifecycle.waiting_level() == Some(level))
-            .unwrap_or(false);
-        if !still_waiting {
+    pub(crate) fn on_compile_timeout(&mut self, query: SlotRef, level: usize) {
+        let Some(q) = self.queries.get(query) else {
+            return;
+        };
+        if q.lifecycle.waiting_level() != Some(level) {
             return;
         }
-        if let Some(q) = self.queries.get(&id) {
-            self.classes[q.class].policy.timeout(q.task, self.now);
-        }
-        self.fail_query(id, FailureKind::CompileTimeout);
+        self.classes[q.class].policy.timeout(q.task, self.now);
+        self.fail_query(query, FailureKind::CompileTimeout);
     }
 
     /// Compilation produced a plan (fully or best-effort): free compile
     /// memory, release the ladder, cache the plan, and hand the query to
     /// the grant stage.
-    pub(crate) fn finish_compile(&mut self, id: u64) {
-        let (class, task, compile_bytes, template, profile) = {
-            let q = self.queries.get(&id).expect("query exists");
-            (q.class, q.task, q.compile_bytes, q.template, q.profile)
+    pub(crate) fn finish_compile(&mut self, query: SlotRef) {
+        let (id, class, task, compile_bytes, template, profile) = {
+            let q = self.queries.get(query).expect("query exists");
+            (
+                q.id,
+                q.class,
+                q.task,
+                q.compile_bytes,
+                q.template,
+                q.profile,
+            )
         };
         // Compilation memory is freed when the plan is produced.
         self.compile_clerk.free(compile_bytes);
         self.record_compile_gauge();
-        if let Some(q) = self.queries.get_mut(&id) {
+        if let Some(q) = self.queries.get_mut(query) {
             q.compile_bytes = 0;
         }
-        self.task_to_query.remove(&(class, task));
+        self.classes[class].task_query.take(task_slot(task));
         self.finish_policy_task(class, task);
         self.end_cpu_task();
 
@@ -241,6 +242,6 @@ impl Server {
             profile.compile_cpu_seconds,
         );
 
-        self.request_grant(id, profile.exec_grant_bytes);
+        self.request_grant(query, profile.exec_grant_bytes);
     }
 }

@@ -9,20 +9,23 @@ use super::{QueryLifecycle, QueryOrigin};
 use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
 use throttledb_executor::spill_slowdown;
-use throttledb_sim::{SimDuration, SimTime};
+use throttledb_sim::{SimDuration, SimTime, SlotRef};
 
 impl Server {
-    /// Begin executing query `id` with `granted_bytes` of execution memory.
-    pub(crate) fn start_exec(&mut self, id: u64, granted_bytes: u64) {
-        let Some(q) = self.queries.get_mut(&id) else {
+    /// Begin executing `query` with `granted_bytes` of execution memory.
+    pub(crate) fn start_exec(&mut self, query: SlotRef, granted_bytes: u64) {
+        let Some(q) = self.queries.get_mut(query) else {
             return;
         };
+        let id = q.id;
         let class = q.class;
         let profile = q.profile;
         let requested = q.grant_requested;
         q.lifecycle.advance(QueryLifecycle::Executing);
         if let Some(grant_id) = q.grant_id {
-            self.grant_to_query.remove(&(class, grant_id));
+            self.classes[class]
+                .grant_query
+                .take(grant_id.slot_ref().index());
         }
         self.trace_push(TraceEvent::ExecStarted {
             at: self.now,
@@ -55,14 +58,14 @@ impl Server {
 
         let duration = SimDuration::from_secs_f64((cpu_seconds + io_seconds).max(1.0));
         self.queue
-            .schedule(self.now + duration, Event::ExecFinish { query: id });
+            .schedule(self.now + duration, Event::ExecFinish { query });
     }
 
     /// A query finished executing: release its grant (starting admitted
     /// waiters), record the completion, and schedule the client's next
     /// think-time submission.
-    pub(crate) fn on_exec_finish(&mut self, id: u64) {
-        let Some(q) = self.queries.remove(&id) else {
+    pub(crate) fn on_exec_finish(&mut self, query: SlotRef) {
+        let Some(q) = self.queries.remove(query) else {
             return;
         };
         self.end_cpu_task();
@@ -72,7 +75,7 @@ impl Server {
         self.metrics.completed.record(self.now);
         self.trace_push(TraceEvent::Completed {
             at: self.now,
-            query: id,
+            query: q.id,
         });
         if self.active_faults > 0 {
             self.metrics.completed_during_fault += 1;

@@ -12,57 +12,60 @@ use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
 use throttledb_executor::GrantRequestId;
 use throttledb_governor::AdmissionDecision;
+use throttledb_sim::SlotRef;
 
 impl Server {
     /// Ask the class grant pool for `exec_grant_bytes` of execution memory
     /// and either start execution or queue with a timeout.
-    pub(crate) fn request_grant(&mut self, id: u64, exec_grant_bytes: u64) {
-        let Some(q) = self.queries.get(&id) else {
+    pub(crate) fn request_grant(&mut self, query: SlotRef, exec_grant_bytes: u64) {
+        let Some(q) = self.queries.get(query) else {
             return;
         };
-        let class = q.class;
+        let (id, class) = (q.id, q.class);
         let requested = exec_grant_bytes.max(1 << 20);
         let deadline = self.now + self.config.grant_timeout;
         let (grant_id, decision) = self.classes[class]
             .grants
             .request_at(requested, self.now, deadline);
-        if let Some(q) = self.queries.get_mut(&id) {
+        if let Some(q) = self.queries.get_mut(query) {
             q.grant_id = Some(grant_id);
             q.grant_requested = requested;
         }
-        self.grant_to_query.insert((class, grant_id), id);
         match decision.units() {
-            Some(bytes) => self.start_exec(id, bytes),
+            Some(bytes) => self.start_exec(query, bytes),
             None => {
-                if let Some(q) = self.queries.get_mut(&id) {
+                if let Some(q) = self.queries.get_mut(query) {
                     q.lifecycle.advance(QueryLifecycle::WaitingForGrant);
                 }
+                self.classes[class]
+                    .grant_query
+                    .set(grant_id.slot_ref().index(), query);
                 self.trace_push(TraceEvent::GrantQueued {
                     at: self.now,
                     query: id,
                     bytes: requested,
                 });
-                self.queue
-                    .schedule(deadline, Event::GrantTimeout { query: id });
+                self.queue.schedule(deadline, Event::GrantTimeout { query });
             }
         }
     }
 
     /// A grant wait expired. Only fires if the grant was never given
-    /// (`start_exec` removes the mapping when it runs).
-    pub(crate) fn on_grant_timeout(&mut self, id: u64) {
-        let Some(q) = self.queries.get(&id) else {
+    /// (`start_exec` clears the grant's slot when it runs).
+    pub(crate) fn on_grant_timeout(&mut self, query: SlotRef) {
+        let Some(q) = self.queries.get(query) else {
             return;
         };
         let class = q.class;
         let Some(grant_id) = q.grant_id else { return };
-        if !self.grant_to_query.contains_key(&(class, grant_id)) {
+        let slot = grant_id.slot_ref().index();
+        if self.classes[class].grant_query.get(slot) != Some(&query) {
             return;
         }
         // Cancelling may admit the waiters queued behind this one.
         if self.with_grants(class, |grants, now, out| grants.cancel(grant_id, now, out)) {
-            self.grant_to_query.remove(&(class, grant_id));
-            self.fail_query(id, FailureKind::GrantTimeout);
+            self.classes[class].grant_query.take(slot);
+            self.fail_query(query, FailureKind::GrantTimeout);
         }
     }
 
@@ -74,11 +77,11 @@ impl Server {
         admitted: &[(GrantRequestId, AdmissionDecision)],
     ) {
         for &(grant_id, decision) in admitted {
-            if let (Some(&qid), Some(bytes)) = (
-                self.grant_to_query.get(&(class, grant_id)),
-                decision.units(),
-            ) {
-                self.start_exec(qid, bytes);
+            let waiter = self.classes[class]
+                .grant_query
+                .get(grant_id.slot_ref().index());
+            if let (Some(&query), Some(bytes)) = (waiter, decision.units()) {
+                self.start_exec(query, bytes);
             }
         }
     }

@@ -31,7 +31,7 @@ use throttledb_governor::{
     AdmissionDecision, BreakerConfig, CircuitBreaker, CostPolicy, PidPolicy, Policy,
 };
 use throttledb_membroker::{Clerk, MemoryBroker, SubcomponentKind};
-use throttledb_sim::SimTime;
+use throttledb_sim::{SimTime, Slab, SlotRef, SlotTable};
 
 /// Who submitted a query — and therefore where its completion / failure
 /// feedback is routed.
@@ -82,8 +82,9 @@ pub enum QueryLifecycle {
     Compiling,
     /// Blocked at gateway `level` of its class's ladder.
     WaitingAtGateway {
-        /// The gateway level being waited for.
-        level: usize,
+        /// The gateway level being waited for (a `u32`, so the lifecycle
+        /// fits one word).
+        level: u32,
     },
     /// Compiled; queued in its class's grant pool for execution memory.
     WaitingForGrant,
@@ -117,7 +118,7 @@ impl QueryLifecycle {
     /// The gateway level being waited for, if blocked at one.
     pub fn waiting_level(self) -> Option<usize> {
         match self {
-            QueryLifecycle::WaitingAtGateway { level } => Some(level),
+            QueryLifecycle::WaitingAtGateway { level } => Some(level as usize),
             _ => None,
         }
     }
@@ -131,6 +132,8 @@ impl QueryLifecycle {
 /// One in-flight query.
 #[derive(Debug)]
 pub(crate) struct Query {
+    /// The monotonic query number traces carry (its slot is reused).
+    pub id: u64,
     pub origin: QueryOrigin,
     /// Index into the server's class table.
     pub class: usize,
@@ -147,6 +150,15 @@ pub(crate) struct Query {
     pub grant_requested: u64,
 }
 
+// A query-slab slot must stay within the 152-byte `(u64, Query)` bucket of
+// the hash map it replaced, or many in-flight queries move the heap peak.
+const _: () = assert!(Slab::<Query>::SLOT_BYTES <= 152);
+
+/// The dense slot of a policy task id (a packed [`SlotRef`]).
+pub(crate) fn task_slot(task: u64) -> usize {
+    SlotRef::from_bits(task).index()
+}
+
 /// Runtime state of one workload class: its admission pools plus counters.
 pub(crate) struct ClassRuntime {
     pub spec: WorkloadClassConfig,
@@ -158,6 +170,12 @@ pub(crate) struct ClassRuntime {
     /// This class's circuit breaker; `None` when disabled, so fault-free
     /// configurations pay nothing on the submit path.
     pub breaker: Option<CircuitBreaker>,
+    /// Policy task slot -> the query compiling under that task, for
+    /// resuming admitted waiters; set while the task is live.
+    pub task_query: SlotTable<SlotRef>,
+    /// Grant slot -> the query whose grant is queued there; set while the
+    /// grant waits.
+    pub grant_query: SlotTable<SlotRef>,
     pub completed: u64,
     pub completed_after_warmup: u64,
     pub failed: u64,
@@ -218,6 +236,8 @@ impl ClassRuntime {
             policy,
             grants,
             breaker: breaker.enabled.then(|| CircuitBreaker::new(breaker)),
+            task_query: SlotTable::new(),
+            grant_query: SlotTable::new(),
             completed: 0,
             completed_after_warmup: 0,
             failed: 0,
@@ -240,13 +260,13 @@ impl Server {
     /// each query and schedule its next compile step immediately.
     pub(crate) fn resume_tasks(&mut self, class: usize, resumed: &[u64]) {
         for &task in resumed {
-            if let Some(&qid) = self.task_to_query.get(&(class, task)) {
-                if let Some(q) = self.queries.get_mut(&qid) {
+            if let Some(&query) = self.classes[class].task_query.get(task_slot(task)) {
+                if let Some(q) = self.queries.get_mut(query) {
                     q.lifecycle.advance(QueryLifecycle::Compiling);
                 }
                 self.running_cpu_tasks += 1;
                 self.queue
-                    .schedule(self.now, crate::server::Event::CompileStep { query: qid });
+                    .schedule(self.now, crate::server::Event::CompileStep { query });
             }
         }
     }
@@ -297,28 +317,35 @@ impl Server {
             .expect("a CPU task ends only after it started");
     }
 
-    /// Fail `id` out of whatever stage it is in: release its ladder and
+    /// Fail `query` out of whatever stage it is in: release its ladder and
     /// grant holdings (admitting waiters), record the failure, and schedule
     /// the client's retry — "those aborted queries likely need to be
     /// resubmitted to the system."
-    pub(crate) fn fail_query(&mut self, id: u64, kind: FailureKind) {
-        let Some(q) = self.queries.remove(&id) else {
+    pub(crate) fn fail_query(&mut self, query: SlotRef, kind: FailureKind) {
+        let Some(q) = self.queries.remove(query) else {
             return;
         };
         self.compile_clerk.free(q.compile_bytes);
-        self.task_to_query.remove(&(q.class, q.task));
+        // A compiled query's task id is stale, and its slot may be another
+        // query's by now: clear only what still names this query.
+        let class = &mut self.classes[q.class];
+        class.task_query.take_if(task_slot(q.task), &query);
+        if let Some(grant_id) = q.grant_id {
+            class
+                .grant_query
+                .take_if(grant_id.slot_ref().index(), &query);
+        }
         if q.lifecycle.is_compiling() {
             self.end_cpu_task();
         }
         self.finish_policy_task(q.class, q.task);
         if let Some(grant_id) = q.grant_id {
-            self.grant_to_query.remove(&(q.class, grant_id));
             self.release_grant(q.class, grant_id);
         }
         self.metrics.failed.record(self.now);
         self.trace_push(TraceEvent::Failed {
             at: self.now,
-            query: id,
+            query: q.id,
             kind,
         });
         self.classes[q.class].failed += 1;

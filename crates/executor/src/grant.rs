@@ -10,13 +10,29 @@
 //! to the caller's buffer, so no admission can be dropped.
 
 use parking_lot::Mutex;
-use throttledb_governor::{AdmissionDecision, PoolStats, ResourcePool};
+use throttledb_governor::{AdmissionDecision, PoolStats, PoolTag, ResourcePool};
 use throttledb_membroker::Clerk;
-use throttledb_sim::SimTime;
+use throttledb_sim::{SimTime, Slab, SlotRef};
 
-/// Identifies a grant request.
+/// Identifies a grant request: a packed [`SlotRef`] into the manager's
+/// slab of live requests, so the id of a released or cancelled request
+/// goes stale instead of naming the request that reuses its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GrantRequestId(pub u64);
+
+impl GrantRequestId {
+    /// The slab slot this id names: dense, so callers can index a side
+    /// table by it.
+    pub fn slot_ref(self) -> SlotRef {
+        SlotRef::from_bits(self.0)
+    }
+}
+
+impl PoolTag for GrantRequestId {
+    fn slot(self) -> usize {
+        self.slot_ref().index()
+    }
+}
 
 /// A query never receives less than this fraction of its request when the
 /// manager falls back to a reduced grant.
@@ -32,7 +48,8 @@ pub struct GrantManager {
 #[derive(Debug)]
 struct Inner {
     pool: ResourcePool<GrantRequestId>,
-    next_id: u64,
+    /// The live (queued or granted) requests: the source of their ids.
+    live: Slab<()>,
 }
 
 impl GrantManager {
@@ -42,7 +59,7 @@ impl GrantManager {
         GrantManager {
             inner: Mutex::new(Inner {
                 pool: ResourcePool::new("exec-grants", budget_bytes, MIN_GRANT_FRACTION),
-                next_id: 0,
+                live: Slab::new(),
             }),
             clerk,
         }
@@ -57,7 +74,9 @@ impl GrantManager {
         now: SimTime,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) {
-        self.with_admissions(out, |pool, out| pool.set_budget(budget_bytes, now, out));
+        self.with_admissions(out, |inner, out| {
+            inner.pool.set_budget(budget_bytes, now, out)
+        });
     }
 
     /// Bytes currently granted out.
@@ -83,8 +102,7 @@ impl GrantManager {
         deadline: SimTime,
     ) -> (GrantRequestId, AdmissionDecision) {
         let mut inner = self.inner.lock();
-        let id = GrantRequestId(inner.next_id);
-        inner.next_id += 1;
+        let id = GrantRequestId(inner.live.insert(()).to_bits());
         let decision = inner.pool.request(id, bytes, now, deadline);
         if let (Some(c), Some(granted)) = (&self.clerk, decision.units()) {
             c.allocate(granted);
@@ -101,9 +119,10 @@ impl GrantManager {
         now: SimTime,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) {
-        self.with_admissions(out, |pool, out| {
-            let released = pool.held(id);
-            pool.release_into(id, now, out);
+        self.with_admissions(out, |inner, out| {
+            let released = inner.pool.held(id);
+            inner.pool.release_into(id, now, out);
+            inner.live.remove(id.slot_ref());
             if let (Some(c), Some(bytes)) = (&self.clerk, released) {
                 c.free(bytes);
             }
@@ -120,7 +139,13 @@ impl GrantManager {
         now: SimTime,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) -> bool {
-        self.with_admissions(out, |pool, out| pool.cancel(id, now, out))
+        self.with_admissions(out, |inner, out| {
+            let cancelled = inner.pool.cancel(id, now, out);
+            if cancelled {
+                inner.live.remove(id.slot_ref());
+            }
+            cancelled
+        })
     }
 
     /// Run one pool mutation that appends admissions to `out`, and report
@@ -128,14 +153,11 @@ impl GrantManager {
     fn with_admissions<R>(
         &self,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
-        op: impl FnOnce(
-            &mut ResourcePool<GrantRequestId>,
-            &mut Vec<(GrantRequestId, AdmissionDecision)>,
-        ) -> R,
+        op: impl FnOnce(&mut Inner, &mut Vec<(GrantRequestId, AdmissionDecision)>) -> R,
     ) -> R {
         let mut inner = self.inner.lock();
         let first = out.len();
-        let result = op(&mut inner.pool, out);
+        let result = op(&mut inner, out);
         if let Some(c) = &self.clerk {
             for (_, decision) in &out[first..] {
                 if let Some(bytes) = decision.units() {

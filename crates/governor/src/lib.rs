@@ -50,6 +50,6 @@ pub mod stats;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use decision::AdmissionDecision;
 pub use policy::{CostPolicy, PidPolicy, Policy, PolicyDecision, PolicySignals};
-pub use pool::{PoolStats, ResourcePool};
+pub use pool::{PoolStats, PoolTag, ResourcePool};
 pub use queue::{WaitQueue, Waiter, WaiterKey};
 pub use stats::ThrottleStats;

@@ -19,14 +19,16 @@
 //!   profiled peak compilation bytes against the broker's compilation
 //!   target before admitting.
 //!
-//! Task identifiers are bare `u64`s at this layer; `throttledb-core`
+//! Task identifiers are bare `u64`s at this layer: each policy mints them
+//! from its task [`Slab`], so an id is a packed [`SlotRef`] and a finished
+//! task's id goes stale rather than naming its successor. `throttledb-core`
 //! wraps them in its `TaskId` newtype.
 
 use crate::decision::AdmissionDecision;
 use crate::pool::ResourcePool;
 use crate::stats::ThrottleStats;
-use std::collections::{HashMap, VecDeque};
-use throttledb_sim::{SimDuration, SimTime};
+use std::collections::VecDeque;
+use throttledb_sim::{SimDuration, SimTime, Slab, SlotRef};
 
 /// Per-query hints a policy may consult when deciding admission. The
 /// engine fills these from the template's compile profile (the same
@@ -157,12 +159,11 @@ pub struct PidPolicy {
     last_error: f64,
     last_tick: Option<SimTime>,
     limit: f64,
-    tasks: HashMap<u64, QueuedTask>,
+    tasks: Slab<QueuedTask>,
     slots: ResourcePool<u64>,
     /// Reused buffer the slot pool appends its admissions to.
     admitted: Vec<(u64, AdmissionDecision)>,
     stats: ThrottleStats,
-    next_task: u64,
 }
 
 impl PidPolicy {
@@ -184,11 +185,10 @@ impl PidPolicy {
             last_error: 0.0,
             last_tick: None,
             limit: base,
-            tasks: HashMap::new(),
+            tasks: Slab::new(),
             slots: ResourcePool::new("pid-slots", base as u64, 1.0),
             admitted: Vec::new(),
             stats: ThrottleStats::new(1),
-            next_task: 0,
         }
     }
 
@@ -198,7 +198,10 @@ impl PidPolicy {
     }
 
     fn admit(&mut self, task: u64, now: SimTime) {
-        let state = self.tasks.get_mut(&task).expect("task exists");
+        let state = self
+            .tasks
+            .get_mut(SlotRef::from_bits(task))
+            .expect("task exists");
         if let Some(started) = state.wait_started.take() {
             self.stats.record_wait(0, now.saturating_since(started));
         }
@@ -223,11 +226,8 @@ impl Policy for PidPolicy {
     }
 
     fn begin(&mut self) -> u64 {
-        let id = self.next_task;
-        self.next_task += 1;
-        self.tasks.insert(id, QueuedTask::default());
         self.stats.compilations_started += 1;
-        id
+        self.tasks.insert(QueuedTask::default()).to_bits()
     }
 
     fn report(
@@ -237,7 +237,7 @@ impl Policy for PidPolicy {
         _signals: &PolicySignals,
         now: SimTime,
     ) -> PolicyDecision {
-        let Some(state) = self.tasks.get_mut(&task) else {
+        let Some(state) = self.tasks.get_mut(SlotRef::from_bits(task)) else {
             return PolicyDecision::Proceed;
         };
         state.bytes = bytes;
@@ -265,7 +265,7 @@ impl Policy for PidPolicy {
     }
 
     fn timeout(&mut self, task: u64, now: SimTime) {
-        if let Some(state) = self.tasks.get_mut(&task) {
+        if let Some(state) = self.tasks.get_mut(SlotRef::from_bits(task)) {
             if let Some(started) = state.wait_started.take() {
                 self.stats.record_wait(0, now.saturating_since(started));
                 self.stats.timeouts += 1;
@@ -279,7 +279,7 @@ impl Policy for PidPolicy {
     }
 
     fn finish_into(&mut self, task: u64, now: SimTime, resumed: &mut Vec<u64>) {
-        let Some(state) = self.tasks.remove(&task) else {
+        let Some(state) = self.tasks.remove(SlotRef::from_bits(task)) else {
             return;
         };
         self.stats.compilations_finished += 1;
@@ -366,10 +366,9 @@ pub struct CostPolicy {
     reserved: u64,
     admitted_count: usize,
     waiting_count: usize,
-    tasks: HashMap<u64, QueuedTask>,
+    tasks: Slab<QueuedTask>,
     queue: VecDeque<u64>,
     stats: ThrottleStats,
-    next_task: u64,
 }
 
 impl CostPolicy {
@@ -384,10 +383,9 @@ impl CostPolicy {
             reserved: 0,
             admitted_count: 0,
             waiting_count: 0,
-            tasks: HashMap::new(),
+            tasks: Slab::new(),
             queue: VecDeque::new(),
             stats: ThrottleStats::new(1),
-            next_task: 0,
         }
     }
 
@@ -402,7 +400,10 @@ impl CostPolicy {
     }
 
     fn admit(&mut self, task: u64, now: SimTime) {
-        let state = self.tasks.get_mut(&task).expect("task exists");
+        let state = self
+            .tasks
+            .get_mut(SlotRef::from_bits(task))
+            .expect("task exists");
         if state.waiting {
             state.waiting = false;
             self.waiting_count -= 1;
@@ -419,7 +420,7 @@ impl CostPolicy {
 
     fn drain_queue(&mut self, now: SimTime, resumed: &mut Vec<u64>) {
         while let Some(&next) = self.queue.front() {
-            let Some(state) = self.tasks.get(&next) else {
+            let Some(state) = self.tasks.get(SlotRef::from_bits(next)) else {
                 self.queue.pop_front();
                 continue;
             };
@@ -446,11 +447,8 @@ impl Policy for CostPolicy {
     }
 
     fn begin(&mut self) -> u64 {
-        let id = self.next_task;
-        self.next_task += 1;
-        self.tasks.insert(id, QueuedTask::default());
         self.stats.compilations_started += 1;
-        id
+        self.tasks.insert(QueuedTask::default()).to_bits()
     }
 
     fn report(
@@ -461,7 +459,7 @@ impl Policy for CostPolicy {
         now: SimTime,
     ) -> PolicyDecision {
         let budget = self.effective_budget;
-        let Some(state) = self.tasks.get_mut(&task) else {
+        let Some(state) = self.tasks.get_mut(SlotRef::from_bits(task)) else {
             return PolicyDecision::Proceed;
         };
         state.bytes = bytes;
@@ -497,7 +495,10 @@ impl Policy for CostPolicy {
             self.admit(task, now);
             return PolicyDecision::Proceed;
         }
-        let state = self.tasks.get_mut(&task).expect("task exists");
+        let state = self
+            .tasks
+            .get_mut(SlotRef::from_bits(task))
+            .expect("task exists");
         state.waiting = true;
         state.wait_started = Some(now);
         self.waiting_count += 1;
@@ -510,7 +511,7 @@ impl Policy for CostPolicy {
     }
 
     fn timeout(&mut self, task: u64, now: SimTime) {
-        if let Some(state) = self.tasks.get_mut(&task) {
+        if let Some(state) = self.tasks.get_mut(SlotRef::from_bits(task)) {
             if state.waiting {
                 state.waiting = false;
                 self.waiting_count -= 1;
@@ -523,7 +524,7 @@ impl Policy for CostPolicy {
     }
 
     fn finish_into(&mut self, task: u64, now: SimTime, resumed: &mut Vec<u64>) {
-        let Some(state) = self.tasks.remove(&task) else {
+        let Some(state) = self.tasks.remove(SlotRef::from_bits(task)) else {
             return;
         };
         self.stats.compilations_finished += 1;

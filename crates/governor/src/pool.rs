@@ -8,13 +8,44 @@
 //! can make room — a release, a cancel, a budget change — admits waiters
 //! in strict FIFO order, so large requests cannot be starved by small
 //! latecomers and no waiter that fits is left queued.
+//!
+//! A request's bookkeeping — its allocation, or its place in the queue —
+//! lives in a dense side table at its tag's [`PoolTag::slot`], so no call
+//! hashes.
 
 use crate::decision::AdmissionDecision;
 use crate::queue::{WaitQueue, WaiterKey};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::Hash;
-use throttledb_sim::{Histogram, SimTime};
+use throttledb_sim::{Histogram, SimTime, SlotRef, SlotTable};
+
+/// A [`ResourcePool`] tag: names one request, and through [`PoolTag::slot`]
+/// the side-table entry its bookkeeping occupies.
+///
+/// Tags live in one pool at the same time must have distinct slots, and
+/// the side table is as long as the highest slot seen. Tags minted from a
+/// [`Slab`](throttledb_sim::Slab) — packed [`SlotRef`]s — meet both by
+/// construction: the slot is the slab index, and the table stays as long
+/// as the slab's peak live count.
+pub trait PoolTag: Copy + Eq {
+    /// The side-table slot this tag's bookkeeping occupies.
+    fn slot(self) -> usize;
+}
+
+/// A bare word is a packed [`SlotRef`]: its low half is the slot.
+impl PoolTag for u64 {
+    fn slot(self) -> usize {
+        SlotRef::from_bits(self).index()
+    }
+}
+
+/// Where one live tag stands.
+#[derive(Debug, Clone, Copy)]
+enum Standing {
+    /// Holds this many units.
+    Held(u64),
+    /// Waits in the queue under this key.
+    Queued(WaiterKey),
+}
 
 /// Lifetime counters of one [`ResourcePool`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,20 +77,20 @@ impl PoolStats {
 /// A budgeted admission pool keyed by caller-chosen tags.
 ///
 /// `T` identifies one request across its lifetime (request → wait → admit →
-/// release); the pool keeps the tag→queue-ticket index so cancellation stays
-/// O(1).
+/// release); the pool keeps each live tag's allocation or queue ticket at
+/// the tag's slot, so every call, cancellation included, is O(1).
 #[derive(Debug)]
-pub struct ResourcePool<T: Copy + Eq + Hash> {
+pub struct ResourcePool<T: PoolTag> {
     budget: u64,
     in_use: u64,
     min_fraction: f64,
-    outstanding: HashMap<T, u64>,
     queue: WaitQueue<(T, u64)>,
-    keys: HashMap<T, WaiterKey>,
+    /// Each live tag, with where it stands, at its slot.
+    tags: SlotTable<(T, Standing)>,
     stats: PoolStats,
 }
 
-impl<T: Copy + Eq + Hash> ResourcePool<T> {
+impl<T: PoolTag> ResourcePool<T> {
     /// A pool over `budget` units. `min_fraction` is the smallest fraction
     /// of its request a degraded admission may receive (0 disables degraded
     /// admissions entirely; 1 makes every admission all-or-nothing).
@@ -72,9 +103,8 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
             budget,
             in_use: 0,
             min_fraction,
-            outstanding: HashMap::new(),
             queue: WaitQueue::new(),
-            keys: HashMap::new(),
+            tags: SlotTable::new(),
             stats: PoolStats::new(name),
         }
     }
@@ -104,16 +134,33 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
 
     /// Units held by `tag`, if it has an outstanding allocation.
     pub fn held(&self, tag: T) -> Option<u64> {
-        self.outstanding.get(&tag).copied()
+        match self.standing(tag)? {
+            Standing::Held(units) => Some(units),
+            Standing::Queued(_) => None,
+        }
+    }
+
+    /// Where `tag` stands, if it is live here.
+    fn standing(&self, tag: T) -> Option<Standing> {
+        match self.tags.get(tag.slot()) {
+            Some(&(live, standing)) if live == tag => Some(standing),
+            _ => None,
+        }
+    }
+
+    /// Record where `tag` stands, at its slot.
+    fn stand(&mut self, tag: T, standing: Standing) {
+        self.tags.set(tag.slot(), (tag, standing));
     }
 
     /// Request `units` for `tag`. Admitted in full when it fits and no one
     /// is queued ahead; admitted degraded when at least the minimum fraction
     /// fits; queued (FIFO, with `deadline`) otherwise.
     ///
-    /// A tag identifies at most one request at a time; panics if `tag`
-    /// already holds an allocation or is already queued (reuse would
-    /// silently corrupt the budget accounting).
+    /// A tag identifies at most one request at a time; panics if `tag`, or
+    /// another live tag with the same slot, already holds an allocation or
+    /// is already queued (reuse would silently corrupt the budget
+    /// accounting).
     pub fn request(
         &mut self,
         tag: T,
@@ -122,7 +169,7 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
         deadline: SimTime,
     ) -> AdmissionDecision {
         assert!(
-            !self.outstanding.contains_key(&tag) && !self.keys.contains_key(&tag),
+            self.tags.get(tag.slot()).is_none(),
             "tag already has an outstanding or queued request"
         );
         let wanted = units.max(1);
@@ -138,7 +185,7 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
             }
             None => {
                 let key = self.queue.push((tag, wanted), now, deadline);
-                self.keys.insert(tag, key);
+                self.stand(tag, Standing::Queued(key));
                 self.stats.queued += 1;
                 AdmissionDecision::Wait { deadline }
             }
@@ -153,11 +200,11 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
     /// loop does exactly that). `now` stamps the admitted waiters' wait
     /// times. If `tag` was still queued this cancels it instead.
     pub fn release_into(&mut self, tag: T, now: SimTime, out: &mut Vec<(T, AdmissionDecision)>) {
-        match self.outstanding.remove(&tag) {
-            Some(units) => self.in_use -= units,
-            None => {
-                self.unlink(tag);
-            }
+        if let Some(Standing::Held(units)) = self.standing(tag) {
+            self.tags.take(tag.slot());
+            self.in_use -= units;
+        } else {
+            self.unlink(tag);
         }
         self.admit_waiters_into(now, out);
     }
@@ -172,9 +219,10 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
     }
 
     fn unlink(&mut self, tag: T) -> bool {
-        let Some(key) = self.keys.remove(&tag) else {
+        let Some(Standing::Queued(key)) = self.standing(tag) else {
             return false;
         };
+        self.tags.take(tag.slot());
         let cancelled = self.queue.cancel(key).is_some();
         if cancelled {
             self.stats.cancelled += 1;
@@ -208,7 +256,7 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
             self.stats.degraded += 1;
         }
         self.in_use += units;
-        self.outstanding.insert(tag, units);
+        self.stand(tag, Standing::Held(units));
     }
 
     /// The one admit loop: every mutating call ends here, so a waiter that
@@ -219,7 +267,6 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
                 break;
             };
             let waiter = self.queue.pop_front().expect("front exists");
-            self.keys.remove(&tag);
             self.stats.wait_time.record(waiter.waited(now).as_micros());
             self.grant(tag, decision);
             admitted.push((tag, decision));
@@ -234,9 +281,13 @@ impl<T: Copy + Eq + Hash> ResourcePool<T> {
         if !cfg!(debug_assertions) {
             return;
         }
+        let held = self.tags.values().map(|&(_, standing)| match standing {
+            Standing::Held(units) => units,
+            Standing::Queued(_) => 0,
+        });
         assert_eq!(
             self.in_use,
-            self.outstanding.values().sum::<u64>(),
+            held.sum::<u64>(),
             "in_use drifted from the outstanding allocations"
         );
         if let Some(head) = self.queue.iter().next() {

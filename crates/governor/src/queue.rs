@@ -3,12 +3,12 @@
 //! Every [`ResourcePool`](crate::ResourcePool) — each gateway-ladder
 //! level, the PID controller's slots, each execution memory-grant pool —
 //! queues waiters here: strict FIFO with a per-waiter deadline and O(1)
-//! cancellation. The queue is a slab of slots plus a ring of
-//! `(slot, generation)` tickets: cancelling a waiter vacates its slot in
-//! O(1) and leaves a stale ticket behind, which later pops recognise by
-//! its generation mismatch and skip.
+//! cancellation. The queue is a [`Slab`] of waiters plus a ring of their
+//! [`SlotRef`] tickets: cancelling a waiter vacates its slot in O(1) and
+//! leaves a stale ticket behind, which later pops recognise by its
+//! generation mismatch and skip.
 
-use throttledb_sim::{SimDuration, SimTime};
+use throttledb_sim::{SimDuration, SimTime, Slab, SlotRef};
 
 /// A ticket identifying one waiter in a [`WaitQueue`].
 ///
@@ -16,10 +16,7 @@ use throttledb_sim::{SimDuration, SimTime};
 /// never aliases a later waiter because the slot's generation is bumped on
 /// every vacate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WaiterKey {
-    index: u32,
-    generation: u32,
-}
+pub struct WaiterKey(SlotRef);
 
 /// A waiter handed back by [`WaitQueue::pop_front`] or [`WaitQueue::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,33 +33,6 @@ impl<T> Waiter<T> {
     /// Time spent queued as of `now` (zero if `now` precedes the enqueue).
     pub fn waited(&self, now: SimTime) -> SimDuration {
         now.saturating_since(self.enqueued_at)
-    }
-}
-
-/// One slot of the slab. A key is live exactly while its slot is `Live`
-/// with the key's generation; vacating bumps the generation, so stale keys
-/// never match a later waiter. An enum rather than a generation beside an
-/// `Option<Waiter>`: the generation then shares the tag's word, one word
-/// less per slot.
-#[derive(Debug, Clone)]
-enum Slot<T> {
-    Live { generation: u32, waiter: Waiter<T> },
-    Vacant { generation: u32 },
-}
-
-impl<T> Slot<T> {
-    fn generation(&self) -> u32 {
-        match self {
-            Slot::Live { generation, .. } | Slot::Vacant { generation } => *generation,
-        }
-    }
-
-    /// The waiter `key` names, if it is still queued here.
-    fn get(&self, key: WaiterKey) -> Option<&Waiter<T>> {
-        match self {
-            Slot::Live { generation, waiter } if *generation == key.generation => Some(waiter),
-            _ => None,
-        }
     }
 }
 
@@ -98,10 +68,8 @@ impl<T> Slot<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WaitQueue<T> {
-    slots: Vec<Slot<T>>,
-    free: Vec<u32>,
+    waiters: Slab<Waiter<T>>,
     order: std::collections::VecDeque<WaiterKey>,
-    len: usize,
 }
 
 impl<T> Default for WaitQueue<T> {
@@ -114,43 +82,29 @@ impl<T> WaitQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         WaitQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
+            waiters: Slab::new(),
             order: std::collections::VecDeque::new(),
-            len: 0,
         }
     }
 
     /// Number of live waiters.
     pub fn len(&self) -> usize {
-        self.len
+        self.waiters.len()
     }
 
     /// True when no one is waiting.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.waiters.is_empty()
     }
 
     /// Enqueue a waiter; returns the key used to cancel it in O(1).
     pub fn push(&mut self, payload: T, now: SimTime, deadline: SimTime) -> WaiterKey {
-        let entry = Waiter {
+        let key = WaiterKey(self.waiters.insert(Waiter {
             payload,
             enqueued_at: now,
             deadline,
-        };
-        let index = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(Slot::Vacant { generation: 0 });
-            self.slots.len() as u32 - 1
-        });
-        let slot = &mut self.slots[index as usize];
-        let generation = slot.generation();
-        *slot = Slot::Live {
-            generation,
-            waiter: entry,
-        };
-        let key = WaiterKey { index, generation };
+        }));
         self.order.push_back(key);
-        self.len += 1;
         key
     }
 
@@ -166,18 +120,7 @@ impl<T> WaitQueue<T> {
 
     /// Remove a waiter by key in O(1). Returns it if it was still queued.
     pub fn cancel(&mut self, key: WaiterKey) -> Option<Waiter<T>> {
-        self.get(key)?;
-        let vacant = Slot::Vacant {
-            generation: key.generation.wrapping_add(1),
-        };
-        let Slot::Live { waiter, .. } =
-            std::mem::replace(&mut self.slots[key.index as usize], vacant)
-        else {
-            unreachable!("`get` found the slot live");
-        };
-        self.free.push(key.index);
-        self.len -= 1;
-        Some(waiter)
+        self.waiters.remove(key.0)
     }
 
     /// Pop the longest-waiting live waiter.
@@ -205,7 +148,7 @@ impl<T> WaitQueue<T> {
     }
 
     fn get(&self, key: WaiterKey) -> Option<&Waiter<T>> {
-        self.slots.get(key.index as usize)?.get(key)
+        self.waiters.get(key.0)
     }
 
     fn skip_stale(&mut self) {

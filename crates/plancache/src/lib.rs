@@ -11,6 +11,11 @@
 //! cost of recompiling it, and eviction removes the entries with the lowest
 //! `recompile_cost / size` value first — cheap-to-rebuild, memory-hungry
 //! plans go first, exactly the trade-off a production cache makes.
+//!
+//! Victims come from a small sorted buffer of the lowest-ranked entries
+//! rather than a scan per eviction: one pass over the entries refills it
+//! with up to 32 of them, so a full cache evicting once per insert pays
+//! one scan per up to 32 evictions.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,6 +55,9 @@ pub struct PlanCacheStats {
     pub insertions: u64,
 }
 
+/// Most eviction candidates the cache buffers between scans.
+const CANDIDATES: usize = 32;
+
 /// A size-bounded plan cache with cost-based eviction.
 ///
 /// Generic over the key type `K` (default `String`, the classic
@@ -69,6 +77,106 @@ struct Inner<P, K> {
     used_bytes: u64,
     tick: u64,
     stats: PlanCacheStats,
+    candidates: Candidates<K>,
+}
+
+impl<P> CacheEntry<P> {
+    /// What evicting this entry would cost: recompile seconds per byte,
+    /// weighted by its reuse.
+    fn value(&self) -> f64 {
+        self.recompile_cost * (self.hits + 1) as f64 / self.size_bytes.max(1) as f64
+    }
+}
+
+/// The eviction-candidate buffer: records of the lowest-ranked entries,
+/// highest rank first, so the next victim is the last.
+///
+/// Invariant: every live entry without a current record here ranks at or
+/// above the first (worst) record; an empty buffer promises nothing. A
+/// record goes stale when its entry is hit, replaced or evicted, and is
+/// checked against the entry when popped. The buffer is unallocated until
+/// the first eviction.
+#[derive(Debug)]
+struct Candidates<K> {
+    records: Vec<Candidate<K>>,
+}
+
+/// An entry's eviction rank when it was buffered.
+#[derive(Debug)]
+struct Candidate<K> {
+    value: f64,
+    last_touch: u64,
+    key: K,
+}
+
+impl<K> Candidate<K> {
+    /// Evicted before an entry of rank `(value, last_touch)`: lower value,
+    /// then touched longer ago. Values are never NaN (costs are finite and
+    /// non-negative) and touches are unique, so ranks are totally ordered.
+    fn ranks_below(&self, value: f64, last_touch: u64) -> bool {
+        self.value < value || (self.value == value && self.last_touch < last_touch)
+    }
+}
+
+impl<K> Candidates<K> {
+    /// Whether a rank must be recorded to keep the invariant: it is below
+    /// the worst record of a non-empty buffer.
+    fn wants(&self, value: f64, last_touch: u64) -> bool {
+        self.records
+            .first()
+            .is_some_and(|worst| !worst.ranks_below(value, last_touch))
+    }
+
+    /// Record a rank in order, dropping the worst record when full (which
+    /// keeps the invariant: the dropped entry ranks above the new worst).
+    fn keep(&mut self, value: f64, last_touch: u64, key: K) {
+        if self.records.len() == CANDIDATES {
+            self.records.remove(0);
+        }
+        let at = self
+            .records
+            .partition_point(|c| !c.ranks_below(value, last_touch));
+        self.records.insert(
+            at,
+            Candidate {
+                value,
+                last_touch,
+                key,
+            },
+        );
+    }
+}
+
+impl<P, K: Eq + Hash + Clone> Inner<P, K> {
+    /// The lowest-ranked entry's key: the buffer's last current record,
+    /// refilled by one pass over the entries whenever it runs dry.
+    fn next_victim(&mut self) -> Option<K> {
+        loop {
+            if self.candidates.records.is_empty() {
+                self.refill();
+            }
+            let candidate = self.candidates.records.pop()?;
+            let current = self.entries.get(&candidate.key).is_some_and(|e| {
+                e.last_touch == candidate.last_touch && e.value() == candidate.value
+            });
+            if current {
+                return Some(candidate.key);
+            }
+        }
+    }
+
+    /// Buffer the [`CANDIDATES`] lowest-ranked entries, in place: the
+    /// buffer's only allocation is its first.
+    fn refill(&mut self) {
+        let candidates = &mut self.candidates;
+        candidates.records.reserve_exact(CANDIDATES);
+        for (key, entry) in &self.entries {
+            let (value, last_touch) = (entry.value(), entry.last_touch);
+            if candidates.records.len() < CANDIDATES || candidates.wants(value, last_touch) {
+                candidates.keep(value, last_touch, key.clone());
+            }
+        }
+    }
 }
 
 impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
@@ -82,6 +190,9 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
                 used_bytes: 0,
                 tick: 0,
                 stats: PlanCacheStats::default(),
+                candidates: Candidates {
+                    records: Vec::new(),
+                },
             }),
             clerk,
         }
@@ -112,6 +223,16 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
         self.inner.lock().stats
     }
 
+    /// True when `key` is cached. Unlike [`PlanCache::get`] this is not a
+    /// use: it moves neither the entry's hit count nor its recency.
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.inner.lock().entries.contains_key(key)
+    }
+
     /// Look up a plan by its key (e.g. normalized query text or a digest).
     pub fn get<Q>(&self, key: &Q) -> Option<P>
     where
@@ -126,7 +247,13 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
                 e.hits += 1;
                 e.last_touch = tick;
                 let plan = e.plan.clone();
+                let value = e.value();
                 inner.stats.hits += 1;
+                if inner.candidates.wants(value, tick) {
+                    let (k, _) = inner.entries.get_key_value(key).expect("just hit");
+                    let k = k.clone();
+                    inner.candidates.keep(value, tick, k);
+                }
                 Some(plan)
             }
             None => {
@@ -138,7 +265,14 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
 
     /// Insert a plan. Evicts lower-value entries as needed; if the plan is
     /// larger than the whole cache it is simply not cached.
+    ///
+    /// Panics unless `recompile_cost` is finite and non-negative: eviction
+    /// ranks entries by it, and a NaN would leave them without an order.
     pub fn insert(&self, key: impl Into<K>, plan: P, size_bytes: u64, recompile_cost: f64) {
+        assert!(
+            recompile_cost.is_finite() && recompile_cost >= 0.0,
+            "recompile cost must be finite and non-negative, got {recompile_cost}"
+        );
         let capacity = *self.capacity_bytes.lock();
         if size_bytes > capacity {
             return;
@@ -155,16 +289,17 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
             }
         }
         self.evict_until(&mut inner, capacity.saturating_sub(size_bytes));
-        inner.entries.insert(
-            key,
-            CacheEntry {
-                plan,
-                size_bytes,
-                recompile_cost,
-                hits: 0,
-                last_touch: tick,
-            },
-        );
+        let entry = CacheEntry {
+            plan,
+            size_bytes,
+            recompile_cost,
+            hits: 0,
+            last_touch: tick,
+        };
+        if inner.candidates.wants(entry.value(), tick) {
+            inner.candidates.keep(entry.value(), tick, key.clone());
+        }
+        inner.entries.insert(key, entry);
         inner.used_bytes += size_bytes;
         inner.stats.insertions += 1;
         if let Some(c) = &self.clerk {
@@ -186,24 +321,14 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
     /// least recently touched) until `used_bytes <= limit`.
     fn evict_until(&self, inner: &mut Inner<P, K>, limit: u64) {
         while inner.used_bytes > limit {
-            let victim = inner
-                .entries
-                .iter()
-                .min_by(|(_, a), (_, b)| {
-                    let va = a.recompile_cost * (a.hits + 1) as f64 / a.size_bytes.max(1) as f64;
-                    let vb = b.recompile_cost * (b.hits + 1) as f64 / b.size_bytes.max(1) as f64;
-                    va.partial_cmp(&vb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.last_touch.cmp(&b.last_touch))
-                })
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
-            if let Some(e) = inner.entries.remove(&key) {
-                inner.used_bytes -= e.size_bytes;
-                inner.stats.evictions += 1;
-                if let Some(c) = &self.clerk {
-                    c.free(e.size_bytes);
-                }
+            let Some(key) = inner.next_victim() else {
+                break;
+            };
+            let e = inner.entries.remove(&key).expect("victims are live");
+            inner.used_bytes -= e.size_bytes;
+            inner.stats.evictions += 1;
+            if let Some(c) = &self.clerk {
+                c.free(e.size_bytes);
             }
         }
     }
@@ -285,6 +410,26 @@ mod tests {
         let cache: PlanCache<&'static str> = PlanCache::new(MB, None);
         cache.insert("huge", "x", 10 * MB, 100.0);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "recompile cost must be finite and non-negative")]
+    fn nan_costs_are_rejected() {
+        let cache: PlanCache<u32> = PlanCache::new(10 * MB, None);
+        cache.insert("q", 1, MB, f64::NAN);
+    }
+
+    #[test]
+    fn contains_is_not_a_use() {
+        let cache: PlanCache<u32> = PlanCache::new(2 * MB, None);
+        cache.insert("old", 1, MB, 1.0);
+        cache.insert("new", 2, MB, 1.0);
+        assert!(cache.contains("old"));
+        // `old` stays the least recently used, so it is the one that goes.
+        cache.insert("newest", 3, MB, 1.0);
+        assert!(!cache.contains("old"));
+        assert!(cache.contains("new"));
+        assert_eq!(cache.stats().hits + cache.stats().misses, 0);
     }
 
     #[test]

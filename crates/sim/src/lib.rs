@@ -26,6 +26,8 @@
 //!   log-normal-ish compile-time jitter).
 //! * [`series`] — bucketed time-series recorders used to regenerate the
 //!   paper's "completed queries per time slice" figures.
+//! * [`slab`] — a generation-checked slab and its per-slot side table:
+//!   dense, hash-free ids for values that come and go.
 //! * [`shard`] — sealed per-producer mailboxes and a deterministic
 //!   `(time, seq, shard)` merge, the exchange primitives behind
 //!   byte-identical sharded runs.
@@ -40,6 +42,7 @@ pub mod events;
 pub mod rng;
 pub mod series;
 pub mod shard;
+pub mod slab;
 pub mod stats;
 
 pub use arrival::{ArrivalProcess, ArrivalSampler};
@@ -48,4 +51,5 @@ pub use events::{EventId, EventQueue, HeapEventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use series::{GaugeTimeline, TimeSeries};
 pub use shard::{EpochMailbox, EpochMerge, Stamped};
+pub use slab::{Slab, SlotRef, SlotTable};
 pub use stats::{Histogram, Running, Summary};
