@@ -13,7 +13,7 @@
 //! throttledb-bench --bench event_queue`) rewrites `BENCH_event_queue.json`
 //! at the repo root with events/sec for both implementations and the
 //! queue/heap speedup. The built-in scenarios peak at a few hundred pending
-//! events (`docs/EXPERIMENTS.md` §9 has the table); the 100k and 1M rows
+//! events (`docs/EXPERIMENTS.md` §8 has the table); the 100k and 1M rows
 //! show what the queue does far past that.
 
 use criterion::{black_box, Criterion};

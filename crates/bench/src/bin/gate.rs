@@ -5,9 +5,9 @@
 //! gate --self-test
 //! ```
 //!
-//! Diffs a current BENCH document — any of the six kinds: the sweep cells,
-//! `BENCH_policies.json`, `BENCH_resilience.json`,
-//! `BENCH_shard_scale.json`, `BENCH_trace.json` or `BENCH_compile.json` —
+//! Diffs a current BENCH document — any of the five kinds: the sweep cells,
+//! `BENCH_policies.json`, `BENCH_resilience.json`, `BENCH_trace.json` or
+//! `BENCH_compile.json` —
 //! against a committed baseline (see `crates/bench/baselines/`) and exits
 //! nonzero when any gated metric regresses beyond the relative tolerance. `--self-test` runs the gate against synthetic documents —
 //! one identical, one regressed — proving it can both accept and reject

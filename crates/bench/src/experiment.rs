@@ -44,7 +44,6 @@ pub fn paper_grid(
         admissions: admissions.to_vec(),
         scenarios: vec![scenario.to_string()],
         clients: clients.to_vec(),
-        shard_counts: vec![1],
         seeds: vec![seed],
         scale,
         workers: std::thread::available_parallelism().map_or(1, |n| n.get()),

@@ -3,9 +3,8 @@
 //!
 //! The gate diffs a current BENCH document against a committed baseline
 //! and reports every metric that regressed beyond a relative tolerance. It
-//! reads six document kinds: the sweep cells, `BENCH_policies.json`,
-//! `BENCH_resilience.json`, `BENCH_shard_scale.json`, `BENCH_trace.json`
-//! and `BENCH_compile.json`. CI runs it after the sweep and bench steps and
+//! reads five document kinds: the sweep cells, `BENCH_policies.json`,
+//! `BENCH_resilience.json`, `BENCH_trace.json` and `BENCH_compile.json`. CI runs it after the sweep and bench steps and
 //! fails the build on any regression; the baseline-update workflow (see
 //! `README.md`) is the only way to accept an intentional change.
 //!
@@ -394,11 +393,9 @@ const METRICS: &[(&str, Direction, f64)] = &[
     ("shed", Direction::LowerIsBetter, 2.0),
     ("retries_abandoned", Direction::LowerIsBetter, 2.0),
     ("breaker_transitions", Direction::LowerIsBetter, 2.0),
-    // Event-loop and open-loop arrival counts (BENCH_sweep.json and
-    // BENCH_shard_scale.json cells). They are deterministic per (scenario,
-    // seed) and independent of worker and shard counts, so any movement at
-    // all is a change of behaviour. The shard grid's 1-shard and N-shard
-    // rows are held to the same committed values, hence to each other.
+    // Event-loop and open-loop arrival counts (BENCH_sweep.json cells).
+    // They are deterministic per (scenario, seed) and independent of the
+    // worker count, so any movement at all is a change of behaviour.
     ("events_dispatched", Direction::Exact, 0.0),
     ("peak_queue_depth", Direction::Exact, 0.0),
     ("arrivals", Direction::Exact, 0.0),
@@ -455,9 +452,10 @@ fn entry_key(obj: &Value, kind: &str) -> String {
     if let Some(seed) = obj.get("seed").and_then(Value::as_f64) {
         let _ = write!(key, " seed={seed}");
     }
-    // The shard grid runs the *same* (scenario, seed) at several shard
-    // counts; the count is identity there, or two cells would collide on
-    // one key and a vanished shard count could hide.
+    // A row keyed by a shard count (the shard grid's, deleted with the
+    // threaded arrival feed) runs the *same* (scenario, seed) as its
+    // siblings; the count is identity there, or two cells would collide
+    // on one key and a vanished shard count could hide.
     if let Some(shards) = obj.get("shards").and_then(Value::as_f64) {
         let _ = write!(key, " shards={shards}");
     }

@@ -1,10 +1,10 @@
 //! The grid driver behind every document `sweep` writes and every paper
 //! figure the bench binaries print ([`Kind::Paper`], [`crate::experiment`]).
 //!
-//! [`run_grid`] runs the ([`Admission`] × scenario × client count × shard
-//! count × seed) product at one scale, fanning the cells across OS
-//! threads; any axis may be a single value, and a client count of `None`
-//! keeps the scenario's own schedule. A [`Kind`] says which document the
+//! [`run_grid`] runs the ([`Admission`] × scenario × client count × seed)
+//! product at one scale, fanning the cells across OS threads; any axis
+//! may be a single value, and a client count of `None` keeps the
+//! scenario's own schedule. A [`Kind`] says which document the
 //! grid feeds: the columns each cell projects out of its run, whether runs
 //! record a trace, and which columns are averaged over seeds into
 //! `aggregates`.
@@ -12,14 +12,13 @@
 //! * **Determinism** — a cell's result depends only on its coordinates:
 //!   profiles are characterized once per scenario and shared, every run is
 //!   seeded, and results land in a slot keyed by cell index, so every
-//!   document is byte-identical whatever `workers` is, and the shard count
-//!   moves no column at all (CI diffs both). No cell carries a wall-clock
-//!   column: host-time measurements belong to the repository benchmark
-//!   (`benchmark/`), which repeats and pairs its runs; here only the
-//!   end-to-end time is kept, for the console.
+//!   document is byte-identical whatever `workers` is (CI diffs it). No
+//!   cell carries a wall-clock column: host-time measurements belong to
+//!   the repository benchmark (`benchmark/`), which repeats and pairs its
+//!   runs; here only the end-to-end time is kept, for the console.
 //! * **One format** — rows are [`Field`]s and every document goes through
 //!   [`crate::gate::render`], the writer beside the gate's parser; the
-//!   schemas are documented in `docs/EXPERIMENTS.md` §4–§6 and §8.
+//!   schemas are documented in `docs/EXPERIMENTS.md` §4–§6.
 
 use crate::gate::{render, Field, Row};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,9 +34,6 @@ pub enum Kind {
     /// Admission and event-loop counts with the arrival and trace digests:
     /// `BENCH_sweep.json` and the `--cells-out` file.
     Sweep,
-    /// The sweep's columns keyed by shard count, which must not move them:
-    /// `BENCH_shard_scale.json`.
-    ShardScale,
     /// The admission-policy laboratory: `BENCH_policies.json`.
     Policies,
     /// The resilience laboratory: `BENCH_resilience.json`.
@@ -52,7 +48,6 @@ impl Kind {
     pub fn name(self) -> &'static str {
         match self {
             Kind::Sweep => "sweep",
-            Kind::ShardScale => "shard_scale",
             Kind::Policies => "policies",
             Kind::Resilience => "resilience",
             Kind::Paper => "paper",
@@ -60,13 +55,13 @@ impl Kind {
     }
 
     fn records_trace(self) -> bool {
-        matches!(self, Kind::Sweep | Kind::ShardScale)
+        self == Kind::Sweep
     }
 
     /// The columns averaged over seeds into `aggregates` (none: no section).
     fn averaged(self) -> &'static [&'static str] {
         match self {
-            Kind::Sweep | Kind::ShardScale | Kind::Paper => &[],
+            Kind::Sweep | Kind::Paper => &[],
             Kind::Policies => &[
                 "throughput_per_slice",
                 "p99_wait_us",
@@ -94,7 +89,6 @@ impl Kind {
                 "peak_queue_depth",
                 "arrivals",
             ],
-            Kind::ShardScale => &["events_dispatched", "arrivals", "arrival_digest"],
             Kind::Policies => &[
                 "submitted",
                 "completed",
@@ -130,7 +124,7 @@ impl Kind {
             Field::Fixed(m.sustained_throughput_per_slice(), 6),
         );
         match self {
-            Kind::Sweep | Kind::ShardScale => vec![
+            Kind::Sweep => vec![
                 submitted,
                 completed,
                 failed,
@@ -253,8 +247,8 @@ impl Admission {
     }
 }
 
-/// What to run: every (admission, scenario, client count, shard count,
-/// seed) coordinate, in that order, at one scale.
+/// What to run: every (admission, scenario, client count, seed)
+/// coordinate, in that order, at one scale.
 #[derive(Debug, Clone)]
 pub struct GridSpec {
     /// The document the grid produces.
@@ -266,10 +260,6 @@ pub struct GridSpec {
     /// Client counts, in output order: `None` runs the scenario's own
     /// schedule, `Some(n)` every phase at `n` clients.
     pub clients: Vec<Option<u32>>,
-    /// Generator shards per run, in output order (each at least 1). Like
-    /// `workers`, a wall-clock knob: the threaded arrival feed replays the
-    /// inline feed's schedule byte for byte.
-    pub shard_counts: Vec<u32>,
     /// Seeds, in output order.
     pub seeds: Vec<u64>,
     /// Scale every cell runs at.
@@ -287,8 +277,6 @@ pub struct Cell {
     pub scenario: String,
     /// Closed-loop clients of the run's busiest phase.
     pub clients: u32,
-    /// Generator shards the run used.
-    pub shards: u32,
     /// RNG seed.
     pub seed: u64,
     /// The kind's measured columns, in document order.
@@ -350,7 +338,6 @@ pub struct GridOutcome {
 ///     admissions: vec![Admission::Policy(PolicyKind::Ladder), Admission::Off],
 ///     scenarios: vec!["paper_figure3".to_string()],
 ///     clients: vec![Some(2), Some(4)],
-///     shard_counts: vec![1],
 ///     seeds: vec![2007],
 ///     scale: Scale::Quick,
 ///     workers: 2,
@@ -372,16 +359,14 @@ pub fn run_grid(spec: &GridSpec) -> GridOutcome {
     for &admission in &spec.admissions {
         for scenario in 0..spec.scenarios.len() {
             for &clients in &spec.clients {
-                for &shards in &spec.shard_counts {
-                    for &seed in &spec.seeds {
-                        coords.push((admission, scenario, clients, shards, seed));
-                    }
+                for &seed in &spec.seeds {
+                    coords.push((admission, scenario, clients, seed));
                 }
             }
         }
     }
     let cells = fan_out(coords.len(), spec.workers, |idx| {
-        let (admission, scenario_idx, clients, shards, seed) = coords[idx];
+        let (admission, scenario_idx, clients, seed) = coords[idx];
         let name = &spec.scenarios[scenario_idx];
         let mut scenario = Scenario::builtin(name, spec.scale)
             .expect("characterized above")
@@ -394,13 +379,11 @@ pub fn run_grid(spec: &GridSpec) -> GridOutcome {
         let outcome = ScenarioRunner::new(scenario)
             .record_trace(spec.kind.records_trace())
             .with_profiles(profiles[scenario_idx].clone())
-            .with_shards(shards.max(1))
             .run();
         Cell {
             admission,
             scenario: name.clone(),
             clients,
-            shards,
             seed,
             columns: spec.kind.project(&outcome),
         }
@@ -416,11 +399,8 @@ impl GridOutcome {
     /// The identity columns the kind keys a row by, ahead of `seed(s)`.
     fn keys(&self, cell: &Cell) -> Row {
         let mut row = Row::new();
-        if !matches!(self.spec.kind, Kind::Sweep | Kind::ShardScale) {
+        if self.spec.kind != Kind::Sweep {
             row.push(("policy", Field::Text(cell.admission.name().to_string())));
-        }
-        if self.spec.kind == Kind::ShardScale {
-            row.push(("shards", Field::Count(u64::from(cell.shards))));
         }
         row.push(("scenario", Field::Text(cell.scenario.clone())));
         if self.spec.kind == Kind::Paper {
@@ -442,7 +422,7 @@ impl GridOutcome {
             .collect()
     }
 
-    /// One row per (admission, scenario, client count, shard count): the
+    /// One row per (admission, scenario, client count): the
     /// kind's averaged columns as mean ± 95% CI over the seed axis. Seeds
     /// are the innermost axis, so each group is a run of consecutive cells
     /// and the fold order (hence every byte) is the same for any worker
@@ -468,22 +448,6 @@ impl GridOutcome {
                 row
             })
             .collect()
-    }
-
-    /// The first cell whose columns differ from the same (admission,
-    /// scenario, client count, seed) at the grid's first shard count, if
-    /// any. `None` is the only acceptable answer; the `sweep` binary fails
-    /// the run otherwise.
-    pub fn divergent(&self) -> Option<&Cell> {
-        self.cells.iter().find(|c| {
-            self.cells
-                .iter()
-                .find(|r| {
-                    (r.admission, &r.scenario, r.clients, r.seed)
-                        == (c.admission, &c.scenario, c.clients, c.seed)
-                })
-                .is_some_and(|reference| reference.columns != c.columns)
-        })
     }
 
     fn scale(&self) -> Field {
@@ -525,7 +489,7 @@ impl GridOutcome {
     }
 
     /// The scale and the cells only — the `--cells-out` file CI diffs
-    /// across worker and shard counts.
+    /// across worker counts.
     pub fn cells_document(&self) -> String {
         render(&[("scale", self.scale())], &[("cells", &self.rows())])
     }
@@ -642,13 +606,12 @@ fn characterize_scenarios(
 mod tests {
     use super::*;
 
-    fn spec(kind: Kind, policies: &[PolicyKind], scenario: &str, shard_counts: &[u32]) -> GridSpec {
+    fn spec(kind: Kind, policies: &[PolicyKind], scenario: &str) -> GridSpec {
         GridSpec {
             kind,
             admissions: policies.iter().map(|&p| Admission::Policy(p)).collect(),
             scenarios: vec![scenario.to_string()],
             clients: vec![None],
-            shard_counts: shard_counts.to_vec(),
             seeds: vec![2007, 2008],
             scale: Scale::Quick,
             workers: 1,
@@ -673,7 +636,6 @@ mod tests {
         assert_eq!(sequential.document(), document, "{kind:?}");
         assert_eq!(sequential.cells_document(), outcome.cells_document());
         assert_eq!(outcome.cells.len(), cells, "{kind:?}");
-        assert!(outcome.divergent().is_none(), "{kind:?}");
 
         assert!(!document.contains("wall_ms") && !document.contains("per_sec"));
         crate::gate::parse(&document).expect("own document parses");
@@ -697,7 +659,7 @@ mod tests {
     #[test]
     fn parallel_and_sequential_sweeps_agree_cell_for_cell() {
         let (outcome, _, _) = worker_invariant(
-            spec(Kind::Sweep, &[PolicyKind::Ladder], "compile_storm", &[1]),
+            spec(Kind::Sweep, &[PolicyKind::Ladder], "compile_storm"),
             2,
             0,
         );
@@ -722,48 +684,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_grid_reports_invariant_cells_keyed_by_shard_count() {
-        let (mut outcome, document, _) = worker_invariant(
-            spec(
-                Kind::ShardScale,
-                &[PolicyKind::Ladder],
-                "open_loop_poisson",
-                &[1, 2],
-            ),
-            4,
-            0,
-        );
-        let shards: Vec<u32> = outcome.cells.iter().map(|c| c.shards).collect();
-        assert_eq!(shards, [1, 1, 2, 2]);
-        // The gate keys the rows apart by shard count.
-        let doc = crate::gate::parse(&document).expect("own document parses");
-        let entries = crate::gate::extract(&doc);
-        for shards in [1, 2] {
-            let key = format!("cell scenario=open_loop_poisson seed=2007 shards={shards}");
-            assert!(entries
-                .iter()
-                .any(|e| e.key == key && e.metric == "events_dispatched"));
-        }
-        // A row that moves with the shard count is reported.
-        let cell = &mut outcome.cells[3];
-        if let Some((_, Field::Hex(d))) = cell
-            .columns
-            .iter_mut()
-            .find(|(c, _)| *c == "arrival_digest")
-        {
-            *d ^= 1;
-        }
-        assert_eq!(
-            outcome.divergent().map(|c| (c.seed, c.shards)),
-            Some((2008, 2))
-        );
-    }
-
-    #[test]
     fn policy_grid_is_worker_count_invariant_byte_for_byte() {
         // 3 policies x 1 scenario x 2 seeds.
         let (outcome, _, rows) = worker_invariant(
-            spec(Kind::Policies, &PolicyKind::all(), "compile_storm", &[1]),
+            spec(Kind::Policies, &PolicyKind::all(), "compile_storm"),
             6,
             3,
         );
@@ -794,7 +718,6 @@ mod tests {
                 Kind::Resilience,
                 &[PolicyKind::Ladder, PolicyKind::Pid],
                 "retry_storm",
-                &[1],
             ),
             4,
             2,
@@ -818,7 +741,7 @@ mod tests {
         let spec = GridSpec {
             admissions: vec![Admission::Policy(PolicyKind::Ladder), Admission::Off],
             clients: vec![None, Some(10)],
-            ..spec(Kind::Paper, &[], "paper_figure3", &[1])
+            ..spec(Kind::Paper, &[], "paper_figure3")
         };
         let (outcome, document, _) = worker_invariant(spec, 8, 0);
         let clients: Vec<u32> = outcome.cells.iter().map(|c| c.clients).collect();
@@ -864,7 +787,7 @@ mod tests {
             run_grid(&GridSpec {
                 admissions: vec![Admission::Policy(PolicyKind::Ladder), Admission::Off],
                 clients: vec![clients],
-                ..spec(Kind::Paper, &[], scenario, &[1])
+                ..spec(Kind::Paper, &[], scenario)
             })
         };
         let resized = run("paper_figure3", Some(35));
@@ -878,12 +801,7 @@ mod tests {
 
     #[test]
     fn open_loop_cells_account_arrivals_and_stay_worker_invariant() {
-        let spec = spec(
-            Kind::Sweep,
-            &[PolicyKind::Ladder],
-            "open_loop_poisson",
-            &[1],
-        );
+        let spec = spec(Kind::Sweep, &[PolicyKind::Ladder], "open_loop_poisson");
         let sequential = run_grid(&spec);
         let parallel = run_grid(&GridSpec { workers: 4, ..spec });
         assert_eq!(sequential.cells, parallel.cells);
@@ -905,34 +823,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_cells_match_single_shard_cells_byte_for_byte() {
-        let single = spec(
-            Kind::Sweep,
-            &[PolicyKind::Ladder],
-            "open_loop_poisson",
-            &[1],
-        );
-        let sharded = GridSpec {
-            shard_counts: vec![4],
-            ..single.clone()
-        };
-        let (single, sharded) = (run_grid(&single), run_grid(&sharded));
-        assert_eq!(single.cells_document(), sharded.cells_document());
-        assert_eq!(single.document(), sharded.document());
-        assert!(
-            single.cells[0].sample("arrivals") > 0.0,
-            "open loop must offer load"
-        );
-    }
-
-    #[test]
     fn sweep_documents_carry_no_host_time() {
-        let outcome = run_grid(&spec(
-            Kind::Sweep,
-            &[PolicyKind::Ladder],
-            "compile_storm",
-            &[1],
-        ));
+        let outcome = run_grid(&spec(Kind::Sweep, &[PolicyKind::Ladder], "compile_storm"));
         let total_events: f64 = outcome
             .cells
             .iter()

@@ -262,14 +262,10 @@ pub struct ServerConfig {
     /// abandoned instead of requeued (fail fast). `None` disables the
     /// deadline.
     pub query_deadline: Option<SimDuration>,
-    /// Where the arrival sources' instants are sampled. `1` (the default)
-    /// samples them inline on the event loop's own thread, one instant
-    /// ahead per source. Above 1, sources are partitioned `index % shards`
-    /// onto generator threads that pre-compute instants an epoch (broker
-    /// tick) at a time and hand them to the loop at deterministic epoch
-    /// barriers. The event loop is the same either way and any value
-    /// produces byte-identical traces, metrics and digests (see
-    /// `docs/EXPERIMENTS.md` §8).
+    /// No effect: every run samples its arrival instants on the event
+    /// loop's own thread. The field once picked a threaded arrival feed,
+    /// which the inline feed now outruns; it stays (at least 1, default 1)
+    /// only because the repository benchmark still assigns it.
     pub shards: u32,
 }
 

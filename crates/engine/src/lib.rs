@@ -23,6 +23,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub(crate) mod arrival_plane;
 pub mod config;
 pub mod experiment;
 pub mod fault;
@@ -31,7 +32,6 @@ mod merge_tests;
 pub mod metrics;
 pub mod profile;
 pub mod server;
-pub(crate) mod shard;
 pub mod stages;
 pub mod trace;
 

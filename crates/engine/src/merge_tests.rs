@@ -1,7 +1,6 @@
 //! Edge cases of the one event loop ([`Server::run_until`]): arrivals and
 //! queued events that share an instant, arrivals on the window boundary
-//! and at the end of the run, and windows cut at arbitrary places. Every
-//! case runs over the inline and the threaded feed.
+//! and at the end of the run, and windows cut at arbitrary places.
 //!
 //! The fixed cases use *metronome* sources — a bounded-Pareto process
 //! whose bounds round to one gap — so arrival instants are known to the
@@ -55,14 +54,13 @@ fn metronome(period_secs: u64, cap: u32) -> ArrivalSourceConfig {
 
 /// No closed-loop clients, no OLTP (so an admitted query outlives every
 /// run here and a capped source stays at its cap), `duration_us` long.
-fn config(duration_us: u64, sources: Vec<ArrivalSourceConfig>, shards: u32) -> ServerConfig {
+fn config(duration_us: u64, sources: Vec<ArrivalSourceConfig>) -> ServerConfig {
     let mut config = ServerConfig::quick(0, true);
     config.duration = SimDuration::from_micros(duration_us);
     config.warmup = SimDuration::ZERO;
     config.slice = SimDuration::from_secs(1);
     config.oltp_fraction = 0.0;
     config.arrivals = sources;
-    config.shards = shards;
     config
 }
 
@@ -87,50 +85,44 @@ fn digest_of(decisions: &[(u64, u32, u8)]) -> u64 {
 
 #[test]
 fn an_arrival_and_a_queued_event_at_one_instant_fire_in_seq_order() {
-    for shards in [1, 2] {
-        let mut server = Server::new(config(10 * SEC, vec![metronome(1, 64)], shards), profiles());
-        server.enable_trace();
-        // Fault 0 is scheduled before `begin` reserves the source's first
-        // sequence number; fault 1 lies beyond the run and is fired by hand
-        // below.
-        let stall = FaultKind::CompileStall { multiplier: 2.0 };
-        server.install_faults(&[
-            FaultSpec {
-                start: at(3 * SEC),
-                duration: SimDuration::from_secs(1),
-                kind: stall,
-            },
-            FaultSpec {
-                start: at(1_000 * SEC),
-                duration: SimDuration::from_secs(1),
-                kind: stall,
-            },
-        ]);
-        server.begin();
-        server.run_until(at(5 * SEC + 500_000));
-        // The arrival at 6 s already holds its sequence number, so a queue
-        // event scheduled now for that instant comes after it.
-        server
-            .queue
-            .schedule(at(6 * SEC), Event::FaultBegin { index: 1 });
-        server.run_until(at(7 * SEC));
-        let order: Vec<&'static str> = server
-            .take_trace()
-            .iter()
-            .filter_map(|ev| match *ev {
-                TraceEvent::Submitted { at: t, .. } if t == at(3 * SEC) => Some("arrival@3"),
-                TraceEvent::FaultInjected { fault: 0, .. } => Some("fault@3"),
-                TraceEvent::Submitted { at: t, .. } if t == at(6 * SEC) => Some("arrival@6"),
-                TraceEvent::FaultInjected { fault: 1, .. } => Some("fault@6"),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            order,
-            ["fault@3", "arrival@3", "arrival@6", "fault@6"],
-            "shards={shards}"
-        );
-    }
+    let mut server = Server::new(config(10 * SEC, vec![metronome(1, 64)]), profiles());
+    server.enable_trace();
+    // Fault 0 is scheduled before `begin` reserves the source's first
+    // sequence number; fault 1 lies beyond the run and is fired by hand
+    // below.
+    let stall = FaultKind::CompileStall { multiplier: 2.0 };
+    server.install_faults(&[
+        FaultSpec {
+            start: at(3 * SEC),
+            duration: SimDuration::from_secs(1),
+            kind: stall,
+        },
+        FaultSpec {
+            start: at(1_000 * SEC),
+            duration: SimDuration::from_secs(1),
+            kind: stall,
+        },
+    ]);
+    server.begin();
+    server.run_until(at(5 * SEC + 500_000));
+    // The arrival at 6 s already holds its sequence number, so a queue
+    // event scheduled now for that instant comes after it.
+    server
+        .queue
+        .schedule(at(6 * SEC), Event::FaultBegin { index: 1 });
+    server.run_until(at(7 * SEC));
+    let order: Vec<&'static str> = server
+        .take_trace()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Submitted { at: t, .. } if t == at(3 * SEC) => Some("arrival@3"),
+            TraceEvent::FaultInjected { fault: 0, .. } => Some("fault@3"),
+            TraceEvent::Submitted { at: t, .. } if t == at(6 * SEC) => Some("arrival@6"),
+            TraceEvent::FaultInjected { fault: 1, .. } => Some("fault@6"),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(order, ["fault@3", "arrival@3", "arrival@6", "fault@6"]);
 }
 
 #[test]
@@ -161,40 +153,32 @@ fn two_sources_at_one_instant_fire_in_reservation_order() {
                 (secs * SEC, source, u8::from(cap == 1 && !first))
             })
             .collect();
-        for shards in [1, 2] {
-            let sources = vec![metronome(1, cap), metronome(2, cap)];
-            let mut server = started(config(6 * SEC + 500_000, sources, shards));
-            server.run_until(at(20 * SEC));
-            let m = server.finish();
-            assert_eq!(
-                m.arrival_digest,
-                digest_of(&expected),
-                "{label}, shards={shards}"
-            );
-            assert_eq!(m.arrivals, 9);
-            assert_eq!(m.dispatch.external_arrivals, 9);
-        }
+        let sources = vec![metronome(1, cap), metronome(2, cap)];
+        let mut server = started(config(6 * SEC + 500_000, sources));
+        server.run_until(at(20 * SEC));
+        let m = server.finish();
+        assert_eq!(m.arrival_digest, digest_of(&expected), "{label}");
+        assert_eq!(m.arrivals, 9);
+        assert_eq!(m.dispatch.external_arrivals, 9);
     }
 }
 
 #[test]
 fn an_arrival_on_the_boundary_waits_for_the_next_window() {
     for cap in [64, 1] {
-        for shards in [1, 2] {
-            let tag = format!("cap={cap}, shards={shards}");
-            let mut server = started(config(10 * SEC, vec![metronome(1, cap)], shards));
-            // Strictly before: the arrival at 3 s is not part of [0, 3 s).
-            server.run_until(at(3 * SEC));
-            assert_eq!(server.arrivals_offered(), 2, "{tag}");
-            assert_eq!(server.now(), at(3 * SEC), "{tag}");
-            // An empty window moves nothing.
-            server.run_until(at(3 * SEC));
-            assert_eq!(server.arrivals_offered(), 2, "{tag}");
-            server.run_until(at(3 * SEC + 1));
-            assert_eq!(server.arrivals_offered(), 3, "{tag}");
-            server.run_until(at(10 * SEC));
-            assert_eq!(server.arrivals_offered(), 9, "{tag}");
-        }
+        let tag = format!("cap={cap}");
+        let mut server = started(config(10 * SEC, vec![metronome(1, cap)]));
+        // Strictly before: the arrival at 3 s is not part of [0, 3 s).
+        server.run_until(at(3 * SEC));
+        assert_eq!(server.arrivals_offered(), 2, "{tag}");
+        assert_eq!(server.now(), at(3 * SEC), "{tag}");
+        // An empty window moves nothing.
+        server.run_until(at(3 * SEC));
+        assert_eq!(server.arrivals_offered(), 2, "{tag}");
+        server.run_until(at(3 * SEC + 1));
+        assert_eq!(server.arrivals_offered(), 3, "{tag}");
+        server.run_until(at(10 * SEC));
+        assert_eq!(server.arrivals_offered(), 9, "{tag}");
     }
 }
 
@@ -204,21 +188,13 @@ fn a_source_whose_next_gap_reaches_the_end_of_the_run_stops() {
     // exactly on it, and a first gap that already overshoots.
     for (duration_us, arrivals) in [(3 * SEC + 500_000, 3), (3 * SEC, 2), (SEC / 2, 0)] {
         for cap in [64, 1] {
-            let run = |shards| {
-                let mut server = started(config(duration_us, vec![metronome(1, cap)], shards));
-                // Windows past the end of the run find nothing more to fire.
-                server.run_until(at(duration_us));
-                server.run_until(at(30 * SEC));
-                server.finish()
-            };
-            let (inline, threaded) = (run(1), run(2));
-            for m in [&inline, &threaded] {
-                assert_eq!(m.arrivals, arrivals, "{duration_us} µs, cap={cap}");
-                assert_eq!(m.dispatch.external_arrivals, arrivals);
-            }
-            assert_eq!(inline.arrival_digest, threaded.arrival_digest);
-            assert_eq!(inline.events_dispatched, threaded.events_dispatched);
-            assert_eq!(inline.peak_queue_depth, threaded.peak_queue_depth);
+            let mut server = started(config(duration_us, vec![metronome(1, cap)]));
+            // Windows past the end of the run find nothing more to fire.
+            server.run_until(at(duration_us));
+            server.run_until(at(30 * SEC));
+            let m = server.finish();
+            assert_eq!(m.arrivals, arrivals, "{duration_us} µs, cap={cap}");
+            assert_eq!(m.dispatch.external_arrivals, arrivals);
         }
     }
 }
@@ -245,12 +221,12 @@ proptest! {
     /// other instants, zero-length windows included.
     #[test]
     fn cutting_a_run_into_windows_changes_nothing(
-        knobs in (0u64..1_000_000, 0u32..4, 1u32..3),
+        knobs in (0u64..1_000_000, 0u32..4),
         source_knobs in proptest::collection::vec((0u8..4, 1u32..12, 1u32..6), 1..4),
         changes in proptest::collection::vec((1u64..300, 5u64..60, 30u32..100), 0..3),
         cuts in proptest::collection::vec(0u64..300 * SEC, 0..8),
     ) {
-        let (seed, clients, shards) = knobs;
+        let (seed, clients) = knobs;
         let sources: Vec<ArrivalSourceConfig> = source_knobs
             .iter()
             .enumerate()
@@ -291,7 +267,6 @@ proptest! {
             config.slice = SimDuration::from_secs(30);
             config.seed = seed;
             config.arrivals = sources.clone();
-            config.shards = shards;
             let mut server = Server::new(config, profiles());
             server.enable_trace();
             server.set_active_clients(clients);

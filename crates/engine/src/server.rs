@@ -6,11 +6,11 @@
 //! [`crate::stages`] modules; what remains here is dispatch plus the shared
 //! machine model (CPU load factor, submission scheduling).
 
+use crate::arrival_plane::{fold_arrival_digest, ArrivalPlane};
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
 use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, MetricsFold, PhaseReport, RunMetrics};
 use crate::profile::{CompileProfile, WorkloadProfiles};
-use crate::shard::ArrivalPlane;
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
 use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
@@ -56,22 +56,6 @@ pub(crate) enum Event {
 
 // Every pending event is one of these in the queue: it must not grow.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
-
-/// One arrival decision's contribution to the streaming FNV-1a arrival
-/// digest: 8 time bytes, 4 source bytes, 1 decision byte, little-endian.
-/// A free function so the bulk-shed loop can fold into a register-held
-/// accumulator without round-tripping through `self` per arrival.
-#[inline]
-fn fold_arrival_digest(mut h: u64, at_us: u64, source: u32, code: u8) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for byte in at_us.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    for byte in source.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    (h ^ code as u64).wrapping_mul(FNV_PRIME)
-}
 
 /// Plan-cache key: a compact, copyable stand-in for the query text the
 /// paper's text-keyed cache would hash.
@@ -210,8 +194,8 @@ pub struct Server {
     /// client's class.
     pub(crate) class_bounds: Vec<u32>,
     /// Where the sources' arrival instants come from, and their pending
-    /// `(time, seq)` merge candidates (see [`crate::shard`]). Empty until
-    /// [`Server::begin`].
+    /// `(time, seq)` merge candidates (see [`crate::arrival_plane`]).
+    /// Empty until [`Server::begin`].
     pub(crate) arrival_plane: ArrivalPlane,
 }
 
@@ -337,11 +321,9 @@ impl Server {
             .map(|(index, src)| (source_base.fork(index as u64), src.process.sampler()))
             .collect();
         self.arrival_plane = ArrivalPlane::start(
-            self.config.shards as usize,
             streams,
             self.now,
             SimTime::ZERO + self.config.duration,
-            self.config.broker_tick,
             || self.queue.reserve_seq(),
         );
     }
@@ -351,26 +333,21 @@ impl Server {
     /// the boundary stay pending, so a later call picks up exactly where
     /// this one stopped.
     ///
-    /// One loop for every configuration: the event queue's head is merged
-    /// with the arrival plane's per-source candidates into one global
-    /// `(time, seq)` order (`shard.rs` has the protocol). Whatever key comes
-    /// first among the earliest known arrival, the earliest arrival still
-    /// in flight from a generator shard and the boundary bounds what the
-    /// queue may pop; with no sources that is one queue call per event.
+    /// One loop: the event queue's head is merged with the arrival
+    /// plane's per-source candidates into one global `(time, seq)` order
+    /// (`arrival_plane.rs` has the protocol). The earlier of the earliest
+    /// reserved arrival and the boundary bounds what the queue may pop;
+    /// with no sources that is one queue call per event.
     pub fn run_until(&mut self, until: SimTime) {
         let boundary = (until, 0);
         loop {
-            let (arrival, source, unsealed) = self.arrival_plane.candidates();
-            let bound = boundary.min(arrival).min(unsealed);
+            let (arrival, source) = self.arrival_plane.candidate();
+            let bound = boundary.min(arrival);
             if let Some(ev) = self.queue.pop_before_stamp(bound) {
                 self.now = ev.at;
                 self.dispatch(ev.payload);
             } else if bound == boundary {
                 break;
-            } else if bound == unsealed {
-                // An arrival whose instant is not delivered yet could
-                // precede everything else: receive an epoch first.
-                self.arrival_plane.pump();
             } else {
                 self.dispatch_arrival(source, arrival.0, until);
             }
@@ -459,8 +436,8 @@ impl Server {
         let Some(first_seq) = self.arrival_plane.reserved[s].take() else {
             return;
         };
-        let (arrival, _, unsealed) = self.arrival_plane.candidates();
-        let mut bound = (until, 0).min(arrival).min(unsealed);
+        let (arrival, _) = self.arrival_plane.candidate();
+        let mut bound = (until, 0).min(arrival);
         if let Some(head) = self.queue.peek_stamp() {
             bound = bound.min(head);
         }
@@ -472,39 +449,20 @@ impl Server {
         // the reservations a pure run takes are consecutive from
         // `peek_seq` — arrival `i > 0`'s merge key is simply
         // `(at_i, base + i - 1)`.
-        let plane = &mut self.arrival_plane;
         let base = self.queue.peek_seq();
-        let mut key_seq = first_seq;
-        let mut popped = 0u64;
-        let mut exhausted = false;
-        let mut digest = self.arrival_digest;
-        // A threaded feed's buffer can run dry mid-burst; the merge loop
-        // pumps and the next arrival re-enters here.
-        while let Some(at) = plane.front(s) {
-            if (at, key_seq) >= bound {
-                break;
-            }
-            digest = fold_arrival_digest(digest, at.as_micros(), s as u32, 1);
-            self.now = at;
-            popped += 1;
-            if !plane.advance(s) {
-                exhausted = true;
-                break;
-            }
-            key_seq = base + popped - 1;
-        }
-        if popped == 0 {
-            plane.reserved[s] = Some(first_seq);
+        let burst = self
+            .arrival_plane
+            .shed(s, first_seq, base, bound, &mut self.arrival_digest);
+        if burst.shed == 0 {
             return;
         }
-        let reserved = popped - exhausted as u64;
-        plane.reserved[s] = (!exhausted).then(|| base + reserved - 1);
-        self.queue.external_batch(popped, reserved, self.now);
-        self.metrics.dispatch.external_arrivals += popped;
-        self.arrival_digest = digest;
+        self.now = burst.last;
+        self.queue
+            .external_batch(burst.shed, burst.reserved, self.now);
+        self.metrics.dispatch.external_arrivals += burst.shed;
         let src = &mut self.sources[s];
-        src.arrivals += popped;
-        src.shed += popped;
+        src.arrivals += burst.shed;
+        src.shed += burst.shed;
     }
 
     /// Resize the active client population to `n` (capped at the configured
@@ -1293,11 +1251,12 @@ mod tests {
     }
 
     use crate::config::ArrivalSourceConfig;
+    use throttledb_sim::ArrivalProcess;
 
     fn poisson_source(rate: f64, class: usize, max_in_flight: u32) -> ArrivalSourceConfig {
         ArrivalSourceConfig {
             name: "web".to_string(),
-            process: throttledb_sim::ArrivalProcess::Poisson { rate_per_sec: rate },
+            process: ArrivalProcess::Poisson { rate_per_sec: rate },
             class,
             max_in_flight,
             modeled_clients: 1_000_000,
@@ -1400,85 +1359,95 @@ mod tests {
         );
     }
 
-    #[test]
-    fn threaded_feed_run_is_byte_identical_to_inline_feed_run() {
-        // The same open-loop run with arrival instants precomputed by
-        // generator shards reproduces the inline feed's schedule exactly
-        // — trace, digest, counters, dispatch count and peak queue depth.
-        let profiles = profiles();
-        let run = |shards: u32| {
-            let mut cfg = ServerConfig::quick(4, true);
-            cfg.shards = shards;
-            cfg.arrivals = vec![
-                poisson_source(8.0, 0, 16),
-                ArrivalSourceConfig {
-                    name: "burst".to_string(),
-                    process: throttledb_sim::ArrivalProcess::Mmpp {
-                        calm_rate_per_sec: 1.0,
-                        burst_rate_per_sec: 40.0,
-                        mean_calm_secs: 30.0,
-                        mean_burst_secs: 5.0,
-                    },
-                    class: 0,
-                    max_in_flight: 4,
-                    modeled_clients: 10_000,
-                },
-            ];
-            let mut server = Server::new(cfg.clone(), profiles.clone());
-            server.enable_trace();
-            server.set_active_clients(cfg.clients);
-            server.begin();
-            server.run_until(SimTime::ZERO + SimDuration::from_secs(600));
-            // Mid-run boundary: the plane must survive parking and resuming.
-            server.run_until(SimTime::ZERO + cfg.duration);
-            let trace = server.take_trace();
-            (trace, server.finish())
-        };
-        let (base_trace, base) = run(1);
-        let (sharded_trace, sharded) = run(4);
-        assert!(base.arrivals > 1_000, "run too idle to prove anything");
-        assert_eq!(base_trace, sharded_trace, "sharded trace diverged");
-        assert_eq!(base.arrival_digest, sharded.arrival_digest);
-        assert_eq!(base.arrivals, sharded.arrivals);
-        assert_eq!(base.arrivals_admitted, sharded.arrivals_admitted);
-        assert_eq!(base.arrivals_shed, sharded.arrivals_shed);
-        assert_eq!(base.completed.total(), sharded.completed.total());
-        assert_eq!(base.events_dispatched, sharded.events_dispatched);
-        assert_eq!(base.peak_queue_depth, sharded.peak_queue_depth);
-        for (b, s) in base.arrival_sources.iter().zip(&sharded.arrival_sources) {
-            assert_eq!(b.arrivals, s.arrivals, "source {} offered", b.name);
-            assert_eq!(b.completed, s.completed, "source {} completed", b.name);
-            assert_eq!(b.failed, s.failed, "source {} failed", b.name);
+    fn one_in_flight(process: ArrivalProcess) -> ArrivalSourceConfig {
+        ArrivalSourceConfig {
+            name: "far".to_string(),
+            process,
+            class: 0,
+            max_in_flight: 1,
+            modeled_clients: 1,
         }
     }
 
     #[test]
-    fn threaded_feed_overloaded_source_sheds_identically_and_cheaply() {
-        // The bulk-shed run: an at-cap firehose must be byte-exact across
-        // the two feeds and keep the ~1-event-per-shed cost contract.
-        let profiles = profiles();
-        let run = |shards: u32| {
-            let mut cfg = ServerConfig::quick(0, true);
-            cfg.shards = shards;
-            cfg.arrivals = vec![poisson_source(50.0, 0, 2)];
-            Server::new(cfg, profiles.clone()).run()
+    fn arrival_instants_past_the_clock_exhaust_their_source() {
+        // Gaps longer than the clock's ~584,000 years saturate instead of
+        // wrapping: every source here draws one from its first instant on,
+        // and the run starts 5 s in, where a wrapped instant would land in
+        // the past (4,999,999 µs in a release build).
+        let tiny = 1e-14;
+        let mut cfg = ServerConfig::quick(0, true);
+        cfg.duration = SimDuration::from_secs(60);
+        cfg.warmup = SimDuration::ZERO;
+        cfg.arrivals = [
+            ArrivalProcess::Poisson { rate_per_sec: tiny },
+            ArrivalProcess::BoundedPareto {
+                alpha: 1.5,
+                min_secs: 2e13,
+                max_secs: 1e15,
+            },
+            ArrivalProcess::Mmpp {
+                calm_rate_per_sec: tiny,
+                burst_rate_per_sec: tiny,
+                mean_calm_secs: 1e15,
+                mean_burst_secs: 1e15,
+            },
+            ArrivalProcess::Diurnal {
+                base_rate_per_sec: tiny,
+                amplitude: 0.5,
+                period_secs: 1.0,
+            },
+        ]
+        .map(one_in_flight)
+        .to_vec();
+        let mut server = Server::new(cfg.clone(), profiles());
+        server.run_until(SimTime::from_secs(5));
+        server.begin();
+        server.run_until(SimTime::ZERO + cfg.duration);
+        let metrics = server.finish();
+        assert_eq!(metrics.arrivals, 0);
+        assert_eq!(metrics.dispatch.external_arrivals, 0);
+    }
+
+    #[test]
+    fn a_gap_past_the_clock_after_live_arrivals_ends_the_source() {
+        // Sources that arrive for a while and then draw a gap past the
+        // clock: an MMPP whose burst state never fires, and log-uniform
+        // gaps from 1 s to 10^15 s (a bounded Pareto with α → 0), an
+        // eighth of which overflow the clock. At one in flight, both the
+        // admitting path and the shed loop step the recurrence.
+        let mut cfg = ServerConfig::quick(0, true);
+        cfg.arrivals = vec![one_in_flight(ArrivalProcess::Mmpp {
+            calm_rate_per_sec: 20.0,
+            burst_rate_per_sec: 1e-14,
+            mean_calm_secs: 5.0,
+            mean_burst_secs: 1e15,
+        })];
+        let log_uniform = ArrivalProcess::BoundedPareto {
+            alpha: 1e-6,
+            min_secs: 1.0,
+            max_secs: 1e15,
         };
-        let base = run(1);
-        let sharded = run(4);
-        assert!(base.arrivals > 100_000);
-        assert!(base.arrivals_shed > base.arrivals_admitted * 10);
-        assert_eq!(base.arrival_digest, sharded.arrival_digest);
-        assert_eq!(base.arrivals, sharded.arrivals);
-        assert_eq!(base.arrivals_shed, sharded.arrivals_shed);
-        assert_eq!(base.events_dispatched, sharded.events_dispatched);
-        assert_eq!(base.peak_queue_depth, sharded.peak_queue_depth);
-        assert!(sharded.events_dispatched < sharded.arrivals * 2);
+        cfg.arrivals
+            .extend((0..32).map(|_| one_in_flight(log_uniform)));
+        let end = SimTime::ZERO + cfg.duration;
+        let mut server = Server::new(cfg, profiles());
+        server.enable_trace();
+        server.begin();
+        server.run_until(end);
+        let mut last = SimTime::ZERO;
+        for event in server.take_trace() {
+            if let TraceEvent::Submitted { at, .. } = event {
+                assert!(at >= last && at < end, "arrival at {at} after {last}");
+                last = at;
+            }
+        }
+        assert!(server.finish().arrivals > 0, "no source ever arrived");
     }
 
     #[test]
     fn shards_without_sources_are_a_true_no_op() {
-        // A closed-loop config has no sources to feed: shards = 4 spawns
-        // nothing and runs like shards = 1.
+        // `shards` is a no-effect field: shards = 4 runs like shards = 1.
         let profiles = profiles();
         let run = |shards: u32| {
             let mut cfg = ServerConfig::quick(8, true);

@@ -11,11 +11,10 @@
 //! arrivals and arrivals stay pending across slice boundaries.
 //!
 //! The golden was recorded while arrivals were still `Event::Arrival`
-//! entries on the event queue. `scenario/tests/shard_equivalence.rs`
-//! compares the inline and threaded feeds of one merge loop with each
-//! other; these committed values are the witness that does not share code
-//! with what it checks. To re-record after a *deliberate* model change,
-//! paste the "actual" block the failing test prints over the golden file.
+//! entries on the event queue, so these committed values are a witness
+//! that does not share code with the arrival plane and merge loop it
+//! checks. To re-record after a *deliberate* model change, paste the
+//! "actual" block the failing test prints over the golden file.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

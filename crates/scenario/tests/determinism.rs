@@ -169,11 +169,9 @@ fn different_seeds_diverge() {
 /// recorded `fault`/`shed`/`breaker` lines. `paper_figure3`,
 /// `open_loop_poisson` and `retry_storm` were re-recorded once more when
 /// grant-pool budget raises and grant timeouts began admitting queued
-/// grants (the lost-wakeup fix): their old bytes encoded the bug. The open-loop golden is the
-/// one whose `--shards 4` replay drives a *live* arrival plane (the
-/// closed-loop goldens have no sources, so their sharded run is the
-/// single-threaded path by construction): it pins the sharded engine's
-/// merged global order against the codec-v1 bytes.
+/// grants (the lost-wakeup fix): their old bytes encoded the bug. The
+/// open-loop golden pins the arrival plane's merged global order against
+/// the codec-v1 bytes.
 #[test]
 fn golden_traces_replay_byte_identically() {
     let goldens: [(&str, &str); 8] = [
@@ -212,22 +210,11 @@ fn golden_traces_replay_byte_identically() {
     ];
     for (name, golden) in goldens {
         // Mirror the scenario_runner CLI exactly: built-in scenario, quick
-        // scale, seed 2007. The profiles are characterized once per
-        // scenario and shared by both runs below — byte-identical to what
-        // the CLI computes internally, since characterization is a pure
-        // function of the runtime config.
-        let scenario = || {
-            Scenario::builtin(name, throttledb_scenario::Scale::Quick)
-                .expect("builtin exists")
-                .with_seed(2007)
-        };
-        let profiles = Arc::new(WorkloadProfiles::characterize_full(
-            &scenario().runtime_config(),
-        ));
-        let outcome = ScenarioRunner::new(scenario())
-            .record_trace(true)
-            .with_profiles(profiles.clone())
-            .run();
+        // scale, seed 2007.
+        let scenario = Scenario::builtin(name, throttledb_scenario::Scale::Quick)
+            .expect("builtin exists")
+            .with_seed(2007);
+        let outcome = ScenarioRunner::new(scenario).record_trace(true).run();
         let live = outcome.trace.as_ref().expect("recording enabled");
         assert_eq!(
             live.encode(),
@@ -240,24 +227,6 @@ fn golden_traces_replay_byte_identically() {
             stored.replay(),
             outcome.phases,
             "{name}: golden replay diverges from live phase reports"
-        );
-        // The sharded engine must reproduce every committed golden byte
-        // for byte too: the shard count may never become visible in a
-        // trace. (The codec is unchanged at v1 — sharded runs serialize in
-        // the merged global order, so no golden needed re-recording.)
-        let sharded = ScenarioRunner::new(scenario())
-            .record_trace(true)
-            .with_profiles(profiles)
-            .with_shards(4)
-            .run();
-        assert_eq!(
-            sharded.trace.as_ref().expect("recording enabled").encode(),
-            golden,
-            "{name}: --shards 4 trace no longer matches the committed golden file"
-        );
-        assert_eq!(
-            sharded.phases, outcome.phases,
-            "{name}: --shards 4 phase reports diverge"
         );
     }
 }

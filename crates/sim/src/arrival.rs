@@ -210,12 +210,27 @@ impl ArrivalSampler {
     }
 
     /// Draw the gap from `now` to the next arrival. Deterministic in
-    /// (`process`, RNG stream, `now` sequence); at least one microsecond.
+    /// (`process`, RNG stream, `now` sequence); at least one microsecond,
+    /// and `SimDuration::MAX` at most (a gap past the clock's range
+    /// saturates, so `now.saturating_add(gap)` lies past any run's end).
+    ///
+    /// The Poisson arm inlines into the caller, where the open-loop shed
+    /// loop draws it once per arrival; the other families run out of line.
+    #[inline]
     pub fn next_gap(&mut self, rng: &mut SimRng, now: SimTime) -> SimDuration {
-        let gap = match self.process {
+        match self.process {
             ArrivalProcess::Poisson { rate_per_sec } => {
-                SimDuration::from_secs_f64(rng.exponential(1.0 / rate_per_sec))
+                SimDuration::from_secs_f64(rng.exponential(1.0 / rate_per_sec)).max(MIN_GAP)
             }
+            _ => self.other_gap(rng, now),
+        }
+    }
+
+    /// [`ArrivalSampler::next_gap`] for every family but Poisson.
+    #[inline(never)]
+    fn other_gap(&mut self, rng: &mut SimRng, now: SimTime) -> SimDuration {
+        let gap = match self.process {
+            ArrivalProcess::Poisson { .. } => unreachable!("next_gap samples Poisson inline"),
             ArrivalProcess::Mmpp {
                 calm_rate_per_sec,
                 burst_rate_per_sec,
@@ -227,7 +242,7 @@ impl ArrivalSampler {
                 // the arrival draw restart at the new rate.
                 let mut t = now;
                 let mut switch = *self.mmpp_next_switch.get_or_insert_with(|| {
-                    now + SimDuration::from_secs_f64(rng.exponential(mean_calm_secs))
+                    now.saturating_add(SimDuration::from_secs_f64(rng.exponential(mean_calm_secs)))
                 });
                 loop {
                     if t >= switch {
@@ -237,7 +252,8 @@ impl ArrivalSampler {
                         } else {
                             mean_calm_secs
                         };
-                        switch = t + SimDuration::from_secs_f64(rng.exponential(dwell));
+                        switch =
+                            t.saturating_add(SimDuration::from_secs_f64(rng.exponential(dwell)));
                         self.mmpp_next_switch = Some(switch);
                     }
                     let rate = if self.mmpp_bursting {
@@ -245,8 +261,11 @@ impl ArrivalSampler {
                     } else {
                         calm_rate_per_sec
                     };
-                    let candidate = t + SimDuration::from_secs_f64(rng.exponential(1.0 / rate));
-                    if candidate < switch {
+                    let candidate =
+                        t.saturating_add(SimDuration::from_secs_f64(rng.exponential(1.0 / rate)));
+                    // A switch at the end of the clock never comes: the
+                    // candidate (saturated too, or earlier) is the arrival.
+                    if candidate < switch || switch == SimTime::MAX {
                         break candidate.saturating_since(now);
                     }
                     t = switch;
@@ -272,7 +291,7 @@ impl ArrivalSampler {
                 let peak = base_rate_per_sec * (1.0 + amplitude);
                 let mut t = now;
                 loop {
-                    t += SimDuration::from_secs_f64(rng.exponential(1.0 / peak));
+                    t = t.saturating_add(SimDuration::from_secs_f64(rng.exponential(1.0 / peak)));
                     let phase = 2.0 * std::f64::consts::PI * t.as_secs_f64() / period_secs;
                     let rate = base_rate_per_sec * (1.0 + amplitude * phase.sin());
                     if rng.unit() * peak <= rate {

@@ -101,13 +101,26 @@ impl SimDuration {
         SimDuration(secs * 1_000_000)
     }
 
-    /// Construct from fractional seconds (negative values clamp to zero).
+    /// Construct from fractional seconds, rounded to the nearest
+    /// microsecond with ties away from zero (negative values and NaN clamp
+    /// to zero, values past `u64::MAX` saturate).
+    ///
+    /// Equal to `(secs * 1e6).round() as u64` for every input, without the
+    /// `round` libcall baseline x86-64 makes: below 2^52 the fraction
+    /// `us - trunc(us)` is exact (Sterbenz), and from 2^52 on every `f64`
+    /// is already a whole number.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            SimDuration(0)
+        const WHOLE_FROM: f64 = (1u64 << 52) as f64;
+        let us = secs * 1_000_000.0;
+        SimDuration(if us < WHOLE_FROM {
+            // A negative `us` keeps a fraction above -1 (or saturates at
+            // `i64::MIN`): it rounds to at most 0, and clamps to 0.
+            let whole = us as i64;
+            (whole + i64::from(us - whole as f64 >= 0.5)).max(0) as u64
         } else {
-            SimDuration((secs * 1_000_000.0).round() as u64)
-        }
+            us as u64
+        })
     }
 
     /// Raw microseconds.
@@ -283,6 +296,37 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::MAX), "inf");
     }
 
+    /// The rounding `from_secs_f64` replaced, kept as its oracle.
+    fn assert_rounds_like_f64_round(secs: f64) {
+        let oracle = if secs <= 0.0 {
+            0
+        } else {
+            (secs * 1_000_000.0).round() as u64
+        };
+        let got = SimDuration::from_secs_f64(secs).as_micros();
+        assert_eq!(got, oracle, "{secs:e} ({:#x})", secs.to_bits());
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round_at_the_edges() {
+        let two_52 = (1u64 << 52) as f64;
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let edges = [
+            [0.0, -0.0, f64::MIN_POSITIVE, f64::from_bits(1)],
+            [-f64::from_bits(1), 5e-7, below(5e-7), 2.5e-6],
+            [0.5, below(0.5), -5e-7, -3.0],
+            [two_52, two_52 - 0.5, 2f64.powi(53), 2f64.powi(64)].map(|us| us / 1e6),
+            [f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN],
+        ];
+        for secs in edges.into_iter().flatten() {
+            assert_rounds_like_f64_round(secs);
+        }
+        // Every half microsecond across 2^52 µs, where the branches meet.
+        for k in 0..64 {
+            assert_rounds_like_f64_round((two_52 - 16.0 + f64::from(k) * 0.5) / 1e6);
+        }
+    }
+
     #[test]
     fn checked_add_detects_overflow() {
         assert!(SimTime::MAX
@@ -292,5 +336,22 @@ mod tests {
             SimTime::ZERO.checked_add(SimDuration::from_secs(1)),
             Some(SimTime::from_secs(1))
         );
+    }
+
+    proptest::proptest! {
+        /// Random bit patterns cover every class of `f64` (NaN, infinities,
+        /// subnormals, negatives); each case also walks ties and near-ties
+        /// from a random microsecond on.
+        #[test]
+        fn prop_from_secs_f64_matches_f64_round(bits in 0u64..u64::MAX, start in 0u64..1 << 53) {
+            assert_rounds_like_f64_round(f64::from_bits(bits));
+            for step in 0..256u64 {
+                let frac = [0.5, 0.25, 0.75, 0.499_999_9][step as usize % 4];
+                let secs = ((start + step / 4) as f64 + frac) / 1e6;
+                for bits in [secs.to_bits() - 1, secs.to_bits(), secs.to_bits() + 1] {
+                    assert_rounds_like_f64_round(f64::from_bits(bits));
+                }
+            }
+        }
     }
 }

@@ -28,9 +28,6 @@
 //!   paper's "completed queries per time slice" figures.
 //! * [`slab`] — a generation-checked slab and its per-slot side table:
 //!   dense, hash-free ids for values that come and go.
-//! * [`shard`] — sealed per-producer mailboxes and a deterministic
-//!   `(time, seq, shard)` merge, the exchange primitives behind
-//!   byte-identical sharded runs.
 //! * [`stats`] — histograms and summary statistics.
 
 #![deny(missing_docs)]
@@ -41,7 +38,6 @@ pub mod clock;
 pub mod events;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod slab;
 pub mod stats;
 
@@ -50,6 +46,5 @@ pub use clock::{SimDuration, SimTime};
 pub use events::{EventId, EventQueue, HeapEventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use series::{GaugeTimeline, TimeSeries};
-pub use shard::{EpochMailbox, EpochMerge, Stamped};
 pub use slab::{Slab, SlotRef, SlotTable};
 pub use stats::{Histogram, Running, Summary};

@@ -53,6 +53,7 @@ impl SimRng {
 
     /// Exponentially distributed value with the given mean (inter-arrival
     /// times of the open portion of the client model).
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);

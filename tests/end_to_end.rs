@@ -32,12 +32,13 @@ fn quick_sales_run_reproduces_the_papers_qualitative_shape() {
     assert!(t("oom") <= u("oom"));
 }
 
-/// The full stack run at 1 and 4 generator shards: real optimizer
+/// The full stack run at `shards` 1 and 4: real optimizer
 /// characterization, the gateway ladder, the broker, a mixed open-loop +
-/// closed-loop population — and byte-identical results either way. The
-/// shard count is a wall-clock knob, so everything the run reports
-/// (admission counters, arrival digest, trace bytes, event totals) must
-/// be invariant under it.
+/// closed-loop population — and byte-identical results either way.
+/// `ServerConfig::shards` is a no-effect field (the repository benchmark's
+/// `sim_firehose` alt pass sets it to 2 and expects the primary's digest),
+/// so everything the run reports (admission counters, arrival digest,
+/// trace bytes, event totals) must be invariant under it.
 #[test]
 fn sharded_run_is_equal_to_single_threaded_across_the_whole_stack() {
     let base = {

@@ -59,8 +59,8 @@ fn diagnostic_queries_never_touch_the_gateways() {
 }
 
 /// Every admission the policy grants — which gateway, in what order, after
-/// how long a wait — must be independent of how many generator shards the
-/// simulation uses. The policy sees one globally ordered arrival schedule
+/// how long a wait — must be independent of `ServerConfig::shards`, a
+/// no-effect field. The policy sees one globally ordered arrival schedule
 /// either way, so its entire stats ledger (acquisitions per rung, waits,
 /// timeouts, exemptions) must match field for field at 1 and 4 shards.
 #[test]
