@@ -2,14 +2,16 @@
 //! from, and the per-source state the server's event loop merges on.
 //!
 //! Arrivals never sit on the event queue. [`crate::Server::run_until`]
-//! is one loop that merges the queue's head with one candidate per
-//! source — the source's next arrival instant, keyed by a sequence
-//! number reserved from the shared event queue
+//! is one loop that merges the queue's head and the broker tick's key
+//! with one candidate per source — the source's next arrival instant,
+//! keyed by a sequence number reserved from the shared event queue
 //! (`EventQueue::reserve_seq`) — into one global `(time, seq)` order. The
-//! reservations are taken at exactly the moments a queue-scheduled
-//! arrival event would have been scheduled:
+//! broker tick is merged the same way: its sequence number is reserved
+//! where the tick would have been scheduled. The arrival reservations
+//! are taken at exactly the moments a queue-scheduled arrival event
+//! would have been scheduled:
 //!
-//! * at [`crate::Server::begin`], after the broker tick, once per source
+//! * at [`crate::Server::begin`], after the broker tick's, once per source
 //!   in index order iff the source's first arrival lands inside the run;
 //!   and
 //! * at the *end* of processing each arrival — after `submit_query`'s
@@ -31,7 +33,7 @@
 use throttledb_sim::{ArrivalSampler, SimRng, SimTime};
 
 /// A `(time, seq)` merge key later than any event's.
-const NEVER: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+pub(crate) const NEVER: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 
 /// One arrival decision's contribution to the streaming FNV-1a arrival
 /// digest: 8 time bytes, 4 source bytes, 1 decision byte, little-endian.

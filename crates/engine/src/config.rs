@@ -384,6 +384,10 @@ impl ServerConfig {
             "warm-up must end before the run does"
         );
         assert!(!self.slice.is_zero());
+        assert!(
+            !self.broker_tick.is_zero(),
+            "broker tick must be positive (a zero tick reschedules itself forever)"
+        );
         assert!(self.compile_steps >= 2);
         assert!(self.io_bandwidth_bytes_per_sec > 0.0);
         assert!((0.0..=1.0).contains(&self.io_touched_fraction));
@@ -625,6 +629,14 @@ mod tests {
     fn zero_shards_rejected() {
         let mut c = ServerConfig::quick(5, true);
         c.shards = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "broker tick must be positive")]
+    fn zero_broker_tick_rejected() {
+        let mut c = ServerConfig::quick(5, true);
+        c.broker_tick = SimDuration::ZERO;
         c.validate();
     }
 

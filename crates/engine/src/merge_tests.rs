@@ -1,6 +1,7 @@
-//! Edge cases of the one event loop ([`Server::run_until`]): arrivals and
-//! queued events that share an instant, arrivals on the window boundary
-//! and at the end of the run, and windows cut at arbitrary places.
+//! Edge cases of the one event loop ([`Server::run_until`]): arrivals,
+//! broker ticks and queued events that share an instant, arrivals on the
+//! window boundary and at the end of the run, and windows cut at arbitrary
+//! places and on tick instants.
 //!
 //! The fixed cases use *metronome* sources — a bounded-Pareto process
 //! whose bounds round to one gap — so arrival instants are known to the
@@ -12,6 +13,7 @@ use crate::fault::{FaultKind, FaultSpec};
 use crate::metrics::RunMetrics;
 use crate::profile::WorkloadProfiles;
 use crate::server::{Event, Server};
+use crate::stages::scaled_budget;
 use crate::trace::TraceEvent;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -123,6 +125,124 @@ fn an_arrival_and_a_queued_event_at_one_instant_fire_in_seq_order() {
         })
         .collect();
     assert_eq!(order, ["fault@3", "arrival@3", "arrival@6", "fault@6"]);
+}
+
+#[test]
+fn a_broker_tick_and_a_queued_event_at_one_instant_fire_in_seq_order() {
+    // A grant collapse shows when a tick ran: the tick applies the active
+    // collapse to the class grant budget. The source never fires.
+    let mut server = Server::new(config(60 * SEC, vec![metronome(1_000, 1)]), profiles());
+    let collapse = |start, scale| FaultSpec {
+        start,
+        duration: SimDuration::from_secs(1_000),
+        kind: FaultKind::GrantCollapse { scale },
+    };
+    // Fault 0 is queued before `begin` reserves the first tick, so at 10 s
+    // it precedes the tick there, whose sequence number the tick at 5 s
+    // reserved. Fault 1 lies beyond the run and is fired by hand below.
+    server.install_faults(&[
+        collapse(at(10 * SEC), 0.5),
+        collapse(at(10_000 * SEC), 0.25),
+    ]);
+    server.begin();
+    let budget = |server: &Server| server.classes[0].grant_budget;
+    server.run_until(at(10 * SEC));
+    let full = budget(&server);
+    server.run_until(at(10 * SEC + 1));
+    assert_eq!(
+        budget(&server),
+        scaled_budget(full, 0.5),
+        "fault 0, then the tick"
+    );
+    // The tick at 15 s already holds its sequence number, so an event
+    // queued now for that instant comes after it.
+    server.run_until(at(12 * SEC));
+    server
+        .queue
+        .schedule(at(15 * SEC), Event::FaultBegin { index: 1 });
+    server.run_until(at(15 * SEC + 1));
+    assert_eq!(
+        budget(&server),
+        scaled_budget(full, 0.5),
+        "the tick, then fault 1"
+    );
+    server.run_until(at(20 * SEC + 1));
+    assert_eq!(budget(&server), scaled_budget(full, 0.125));
+    assert_eq!(server.metrics.dispatch.broker_tick, 5);
+}
+
+#[test]
+fn a_broker_tick_and_an_arrival_at_one_instant_fire_in_seq_order() {
+    // (metronome period, shared instant, tick first). Every 5 s the source
+    // and the tick share an instant, and the arrival goes first: its
+    // reservation dates from `begin` or from the arrival 5 s back, the
+    // tick's from the end of the tick 5 s back. Every 3 s they meet at
+    // 15 s, where the tick goes first: its reservation dates from 10 s,
+    // the arrival's from 12 s.
+    for (period, secs, tick_first) in [(5, 5, false), (5, 10, false), (3, 15, true)] {
+        // Admitting, and at the cap (the bulk-shed run, bounded by the tick).
+        for cap in [64, 1] {
+            let tag = format!("every {period} s at {secs} s, cap={cap}");
+            let mut server = started(config(60 * SEC, vec![metronome(period, cap)]));
+            server.run_until(at(secs * SEC));
+            let tick = server.next_tick.expect("a tick is pending");
+            let (arrival, _) = server.arrival_plane.candidate();
+            assert_eq!(
+                (tick.0, arrival.0),
+                (at(secs * SEC), at(secs * SEC)),
+                "{tag}"
+            );
+            assert_eq!(tick < arrival, tick_first, "{tag}");
+            let ticks = server.metrics.dispatch.broker_tick;
+            let offered = server.arrivals_offered();
+            server.run_until(at(secs * SEC + 1));
+            assert_eq!(server.metrics.dispatch.broker_tick, ticks + 1, "{tag}");
+            assert_eq!(server.arrivals_offered(), offered + 1, "{tag}");
+            // Each reserved its successor as it fired: whichever went first
+            // now holds the smaller sequence number.
+            let next_tick = server.next_tick.expect("a further tick").1;
+            let next_arrival = server.arrival_plane.reserved[0].expect("a further arrival");
+            assert_eq!(next_tick < next_arrival, tick_first, "{tag}");
+            // The rest in one window: at the cap, one long bulk-shed run
+            // that must stop at each tick.
+            server.run_until(at(60 * SEC));
+            assert_eq!(server.finish().dispatch.broker_tick, 12, "{tag}");
+        }
+    }
+}
+
+#[test]
+fn windows_that_end_on_tick_instants_change_nothing() {
+    let run = |cut: bool| {
+        let mut config = ServerConfig::quick(6, true);
+        config.duration = SimDuration::from_secs(120);
+        config.warmup = SimDuration::ZERO;
+        config.slice = SimDuration::from_secs(30);
+        config.arrivals = vec![
+            metronome(5, 2),
+            ArrivalSourceConfig {
+                name: "poisson".to_string(),
+                process: ArrivalProcess::Poisson { rate_per_sec: 3.0 },
+                class: 0,
+                max_in_flight: 4,
+                modeled_clients: 100,
+            },
+        ];
+        let mut server = Server::new(config, profiles());
+        server.enable_trace();
+        server.set_active_clients(6);
+        server.begin();
+        if cut {
+            // Every tick instant, the first one (0 s) included.
+            for k in 0..24 {
+                server.run_until(at(k * 5 * SEC));
+            }
+        }
+        server.run_until(at(120 * SEC));
+        let trace = server.take_trace();
+        observable(trace, server.finish())
+    };
+    assert_eq!(run(false), run(true));
 }
 
 #[test]

@@ -245,8 +245,9 @@ pub struct ArrivalSourceMetrics {
 }
 
 /// How many events of each kind the run's event loop dispatched: one
-/// counter per kind of queued event, plus the open-loop arrivals, which
-/// fire from the arrival plane and never sit on the event queue. The
+/// counter per kind of queued event, plus the broker ticks and the
+/// open-loop arrivals, which the loop merges by their reserved keys and
+/// which never sit on the event queue. The
 /// counters sum to [`RunMetrics::events_dispatched`]; `Server::finish`
 /// checks it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -261,7 +262,7 @@ pub struct DispatchCounts {
     pub grant_timeout: u64,
     /// Execution completions.
     pub exec_finish: u64,
-    /// Broker recalculation ticks.
+    /// Broker recalculation ticks, dispatched off the queue.
     pub broker_tick: u64,
     /// Fault windows opening.
     pub fault_begin: u64,
@@ -274,7 +275,8 @@ pub struct DispatchCounts {
 }
 
 impl DispatchCounts {
-    /// Every dispatched event: the queued kinds plus the arrivals.
+    /// Every dispatched event: the queued kinds plus the ticks and the
+    /// arrivals.
     pub fn total(&self) -> u64 {
         self.submit
             + self.compile_step

@@ -6,7 +6,7 @@
 //! [`crate::stages`] modules; what remains here is dispatch plus the shared
 //! machine model (CPU load factor, submission scheduling).
 
-use crate::arrival_plane::{fold_arrival_digest, ArrivalPlane};
+use crate::arrival_plane::{fold_arrival_digest, ArrivalPlane, NEVER};
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
 use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, MetricsFold, PhaseReport, RunMetrics};
@@ -44,8 +44,6 @@ pub(crate) enum Event {
     GrantTimeout { query: SlotRef },
     /// A query finished executing.
     ExecFinish { query: SlotRef },
-    /// Periodic broker recalculation / housekeeping.
-    BrokerTick,
     /// An installed fault's window begins (index into the fault list).
     FaultBegin { index: u32 },
     /// An installed fault's window ends; its effects are reverted.
@@ -197,6 +195,12 @@ pub struct Server {
     /// `(time, seq)` merge candidates (see [`crate::arrival_plane`]).
     /// Empty until [`Server::begin`].
     pub(crate) arrival_plane: ArrivalPlane,
+    /// The next broker tick's `(time, seq)` merge key. The tick never sits
+    /// on the event queue: its sequence number is reserved where the tick
+    /// would have been scheduled, and [`Server::run_until`] merges the key
+    /// like an arrival candidate. `None` before [`Server::begin`] and once
+    /// the next tick would land at or after the end of the run.
+    pub(crate) next_tick: Option<(SimTime, u64)>,
 }
 
 impl Server {
@@ -216,12 +220,11 @@ impl Server {
             .map(|spec| {
                 ClassRuntime::new(
                     spec.clone(),
-                    &config.throttle,
+                    spec.client_share / total_share,
+                    &config,
                     exec_budget,
                     &exec_clerk,
-                    config.policy,
-                    crate::stages::scaled_budget(compile_budget, spec.client_share / total_share),
-                    config.breaker,
+                    compile_budget,
                 )
             })
             .collect();
@@ -285,6 +288,7 @@ impl Server {
             arrival_digest: 0xcbf2_9ce4_8422_2325,
             class_bounds,
             arrival_plane: ArrivalPlane::default(),
+            next_tick: None,
             config,
         }
     }
@@ -308,7 +312,7 @@ impl Server {
     /// open-loop arrival sources. Call once, after configuring the initial
     /// client population.
     pub fn begin(&mut self) {
-        self.queue.schedule(self.now, Event::BrokerTick);
+        self.next_tick = Some((self.now, self.queue.reserve_seq()));
         // Every source gets a private stream forked off a dedicated base —
         // never off the workload RNG, so configuring sources leaves the
         // closed-loop draw sequence untouched.
@@ -333,21 +337,24 @@ impl Server {
     /// the boundary stay pending, so a later call picks up exactly where
     /// this one stopped.
     ///
-    /// One loop: the event queue's head is merged with the arrival
-    /// plane's per-source candidates into one global `(time, seq)` order
-    /// (`arrival_plane.rs` has the protocol). The earlier of the earliest
-    /// reserved arrival and the boundary bounds what the queue may pop;
-    /// with no sources that is one queue call per event.
+    /// One loop: the event queue's head is merged with the broker tick's
+    /// key and the arrival plane's per-source candidates into one global
+    /// `(time, seq)` order (`arrival_plane.rs` has the protocol). The
+    /// earliest of the tick, the earliest reserved arrival and the boundary
+    /// bounds what the queue may pop: one queue call per event.
     pub fn run_until(&mut self, until: SimTime) {
         let boundary = (until, 0);
         loop {
             let (arrival, source) = self.arrival_plane.candidate();
-            let bound = boundary.min(arrival);
+            let tick = self.next_tick.unwrap_or(NEVER);
+            let bound = boundary.min(arrival).min(tick);
             if let Some(ev) = self.queue.pop_before_stamp(bound) {
                 self.now = ev.at;
                 self.dispatch(ev.payload);
             } else if bound == boundary {
                 break;
+            } else if bound == tick {
+                self.dispatch_broker_tick(tick.0);
             } else {
                 self.dispatch_arrival(source, arrival.0, until);
             }
@@ -383,10 +390,6 @@ impl Server {
                 counts.exec_finish += 1;
                 self.on_exec_finish(query)
             }
-            Event::BrokerTick => {
-                counts.broker_tick += 1;
-                self.on_broker_tick()
-            }
             Event::FaultBegin { index } => {
                 counts.fault_begin += 1;
                 self.on_fault_begin(index)
@@ -400,6 +403,16 @@ impl Server {
                 self.on_leak_step(index)
             }
         }
+    }
+
+    /// Fire the broker tick due at `at`. The handler reserves the next
+    /// tick's sequence number last, after every event it schedules itself.
+    fn dispatch_broker_tick(&mut self, at: SimTime) {
+        self.now = at;
+        self.next_tick = None;
+        self.queue.external_pop(at);
+        self.metrics.dispatch.broker_tick += 1;
+        self.on_broker_tick();
     }
 
     /// Fire `source`'s front arrival, due at `at`: decide its admission,
@@ -437,7 +450,7 @@ impl Server {
             return;
         };
         let (arrival, _) = self.arrival_plane.candidate();
-        let mut bound = (until, 0).min(arrival);
+        let mut bound = (until, 0).min(arrival).min(self.next_tick.unwrap_or(NEVER));
         if let Some(head) = self.queue.peek_stamp() {
             bound = bound.min(head);
         }

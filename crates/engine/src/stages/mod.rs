@@ -20,17 +20,15 @@ pub mod compile;
 pub mod execute;
 pub mod grant;
 
-use crate::config::{PolicyKind, WorkloadClassConfig};
+use crate::config::{PolicyKind, ServerConfig, WorkloadClassConfig};
 use crate::metrics::FailureKind;
 use crate::profile::CompileProfile;
 use crate::server::Server;
 use crate::trace::TraceEvent;
-use throttledb_core::{GatewayLadder, ThrottleConfig};
+use throttledb_core::GatewayLadder;
 use throttledb_executor::{GrantManager, GrantRequestId};
-use throttledb_governor::{
-    AdmissionDecision, BreakerConfig, CircuitBreaker, CostPolicy, PidPolicy, Policy,
-};
-use throttledb_membroker::{Clerk, MemoryBroker, SubcomponentKind};
+use throttledb_governor::{AdmissionDecision, CircuitBreaker, CostPolicy, PidPolicy, Policy};
+use throttledb_membroker::{Clerk, SubcomponentKind};
 use throttledb_sim::{SimTime, Slab, SlotRef, SlotTable};
 
 /// Who submitted a query — and therefore where its completion / failure
@@ -162,11 +160,16 @@ pub(crate) fn task_slot(task: u64) -> usize {
 /// Runtime state of one workload class: its admission pools plus counters.
 pub(crate) struct ClassRuntime {
     pub spec: WorkloadClassConfig,
+    /// This class's client share normalized over all classes: its slice
+    /// of the broker's compilation target.
+    pub share: f64,
     /// This class's admission policy (gateway ladder, PID controller, or
     /// cost-based reservation — per [`PolicyKind`]).
     pub policy: Box<dyn Policy>,
     /// This class's execution memory-grant pool.
     pub grants: GrantManager,
+    /// The budget last installed on `grants`.
+    pub grant_budget: u64,
     /// This class's circuit breaker; `None` when disabled, so fault-free
     /// configurations pay nothing on the submit path.
     pub breaker: Option<CircuitBreaker>,
@@ -183,28 +186,28 @@ pub(crate) struct ClassRuntime {
 }
 
 impl ClassRuntime {
-    /// Build the runtime for `spec`: an admission policy of `kind` over the
-    /// scaled throttle parameters and a grant pool over this class's slice
-    /// of the execution budget, reporting to the shared execution clerk.
+    /// Build the runtime for `spec`: an admission policy of
+    /// `config.policy` over the scaled throttle parameters and a grant pool
+    /// over this class's slice of the execution budget, reporting to the
+    /// shared execution clerk.
     ///
-    /// A disabled throttle always runs the (inert) ladder regardless of
-    /// `kind`, so `throttle.enabled = false` means "no admission control"
+    /// A disabled throttle always runs the (inert) ladder regardless of the
+    /// policy, so `throttle.enabled = false` means "no admission control"
     /// under every policy — and stats keep the monitor-count shape the
     /// metrics layer expects (see [`PolicyKind::levels`]).
     ///
-    /// `compile_budget` is this class's slice of the broker's compilation
-    /// target (already share-scaled by the caller); only the cost-based
-    /// policy consumes it.
+    /// `share` is the class's normalized client share; its slice of the
+    /// broker's `compile_budget` goes to the cost-based policy, the only
+    /// one that consumes it.
     pub fn new(
         spec: WorkloadClassConfig,
-        base_throttle: &ThrottleConfig,
+        share: f64,
+        config: &ServerConfig,
         exec_budget: u64,
         exec_clerk: &Clerk,
-        kind: PolicyKind,
         compile_budget: u64,
-        breaker: BreakerConfig,
     ) -> Self {
-        let throttle = spec.scaled_throttle(base_throttle);
+        let throttle = spec.scaled_throttle(&config.throttle);
         let wait_timeout = throttle
             .monitors
             .first()
@@ -213,7 +216,7 @@ impl ClassRuntime {
         let policy: Box<dyn Policy> = if !throttle.enabled {
             Box::new(GatewayLadder::new(throttle))
         } else {
-            match kind {
+            match config.policy {
                 PolicyKind::Ladder => Box::new(GatewayLadder::new(throttle)),
                 PolicyKind::Pid => Box::new(PidPolicy::new(
                     throttle.cpus,
@@ -221,21 +224,24 @@ impl ClassRuntime {
                     wait_timeout,
                 )),
                 PolicyKind::CostBased => Box::new(CostPolicy::new(
-                    compile_budget,
+                    scaled_budget(compile_budget, share),
                     throttle.exempt_bytes,
                     wait_timeout,
                 )),
             }
         };
-        let grants = GrantManager::new(
-            scaled_budget(exec_budget, spec.grant_fraction),
-            Some(exec_clerk.clone()),
-        );
+        let grant_budget = scaled_budget(exec_budget, spec.grant_fraction);
+        let grants = GrantManager::new(grant_budget, Some(exec_clerk.clone()));
         ClassRuntime {
             spec,
+            share,
+            grant_budget,
             policy,
             grants,
-            breaker: breaker.enabled.then(|| CircuitBreaker::new(breaker)),
+            breaker: config
+                .breaker
+                .enabled
+                .then(|| CircuitBreaker::new(config.breaker)),
             task_query: SlotTable::new(),
             grant_query: SlotTable::new(),
             completed: 0,
@@ -360,35 +366,49 @@ impl Server {
     pub(crate) fn on_broker_tick(&mut self) {
         let mut decisions = std::mem::take(&mut self.scratch_decisions);
         self.broker.recalculate_into(self.now, &mut decisions);
-        let constrained = decisions
-            .iter()
-            .any(|d| d.notification.target_bytes.is_some());
+        // Everything the tick reads off the decisions, in one pass.
+        let mut constrained = false;
+        let (mut compile_installed, mut exec_installed) = (0u64, 0u64);
+        let mut compile_predicted = 0u64;
+        let mut cache_target = None;
+        for d in &decisions {
+            let n = &d.notification;
+            constrained |= n.target_bytes.is_some();
+            match n.kind_of_component {
+                SubcomponentKind::Compilation => {
+                    compile_installed += n.target_bytes.unwrap_or(0);
+                    compile_predicted += n.predicted_bytes;
+                }
+                SubcomponentKind::Execution => exec_installed += n.target_bytes.unwrap_or(0),
+                SubcomponentKind::PlanCache if cache_target.is_none() => {
+                    cache_target = Some(n.target_bytes);
+                }
+                _ => {}
+            }
+        }
         let compile_goal = self
             .broker
-            .target_in(&decisions, SubcomponentKind::Compilation);
+            .installed_or_entitlement(SubcomponentKind::Compilation, compile_installed);
         let compile_target = constrained.then_some(compile_goal);
         let exec_target = self
             .broker
-            .target_in(&decisions, SubcomponentKind::Execution);
+            .installed_or_entitlement(SubcomponentKind::Execution, exec_installed);
         // The broker's memory-pressure trend signal: predicted compilation
         // demand over the recalculation horizon, relative to the kind's
         // target. >1 means the sampled trend overshoots the entitlement —
         // feedback policies tighten before the memory is actually committed.
-        let pressure = MemoryBroker::predicted_in(&decisions, SubcomponentKind::Compilation) as f64
-            / compile_goal.max(1) as f64;
+        let pressure = compile_predicted as f64 / compile_goal.max(1) as f64;
         // Each class throttles independently on its own compilation counts,
         // so the broker's compilation target must be split across classes
         // (by normalized client share) — handing every policy the full
         // target would let N classes admit N× the intended memory.
-        let total_share: f64 = self.classes.iter().map(|c| c.spec.client_share).sum();
         let mut resumed = std::mem::take(&mut self.scratch_resumed);
         for idx in 0..self.classes.len() {
             let class = &mut self.classes[idx];
-            let share = class.spec.client_share / total_share;
             resumed.clear();
             class.policy.tick(
                 self.now,
-                compile_target.map(|t| scaled_budget(t, share)),
+                compile_target.map(|t| scaled_budget(t, class.share)),
                 pressure,
                 &mut resumed,
             );
@@ -398,29 +418,29 @@ impl Server {
                 scaled_budget(exec_target, class.spec.grant_fraction),
                 self.grant_budget_scale * self.fault_grant_scale,
             );
-            self.with_grants(idx, |grants, now, out| {
-                grants.set_budget(grant_budget, now, out)
-            });
+            // A pool never leaves an admissible waiter queued (its
+            // work-conservation law, checked after every call in debug
+            // builds), so the budget it already has would admit no one:
+            // only a change goes to the pool.
+            if grant_budget != class.grant_budget {
+                class.grant_budget = grant_budget;
+                self.with_grants(idx, |grants, now, out| {
+                    grants.set_budget(grant_budget, now, out)
+                });
+            }
             self.resume_tasks(idx, &resumed);
         }
         self.scratch_resumed = resumed;
         // The plan cache responds to pressure by shrinking toward its target.
-        if let Some(target) = decisions
-            .iter()
-            .find(|d| d.notification.kind_of_component == SubcomponentKind::PlanCache)
-            .and_then(|d| d.notification.target_bytes)
-        {
+        if let Some(target) = cache_target.flatten() {
             if self.plan_cache.used_bytes() > target {
                 self.plan_cache.shrink_to(target);
             }
         }
         self.scratch_decisions = decisions;
-        if self.now + self.config.broker_tick < throttledb_sim::SimTime::ZERO + self.config.duration
-        {
-            self.queue.schedule(
-                self.now + self.config.broker_tick,
-                crate::server::Event::BrokerTick,
-            );
+        let next = self.now + self.config.broker_tick;
+        if next < throttledb_sim::SimTime::ZERO + self.config.duration {
+            self.next_tick = Some((next, self.queue.reserve_seq()));
         }
     }
 }

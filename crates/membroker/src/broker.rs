@@ -200,9 +200,11 @@ impl MemoryBroker {
         self.installed_or_entitlement(kind, installed)
     }
 
-    /// The installed target sum, or the kind's entitlement share of
-    /// brokered memory when nothing is installed.
-    fn installed_or_entitlement(&self, kind: SubcomponentKind, installed: u64) -> u64 {
+    /// The target for `kind` given the sum of its clerks' installed
+    /// targets: that sum, or the kind's entitlement share of brokered
+    /// memory when nothing is installed. [`MemoryBroker::target_in`] is
+    /// this over the sum it reads off a recalculation's decisions.
+    pub fn installed_or_entitlement(&self, kind: SubcomponentKind, installed: u64) -> u64 {
         if installed > 0 {
             installed
         } else {
@@ -670,34 +672,55 @@ mod tests {
     proptest! {
         #[test]
         fn prop_targets_never_exceed_demand_for_satisfied_clerks(
-            demands in proptest::collection::vec(0u64..4_000_000_000u64, 2..6),
+            clerks in proptest::collection::vec((0usize..6, 0u64..4_000_000_000u64), 1..7),
             brokered in 1_000_000u64..4_000_000_000u64,
+            min_target in 0u64..50_000_000u64,
         ) {
-            let kinds: Vec<SubcomponentKind> = demands
-                .iter()
-                .enumerate()
-                .map(|(i, _)| match i % 4 {
-                    0 => SubcomponentKind::BufferPool,
-                    1 => SubcomponentKind::Compilation,
-                    2 => SubcomponentKind::Execution,
-                    _ => SubcomponentKind::PlanCache,
-                })
-                .collect();
-            let min_target = 1024;
+            let kinds: Vec<SubcomponentKind> =
+                clerks.iter().map(|&(k, _)| SubcomponentKind::ALL[k]).collect();
+            let demands: Vec<u64> = clerks.iter().map(|&(_, d)| d).collect();
             let targets = compute_targets(&kinds, &demands, brokered, min_target);
             prop_assert_eq!(targets.len(), demands.len());
-            for (i, t) in targets.iter().enumerate() {
-                // A target is either capped at the clerk's demand (satisfied)
-                // or at/above the configured floor (squeezed).
-                prop_assert!(*t <= demands[i].max(min_target) || *t >= min_target);
-                prop_assert!(*t >= min_target.min(demands[i]) || *t >= min_target);
+            let fixed: u64 = (0..kinds.len())
+                .filter(|&i| !kinds[i].is_squeezable())
+                .map(|i| demands[i])
+                .sum();
+            // The first round splits what the fixed clerks leave by weight;
+            // a clerk whose demand fits its share settles there.
+            let pool = brokered.saturating_sub(fixed);
+            let weight_sum: f64 = kinds
+                .iter()
+                .filter(|k| k.is_squeezable())
+                .map(|k| k.entitlement_weight())
+                .sum();
+            let mut squeezable = 0u64;
+            let mut granted = 0u64;
+            for (i, (&kind, &demand)) in kinds.iter().zip(&demands).enumerate() {
+                let target = targets[i];
+                if !kind.is_squeezable() {
+                    prop_assert_eq!(target, demand, "a fixed clerk keeps its demand");
+                    continue;
+                }
+                squeezable += 1;
+                granted += target;
+                prop_assert!(target >= min_target, "target {} under the floor", target);
+                prop_assert!(
+                    target <= demand.max(min_target),
+                    "target {} over demand {}", target, demand
+                );
+                let share = (pool as f64 * kind.entitlement_weight() / weight_sum) as u64;
+                if demand <= share {
+                    prop_assert_eq!(
+                        target,
+                        demand.max(min_target),
+                        "settled below its share {}", share
+                    );
+                }
             }
-            // Total granted to squeezed clerks never exceeds brokered plus the
-            // min-target floors (the floors may oversubscribe a tiny machine).
-            let total: u64 = targets.iter().sum();
-            let floor_allowance = min_target * demands.len() as u64;
-            prop_assert!(total <= brokered + floor_allowance + demands.iter().sum::<u64>() / 1_000_000,
-                "total {} brokered {}", total, brokered);
+            prop_assert!(
+                granted <= pool + squeezable * min_target,
+                "granted {} from a pool of {}", granted, pool
+            );
         }
 
         #[test]
