@@ -13,7 +13,7 @@
 //!   runtime.
 //!
 //! For each stream and codec the bench measures encode and decode
-//! events/sec (best-of, like `event_queue`) and bytes/event, asserts the
+//! events/sec (best-of) and bytes/event, asserts the
 //! round trip reproduces the stream bit-exactly, and rewrites
 //! `BENCH_trace.json` at the repo root. The v2-over-v1 aggregates
 //! (`size_ratio`, `encode_speedup`, `decode_speedup`) are gated against

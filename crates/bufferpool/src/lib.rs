@@ -1,27 +1,16 @@
 //! # throttledb-bufferpool
 //!
-//! The database page buffer pool substrate. Two layers:
-//!
-//! * [`pool::BufferPool`] — a real page-level pool with CLOCK (second-chance)
-//!   replacement, per-page pin counts, and broker-driven shrink/grow: the
-//!   paper's observation that "replacement policies ... can also be used to
-//!   enable the buffer pool to identify candidates necessary to shrink its
-//!   size" is implemented literally.
-//! * [`model::HitRateModel`] — the analytic footprint model the
-//!   discrete-event engine uses to translate "buffer pool of X bytes against
-//!   a working set of Y bytes" into a physical-I/O fraction, so multi-hour
-//!   SALES runs over a 524 GB warehouse do not need 64 million page frames
-//!   in the simulator's memory.
-//!
-//! Both layers report through the same
-//! [`Clerk`](throttledb_membroker::Clerk), so the Memory Broker sees buffer
-//! pool memory exactly as it sees compilation memory.
+//! The database page buffer pool, as the analytic footprint model the
+//! discrete-event engine uses: [`model::HitRateModel`] translates "buffer
+//! pool of X bytes against a working set of Y bytes" into a physical-I/O
+//! fraction, so multi-hour SALES runs over a 524 GB warehouse do not need
+//! 64 million page frames in the simulator's memory. The engine sizes the
+//! pool as whatever brokered memory compilation, grants and caches do not
+//! hold, so every byte the Memory Broker hands elsewhere costs I/O here.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod model;
-pub mod pool;
 
 pub use model::HitRateModel;
-pub use pool::{BufferPool, PageId, PAGE_BYTES};

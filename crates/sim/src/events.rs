@@ -8,29 +8,14 @@
 //!
 //! # Implementation
 //!
-//! [`EventQueue`] is a **banded queue**. A closed-loop simulation schedules
-//! most events a think time or a timeout ahead, so sifting each one through
-//! a heap over the whole pending set (what [`HeapEventQueue`] does) orders
-//! events long before their order matters. The banded queue defers that
-//! work: everything due at or after a sliding *horizon* is an O(1) append
-//! to an unsorted `parked` list, and only the events due before the horizon
-//! are kept ordered — as `band`, one run sorted when the horizon last moved
-//! (the head pops O(1) off its end), plus `late`, a small 4-ary min-heap for
-//! events scheduled inside the horizon after the band was sorted. Every
-//! parked key follows every band and late key, so the earlier of the band
-//! tail and the late root is the exact queue head. When both drain, one scan
-//! of `parked` admits the next band and the band width adapts by feedback so
-//! a band stays a useful fraction of the parked set: each event pays a
-//! constant number of scan touches and one share of a band-sized sort, at
-//! any pending-set size.
-//!
-//! The pop order is *exactly* the `(time, seq)` order of the reference heap
-//! — `sim`'s differential tests check it pop for pop, and the scenario
-//! crate's recorded golden traces pin it end to end. Payloads ride inline in
-//! the three vectors, which only grow to their high-water marks, so a
+//! [`EventQueue`] is one [`BinaryHeap`] ordered by each event's `(time, seq)`
+//! key, where `seq` is a per-queue counter that never repeats: a push or a
+//! pop costs O(log n) whatever the mix of delays, and the pop order is the
+//! exact `(time, seq)` order that the scenario crate's recorded golden traces
+//! pin end to end. The built-in scenarios keep under a thousand events
+//! pending (`docs/EXPERIMENTS.md` §8), so the heap stays small and hot.
+//! Payloads ride inline and the heap only grows to its high-water mark, so a
 //! steady-state simulation allocates nothing per event.
-//! `BENCH_event_queue.json` records the throughput against the reference
-//! heap at 1k / 100k / 1M pending events.
 
 use crate::clock::SimTime;
 use std::cmp::Ordering;
@@ -90,72 +75,21 @@ impl EventId {
     }
 }
 
-/// One pending event: the payload rides inline, so the hot path touches one
-/// contiguous `Vec` and nothing else. Ordered by `(at, seq)` only.
-#[derive(Debug)]
-struct Entry<E> {
-    /// Fire time in microseconds.
-    at: u64,
-    /// FIFO tie-break.
-    seq: u64,
-    payload: E,
-}
-
-impl<E> Entry<E> {
-    /// The ordering key: `(time, seq)`.
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// Parked sets at or below this size are banded wholesale — a scan
-/// admitting only a few events would not amortize.
-const SMALL_BAND_MIN: usize = 64;
-
-/// Initial band width (µs): ≈1.05 s.
-const SMALL_BAND_INIT_US: u64 = 1 << 20;
-/// Band-width feedback bounds (µs): ≈65 ms to ≈67 s, so the controller can
-/// track microsecond-dense bursts and minute-scale think times alike.
-const SMALL_BAND_MIN_US: u64 = 1 << 16;
-const SMALL_BAND_MAX_US: u64 = 1 << 26;
-
 /// A priority queue of events keyed by virtual time with FIFO tie-breaking
 /// (the [module docs](self) explain the layout).
 ///
-/// Every pending event lives in exactly one of `band`, `late` and `parked`,
-/// and every operation keeps one invariant: each parked key follows every
-/// band and late key. The smaller of the band tail and the late root is
-/// therefore the exact queue head; when both drain, one O(parked) scan plus
-/// one band-sized sort slides the horizon forward. Cancellation removes the
-/// record in place (a rare, O(n)-scan path), so no set ever holds a dead
+/// Cancellation removes the record at once, so the heap never holds a dead
 /// record and `len`, `is_empty` and [`EventQueue::peek_stamp`] are exact.
 pub struct EventQueue<E> {
-    /// The current band of events due before `horizon_end`, sorted
-    /// descending on `(at, seq)` — the head pops O(1) off the end.
-    band: Vec<Entry<E>>,
-    /// Events scheduled *after* their band was built (due before
-    /// `horizon_end` but not in `band`), as a small 4-ary min-heap on
-    /// `(at, seq)`.
-    late: Vec<Entry<E>>,
-    /// Events due at or after `horizon_end`, unsorted.
-    parked: Vec<Entry<E>>,
-    /// Exclusive end (µs) of the active band. Monotone.
-    horizon_end: u64,
-    /// Current band width (µs), adapted by feedback so each band admits a
-    /// useful fraction of the parked set.
-    band_width: u64,
+    heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     last_popped: SimTime,
-    /// Live (scheduled, not yet popped or cancelled) events.
-    live: usize,
-    /// Events pending *outside* the queue's own structures: sequence
-    /// numbers reserved through [`EventQueue::reserve_seq`] whose firing
-    /// is driven by an external plane (the engine's arrival plane). They
-    /// count toward depth accounting but deliberately not toward `live`,
-    /// which is what [`EventQueue::len`] reports.
+    /// Events pending *outside* the heap: sequence numbers reserved through
+    /// [`EventQueue::reserve_seq`] whose firing is driven by an external
+    /// plane (the engine's arrival plane). They count toward depth
+    /// accounting but deliberately not toward [`EventQueue::len`].
     external: usize,
-    /// High-water mark of `live + external` over the queue's lifetime.
+    /// High-water mark of `len + external` over the queue's lifetime.
     peak_live: usize,
     /// Events popped over the queue's lifetime.
     dispatched: u64,
@@ -170,14 +104,10 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.live)
+            .field("len", &self.heap.len())
             .field("external", &self.external)
             .field("peak_len", &self.peak_live)
             .field("dispatched", &self.dispatched)
-            .field("band", &self.band.len())
-            .field("late", &self.late.len())
-            .field("parked", &self.parked.len())
-            .field("horizon_end_us", &self.horizon_end)
             .finish()
     }
 }
@@ -186,14 +116,9 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            band: Vec::new(),
-            late: Vec::new(),
-            parked: Vec::new(),
-            horizon_end: 0,
-            band_width: SMALL_BAND_INIT_US,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            live: 0,
             external: 0,
             peak_live: 0,
             dispatched: 0,
@@ -202,12 +127,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events (cancelled events are excluded).
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// The most events that were ever pending at once — the experiment
@@ -223,18 +148,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Reserve the next sequence number for an event whose firing is
-    /// driven by an external plane (it never enters the queue's own
-    /// structures). The reservation counts as one pending event for
-    /// depth accounting, exactly as [`EventQueue::schedule`] would, and
-    /// keeps the `(time, seq)` total order shared between internal and
-    /// external events: whoever reserves/schedules first fires first at
-    /// equal times. Pair every reservation with one
-    /// [`EventQueue::external_pop`].
+    /// driven by an external plane (it never enters the heap). The
+    /// reservation counts as one pending event for depth accounting,
+    /// exactly as [`EventQueue::schedule`] would, and keeps the
+    /// `(time, seq)` total order shared between internal and external
+    /// events: whoever reserves/schedules first fires first at equal
+    /// times. Pair every reservation with one [`EventQueue::external_pop`].
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.external += 1;
-        self.peak_live = self.peak_live.max(self.live + self.external);
+        self.peak_live = self.peak_live.max(self.heap.len() + self.external);
         seq
     }
 
@@ -284,17 +208,7 @@ impl<E> EventQueue<E> {
     /// reserved events are invisible here; their keys live with the
     /// caller.
     pub fn peek_stamp(&self) -> Option<(SimTime, u64)> {
-        // Band tail and late root are both before the horizon and every
-        // parked event is at or past it, so the earlier of the two is the
-        // global head; scan the parked list only in the rare moment both
-        // in-horizon structures are empty.
-        let head = match (self.band.last(), self.late.first()) {
-            (Some(b), Some(l)) => Some(b.key().min(l.key())),
-            (Some(b), None) => Some(b.key()),
-            (None, Some(l)) => Some(l.key()),
-            (None, None) => self.parked.iter().map(|e| e.key()).min(),
-        };
-        head.map(|(at, seq)| (SimTime::from_micros(at), seq))
+        self.heap.peek().map(|e| (e.at, e.seq))
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
@@ -312,23 +226,8 @@ impl<E> EventQueue<E> {
         let at = at.max(self.last_popped);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            at: at.as_micros(),
-            seq,
-            payload,
-        };
-        if entry.at < self.horizon_end {
-            // Due inside the current band: the sorted run is already
-            // built, so the latecomer goes to the small overflow heap.
-            self.late.push(entry);
-            self.sift_up(self.late.len() - 1);
-        } else {
-            // The common case for think-time delays: an O(1) append,
-            // banded into a sorted run only when its horizon arrives.
-            self.parked.push(entry);
-        }
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live + self.external);
+        self.heap.push(ScheduledEvent { at, seq, payload });
+        self.peak_live = self.peak_live.max(self.heap.len() + self.external);
         EventId { seq }
     }
 
@@ -337,31 +236,13 @@ impl<E> EventQueue<E> {
     /// cancelled.
     ///
     /// The record is found by sequence number and removed in place — an
-    /// O(n) scan, fine for an operation the engine's own loop never issues —
+    /// O(n) pass, fine for an operation the engine's own loop never issues —
     /// so `len`, `is_empty` and [`EventQueue::peek_stamp`] account for the
     /// cancellation immediately.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let seq = id.seq;
-        if let Some(i) = self.parked.iter().position(|e| e.seq == seq) {
-            self.parked.swap_remove(i);
-        } else if let Some(i) = self.band.iter().position(|e| e.seq == seq) {
-            // Keep the band's descending sort: shift, don't swap.
-            self.band.remove(i);
-        } else if let Some(i) = self.late.iter().position(|e| e.seq == seq) {
-            self.late.swap_remove(i);
-            if i < self.late.len() {
-                // The element moved into the hole may belong either way.
-                if i > 0 && self.late[i].key() < self.late[(i - 1) / 4].key() {
-                    self.sift_up(i);
-                } else {
-                    self.sift_down(i);
-                }
-            }
-        } else {
-            return false;
-        }
-        self.live -= 1;
-        true
+        let before = self.heap.len();
+        self.heap.retain(|e| e.seq != id.seq);
+        self.heap.len() != before
     }
 
     /// Pop the next event only if its `(time, seq)` key precedes `bound`,
@@ -384,200 +265,10 @@ impl<E> EventQueue<E> {
 
     /// Pop the next event in (time, insertion) order.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.band.is_empty() && self.late.is_empty() {
-            if self.parked.is_empty() {
-                return None;
-            }
-            self.advance_horizon();
-        }
-        let from_late = match (self.band.last(), self.late.first()) {
-            (Some(b), Some(l)) => l.key() < b.key(),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        let entry = if from_late {
-            let n = self.late.len();
-            self.late.swap(0, n - 1);
-            let entry = self.late.pop().expect("late is non-empty");
-            if !self.late.is_empty() {
-                self.sift_down(0);
-            }
-            entry
-        } else {
-            self.band.pop().expect("an in-horizon event exists")
-        };
-        self.last_popped = SimTime::from_micros(entry.at);
-        self.live -= 1;
+        let event = self.heap.pop()?;
+        self.last_popped = event.at;
         self.dispatched += 1;
-        Some(ScheduledEvent {
-            at: self.last_popped,
-            seq: entry.seq,
-            payload: entry.payload,
-        })
-    }
-
-    /// Restore the late heap's 4-ary order upward from `i`.
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.late[i].key() < self.late[parent].key() {
-                self.late.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Restore the late heap's 4-ary order downward from `i`.
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.late.len();
-        loop {
-            let first = 4 * i + 1;
-            if first >= len {
-                break;
-            }
-            let mut min = first;
-            for child in (first + 1)..(first + 4).min(len) {
-                if self.late[child].key() < self.late[min].key() {
-                    min = child;
-                }
-            }
-            if self.late[min].key() < self.late[i].key() {
-                self.late.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Band and late heap both drained with parked events remaining: slide
-    /// the horizon one band width past the earliest parked event, move
-    /// everything the band covers out of `parked`, and sort it once into a
-    /// descending run so each pop is O(1). The band width adapts by
-    /// feedback — doubled when a band admits too little (the scan would not
-    /// amortize), halved when it swallows too much (the sort would grow
-    /// toward the full pending set) — so each admitted event pays O(1)
-    /// scan touches at any event-time density.
-    fn advance_horizon(&mut self) {
-        debug_assert!(self.band.is_empty() && self.late.is_empty() && !self.parked.is_empty());
-        let min_at = self
-            .parked
-            .iter()
-            .map(|e| e.at)
-            .min()
-            .expect("parked is non-empty");
-        // Parked events are all at or past the old horizon, so the new
-        // horizon only ever moves forward.
-        self.horizon_end = min_at.saturating_add(self.band_width);
-        let mut i = 0;
-        while i < self.parked.len() {
-            if self.parked[i].at < self.horizon_end {
-                let entry = self.parked.swap_remove(i);
-                self.band.push(entry);
-            } else {
-                i += 1;
-            }
-        }
-        if self.band.is_empty() {
-            // Only a horizon saturated at `u64::MAX` admits nothing: every
-            // parked event then sits at `u64::MAX` itself (`SimTime::MAX`,
-            // the "no deadline" sentinel), which an exclusive end cannot
-            // cover. They are all that is left, so they are the band; later
-            // schedules there park behind them with a later seq.
-            self.band.append(&mut self.parked);
-        }
-        self.band
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        let admitted = self.band.len();
-        let target = ((self.parked.len() + admitted) / 8).max(SMALL_BAND_MIN);
-        if admitted < target / 2 {
-            self.band_width = (self.band_width * 2).min(SMALL_BAND_MAX_US);
-        } else if admitted > target * 2 {
-            self.band_width = (self.band_width / 2).max(SMALL_BAND_MIN_US);
-        }
-    }
-}
-
-/// The original binary-heap event queue, kept as the reference
-/// implementation: every push and pop sifts across the whole pending set,
-/// which makes it obviously correct and measurably slower. The differential
-/// tests check [`EventQueue`] against it pop for pop, and
-/// `benches/event_queue.rs` measures the queue's speedup over it.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    next_seq: u64,
-    last_popped: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `payload` to fire at absolute time `at` (clamped to the pop
-    /// frontier, as in [`EventQueue::schedule`]). Returns the event's
-    /// sequence number.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
-        let at = at.max(self.last_popped);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, payload });
-        seq
-    }
-
-    /// Cancel the pending event with sequence number `seq`; `false` if it
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, seq: u64) -> bool {
-        let before = self.heap.len();
-        self.heap.retain(|e| e.seq != seq);
-        self.heap.len() != before
-    }
-
-    /// `(time, seq)` of the next event, if any.
-    pub fn peek_stamp(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
-    }
-
-    /// Pop the next event only if its `(time, seq)` key precedes `bound`.
-    pub fn pop_before_stamp(&mut self, bound: (SimTime, u64)) -> Option<ScheduledEvent<E>> {
-        if self.peek_stamp()? < bound {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Pop the next event in (time, insertion) order.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.heap.pop();
-        if let Some(ref e) = ev {
-            self.last_popped = e.at;
-        }
-        ev
+        Some(event)
     }
 }
 
@@ -702,9 +393,8 @@ mod tests {
 
     #[test]
     fn no_deadline_sentinel_pops_in_order() {
-        // `SimTime::MAX` is the governor's "no deadline" value. A horizon
-        // saturated at `u64::MAX` is exclusive, so events *at* `u64::MAX`
-        // need the admit-what-is-left rule of `advance_horizon`.
+        // `SimTime::MAX` is the governor's "no deadline" value: events at
+        // the very end of time still pop in `(time, seq)` order.
         let mut q = EventQueue::new();
         let times = [
             SimTime::from_micros(u64::MAX - 1),
@@ -718,7 +408,7 @@ mod tests {
         let mut popped = Vec::new();
         while let Some(stamp) = q.peek_stamp() {
             if popped.len() == 3 {
-                // Scheduled once the sentinel band is built: parks behind it.
+                // Scheduled while earlier sentinels wait: pops behind them.
                 q.schedule(SimTime::MAX, 4);
             }
             let e = q.pop().unwrap();
@@ -830,118 +520,26 @@ mod tests {
         assert_eq!(q.dispatched(), 11);
     }
 
-    /// Everything observable about a popped event (`ScheduledEvent`'s own
-    /// equality ignores the payload).
-    fn parts(e: ScheduledEvent<u64>) -> (SimTime, u64, u64) {
-        (e.at, e.seq, e.payload)
-    }
-
-    /// Schedule the same event on both queues; they must agree on its seq.
-    fn schedule_both(
-        queue: &mut EventQueue<u64>,
-        heap: &mut HeapEventQueue<u64>,
-        at: SimTime,
-        payload: u64,
-    ) {
-        let id = queue.schedule(at, payload);
-        assert_eq!(id.seq(), heap.schedule(at, payload));
-    }
-
-    #[test]
-    fn queue_and_heap_agree_on_a_mixed_workload() {
-        // Differential check against the reference heap with the pending
-        // set held past 4 096 events (deeper than any built-in scenario
-        // runs): pops interleaved with schedules relative to the popped
-        // time — same-instant, sub-band, think-time and hours-out delays —
-        // plus bounded pops and cancellations aimed at each of the three
-        // sets in turn.
-        const PENDING: usize = 5_000;
-        let mut queue = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut rng = SimRng::seed_from_u64(99);
-        let mut payload = 0u64;
-        fn delay(rng: &mut SimRng) -> SimDuration {
-            SimDuration::from_micros(match rng.uniform_u64(0, 9) {
-                0 => 0,
-                1 | 2 => rng.uniform_u64(0, 50_000),
-                3..=8 => rng.uniform_u64(0, 60_000_000),
-                _ => rng.uniform_u64(0, 20_000_000_000),
-            })
-        }
-        let mut cancelled_from = [0usize; 3];
-        let mut bounded_pops = 0;
-        for round in 0..12_000usize {
-            // Top the pending set back up, relative to the pop frontier.
-            while queue.len() < PENDING {
-                let at = queue.last_popped + delay(&mut rng);
-                schedule_both(&mut queue, &mut heap, at, payload);
-                payload += 1;
-            }
-            assert!(queue.len() >= 4_096);
-            assert_eq!(queue.peek_stamp(), heap.peek_stamp());
-            if round % 5 == 0 {
-                // A bound at the head's own key holds it back; one seq
-                // later releases exactly the head.
-                let (at, seq) = heap.peek_stamp().unwrap();
-                assert!(queue.pop_before_stamp((at, seq)).is_none());
-                let popped = queue.pop_before_stamp((at, seq + 1)).map(parts);
-                assert!(popped.is_some());
-                assert_eq!(popped, heap.pop_before_stamp((at, seq + 1)).map(parts));
-                bounded_pops += 1;
-            }
-            if round % 7 == 0 {
-                let set = round / 7 % 3;
-                let entries = [&queue.band, &queue.late, &queue.parked][set];
-                if !entries.is_empty() {
-                    let pick = rng.uniform_u64(0, entries.len() as u64 - 1) as usize;
-                    let id = EventId {
-                        seq: entries[pick].seq,
-                    };
-                    assert!(queue.cancel(id) && heap.cancel(id.seq()));
-                    assert!(!queue.cancel(id), "double cancel is a no-op");
-                    cancelled_from[set] += 1;
-                }
-            }
-            for _ in 0..rng.uniform_u64(1, 3) {
-                assert_eq!(queue.pop().map(parts), heap.pop().map(parts));
-            }
-            assert_eq!(queue.len(), heap.len());
-        }
-        assert!(
-            cancelled_from.iter().all(|&n| n > 100) && bounded_pops > 1_000,
-            "the run must reach every set: {cancelled_from:?}, {bounded_pops}"
-        );
-        // Drain: the two stay in lockstep down to empty.
-        loop {
-            assert_eq!(queue.peek_stamp(), heap.peek_stamp());
-            let popped = queue.pop().map(parts);
-            assert_eq!(popped, heap.pop().map(parts));
-            if popped.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// The naive reference model for the cancellation proptest: a sorted vec
+    /// The naive reference model for the differential tests: a sorted vec
     /// of `(time, seq, payload)` with immediate removal on cancel.
-    struct ModelQueue {
-        pending: Vec<(SimTime, u64, u32)>,
+    struct ModelQueue<P> {
+        pending: Vec<(SimTime, u64, P)>,
         last_popped: SimTime,
     }
 
-    impl ModelQueue {
+    impl<P> ModelQueue<P> {
         fn new() -> Self {
             ModelQueue {
                 pending: Vec::new(),
                 last_popped: SimTime::ZERO,
             }
         }
-        fn schedule(&mut self, at: SimTime, seq: u64, payload: u32) {
+        fn schedule(&mut self, at: SimTime, seq: u64, payload: P) {
             let at = at.max(self.last_popped);
-            self.pending.push((at, seq, payload));
-            self.pending.sort();
+            let i = self.pending.partition_point(|e| (e.0, e.1) < (at, seq));
+            self.pending.insert(i, (at, seq, payload));
         }
-        fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
+        fn pop(&mut self) -> Option<(SimTime, u64, P)> {
             if self.pending.is_empty() {
                 return None;
             }
@@ -949,8 +547,8 @@ mod tests {
             self.last_popped = e.0;
             Some(e)
         }
-        fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, u64, u32)> {
-            if self.pending.first()?.0 < until {
+        fn pop_before_stamp(&mut self, bound: (SimTime, u64)) -> Option<(SimTime, u64, P)> {
+            if self.peek_stamp()? < bound {
                 self.pop()
             } else {
                 None
@@ -963,6 +561,83 @@ mod tests {
         }
         fn peek_stamp(&self) -> Option<(SimTime, u64)> {
             self.pending.first().map(|(t, s, _)| (*t, *s))
+        }
+    }
+
+    /// Everything observable about a popped event (`ScheduledEvent`'s own
+    /// equality ignores the payload).
+    fn parts<P>(e: ScheduledEvent<P>) -> (SimTime, u64, P) {
+        (e.at, e.seq, e.payload)
+    }
+
+    #[test]
+    fn queue_and_heap_agree_on_a_mixed_workload() {
+        // Differential check against the sorted-vec model with the pending
+        // set held past 4 096 events (deeper than any built-in scenario
+        // runs): pops interleaved with schedules relative to the popped
+        // time — same-instant, sub-second, think-time and hours-out delays —
+        // plus bounded pops and cancellations of random pending events.
+        const PENDING: usize = 5_000;
+        let mut queue = EventQueue::new();
+        let mut model = ModelQueue::new();
+        let mut rng = SimRng::seed_from_u64(99);
+        let mut payload = 0u64;
+        fn delay(rng: &mut SimRng) -> SimDuration {
+            SimDuration::from_micros(match rng.uniform_u64(0, 9) {
+                0 => 0,
+                1 | 2 => rng.uniform_u64(0, 50_000),
+                3..=8 => rng.uniform_u64(0, 60_000_000),
+                _ => rng.uniform_u64(0, 20_000_000_000),
+            })
+        }
+        let mut cancelled = 0;
+        let mut bounded_pops = 0;
+        for round in 0..12_000usize {
+            // Top the pending set back up, relative to the pop frontier.
+            while queue.len() < PENDING {
+                let at = queue.last_popped + delay(&mut rng);
+                let id = queue.schedule(at, payload);
+                model.schedule(at, id.seq(), payload);
+                payload += 1;
+            }
+            assert!(queue.len() >= 4_096);
+            assert_eq!(queue.peek_stamp(), model.peek_stamp());
+            if round % 5 == 0 {
+                // A bound at the head's own key holds it back; one seq
+                // later releases exactly the head.
+                let (at, seq) = model.peek_stamp().unwrap();
+                assert!(queue.pop_before_stamp((at, seq)).is_none());
+                let popped = queue.pop_before_stamp((at, seq + 1)).map(parts);
+                assert!(popped.is_some());
+                assert_eq!(popped, model.pop_before_stamp((at, seq + 1)));
+                bounded_pops += 1;
+            }
+            if round % 7 == 0 {
+                let pick = rng.uniform_u64(0, model.pending.len() as u64 - 1) as usize;
+                let id = EventId {
+                    seq: model.pending[pick].1,
+                };
+                assert!(queue.cancel(id) && model.cancel(id.seq()));
+                assert!(!queue.cancel(id), "double cancel is a no-op");
+                cancelled += 1;
+            }
+            for _ in 0..rng.uniform_u64(1, 3) {
+                assert_eq!(queue.pop().map(parts), model.pop());
+            }
+            assert_eq!(queue.len(), model.pending.len());
+        }
+        assert!(
+            cancelled > 1_000 && bounded_pops > 1_000,
+            "the run must cancel and bound-pop: {cancelled}, {bounded_pops}"
+        );
+        // Drain: the two stay in lockstep down to empty.
+        loop {
+            assert_eq!(queue.peek_stamp(), model.peek_stamp());
+            let popped = queue.pop().map(parts);
+            assert_eq!(popped, model.pop());
+            if popped.is_none() {
+                break;
+            }
         }
     }
 
@@ -996,28 +671,24 @@ mod tests {
             prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
         }
 
-        /// Differential check against the reference heap over times spanning
-        /// several band widths, so the drain crosses horizon advances.
+        /// Differential check against the sorted-vec model: a fill of
+        /// times spread over minutes, then a full drain, pop for pop.
         #[test]
         fn prop_queue_matches_heap_exactly(
             times in proptest::collection::vec(0u64..200_000_000, 1..300),
         ) {
             let mut queue = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
+            let mut model = ModelQueue::new();
             for (i, t) in times.iter().enumerate() {
-                queue.schedule(SimTime::from_micros(*t), i);
-                heap.schedule(SimTime::from_micros(*t), i);
+                let id = queue.schedule(SimTime::from_micros(*t), i);
+                model.schedule(SimTime::from_micros(*t), id.seq(), i);
             }
             loop {
-                prop_assert_eq!(queue.peek_stamp(), heap.peek_stamp());
-                match (queue.pop(), heap.pop()) {
-                    (Some(w), Some(h)) => {
-                        prop_assert_eq!(w.at, h.at);
-                        prop_assert_eq!(w.seq, h.seq);
-                        prop_assert_eq!(w.payload, h.payload);
-                    }
-                    (None, None) => break,
-                    (w, h) => prop_assert!(false, "length mismatch: {w:?} vs {h:?}"),
+                prop_assert_eq!(queue.peek_stamp(), model.peek_stamp());
+                let popped = queue.pop().map(parts);
+                prop_assert_eq!(popped, model.pop());
+                if popped.is_none() {
+                    break;
                 }
             }
         }
@@ -1025,7 +696,7 @@ mod tests {
         /// Interleave push / pop / bounded pop / cancel against a naive
         /// sorted-vec model and require `len`, `is_empty`, `peek_stamp` and
         /// every popped event to agree — i.e. a cancelled event must vanish
-        /// from the observable state at once, whichever set held it.
+        /// from the observable state at once, wherever it sat in the heap.
         ///
         /// Ops decode as: 0 = push, 1 = pop, 2 = pop before a boundary,
         /// 3 = cancel one of the previously scheduled events.
@@ -1062,7 +733,7 @@ mod tests {
                         if let Some((at, _, _)) = got {
                             frontier = at;
                         }
-                        prop_assert_eq!(got, model.pop_before(until));
+                        prop_assert_eq!(got, model.pop_before_stamp((until, 0)));
                     }
                     _ => {
                         if !handles.is_empty() {

@@ -15,9 +15,8 @@
 //! * [`clock`] — virtual time ([`SimTime`], [`SimDuration`]) with microsecond
 //!   resolution.
 //! * [`events`] — a monotonic event queue / scheduler with stable FIFO
-//!   ordering for simultaneous events: a sorted band of imminent events in
-//!   front of an unsorted parked list, plus the binary heap it is tested
-//!   against.
+//!   ordering for simultaneous events: one binary heap keyed by
+//!   `(time, seq)`.
 //! * [`arrival`] — open-loop arrival processes (Poisson, MMPP,
 //!   bounded-Pareto, diurnal) for request streams decoupled from service
 //!   times.
@@ -43,7 +42,7 @@ pub mod stats;
 
 pub use arrival::{ArrivalProcess, ArrivalSampler};
 pub use clock::{SimDuration, SimTime};
-pub use events::{EventId, EventQueue, HeapEventQueue, ScheduledEvent};
+pub use events::{EventId, EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use series::{GaugeTimeline, TimeSeries};
 pub use slab::{Slab, SlotRef, SlotTable};
