@@ -99,7 +99,9 @@ pub(crate) struct SourceRuntime {
 pub struct Server {
     pub(crate) config: ServerConfig,
     pub(crate) profiles: Arc<WorkloadProfiles>,
-    pub(crate) broker: Arc<MemoryBroker>,
+    /// The server's own broker, never shared, so its tick recalculates
+    /// without the broker's lock.
+    pub(crate) broker: MemoryBroker,
     pub(crate) compile_clerk: Clerk,
     /// One admission-pool runtime per configured workload class.
     pub(crate) classes: Vec<ClassRuntime>,
@@ -154,6 +156,9 @@ pub struct Server {
     pub(crate) scratch_admitted: Vec<(GrantRequestId, throttledb_governor::AdmissionDecision)>,
     /// Reused buffer for the broker tick's decisions, same discipline.
     pub(crate) scratch_decisions: Vec<BrokerDecision>,
+    /// The execution target and grant scale the class grant budgets were
+    /// last computed from at a broker tick (`None` before the first).
+    pub(crate) grant_basis: Option<(u64, f64)>,
     /// Installed fault specs (see [`crate::Server::install_faults`]).
     pub(crate) faults: Vec<FaultSpec>,
     /// Per-fault active flag; effect multipliers are recomputed from the
@@ -207,7 +212,7 @@ impl Server {
     /// Build a server from a configuration and pre-characterized profiles.
     pub fn new(config: ServerConfig, profiles: Arc<WorkloadProfiles>) -> Self {
         config.validate();
-        let broker = MemoryBroker::new(config.broker.clone());
+        let broker = MemoryBroker::unshared(config.broker.clone());
         let compile_clerk = broker.register(SubcomponentKind::Compilation);
         let exec_clerk = broker.register(SubcomponentKind::Execution);
         let cache_clerk = broker.register(SubcomponentKind::PlanCache);
@@ -272,6 +277,7 @@ impl Server {
             scratch_resumed: Vec::new(),
             scratch_admitted: Vec::new(),
             scratch_decisions: Vec::new(),
+            grant_basis: None,
             faults: Vec::new(),
             fault_active: Vec::new(),
             leak_allocated: Vec::new(),

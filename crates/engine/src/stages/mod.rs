@@ -365,7 +365,9 @@ impl Server {
     /// cache under pressure.
     pub(crate) fn on_broker_tick(&mut self) {
         let mut decisions = std::mem::take(&mut self.scratch_decisions);
-        self.broker.recalculate_into(self.now, &mut decisions);
+        self.broker.recalculate_mut(self.now, &mut decisions);
+        #[cfg(debug_assertions)]
+        self.check_memory_law(&decisions);
         // Everything the tick reads off the decisions, in one pass.
         let mut constrained = false;
         let (mut compile_installed, mut exec_installed) = (0u64, 0u64);
@@ -393,6 +395,13 @@ impl Server {
         let exec_target = self
             .broker
             .installed_or_entitlement(SubcomponentKind::Execution, exec_installed);
+        // Scenario knob × active grant-collapse faults (both 1.0 in fair
+        // weather). The class grant budgets are functions of these two and
+        // the classes' fixed fractions alone, so an unchanged pair leaves
+        // every budget as it is.
+        let grant_scale = self.grant_budget_scale * self.fault_grant_scale;
+        let regrant = self.grant_basis != Some((exec_target, grant_scale));
+        self.grant_basis = Some((exec_target, grant_scale));
         // The broker's memory-pressure trend signal: predicted compilation
         // demand over the recalculation horizon, relative to the kind's
         // target. >1 means the sampled trend overshoots the entitlement —
@@ -412,21 +421,21 @@ impl Server {
                 pressure,
                 &mut resumed,
             );
-            // Scenario knob × active grant-collapse faults (both 1.0 in
-            // fair weather).
-            let grant_budget = scaled_budget(
-                scaled_budget(exec_target, class.spec.grant_fraction),
-                self.grant_budget_scale * self.fault_grant_scale,
-            );
             // A pool never leaves an admissible waiter queued (its
             // work-conservation law, checked after every call in debug
             // builds), so the budget it already has would admit no one:
             // only a change goes to the pool.
-            if grant_budget != class.grant_budget {
-                class.grant_budget = grant_budget;
-                self.with_grants(idx, |grants, now, out| {
-                    grants.set_budget(grant_budget, now, out)
-                });
+            if regrant {
+                let grant_budget = scaled_budget(
+                    scaled_budget(exec_target, class.spec.grant_fraction),
+                    grant_scale,
+                );
+                if grant_budget != class.grant_budget {
+                    class.grant_budget = grant_budget;
+                    self.with_grants(idx, |grants, now, out| {
+                        grants.set_budget(grant_budget, now, out)
+                    });
+                }
             }
             self.resume_tasks(idx, &resumed);
         }
@@ -442,6 +451,24 @@ impl Server {
         if next < throttledb_sim::SimTime::ZERO + self.config.duration {
             self.next_tick = Some((next, self.queue.reserve_seq()));
         }
+    }
+
+    /// The memory law every broker tick checks in debug builds: the
+    /// clerks' live bytes, as the recalculation sampled them (one decision
+    /// per clerk), sum to the total the broker reads without its lock.
+    ///
+    /// The law's other half, that they fit in the machine's physical
+    /// memory, does not hold yet: execution grants are not checked against
+    /// free memory, and `open_loop_scale` under the PID and cost policies
+    /// overcommits the machine by 5–7 %.
+    #[cfg(debug_assertions)]
+    fn check_memory_law(&self, decisions: &[throttledb_membroker::BrokerDecision]) {
+        let used: u64 = decisions.iter().map(|d| d.notification.current_bytes).sum();
+        assert_eq!(
+            used,
+            self.broker.used_bytes(),
+            "the broker's lock-free total disagrees with its clerks'"
+        );
     }
 }
 
@@ -480,6 +507,24 @@ mod tests {
     fn lifecycle_rejects_grant_wait_from_gateway_wait() {
         let mut l = QueryLifecycle::WaitingAtGateway { level: 0 };
         l.advance(QueryLifecycle::WaitingForGrant);
+    }
+
+    /// A broker whose lock-free total disagrees with what its tick sampled
+    /// breaks the memory law.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-free total disagrees")]
+    fn the_memory_law_bites_when_the_broker_total_drifts() {
+        use crate::profile::WorkloadProfiles;
+        let config = ServerConfig::quick(1, true);
+        let profiles = WorkloadProfiles::characterize_sales(&config);
+        let mut server = Server::new(config, std::sync::Arc::new(profiles));
+        server.compile_clerk.allocate(10 << 20);
+        let mut decisions = Vec::new();
+        server.broker.recalculate_mut(SimTime::ZERO, &mut decisions);
+        server.check_memory_law(&decisions);
+        decisions[0].notification.current_bytes += 1;
+        server.check_memory_law(&decisions);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The Memory Broker itself.
 
 use crate::accounting::ClerkAccount;
-use crate::clerk::{Clerk, ClerkId, SubcomponentKind};
+use crate::clerk::{Clerk, ClerkId, ClerkShared, SubcomponentKind};
 use crate::config::BrokerConfig;
 use crate::notification::{Notification, NotificationKind};
 use crate::pressure::PressureLevel;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 use throttledb_sim::SimTime;
 
 /// One broker verdict for one clerk, produced by [`MemoryBroker::recalculate`].
@@ -32,6 +33,8 @@ pub struct ClerkSnapshot {
     pub target_bytes: Option<u64>,
     /// Last verdict sent.
     pub last_verdict: Option<NotificationKind>,
+    /// How many times the verdict has changed.
+    pub verdict_changes: u64,
 }
 
 /// Point-in-time view of the whole broker.
@@ -51,13 +54,22 @@ pub struct BrokerSnapshot {
 
 /// The central memory accountant (§3 of the paper).
 ///
-/// Thread-safe: clerks report allocations lock-free; `recalculate` takes a
-/// short internal lock. In the discrete-event engine the broker is driven on
-/// a virtual-time schedule; in the threaded examples it can be called from a
-/// housekeeping thread.
+/// Thread-safe: clerks report allocations lock-free, and
+/// [`MemoryBroker::used_bytes`], [`MemoryBroker::available_bytes`] and
+/// [`MemoryBroker::pressure`] sum them along the chain of registered
+/// clerks, also lock-free; `recalculate` takes a short internal lock. In the
+/// discrete-event engine the broker is driven on a virtual-time schedule;
+/// in the threaded examples it can be called from a housekeeping thread.
 #[derive(Debug)]
 pub struct MemoryBroker {
     config: BrokerConfig,
+    /// `config.brokered_bytes()`, computed once.
+    brokered: u64,
+    /// Each kind's entitlement share of `brokered`, indexed by the kind's
+    /// position in [`SubcomponentKind::ALL`].
+    entitlements: [u64; SubcomponentKind::ALL.len()],
+    /// The first registered clerk; each links to the next.
+    first: OnceLock<Arc<ClerkShared>>,
     inner: Mutex<Inner>,
 }
 
@@ -65,16 +77,18 @@ pub struct MemoryBroker {
 struct Inner {
     accounts: Vec<ClerkAccount>,
     recalculations: u64,
-    /// Per-recalculation working vectors, reused so a tick allocates
-    /// nothing once they have grown to the clerk count.
+    /// Every clerk holds the unconstrained verdict — no target, `Grow` —
+    /// since the last recalculation, which left it so. A constrained
+    /// recalculation or a new clerk clears it.
+    unconstrained: bool,
+    /// The constrained recalculation's working vectors, reused so a tick
+    /// allocates nothing once they have grown to the clerk count.
     scratch: Scratch,
 }
 
-/// Working vectors of one recalculation, one slot per clerk.
+/// Working vectors of one constrained recalculation, one slot per clerk.
 #[derive(Debug, Default)]
 struct Scratch {
-    current: Vec<u64>,
-    predicted: Vec<u64>,
     kinds: Vec<SubcomponentKind>,
     demands: Vec<u64>,
     targets: Vec<u64>,
@@ -82,13 +96,26 @@ struct Scratch {
 }
 
 impl MemoryBroker {
-    /// Create a broker with the given configuration.
+    /// Create a broker with the given configuration, behind an `Arc` so
+    /// subcomponents and housekeeping threads can share it.
     pub fn new(config: BrokerConfig) -> Arc<Self> {
+        Arc::new(MemoryBroker::unshared(config))
+    }
+
+    /// A broker with a single owner, which can recalculate through
+    /// exclusive access without taking the lock
+    /// ([`MemoryBroker::recalculate_mut`]). Its clerks work as any others.
+    pub fn unshared(config: BrokerConfig) -> Self {
         config.validate();
-        Arc::new(MemoryBroker {
+        let brokered = config.brokered_bytes();
+        MemoryBroker {
             config,
+            brokered,
+            entitlements: SubcomponentKind::ALL
+                .map(|kind| (brokered as f64 * kind.entitlement_weight()) as u64),
+            first: OnceLock::new(),
             inner: Mutex::new(Inner::default()),
-        })
+        }
     }
 
     /// The configuration this broker was built with.
@@ -101,16 +128,28 @@ impl MemoryBroker {
         let mut inner = self.inner.lock();
         let id = ClerkId(inner.accounts.len() as u32);
         let clerk = Clerk::new(id, kind);
+        let link = match inner.accounts.last() {
+            Some(last) => &last.clerk().shared.next,
+            None => &self.first,
+        };
+        link.set(Arc::clone(&clerk.shared))
+            .expect("a clerk is linked once, under the lock");
         inner
             .accounts
             .push(ClerkAccount::new(clerk.clone(), self.config.trend_window));
+        inner.unconstrained = false;
         clerk
     }
 
-    /// Sum of live usage across all clerks.
+    /// Sum of live usage across all clerks, without the broker's lock.
     pub fn used_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.accounts.iter().map(|a| a.clerk().used_bytes()).sum()
+        let mut used = 0;
+        let mut clerk = self.first.get();
+        while let Some(c) = clerk {
+            used += c.used.load(Ordering::Relaxed);
+            clerk = c.next.get();
+        }
+        used
     }
 
     /// Live usage for one subcomponent kind (summed over its clerks).
@@ -156,14 +195,12 @@ impl MemoryBroker {
 
     /// Bytes still available before hitting the brokered limit (saturating).
     pub fn available_bytes(&self) -> u64 {
-        self.config
-            .brokered_bytes()
-            .saturating_sub(self.used_bytes())
+        self.brokered.saturating_sub(self.used_bytes())
     }
 
     /// Current pressure based on live usage (no prediction).
     pub fn pressure(&self) -> PressureLevel {
-        let brokered = self.config.brokered_bytes().max(1);
+        let brokered = self.brokered.max(1);
         let utilization = self.used_bytes() as f64 / brokered as f64;
         PressureLevel::from_utilization(
             utilization,
@@ -208,7 +245,7 @@ impl MemoryBroker {
         if installed > 0 {
             installed
         } else {
-            (self.config.brokered_bytes() as f64 * kind.entitlement_weight()) as u64
+            self.entitlements[kind as usize]
         }
     }
 
@@ -230,96 +267,15 @@ impl MemoryBroker {
     /// first). With the broker's internal working vectors reused as well,
     /// a recalculation allocates nothing at steady state.
     pub fn recalculate_into(&self, now: SimTime, out: &mut Vec<BrokerDecision>) {
-        out.clear();
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        inner.recalculations += 1;
-        let horizon = self.config.prediction_horizon;
-        let brokered = self.config.brokered_bytes();
-        let Scratch {
-            current,
-            predicted,
-            kinds,
-            demands,
-            targets,
-            fill,
-        } = &mut inner.scratch;
+        let mut inner = self.inner.lock();
+        inner.recalculate(&self.config, self.brokered, now, out);
+    }
 
-        // Pass 1: sample usage and predictions.
-        current.clear();
-        predicted.clear();
-        for account in inner.accounts.iter_mut() {
-            current.push(account.sample(now));
-            predicted.push(account.predict(horizon));
-        }
-        let predicted_total: u64 = predicted.iter().sum();
-
-        // Unconstrained: clear targets, everyone may grow. "If the system is
-        // not using all available physical memory, no action is taken."
-        if predicted_total <= brokered {
-            for (i, account) in inner.accounts.iter_mut().enumerate() {
-                account.clerk().install_target(None);
-                account.set_verdict(NotificationKind::Grow);
-                out.push(BrokerDecision {
-                    notification: Notification {
-                        clerk: account.clerk().id(),
-                        kind_of_component: account.clerk().kind(),
-                        kind: NotificationKind::Grow,
-                        current_bytes: current[i],
-                        predicted_bytes: predicted[i],
-                        target_bytes: None,
-                    },
-                });
-            }
-            return;
-        }
-
-        // Constrained: compute per-clerk targets by water-filling the
-        // brokered bytes across squeezable clerks according to their
-        // entitlement weights; unsqueezable (Fixed) clerks keep their demand.
-        demands.clear();
-        demands.extend(
-            current
-                .iter()
-                .zip(predicted.iter())
-                .map(|(c, p)| (*c).max(*p)),
-        );
-        kinds.clear();
-        kinds.extend(inner.accounts.iter().map(|a| a.clerk().kind()));
-        fill.compute(
-            kinds,
-            demands,
-            brokered,
-            self.config.min_target_bytes,
-            targets,
-        );
-
-        let hysteresis = self.config.target_hysteresis;
-        for (i, account) in inner.accounts.iter_mut().enumerate() {
-            let kind = account.clerk().kind();
-            let target = targets[i];
-            let verdict = if !kind.is_squeezable() {
-                NotificationKind::Steady
-            } else if current[i] as f64 > target as f64 * (1.0 + hysteresis) {
-                NotificationKind::Shrink
-            } else if predicted[i] <= target && (current[i] as f64) < target as f64 * 0.90 {
-                NotificationKind::Grow
-            } else {
-                NotificationKind::Steady
-            };
-            account.clerk().install_target(Some(target));
-            account.set_verdict(verdict);
-            out.push(BrokerDecision {
-                notification: Notification {
-                    clerk: account.clerk().id(),
-                    kind_of_component: kind,
-                    kind: verdict,
-                    current_bytes: current[i],
-                    predicted_bytes: predicted[i],
-                    target_bytes: Some(target),
-                },
-            });
-        }
+    /// [`MemoryBroker::recalculate_into`] through exclusive access, which
+    /// needs no lock.
+    pub fn recalculate_mut(&mut self, now: SimTime, out: &mut Vec<BrokerDecision>) {
+        let inner = self.inner.get_mut();
+        inner.recalculate(&self.config, self.brokered, now, out);
     }
 
     /// A point-in-time view of the broker for reports and figures.
@@ -336,14 +292,106 @@ impl MemoryBroker {
                 used_bytes: a.clerk().used_bytes(),
                 target_bytes: a.clerk().target_bytes(),
                 last_verdict: a.last_verdict(),
+                verdict_changes: a.verdict_changes(),
             })
             .collect();
         BrokerSnapshot {
             total_memory_bytes: self.config.total_memory_bytes,
-            brokered_bytes: self.config.brokered_bytes(),
+            brokered_bytes: self.brokered,
             used_bytes: clerks.iter().map(|c| c.used_bytes).sum(),
             pressure,
             clerks,
+        }
+    }
+}
+
+impl Inner {
+    /// The recalculation behind [`MemoryBroker::recalculate_into`], over
+    /// the state the lock guards.
+    fn recalculate(
+        &mut self,
+        config: &BrokerConfig,
+        brokered: u64,
+        now: SimTime,
+        out: &mut Vec<BrokerDecision>,
+    ) {
+        out.clear();
+        self.recalculations += 1;
+        let horizon = config.prediction_horizon;
+
+        // Sample and predict every clerk. Each decision starts as the
+        // unconstrained one, and stays so unless the predicted total
+        // exceeds the brokered bytes.
+        let mut predicted_total = 0u64;
+        for account in self.accounts.iter_mut() {
+            let current = account.sample(now);
+            let predicted = account.predict(horizon);
+            predicted_total += predicted;
+            out.push(BrokerDecision {
+                notification: Notification {
+                    clerk: account.clerk().id(),
+                    kind_of_component: account.clerk().kind(),
+                    kind: NotificationKind::Grow,
+                    current_bytes: current,
+                    predicted_bytes: predicted,
+                    target_bytes: None,
+                },
+            });
+        }
+
+        // Unconstrained: clear targets, everyone may grow. "If the system is
+        // not using all available physical memory, no action is taken."
+        if predicted_total <= brokered {
+            if !self.unconstrained {
+                for account in self.accounts.iter_mut() {
+                    account.clerk().install_target(None);
+                    account.set_verdict(NotificationKind::Grow);
+                }
+                self.unconstrained = true;
+            }
+            return;
+        }
+        self.unconstrained = false;
+
+        // Constrained: compute per-clerk targets by water-filling the
+        // brokered bytes across squeezable clerks according to their
+        // entitlement weights; unsqueezable (Fixed) clerks keep their demand.
+        let Scratch {
+            kinds,
+            demands,
+            targets,
+            fill,
+        } = &mut self.scratch;
+        kinds.clear();
+        demands.clear();
+        for d in out.iter() {
+            let n = &d.notification;
+            kinds.push(n.kind_of_component);
+            demands.push(n.current_bytes.max(n.predicted_bytes));
+        }
+        fill.compute(kinds, demands, brokered, config.min_target_bytes, targets);
+
+        let hysteresis = config.target_hysteresis;
+        for ((account, d), &target) in self
+            .accounts
+            .iter_mut()
+            .zip(out.iter_mut())
+            .zip(targets.iter())
+        {
+            let n = &mut d.notification;
+            let current = n.current_bytes;
+            n.kind = if !n.kind_of_component.is_squeezable() {
+                NotificationKind::Steady
+            } else if current as f64 > target as f64 * (1.0 + hysteresis) {
+                NotificationKind::Shrink
+            } else if n.predicted_bytes <= target && (current as f64) < target as f64 * 0.90 {
+                NotificationKind::Grow
+            } else {
+                NotificationKind::Steady
+            };
+            n.target_bytes = Some(target);
+            account.clerk().install_target(Some(target));
+            account.set_verdict(n.kind);
         }
     }
 }
@@ -628,6 +676,20 @@ mod tests {
         assert_eq!(snap.clerks.len(), 1);
         assert_eq!(snap.clerks[0].name, "main pool");
         assert_eq!(snap.used_bytes, 10 * MB);
+    }
+
+    #[test]
+    fn used_bytes_follows_every_clerk_in_the_chain() {
+        let b = broker(GB);
+        assert_eq!(b.used_bytes(), 0);
+        let clerks: Vec<_> = SubcomponentKind::ALL.map(|k| b.register(k)).into();
+        for (i, c) in clerks.iter().enumerate() {
+            c.allocate((i as u64 + 1) * MB);
+        }
+        clerks[2].free(MB);
+        assert_eq!(b.used_bytes(), 20 * MB);
+        assert_eq!(b.available_bytes(), b.config().brokered_bytes() - 20 * MB);
+        assert_eq!(b.snapshot().used_bytes, 20 * MB);
     }
 
     #[test]

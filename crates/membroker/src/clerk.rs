@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a registered clerk within one broker instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -123,13 +123,16 @@ pub(crate) struct ClerkShared {
     pub(crate) kind: SubcomponentKind,
     /// Live bytes currently allocated by the subcomponent.
     pub(crate) used: AtomicU64,
-    /// Monotonic totals for reporting.
-    pub(crate) total_allocated: AtomicU64,
+    /// Monotonic total for reporting (bytes ever allocated are this plus
+    /// `used`).
     pub(crate) total_freed: AtomicU64,
     /// Latest notification target installed by the broker (0 = no target).
     pub(crate) current_target: AtomicU64,
     /// Human-readable name, defaults to the kind label.
     pub(crate) name: Mutex<String>,
+    /// The clerk registered next with the same broker: the chain along
+    /// which the broker sums live bytes without its lock.
+    pub(crate) next: OnceLock<Arc<ClerkShared>>,
 }
 
 /// A handle used by one subcomponent to report its memory use.
@@ -147,10 +150,10 @@ impl Clerk {
                 id,
                 kind,
                 used: AtomicU64::new(0),
-                total_allocated: AtomicU64::new(0),
                 total_freed: AtomicU64::new(0),
                 current_target: AtomicU64::new(0),
                 name: Mutex::new(kind.label().to_string()),
+                next: OnceLock::new(),
             }),
         }
     }
@@ -178,9 +181,6 @@ impl Clerk {
     /// Report that `bytes` were allocated.
     pub fn allocate(&self, bytes: u64) {
         self.shared.used.fetch_add(bytes, Ordering::Relaxed);
-        self.shared
-            .total_allocated
-            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Report that `bytes` were freed. Freeing more than is live is a
@@ -209,9 +209,10 @@ impl Clerk {
         self.shared.used.load(Ordering::Relaxed)
     }
 
-    /// Total bytes ever reported allocated.
+    /// Total bytes ever reported allocated: the live bytes plus those
+    /// freed (read apart, so a concurrent free can skew one reading).
     pub fn total_allocated(&self) -> u64 {
-        self.shared.total_allocated.load(Ordering::Relaxed)
+        self.used_bytes() + self.total_freed()
     }
 
     /// Total bytes ever reported freed.
@@ -307,6 +308,14 @@ mod tests {
                 < SubcomponentKind::Execution.shrink_priority()
         );
         assert!(!SubcomponentKind::Fixed.is_squeezable());
+    }
+
+    #[test]
+    fn all_lists_kinds_in_declaration_order() {
+        // The broker indexes per-kind tables by `kind as usize`.
+        for (i, kind) in SubcomponentKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
+        }
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! usage when the trend is downward-but-noisy — a consumer that is flat
 //! should be predicted flat, not shrinking, so the broker stays conservative.
 //!
-//! The fit is O(1) per call. The estimator keeps exact integer running sums
-//! Σx, Σx², Σy and Σx·y over its window, with x the whole seconds since the
-//! window's front sample. When every sample lies on that whole-second grid
-//! and every sum is at most 2^53, the f64 loop
-//! ([`TrendEstimator::slope_by_loop`]) would add only integers of at most
-//! 2^53 and so compute these same sums without rounding; the slope then
-//! comes from the integers through the loop's own closing expression, bit
-//! for bit. In every other case the loop runs, and while the window is off
-//! the grid (a cadence that is not whole seconds) the sums are not kept,
-//! so such a window costs the loop and no more.
+//! The fit is O(1) per call. The broker samples on a fixed cadence, so the
+//! sample k places behind the window's front sits at x = k·g, g the gap.
+//! The estimator keeps Σy and Σk·y as exact integers, updated on each push
+//! and pop; Σk and Σk² are closed forms of the sample count. When every gap
+//! is the same whole number of 1/64 s (15 625 µs), each x the f64 loop
+//! ([`TrendEstimator::slope_by_loop`]) computes is a multiple of 2^-6, and
+//! while each of its sums, in units of the grid, is at most 2^53 the loop
+//! adds without rounding: the slope then comes from the integers through
+//! the loop's own closing expression, bit for bit, and a window of equal
+//! samples has slope 0 with no f64 work. Any other window — a cadence off
+//! the grid, uneven gaps, sums past 2^53 — runs the loop.
 
 use std::collections::VecDeque;
 use throttledb_sim::{SimDuration, SimTime};
@@ -25,73 +26,79 @@ use throttledb_sim::{SimDuration, SimTime};
 /// 2^53: every integer up to it is an `f64`.
 const EXACT_LIMIT: u128 = 1 << 53;
 
-/// The most samples whose sums provably fit their integer types: x stays
-/// below 2^44 (a `u64` of microseconds in seconds) and y below 2^64, so
-/// 2^20 terms of x·y stay below 2^128 and 2^20 of x below 2^64.
+/// The most samples whose sums provably fit a `u128`: k stays below 2^20
+/// and y below 2^64, so 2^20 terms of k·y stay below 2^104.
 const EXACT_MAX_SAMPLES: usize = 1 << 20;
 
-const MICROS_PER_SEC: u64 = 1_000_000;
+/// The grid, 1/64 s in microseconds: a gap of m grid steps puts the
+/// sample k places behind the front at x = k·m / 64 seconds exactly.
+const GRID_MICROS: u64 = 15_625;
+
+/// The loop's Σx and Σx·y count units of 2^-6, its Σx² units of 2^-12.
+const X_UNIT: f64 = 1.0 / 64.0;
+const XX_UNIT: f64 = 1.0 / 4096.0;
 
 /// A sliding-window least-squares estimator of a clerk's memory usage.
 #[derive(Debug, Clone)]
 pub struct TrendEstimator {
     window: usize,
     samples: VecDeque<(SimTime, u64)>,
-    sums: GridSums,
+    /// Σy over the window. Wrapping arithmetic keeps both sums exact
+    /// modulo 2^128, and so exact outright (see [`EXACT_MAX_SAMPLES`]).
+    sum_y: u128,
+    /// Σk·y, k the sample's position from the front.
+    sum_ky: u128,
+    /// The gap between the two newest samples, in microseconds.
+    gap: u64,
+    /// Trailing gaps equal to `gap`, counted past the front: the window is
+    /// on one cadence when this covers all of its gaps.
+    cadence: usize,
+    /// Trailing samples holding the newest sample's bytes, likewise.
+    flat: usize,
+    shape: Shape,
 }
 
-/// Integer running sums over the window, relative to its front sample:
-/// x is the whole seconds since the front, y the sample's bytes. They are
-/// kept only while the window is *uniform* — in time order, with every
-/// sample a whole number of seconds after the front — and left stale
-/// otherwise, to be rebuilt once it is uniform again. Wrapping arithmetic
-/// keeps each sum exact modulo its type's range, and so exact outright
-/// while the true value fits (see [`EXACT_MAX_SAMPLES`]).
-#[derive(Debug, Clone, Default)]
-struct GridSums {
-    /// Σx².
-    xx: u128,
-    /// Σy.
-    y: u128,
-    /// Σx·y.
-    xy: u128,
-    /// Σx.
-    x: u64,
-    /// Trailing samples a whole number of seconds apart from the back
-    /// sample: the window is on one whole-second grid when this covers all
-    /// of it.
-    tail: u32,
-    /// Adjacent sample pairs that go back in time (out-of-order input,
-    /// which only a release build accepts).
-    descents: u32,
+/// What the fit takes from the window's x values alone: functions of the
+/// sample count and the gap, so a full window on a steady cadence
+/// computes them once.
+#[derive(Debug, Clone, Copy, Default)]
+struct Shape {
+    n: usize,
+    gap: u64,
+    /// The gap in grid steps, when it is a whole number of them and Σx and
+    /// Σx² are each at most 2^53 units; `u64::MAX` otherwise.
+    steps: u64,
+    /// Σx and Σx², in seconds and square seconds.
+    sum_t: f64,
+    sum_tt: f64,
 }
 
-impl GridSums {
-    /// Add one sample `x` whole seconds after the front.
-    fn add(&mut self, x: u64, bytes: u64) {
-        self.x = self.x.wrapping_add(x);
-        let (x, y) = (u128::from(x), u128::from(bytes));
-        self.xx = self.xx.wrapping_add(x * x);
-        self.y = self.y.wrapping_add(y);
-        self.xy = self.xy.wrapping_add(x * y);
+impl Shape {
+    fn of(n: usize, gap: u64) -> Shape {
+        let mut shape = Shape::default();
+        (shape.n, shape.gap, shape.steps) = (n, gap, u64::MAX);
+        let steps = match n {
+            0 | 1 => 0,
+            _ if gap % GRID_MICROS == 0 => gap / GRID_MICROS,
+            _ => return shape,
+        };
+        // Past 2^27 steps, m²·Σk² exceeds 2^53 (Σk² ≥ 1 from two samples).
+        if n > EXACT_MAX_SAMPLES || steps > 1 << 27 {
+            return shape;
+        }
+        let (m, n128) = (u128::from(steps), n as u128);
+        // Σk and Σk² over k = 0 … n − 1.
+        let k = n128 * n128.saturating_sub(1) / 2;
+        let kk = k * (2 * n128).saturating_sub(1) / 3;
+        let (x, xx) = (m * k, m * m * kk);
+        if x <= EXACT_LIMIT && xx <= EXACT_LIMIT {
+            // At most 2^53 units of a power of two: exact in `f64`.
+            shape.sum_t = x as u64 as f64 * X_UNIT;
+            shape.sum_tt = xx as u64 as f64 * XX_UNIT;
+            shape.steps = steps;
+        }
+        shape
     }
-
-    /// Move the origin `d` whole seconds later, over the `n` samples left.
-    fn shift(&mut self, d: u64, n: usize) {
-        let (d, n) = (u128::from(d), n as u128);
-        // Σ(x − d)² = Σx² − 2d·Σx + n·d², with the old Σx.
-        self.xx = self
-            .xx
-            .wrapping_add(n.wrapping_mul(d).wrapping_mul(d))
-            .wrapping_sub(d.wrapping_mul(2).wrapping_mul(u128::from(self.x)));
-        self.x = self.x.wrapping_sub(n.wrapping_mul(d) as u64);
-        self.xy = self.xy.wrapping_sub(d.wrapping_mul(self.y));
-    }
-}
-
-/// Whole seconds from `front` to `at`.
-fn secs_since(at: SimTime, front: SimTime) -> u64 {
-    at.saturating_since(front).as_micros() / MICROS_PER_SEC
 }
 
 /// The closing expression of the least-squares fit, shared by both paths.
@@ -111,78 +118,61 @@ impl TrendEstimator {
         TrendEstimator {
             window,
             samples: VecDeque::with_capacity(window),
-            sums: GridSums::default(),
+            sum_y: 0,
+            sum_ky: 0,
+            gap: 0,
+            cadence: 0,
+            flat: 0,
+            shape: Shape::default(),
         }
     }
 
     /// Record a usage sample. Samples must arrive in non-decreasing time
     /// order (the broker samples on its own recalculation schedule).
     pub fn record(&mut self, at: SimTime, bytes: u64) {
-        let last = self.samples.back().map(|s| s.0);
-        if let Some(last) = last {
+        if let Some(&(last, last_bytes)) = self.samples.back() {
             debug_assert!(last <= at, "trend samples must be time-ordered");
-        }
-        let was_uniform = self.is_uniform();
-        if self.samples.len() == self.window {
-            self.pop_front(was_uniform);
-        }
-        let s = &mut self.sums;
-        s.tail = match last {
-            Some(last) => {
-                s.descents += u32::from(at < last);
-                // Whole seconds apart: the same offset into the second.
-                if at.as_micros().abs_diff(last.as_micros()) % MICROS_PER_SEC == 0 {
-                    s.tail + 1
-                } else {
-                    1
-                }
+            if self.samples.len() == self.window {
+                let (_, front) = self.samples.pop_front().expect("a full window");
+                // Every sample left moves one place toward the front.
+                self.sum_y = self.sum_y.wrapping_sub(u128::from(front));
+                self.sum_ky = self.sum_ky.wrapping_sub(self.sum_y);
             }
-            None => 1,
-        };
+            match at.as_micros().checked_sub(last.as_micros()) {
+                Some(gap) if gap == self.gap => self.cadence += 1,
+                Some(gap) => (self.gap, self.cadence) = (gap, 1),
+                // Out of order, which only a release build accepts.
+                None => self.cadence = 0,
+            }
+            self.flat = if bytes == last_bytes { self.flat } else { 0 } + 1;
+        } else {
+            // An empty window's sums are 0.
+            (self.cadence, self.flat) = (0, 1);
+        }
+        let k = self.samples.len() as u128;
+        self.sum_y = self.sum_y.wrapping_add(u128::from(bytes));
+        self.sum_ky = self.sum_ky.wrapping_add(k.wrapping_mul(u128::from(bytes)));
         self.samples.push_back((at, bytes));
-        if self.is_uniform() {
-            if was_uniform {
-                let front = self.samples.front().expect("non-empty").0;
-                self.sums.add(secs_since(at, front), bytes);
-            } else {
-                self.rebuild();
-            }
+        let n = self.samples.len();
+        if (self.shape.n, self.shape.gap) != (n, self.gap) {
+            self.shape = Shape::of(n, self.gap);
         }
     }
 
-    /// In time order, every sample whole seconds after the front.
-    fn is_uniform(&self) -> bool {
-        self.sums.descents == 0 && self.sums.tail as usize == self.samples.len()
-    }
-
-    /// Drop the front sample; when the sums are live (`uniform`), re-anchor
-    /// them on the new front.
-    fn pop_front(&mut self, uniform: bool) {
-        let (old, bytes) = self.samples.pop_front().expect("a full window");
-        let s = &mut self.sums;
-        s.tail = s.tail.min(self.samples.len() as u32);
-        if !uniform && s.descents == 0 {
-            return;
+    /// The loop's Σx·y in units of 2^-6, when the integer sums are exactly
+    /// the loop's: every gap in the window the same m grid steps, and Σx,
+    /// Σx², Σy and Σx·y (m·Σk, m²·Σk², Σy and m·Σk·y in units of 2^-6,
+    /// 2^-12, 1 and 2^-6) each at most 2^53.
+    fn exact_xy(&self) -> Option<u64> {
+        let steps = self.shape.steps;
+        if self.cadence + 1 < self.samples.len() || steps == u64::MAX || self.sum_y > EXACT_LIMIT {
+            return None;
         }
-        let Some(&(front, _)) = self.samples.front() else {
-            return;
+        let xy = match steps {
+            0 => 0,
+            _ => u64::try_from(self.sum_ky).ok()?.checked_mul(steps)?,
         };
-        s.descents -= u32::from(front < old);
-        if uniform {
-            // The front sits at x = 0: it contributes to Σy alone.
-            s.y = s.y.wrapping_sub(u128::from(bytes));
-            s.shift(secs_since(front, old), self.samples.len());
-        }
-    }
-
-    /// Recompute the sums from the samples, relative to the front.
-    fn rebuild(&mut self) {
-        let front = self.samples.front().map_or(SimTime::ZERO, |s| s.0);
-        let s = &mut self.sums;
-        (s.xx, s.y, s.xy, s.x) = (0, 0, 0, 0);
-        for &(at, bytes) in &self.samples {
-            s.add(secs_since(at, front), bytes);
-        }
+        (u128::from(xy) <= EXACT_LIMIT).then_some(xy)
     }
 
     /// Number of samples currently held.
@@ -206,35 +196,31 @@ impl TrendEstimator {
     /// Always equal, bit for bit, to [`TrendEstimator::slope_by_loop`]; it
     /// runs that loop only when [`TrendEstimator::fit_is_exact`] is false.
     pub fn slope_bytes_per_sec(&self) -> f64 {
-        if self.samples.len() < 2 {
+        let n = self.samples.len();
+        if n < 2 {
             return 0.0;
         }
-        if !self.fit_is_exact() {
+        let Some(xy) = self.exact_xy() else {
             return self.slope_by_loop();
+        };
+        if self.flat >= n {
+            // y ≡ c: the loop's numerator n·(c·Σx) − Σx·(n·c) rounds one
+            // real number twice the same way, so it is +0, and its
+            // denominator is positive or the slope is 0 anyway.
+            return 0.0;
         }
-        // Each sum is at most 2^53, so it converts to `f64` exactly — the
-        // value the loop's running sum reaches.
-        let s = &self.sums;
-        least_squares_slope(
-            self.samples.len() as f64,
-            s.x as f64,
-            s.y as u64 as f64,
-            s.xx as u64 as f64,
-            s.xy as u64 as f64,
-        )
+        // Σy and Σx·y are at most 2^53 units of a power of two, so they
+        // convert to `f64` exactly — the values the loop's sums reach.
+        let Shape { sum_t, sum_tt, .. } = self.shape;
+        let sum_y = self.sum_y as u64 as f64;
+        least_squares_slope(n as f64, sum_t, sum_y, sum_tt, xy as f64 * X_UNIT)
     }
 
-    /// True when the integer sums are exactly the loop's: every sample lies
-    /// whole seconds after the front sample and Σx, Σx², Σy and Σx·y are
-    /// each at most 2^53.
+    /// True when the integer sums are exactly the loop's: every gap in the
+    /// window is the same whole number of 1/64 s, and Σx, Σx², Σy and
+    /// Σx·y, in units of 2^-6, 2^-12, 1 and 2^-6, are each at most 2^53.
     pub fn fit_is_exact(&self) -> bool {
-        let s = &self.sums;
-        self.is_uniform()
-            && self.samples.len() <= EXACT_MAX_SAMPLES
-            && u128::from(s.x) <= EXACT_LIMIT
-            && s.xx <= EXACT_LIMIT
-            && s.y <= EXACT_LIMIT
-            && s.xy <= EXACT_LIMIT
+        self.exact_xy().is_some()
     }
 
     /// The reference fit: least squares over `(t_i, y_i)` accumulated in
@@ -285,7 +271,8 @@ impl TrendEstimator {
     /// cache is flushed).
     pub fn reset(&mut self) {
         self.samples.clear();
-        self.sums = GridSums::default();
+        (self.sum_y, self.sum_ky) = (0, 0);
+        self.shape = Shape::default();
     }
 }
 
