@@ -556,7 +556,7 @@ mod tests {
 
     /// Each join's equi-join predicates with owned names, in order.
     fn joins(bound: &BoundQuery) -> Vec<Vec<JoinPredicate>> {
-        let lists = bound.exprs.iter().filter_map(|e| match e.op {
+        let lists = bound.exprs.iter().filter_map(|e| match &e.op {
             MemoOp::Join { preds, .. } => Some(preds.of(&bound.preds)),
             MemoOp::Plain(_) => None,
         });

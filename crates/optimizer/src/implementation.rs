@@ -4,9 +4,10 @@
 //! run as a bottom-up pass over the memo. Every physical alternative
 //! considered charges compilation memory, just like logical alternatives do
 //! — but considering one builds nothing: alternatives are costed straight
-//! from the memo's operators, a group remembers its winner as a
-//! [`PhysicalChoice`], and a [`PhysicalOp`] with owned names exists only for
-//! the operators of the plan [`extract_plan`] returns.
+//! from the memo's operators, a costing pass remembers each group's winner
+//! as a [`PhysicalChoice`] and its total cost, and a [`PhysicalOp`] with
+//! owned names, its own cost and its execution memory exist only for the
+//! operators of the plan [`extract_plan`] returns.
 
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::{Cost, CostModel};
@@ -42,21 +43,22 @@ pub enum PhysicalChoice {
     Only,
 }
 
-/// Compute winners for `group` and (recursively) everything it depends on.
-/// Returns the winner's total cost, or `None` when the group has no
-/// implementable expression (cannot happen for binder-produced plans).
+/// Compute winners for `group` and (recursively) everything it depends on,
+/// in the costing pass [`Memo::clear_winners`] started. Returns the
+/// winner's total cost, or `None` when the group has no implementable
+/// expression (cannot happen for binder-produced plans).
 pub fn optimize_group(
     memo: &mut Memo,
     group: GroupId,
     ctx: &ImplementationContext<'_>,
     mem: &mut CompilationMemory,
 ) -> Option<Cost> {
-    if let Some(w) = &memo.group(group).winner {
+    if let Some(w) = memo.winner(group) {
         return Some(w.total_cost);
     }
     let mut best: Option<Winner> = None;
 
-    let mut next = memo.group(group).first_expr;
+    let mut next = memo.group(group).first_expr();
     'members: while let Some(expr_id) = next {
         let expr = *memo.expr(expr_id);
         next = expr.next_in_group();
@@ -77,20 +79,25 @@ pub fn optimize_group(
             |choice, local_cost, memory_bytes| {
                 mem.charge(sizes::PHYSICAL_EXPR_BYTES);
                 let total_cost = local_cost + child_total;
+                debug_assert!(
+                    !expr.children().is_empty()
+                        || (memory_bytes == 0
+                            && total_cost.cpu.to_bits() == local_cost.cpu.to_bits()
+                            && total_cost.io.to_bits() == local_cost.io.to_bits()),
+                    "extract_plan takes a scan's own cost and memory from its winner"
+                );
                 if best.map_or(true, |b| total_cost.total() < b.total_cost.total()) {
                     best = Some(Winner {
                         expr: expr_id,
                         choice,
-                        local_cost,
                         total_cost,
-                        memory_bytes,
                     });
                 }
             },
         );
     }
 
-    memo.group_mut(group).winner = best;
+    memo.set_winner(group, best);
     best.map(|w| w.total_cost)
 }
 
@@ -131,8 +138,8 @@ fn for_each_alternative(
                 );
             }
             // Nested loops: re-evaluate the right side per left row.
-            let right_cost = right
-                .winner
+            let right_cost = memo
+                .winner(expr.children[1])
                 .map(|w| w.total_cost.total())
                 .unwrap_or(right.rows * model.cpu_per_row);
             let cost = model.nested_loop_join(left.rows, right_cost, out.rows);
@@ -189,7 +196,7 @@ fn materialize(
     let names = memo.names();
     let plain = match expr.op {
         MemoOp::Join { kind, preds } => {
-            let predicates = memo.pred_list(preds).iter();
+            let predicates = memo.pred_list(&preds).iter();
             let predicates = predicates.map(|p| names.join_predicate(*p)).collect();
             return Some(match choice {
                 PhysicalChoice::HashJoin => PhysicalOp::HashJoin { kind, predicates },
@@ -234,23 +241,42 @@ fn materialize(
 }
 
 /// Extract the winner of `group` as a materialized [`PhysicalPlan`] tree.
-/// `catalog` must be the one the winners were costed against.
-pub fn extract_plan(memo: &Memo, group: GroupId, catalog: &Catalog) -> Option<PhysicalPlan> {
+/// `ctx` must be the one the winners were costed with: an operator's own
+/// cost and execution memory are costed again, from the same inputs.
+pub fn extract_plan(
+    memo: &Memo,
+    group: GroupId,
+    ctx: &ImplementationContext<'_>,
+) -> Option<PhysicalPlan> {
     let g = memo.group(group);
-    let w = g.winner.as_ref()?;
+    let w = memo.winner(group)?;
     let expr = memo.expr(w.expr);
+    // A scan's subtree is the scan alone, and no scan needs execution
+    // memory ([`optimize_group`] checks both), so only inner operators are
+    // costed again — and they read nothing from the catalog.
+    let (local_cost, memory_bytes) = if expr.children().is_empty() {
+        (w.total_cost, 0)
+    } else {
+        let mut own = None;
+        for_each_alternative(memo, group, expr, ctx, |choice, cost, bytes| {
+            if choice == w.choice {
+                own = Some((cost, bytes));
+            }
+        });
+        own?
+    };
     let mut children = Vec::with_capacity(expr.children().len());
     for c in expr.children() {
-        children.push(extract_plan(memo, *c, catalog)?);
+        children.push(extract_plan(memo, *c, ctx)?);
     }
     Some(PhysicalPlan {
-        op: materialize(memo, expr, w.choice, catalog)?,
+        op: materialize(memo, expr, w.choice, ctx.catalog)?,
         children,
         est_rows: g.rows,
         est_row_width: g.row_width,
-        local_cost: w.local_cost,
+        local_cost,
         total_cost: w.total_cost,
-        memory_bytes: w.memory_bytes,
+        memory_bytes,
     })
 }
 
@@ -273,8 +299,9 @@ mod tests {
             estimator: est,
             model: CostModel::default(),
         };
+        memo.clear_winners();
         optimize_group(&mut memo, root, &ctx, &mut mem).expect("optimizable");
-        let phys = extract_plan(&memo, root, &cat).expect("winner");
+        let phys = extract_plan(&memo, root, &ctx).expect("winner");
         (memo, root, phys)
     }
 
@@ -364,6 +391,7 @@ mod tests {
             estimator: est,
             model: CostModel::default(),
         };
+        memo.clear_winners();
         let c1 = optimize_group(&mut memo, root, &ctx, &mut mem).unwrap();
         let used_after_first = mem.used_bytes();
         let c2 = optimize_group(&mut memo, root, &ctx, &mut mem).unwrap();
@@ -391,6 +419,7 @@ mod tests {
             estimator: est,
             model: CostModel::default(),
         };
+        memo.clear_winners();
         optimize_group(&mut memo, root, &ctx, &mut mem).unwrap();
         assert!(mem.used_bytes() > before);
     }
@@ -405,6 +434,14 @@ mod tests {
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
         let root = memo.insert_plan(bound, &est, &mut mem);
-        assert!(extract_plan(&memo, root, &cat).is_none());
+        let ctx = ImplementationContext {
+            catalog: &cat,
+            estimator: est,
+            model: CostModel::default(),
+        };
+        assert!(extract_plan(&memo, root, &ctx).is_none());
+        // A costing pass that has not reached the group has no winner either.
+        memo.clear_winners();
+        assert!(extract_plan(&memo, root, &ctx).is_none());
     }
 }

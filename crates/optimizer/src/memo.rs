@@ -15,15 +15,46 @@
 //!   name into the compilation's [`Names`] table, which the memo takes over
 //!   with the [`BoundQuery`] it is seeded from, so an operator is a `Copy`
 //!   value of integer ids, a group's covered bindings are a bitset,
-//!   children are a fixed pair, join predicate lists sit back to back in
-//!   one arena, a group's members are threaded through the expression
-//!   array, and duplicate detection hashes a candidate and compares it with
-//!   the stored expressions. Each expression is hashed once, when it is
-//!   first offered: it keeps the low word of its hash, so growing the
-//!   table re-places it without hashing again. Adding an alternative
-//!   allocates nothing beyond amortized growth of those few arrays.
+//!   children are a fixed pair, a join's only predicate sits in its
+//!   operator and longer predicate lists back to back in one arena, and a
+//!   group's members are threaded through the expression array. Adding an
+//!   alternative allocates nothing beyond amortized growth of those few
+//!   arrays.
 //!
 //! The first must not move when the second does.
+//!
+//! How the memo keeps the second small and cheap:
+//!
+//! * **One hash per candidate.** Duplicate detection hashes a candidate
+//!   with SipHash-1-3 under two keys drawn per memo from a `RandomState`
+//!   (operators derive from user SQL, so a memo is keyed apart as a
+//!   `HashMap` is) and compares it with the stored expressions. The
+//!   message is the candidate's 32-bit words in order: operator, both
+//!   children, then the predicates. A join with at most one predicate —
+//!   every candidate a SALES exploration offers — is one 16-byte message,
+//!   two compressions and the finalization on registers; longer lists
+//!   stream on, two predicates a word. The result is the standard
+//!   SipHash-1-3 of those bytes (the tests hold it to
+//!   `std::hash::DefaultHasher`). A stored expression keeps the low 30
+//!   bits of its hash beside the two bits of its applied rules, so growing
+//!   the table re-places it without hashing again, in a 32-byte
+//!   [`MemoExpr`].
+//! * **No probe for a new group.** A candidate with a child group that no
+//!   stored expression references yet — the group an `insert_join` has just
+//!   created — cannot equal a stored expression, so it is not looked up.
+//!   Memos of fewer than 16 expressions are searched linearly and have no
+//!   table at all.
+//! * **Winners beside the groups.** A costing pass records each group's
+//!   best implementation in a table the pass sizes once, one slot per
+//!   group; a [`Group`] holds only logical properties. The dedup table is
+//!   freed when exploration ends, before the final pass sizes the winners
+//!   table, so the two large tables are never live together (the seed
+//!   pass's winners, one per seeded group, are all that survive
+//!   exploration).
+//! * **Exploration needs no queue.** Every expression waits for its rules
+//!   from its creation on, and expressions are created in id order, so the
+//!   work list is the id range between a cursor and the end of the array
+//!   ([`crate::rules::Exploration`]).
 
 use crate::binder::BoundQuery;
 use crate::cardinality::CardinalityEstimator;
@@ -33,7 +64,7 @@ use crate::logical::LogicalOp;
 use crate::memory::{sizes, CompilationMemory};
 use crate::names::{BindingSet, Names, PlainId, PredRef};
 use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::BuildHasher;
 use throttledb_sqlparse::JoinKind;
 
 /// Identifies a memo group.
@@ -49,30 +80,58 @@ impl GroupId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(pub u32);
 
-/// A join's equi-join predicates, ordered and oriented: a range of a
-/// predicate arena — the memo's, read through [`Memo::pred_list`], or a
-/// [`BoundQuery`]'s.
-#[derive(Debug, Clone, Copy, Default)]
+/// A join's equi-join predicates, ordered and oriented. A single
+/// predicate, the common case, is held in the list itself; a longer list
+/// is a range of a predicate arena — the memo's, read through
+/// [`Memo::pred_list`], or a [`BoundQuery`]'s.
+#[derive(Debug, Clone, Copy)]
 pub struct PredList {
-    start: u32,
+    /// The predicate when `len` is 1; the arena offset of the first when
+    /// it is more.
+    head: PredRef,
     len: u32,
 }
 
 impl PredList {
-    /// Append `preds` to `arena` and return their range.
+    /// The list of no predicates.
+    const EMPTY: PredList = PredList {
+        head: PredRef(0),
+        len: 0,
+    };
+
+    /// The list of `preds`: held in the list when there is one, appended
+    /// to `arena` when there are more.
     pub(crate) fn append(
         arena: &mut Vec<PredRef>,
         preds: impl IntoIterator<Item = PredRef>,
     ) -> PredList {
+        let mut preds = preds.into_iter();
+        let Some(first) = preds.next() else {
+            return PredList::EMPTY;
+        };
+        let Some(second) = preds.next() else {
+            return PredList {
+                head: first,
+                len: 1,
+            };
+        };
         let start = arena.len() as u32;
+        arena.extend([first, second]);
         arena.extend(preds);
         let len = arena.len() as u32 - start;
-        PredList { start, len }
+        PredList {
+            head: PredRef(start),
+            len,
+        }
     }
 
-    /// The predicates this list ranges over in `arena`.
-    pub(crate) fn of(self, arena: &[PredRef]) -> &[PredRef] {
-        &arena[self.start as usize..(self.start + self.len) as usize]
+    /// The predicates of this list, whose longer lists range over `arena`.
+    pub(crate) fn of<'a>(&'a self, arena: &'a [PredRef]) -> &'a [PredRef] {
+        match self.len {
+            0 => &[],
+            1 => std::slice::from_ref(&self.head),
+            len => &arena[self.head.0 as usize..(self.head.0 + len) as usize],
+        }
     }
 
     /// True for a join without equi-join predicates (a cross product).
@@ -100,7 +159,7 @@ pub enum MemoOp {
 impl MemoOp {
     /// A join whose predicate list the memo assigns when it stores it.
     fn join(kind: JoinKind) -> MemoOp {
-        let preds = PredList::default();
+        let preds = PredList::EMPTY;
         MemoOp::Join { kind, preds }
     }
 
@@ -112,7 +171,19 @@ impl MemoOp {
             MemoOp::Join { kind, .. } => (true, kind as u32),
         }
     }
+
+    /// The key as the first word of the hashed message. Plain ids are
+    /// small, so setting the top bit for a join keeps it apart.
+    fn key_word(&self) -> u32 {
+        let (is_join, id) = self.key();
+        id | u32::from(is_join) << 31
+    }
 }
+
+/// Bits of a [`MemoExpr`]'s hash word that hold the hash; the two above
+/// them hold the rules applied.
+const HASH_BITS: u32 = 30;
+const HASH_MASK: u32 = (1 << HASH_BITS) - 1;
 
 /// A logical expression stored in the memo: an operator over child groups.
 #[derive(Debug, Clone, Copy)]
@@ -123,19 +194,18 @@ pub struct MemoExpr {
     pub op: MemoOp,
     /// Child groups, padded with [`GroupId::NONE`].
     pub children: [GroupId; 2],
-    /// Bitmask of transformation rules already applied to this expression.
-    pub rules_applied: u32,
     /// The group's next member, in insertion order; [`NONE`] after the last.
     next_in_group: u32,
-    /// The low word of the expression's hash, which is all of it a slot
-    /// index uses.
-    hash: u32,
+    /// The low [`HASH_BITS`] bits of the expression's hash, which is all of
+    /// it a slot index uses, under the masks of the rules already applied.
+    hash_and_rules: u32,
 }
 
 /// Pinned because the memo's expressions are most of a compile's heap: a
 /// wider `MemoExpr` moves the benchmark's `compile_real` `peak_heap_mb` and
-/// `BENCH_compile.json`'s `heap_bytes_per_expr`.
-const _: () = assert!(std::mem::size_of::<MemoExpr>() == 36);
+/// `BENCH_compile.json`'s `heap_bytes_per_expr`. 32 bytes, two to a cache
+/// line, is why the rule bits share a word with the hash.
+const _: () = assert!(std::mem::size_of::<MemoExpr>() == 32);
 
 impl MemoExpr {
     /// The group's next member, in insertion order.
@@ -148,26 +218,46 @@ impl MemoExpr {
         let arity = self.children.iter().take_while(|c| **c != GroupId::NONE);
         &self.children[..arity.count()]
     }
+
+    /// Bitmask of the transformation rules already applied to this
+    /// expression ([`crate::rules::Rule::mask`]).
+    pub fn rules_applied(&self) -> u32 {
+        self.hash_and_rules >> HASH_BITS
+    }
+
+    /// Record the rules of `mask` as applied.
+    pub(crate) fn mark_applied(&mut self, mask: u32) {
+        debug_assert!(mask >> (32 - HASH_BITS) == 0, "rule mask {mask:#x}");
+        self.hash_and_rules |= mask << HASH_BITS;
+    }
+
+    /// The stored hash word.
+    fn hash(&self) -> u32 {
+        self.hash_and_rules & HASH_MASK
+    }
 }
 
 /// The best physical implementation found for a group. The operator with
-/// owned names is built from it only if it ends up in the extracted plan.
+/// owned names, its own cost and its execution memory are derived from it
+/// only if it ends up in the extracted plan.
 #[derive(Debug, Clone, Copy)]
 pub struct Winner {
     /// The logical expression that won (its children are the plan's).
     pub expr: ExprId,
     /// Which of its physical implementations.
     pub choice: PhysicalChoice,
-    /// Cost of this operator alone.
-    pub local_cost: Cost,
     /// Cost of the whole subtree.
     pub total_cost: Cost,
-    /// Execution memory this operator needs.
-    pub memory_bytes: u64,
 }
 
+/// Pinned because a costing pass holds one slot per group: the winners
+/// table is a group count of these, and an empty slot must cost no tag
+/// word beside the winner's own.
+const _: () =
+    assert!(std::mem::size_of::<Winner>() == 32 && std::mem::size_of::<Option<Winner>>() == 32);
+
 /// A memo group: the set of logically equivalent expressions plus shared
-/// logical properties (cardinality, width, covered bindings) and the winner.
+/// logical properties (cardinality, width, covered bindings).
 #[derive(Debug, Clone, Copy)]
 pub struct Group {
     /// Estimated output rows.
@@ -176,36 +266,156 @@ pub struct Group {
     pub row_width: u32,
     /// Query bindings (table aliases) covered by this group.
     pub bindings: BindingSet,
-    /// Best implementation found so far, if the group has been optimized.
-    pub winner: Option<Winner>,
     /// First member; the rest hang off [`MemoExpr::next_in_group`].
-    pub first_expr: Option<ExprId>,
+    first_expr: u32,
     /// Last member so far.
-    pub last_expr: Option<ExprId>,
+    last_expr: u32,
 }
 
-/// Marks an unused slot of the duplicate-detection table and the end of a
-/// group's member chain.
+/// Pinned because every group the exploration creates is one of these,
+/// for the whole compile: the 256-bit binding set is most of it, and
+/// winners live in the costing pass's table instead.
+const _: () = assert!(std::mem::size_of::<Group>() == 56);
+
+impl Group {
+    /// First member.
+    pub fn first_expr(&self) -> Option<ExprId> {
+        (self.first_expr != NONE).then_some(ExprId(self.first_expr))
+    }
+
+    /// Last member so far.
+    pub fn last_expr(&self) -> Option<ExprId> {
+        (self.last_expr != NONE).then_some(ExprId(self.last_expr))
+    }
+}
+
+/// Marks an unused slot of the duplicate-detection table, the end of a
+/// group's member chain, and a join's missing predicate in a hashed
+/// message.
 const NONE: u32 = u32::MAX;
 
+/// Memos with fewer expressions than this are searched linearly and build
+/// no duplicate-detection table.
+const SCAN_LIMIT: usize = 16;
+
+/// The two keys of a memo's SipHash-1-3.
+#[derive(Debug, Clone, Copy)]
+struct SipKeys {
+    k0: u64,
+    k1: u64,
+}
+
+impl SipKeys {
+    /// Keys as random as a `HashMap`'s: two words of a fresh
+    /// `RandomState`'s own keyed hash.
+    fn random() -> SipKeys {
+        let state = RandomState::new();
+        SipKeys {
+            k0: state.hash_one(0u64),
+            k1: state.hash_one(1u64),
+        }
+    }
+}
+
+/// SipHash-1-3 over whole little-endian words: one compression round per
+/// word, three to finalize.
+#[derive(Debug, Clone, Copy)]
+struct Sip13 {
+    v0: u64,
+    v1: u64,
+    v2: u64,
+    v3: u64,
+}
+
+impl Sip13 {
+    fn new(keys: SipKeys) -> Sip13 {
+        Sip13 {
+            v0: keys.k0 ^ 0x736f_6d65_7073_6575,
+            v1: keys.k1 ^ 0x646f_7261_6e64_6f6d,
+            v2: keys.k0 ^ 0x6c79_6765_6e65_7261,
+            v3: keys.k1 ^ 0x7465_6462_7974_6573,
+        }
+    }
+
+    #[inline(always)]
+    fn round(&mut self) {
+        self.v0 = self.v0.wrapping_add(self.v1);
+        self.v2 = self.v2.wrapping_add(self.v3);
+        self.v1 = self.v1.rotate_left(13) ^ self.v0;
+        self.v3 = self.v3.rotate_left(16) ^ self.v2;
+        self.v0 = self.v0.rotate_left(32);
+        self.v2 = self.v2.wrapping_add(self.v1);
+        self.v0 = self.v0.wrapping_add(self.v3);
+        self.v1 = self.v1.rotate_left(17) ^ self.v2;
+        self.v3 = self.v3.rotate_left(21) ^ self.v0;
+        self.v2 = self.v2.rotate_left(32);
+    }
+
+    /// Absorb the next eight message bytes.
+    #[inline(always)]
+    fn word(&mut self, m: u64) {
+        self.v3 ^= m;
+        self.round();
+        self.v0 ^= m;
+    }
+
+    /// The hash of a `len`-byte message whose last `len % 8` bytes are
+    /// `tail` (the rest went through [`Sip13::word`]).
+    #[inline(always)]
+    fn finish(mut self, len: usize, tail: u64) -> u64 {
+        let b = (len as u64 & 0xff) << 56 | tail;
+        self.word(b);
+        self.v2 ^= 0xff;
+        self.round();
+        self.round();
+        self.round();
+        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+    }
+}
+
+/// Two 32-bit message words as one little-endian 64-bit word.
+fn pair(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
+}
+
 /// The memo structure.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Memo {
     names: Names,
     groups: Vec<Group>,
     exprs: Vec<MemoExpr>,
-    /// Every join expression's predicate list, back to back.
+    /// The predicate lists of joins with more than one, back to back.
     preds: Vec<PredRef>,
     /// Duplicate detection: an open-addressing table of indexes into
-    /// `exprs`, at most half full, probed linearly. The expressions are
-    /// the keys; nothing is copied into the table. Each is hashed once;
-    /// growth re-places it from its stored hash word.
+    /// `exprs`, at most half full, probed linearly; empty below
+    /// [`SCAN_LIMIT`] expressions and after exploration. The expressions
+    /// are the keys; nothing is copied into the table.
     slots: Vec<u32>,
-    /// Randomly keyed, like a `HashMap`'s: operators derive from user SQL.
-    hasher: RandomState,
+    /// The costing pass's best implementation per group.
+    winners: Vec<Option<Winner>>,
+    /// The newest group while no stored expression has it as a child.
+    fresh: Option<GroupId>,
+    keys: SipKeys,
     /// Hashes computed by [`Memo::hash`].
     #[cfg(test)]
     hashes: std::cell::Cell<usize>,
+}
+
+impl Default for Memo {
+    fn default() -> Self {
+        Memo {
+            names: Names::default(),
+            groups: Vec::new(),
+            exprs: Vec::new(),
+            preds: Vec::new(),
+            slots: Vec::new(),
+            winners: Vec::new(),
+            fresh: None,
+            keys: SipKeys::random(),
+            #[cfg(test)]
+            hashes: std::cell::Cell::new(0),
+        }
+    }
 }
 
 impl Memo {
@@ -234,11 +444,6 @@ impl Memo {
         &self.groups[id.0 as usize]
     }
 
-    /// Mutable access to a group.
-    pub fn group_mut(&mut self, id: GroupId) -> &mut Group {
-        &mut self.groups[id.0 as usize]
-    }
-
     /// Access an expression.
     pub fn expr(&self, id: ExprId) -> &MemoExpr {
         &self.exprs[id.0 as usize]
@@ -255,16 +460,50 @@ impl Memo {
     }
 
     /// A join's predicates.
-    pub fn pred_list(&self, list: PredList) -> &[PredRef] {
+    pub fn pred_list<'a>(&'a self, list: &'a PredList) -> &'a [PredRef] {
         list.of(&self.preds)
     }
 
     /// The predicates of `op` when it is a join, none otherwise.
-    fn op_preds(&self, op: &MemoOp) -> &[PredRef] {
+    fn op_preds<'a>(&'a self, op: &'a MemoOp) -> &'a [PredRef] {
         match op {
-            MemoOp::Join { preds, .. } => self.pred_list(*preds),
+            MemoOp::Join { preds, .. } => self.pred_list(preds),
             MemoOp::Plain(_) => &[],
         }
+    }
+
+    /// The winner the current costing pass found for `group`, if any.
+    pub fn winner(&self, group: GroupId) -> Option<&Winner> {
+        self.winners.get(group.0 as usize)?.as_ref()
+    }
+
+    /// Record `group`'s winner in the current costing pass.
+    pub fn set_winner(&mut self, group: GroupId, winner: Option<Winner>) {
+        debug_assert_eq!(
+            self.winners.len(),
+            self.groups.len(),
+            "clear_winners sizes the table for a costing pass"
+        );
+        self.winners[group.0 as usize] = winner;
+    }
+
+    /// Start a costing pass: one empty winner slot per group, sized once.
+    pub fn clear_winners(&mut self) {
+        self.winners.clear();
+        self.winners.resize(self.groups.len(), None);
+    }
+
+    /// Exploration is about to add alternatives: the seed pass's winners
+    /// are stale.
+    pub fn begin_exploration(&mut self) {
+        self.winners.clear();
+    }
+
+    /// No alternative is added from here on: free the duplicate-detection
+    /// table before the final costing pass sizes the winners table. (Were
+    /// one added, the table would be rebuilt first.)
+    pub fn end_exploration(&mut self) {
+        self.slots = Vec::new();
     }
 
     /// Seed an empty memo with a bound query: take over its name table and
@@ -282,7 +521,7 @@ impl Memo {
         for e in &bound.exprs {
             let children = e.children.map(|c| c.map_or(GroupId::NONE, |at| groups[at]));
             let scanned = e.scans.map_or_else(BindingSet::default, BindingSet::single);
-            let preds = match e.op {
+            let preds = match &e.op {
                 MemoOp::Join { preds, .. } => preds.of(&bound.preds),
                 MemoOp::Plain(_) => &[],
             };
@@ -331,12 +570,12 @@ impl Memo {
             rows,
             row_width,
             bindings,
-            winner: None,
-            first_expr: None,
-            last_expr: None,
+            first_expr: NONE,
+            last_expr: NONE,
         });
         mem.charge(sizes::GROUP_BYTES);
         let expr_id = self.push_expr(group_id, op, preds, children, hash, mem);
+        self.fresh = Some(group_id);
         (group_id, Some(expr_id))
     }
 
@@ -371,24 +610,26 @@ impl Memo {
         if let MemoOp::Join { preds, .. } = &mut op {
             *preds = PredList::append(&mut self.preds, new_preds.iter().copied());
         }
+        if self.fresh.is_some_and(|g| children.contains(&g)) {
+            self.fresh = None;
+        }
         let expr_id = ExprId(self.exprs.len() as u32);
         self.exprs.push(MemoExpr {
             group,
             op,
             children,
-            rules_applied: 0,
             next_in_group: NONE,
-            hash,
+            hash_and_rules: hash,
         });
         let members = &mut self.groups[group.0 as usize];
-        match members.last_expr.replace(expr_id) {
-            Some(previous) => self.exprs[previous.0 as usize].next_in_group = expr_id.0,
-            None => members.first_expr = Some(expr_id),
+        match std::mem::replace(&mut members.last_expr, expr_id.0) {
+            NONE => members.first_expr = expr_id.0,
+            previous => self.exprs[previous as usize].next_in_group = expr_id.0,
         }
-        if self.exprs.len() * 2 > self.slots.len() {
-            self.grow_slots();
-        } else {
+        if self.exprs.len() * 2 <= self.slots.len() {
             place(&mut self.slots, hash, expr_id.0);
+        } else if self.exprs.len() >= SCAN_LIMIT {
+            self.grow_slots();
         }
         mem.charge(sizes::LOGICAL_EXPR_BYTES);
         expr_id
@@ -399,25 +640,31 @@ impl Memo {
     fn hash(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u32 {
         #[cfg(test)]
         self.hashes.set(self.hashes.get() + 1);
-        self.digest(op, preds, children)
+        self.digest(op, preds, children) as u32 & HASH_MASK
     }
 
-    /// The expression's keyed SipHash, cut to the word a slot index uses:
-    /// the operator key and both children as two packed words, then each
-    /// predicate. The predicates come last, so their count is not needed.
-    fn digest(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u32 {
-        let mut h = self.hasher.build_hasher();
-        let (is_join, id) = op.key();
-        h.write_u64(u64::from(is_join) << 32 | u64::from(id));
-        h.write_u64(u64::from(children[0].0) << 32 | u64::from(children[1].0));
-        for p in preds {
-            p.hash(&mut h);
+    /// The candidate's keyed SipHash-1-3 over its words: the operator key,
+    /// both children, then each predicate ([`NONE`] when there is none, so
+    /// the common case is exactly two message words).
+    fn digest(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u64 {
+        let (first, rest) = match preds.split_first() {
+            Some((first, rest)) => (first.0, rest),
+            None => (NONE, &[][..]),
+        };
+        let mut sip = Sip13::new(self.keys);
+        sip.word(pair(op.key_word(), children[0].0));
+        sip.word(pair(children[1].0, first));
+        let mut pairs = rest.chunks_exact(2);
+        for two in &mut pairs {
+            sip.word(pair(two[0].0, two[1].0));
         }
-        h.finish() as u32
+        let tail = pairs.remainder().first().map_or(0, |p| u64::from(p.0));
+        sip.finish(16 + 4 * rest.len(), tail)
     }
 
     /// The stored expression equal to the candidate, if any: same operator,
-    /// same ordered and oriented predicates, same children.
+    /// same ordered and oriented predicates, same children. A candidate
+    /// over the fresh group has none, and is not looked up.
     fn find(
         &self,
         hash: u32,
@@ -425,17 +672,23 @@ impl Memo {
         preds: &[PredRef],
         children: &[GroupId; 2],
     ) -> Option<ExprId> {
-        if self.slots.is_empty() {
+        if self.fresh.is_some_and(|g| children.contains(&g)) {
             return None;
+        }
+        let equal = |stored: &MemoExpr| {
+            stored.hash() == hash
+                && stored.op.key() == op.key()
+                && stored.children == *children
+                && self.op_preds(&stored.op) == preds
+        };
+        if self.slots.is_empty() {
+            let at = self.exprs.iter().position(equal)?;
+            return Some(ExprId(at as u32));
         }
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         while self.slots[at] != NONE {
-            let stored = &self.exprs[self.slots[at] as usize];
-            if stored.op.key() == op.key()
-                && stored.children == *children
-                && self.op_preds(&stored.op) == preds
-            {
+            if equal(&self.exprs[self.slots[at] as usize]) {
                 return Some(ExprId(self.slots[at]));
             }
             at = (at + 1) & mask;
@@ -443,22 +696,23 @@ impl Memo {
         None
     }
 
-    /// Double the duplicate-detection table and re-place every expression
-    /// from its stored hash word.
+    /// Double the duplicate-detection table (or build it, at most half
+    /// full) and re-place every expression from its stored hash word.
     fn grow_slots(&mut self) {
-        let mut slots = std::mem::take(&mut self.slots);
-        let size = (slots.len() * 2).max(16);
+        let size = (self.exprs.len() * 2).next_power_of_two();
         // A slot index is the hash word masked, so the word must cover it.
-        debug_assert!(size as u64 <= 1 << 32, "{size} slots outgrow a u32 hash");
-        slots.clear();
-        slots.resize(size, NONE);
+        debug_assert!(size <= 1 << HASH_BITS, "{size} slots outgrow the hash word");
+        // Free the old table first: none of it is kept, so a reallocation
+        // would only copy it.
+        self.slots = Vec::new();
+        let mut slots = vec![NONE; size];
         for (at, e) in self.exprs.iter().enumerate() {
             debug_assert_eq!(
-                e.hash,
-                self.digest(&e.op, self.op_preds(&e.op), &e.children),
+                e.hash(),
+                self.digest(&e.op, self.op_preds(&e.op), &e.children) as u32 & HASH_MASK,
                 "stale hash on expression {at}"
             );
-            place(&mut slots, e.hash, at as u32);
+            place(&mut slots, e.hash(), at as u32);
         }
         self.slots = slots;
     }
@@ -509,14 +763,6 @@ impl Memo {
             ),
         }
     }
-
-    /// Clear all winners (used before a re-costing pass after exploration
-    /// added new alternatives).
-    pub fn clear_winners(&mut self) {
-        for g in &mut self.groups {
-            g.winner = None;
-        }
-    }
 }
 
 /// Put `value` in the first free slot at or after `hash`'s home.
@@ -535,6 +781,7 @@ mod tests {
     use crate::binder::Binder;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::hash::Hasher;
     use throttledb_catalog::{tpch_schema, Catalog};
     use throttledb_sqlparse::parse;
 
@@ -555,10 +802,10 @@ mod tests {
 
     /// The members of `group`, in order.
     fn members(memo: &Memo, group: GroupId) -> Vec<ExprId> {
-        let first = memo.group(group).first_expr;
+        let first = memo.group(group).first_expr();
         let members = std::iter::successors(first, |e| memo.expr(*e).next_in_group());
         let members: Vec<ExprId> = members.collect();
-        assert_eq!(members.last(), memo.group(group).last_expr.as_ref());
+        assert_eq!(members.last().copied(), memo.group(group).last_expr());
         members
     }
 
@@ -638,6 +885,20 @@ mod tests {
         // table several times hashed nothing again.
         assert!(memo.slots.len() >= 16 << 6);
         assert_eq!(memo.hashes.get(), seeds + 2 * pairs.len());
+        // Without its table the memo still finds every expression, and an
+        // insert rebuilds the table at most half full.
+        memo.end_exploration();
+        assert!(memo.slots.is_empty());
+        let again = memo.insert_join(JoinKind::Inner, &[], pairs[7], &est, &mut mem);
+        assert_eq!(again, (groups[7], None));
+        let (_, new) = memo.insert_join(JoinKind::Left, &[], pairs[7], &est, &mut mem);
+        assert!(new.is_some());
+        assert!(memo.slots.len() >= 2 * memo.expr_count());
+        assert_eq!(
+            memo.insert_join(JoinKind::Left, &[], pairs[7], &est, &mut mem)
+                .1,
+            None
+        );
     }
 
     /// Seeds a memo whose join predicates give six oriented `PredRef`s.
@@ -646,15 +907,59 @@ mod tests {
          JOIN lineitem l ON o.o_orderkey = l.l_orderkey \
          JOIN nation n ON c.c_nationkey = n.n_nationkey";
 
+    /// Every join in the memo, keyed by the whole expression, with its
+    /// group: the dedup decisions the memo must make.
+    type NaiveMap = HashMap<(JoinKind, Vec<PredRef>, [GroupId; 2]), GroupId>;
+
+    /// `insert_join`, checked against the naive map. Returns its group and
+    /// whether the map already held it.
+    fn checked_insert(
+        memo: &mut Memo,
+        naive: &mut NaiveMap,
+        est: &CardinalityEstimator<'_>,
+        mem: &mut CompilationMemory,
+        (kind, preds, children): (JoinKind, Vec<PredRef>, [GroupId; 2]),
+    ) -> (GroupId, bool) {
+        let key = (kind, preds, children);
+        let existing = naive.get(&key).copied();
+        let next = ExprId(memo.expr_count() as u32);
+        let group = existing.unwrap_or(GroupId(memo.group_count() as u32));
+        let got = memo.insert_join(kind, &key.1, children, est, mem);
+        prop_assert_eq!(got, (group, existing.is_none().then_some(next)));
+        naive.insert(key, group);
+        (group, existing.is_some())
+    }
+
+    /// `add_join_to_group`, checked against the naive map. Returns whether
+    /// the map already held the expression.
+    fn checked_add(
+        memo: &mut Memo,
+        naive: &mut NaiveMap,
+        mem: &mut CompilationMemory,
+        target: GroupId,
+        (kind, preds, children): (JoinKind, Vec<PredRef>, [GroupId; 2]),
+    ) -> bool {
+        let key = (kind, preds, children);
+        let existing = naive.get(&key).copied();
+        let next = ExprId(memo.expr_count() as u32);
+        let got = memo.add_join_to_group(target, kind, &key.1, children, mem);
+        prop_assert_eq!(got, existing.is_none().then_some(next));
+        naive.entry(key).or_insert(target);
+        existing.is_some()
+    }
+
     proptest! {
         /// Random `insert_join` / `add_join_to_group` sequences, some ops
         /// replaying earlier ones, against a map keyed by the whole
         /// expression: the memo must make every dedup decision the map
-        /// makes, across at least four doublings of its table.
+        /// makes, across at least four doublings of its table. Eights and
+        /// nines are what association does: an `insert_join`, then an
+        /// `add_join_to_group` over the group it returned, which the memo
+        /// does not look up when that group is new.
         #[test]
         fn dedup_matches_a_naive_map_across_growth(
             ops in proptest::collection::vec(
-                (0u8..8, (0u32..u32::MAX, 0u32..u32::MAX), 0u32..864, 0u32..u32::MAX),
+                (0u8..12, (0u32..u32::MAX, 0u32..u32::MAX), 0u32..864, 0u32..u32::MAX),
                 200..400,
             ),
         ) {
@@ -663,10 +968,10 @@ mod tests {
             let mut mem = CompilationMemory::unlimited();
             let (mut memo, _) = seeded(&cat, FOUR_WAY, &mut mem);
             let mut refs: Vec<PredRef> = Vec::new();
-            let mut naive: HashMap<(JoinKind, Vec<PredRef>, [GroupId; 2]), GroupId> = HashMap::new();
+            let mut naive = NaiveMap::new();
             for e in memo.expr_ids().map(|e| *memo.expr(e)) {
                 if let MemoOp::Join { kind, preds } = e.op {
-                    let preds = memo.pred_list(preds).to_vec();
+                    let preds = memo.pred_list(&preds).to_vec();
                     refs.extend(preds.iter().flat_map(|p| [*p, p.flipped()]));
                     naive.insert((kind, preds, e.children), e.group);
                 }
@@ -674,49 +979,160 @@ mod tests {
             prop_assert_eq!(refs.len(), 6);
             prop_assert!(memo.group_count() >= 8);
             let plain = memo.expr_count() - naive.len();
+            // Up to three of the six predicates, repeats allowed.
+            let preds_of = |code: u32| -> Vec<PredRef> {
+                (0..code % 4)
+                    .map(|i| refs[(code / 4 / 6u32.pow(i)) as usize % 6])
+                    .collect()
+            };
+            let kind_of = |sel: u8| [JoinKind::Inner, JoinKind::Left, JoinKind::Right][usize::from(sel % 3)];
             let mut duplicates = 0;
-            let mut done: Vec<(u8, [GroupId; 2], u32, GroupId)> = Vec::new();
+            let (mut pairs, mut fresh_pairs, mut dup_pairs) = (0, 0, 0);
+            let mut done: Vec<(u8, [GroupId; 2], u32, GroupId, GroupId, u32)> = Vec::new();
             for (sel, (a, b), code, target) in ops {
                 let groups = memo.group_count() as u32;
-                // Sixes and sevens replay an earlier op through the other call.
-                let (sel, children, code, target) = match sel {
-                    6 | 7 if !done.is_empty() => {
-                        let (sel, children, code, target) = done[a as usize % done.len()];
-                        ((sel + 3) % 6, children, code, target)
+                // Tens replay an earlier single op through the other call,
+                // elevens an earlier pair as it was.
+                let replays = |pairs: bool| done.iter().filter(move |op| (op.0 >= 6) == pairs);
+                let (sel, children, code, target, other, top_code) = match sel {
+                    10 | 11 if replays(sel == 11).next().is_some() => {
+                        let earlier = replays(sel == 11).count();
+                        let (sel, children, code, target, other, top_code) =
+                            *replays(sel == 11).nth(a as usize % earlier).unwrap();
+                        let sel = if sel < 6 { (sel + 3) % 6 } else { sel };
+                        (sel, children, code, target, other, top_code)
                     }
-                    6 | 7 => continue,
+                    10 | 11 => continue,
                     _ => {
                         // Few child pairs, so many candidates differ in
                         // their predicates alone.
                         let children = [GroupId(a % 8), GroupId(b % 8)];
-                        (sel, children, code, GroupId(target % groups))
+                        let other = GroupId(a / 8 % 8);
+                        let top_code = b / 8 % 864;
+                        (sel, children, code, GroupId(target % groups), other, top_code)
                     }
                 };
-                done.push((sel, children, code, target));
-                let kind = [JoinKind::Inner, JoinKind::Left, JoinKind::Right][usize::from(sel % 3)];
-                // Up to three of the six predicates, repeats allowed.
-                let preds: Vec<PredRef> = (0..code % 4)
-                    .map(|i| refs[(code / 4 / 6u32.pow(i)) as usize % 6])
-                    .collect();
-                let key = (kind, preds.clone(), children);
-                let existing = naive.get(&key).copied();
-                duplicates += usize::from(existing.is_some());
-                let new = existing.is_none().then_some(ExprId(memo.expr_count() as u32));
+                done.push((sel, children, code, target, other, top_code));
+                let candidate = (kind_of(sel), preds_of(code), children);
                 if sel < 3 {
-                    let got = memo.insert_join(kind, &preds, children, &est, &mut mem);
-                    let group = existing.unwrap_or(GroupId(groups));
-                    prop_assert_eq!(got, (group, new));
-                    naive.insert(key, group);
+                    let (_, dup) = checked_insert(&mut memo, &mut naive, &est, &mut mem, candidate);
+                    duplicates += usize::from(dup);
+                } else if sel < 6 {
+                    duplicates += usize::from(checked_add(&mut memo, &mut naive, &mut mem, target, candidate));
                 } else {
-                    let got = memo.add_join_to_group(target, kind, &preds, children, &mut mem);
-                    prop_assert_eq!(got, new);
-                    naive.entry(key).or_insert(target);
+                    let (bc, dup) = checked_insert(&mut memo, &mut naive, &est, &mut mem, candidate);
+                    let top_children = if sel % 2 == 0 { [other, bc] } else { [bc, other] };
+                    let top = (kind_of(sel / 2), preds_of(top_code), top_children);
+                    let top_dup = checked_add(&mut memo, &mut naive, &mut mem, target, top);
+                    duplicates += usize::from(dup) + usize::from(top_dup);
+                    pairs += 1;
+                    fresh_pairs += usize::from(!dup);
+                    dup_pairs += usize::from(dup && top_dup);
                 }
             }
             prop_assert_eq!(memo.expr_count(), plain + naive.len());
             prop_assert!(memo.slots.len() >= 16 << 4, "{} slots", memo.slots.len());
             prop_assert!(duplicates > 20, "{duplicates} duplicates");
+            // Both sides of the skip ran: pairs over a new group, and pairs
+            // whose group existed and whose top join did too.
+            prop_assert!(fresh_pairs > 0 && dup_pairs > 0, "{pairs} pairs: {fresh_pairs} over a new group, {dup_pairs} wholly repeated");
         }
+
+        /// The memo's hash is SipHash-1-3 of the candidate's words: equal
+        /// to the standard library's under the same (zero) keys.
+        #[test]
+        fn candidate_hash_matches_std_siphash_on_random_candidates(
+            sel in 0u8..4,
+            id in 0u32..u32::MAX,
+            children in (0u32..u32::MAX, 0u32..u32::MAX),
+            preds in proptest::collection::vec(0u32..u32::MAX, 0..7),
+        ) {
+            let mut memo = Memo::new();
+            memo.keys = SipKeys { k0: 0, k1: 0 };
+            let op = match sel {
+                3 => MemoOp::Plain(PlainId(id >> 1)),
+                kind => MemoOp::join([JoinKind::Inner, JoinKind::Left, JoinKind::Right][usize::from(kind)]),
+            };
+            let children = [GroupId(children.0), GroupId(children.1)];
+            let preds: Vec<PredRef> = preds.into_iter().map(PredRef).collect();
+            prop_assert_eq!(memo.digest(&op, &preds, &children), std_sip13(&message(&op, &children, &preds)));
+        }
+    }
+
+    /// The bytes the memo's hash reads for a candidate: its 32-bit words,
+    /// little-endian — operator, children, then the predicates, with
+    /// [`NONE`] standing for a missing first one.
+    fn message(op: &MemoOp, children: &[GroupId; 2], preds: &[PredRef]) -> Vec<u8> {
+        let first = preds.first().map_or(NONE, |p| p.0);
+        let mut words = vec![op.key_word(), children[0].0, children[1].0, first];
+        words.extend(preds.iter().skip(1).map(|p| p.0));
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// The standard library's SipHash-1-3 of `bytes` under zero keys.
+    fn std_sip13(bytes: &[u8]) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+
+    #[test]
+    fn candidate_hash_matches_std_siphash_on_fixed_candidates() {
+        let mut memo = Memo::new();
+        memo.keys = SipKeys { k0: 0, k1: 0 };
+        let join = MemoOp::join(JoinKind::Inner);
+        let p = |id| PredRef(id);
+        let cases: [(MemoOp, [GroupId; 2], Vec<PredRef>, usize); 7] = [
+            (join, [GroupId(3), GroupId(7)], vec![p(5)], 16),
+            (join, [GroupId(0), GroupId(0)], vec![], 16),
+            (
+                MemoOp::join(JoinKind::Right),
+                [GroupId(9), GroupId(2)],
+                vec![p(0)],
+                16,
+            ),
+            (
+                MemoOp::Plain(PlainId(4)),
+                [GroupId(1), GroupId::NONE],
+                vec![],
+                16,
+            ),
+            (join, [GroupId(1), GroupId(2)], vec![p(3), p(4)], 20),
+            (join, [GroupId(1), GroupId(2)], vec![p(3), p(4), p(5)], 24),
+            (
+                join,
+                [GroupId::NONE, GroupId::NONE],
+                vec![p(u32::MAX); 6],
+                36,
+            ),
+        ];
+        for (op, children, preds, len) in cases {
+            let bytes = message(&op, &children, &preds);
+            assert_eq!(bytes.len(), len);
+            assert_eq!(
+                memo.digest(&op, &preds, &children),
+                std_sip13(&bytes),
+                "{op:?} {children:?} {preds:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_memo_keys_the_same_candidate_differently() {
+        let (a, b) = (Memo::new(), Memo::new());
+        let op = MemoOp::join(JoinKind::Inner);
+        let children = [GroupId(3), GroupId(7)];
+        let preds = [PredRef(5)];
+        assert_ne!((a.keys.k0, a.keys.k1), (b.keys.k0, b.keys.k1));
+        assert_ne!(
+            a.digest(&op, &preds, &children),
+            b.digest(&op, &preds, &children)
+        );
+        // A memo hashes one candidate the same way every time.
+        assert_eq!(
+            a.digest(&op, &preds, &children),
+            a.digest(&op, &preds, &children)
+        );
     }
 
     #[test]
@@ -789,14 +1205,20 @@ mod tests {
         let cat = tpch_schema(0.1);
         let mut mem = CompilationMemory::unlimited();
         let (mut memo, g) = seeded(&cat, "SELECT o_orderkey FROM orders", &mut mem);
-        memo.group_mut(g).winner = Some(Winner {
-            expr: ExprId(0),
-            choice: PhysicalChoice::TableScan,
-            local_cost: Cost::ZERO,
-            total_cost: Cost::ZERO,
-            memory_bytes: 0,
-        });
+        assert!(memo.winner(g).is_none(), "no costing pass yet");
         memo.clear_winners();
-        assert!(memo.group(g).winner.is_none());
+        assert_eq!(memo.winners.len(), memo.group_count());
+        memo.set_winner(
+            g,
+            Some(Winner {
+                expr: ExprId(0),
+                choice: PhysicalChoice::TableScan,
+                total_cost: Cost::ZERO,
+            }),
+        );
+        assert!(memo.winner(g).is_some());
+        memo.clear_winners();
+        assert!(memo.winner(g).is_none());
+        assert_eq!(memo.winners.len(), memo.group_count());
     }
 }

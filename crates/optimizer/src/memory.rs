@@ -12,7 +12,7 @@
 //! The bytes charged here are **modelled**: the [`sizes`] a production
 //! optimizer's memo objects would occupy, which is the quantity the paper
 //! throttles on. They are not this process's heap — the memo holding the
-//! same alternatives really costs a hundred-odd bytes per expression (see
+//! same alternatives really costs about a hundred bytes per expression (see
 //! [`crate::memo`]) — and the sequence of charges is a fixed function of
 //! the query, pinned per template by `tests/compile_fingerprint.rs`, so the
 //! representation can get cheaper without the ladder or the broker seeing
@@ -73,7 +73,9 @@ pub struct CompilationMemory {
     used: u64,
     peak: u64,
     clerk: Option<Clerk>,
-    governor: Box<dyn MemoryGovernor + Send>,
+    /// `None` for an ungoverned account, which then skips the dynamic call
+    /// on every charge.
+    governor: Option<Box<dyn MemoryGovernor + Send>>,
     /// The directive that ended normal operation, if any. Once set, it is
     /// sticky: further charges keep returning it.
     pending_directive: GovernorDirective,
@@ -97,14 +99,21 @@ impl CompilationMemory {
             used: 0,
             peak: 0,
             clerk,
-            governor,
+            governor: Some(governor),
             pending_directive: GovernorDirective::Continue,
         }
     }
 
-    /// An ungoverned account (unthrottled baseline, unit tests).
+    /// An ungoverned account (unthrottled baseline, unit tests): it behaves
+    /// as one governed by [`UnlimitedGovernor`] without consulting it.
     pub fn unlimited() -> Self {
-        CompilationMemory::new(Box::new(UnlimitedGovernor), None)
+        CompilationMemory {
+            used: 0,
+            peak: 0,
+            clerk: None,
+            governor: None,
+            pending_directive: GovernorDirective::Continue,
+        }
     }
 
     /// Live bytes charged to this compilation.
@@ -127,7 +136,10 @@ impl CompilationMemory {
         if self.pending_directive != GovernorDirective::Continue {
             return self.pending_directive;
         }
-        let directive = self.governor.on_allocation(self.used, self.peak);
+        let Some(governor) = &mut self.governor else {
+            return GovernorDirective::Continue;
+        };
+        let directive = governor.on_allocation(self.used, self.peak);
         if directive != GovernorDirective::Continue {
             self.pending_directive = directive;
         }
@@ -160,7 +172,9 @@ impl CompilationMemory {
             clerk.free(self.used);
         }
         self.used = 0;
-        self.governor.on_completion(self.peak);
+        if let Some(governor) = &mut self.governor {
+            governor.on_completion(self.peak);
+        }
         self.peak
     }
 }

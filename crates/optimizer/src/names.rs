@@ -39,7 +39,7 @@ pub struct PlainId(pub(crate) u32);
 /// says whether the sides are swapped relative to the stored predicate.
 /// Equal `PredRef`s are equal [`JoinPredicate`]s, orientation included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PredRef(u32);
+pub struct PredRef(pub(crate) u32);
 
 impl PredRef {
     /// The same predicate with its sides swapped (join commutativity).

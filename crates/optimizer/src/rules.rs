@@ -11,9 +11,8 @@
 
 use crate::cardinality::CardinalityEstimator;
 use crate::memo::{ExprId, GroupId, Memo, MemoOp, PredList};
-use crate::memory::{sizes, CompilationMemory};
+use crate::memory::{sizes, CompilationMemory, GovernorDirective};
 use crate::names::PredRef;
-use std::collections::VecDeque;
 use throttledb_sqlparse::JoinKind;
 
 /// The transformation rules.
@@ -46,25 +45,62 @@ impl Rule {
     }
 }
 
-/// One exploration: the work list of expressions whose rules have not fired
-/// yet, plus the predicate buffers every rule application reuses.
+/// One exploration: a cursor over the expressions whose rules have not
+/// fired yet, plus the predicate buffers every rule application reuses.
 #[derive(Debug, Default)]
 pub struct Exploration {
-    /// Expressions waiting for their rules, in discovery order. Rule
-    /// applications append the expressions they create.
-    pub queue: VecDeque<ExprId>,
+    /// The first expression waiting for its rules. Everything from here to
+    /// the end of the memo waits, in id order: the seeds, then each
+    /// alternative a rule application creates, which the memo appends.
+    next: u32,
     /// Predicates of the join a rule is building below the new top join
     /// (or of the commuted join).
     lower: Vec<PredRef>,
     /// Predicates of the new top join.
     upper: Vec<PredRef>,
+    /// Every `(expression, rule)` pair [`Exploration::explore`] fired.
+    #[cfg(test)]
+    fired: Vec<(ExprId, Rule)>,
 }
 
 impl Exploration {
+    /// Fire every rule on each waiting expression in turn until `limit`
+    /// transformations have been attempted, no expression waits, or the
+    /// governor ends normal operation. Returns the transformations
+    /// attempted and the directive that stopped the exploration
+    /// ([`GovernorDirective::Continue`] if the governor did not).
+    pub fn explore(
+        &mut self,
+        memo: &mut Memo,
+        limit: u64,
+        est: &CardinalityEstimator<'_>,
+        mem: &mut CompilationMemory,
+    ) -> (u64, GovernorDirective) {
+        let mut transformations = 0;
+        while (self.next as usize) < memo.expr_count() {
+            let expr_id = ExprId(self.next);
+            self.next += 1;
+            for rule in Rule::ALL {
+                if transformations >= limit {
+                    return (transformations, GovernorDirective::Continue);
+                }
+                #[cfg(test)]
+                self.fired.push((expr_id, rule));
+                transformations += self.apply_rule(rule, memo, expr_id, est, mem);
+                let directive = mem.pending_directive();
+                if directive != GovernorDirective::Continue {
+                    return (transformations, directive);
+                }
+            }
+        }
+        (transformations, GovernorDirective::Continue)
+    }
+
     /// Apply `rule` to `expr_id`, inserting any new alternatives into the
-    /// memo and queueing them. Returns the number of substitute expressions
-    /// generated, including duplicates that the memo rejected — the
-    /// "transformations attempted" count the stage budget limits.
+    /// memo, where they wait for their own rules. Returns the number of
+    /// substitute expressions generated, including duplicates that the memo
+    /// rejected — the "transformations attempted" count the stage budget
+    /// limits.
     ///
     /// Transient rule-binding memory is charged and released around the
     /// application, as a production optimizer's rule bindings would be.
@@ -78,10 +114,10 @@ impl Exploration {
     ) -> u64 {
         // Mark applied regardless of outcome so the search never retries.
         let expr = memo.expr_mut(expr_id);
-        if expr.rules_applied & rule.mask() != 0 {
+        if expr.rules_applied() & rule.mask() != 0 {
             return 0;
         }
-        expr.rules_applied |= rule.mask();
+        expr.mark_applied(rule.mask());
 
         mem.charge(sizes::RULE_BINDING_BYTES);
         let attempted = match rule {
@@ -104,14 +140,14 @@ impl Exploration {
         let group = memo.expr(expr_id).group;
         self.lower.clear();
         self.lower
-            .extend(memo.pred_list(preds).iter().map(|p| p.flipped()));
+            .extend(memo.pred_list(&preds).iter().map(|p| p.flipped()));
         if let Some(new_expr) =
             memo.add_join_to_group(group, JoinKind::Inner, &self.lower, [right, left], mem)
         {
             // The commuted form has, by construction, the same children swapped;
             // applying commute to it again would just regenerate the original.
-            memo.expr_mut(new_expr).rules_applied |= Rule::JoinCommute.mask();
-            self.queue.push_back(new_expr);
+            memo.expr_mut(new_expr)
+                .mark_applied(Rule::JoinCommute.mask());
         }
         1
     }
@@ -131,8 +167,8 @@ impl Exploration {
 
         // For every inner-join expression (A ⋈ B) that is in the left child
         // group now, produce A ⋈ (B ⋈ C) where C is the right child.
-        let last = memo.group(left_group).last_expr;
-        let mut next = memo.group(left_group).first_expr;
+        let last = memo.group(left_group).last_expr();
+        let mut next = memo.group(left_group).first_expr();
         while let Some(inner_id) = next {
             next = if next == last {
                 None
@@ -151,8 +187,8 @@ impl Exploration {
             // join, after the old inner predicates (A–B).
             self.lower.clear();
             self.upper.clear();
-            self.upper.extend_from_slice(memo.pred_list(inner_preds));
-            for &p in memo.pred_list(top_preds) {
+            self.upper.extend_from_slice(memo.pred_list(&inner_preds));
+            for &p in memo.pred_list(&top_preds) {
                 // Top preds connect (A∪B) with C; the left column is on the A∪B side.
                 let left_binding = names.left_binding(p);
                 if b_bindings.contains(left_binding) {
@@ -172,26 +208,25 @@ impl Exploration {
             }
 
             attempted += 1;
-            // Create (or find) the group for (B ⋈ C).
-            let (bc_group, bc_expr) = memo.insert_join(
+            // Create (or find) the group for (B ⋈ C). When it is new, the
+            // intermediate join is a new expression that further rules
+            // (commute, associate) get a chance to expand, and the memo
+            // adds A ⋈ (B ⋈ C) below without looking it up.
+            let (bc_group, _) = memo.insert_join(
                 JoinKind::Inner,
                 &self.lower,
                 [b_group, right_group],
                 est,
                 mem,
             );
-            // The intermediate join is itself a new expression that further
-            // rules (commute, associate) must get a chance to expand.
-            self.queue.extend(bc_expr);
             // Add A ⋈ (B ⋈ C) as an alternative of the top group.
-            let new_top = memo.add_join_to_group(
+            memo.add_join_to_group(
                 top_group,
                 JoinKind::Inner,
                 &self.upper,
                 [a_group, bc_group],
                 mem,
             );
-            self.queue.extend(new_top);
         }
         attempted
     }
@@ -230,8 +265,16 @@ mod tests {
     }
 
     fn member_count(memo: &Memo, group: GroupId) -> usize {
-        let first = memo.group(group).first_expr;
+        let first = memo.group(group).first_expr();
         std::iter::successors(first, |e| memo.expr(*e).next_in_group()).count()
+    }
+
+    /// The expressions created since the memo held `before`: the ones
+    /// waiting for their rules behind those already there.
+    fn created(memo: &Memo, before: usize) -> Vec<ExprId> {
+        (before as u32..memo.expr_count() as u32)
+            .map(ExprId)
+            .collect()
     }
 
     const ORDERS_CUSTOMER: &str =
@@ -248,12 +291,14 @@ mod tests {
         let join = top_join_expr(&memo);
         let group = memo.expr(join).group;
         let before = member_count(&memo, group);
+        let exprs = memo.expr_count();
         let attempted = run.apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
         assert_eq!(attempted, 1);
-        assert_eq!(run.queue.len(), 1);
+        let new = created(&memo, exprs);
+        assert_eq!(new.len(), 1);
         assert_eq!(member_count(&memo, group), before + 1);
         // Children and predicate sides are swapped in the new expression.
-        let new = memo.expr(run.queue[0]);
+        let new = memo.expr(new[0]);
         let old = memo.expr(join);
         assert_eq!(new.children, [old.children[1], old.children[0]]);
         let (
@@ -268,9 +313,9 @@ mod tests {
             panic!("both are joins");
         };
         assert_eq!(
-            memo.names().join_predicate(memo.pred_list(new_preds)[0]),
+            memo.names().join_predicate(memo.pred_list(&new_preds)[0]),
             memo.names()
-                .join_predicate(memo.pred_list(old_preds)[0])
+                .join_predicate(memo.pred_list(&old_preds)[0])
                 .flipped()
         );
     }
@@ -284,14 +329,15 @@ mod tests {
         let mut run = Exploration::default();
         memo.insert_plan(bind(&cat, ORDERS_CUSTOMER), &est, &mut mem);
         let join = top_join_expr(&memo);
+        let exprs = memo.expr_count();
         run.apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
-        assert_eq!(run.queue.len(), 1);
+        assert_eq!(created(&memo, exprs).len(), 1);
         let second = run.apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
-        assert_eq!((second, run.queue.len()), (0, 1));
+        assert_eq!((second, created(&memo, exprs).len()), (0, 1));
         // And the commuted expression never regenerates the original.
-        let commuted = run.queue[0];
+        let commuted = created(&memo, exprs)[0];
         let third = run.apply_rule(Rule::JoinCommute, &mut memo, commuted, &est, &mut mem);
-        assert_eq!((third, run.queue.len()), (0, 1));
+        assert_eq!((third, created(&memo, exprs).len()), (0, 1));
     }
 
     #[test]
@@ -307,9 +353,10 @@ mod tests {
             .expr_ids()
             .find(|e| matches!(memo.expr(*e).op, MemoOp::Plain(_)))
             .unwrap();
+        let exprs = memo.expr_count();
         let attempted = run.apply_rule(Rule::JoinCommute, &mut memo, get, &est, &mut mem);
         assert_eq!(attempted, 0);
-        assert!(run.queue.is_empty());
+        assert!(created(&memo, exprs).is_empty());
     }
 
     #[test]
@@ -330,11 +377,13 @@ mod tests {
         memo.insert_plan(plan, &est, &mut mem);
         let top = top_join_expr(&memo);
         let groups_before = memo.group_count();
+        let exprs = memo.expr_count();
         let attempted = run.apply_rule(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
         assert_eq!(attempted, 1);
         // Two new expressions: the intermediate (orders ⋈ customer) join and
         // the re-associated alternative in the top group.
-        assert_eq!(run.queue.len(), 2);
+        let new = created(&memo, exprs);
+        assert_eq!(new.len(), 2);
         assert_eq!(
             memo.group_count(),
             groups_before + 1,
@@ -343,8 +392,8 @@ mod tests {
         // The intermediate join comes first and lives in its own (new) group;
         // the re-associated alternative joins the original top join's group.
         let top_group = memo.expr(top).group;
-        assert_ne!(memo.expr(run.queue[0]).group, top_group);
-        assert_eq!(memo.expr(run.queue[1]).group, top_group);
+        assert_ne!(memo.expr(new[0]).group, top_group);
+        assert_eq!(memo.expr(new[1]).group, top_group);
     }
 
     #[test]
@@ -365,11 +414,12 @@ mod tests {
         memo.insert_plan(plan, &est, &mut mem);
         let top = top_join_expr(&memo);
         let groups_before = memo.group_count();
+        let exprs = memo.expr_count();
         let attempted = run.apply_rule(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
         // The only association would build (orders ⋈ nation) with no
         // predicate — a cross product — so nothing should be generated.
         assert_eq!(attempted, 0);
-        assert!(run.queue.is_empty());
+        assert!(created(&memo, exprs).is_empty());
         assert_eq!(memo.group_count(), groups_before);
     }
 
@@ -394,5 +444,214 @@ mod tests {
         assert_eq!(mem.used_bytes(), before_used + sizes::LOGICAL_EXPR_BYTES);
         // But the peak saw the transient binding.
         assert!(mem.peak_bytes() >= before_used + sizes::RULE_BINDING_BYTES);
+    }
+
+    /// The exploration as it ran on a `VecDeque` work list, kept as the
+    /// oracle for the cursor: the seeds queued in id order, and each rule
+    /// application queueing the expressions the memo reported new.
+    #[derive(Default)]
+    struct QueuedExploration {
+        queue: std::collections::VecDeque<ExprId>,
+        lower: Vec<PredRef>,
+        upper: Vec<PredRef>,
+        fired: Vec<(ExprId, Rule)>,
+    }
+
+    impl QueuedExploration {
+        fn explore(
+            &mut self,
+            memo: &mut Memo,
+            limit: u64,
+            est: &CardinalityEstimator<'_>,
+            mem: &mut CompilationMemory,
+        ) -> u64 {
+            let mut transformations = 0;
+            self.queue.extend(memo.expr_ids());
+            'explore: while let Some(expr_id) = self.queue.pop_front() {
+                for rule in Rule::ALL {
+                    if transformations >= limit {
+                        break 'explore;
+                    }
+                    self.fired.push((expr_id, rule));
+                    transformations += self.apply_rule(rule, memo, expr_id, est, mem);
+                }
+            }
+            transformations
+        }
+
+        fn apply_rule(
+            &mut self,
+            rule: Rule,
+            memo: &mut Memo,
+            expr_id: ExprId,
+            est: &CardinalityEstimator<'_>,
+            mem: &mut CompilationMemory,
+        ) -> u64 {
+            let expr = memo.expr_mut(expr_id);
+            if expr.rules_applied() & rule.mask() != 0 {
+                return 0;
+            }
+            expr.mark_applied(rule.mask());
+            mem.charge(sizes::RULE_BINDING_BYTES);
+            let attempted = match rule {
+                Rule::JoinCommute => self.apply_commute(memo, expr_id, mem),
+                Rule::JoinAssociateLeft => self.apply_associate_left(memo, expr_id, est, mem),
+            };
+            mem.release(sizes::RULE_BINDING_BYTES);
+            attempted
+        }
+
+        fn apply_commute(
+            &mut self,
+            memo: &mut Memo,
+            expr_id: ExprId,
+            mem: &mut CompilationMemory,
+        ) -> u64 {
+            let Some((preds, [left, right])) = as_inner_join(memo, expr_id) else {
+                return 0;
+            };
+            let group = memo.expr(expr_id).group;
+            self.lower.clear();
+            self.lower
+                .extend(memo.pred_list(&preds).iter().map(|p| p.flipped()));
+            if let Some(new_expr) =
+                memo.add_join_to_group(group, JoinKind::Inner, &self.lower, [right, left], mem)
+            {
+                memo.expr_mut(new_expr)
+                    .mark_applied(Rule::JoinCommute.mask());
+                self.queue.push_back(new_expr);
+            }
+            1
+        }
+
+        fn apply_associate_left(
+            &mut self,
+            memo: &mut Memo,
+            expr_id: ExprId,
+            est: &CardinalityEstimator<'_>,
+            mem: &mut CompilationMemory,
+        ) -> u64 {
+            let Some((top_preds, [left_group, right_group])) = as_inner_join(memo, expr_id) else {
+                return 0;
+            };
+            let top_group = memo.expr(expr_id).group;
+            let mut attempted = 0;
+            let last = memo.group(left_group).last_expr();
+            let mut next = memo.group(left_group).first_expr();
+            while let Some(inner_id) = next {
+                next = if next == last {
+                    None
+                } else {
+                    memo.expr(inner_id).next_in_group()
+                };
+                let Some((inner_preds, [a_group, b_group])) = as_inner_join(memo, inner_id) else {
+                    continue;
+                };
+                let names = memo.names();
+                let a_bindings = memo.group(a_group).bindings;
+                let b_bindings = memo.group(b_group).bindings;
+                self.lower.clear();
+                self.upper.clear();
+                self.upper.extend_from_slice(memo.pred_list(&inner_preds));
+                for &p in memo.pred_list(&top_preds) {
+                    let left_binding = names.left_binding(p);
+                    if b_bindings.contains(left_binding) {
+                        self.lower.push(p);
+                    } else if a_bindings.contains(left_binding) {
+                        self.upper.push(p);
+                    } else if b_bindings.contains(names.left_binding(p.flipped())) {
+                        self.lower.push(p.flipped());
+                    } else {
+                        self.upper.push(p);
+                    }
+                }
+                if self.lower.is_empty() {
+                    continue;
+                }
+                attempted += 1;
+                let (bc_group, bc_expr) = memo.insert_join(
+                    JoinKind::Inner,
+                    &self.lower,
+                    [b_group, right_group],
+                    est,
+                    mem,
+                );
+                self.queue.extend(bc_expr);
+                let new_top = memo.add_join_to_group(
+                    top_group,
+                    JoinKind::Inner,
+                    &self.upper,
+                    [a_group, bc_group],
+                    mem,
+                );
+                self.queue.extend(new_top);
+            }
+            attempted
+        }
+    }
+
+    /// On every workload template, at the compile's own transformation
+    /// budget (or to exhaustion where the stage explores nothing), the
+    /// cursor fires the same `(expression, rule)` pairs in the same order
+    /// as the work list did, and leaves the same memo.
+    #[test]
+    fn cursor_fires_rules_in_the_work_list_order_on_every_template() {
+        use crate::search::Optimizer;
+        use throttledb_catalog::{sales_schema, SalesScale};
+        use throttledb_workload::{oltp_templates, sales_templates, tpch_like_templates};
+
+        let sales = sales_schema(SalesScale::paper());
+        let tpch = tpch_schema(1.0);
+        let templates = [
+            (&sales, sales_templates()),
+            (&tpch, tpch_like_templates()),
+            (&sales, oltp_templates()),
+        ];
+        let mut checked = 0;
+        let mut explored = 0;
+        for (catalog, list) in templates {
+            for template in list {
+                let stmt = parse(&template.sql).unwrap();
+                let stats = Optimizer::new(catalog).optimize(&stmt).unwrap().stats;
+                let limit = match stats.transformations {
+                    0 => u64::MAX,
+                    budget => budget,
+                };
+                let est = CardinalityEstimator::new(catalog);
+                let seeded = || {
+                    let mut memo = Memo::new();
+                    let bound = Binder::new(catalog).bind(&stmt).unwrap();
+                    memo.insert_plan(bound, &est, &mut CompilationMemory::unlimited());
+                    memo
+                };
+
+                let mut memo = seeded();
+                let mut cursor = Exploration::default();
+                let mut mem = CompilationMemory::unlimited();
+                let (attempted, directive) = cursor.explore(&mut memo, limit, &est, &mut mem);
+                assert_eq!(directive, GovernorDirective::Continue);
+
+                let mut queued_memo = seeded();
+                let mut queued = QueuedExploration::default();
+                let mut queued_mem = CompilationMemory::unlimited();
+                let queued_attempted =
+                    queued.explore(&mut queued_memo, limit, &est, &mut queued_mem);
+
+                let name = &template.name;
+                assert_eq!(cursor.fired, queued.fired, "{name}");
+                assert_eq!(attempted, queued_attempted, "{name}");
+                assert_eq!(memo.expr_count(), queued_memo.expr_count(), "{name}");
+                assert_eq!(memo.group_count(), queued_memo.group_count(), "{name}");
+                assert_eq!(mem.peak_bytes(), queued_mem.peak_bytes(), "{name}");
+                if stats.transformations > 0 {
+                    assert_eq!(attempted, stats.transformations, "{name}");
+                    assert_eq!(memo.expr_count(), stats.memo_exprs, "{name}");
+                }
+                checked += 1;
+                explored += usize::from(attempted > 0);
+            }
+        }
+        assert_eq!(checked, 20);
+        assert!(explored >= 14, "{explored} templates explored");
     }
 }

@@ -9,7 +9,7 @@ use crate::implementation::{extract_plan, optimize_group, ImplementationContext}
 use crate::memo::Memo;
 use crate::memory::{sizes, CompilationMemory, GovernorDirective, MemoryGovernor};
 use crate::physical::PhysicalPlan;
-use crate::rules::{Exploration, Rule};
+use crate::rules::Exploration;
 use crate::stage::{OptimizationStage, StagePolicy};
 use serde::{Deserialize, Serialize};
 use throttledb_catalog::Catalog;
@@ -119,59 +119,34 @@ impl<'a> Optimizer<'a> {
             estimator,
             model: self.config.cost_model,
         };
+        memo.clear_winners();
         optimize_group(&mut memo, root, &ctx, &mut mem);
         let initial_cost = memo
-            .group(root)
-            .winner
-            .as_ref()
+            .winner(root)
             .map(|w| w.total_cost.total())
             .unwrap_or(0.0);
 
         // Pick the stage ("dynamic optimization").
         let budget = self.config.stage_policy.choose(initial_cost, table_count);
 
-        // Exploration: breadth-first over (expr, rule) pairs until the
-        // budget is exhausted, the space is exhausted, or the governor
+        // Exploration: every (expr, rule) pair in expression order until
+        // the budget is exhausted, the space is exhausted, or the governor
         // intervenes.
-        let mut transformations: u64 = 0;
-        let mut best_effort = false;
-        let mut aborted: Option<String> = None;
-
-        if budget.transformation_limit > 0 {
-            let mut exploration = Exploration::default();
-            exploration.queue.extend(memo.expr_ids());
-            'explore: while let Some(expr_id) = exploration.queue.pop_front() {
-                for rule in Rule::ALL {
-                    if transformations >= budget.transformation_limit {
-                        break 'explore;
-                    }
-                    transformations +=
-                        exploration.apply_rule(rule, &mut memo, expr_id, &estimator, &mut mem);
-                    match mem.pending_directive() {
-                        GovernorDirective::Continue => {}
-                        GovernorDirective::FinishWithBestPlan => {
-                            best_effort = true;
-                            break 'explore;
-                        }
-                        GovernorDirective::Abort => {
-                            aborted = Some("memory governor aborted compilation".to_string());
-                            break 'explore;
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some(reason) = aborted {
+        let limit = budget.transformation_limit;
+        let (transformations, directive) =
+            Exploration::default().explore(&mut memo, limit, &estimator, &mut mem);
+        if directive == GovernorDirective::Abort {
             mem.finish();
+            let reason = "memory governor aborted compilation".to_string();
             return Err(OptimizerError::Aborted(reason));
         }
+        let best_effort = directive == GovernorDirective::FinishWithBestPlan;
+        memo.end_exploration();
 
         // Final costing pass over everything explored.
         memo.clear_winners();
         optimize_group(&mut memo, root, &ctx, &mut mem);
-        let plan =
-            extract_plan(&memo, root, self.catalog).ok_or(OptimizerError::NoPlanAvailable)?;
+        let plan = extract_plan(&memo, root, &ctx).ok_or(OptimizerError::NoPlanAvailable)?;
 
         let stats = CompileStats {
             peak_memory_bytes: mem.peak_bytes(),
