@@ -8,15 +8,18 @@
 //! queue (`FaultBegin` / `LeakStep` / `FaultEnd`), so faults replay
 //! byte-identically like everything else in the simulation.
 //!
-//! Fault effects are applied to the *machine model*, not painted onto the
-//! metrics: a memory leak allocates real bytes from the membroker (through
-//! a ballast clerk the broker can see but never squeeze), a compile stall
-//! multiplies the optimizer's service time, slot loss shrinks the effective
-//! CPU count that the load factor divides by, a grant collapse scales the
-//! class grant budgets at each broker tick, and a client surge genuinely
-//! enlarges the closed-loop population. The admission policies and the
-//! degradation machinery (backoff, circuit breaker, deadline fail-fast)
-//! then react exactly as they would in a live server.
+//! Fault effects are applied to the machine's stations through their
+//! setters (the engine's `machine` module), not painted onto the metrics:
+//! a memory leak allocates real bytes from the memory station's broker
+//! (through a ballast clerk the broker can see but never squeeze), a
+//! compile stall multiplies the CPU station's compile service time, slot
+//! loss shrinks the effective CPU count its load factor divides by, and a
+//! grant collapse scales the memory station's class grant budgets at each
+//! broker tick. A client surge, the one fault on the server rather than
+//! the machine, genuinely enlarges the closed-loop population. The
+//! admission policies and the degradation machinery (backoff, circuit
+//! breaker, deadline fail-fast) then react exactly as they would in a live
+//! server.
 
 use serde::{Deserialize, Serialize};
 use throttledb_sim::{SimDuration, SimTime};

@@ -10,6 +10,11 @@
 //! completes or fails. The figures of the paper are regenerated by counting
 //! successful completions per time slice with throttling on versus off.
 //!
+//! The [`server`] dispatches events to the pipeline [`stages`], and the
+//! stages spend the machine's resources through its three stations (the
+//! crate-private `machine` module): the CPU, the disk, and memory with the
+//! broker and the per-class grant pools.
+//!
 //! Compilation behaviour is *characterized, not invented*: before a run, the
 //! engine compiles every workload template once through the real
 //! `throttledb-optimizer` and records its peak memory, its transformation
@@ -27,6 +32,7 @@ pub(crate) mod arrival_plane;
 pub mod config;
 pub mod experiment;
 pub mod fault;
+pub(crate) mod machine;
 #[cfg(test)]
 mod merge_tests;
 pub mod metrics;

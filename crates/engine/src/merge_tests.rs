@@ -10,10 +10,10 @@
 
 use crate::config::{ArrivalSourceConfig, ServerConfig};
 use crate::fault::{FaultKind, FaultSpec};
+use crate::machine::scaled_budget;
 use crate::metrics::RunMetrics;
 use crate::profile::WorkloadProfiles;
 use crate::server::{Event, Server};
-use crate::stages::scaled_budget;
 use crate::trace::TraceEvent;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -145,7 +145,7 @@ fn a_broker_tick_and_a_queued_event_at_one_instant_fire_in_seq_order() {
         collapse(at(10_000 * SEC), 0.25),
     ]);
     server.begin();
-    let budget = |server: &Server| server.classes[0].grant_budget;
+    let budget = |server: &Server| server.machine.memory.grant_budget(0);
     server.run_until(at(10 * SEC));
     let full = budget(&server);
     server.run_until(at(10 * SEC + 1));

@@ -1,24 +1,25 @@
 //! The discrete-event DBMS server: event dispatch over the pipeline stages.
 //!
-//! The server owns the simulation state — clients, per-class admission
-//! pools, the broker, the event queue — and routes each popped event to the
-//! stage that handles it. All compile/grant/execute *policy* lives in the
-//! [`crate::stages`] modules; what remains here is dispatch plus the shared
-//! machine model (CPU load factor, submission scheduling).
+//! The server owns the simulation state — clients, arrival sources, the
+//! per-class admission policies, faults, the trace, the plan cache and the
+//! event queue — and routes each popped event to the stage that handles
+//! it. All compile/grant/execute *policy* lives in the [`crate::stages`]
+//! modules, and the CPU, disk and memory the queries compete for live in
+//! the machine's stations (`machine.rs`); what remains here is dispatch,
+//! submission scheduling and fault injection.
 
 use crate::arrival_plane::{fold_arrival_digest, ArrivalPlane, NEVER};
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
+use crate::machine::Machine;
 use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, MetricsFold, PhaseReport, RunMetrics};
-use crate::profile::{CompileProfile, WorkloadProfiles};
+use crate::profile::WorkloadProfiles;
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
 use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use throttledb_bufferpool::HitRateModel;
 use throttledb_executor::GrantRequestId;
-use throttledb_membroker::{BrokerDecision, Clerk, MemoryBroker, SubcomponentKind};
 use throttledb_plancache::PlanCache;
 use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotRef};
 use throttledb_workload::{ClientModel, TemplateId, Uniquifier, WorkloadMix};
@@ -99,14 +100,11 @@ pub(crate) struct SourceRuntime {
 pub struct Server {
     pub(crate) config: ServerConfig,
     pub(crate) profiles: Arc<WorkloadProfiles>,
-    /// The server's own broker, never shared, so its tick recalculates
-    /// without the broker's lock.
-    pub(crate) broker: MemoryBroker,
-    pub(crate) compile_clerk: Clerk,
-    /// One admission-pool runtime per configured workload class.
+    /// The CPU, disk and memory stations the queries compete for.
+    pub(crate) machine: Machine,
+    /// One admission-policy runtime per configured workload class.
     pub(crate) classes: Vec<ClassRuntime>,
     pub(crate) plan_cache: PlanCache<TemplateId, PlanKey>,
-    pub(crate) hit_model: HitRateModel,
     pub(crate) uniquifier: Uniquifier,
     pub(crate) client_model: ClientModel,
     pub(crate) rng: SimRng,
@@ -116,7 +114,6 @@ pub struct Server {
     /// reuse.
     pub(crate) queries: Slab<Query>,
     pub(crate) next_query: u64,
-    pub(crate) running_cpu_tasks: u32,
     pub(crate) metrics: RunMetrics,
     /// Every event [`Server::trace_push`] emits, folded into per-phase
     /// reports and run totals; [`Server::finish`] fills the metrics' counts
@@ -139,9 +136,6 @@ pub struct Server {
     pub(crate) client_busy: Vec<bool>,
     /// The active workload mix submissions are sampled from.
     pub(crate) mix: WorkloadMix,
-    /// Scenario knob: scales every class's grant-pool budget at each broker
-    /// tick (1.0 = the configured budgets; < 1 models a degraded pool).
-    pub(crate) grant_budget_scale: f64,
     /// Recorded admission/grant events, when tracing is enabled.
     pub(crate) trace: Option<Vec<TraceEvent>>,
     /// Streaming trace consumer, when installed (see
@@ -154,11 +148,6 @@ pub struct Server {
     pub(crate) scratch_resumed: Vec<u64>,
     /// Reused buffer for grant-pool admissions, same discipline.
     pub(crate) scratch_admitted: Vec<(GrantRequestId, throttledb_governor::AdmissionDecision)>,
-    /// Reused buffer for the broker tick's decisions, same discipline.
-    pub(crate) scratch_decisions: Vec<BrokerDecision>,
-    /// The execution target and grant scale the class grant budgets were
-    /// last computed from at a broker tick (`None` before the first).
-    pub(crate) grant_basis: Option<(u64, f64)>,
     /// Installed fault specs (see [`crate::Server::install_faults`]).
     pub(crate) faults: Vec<FaultSpec>,
     /// Per-fault active flag; effect multipliers are recomputed from the
@@ -167,21 +156,11 @@ pub struct Server {
     /// Ballast currently allocated per memory-leak fault (freed exactly
     /// when the fault clears).
     pub(crate) leak_allocated: Vec<u64>,
-    /// The leak faults' broker clerk: a `Fixed` subcomponent the broker
-    /// accounts for but never squeezes. Registered lazily when faults with
-    /// leaks are installed.
-    pub(crate) ballast_clerk: Option<Clerk>,
     /// Dedicated RNG stream for fault-effect jitter, seeded from the run
     /// seed but independent of the workload stream — a faulted run's
     /// client behaviour stays draw-for-draw comparable to its fault-free
     /// twin until the effects themselves diverge it.
     pub(crate) fault_rng: SimRng,
-    /// Product of the active compile-stall multipliers (1.0 = no stall).
-    pub(crate) compile_stall: f64,
-    /// CPUs currently lost to slot-loss faults.
-    pub(crate) lost_slots: u32,
-    /// Product of the active grant-collapse scales (1.0 = no collapse).
-    pub(crate) fault_grant_scale: f64,
     /// Number of currently active fault windows (completions during any
     /// window count toward goodput-under-fault).
     pub(crate) active_faults: u32,
@@ -212,25 +191,15 @@ impl Server {
     /// Build a server from a configuration and pre-characterized profiles.
     pub fn new(config: ServerConfig, profiles: Arc<WorkloadProfiles>) -> Self {
         config.validate();
-        let broker = MemoryBroker::unshared(config.broker.clone());
-        let compile_clerk = broker.register(SubcomponentKind::Compilation);
-        let exec_clerk = broker.register(SubcomponentKind::Execution);
-        let cache_clerk = broker.register(SubcomponentKind::PlanCache);
-        let exec_budget = broker.target_for_kind(SubcomponentKind::Execution);
-        let compile_budget = broker.target_for_kind(SubcomponentKind::Compilation);
+        let (machine, cache_clerk) = Machine::new(&config);
+        let compile_budget = machine.memory.compile_target();
         let total_share: f64 = config.classes.iter().map(|c| c.client_share).sum();
         let classes = config
             .classes
             .iter()
             .map(|spec| {
-                ClassRuntime::new(
-                    spec.clone(),
-                    spec.client_share / total_share,
-                    &config,
-                    exec_budget,
-                    &exec_clerk,
-                    compile_budget,
-                )
+                let share = spec.client_share / total_share;
+                ClassRuntime::new(spec.clone(), share, &config, compile_budget)
             })
             .collect();
         let class_bounds = config.class_bounds();
@@ -252,17 +221,14 @@ impl Server {
         Server {
             rng: SimRng::seed_from_u64(config.seed),
             profiles,
-            broker,
-            compile_clerk,
+            machine,
             classes,
             plan_cache,
-            hit_model: HitRateModel::default(),
             uniquifier: Uniquifier::new(),
             client_model,
             queue: EventQueue::new(),
             queries: Slab::new(),
             next_query: 0,
-            running_cpu_tasks: 0,
             metrics,
             fold: MetricsFold::new(),
             now: SimTime::ZERO,
@@ -271,23 +237,16 @@ impl Server {
             client_active: vec![false; clients],
             client_busy: vec![false; clients],
             mix: WorkloadMix::paper_default(config.oltp_fraction),
-            grant_budget_scale: 1.0,
             trace: None,
             trace_sink: None,
             scratch_resumed: Vec::new(),
             scratch_admitted: Vec::new(),
-            scratch_decisions: Vec::new(),
-            grant_basis: None,
             faults: Vec::new(),
             fault_active: Vec::new(),
             leak_allocated: Vec::new(),
-            ballast_clerk: None,
             // Independent stream: derived from the run seed, but no draw is
             // taken from the workload RNG.
             fault_rng: SimRng::seed_from_u64(config.seed ^ 0xC4A0_55EED_u64),
-            compile_stall: 1.0,
-            lost_slots: 0,
-            fault_grant_scale: 1.0,
             active_faults: 0,
             sources,
             // FNV-1a offset basis: the empty-stream digest.
@@ -566,7 +525,7 @@ impl Server {
     /// degrading resource pool.
     pub fn set_grant_budget_scale(&mut self, scale: f64) {
         assert!(scale > 0.0, "grant budget scale must be positive");
-        self.grant_budget_scale = scale;
+        self.machine.memory.set_grant_budget_scale(scale);
     }
 
     /// Consume the server and return the run's metrics.
@@ -608,12 +567,8 @@ impl Server {
             .faults
             .iter()
             .any(|f| matches!(f.kind, FaultKind::MemoryLeak { .. }))
-            && self.ballast_clerk.is_none()
         {
-            // Fixed: the broker accounts for the ballast (available_bytes
-            // shrinks, pressure rises) but never asks it to shrink —
-            // exactly how a leak behaves.
-            self.ballast_clerk = Some(self.broker.register(SubcomponentKind::Fixed));
+            self.machine.memory.add_ballast();
         }
     }
 
@@ -658,7 +613,7 @@ impl Server {
             FaultKind::MemoryLeak { .. } => {
                 let leaked = std::mem::take(&mut self.leak_allocated[i]);
                 if leaked > 0 {
-                    if let Some(clerk) = self.ballast_clerk.as_ref() {
+                    if let Some(clerk) = self.machine.memory.ballast_clerk.as_ref() {
                         clerk.free(leaked);
                     }
                 }
@@ -689,7 +644,7 @@ impl Server {
         let remaining = total_bytes.saturating_sub(self.leak_allocated[i]);
         let amount = jittered.clamp(1, remaining.max(1)).min(remaining);
         if amount > 0 {
-            if let Some(clerk) = self.ballast_clerk.as_ref() {
+            if let Some(clerk) = self.machine.memory.ballast_clerk.as_ref() {
                 clerk.allocate(amount);
             }
             self.leak_allocated[i] += amount;
@@ -722,9 +677,8 @@ impl Server {
                 FaultKind::MemoryLeak { .. } | FaultKind::ClientSurge { .. } => {}
             }
         }
-        self.compile_stall = stall;
-        self.lost_slots = lost.min(self.config.cpus - 1);
-        self.fault_grant_scale = grant;
+        self.machine.cpu.set_faults(stall, lost);
+        self.machine.memory.set_fault_grant_scale(grant);
     }
 
     // --- observers --------------------------------------------------------
@@ -843,7 +797,7 @@ impl Server {
     /// phase boundary is a [`TraceEvent::CompilePeak`]. Every compile-memory
     /// sample must flow through here so the peaks and the trace agree.
     pub(crate) fn record_compile_gauge(&mut self) {
-        let used = self.compile_clerk.used_bytes();
+        let used = self.machine.memory.compile_clerk.used_bytes();
         if used > self.fold.current_compile_peak() {
             self.trace_push(TraceEvent::CompilePeak {
                 at: self.now,
@@ -852,7 +806,7 @@ impl Server {
         }
     }
 
-    // --- shared machine model ---------------------------------------------
+    // --- submission scheduling and feedback --------------------------------
 
     /// The class index of `client`: the contiguous range of the class
     /// bounds it falls in.
@@ -887,20 +841,6 @@ impl Server {
             // phase, or the run is over); a later phase may re-admit it.
             self.client_busy[client as usize] = false;
         }
-    }
-
-    pub(crate) fn compile_step_duration(&mut self, profile: &CompileProfile) -> SimDuration {
-        let per_step = profile.compile_cpu_seconds / self.config.compile_steps as f64;
-        // An active compile-stall fault multiplies the planner's service
-        // time (self.compile_stall is 1.0 otherwise).
-        SimDuration::from_secs_f64((per_step * self.load_factor() * self.compile_stall).max(0.001))
-    }
-
-    pub(crate) fn load_factor(&self) -> f64 {
-        // Slot-loss faults shrink the effective machine; at least one CPU
-        // always survives (see recompute_fault_effects).
-        let cpus = (self.config.cpus - self.lost_slots).max(1);
-        (self.running_cpu_tasks as f64 / cpus as f64).max(1.0)
     }
 
     /// A query's attempt failed or was shed: route the setback to its
@@ -1036,7 +976,7 @@ impl Server {
                 shed,
                 breaker_transitions: transitions,
                 throttle: class.policy.stats().clone(),
-                grants: class.grants.pool_stats(),
+                grants: self.machine.memory.grants(idx).pool_stats(),
             });
         }
         // Fault windows, clamped to the observation window; a fault that

@@ -114,8 +114,8 @@ impl Server {
             grant_requested: 0,
         });
         self.classes[class].task_query.set(task_slot(task), query);
-        self.running_cpu_tasks += 1;
-        let step = self.compile_step_duration(&profile);
+        let step_cpu_seconds = profile.compile_cpu_seconds / self.config.compile_steps as f64;
+        let step = self.machine.cpu.start_compile(step_cpu_seconds);
         self.queue
             .schedule(self.now + step, Event::CompileStep { query });
         true
@@ -137,7 +137,7 @@ impl Server {
         let delta = (profile.peak_compile_bytes / self.config.compile_steps as u64).max(1);
 
         // Out-of-memory: the machine genuinely has no room for this step.
-        if self.broker.available_bytes() < delta {
+        if !self.machine.memory.grow_compile(delta) {
             self.fail_query(query, FailureKind::OutOfMemory);
             return;
         }
@@ -147,7 +147,6 @@ impl Server {
             q.compile_step += 1;
             (q.task, q.compile_bytes, q.compile_step)
         };
-        self.compile_clerk.allocate(delta);
         self.record_compile_gauge();
 
         // Cost-based policies reserve against the template's compile
@@ -164,7 +163,9 @@ impl Server {
                 if step >= self.config.compile_steps {
                     self.finish_compile(query);
                 } else {
-                    let d = self.compile_step_duration(&profile);
+                    let step_cpu_seconds =
+                        profile.compile_cpu_seconds / self.config.compile_steps as f64;
+                    let d = self.machine.cpu.compile_step(step_cpu_seconds);
                     self.queue
                         .schedule(self.now + d, Event::CompileStep { query });
                 }
@@ -180,7 +181,7 @@ impl Server {
                     query: id,
                     level,
                 });
-                self.end_cpu_task();
+                self.machine.cpu.end_task();
                 self.queue
                     .schedule(self.now + timeout, Event::CompileTimeout { query, level });
             }
@@ -224,14 +225,14 @@ impl Server {
             )
         };
         // Compilation memory is freed when the plan is produced.
-        self.compile_clerk.free(compile_bytes);
+        self.machine.memory.compile_clerk.free(compile_bytes);
         self.record_compile_gauge();
         if let Some(q) = self.queries.get_mut(query) {
             q.compile_bytes = 0;
         }
         self.classes[class].task_query.take(task_slot(task));
         self.finish_policy_task(class, task);
-        self.end_cpu_task();
+        self.machine.cpu.end_task();
 
         // Cache the plan (uniquified submissions mean this rarely helps —
         // by design; the key is the copy-free (template, submission) pair).

@@ -1,9 +1,9 @@
 //! Stage 3: execution.
 //!
 //! Execution is modelled analytically: CPU seconds inflated by hash spills
-//! (when the grant was reduced) and machine load, plus I/O seconds through
-//! the buffer-pool hit-rate model over whatever physical memory the
-//! brokered subcomponents have left free.
+//! (when the grant was reduced), which the CPU station turns into service
+//! time under the machine's load, plus the disk station's I/O seconds over
+//! the memory the brokered subcomponents have left free.
 
 use super::{QueryLifecycle, QueryOrigin};
 use crate::server::{Event, Server};
@@ -32,29 +32,15 @@ impl Server {
             query: id,
             bytes: granted_bytes,
         });
-        self.running_cpu_tasks += 1;
-
-        // CPU time: parallelized over the machine, inflated by spills and by
-        // CPU contention.
-        let cpu_seconds = profile.exec_cpu_seconds * spill_slowdown(granted_bytes, requested)
-            / self.config.exec_parallelism
-            * self.load_factor();
-
+        let spilled = profile.exec_cpu_seconds * spill_slowdown(granted_bytes, requested);
+        let cpu_seconds = self.machine.cpu.start_exec(spilled);
         // I/O time: whatever memory is not claimed by compilation, grants and
         // caches acts as the page buffer pool.
-        let pool_bytes = self
-            .config
-            .broker
-            .brokered_bytes()
-            .saturating_sub(self.broker.used_bytes());
-        let touched =
-            (profile.exec_footprint_bytes as f64 * self.config.io_touched_fraction) as u64;
-        let io_seconds = self.hit_model.io_seconds(
-            touched,
-            pool_bytes,
-            self.config.hot_working_set_bytes,
-            self.config.io_bandwidth_bytes_per_sec,
-        );
+        let free_bytes = self.machine.memory.free_bytes();
+        let io_seconds = self
+            .machine
+            .disk
+            .io_seconds(profile.exec_footprint_bytes, free_bytes);
 
         let duration = SimDuration::from_secs_f64((cpu_seconds + io_seconds).max(1.0));
         self.queue
@@ -68,7 +54,7 @@ impl Server {
         let Some(q) = self.queries.remove(query) else {
             return;
         };
-        self.end_cpu_task();
+        self.machine.cpu.end_task();
         if let Some(grant_id) = q.grant_id {
             self.release_grant(q.class, grant_id);
         }

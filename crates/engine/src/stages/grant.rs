@@ -24,8 +24,10 @@ impl Server {
         let (id, class) = (q.id, q.class);
         let requested = exec_grant_bytes.max(1 << 20);
         let deadline = self.now + self.config.grant_timeout;
-        let (grant_id, decision) = self.classes[class]
-            .grants
+        let (grant_id, decision) = self
+            .machine
+            .memory
+            .grants(class)
             .request_at(requested, self.now, deadline);
         if let Some(q) = self.queries.get_mut(query) {
             q.grant_id = Some(grant_id);

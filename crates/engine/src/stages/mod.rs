@@ -7,20 +7,25 @@
 //!    class's gateway ladder, gateway timeouts;
 //! 2. [`grant`] — the execution memory-grant request against the class's
 //!    grant pool, grant-wait timeouts;
-//! 3. [`execute`] — the execution model (CPU, spill inflation, buffer-pool
-//!    I/O) and completion.
+//! 3. [`execute`] — execution on the machine's CPU and disk, and
+//!    completion.
 //!
-//! [`QueryLifecycle`] is the explicit state machine tying the stages
-//! together; illegal transitions panic, so stage bugs surface immediately
-//! in the deterministic simulation. Cross-stage policy — failing a query
-//! out of any stage, resuming ladder waiters, distributing broker budgets
-//! to the per-class pools — lives here in the stage root.
+//! The stages spend the machine's resources through its stations
+//! (`machine.rs`): the CPU, the disk, and memory with its broker and grant
+//! pools. [`QueryLifecycle`] is the explicit state machine tying the
+//! stages together; illegal transitions panic, so stage bugs surface
+//! immediately in the deterministic simulation. Cross-stage policy —
+//! failing a query out of any stage, resuming ladder waiters, handing the
+//! broker tick's targets to the class policies and grant pools, and the
+//! query laws debug builds check at every tick — lives here in the stage
+//! root.
 
 pub mod compile;
 pub mod execute;
 pub mod grant;
 
 use crate::config::{PolicyKind, ServerConfig, WorkloadClassConfig};
+use crate::machine::scaled_budget;
 use crate::metrics::FailureKind;
 use crate::profile::CompileProfile;
 use crate::server::Server;
@@ -28,7 +33,6 @@ use crate::trace::TraceEvent;
 use throttledb_core::GatewayLadder;
 use throttledb_executor::{GrantManager, GrantRequestId};
 use throttledb_governor::{AdmissionDecision, CircuitBreaker, CostPolicy, PidPolicy, Policy};
-use throttledb_membroker::{Clerk, SubcomponentKind};
 use throttledb_sim::{SimTime, Slab, SlotRef, SlotTable};
 
 /// Who submitted a query — and therefore where its completion / failure
@@ -157,7 +161,9 @@ pub(crate) fn task_slot(task: u64) -> usize {
     SlotRef::from_bits(task).index()
 }
 
-/// Runtime state of one workload class: its admission pools plus counters.
+/// Runtime state of one workload class: its admission policy and breaker,
+/// the tables naming the queries they hold, and counters. (Its grant pool
+/// is the memory station's.)
 pub(crate) struct ClassRuntime {
     pub spec: WorkloadClassConfig,
     /// This class's client share normalized over all classes: its slice
@@ -166,10 +172,6 @@ pub(crate) struct ClassRuntime {
     /// This class's admission policy (gateway ladder, PID controller, or
     /// cost-based reservation — per [`PolicyKind`]).
     pub policy: Box<dyn Policy>,
-    /// This class's execution memory-grant pool.
-    pub grants: GrantManager,
-    /// The budget last installed on `grants`.
-    pub grant_budget: u64,
     /// This class's circuit breaker; `None` when disabled, so fault-free
     /// configurations pay nothing on the submit path.
     pub breaker: Option<CircuitBreaker>,
@@ -187,9 +189,7 @@ pub(crate) struct ClassRuntime {
 
 impl ClassRuntime {
     /// Build the runtime for `spec`: an admission policy of
-    /// `config.policy` over the scaled throttle parameters and a grant pool
-    /// over this class's slice of the execution budget, reporting to the
-    /// shared execution clerk.
+    /// `config.policy` over the scaled throttle parameters.
     ///
     /// A disabled throttle always runs the (inert) ladder regardless of the
     /// policy, so `throttle.enabled = false` means "no admission control"
@@ -203,8 +203,6 @@ impl ClassRuntime {
         spec: WorkloadClassConfig,
         share: f64,
         config: &ServerConfig,
-        exec_budget: u64,
-        exec_clerk: &Clerk,
         compile_budget: u64,
     ) -> Self {
         let throttle = spec.scaled_throttle(&config.throttle);
@@ -230,14 +228,10 @@ impl ClassRuntime {
                 )),
             }
         };
-        let grant_budget = scaled_budget(exec_budget, spec.grant_fraction);
-        let grants = GrantManager::new(grant_budget, Some(exec_clerk.clone()));
         ClassRuntime {
             spec,
             share,
-            grant_budget,
             policy,
-            grants,
             breaker: config
                 .breaker
                 .enabled
@@ -252,15 +246,6 @@ impl ClassRuntime {
     }
 }
 
-/// `budget * fraction`, exact when the fraction is 1 (the default class).
-pub(crate) fn scaled_budget(budget: u64, fraction: f64) -> u64 {
-    if (fraction - 1.0).abs() < f64::EPSILON {
-        budget
-    } else {
-        (budget as f64 * fraction) as u64
-    }
-}
-
 impl Server {
     /// Resume admission waiters of `class` admitted by a release: unblock
     /// each query and schedule its next compile step immediately.
@@ -270,7 +255,7 @@ impl Server {
                 if let Some(q) = self.queries.get_mut(query) {
                     q.lifecycle.advance(QueryLifecycle::Compiling);
                 }
-                self.running_cpu_tasks += 1;
+                self.machine.cpu.resume_compile();
                 self.queue
                     .schedule(self.now, crate::server::Event::CompileStep { query });
             }
@@ -300,7 +285,7 @@ impl Server {
     ) -> R {
         let mut admitted = std::mem::take(&mut self.scratch_admitted);
         admitted.clear();
-        let result = op(&self.classes[class].grants, self.now, &mut admitted);
+        let result = op(self.machine.memory.grants(class), self.now, &mut admitted);
         self.start_admitted(class, &admitted);
         self.scratch_admitted = admitted;
         result
@@ -314,15 +299,6 @@ impl Server {
         });
     }
 
-    /// A compile step or an execution left the CPU. An end without a start
-    /// is a lifecycle bug, so this panics on underflow in every build.
-    pub(crate) fn end_cpu_task(&mut self) {
-        self.running_cpu_tasks = self
-            .running_cpu_tasks
-            .checked_sub(1)
-            .expect("a CPU task ends only after it started");
-    }
-
     /// Fail `query` out of whatever stage it is in: release its ladder and
     /// grant holdings (admitting waiters), record the failure, and schedule
     /// the client's retry — "those aborted queries likely need to be
@@ -331,7 +307,7 @@ impl Server {
         let Some(q) = self.queries.remove(query) else {
             return;
         };
-        self.compile_clerk.free(q.compile_bytes);
+        self.machine.memory.compile_clerk.free(q.compile_bytes);
         // A compiled query's task id is stale, and its slot may be another
         // query's by now: clear only what still names this query.
         let class = &mut self.classes[q.class];
@@ -342,7 +318,7 @@ impl Server {
                 .take_if(grant_id.slot_ref().index(), &query);
         }
         if q.lifecycle.is_compiling() {
-            self.end_cpu_task();
+            self.machine.cpu.end_task();
         }
         self.finish_policy_task(q.class, q.task);
         if let Some(grant_id) = q.grant_id {
@@ -364,49 +340,9 @@ impl Server {
     /// execution budget over the class grant pools, and squeeze the plan
     /// cache under pressure.
     pub(crate) fn on_broker_tick(&mut self) {
-        let mut decisions = std::mem::take(&mut self.scratch_decisions);
-        self.broker.recalculate_mut(self.now, &mut decisions);
         #[cfg(debug_assertions)]
-        self.check_memory_law(&decisions);
-        // Everything the tick reads off the decisions, in one pass.
-        let mut constrained = false;
-        let (mut compile_installed, mut exec_installed) = (0u64, 0u64);
-        let mut compile_predicted = 0u64;
-        let mut cache_target = None;
-        for d in &decisions {
-            let n = &d.notification;
-            constrained |= n.target_bytes.is_some();
-            match n.kind_of_component {
-                SubcomponentKind::Compilation => {
-                    compile_installed += n.target_bytes.unwrap_or(0);
-                    compile_predicted += n.predicted_bytes;
-                }
-                SubcomponentKind::Execution => exec_installed += n.target_bytes.unwrap_or(0),
-                SubcomponentKind::PlanCache if cache_target.is_none() => {
-                    cache_target = Some(n.target_bytes);
-                }
-                _ => {}
-            }
-        }
-        let compile_goal = self
-            .broker
-            .installed_or_entitlement(SubcomponentKind::Compilation, compile_installed);
-        let compile_target = constrained.then_some(compile_goal);
-        let exec_target = self
-            .broker
-            .installed_or_entitlement(SubcomponentKind::Execution, exec_installed);
-        // Scenario knob × active grant-collapse faults (both 1.0 in fair
-        // weather). The class grant budgets are functions of these two and
-        // the classes' fixed fractions alone, so an unchanged pair leaves
-        // every budget as it is.
-        let grant_scale = self.grant_budget_scale * self.fault_grant_scale;
-        let regrant = self.grant_basis != Some((exec_target, grant_scale));
-        self.grant_basis = Some((exec_target, grant_scale));
-        // The broker's memory-pressure trend signal: predicted compilation
-        // demand over the recalculation horizon, relative to the kind's
-        // target. >1 means the sampled trend overshoots the entitlement —
-        // feedback policies tighten before the memory is actually committed.
-        let pressure = compile_predicted as f64 / compile_goal.max(1) as f64;
+        self.check_query_laws();
+        let reading = self.machine.memory.tick(self.now);
         // Each class throttles independently on its own compilation counts,
         // so the broker's compilation target must be split across classes
         // (by normalized client share) — handing every policy the full
@@ -417,57 +353,79 @@ impl Server {
             resumed.clear();
             class.policy.tick(
                 self.now,
-                compile_target.map(|t| scaled_budget(t, class.share)),
-                pressure,
+                reading
+                    .compile_target
+                    .map(|t| scaled_budget(t, class.share)),
+                reading.pressure,
                 &mut resumed,
             );
-            // A pool never leaves an admissible waiter queued (its
-            // work-conservation law, checked after every call in debug
-            // builds), so the budget it already has would admit no one:
-            // only a change goes to the pool.
-            if regrant {
-                let grant_budget = scaled_budget(
-                    scaled_budget(exec_target, class.spec.grant_fraction),
-                    grant_scale,
-                );
-                if grant_budget != class.grant_budget {
-                    class.grant_budget = grant_budget;
-                    self.with_grants(idx, |grants, now, out| {
-                        grants.set_budget(grant_budget, now, out)
-                    });
-                }
+            if let Some(budget) = self.machine.memory.regrant(idx, reading.exec_target) {
+                self.with_grants(idx, |grants, now, out| grants.set_budget(budget, now, out));
             }
             self.resume_tasks(idx, &resumed);
         }
         self.scratch_resumed = resumed;
         // The plan cache responds to pressure by shrinking toward its target.
-        if let Some(target) = cache_target.flatten() {
+        if let Some(target) = reading.cache_target {
             if self.plan_cache.used_bytes() > target {
                 self.plan_cache.shrink_to(target);
             }
         }
-        self.scratch_decisions = decisions;
         let next = self.now + self.config.broker_tick;
         if next < throttledb_sim::SimTime::ZERO + self.config.duration {
             self.next_tick = Some((next, self.queue.reserve_seq()));
         }
     }
 
-    /// The memory law every broker tick checks in debug builds: the
-    /// clerks' live bytes, as the recalculation sampled them (one decision
-    /// per clerk), sum to the total the broker reads without its lock.
-    ///
-    /// The law's other half, that they fit in the machine's physical
-    /// memory, does not hold yet: execution grants are not checked against
-    /// free memory, and `open_loop_scale` under the PID and cost policies
-    /// overcommits the machine by 5–7 %.
+    /// The query laws every broker tick checks in debug builds:
+    /// - the CPU station's running-task count is the number of live queries
+    ///   compiling or executing;
+    /// - each class's slot tables hold exactly one entry per live query they
+    ///   are for, at its own slot: the task table one per query compiling
+    ///   or blocked at a gateway, under its task; the grant table one per
+    ///   query waiting for a grant, under its grant. So every entry names a
+    ///   live query in that state, and no query has two.
     #[cfg(debug_assertions)]
-    fn check_memory_law(&self, decisions: &[throttledb_membroker::BrokerDecision]) {
-        let used: u64 = decisions.iter().map(|d| d.notification.current_bytes).sum();
+    fn check_query_laws(&self) {
+        let (mut on_cpu, mut tasks, mut grants) = (0, 0, 0);
+        for (slot, q) in self.queries.iter() {
+            let class = &self.classes[q.class];
+            let entry = match q.lifecycle {
+                QueryLifecycle::Executing => {
+                    on_cpu += 1;
+                    continue;
+                }
+                QueryLifecycle::WaitingForGrant => {
+                    grants += 1;
+                    let grant_slot = q.grant_id.map(|g| g.slot_ref().index());
+                    grant_slot.and_then(|s| class.grant_query.get(s))
+                }
+                lifecycle => {
+                    on_cpu += u32::from(lifecycle.is_compiling());
+                    tasks += 1;
+                    class.task_query.get(task_slot(q.task))
+                }
+            };
+            assert_eq!(
+                entry,
+                Some(&slot),
+                "query {} is missing from its slot table",
+                q.id
+            );
+        }
+        self.machine.cpu.check_law(on_cpu);
+        let entries = |table: fn(&ClassRuntime) -> &SlotTable<SlotRef>| -> usize {
+            self.classes.iter().map(|c| table(c).values().count()).sum()
+        };
         assert_eq!(
-            used,
-            self.broker.used_bytes(),
-            "the broker's lock-free total disagrees with its clerks'"
+            entries(|c| &c.task_query),
+            tasks,
+            "a task-table entry names no query compiling under that task"
+        );
+        assert_eq!(
+            entries(|c| &c.grant_query),
+            grants,
+            "a grant-table entry names no query waiting for that grant"
         );
     }
 }
@@ -509,22 +467,42 @@ mod tests {
         l.advance(QueryLifecycle::WaitingForGrant);
     }
 
-    /// A broker whose lock-free total disagrees with what its tick sampled
-    /// breaks the memory law.
-    #[test]
+    /// A quick one-class server ten simulated minutes in, queries in flight.
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-free total disagrees")]
-    fn the_memory_law_bites_when_the_broker_total_drifts() {
+    fn running_server() -> Server {
         use crate::profile::WorkloadProfiles;
-        let config = ServerConfig::quick(1, true);
+        let config = ServerConfig::quick(8, true);
         let profiles = WorkloadProfiles::characterize_sales(&config);
         let mut server = Server::new(config, std::sync::Arc::new(profiles));
-        server.compile_clerk.allocate(10 << 20);
-        let mut decisions = Vec::new();
-        server.broker.recalculate_mut(SimTime::ZERO, &mut decisions);
-        server.check_memory_law(&decisions);
-        decisions[0].notification.current_bytes += 1;
-        server.check_memory_law(&decisions);
+        server.set_active_clients(8);
+        server.begin();
+        server.run_until(SimTime::from_secs(600));
+        server.check_query_laws();
+        assert!(!server.queries.is_empty(), "no query in flight");
+        server
+    }
+
+    /// A CPU task that no query holds breaks the CPU law at the next tick.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "running-task count disagrees")]
+    fn the_cpu_law_bites_when_the_task_count_drifts() {
+        let mut server = running_server();
+        server.machine.cpu.resume_compile();
+        server.run_until(SimTime::from_secs(610));
+    }
+
+    /// A second grant-table entry for a live query breaks the slot-table
+    /// law at the next tick.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "grant-table entry names no query")]
+    fn the_slot_table_law_bites_on_a_stray_entry() {
+        let mut server = running_server();
+        let (slot, q) = server.queries.iter().next().expect("a live query");
+        let class = q.class;
+        server.classes[class].grant_query.set(1 << 12, slot);
+        server.run_until(SimTime::from_secs(610));
     }
 
     #[test]
