@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use throttledb_scenario::{Scale, Scenario, Trace, TraceWriterV2};
+use throttledb_scenario::{Scale, Scenario, Trace, TraceWriterV2, MAGIC_V2};
 
 fn golden() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -162,6 +162,23 @@ fn v2_flipped_payload_byte_is_a_diagnostic_not_a_panic() {
     let out = replay(&path);
     std::fs::remove_file(&path).ok();
     assert_clean_failure(&out, "v2 flipped byte");
+}
+
+#[test]
+fn v2_huge_frame_length_is_a_diagnostic_not_an_abort() {
+    // A valid header (config digest 0, no catalog), then a block frame
+    // whose length prefix claims 2^50 bytes and three bytes of it: 41
+    // bytes that must fail as truncated, not ask for a petabyte.
+    let mut bytes = MAGIC_V2.to_vec();
+    bytes.push(9);
+    bytes.extend_from_slice(&[0; 9]);
+    bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02]);
+    bytes.extend_from_slice(&[0x11, 0x22, 0x33]);
+    assert_eq!(bytes.len(), 41);
+    let path = temp_trace_bytes("v2_huge_frame", &bytes);
+    let out = replay(&path);
+    std::fs::remove_file(&path).ok();
+    assert_clean_failure(&out, "v2 huge frame length");
 }
 
 #[test]

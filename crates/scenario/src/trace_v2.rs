@@ -381,6 +381,28 @@ fn read_varint<R: Read>(input: &mut R, digest: &mut Fold64) -> Result<Option<u64
     }
 }
 
+/// Read one frame's `len`-byte payload into `buf` (cleared first). The
+/// buffer grows only with the bytes that actually arrive, so a corrupt
+/// length prefix costs a `Truncated`, never an allocation of its size.
+fn read_frame<R: Read>(input: &mut R, len: u64, buf: &mut Vec<u8>) -> Result<(), TraceV2Error> {
+    buf.clear();
+    input.take(len).read_to_end(buf)?;
+    if buf.len() as u64 == len {
+        Ok(())
+    } else {
+        Err(TraceV2Error::Truncated)
+    }
+}
+
+/// A small enum field past its two-bit fold: the escaped varint plus 3,
+/// or a `BadFrame` when that sum leaves `usize`.
+fn escaped_small(value: u64, what: &str) -> Result<usize, TraceV2Error> {
+    usize::try_from(value)
+        .ok()
+        .and_then(|v| v.checked_add(3))
+        .ok_or_else(|| TraceV2Error::BadFrame(format!("{what} escape {value} out of range")))
+}
+
 // --- shared per-kind delta state --------------------------------------------
 
 /// Delta-coding state both codec sides keep in lock-step: previous query
@@ -802,13 +824,15 @@ impl<R: Read> TraceReaderV2<R> {
                 "header frame too short ({header_len} bytes)"
             )));
         }
-        let mut payload = vec![0u8; header_len as usize];
-        input.read_exact(&mut payload)?;
+        let mut payload = Vec::new();
+        read_frame(&mut input, header_len, &mut payload)?;
         digest.update(&payload);
         let config_digest = u64::from_le_bytes(payload[..8].try_into().unwrap());
         let mut pos = 8;
         let count = get_varint(&payload, &mut pos)?;
-        let mut names = Vec::with_capacity(count as usize);
+        // Each name takes at least its length byte, so the payload left
+        // bounds the names a hostile count can make us reserve for.
+        let mut names = Vec::with_capacity((count as usize).min(payload.len() - pos));
         for _ in 0..count {
             let len = get_varint(&payload, &mut pos)? as usize;
             let end = pos
@@ -864,8 +888,7 @@ impl<R: Read> TraceReaderV2<R> {
             }
             return Ok(false);
         }
-        self.block.resize(len as usize, 0);
-        self.input.read_exact(&mut self.block)?;
+        read_frame(&mut self.input, len, &mut self.block)?;
         self.digest.update(&self.block);
         self.pos = 0;
         Ok(true)
@@ -937,7 +960,7 @@ impl<R: Read> TraceReaderV2<R> {
                 let (qd, folded) = get_folded(&self.block, &mut self.pos)?;
                 let query = self.state.query_undelta(tag::SUBMITTED, qd);
                 let class = if folded == 3 {
-                    get_varint(&self.block, &mut self.pos)? as usize + 3
+                    escaped_small(get_varint(&self.block, &mut self.pos)?, "class")?
                 } else {
                     folded as usize
                 };
@@ -953,7 +976,7 @@ impl<R: Read> TraceReaderV2<R> {
                 let (qd, folded) = get_folded(&self.block, &mut self.pos)?;
                 let query = self.state.query_undelta(tag::GATEWAY_BLOCKED, qd);
                 let level = if folded == 3 {
-                    get_varint(&self.block, &mut self.pos)? as usize + 3
+                    escaped_small(get_varint(&self.block, &mut self.pos)?, "gateway level")?
                 } else {
                     folded as usize
                 };
@@ -1123,24 +1146,30 @@ pub fn replay_v2<R: Read>(input: R) -> Result<V2ReplaySummary, TraceV2Error> {
 /// catalog (the text format stores neither); phase names intern on first
 /// use instead.
 pub fn transcode_v1_to_v2<R: BufRead, W: Write>(
-    input: R,
+    mut input: R,
     output: W,
 ) -> Result<TraceV2Summary, TranscodeError> {
-    let mut lines = input.lines();
-    match lines.next() {
-        Some(Ok(header)) if header.trim_end() == V1_HEADER => {}
-        Some(Ok(_)) | None => return Err(TranscodeError::V1(TraceError::BadHeader)),
-        Some(Err(e)) => return Err(e.into()),
+    // One line buffer for the whole stream. `read_line` keeps the line's
+    // `'\n'` (and a `'\r'` before it), which trimming at the end drops as
+    // `BufRead::lines` would; invalid UTF-8 is the same I/O error.
+    let mut buf = String::new();
+    if input.read_line(&mut buf)? == 0 || buf.trim_end() != V1_HEADER {
+        return Err(TranscodeError::V1(TraceError::BadHeader));
     }
     let mut writer = TraceWriterV2::new(output, &[], 0)?;
-    for (idx, line) in lines.enumerate() {
-        let line = line?;
-        let line = line.trim_end();
+    let mut idx = 0;
+    loop {
+        buf.clear();
+        if input.read_line(&mut buf)? == 0 {
+            break;
+        }
+        idx += 1;
+        let line = buf.trim_end();
         if line.is_empty() {
             continue;
         }
         let ev = decode_line(line)
-            .ok_or_else(|| TranscodeError::V1(TraceError::BadLine(idx + 1, line.to_string())))?;
+            .ok_or_else(|| TranscodeError::V1(TraceError::BadLine(idx, line.to_string())))?;
         writer.write_event(&ev)?;
     }
     Ok(writer.finish()?)
@@ -1404,6 +1433,74 @@ mod tests {
         }
     }
 
+    /// Magic, then a header frame with config digest 0 and no catalog.
+    fn empty_header() -> Vec<u8> {
+        let mut bytes = MAGIC_V2.to_vec();
+        put_varint(&mut bytes, 9);
+        bytes.extend_from_slice(&[0; 9]);
+        bytes
+    }
+
+    #[test]
+    fn a_huge_header_length_is_truncated_not_an_allocation() {
+        let mut bytes = MAGIC_V2.to_vec();
+        put_varint(&mut bytes, 1 << 50);
+        assert_eq!(bytes.len(), 28);
+        assert_eq!(
+            TraceReaderV2::new(&bytes[..]).err(),
+            Some(TraceV2Error::Truncated)
+        );
+    }
+
+    #[test]
+    fn a_huge_catalog_count_reserves_nothing_it_cannot_read() {
+        let mut bytes = MAGIC_V2.to_vec();
+        let mut payload = vec![0; 8];
+        put_varint(&mut payload, 1 << 50);
+        put_varint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(&payload);
+        assert_eq!(
+            TraceReaderV2::new(&bytes[..]).err(),
+            Some(TraceV2Error::Truncated)
+        );
+    }
+
+    #[test]
+    fn a_huge_block_length_is_truncated_not_an_allocation() {
+        let mut bytes = empty_header();
+        put_varint(&mut bytes, 1 << 50);
+        bytes.extend_from_slice(&[0x11, 0x22, 0x33]);
+        assert_eq!(bytes.len(), 41);
+        let mut reader = TraceReaderV2::new(&bytes[..]).expect("the header is valid");
+        assert_eq!(reader.next(), Some(Err(TraceV2Error::Truncated)));
+        assert_eq!(reader.next(), None);
+    }
+
+    #[test]
+    fn an_enum_escape_past_usize_is_a_bad_frame_in_every_build() {
+        for (kind, what) in [
+            (tag::SUBMITTED, "class"),
+            (tag::GATEWAY_BLOCKED, "gateway level"),
+        ] {
+            for escape in [u64::MAX - 2, u64::MAX] {
+                let mut record = vec![kind];
+                put_folded(&mut record, 0, 3);
+                put_varint(&mut record, escape);
+                put_varint(&mut record, 0);
+                let mut bytes = empty_header();
+                put_varint(&mut bytes, record.len() as u64);
+                bytes.extend_from_slice(&record);
+                let mut reader = TraceReaderV2::new(&bytes[..]).expect("the header is valid");
+                match reader.next() {
+                    Some(Err(TraceV2Error::BadFrame(msg))) => assert!(msg.contains(what), "{msg}"),
+                    other => panic!("{what} escape {escape}: {other:?}"),
+                }
+            }
+        }
+        // The largest escape that fits still decodes.
+        assert_eq!(escaped_small(u64::MAX - 3, "class"), Ok(usize::MAX));
+    }
+
     #[test]
     fn version_sniffing_tells_v1_v2_and_garbage_apart() {
         assert!(is_v2(MAGIC_V2));
@@ -1454,6 +1551,34 @@ mod tests {
         assert!(matches!(
             transcode_v1_to_v2(bad.as_bytes(), &mut Vec::new()),
             Err(TranscodeError::V1(TraceError::BadLine(1, _)))
+        ));
+    }
+
+    #[test]
+    fn transcoder_reads_lines_as_the_text_decoder_does() {
+        let header = format!("{V1_HEADER}\r\n");
+        for body in [
+            "end 1\n",
+            "end 1",
+            "\r\n\nend 1\r\n\r\n",
+            "phase 0 2 two  words \r\nend 1\u{2003}\n",
+            "end 1\n\nwibble 1 2\r\nend 2\n",
+            "end 1\nend 2\r\nend +\n",
+            "done 1 2\rdone 3 4\n",
+        ] {
+            let text = format!("{header}{body}");
+            let mut bytes = Vec::new();
+            let transcoded = transcode_v1_to_v2(text.as_bytes(), &mut bytes)
+                .map(|_| decode_all(&bytes).expect("own stream decodes"));
+            let decoded = Trace::decode(&text)
+                .map(Trace::into_events)
+                .map_err(TranscodeError::V1);
+            assert_eq!(transcoded, decoded, "{body:?}");
+        }
+        let invalid = [V1_HEADER.as_bytes(), b"\nend 1\n\xff\n"].concat();
+        assert!(matches!(
+            transcode_v1_to_v2(&invalid[..], &mut Vec::new()),
+            Err(TranscodeError::Io(msg)) if msg.contains("UTF-8")
         ));
     }
 
