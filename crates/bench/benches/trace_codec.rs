@@ -13,8 +13,9 @@
 //!   runtime.
 //!
 //! For each stream and codec the bench measures encode and decode
-//! events/sec (best-of) and bytes/event, asserts the
-//! round trip reproduces the stream bit-exactly, and rewrites
+//! events/sec (best-of, the three codecs timed in turn within each run so
+//! that host drift hits every side of a ratio alike) and bytes/event,
+//! asserts the round trip reproduces the stream bit-exactly, and rewrites
 //! `BENCH_trace.json` at the repo root.
 //!
 //! Three codecs are measured: v2, the v1 text codec, and `v1_reference`,
@@ -132,14 +133,24 @@ fn v2_decode(bytes: &[u8]) -> Vec<TraceEvent> {
         .expect("own stream decodes")
 }
 
-/// Best-of-`runs` events/sec for one codec pass over `events_n` events.
-fn measure(runs: usize, events_n: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..runs {
-        let start = Instant::now();
-        f();
-        let eps = events_n as f64 / start.elapsed().as_secs_f64().max(1e-12);
-        best = best.max(eps);
+/// Best-of-`runs` events/sec for each of `passes` over `events_n` events.
+/// Every run times each pass once, in turn, starting one pass later than
+/// the run before, so a slow spell on a shared host lands on all of them
+/// rather than on whichever was measured during it.
+fn measure_in_turn<const K: usize>(
+    runs: usize,
+    events_n: usize,
+    passes: [&mut dyn FnMut(); K],
+) -> [f64; K] {
+    let mut best = [0.0f64; K];
+    for run in 0..runs {
+        for turn in 0..K {
+            let k = (run + turn) % K;
+            let start = Instant::now();
+            passes[k]();
+            let eps = events_n as f64 / start.elapsed().as_secs_f64().max(1e-12);
+            best[k] = best[k].max(eps);
+        }
     }
     best
 }
@@ -220,36 +231,48 @@ fn main() {
             v1_text,
             "{name}: v1 text differs from the reference's"
         );
-        let ref_encode_eps = measure(runs, n, || {
-            black_box(reference::encode_trace(events));
-        });
-        let ref_decode_eps = measure(runs, n, || {
-            black_box(reference::decode_trace(&v1_text).expect("own text parses"));
-        });
-        let v1_encode_eps = measure(runs, n, || {
-            black_box(trace.encode());
-        });
-        let v1_decode_eps = measure(runs, n, || {
-            black_box(Trace::decode(&v1_text).expect("own text parses"));
-        });
+        let v2_bytes = v2_encode(events, catalog, *config);
         // The codecs must be lossless before their speed means anything.
         assert_eq!(
             Trace::decode(&v1_text).expect("own text parses").events(),
             &events[..],
             "{name}: v1 round trip diverged"
         );
-
-        let v2_bytes = v2_encode(events, catalog, *config);
-        let v2_encode_eps = measure(runs, n, || {
-            black_box(v2_encode(events, catalog, *config));
-        });
-        let v2_decode_eps = measure(runs, n, || {
-            black_box(v2_decode(&v2_bytes));
-        });
         assert_eq!(
             v2_decode(&v2_bytes),
             events[..],
             "{name}: v2 round trip diverged"
+        );
+
+        let [ref_encode_eps, v1_encode_eps, v2_encode_eps] = measure_in_turn(
+            runs,
+            n,
+            [
+                &mut || {
+                    black_box(reference::encode_trace(events));
+                },
+                &mut || {
+                    black_box(trace.encode());
+                },
+                &mut || {
+                    black_box(v2_encode(events, catalog, *config));
+                },
+            ],
+        );
+        let [ref_decode_eps, v1_decode_eps, v2_decode_eps] = measure_in_turn(
+            runs,
+            n,
+            [
+                &mut || {
+                    black_box(reference::decode_trace(&v1_text).expect("own text parses"));
+                },
+                &mut || {
+                    black_box(Trace::decode(&v1_text).expect("own text parses"));
+                },
+                &mut || {
+                    black_box(v2_decode(&v2_bytes));
+                },
+            ],
         );
 
         speedups.push(SpeedupRow {

@@ -6,6 +6,7 @@
 //! TPC-H has "similar numbers of indexes per table" to SALES), and they give
 //! the cost model cheaper access paths.
 
+use crate::folded;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -48,8 +49,7 @@ impl IndexDef {
     pub fn covers_prefix(&self, column: &str) -> bool {
         self.key_columns
             .first()
-            .map(|c| c == &column.to_ascii_lowercase())
-            .unwrap_or(false)
+            .is_some_and(|c| *c == *folded(column))
     }
 }
 

@@ -36,3 +36,16 @@ pub use statistics::{ColumnStatistics, HistogramBucket, TableStatistics};
 pub use table::TableDef;
 pub use types::DataType;
 pub use warehouse::{sales_schema, tpch_schema, SalesScale};
+
+use std::borrow::Cow;
+
+/// `name` in the catalog's stored (ASCII lower) case. Names are folded
+/// once by the SQL lexer, so a lookup borrows them as they are; only a
+/// name with ASCII upper case pays for a lower-cased copy.
+pub(crate) fn folded(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}

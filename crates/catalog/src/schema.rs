@@ -1,5 +1,6 @@
 //! The catalog: a named collection of tables.
 
+use crate::folded;
 use crate::table::TableDef;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -32,12 +33,12 @@ impl Catalog {
 
     /// Look up a table by name (case-insensitive).
     pub fn table(&self, name: &str) -> Option<&TableDef> {
-        self.tables.get(&name.to_ascii_lowercase())
+        self.tables.get(&*folded(name))
     }
 
     /// True when the table exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(&*folded(name))
     }
 
     /// Iterate all tables in name order.

@@ -7,6 +7,7 @@
 //! execution engine only materializes a sample, which is how the reproduction
 //! gets paper-scale compilation behaviour on laptop-scale hardware.
 
+use crate::folded;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -119,7 +120,7 @@ impl TableStatistics {
 
     /// Look up a column's statistics.
     pub fn column(&self, name: &str) -> Option<&ColumnStatistics> {
-        self.columns.get(&name.to_ascii_lowercase())
+        self.columns.get(&*folded(name))
     }
 
     /// Distinct values for a column, defaulting to 10% of rows (a common

@@ -1,6 +1,7 @@
 //! Table definitions.
 
 use crate::column::ColumnDef;
+use crate::folded;
 use crate::index::IndexDef;
 use crate::statistics::TableStatistics;
 use serde::{Deserialize, Serialize};
@@ -43,14 +44,14 @@ impl TableDef {
 
     /// Find a column by name (case-insensitive).
     pub fn column(&self, name: &str) -> Option<&ColumnDef> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().find(|c| c.name == lower)
+        let name = folded(name);
+        self.columns.iter().find(|c| c.name == *name)
     }
 
     /// Position of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        let name = folded(name);
+        self.columns.iter().position(|c| c.name == *name)
     }
 
     /// Average row width in bytes, computed from the column types unless the

@@ -7,16 +7,29 @@
 //! * The one-table path must not pay for the per-compilation tables that
 //!   make the big path cheap: the trivial-stage OLTP point query may make
 //!   no more calls than that memo did (156).
+//! * The front end folds names once: lexing, parsing and optimizing each
+//!   OLTP template stays within a budget set below the count it had while
+//!   every keyword match, token and catalog lookup copied its name.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use throttledb_catalog::{sales_schema, SalesScale};
 use throttledb_optimizer::{OptimizationStage, Optimizer};
-use throttledb_sqlparse::parse;
+use throttledb_sqlparse::{parse, Lexer, Parser};
 use throttledb_workload::{oltp_templates, sales_templates};
 
 /// Allocator calls the replaced memo made for `oltp_point_sale`.
 const POINT_QUERY_CALLS_BEFORE: u64 = 156;
+
+/// Lex + parse + optimize allocator calls per OLTP template, in
+/// `oltp_templates()` order: `(template, calls while names were copied,
+/// budget)`.
+const FRONT_END_BUDGETS: [(&str, u64, u64); 4] = [
+    ("oltp_point_sale", 104, 40),
+    ("oltp_customer_lookup", 64, 40),
+    ("oltp_store_join", 127, 72),
+    ("diag_count_recent", 105, 40),
+];
 
 thread_local! {
     // Const-initialized and without destructors, so touching them from
@@ -105,4 +118,27 @@ fn point_query_allocates_no_more_than_before_the_name_table() {
         "{}: {calls} allocator calls, the budget is {POINT_QUERY_CALLS_BEFORE}",
         point.name
     );
+}
+
+#[test]
+fn oltp_front_end_stays_within_its_budget() {
+    let catalog = sales_schema(SalesScale::paper());
+    let optimizer = Optimizer::new(&catalog);
+    let templates = oltp_templates();
+    assert_eq!(templates.len(), FRONT_END_BUDGETS.len());
+    for (t, &(name, before, budget)) in templates.iter().zip(&FRONT_END_BUDGETS) {
+        assert_eq!(t.name, name);
+        let (tokens, lex) = calls_during(|| Lexer::new(&t.sql).tokenize());
+        let tokens = tokens.expect("templates lex");
+        let (stmt, parse) = calls_during(|| Parser::new(tokens).parse_select_statement());
+        let stmt = stmt.expect("templates parse");
+        let (outcome, optimize) = calls_during(|| optimizer.optimize(&stmt));
+        outcome.expect("templates compile");
+        let calls = lex + parse + optimize;
+        assert!(
+            calls <= budget,
+            "{name}: {calls} allocator calls (lex {lex}, parse {parse}, optimize {optimize}), \
+             the budget is {budget} ({before} while names were copied)"
+        );
+    }
 }

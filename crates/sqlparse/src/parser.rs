@@ -55,12 +55,28 @@ impl Parser {
         self.tokens.get(self.pos).unwrap_or(&Token::Eof)
     }
 
+    /// Take the current token and step past it. The token is moved out,
+    /// leaving `Eof` behind, so consumed tokens must never be looked at
+    /// again: the parser only moves forward.
     fn advance(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() {
-            self.pos += 1;
+        match self.tokens.get_mut(self.pos) {
+            Some(t) => {
+                self.pos += 1;
+                std::mem::replace(t, Token::Eof)
+            }
+            None => Token::Eof,
         }
-        t
+    }
+
+    /// Take an implicit alias: the current token when it is an identifier.
+    fn take_ident(&mut self) -> Option<String> {
+        match self.peek() {
+            Token::Ident(_) => match self.advance() {
+                Token::Ident(name) => Some(name),
+                _ => unreachable!("peeked an identifier"),
+            },
+            _ => None,
+        }
     }
 
     fn error<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -252,12 +268,9 @@ impl Parser {
                 Token::Ident(name) => Some(name),
                 other => return self.error(format!("expected alias after AS, found {other}")),
             }
-        } else if let Token::Ident(name) = self.peek().clone() {
-            // Implicit alias: `SELECT expr alias`.
-            self.advance();
-            Some(name)
         } else {
-            None
+            // Implicit alias: `SELECT expr alias`.
+            self.take_ident()
         };
         Ok(SelectItem { expr, alias })
     }
@@ -272,11 +285,8 @@ impl Parser {
                 Token::Ident(name) => Some(name),
                 other => return self.error(format!("expected alias after AS, found {other}")),
             }
-        } else if let Token::Ident(name) = self.peek().clone() {
-            self.advance();
-            Some(name)
         } else {
-            None
+            self.take_ident()
         };
         Ok(TableRef { table, alias })
     }

@@ -71,40 +71,51 @@ pub enum Keyword {
 }
 
 impl Keyword {
-    /// Parse an identifier into a keyword, case-insensitively.
+    /// Parse an identifier into a keyword, case-insensitively. The
+    /// identifier is upper-cased into a stack buffer as long as the longest
+    /// keyword, so matching allocates nothing.
     pub fn from_ident(s: &str) -> Option<Keyword> {
-        let k = match s.to_ascii_uppercase().as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "JOIN" => Keyword::Join,
-            "INNER" => Keyword::Inner,
-            "LEFT" => Keyword::Left,
-            "RIGHT" => Keyword::Right,
-            "OUTER" => Keyword::Outer,
-            "ON" => Keyword::On,
-            "GROUP" => Keyword::Group,
-            "BY" => Keyword::By,
-            "HAVING" => Keyword::Having,
-            "ORDER" => Keyword::Order,
-            "LIMIT" => Keyword::Limit,
-            "AS" => Keyword::As,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
-            "BETWEEN" => Keyword::Between,
-            "LIKE" => Keyword::Like,
-            "IS" => Keyword::Is,
-            "NULL" => Keyword::Null,
-            "DISTINCT" => Keyword::Distinct,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "SUM" => Keyword::Sum,
-            "COUNT" => Keyword::Count,
-            "AVG" => Keyword::Avg,
-            "MIN" => Keyword::Min,
-            "MAX" => Keyword::Max,
+        // The longest keyword, `DISTINCT`.
+        const LONGEST: usize = 8;
+        if s.len() > LONGEST {
+            return None;
+        }
+        let mut buf = [0u8; LONGEST];
+        let upper = &mut buf[..s.len()];
+        upper.copy_from_slice(s.as_bytes());
+        upper.make_ascii_uppercase();
+        let k = match &*upper {
+            b"SELECT" => Keyword::Select,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"JOIN" => Keyword::Join,
+            b"INNER" => Keyword::Inner,
+            b"LEFT" => Keyword::Left,
+            b"RIGHT" => Keyword::Right,
+            b"OUTER" => Keyword::Outer,
+            b"ON" => Keyword::On,
+            b"GROUP" => Keyword::Group,
+            b"BY" => Keyword::By,
+            b"HAVING" => Keyword::Having,
+            b"ORDER" => Keyword::Order,
+            b"LIMIT" => Keyword::Limit,
+            b"AS" => Keyword::As,
+            b"AND" => Keyword::And,
+            b"OR" => Keyword::Or,
+            b"NOT" => Keyword::Not,
+            b"IN" => Keyword::In,
+            b"BETWEEN" => Keyword::Between,
+            b"LIKE" => Keyword::Like,
+            b"IS" => Keyword::Is,
+            b"NULL" => Keyword::Null,
+            b"DISTINCT" => Keyword::Distinct,
+            b"ASC" => Keyword::Asc,
+            b"DESC" => Keyword::Desc,
+            b"SUM" => Keyword::Sum,
+            b"COUNT" => Keyword::Count,
+            b"AVG" => Keyword::Avg,
+            b"MIN" => Keyword::Min,
+            b"MAX" => Keyword::Max,
             _ => return None,
         };
         Some(k)
