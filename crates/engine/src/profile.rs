@@ -11,7 +11,7 @@ use throttledb_sim::SimRng;
 use throttledb_sqlparse::parse;
 use throttledb_workload::{
     oltp_templates, sales_templates, tpch_like_templates, QueryTemplate, TemplateCatalog,
-    TemplateId,
+    TemplateId, TemplateSkew,
 };
 
 /// Measured characteristics of compiling and executing one template.
@@ -61,6 +61,9 @@ pub struct WorkloadProfiles {
     catalog: TemplateCatalog,
     /// Profiles indexed by [`TemplateId::index`], parallel to the catalog.
     by_id: Vec<CompileProfile>,
+    /// The catalog's zipf tables at the characterizing config's template
+    /// skew, shared by every run.
+    skew: TemplateSkew,
     /// DSS templates in workload order.
     pub dss: Vec<QueryTemplate>,
     /// TPC-H-like comparison templates (empty unless characterized via
@@ -95,6 +98,7 @@ impl WorkloadProfiles {
         }
         profiles.profiles.extend(tpch.profiles);
         profiles.tpch = tpch.dss;
+        profiles.skew = TemplateSkew::new(&profiles.catalog, config.client_model.template_skew);
         profiles
     }
 
@@ -131,6 +135,7 @@ impl WorkloadProfiles {
         }
         WorkloadProfiles {
             profiles,
+            skew: TemplateSkew::new(&template_catalog, config.client_model.template_skew),
             catalog: template_catalog,
             by_id,
             dss,
@@ -153,6 +158,11 @@ impl WorkloadProfiles {
     /// The intern table of every characterized template.
     pub fn catalog(&self) -> &TemplateCatalog {
         &self.catalog
+    }
+
+    /// The catalog's zipf tables for choosing templates.
+    pub(crate) fn template_skew(&self) -> &TemplateSkew {
+        &self.skew
     }
 
     /// Number of characterized templates.

@@ -51,9 +51,13 @@ impl Server {
             QueryOrigin::Client { client, .. } => self.class_of(client),
             QueryOrigin::Source { source } => self.config.arrivals[source as usize].class,
         };
-        let template =
-            self.client_model
-                .choose_id(&self.mix, self.profiles.catalog(), &mut self.rng);
+        let profiles = &self.profiles;
+        let template = self.client_model.choose_id(
+            &self.mix,
+            profiles.catalog(),
+            profiles.template_skew(),
+            &mut self.rng,
+        );
         let profile = self.profiles.profile_of(template).jittered(&mut self.rng);
         let id = self.next_query;
         self.next_query += 1;

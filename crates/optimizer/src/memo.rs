@@ -26,19 +26,14 @@
 //! How the memo keeps the second small and cheap:
 //!
 //! * **One hash per candidate.** Duplicate detection hashes a candidate
-//!   with SipHash-1-3 under two keys drawn per memo from a `RandomState`
+//!   with a keyed folded multiply (the construction of wyhash and
+//!   foldhash) under three keys drawn per memo from a `RandomState`
 //!   (operators derive from user SQL, so a memo is keyed apart as a
-//!   `HashMap` is) and compares it with the stored expressions. The
-//!   message is the candidate's 32-bit words in order: operator, both
-//!   children, then the predicates. A join with at most one predicate —
-//!   every candidate a SALES exploration offers — is one 16-byte message,
-//!   two compressions and the finalization on registers; longer lists
-//!   stream on, two predicates a word. The result is the standard
-//!   SipHash-1-3 of those bytes (the tests hold it to
-//!   `std::hash::DefaultHasher`). A stored expression keeps the low 30
-//!   bits of its hash beside the two bits of its applied rules, so growing
-//!   the table re-places it without hashing again, in a 32-byte
-//!   [`MemoExpr`].
+//!   `HashMap` is) and compares it with the stored expressions: two
+//!   multiplies for a join with at most one predicate, every candidate a
+//!   SALES exploration offers. A stored expression keeps the low 30 bits of
+//!   its hash beside the two bits of its applied rules, so growing the
+//!   table re-places it without hashing again, in a 32-byte [`MemoExpr`].
 //! * **No probe for a new group.** A candidate with a child group that no
 //!   stored expression references yet — the group an `insert_join` has just
 //!   created — cannot equal a stored expression, so it is not looked up.
@@ -298,79 +293,33 @@ const NONE: u32 = u32::MAX;
 /// no duplicate-detection table.
 const SCAN_LIMIT: usize = 16;
 
-/// The two keys of a memo's SipHash-1-3.
+/// The three keys of a memo's hash.
 #[derive(Debug, Clone, Copy)]
-struct SipKeys {
+struct HashKeys {
     k0: u64,
     k1: u64,
+    k2: u64,
 }
 
-impl SipKeys {
-    /// Keys as random as a `HashMap`'s: two words of a fresh
+impl HashKeys {
+    /// Keys as random as a `HashMap`'s: three words of a fresh
     /// `RandomState`'s own keyed hash.
-    fn random() -> SipKeys {
+    fn random() -> HashKeys {
         let state = RandomState::new();
-        SipKeys {
+        HashKeys {
             k0: state.hash_one(0u64),
             k1: state.hash_one(1u64),
+            k2: state.hash_one(2u64),
         }
     }
 }
 
-/// SipHash-1-3 over whole little-endian words: one compression round per
-/// word, three to finalize.
-#[derive(Debug, Clone, Copy)]
-struct Sip13 {
-    v0: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
-}
-
-impl Sip13 {
-    fn new(keys: SipKeys) -> Sip13 {
-        Sip13 {
-            v0: keys.k0 ^ 0x736f_6d65_7073_6575,
-            v1: keys.k1 ^ 0x646f_7261_6e64_6f6d,
-            v2: keys.k0 ^ 0x6c79_6765_6e65_7261,
-            v3: keys.k1 ^ 0x7465_6462_7974_6573,
-        }
-    }
-
-    #[inline(always)]
-    fn round(&mut self) {
-        self.v0 = self.v0.wrapping_add(self.v1);
-        self.v2 = self.v2.wrapping_add(self.v3);
-        self.v1 = self.v1.rotate_left(13) ^ self.v0;
-        self.v3 = self.v3.rotate_left(16) ^ self.v2;
-        self.v0 = self.v0.rotate_left(32);
-        self.v2 = self.v2.wrapping_add(self.v1);
-        self.v0 = self.v0.wrapping_add(self.v3);
-        self.v1 = self.v1.rotate_left(17) ^ self.v2;
-        self.v3 = self.v3.rotate_left(21) ^ self.v0;
-        self.v2 = self.v2.rotate_left(32);
-    }
-
-    /// Absorb the next eight message bytes.
-    #[inline(always)]
-    fn word(&mut self, m: u64) {
-        self.v3 ^= m;
-        self.round();
-        self.v0 ^= m;
-    }
-
-    /// The hash of a `len`-byte message whose last `len % 8` bytes are
-    /// `tail` (the rest went through [`Sip13::word`]).
-    #[inline(always)]
-    fn finish(mut self, len: usize, tail: u64) -> u64 {
-        let b = (len as u64 & 0xff) << 56 | tail;
-        self.word(b);
-        self.v2 ^= 0xff;
-        self.round();
-        self.round();
-        self.round();
-        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
-    }
+/// The folded multiply of wyhash and foldhash: the low and high halves of
+/// the 128-bit product `x · y`, xored.
+#[inline(always)]
+fn fold(x: u64, y: u64) -> u64 {
+    let product = u128::from(x) * u128::from(y);
+    product as u64 ^ (product >> 64) as u64
 }
 
 /// Two 32-bit message words as one little-endian 64-bit word.
@@ -395,10 +344,16 @@ pub struct Memo {
     winners: Vec<Option<Winner>>,
     /// The newest group while no stored expression has it as a child.
     fresh: Option<GroupId>,
-    keys: SipKeys,
+    keys: HashKeys,
     /// Hashes computed by [`Memo::hash`].
     #[cfg(test)]
     hashes: std::cell::Cell<usize>,
+    /// Table lookups by [`Memo::find`], and the occupied slots they
+    /// visited.
+    #[cfg(test)]
+    lookups: std::cell::Cell<usize>,
+    #[cfg(test)]
+    probes: std::cell::Cell<usize>,
 }
 
 impl Default for Memo {
@@ -411,9 +366,13 @@ impl Default for Memo {
             slots: Vec::new(),
             winners: Vec::new(),
             fresh: None,
-            keys: SipKeys::random(),
+            keys: HashKeys::random(),
             #[cfg(test)]
             hashes: std::cell::Cell::new(0),
+            #[cfg(test)]
+            lookups: std::cell::Cell::new(0),
+            #[cfg(test)]
+            probes: std::cell::Cell::new(0),
         }
     }
 }
@@ -643,23 +602,23 @@ impl Memo {
         self.digest(op, preds, children) as u32 & HASH_MASK
     }
 
-    /// The candidate's keyed SipHash-1-3 over its words: the operator key,
-    /// both children, then each predicate ([`NONE`] when there is none, so
-    /// the common case is exactly two message words).
+    /// The candidate's keyed hash: one [`fold`] of its first four words in
+    /// two keyed pairs ([`NONE`] for a missing first predicate), then each
+    /// further predicate and last the list's length folded on under the
+    /// third key. Without that last fold some key draws leave a slot
+    /// index to a few of the words (`docs/EXPERIMENTS.md` §8).
     fn digest(&self, op: &MemoOp, preds: &[PredRef], children: &[GroupId; 2]) -> u64 {
         let (first, rest) = match preds.split_first() {
             Some((first, rest)) => (first.0, rest),
             None => (NONE, &[][..]),
         };
-        let mut sip = Sip13::new(self.keys);
-        sip.word(pair(op.key_word(), children[0].0));
-        sip.word(pair(children[1].0, first));
-        let mut pairs = rest.chunks_exact(2);
-        for two in &mut pairs {
-            sip.word(pair(two[0].0, two[1].0));
-        }
-        let tail = pairs.remainder().first().map_or(0, |p| u64::from(p.0));
-        sip.finish(16 + 4 * rest.len(), tail)
+        let HashKeys { k0, k1, k2 } = self.keys;
+        let h = fold(
+            pair(op.key_word(), children[0].0) ^ k0,
+            pair(children[1].0, first) ^ k1,
+        );
+        let h = rest.iter().fold(h, |h, p| fold(h ^ u64::from(p.0), k2));
+        fold(h ^ preds.len() as u64, k2)
     }
 
     /// The stored expression equal to the candidate, if any: same operator,
@@ -687,7 +646,11 @@ impl Memo {
         }
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
+        #[cfg(test)]
+        self.lookups.set(self.lookups.get() + 1);
         while self.slots[at] != NONE {
+            #[cfg(test)]
+            self.probes.set(self.probes.get() + 1);
             if equal(&self.exprs[self.slots[at] as usize]) {
                 return Some(ExprId(self.slots[at]));
             }
@@ -781,7 +744,6 @@ mod tests {
     use crate::binder::Binder;
     use proptest::prelude::*;
     use std::collections::HashMap;
-    use std::hash::Hasher;
     use throttledb_catalog::{tpch_schema, Catalog};
     use throttledb_sqlparse::parse;
 
@@ -1038,83 +1000,119 @@ mod tests {
             prop_assert!(fresh_pairs > 0 && dup_pairs > 0, "{pairs} pairs: {fresh_pairs} over a new group, {dup_pairs} wholly repeated");
         }
 
-        /// The memo's hash is SipHash-1-3 of the candidate's words: equal
-        /// to the standard library's under the same (zero) keys.
+        /// Under random keys, the memo's hash of a random candidate is the
+        /// reference's.
         #[test]
-        fn candidate_hash_matches_std_siphash_on_random_candidates(
+        fn candidate_hash_matches_the_reference_on_random_candidates(
             sel in 0u8..4,
             id in 0u32..u32::MAX,
             children in (0u32..u32::MAX, 0u32..u32::MAX),
             preds in proptest::collection::vec(0u32..u32::MAX, 0..7),
+            keys in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
         ) {
             let mut memo = Memo::new();
-            memo.keys = SipKeys { k0: 0, k1: 0 };
+            memo.keys = HashKeys { k0: keys.0, k1: keys.1, k2: keys.2 };
             let op = match sel {
                 3 => MemoOp::Plain(PlainId(id >> 1)),
                 kind => MemoOp::join([JoinKind::Inner, JoinKind::Left, JoinKind::Right][usize::from(kind)]),
             };
             let children = [GroupId(children.0), GroupId(children.1)];
             let preds: Vec<PredRef> = preds.into_iter().map(PredRef).collect();
-            prop_assert_eq!(memo.digest(&op, &preds, &children), std_sip13(&message(&op, &children, &preds)));
+            let want = reference(memo.keys, &op, &children, &preds);
+            prop_assert_eq!(memo.digest(&op, &preds, &children), want);
         }
     }
 
-    /// The bytes the memo's hash reads for a candidate: its 32-bit words,
-    /// little-endian — operator, children, then the predicates, with
-    /// [`NONE`] standing for a missing first one.
-    fn message(op: &MemoOp, children: &[GroupId; 2], preds: &[PredRef]) -> Vec<u8> {
-        let first = preds.first().map_or(NONE, |p| p.0);
-        let mut words = vec![op.key_word(), children[0].0, children[1].0, first];
-        words.extend(preds.iter().skip(1).map(|p| p.0));
-        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    /// The memo's hash written out plainly.
+    fn reference(keys: HashKeys, op: &MemoOp, children: &[GroupId; 2], preds: &[PredRef]) -> u64 {
+        let mul = |x: u64, y: u64| {
+            let product = x as u128 * y as u128;
+            (product as u64) ^ ((product >> 64) as u64)
+        };
+        let first = preds.first().map_or(u32::MAX, |p| p.0) as u64;
+        let a = op.key_word() as u64 + ((children[0].0 as u64) << 32);
+        let b = children[1].0 as u64 + (first << 32);
+        let mut h = mul(a ^ keys.k0, b ^ keys.k1);
+        for p in preds.iter().skip(1) {
+            h = mul(h ^ p.0 as u64, keys.k2);
+        }
+        mul(h ^ preds.len() as u64, keys.k2)
     }
 
-    /// The standard library's SipHash-1-3 of `bytes` under zero keys.
-    fn std_sip13(bytes: &[u8]) -> u64 {
-        let mut h = std::hash::DefaultHasher::new();
-        h.write(bytes);
-        h.finish()
-    }
-
+    /// Fixed keys, fixed candidates, and their hashes as an independent
+    /// implementation of the construction computes them: predicate lists
+    /// of none, one, two and five.
     #[test]
-    fn candidate_hash_matches_std_siphash_on_fixed_candidates() {
+    fn candidate_hash_matches_known_answers_on_fixed_candidates() {
         let mut memo = Memo::new();
-        memo.keys = SipKeys { k0: 0, k1: 0 };
-        let join = MemoOp::join(JoinKind::Inner);
-        let p = |id| PredRef(id);
-        let cases: [(MemoOp, [GroupId; 2], Vec<PredRef>, usize); 7] = [
-            (join, [GroupId(3), GroupId(7)], vec![p(5)], 16),
-            (join, [GroupId(0), GroupId(0)], vec![], 16),
-            (
-                MemoOp::join(JoinKind::Right),
-                [GroupId(9), GroupId(2)],
-                vec![p(0)],
-                16,
-            ),
+        memo.keys = HashKeys {
+            k0: 0x0123_4567_89ab_cdef,
+            k1: 0xfedc_ba98_7654_3210,
+            k2: 0x9e37_79b9_7f4a_7c15,
+        };
+        let (join, none, max) = (MemoOp::join(JoinKind::Inner), GroupId::NONE, PredRef(NONE));
+        let (left, right) = (MemoOp::join(JoinKind::Left), MemoOp::join(JoinKind::Right));
+        let p = |ids: &[u32]| -> Vec<PredRef> { ids.iter().copied().map(PredRef).collect() };
+        let g = GroupId;
+        let cases = [
+            (join, [g(3), g(7)], p(&[5]), 0x5279_e1d3_564c_312a),
+            (join, [g(0), g(0)], p(&[]), 0xc47b_1cd0_a42e_8c33),
             (
                 MemoOp::Plain(PlainId(4)),
-                [GroupId(1), GroupId::NONE],
-                vec![],
-                16,
+                [g(1), none],
+                p(&[]),
+                0x4bb5_f841_4075_8a19,
             ),
-            (join, [GroupId(1), GroupId(2)], vec![p(3), p(4)], 20),
-            (join, [GroupId(1), GroupId(2)], vec![p(3), p(4), p(5)], 24),
+            (right, [g(9), g(2)], p(&[0]), 0x0335_a801_833f_64d2),
+            (join, [g(1), g(2)], p(&[3, 4]), 0xfa0a_850d_92fb_9718),
+            (join, [none, none], vec![max; 5], 0xb723_114c_f91e_d4cb),
             (
-                join,
-                [GroupId::NONE, GroupId::NONE],
-                vec![p(u32::MAX); 6],
-                36,
+                left,
+                [g(1), g(2)],
+                p(&[3, 4, 5, 6, 7]),
+                0xe3fa_363f_c34d_744b,
             ),
+            // The length keeps one "none" predicate apart from the empty list.
+            (join, [none, none], vec![max], 0x807c_3ed4_5d35_280a),
         ];
-        for (op, children, preds, len) in cases {
-            let bytes = message(&op, &children, &preds);
-            assert_eq!(bytes.len(), len);
-            assert_eq!(
-                memo.digest(&op, &preds, &children),
-                std_sip13(&bytes),
-                "{op:?} {children:?} {preds:?}"
-            );
+        for (op, children, preds, known) in cases {
+            let got = memo.digest(&op, &preds, &children);
+            assert_eq!(got, known, "{op:?} {children:?} {preds:?}");
+            assert_eq!(reference(memo.keys, &op, &children, &preds), known);
         }
+    }
+
+    /// Over the ten SALES templates, explored to the compile's own
+    /// budget, a table lookup visits few occupied slots: the hash spreads
+    /// the candidates an exploration offers.
+    #[test]
+    fn sales_lookups_visit_few_occupied_slots() {
+        use crate::rules::Exploration;
+        use crate::search::Optimizer;
+        use throttledb_catalog::{sales_schema, SalesScale};
+        use throttledb_workload::sales_templates;
+
+        let catalog = sales_schema(SalesScale::paper());
+        let est = CardinalityEstimator::new(&catalog);
+        let mut worst: f64 = 0.0;
+        let (mut lookups, mut visited) = (0, 0);
+        for template in sales_templates() {
+            let stmt = parse(&template.sql).unwrap();
+            let stats = Optimizer::new(&catalog).optimize(&stmt).unwrap().stats;
+            let bound = Binder::new(&catalog).bind(&stmt).unwrap();
+            let mut mem = CompilationMemory::unlimited();
+            let mut memo = Memo::new();
+            memo.insert_plan(bound, &est, &mut mem);
+            Exploration::default().explore(&mut memo, stats.transformations, &est, &mut mem);
+            assert_eq!(memo.expr_count(), stats.memo_exprs, "{}", template.name);
+            let (n, v) = (memo.lookups.get(), memo.probes.get());
+            assert!(n > 10_000, "{}: {n} lookups", template.name);
+            worst = worst.max(v as f64 / n as f64);
+            (lookups, visited) = (lookups + n, visited + v);
+        }
+        let mean = visited as f64 / lookups as f64;
+        assert!(mean <= 1.25, "{mean:.3} occupied slots per lookup");
+        assert!(worst <= 1.35, "worst template {worst:.3} per lookup");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod stats;
 pub use arrival::{ArrivalProcess, ArrivalSampler};
 pub use clock::{SimDuration, SimTime};
 pub use events::{EventId, EventQueue, ScheduledEvent};
-pub use rng::SimRng;
+pub use rng::{SimRng, ZipfTable};
 pub use series::{GaugeTimeline, TimeSeries};
 pub use slab::{Slab, SlotRef, SlotTable};
 pub use stats::{Histogram, Running, Summary};

@@ -141,6 +141,56 @@ impl SimRng {
     }
 }
 
+/// [`SimRng::zipf`] over one `(n, theta)` with its harmonic sums built
+/// once: the same partial sums added in the same order, so a draw takes
+/// the one `unit()` draw and makes every comparison the loop makes, bit
+/// for bit, without its `2·n` `powf` calls.
+#[derive(Debug, Clone)]
+pub struct ZipfTable {
+    n: usize,
+    theta: f64,
+    /// `Σ 1/i^θ` over `i ≤ k`, for each `k` in `1..=n`; empty when `theta`
+    /// is uniform.
+    cumulative: Vec<f64>,
+}
+
+impl ZipfTable {
+    /// The table of `zipf(n, theta)`.
+    pub fn new(n: usize, theta: f64) -> Self {
+        let mut cumulative = Vec::new();
+        let uniform = theta <= f64::EPSILON;
+        if !uniform {
+            let mut acc = 0.0;
+            for i in 1..=n {
+                acc += 1.0 / (i as f64).powf(theta);
+                cumulative.push(acc);
+            }
+        }
+        ZipfTable {
+            n,
+            theta,
+            cumulative,
+        }
+    }
+
+    /// Whether this is the table of `zipf(n, theta)`.
+    pub fn covers(&self, n: usize, theta: f64) -> bool {
+        self.n == n && self.theta.to_bits() == theta.to_bits()
+    }
+
+    /// The draw `rng.zipf(n, theta)` makes.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        let n = self.n;
+        assert!(n > 0, "zipf over empty domain");
+        let Some(&norm) = self.cumulative.last() else {
+            return rng.uniform_u64(0, n as u64 - 1) as usize;
+        };
+        let target = rng.unit() * norm;
+        let rank = self.cumulative.iter().position(|&acc| acc >= target);
+        rank.unwrap_or(n - 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +270,42 @@ mod tests {
                 (1_600..2_400).contains(&c),
                 "uniform-ish expected, got {counts:?}"
             );
+        }
+    }
+
+    #[test]
+    fn zipf_table_draws_what_zipf_draws() {
+        for n in [1, 2, 3, 10, 17, 64] {
+            for theta in [0.0, 1e-17, 0.1, 0.3, 0.5, 0.99, 1.0, 1.5, 3.0, f64::NAN] {
+                let table = ZipfTable::new(n, theta);
+                assert!(table.covers(n, theta) && !table.covers(n + 1, theta));
+                // The partial sums `zipf`'s loops add up, bit for bit: a
+                // draw can land between two sums an ulp apart.
+                let mut acc = 0.0;
+                let sums = (1..=n).map(|i| {
+                    acc += 1.0 / (i as f64).powf(theta);
+                    acc.to_bits()
+                });
+                let want: Vec<u64> = if theta <= f64::EPSILON {
+                    Vec::new()
+                } else {
+                    sums.collect()
+                };
+                let got: Vec<u64> = table.cumulative.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(got, want, "n {n} theta {theta}");
+                let (mut a, mut b) = (
+                    SimRng::seed_from_u64(n as u64),
+                    SimRng::seed_from_u64(n as u64),
+                );
+                for _ in 0..2_000 {
+                    assert_eq!(
+                        table.sample(&mut a),
+                        b.zipf(n, theta),
+                        "n {n} theta {theta}"
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64());
+            }
         }
     }
 

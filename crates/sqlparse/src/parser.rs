@@ -502,6 +502,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn an_error_quotes_a_string_token_as_text_that_lexes_back() {
+        let err = parse("SELECT a FROM t LIMIT 'it''s'").unwrap_err();
+        let found = err.message.split("found ").nth(1).unwrap();
+        assert_eq!(found, "'it''s'");
+        let tokens = Lexer::new(found).tokenize().unwrap();
+        assert_eq!(tokens, [Token::String("it's".into()), Token::Eof]);
+    }
+
+    #[test]
     fn parses_minimal_select() {
         let s = parse("SELECT a FROM t").unwrap();
         assert_eq!(s.items.len(), 1);

@@ -179,7 +179,8 @@ impl fmt::Display for Token {
             Token::Keyword(k) => write!(f, "{k:?}"),
             Token::Ident(s) => write!(f, "{s}"),
             Token::Number(n) => write!(f, "{n}"),
-            Token::String(s) => write!(f, "'{s}'"),
+            // Quotes doubled, as the lexer reads them and `Literal` prints.
+            Token::String(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Token::Comma => write!(f, ","),
             Token::Dot => write!(f, "."),
             Token::LParen => write!(f, "("),
@@ -223,5 +224,6 @@ mod tests {
         assert_eq!(Token::Comma.to_string(), ",");
         assert_eq!(Token::NotEq.to_string(), "<>");
         assert_eq!(Token::String("x".into()).to_string(), "'x'");
+        assert_eq!(Token::String("it's".into()).to_string(), "'it''s'");
     }
 }

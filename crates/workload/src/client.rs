@@ -11,7 +11,7 @@ use crate::catalog::{TemplateCatalog, TemplateId};
 use crate::mix::WorkloadMix;
 use crate::templates::{QueryTemplate, WorkloadKind};
 use serde::{Deserialize, Serialize};
-use throttledb_sim::{SimDuration, SimRng};
+use throttledb_sim::{SimDuration, SimRng, ZipfTable};
 
 /// Parameters of the client population.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,7 +98,9 @@ impl ClientModel {
     }
 
     /// Copy-free variant of [`ClientModel::choose_mixed`]: choose the next
-    /// template as an interned [`TemplateId`] from a [`TemplateCatalog`].
+    /// template as an interned [`TemplateId`] from a [`TemplateCatalog`],
+    /// drawing the skewed ranks from `skew`'s tables where they cover this
+    /// model's skew and the catalog's lists.
     ///
     /// Consumes exactly the same RNG draws in the same order as
     /// `choose_mixed` over the catalog's family lists (verified by test),
@@ -108,14 +110,42 @@ impl ClientModel {
         &self,
         mix: &WorkloadMix,
         catalog: &TemplateCatalog,
+        skew: &TemplateSkew,
         rng: &mut SimRng,
     ) -> TemplateId {
         let (sales, tpch, oltp) = (catalog.sales(), catalog.tpch(), catalog.oltp());
         assert!(!sales.is_empty(), "need at least one SALES template");
+        let theta = self.template_skew;
+        let rank = |table: &ZipfTable, n: usize, rng: &mut SimRng| {
+            if table.covers(n, theta) {
+                table.sample(rng)
+            } else {
+                rng.zipf(n, theta)
+            }
+        };
         match mix.sample(rng, !tpch.is_empty(), !oltp.is_empty()) {
             WorkloadKind::Oltp => *rng.choose(oltp),
-            WorkloadKind::TpchLike => tpch[rng.zipf(tpch.len(), self.template_skew)],
-            WorkloadKind::Sales => sales[rng.zipf(sales.len(), self.template_skew)],
+            WorkloadKind::TpchLike => tpch[rank(&skew.tpch, tpch.len(), rng)],
+            WorkloadKind::Sales => sales[rank(&skew.sales, sales.len(), rng)],
+        }
+    }
+}
+
+/// The zipf tables of a catalog's SALES and TPC-H-like lists at one
+/// template skew, built once beside the catalog so that choosing a
+/// template makes no `powf` call.
+#[derive(Debug, Clone)]
+pub struct TemplateSkew {
+    sales: ZipfTable,
+    tpch: ZipfTable,
+}
+
+impl TemplateSkew {
+    /// The tables of `catalog`'s lists at skew `theta`.
+    pub fn new(catalog: &TemplateCatalog, theta: f64) -> Self {
+        TemplateSkew {
+            sales: ZipfTable::new(catalog.sales().len(), theta),
+            tpch: ZipfTable::new(catalog.tpch().len(), theta),
         }
     }
 }
@@ -268,14 +298,19 @@ mod tests {
             sales.iter().chain(tpch.iter()).chain(oltp.iter()).cloned(),
         );
         let mix = crate::mix::WorkloadMix::new(0.6, 0.25, 0.15);
-        let mut rng_a = SimRng::seed_from_u64(41);
-        let mut rng_b = SimRng::seed_from_u64(41);
-        for _ in 0..2_000 {
-            let by_ref = m.choose_mixed(&mix, &sales, &tpch, &oltp, &mut rng_a);
-            let by_id = m.choose_id(&mix, &catalog, &mut rng_b);
-            assert_eq!(by_ref.name, catalog.name(by_id));
+        // Tables at the model's skew, and at another, which it must not
+        // read.
+        for theta in [m.template_skew, 0.7] {
+            let skew = TemplateSkew::new(&catalog, theta);
+            let mut rng_a = SimRng::seed_from_u64(41);
+            let mut rng_b = SimRng::seed_from_u64(41);
+            for _ in 0..2_000 {
+                let by_ref = m.choose_mixed(&mix, &sales, &tpch, &oltp, &mut rng_a);
+                let by_id = m.choose_id(&mix, &catalog, &skew, &mut rng_b);
+                assert_eq!(by_ref.name, catalog.name(by_id));
+            }
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64());
         }
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     }
 
     #[test]

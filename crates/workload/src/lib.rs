@@ -33,7 +33,7 @@ pub mod templates;
 pub mod uniquify;
 
 pub use catalog::{TemplateCatalog, TemplateId};
-pub use client::ClientModel;
+pub use client::{ClientModel, TemplateSkew};
 pub use mix::WorkloadMix;
 pub use templates::{
     oltp_templates, sales_templates, tpch_like_templates, QueryTemplate, WorkloadKind,
