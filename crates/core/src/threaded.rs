@@ -45,12 +45,14 @@ impl ThreadedThrottle {
     }
 
     /// The broker's current compilation target, when it constrains memory
-    /// at all. Reads the broker only; never called with the ladder locked.
+    /// at all: pressure and target read under one broker lock. Never
+    /// called with the ladder locked.
     fn broker_target(&self) -> Option<u64> {
-        self.broker
-            .pressure()
-            .is_constrained()
-            .then(|| self.broker.target_for_kind(SubcomponentKind::Compilation))
+        self.broker.read(|core| {
+            core.pressure()
+                .is_constrained()
+                .then(|| core.target_for_kind(SubcomponentKind::Compilation))
+        })
     }
 
     /// Refresh the dynamic-threshold input from the broker. Embedders call

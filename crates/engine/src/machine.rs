@@ -7,14 +7,22 @@
 //!   and turns CPU demand into service time under their load.
 //! - [`Disk`] turns an execution's footprint into I/O seconds through the
 //!   buffer-pool hit-rate model over the memory the broker reports free.
-//! - [`Memory`] is the broker and its clerks: compilation, the per-class
-//!   grant pools, the plan cache and the leak faults' ballast.
+//! - [`Memory`] owns the broker's accounts and every byte they count, and
+//!   charges them where the bytes move: compilation, the per-class grant
+//!   pools, the plan cache and the leak faults' ballast.
 
 use crate::config::ServerConfig;
+use crate::server::PlanKey;
 use throttledb_bufferpool::HitRateModel;
-use throttledb_executor::GrantManager;
-use throttledb_membroker::{BrokerDecision, Clerk, MemoryBroker, SubcomponentKind};
+use throttledb_executor::{GrantManager, GrantRequestId};
+use throttledb_governor::{AdmissionDecision, PoolStats};
+use throttledb_membroker::{BrokerCore, BrokerDecision, ClerkId, SubcomponentKind};
+use throttledb_plancache::PlanCache;
 use throttledb_sim::{SimDuration, SimTime};
+use throttledb_workload::TemplateId;
+
+/// The admissions of one grant-pool call, in the caller's reused buffer.
+pub(crate) type Admitted = Vec<(GrantRequestId, AdmissionDecision)>;
 
 /// `budget * fraction`, exact when the fraction is 1 (the default class).
 pub(crate) fn scaled_budget(budget: u64, fraction: f64) -> u64 {
@@ -33,16 +41,16 @@ pub(crate) struct Machine {
 }
 
 impl Machine {
-    /// The machine `config` describes, and the plan cache's broker clerk.
-    pub fn new(config: &ServerConfig) -> (Self, Clerk) {
-        let broker = MemoryBroker::unshared(config.broker.clone());
-        let compile_clerk = broker.register(SubcomponentKind::Compilation);
-        let exec_clerk = broker.register(SubcomponentKind::Execution);
-        let cache_clerk = broker.register(SubcomponentKind::PlanCache);
+    /// The machine `config` describes.
+    pub fn new(config: &ServerConfig) -> Self {
+        let mut broker = BrokerCore::new(config.broker.clone());
+        let compile = broker.register(SubcomponentKind::Compilation);
+        let exec = broker.register(SubcomponentKind::Execution);
+        let cache = broker.register(SubcomponentKind::PlanCache);
         let exec_budget = broker.target_for_kind(SubcomponentKind::Execution);
         let pools = config.classes.iter().map(|spec| {
             let budget = scaled_budget(exec_budget, spec.grant_fraction);
-            let grants = GrantManager::new(budget, Some(exec_clerk.clone()));
+            let grants = GrantManager::new(budget, None);
             let fraction = spec.grant_fraction;
             GrantPool {
                 grants,
@@ -52,9 +60,12 @@ impl Machine {
         });
         let memory = Memory {
             broker,
-            compile_clerk,
-            ballast_clerk: None,
+            compile,
+            exec,
+            cache,
+            ballast: None,
             pools: pools.collect(),
+            plan_cache: PlanCache::new(256 << 20, None),
             grant_budget_scale: 1.0,
             fault_grant_scale: 1.0,
             decisions: Vec::new(),
@@ -72,7 +83,7 @@ impl Machine {
             hot_working_set_bytes: config.hot_working_set_bytes,
             bandwidth_bytes_per_sec: config.io_bandwidth_bytes_per_sec,
         };
-        (Machine { cpu, disk, memory }, cache_clerk)
+        Machine { cpu, disk, memory }
     }
 }
 
@@ -188,18 +199,19 @@ struct GrantPool {
     budget: u64,
 }
 
-/// Physical memory: the broker and every clerk it accounts for.
+/// Physical memory: the broker's accounts, and every byte they count.
 pub(crate) struct Memory {
-    /// The server's own broker, never shared, so its tick recalculates
-    /// without the broker's lock.
-    broker: MemoryBroker,
-    pub compile_clerk: Clerk,
-    /// The leak faults' clerk: a `Fixed` subcomponent the broker accounts
-    /// for (available bytes shrink, pressure rises) but never asks to
-    /// shrink, exactly how a leak behaves.
-    pub ballast_clerk: Option<Clerk>,
-    /// One grant pool per class, all reporting to the execution clerk.
+    /// The broker's accounts, one per clerk, and their running total.
+    broker: BrokerCore,
+    compile: ClerkId,
+    exec: ClerkId,
+    cache: ClerkId,
+    /// The leak faults' account: `Fixed`, so available bytes shrink and
+    /// pressure rises, but the broker never asks it to shrink, as a leak.
+    ballast: Option<ClerkId>,
+    /// One grant pool per class.
     pools: Vec<GrantPool>,
+    plan_cache: PlanCache<TemplateId, PlanKey>,
     /// Scenario knob on every grant budget (1.0 = the configured budgets).
     grant_budget_scale: f64,
     /// Product of the active grant-collapse scales (1.0 = no collapse).
@@ -216,12 +228,22 @@ impl Memory {
 
     /// Charge a compile step's `bytes` to compilation, unless the machine
     /// has no room for them: then the step fails out of memory.
-    pub fn grow_compile(&self, bytes: u64) -> bool {
+    pub fn grow_compile(&mut self, bytes: u64) -> bool {
         let fits = self.broker.available_bytes() >= bytes;
         if fits {
-            self.compile_clerk.allocate(bytes);
+            self.broker.allocate(self.compile, bytes);
         }
         fits
+    }
+
+    /// A compilation's `bytes` are freed.
+    pub fn free_compile(&mut self, bytes: u64) {
+        self.broker.free(self.compile, bytes);
+    }
+
+    /// Bytes held by compilations.
+    pub fn compile_bytes(&self) -> u64 {
+        self.broker.account(self.compile).used_bytes()
     }
 
     /// Memory no clerk holds: what acts as the buffer pool.
@@ -229,10 +251,22 @@ impl Memory {
         self.broker.available_bytes()
     }
 
-    /// Register the ballast clerk, once.
+    /// Open the ballast account, once.
     pub fn add_ballast(&mut self) {
-        self.ballast_clerk
+        self.ballast
             .get_or_insert_with(|| self.broker.register(SubcomponentKind::Fixed));
+    }
+
+    /// A leak fault holds `bytes` more ballast.
+    pub fn leak(&mut self, bytes: u64) {
+        let ballast = self.ballast.expect("a leak fault opened the ballast");
+        self.broker.allocate(ballast, bytes);
+    }
+
+    /// A leak fault cleared and returned its `bytes` of ballast.
+    pub fn unleak(&mut self, bytes: u64) {
+        let ballast = self.ballast.expect("a leak fault opened the ballast");
+        self.broker.free(ballast, bytes);
     }
 
     /// The next tick applies `scale`.
@@ -245,8 +279,9 @@ impl Memory {
         self.fault_grant_scale = scale;
     }
 
-    pub fn grants(&self, class: usize) -> &GrantManager {
-        &self.pools[class].grants
+    /// Class `class`'s grant-pool statistics.
+    pub fn grant_stats(&self, class: usize) -> PoolStats {
+        self.pools[class].grants.pool_stats()
     }
 
     #[cfg(test)]
@@ -254,9 +289,85 @@ impl Memory {
         self.pools[class].budget
     }
 
+    /// Ask class `class`'s pool for a `bytes` grant; charge what it admits.
+    pub fn request_grant(
+        &mut self,
+        class: usize,
+        bytes: u64,
+        now: SimTime,
+        deadline: SimTime,
+    ) -> (GrantRequestId, AdmissionDecision) {
+        let (id, decision) = self.pools[class].grants.request_at(bytes, now, deadline);
+        self.broker
+            .allocate(self.exec, decision.units().unwrap_or(0));
+        (id, decision)
+    }
+
+    /// Release grant `id` of class `class`: free the bytes it held, and
+    /// charge each waiter the release admits (appended to `out`).
+    pub fn release_grant(
+        &mut self,
+        class: usize,
+        id: GrantRequestId,
+        now: SimTime,
+        out: &mut Admitted,
+    ) {
+        let first = out.len();
+        if let Some(held) = self.pools[class].grants.release_at_into(id, now, out) {
+            self.broker.free(self.exec, held);
+        }
+        self.charge_admissions(out, first);
+    }
+
+    /// Cancel queued grant `id` of class `class`, charging each waiter the
+    /// cancel admits (appended to `out`). Returns true if it was queued.
+    pub fn cancel_grant(
+        &mut self,
+        class: usize,
+        id: GrantRequestId,
+        now: SimTime,
+        out: &mut Admitted,
+    ) -> bool {
+        let first = out.len();
+        let cancelled = self.pools[class].grants.cancel(id, now, out);
+        self.charge_admissions(out, first);
+        cancelled
+    }
+
+    /// Charge execution with the admissions appended to `out` from `first`.
+    fn charge_admissions(&mut self, out: &Admitted, first: usize) {
+        let admitted = out[first..].iter().filter_map(|(_, d)| d.units()).sum();
+        self.broker.allocate(self.exec, admitted);
+    }
+
+    /// Whether the submission with text key `text` has a cached plan.
+    pub fn plan_cached(&self, text: u64) -> bool {
+        self.plan_cache.get(&PlanKey::Text(text)).is_some()
+    }
+
+    /// Cache the `bytes` plan `template` compiled into for submission
+    /// `query`, and charge the cache's growth net of what it evicted.
+    pub fn cache_plan(&mut self, template: TemplateId, query: u64, bytes: u64, cost: f64) {
+        let before = self.broker.account(self.cache).used_bytes();
+        let key = PlanKey::Compiled(template, query);
+        let after = self.plan_cache.insert(key, template, bytes, cost);
+        self.broker.free(self.cache, before.saturating_sub(after));
+        self.broker
+            .allocate(self.cache, after.saturating_sub(before));
+    }
+
+    /// Shrink the plan cache to the tick's `target`, freeing what it evicts.
+    pub fn squeeze_cache(&mut self, target: Option<u64>) {
+        let held = self.broker.account(self.cache).used_bytes();
+        if let Some(target) = target.filter(|&t| held > t) {
+            let released = self.plan_cache.shrink_to(target);
+            self.broker.free(self.cache, released);
+        }
+    }
+
     /// Recalculate the broker and read off what the tick distributes.
     pub fn tick(&mut self, now: SimTime) -> Reading {
-        self.broker.recalculate_mut(now, &mut self.decisions);
+        self.broker.recalculate_into(now, &mut self.decisions);
         #[cfg(debug_assertions)]
         self.check_law();
         let mut constrained = false;
@@ -292,22 +403,26 @@ impl Memory {
     /// times the scenario knob and the active grant collapses. A pool never
     /// leaves an admissible waiter queued (its work-conservation law,
     /// checked after every call in debug builds), so the budget it already
-    /// has would admit no one: only a change is returned, recorded as
-    /// installed, for the caller to set on the pool.
-    pub fn regrant(&mut self, class: usize, exec_target: u64) -> Option<u64> {
+    /// has would admit no one: only a change is installed, charging each
+    /// waiter it admits (appended to `out`).
+    pub fn regrant(&mut self, class: usize, exec_target: u64, now: SimTime, out: &mut Admitted) {
         let scale = self.grant_budget_scale * self.fault_grant_scale;
         let pool = &mut self.pools[class];
         let budget = scaled_budget(scaled_budget(exec_target, pool.fraction), scale);
         if budget == pool.budget {
-            return None;
+            return;
         }
         pool.budget = budget;
-        Some(budget)
+        let first = out.len();
+        pool.grants.set_budget(budget, now, out);
+        self.charge_admissions(out, first);
     }
 
     /// The memory law every broker tick checks in debug builds: the
-    /// clerks' live bytes, as the recalculation sampled them (one decision
-    /// per clerk), sum to the total the broker reads without its lock.
+    /// clerks' live bytes as the recalculation sampled them (one decision
+    /// per clerk) and the running total both sum the accounts, execution
+    /// holds what the grant pools granted out, and the plan cache's
+    /// account what it caches.
     ///
     /// The law's other half, that they fit in the machine's physical
     /// memory, does not hold yet: execution grants are not checked against
@@ -315,34 +430,109 @@ impl Memory {
     /// overcommits the machine by 5–7 %.
     #[cfg(debug_assertions)]
     fn check_law(&self) {
-        let used = self.decisions.iter().map(|d| d.notification.current_bytes);
-        assert_eq!(
-            used.sum::<u64>(),
-            self.broker.used_bytes(),
-            "the broker's lock-free total disagrees with its clerks'"
-        );
+        let accounts = self.broker.accounts().iter().map(|a| a.used_bytes()).sum();
+        let sampled = self.decisions.iter().map(|d| d.notification.current_bytes);
+        let granted = self.pools.iter().map(|p| p.grants.in_use_bytes()).sum();
+        let held = |id| self.broker.account(id).used_bytes();
+        let cached = self.plan_cache.used_bytes();
+        for (what, got, want) in [
+            ("sampled total", sampled.sum(), accounts),
+            ("running total", self.broker.used_bytes(), accounts),
+            ("execution account", held(self.exec), granted),
+            ("cache account", held(self.cache), cached),
+        ] {
+            assert_eq!(got, want, "the memory law: the {what} disagrees");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use throttledb_workload::{oltp_templates, TemplateCatalog};
 
     fn machine(config: &ServerConfig) -> Machine {
-        Machine::new(config).0
+        Machine::new(config)
     }
 
-    /// A broker whose lock-free total disagrees with what its tick sampled
-    /// breaks the memory law.
+    fn template() -> TemplateId {
+        let catalog = TemplateCatalog::from_templates(oltp_templates());
+        catalog.oltp()[0]
+    }
+
+    /// A station whose accounts all move through its own calls: a
+    /// compile step, a grant and a release that admits a waiter, cached
+    /// plans with evictions and a squeeze, and leaked ballast.
+    fn busy_memory() -> Memory {
+        let mut memory = machine(&ServerConfig::quick(1, true)).memory;
+        let (now, deadline) = (SimTime::ZERO, SimTime::from_secs(60));
+        let mut out = Vec::new();
+        assert!(memory.grow_compile(10 << 20));
+        let budget = memory.grant_budget(0);
+        let (first, _) = memory.request_grant(0, budget, now, deadline);
+        let (_, queued) = memory.request_grant(0, budget / 2, now, deadline);
+        assert_eq!(queued.units(), None);
+        memory.release_grant(0, first, now, &mut out);
+        assert_eq!(out.len(), 1, "the release admits the waiter");
+        // More plans than the 256 MiB cache holds, so inserts evict too.
+        let template = template();
+        for id in 0..3_000 {
+            memory.cache_plan(template, id, 96 << 10, 1.0);
+        }
+        // Replacing a cached plan with a smaller one frees bytes.
+        memory.cache_plan(template, 2_999, 1 << 10, 1.0);
+        memory.squeeze_cache(Some(300 << 10));
+        memory.add_ballast();
+        memory.leak(5 << 20);
+        memory.unleak(1 << 20);
+        memory
+    }
+
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-free total disagrees")]
+    fn the_memory_law_holds_when_every_byte_moves_through_the_station() {
+        let mut memory = busy_memory();
+        memory.tick(SimTime::ZERO);
+        assert_eq!(memory.grant_stats(0).queued, 1);
+        // The squeeze keeps the small plan, the most valuable per byte.
+        let cached = memory.broker.account(memory.cache).used_bytes();
+        assert_eq!(cached, 3 * (96 << 10) + (1 << 10));
+    }
+
+    /// A broker whose total disagrees with what its tick sampled breaks
+    /// the memory law.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the sampled total disagrees")]
     fn the_memory_law_bites_when_the_broker_total_drifts() {
         let mut memory = machine(&ServerConfig::quick(1, true)).memory;
         assert!(memory.grow_compile(10 << 20));
         memory.tick(SimTime::ZERO);
         memory.decisions[0].notification.current_bytes += 1;
         memory.check_law();
+    }
+
+    /// A grant admitted past the station is execution memory no account
+    /// holds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the execution account disagrees")]
+    fn the_memory_law_bites_on_an_uncharged_grant() {
+        let mut memory = busy_memory();
+        let grants = &memory.pools[0].grants;
+        grants.request_at(1 << 20, SimTime::ZERO, SimTime::MAX);
+        memory.tick(SimTime::ZERO);
+    }
+
+    /// A plan cached past the station is cache memory no account holds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the cache account disagrees")]
+    fn the_memory_law_bites_on_an_uncharged_cache_insert() {
+        let mut memory = busy_memory();
+        let key = PlanKey::Compiled(template(), 3_000);
+        memory.plan_cache.insert(key, template(), 96 << 10, 1.0);
+        memory.tick(SimTime::ZERO);
     }
 
     #[test]
@@ -355,25 +545,17 @@ mod tests {
         let deadline = SimTime::from_secs(60);
         for class in 0..classes {
             let budget = memory.grant_budget(class);
-            memory
-                .grants(class)
-                .request_at(budget, SimTime::ZERO, deadline);
-            memory
-                .grants(class)
-                .request_at(budget, SimTime::ZERO, deadline);
+            memory.request_grant(class, budget, SimTime::ZERO, deadline);
+            memory.request_grant(class, budget, SimTime::ZERO, deadline);
         }
         memory.set_grant_budget_scale(0.5);
         let tick = |memory: &mut Memory, out: &mut Vec<_>| {
             let reading = memory.tick(SimTime::ZERO);
             for class in 0..classes {
-                if let Some(budget) = memory.regrant(class, reading.exec_target) {
-                    memory.grants(class).set_budget(budget, SimTime::ZERO, out);
-                }
+                memory.regrant(class, reading.exec_target, SimTime::ZERO, out);
             }
             let budgets: Vec<u64> = (0..classes).map(|c| memory.grant_budget(c)).collect();
-            let stats: Vec<_> = (0..classes)
-                .map(|c| memory.grants(c).pool_stats())
-                .collect();
+            let stats: Vec<_> = (0..classes).map(|c| memory.grant_stats(c)).collect();
             (reading.exec_target, budgets, stats)
         };
         let (target, halved, stats) = tick(&mut memory, &mut out);

@@ -11,7 +11,7 @@
 use crate::arrival_plane::{fold_arrival_digest, ArrivalPlane, NEVER};
 use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
-use crate::machine::Machine;
+use crate::machine::{Admitted, Machine};
 use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, MetricsFold, PhaseReport, RunMetrics};
 use crate::profile::WorkloadProfiles;
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
@@ -19,8 +19,6 @@ use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use throttledb_executor::GrantRequestId;
-use throttledb_plancache::PlanCache;
 use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotRef};
 use throttledb_workload::{ClientModel, TemplateId, Uniquifier, WorkloadMix};
 
@@ -104,7 +102,6 @@ pub struct Server {
     pub(crate) machine: Machine,
     /// One admission-policy runtime per configured workload class.
     pub(crate) classes: Vec<ClassRuntime>,
-    pub(crate) plan_cache: PlanCache<TemplateId, PlanKey>,
     pub(crate) uniquifier: Uniquifier,
     pub(crate) client_model: ClientModel,
     pub(crate) rng: SimRng,
@@ -147,7 +144,7 @@ pub struct Server {
     /// instead of allocating a vector per completed query.
     pub(crate) scratch_resumed: Vec<u64>,
     /// Reused buffer for grant-pool admissions, same discipline.
-    pub(crate) scratch_admitted: Vec<(GrantRequestId, throttledb_governor::AdmissionDecision)>,
+    pub(crate) scratch_admitted: Admitted,
     /// Installed fault specs (see [`crate::Server::install_faults`]).
     pub(crate) faults: Vec<FaultSpec>,
     /// Per-fault active flag; effect multipliers are recomputed from the
@@ -191,7 +188,7 @@ impl Server {
     /// Build a server from a configuration and pre-characterized profiles.
     pub fn new(config: ServerConfig, profiles: Arc<WorkloadProfiles>) -> Self {
         config.validate();
-        let (machine, cache_clerk) = Machine::new(&config);
+        let machine = Machine::new(&config);
         let compile_budget = machine.memory.compile_target();
         let total_share: f64 = config.classes.iter().map(|c| c.client_share).sum();
         let classes = config
@@ -208,7 +205,6 @@ impl Server {
             .iter()
             .map(|_| SourceRuntime::default())
             .collect();
-        let plan_cache = PlanCache::new(256 << 20, Some(cache_clerk));
         let mut metrics = RunMetrics::new(
             config.slice,
             SimTime::ZERO + config.warmup,
@@ -223,7 +219,6 @@ impl Server {
             profiles,
             machine,
             classes,
-            plan_cache,
             uniquifier: Uniquifier::new(),
             client_model,
             queue: EventQueue::new(),
@@ -612,11 +607,7 @@ impl Server {
         match spec.kind {
             FaultKind::MemoryLeak { .. } => {
                 let leaked = std::mem::take(&mut self.leak_allocated[i]);
-                if leaked > 0 {
-                    if let Some(clerk) = self.machine.memory.ballast_clerk.as_ref() {
-                        clerk.free(leaked);
-                    }
-                }
+                self.machine.memory.unleak(leaked);
             }
             FaultKind::ClientSurge { extra_clients } => {
                 let n = self.active_clients.saturating_sub(extra_clients);
@@ -644,9 +635,7 @@ impl Server {
         let remaining = total_bytes.saturating_sub(self.leak_allocated[i]);
         let amount = jittered.clamp(1, remaining.max(1)).min(remaining);
         if amount > 0 {
-            if let Some(clerk) = self.machine.memory.ballast_clerk.as_ref() {
-                clerk.allocate(amount);
-            }
+            self.machine.memory.leak(amount);
             self.leak_allocated[i] += amount;
         }
         if self.leak_allocated[i] < total_bytes {
@@ -797,7 +786,7 @@ impl Server {
     /// phase boundary is a [`TraceEvent::CompilePeak`]. Every compile-memory
     /// sample must flow through here so the peaks and the trace agree.
     pub(crate) fn record_compile_gauge(&mut self) {
-        let used = self.machine.memory.compile_clerk.used_bytes();
+        let used = self.machine.memory.compile_bytes();
         if used > self.fold.current_compile_peak() {
             self.trace_push(TraceEvent::CompilePeak {
                 at: self.now,
@@ -976,7 +965,7 @@ impl Server {
                 shed,
                 breaker_transitions: transitions,
                 throttle: class.policy.stats().clone(),
-                grants: self.machine.memory.grants(idx).pool_stats(),
+                grants: self.machine.memory.grant_stats(idx),
             });
         }
         // Fault windows, clamped to the observation window; a fault that

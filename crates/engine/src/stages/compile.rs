@@ -8,7 +8,7 @@
 
 use super::{task_slot, Query, QueryLifecycle, QueryOrigin};
 use crate::metrics::FailureKind;
-use crate::server::{Event, PlanKey, Server};
+use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
 use throttledb_governor::{PolicyDecision, PolicySignals};
 use throttledb_sim::{SimTime, SlotRef};
@@ -99,7 +99,7 @@ impl Server {
         // keys are never inserted — plans go in under the disjoint
         // `PlanKey::Compiled` variant — so every submission compiles.
         debug_assert!(
-            self.plan_cache.get(&PlanKey::Text(digest)).is_none(),
+            !self.machine.memory.plan_cached(digest),
             "a uniquified submission hit the plan cache"
         );
 
@@ -229,7 +229,7 @@ impl Server {
             )
         };
         // Compilation memory is freed when the plan is produced.
-        self.machine.memory.compile_clerk.free(compile_bytes);
+        self.machine.memory.free_compile(compile_bytes);
         self.record_compile_gauge();
         if let Some(q) = self.queries.get_mut(query) {
             q.compile_bytes = 0;
@@ -240,12 +240,8 @@ impl Server {
 
         // Cache the plan (uniquified submissions mean this rarely helps —
         // by design; the key is the copy-free (template, submission) pair).
-        self.plan_cache.insert(
-            PlanKey::Compiled(template, id),
-            template,
-            96 << 10,
-            profile.compile_cpu_seconds,
-        );
+        let cost = profile.compile_cpu_seconds;
+        self.machine.memory.cache_plan(template, id, 96 << 10, cost);
 
         self.request_grant(query, profile.exec_grant_bytes);
     }

@@ -24,11 +24,8 @@ impl Server {
         let (id, class) = (q.id, q.class);
         let requested = exec_grant_bytes.max(1 << 20);
         let deadline = self.now + self.config.grant_timeout;
-        let (grant_id, decision) = self
-            .machine
-            .memory
-            .grants(class)
-            .request_at(requested, self.now, deadline);
+        let memory = &mut self.machine.memory;
+        let (grant_id, decision) = memory.request_grant(class, requested, self.now, deadline);
         if let Some(q) = self.queries.get_mut(query) {
             q.grant_id = Some(grant_id);
             q.grant_requested = requested;
@@ -65,7 +62,9 @@ impl Server {
             return;
         }
         // Cancelling may admit the waiters queued behind this one.
-        if self.with_grants(class, |grants, now, out| grants.cancel(grant_id, now, out)) {
+        if self.with_grants(class, |memory, now, out| {
+            memory.cancel_grant(class, grant_id, now, out)
+        }) {
             self.classes[class].grant_query.take(slot);
             self.fail_query(query, FailureKind::GrantTimeout);
         }

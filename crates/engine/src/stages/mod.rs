@@ -25,14 +25,14 @@ pub mod execute;
 pub mod grant;
 
 use crate::config::{PolicyKind, ServerConfig, WorkloadClassConfig};
-use crate::machine::scaled_budget;
+use crate::machine::{scaled_budget, Admitted, Memory};
 use crate::metrics::FailureKind;
 use crate::profile::CompileProfile;
 use crate::server::Server;
 use crate::trace::TraceEvent;
 use throttledb_core::GatewayLadder;
-use throttledb_executor::{GrantManager, GrantRequestId};
-use throttledb_governor::{AdmissionDecision, CircuitBreaker, CostPolicy, PidPolicy, Policy};
+use throttledb_executor::GrantRequestId;
+use throttledb_governor::{CircuitBreaker, CostPolicy, PidPolicy, Policy};
 use throttledb_sim::{SimTime, Slab, SlotRef, SlotTable};
 
 /// Who submitted a query — and therefore where its completion / failure
@@ -275,17 +275,17 @@ impl Server {
         self.scratch_resumed = resumed;
     }
 
-    /// Run one mutation of `class`'s grant pool — a release, a cancel, a
-    /// budget change — and start every waiter it admits, recycling the
-    /// server's scratch buffer.
+    /// Run one mutation of `class`'s grant pool on the memory station — a
+    /// release, a cancel, a budget change — and start every waiter it
+    /// admits, recycling the server's scratch buffer.
     pub(crate) fn with_grants<R>(
         &mut self,
         class: usize,
-        op: impl FnOnce(&GrantManager, SimTime, &mut Vec<(GrantRequestId, AdmissionDecision)>) -> R,
+        op: impl FnOnce(&mut Memory, SimTime, &mut Admitted) -> R,
     ) -> R {
         let mut admitted = std::mem::take(&mut self.scratch_admitted);
         admitted.clear();
-        let result = op(self.machine.memory.grants(class), self.now, &mut admitted);
+        let result = op(&mut self.machine.memory, self.now, &mut admitted);
         self.start_admitted(class, &admitted);
         self.scratch_admitted = admitted;
         result
@@ -294,8 +294,8 @@ impl Server {
     /// Release the grant held by `(class, grant_id)` and start every
     /// admitted waiter.
     pub(crate) fn release_grant(&mut self, class: usize, grant_id: GrantRequestId) {
-        self.with_grants(class, |grants, now, out| {
-            grants.release_at_into(grant_id, now, out)
+        self.with_grants(class, |memory, now, out| {
+            memory.release_grant(class, grant_id, now, out)
         });
     }
 
@@ -307,7 +307,7 @@ impl Server {
         let Some(q) = self.queries.remove(query) else {
             return;
         };
-        self.machine.memory.compile_clerk.free(q.compile_bytes);
+        self.machine.memory.free_compile(q.compile_bytes);
         // A compiled query's task id is stale, and its slot may be another
         // query's by now: clear only what still names this query.
         let class = &mut self.classes[q.class];
@@ -359,18 +359,14 @@ impl Server {
                 reading.pressure,
                 &mut resumed,
             );
-            if let Some(budget) = self.machine.memory.regrant(idx, reading.exec_target) {
-                self.with_grants(idx, |grants, now, out| grants.set_budget(budget, now, out));
-            }
+            self.with_grants(idx, |memory, now, out| {
+                memory.regrant(idx, reading.exec_target, now, out)
+            });
             self.resume_tasks(idx, &resumed);
         }
         self.scratch_resumed = resumed;
         // The plan cache responds to pressure by shrinking toward its target.
-        if let Some(target) = reading.cache_target {
-            if self.plan_cache.used_bytes() > target {
-                self.plan_cache.shrink_to(target);
-            }
-        }
+        self.machine.memory.squeeze_cache(reading.cache_target);
         let next = self.now + self.config.broker_tick;
         if next < throttledb_sim::SimTime::ZERO + self.config.duration {
             self.next_tick = Some((next, self.queue.reserve_seq()));

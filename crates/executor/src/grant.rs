@@ -4,10 +4,10 @@
 //! the FIFO queue, budget accounting, wait statistics and the
 //! [`AdmissionDecision`] vocabulary are the governor layer's — the same
 //! pool every gateway-ladder level and the PID controller's slots are —
-//! and this module adds grant-request identity and broker clerk
-//! reporting. Every call that can admit queued requests (a release, a
-//! cancel, a budget change) reports them to the clerk and appends them
-//! to the caller's buffer, so no admission can be dropped.
+//! and this module adds grant-request identity. Every call that can admit
+//! queued requests (a release, a cancel, a budget change) appends them to
+//! the caller's buffer, so no admission can be dropped; the caller charges
+//! them, and credits the bytes a release returns, to its broker.
 
 use parking_lot::Mutex;
 use throttledb_governor::{AdmissionDecision, PoolStats, PoolTag, ResourcePool};
@@ -42,7 +42,6 @@ const MIN_GRANT_FRACTION: f64 = 0.25;
 #[derive(Debug)]
 pub struct GrantManager {
     inner: Mutex<Inner>,
-    clerk: Option<Clerk>,
 }
 
 #[derive(Debug)]
@@ -53,15 +52,17 @@ struct Inner {
 }
 
 impl GrantManager {
-    /// A manager over `budget_bytes` of execution memory, optionally
-    /// reporting usage to a broker clerk.
-    pub fn new(budget_bytes: u64, clerk: Option<Clerk>) -> Self {
+    /// A manager over `budget_bytes` of execution memory.
+    ///
+    /// `_clerk` has no effect: the manager reports to no broker (its
+    /// caller charges the grants), and the parameter stays only until the
+    /// benchmark's probes stop passing it.
+    pub fn new(budget_bytes: u64, _clerk: Option<Clerk>) -> Self {
         GrantManager {
             inner: Mutex::new(Inner {
                 pool: ResourcePool::new("exec-grants", budget_bytes, MIN_GRANT_FRACTION),
                 live: Slab::new(),
             }),
-            clerk,
         }
     }
 
@@ -74,9 +75,7 @@ impl GrantManager {
         now: SimTime,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) {
-        self.with_admissions(out, |inner, out| {
-            inner.pool.set_budget(budget_bytes, now, out)
-        });
+        self.inner.lock().pool.set_budget(budget_bytes, now, out);
     }
 
     /// Bytes currently granted out.
@@ -104,29 +103,24 @@ impl GrantManager {
         let mut inner = self.inner.lock();
         let id = GrantRequestId(inner.live.insert(()).to_bits());
         let decision = inner.pool.request(id, bytes, now, deadline);
-        if let (Some(c), Some(granted)) = (&self.clerk, decision.units()) {
-            c.allocate(granted);
-        }
         (id, decision)
     }
 
     /// Release the grant held by `id` (a query finished or was aborted) at
-    /// `now`; the queued requests granted as a result are appended to
-    /// `out`, so the engine can recycle one buffer across every release.
+    /// `now` and return the bytes it held, if it held any; the queued
+    /// requests granted as a result are appended to `out`, so the engine
+    /// can recycle one buffer across every release.
     pub fn release_at_into(
         &self,
         id: GrantRequestId,
         now: SimTime,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
-    ) {
-        self.with_admissions(out, |inner, out| {
-            let released = inner.pool.held(id);
-            inner.pool.release_into(id, now, out);
-            inner.live.remove(id.slot_ref());
-            if let (Some(c), Some(bytes)) = (&self.clerk, released) {
-                c.free(bytes);
-            }
-        });
+    ) -> Option<u64> {
+        let mut inner = self.inner.lock();
+        let released = inner.pool.held(id);
+        inner.pool.release_into(id, now, out);
+        inner.live.remove(id.slot_ref());
+        released
     }
 
     /// Abandon a queued request (the query timed out waiting for its grant —
@@ -139,40 +133,18 @@ impl GrantManager {
         now: SimTime,
         out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
     ) -> bool {
-        self.with_admissions(out, |inner, out| {
-            let cancelled = inner.pool.cancel(id, now, out);
-            if cancelled {
-                inner.live.remove(id.slot_ref());
-            }
-            cancelled
-        })
-    }
-
-    /// Run one pool mutation that appends admissions to `out`, and report
-    /// the bytes of each new one to the clerk.
-    fn with_admissions<R>(
-        &self,
-        out: &mut Vec<(GrantRequestId, AdmissionDecision)>,
-        op: impl FnOnce(&mut Inner, &mut Vec<(GrantRequestId, AdmissionDecision)>) -> R,
-    ) -> R {
         let mut inner = self.inner.lock();
-        let first = out.len();
-        let result = op(&mut inner, out);
-        if let Some(c) = &self.clerk {
-            for (_, decision) in &out[first..] {
-                if let Some(bytes) = decision.units() {
-                    c.allocate(bytes);
-                }
-            }
+        let cancelled = inner.pool.cancel(id, now, out);
+        if cancelled {
+            inner.live.remove(id.slot_ref());
         }
-        result
+        cancelled
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use throttledb_membroker::{BrokerConfig, MemoryBroker, SubcomponentKind};
 
     const MB: u64 = 1 << 20;
     const QUEUED: AdmissionDecision = AdmissionDecision::Wait {
@@ -271,21 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn clerk_tracks_granted_bytes() {
-        let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30));
-        let clerk = broker.register(SubcomponentKind::Execution);
-        let m = GrantManager::new(100 * MB, Some(clerk.clone()));
-        let (a, _) = request(&m, 30 * MB);
-        assert_eq!(clerk.used_bytes(), 30 * MB);
-        release(&m, a);
-        assert_eq!(clerk.used_bytes(), 0);
-    }
-
-    #[test]
     fn budget_raise_grants_queued_requests_and_reports_them() {
-        let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30));
-        let clerk = broker.register(SubcomponentKind::Execution);
-        let m = GrantManager::new(100 * MB, Some(clerk.clone()));
+        let m = GrantManager::new(100 * MB, None);
         let mut admitted = Vec::new();
         m.set_budget(MB, SimTime::ZERO, &mut admitted);
         let (a, out) = request(&m, 60 * MB);
@@ -295,7 +254,11 @@ mod tests {
             admitted,
             vec![(a, AdmissionDecision::Admit { units: 60 * MB })]
         );
-        assert_eq!(clerk.used_bytes(), 60 * MB);
+        assert_eq!(m.in_use_bytes(), 60 * MB);
+        assert_eq!(
+            m.release_at_into(a, SimTime::from_secs(6), &mut admitted),
+            Some(60 * MB)
+        );
     }
 
     #[test]

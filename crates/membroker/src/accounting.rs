@@ -1,11 +1,11 @@
 //! Per-clerk accounting kept inside the broker.
 //!
-//! The broker holds one [`ClerkAccount`] per registered clerk: the clerk
-//! handle itself (for reading live usage and installing targets), the trend
-//! estimator fed on every recalculation, and the last verdict sent so that
-//! reports can show notification churn.
+//! The broker holds one [`ClerkAccount`] per registered clerk: its live
+//! bytes, the trend estimator fed on every recalculation, the target last
+//! installed, and the last verdict sent so that reports can show
+//! notification churn.
 
-use crate::clerk::Clerk;
+use crate::clerk::SubcomponentKind;
 use crate::notification::NotificationKind;
 use crate::trend::TrendEstimator;
 use throttledb_sim::{SimDuration, SimTime};
@@ -13,34 +13,58 @@ use throttledb_sim::{SimDuration, SimTime};
 /// Broker-side record for one registered clerk.
 #[derive(Debug, Clone)]
 pub struct ClerkAccount {
-    clerk: Clerk,
+    kind: SubcomponentKind,
+    /// Live bytes.
+    pub(crate) used: u64,
+    /// Bytes ever allocated.
+    pub(crate) allocated: u64,
+    /// The target installed by the last recalculation.
+    pub(crate) target: Option<u64>,
     trend: TrendEstimator,
     last_verdict: Option<NotificationKind>,
     verdict_changes: u64,
 }
 
 impl ClerkAccount {
-    /// Create an account tracking `clerk` with a trend window of
+    /// An empty account for a `kind` clerk with a trend window of
     /// `trend_window` samples.
-    pub fn new(clerk: Clerk, trend_window: usize) -> Self {
+    pub(crate) fn new(kind: SubcomponentKind, trend_window: usize) -> Self {
         ClerkAccount {
-            clerk,
+            kind,
+            used: 0,
+            allocated: 0,
+            target: None,
             trend: TrendEstimator::new(trend_window),
             last_verdict: None,
             verdict_changes: 0,
         }
     }
 
-    /// The clerk handle.
-    pub fn clerk(&self) -> &Clerk {
-        &self.clerk
+    /// The subcomponent kind this account is for.
+    pub fn kind(&self) -> SubcomponentKind {
+        self.kind
+    }
+
+    /// Live bytes.
+    pub fn used_bytes(&self) -> u64 {
+        self.used
+    }
+
+    /// Total bytes ever allocated.
+    pub fn total_allocated(&self) -> u64 {
+        self.allocated
+    }
+
+    /// The target the last recalculation installed, if any. A target of 0
+    /// reads as none.
+    pub fn target_bytes(&self) -> Option<u64> {
+        self.target.filter(|&t| t > 0)
     }
 
     /// Record a usage sample at `now` and return the live usage observed.
     pub fn sample(&mut self, now: SimTime) -> u64 {
-        let used = self.clerk.used_bytes();
-        self.trend.record(now, used);
-        used
+        self.trend.record(now, self.used);
+        self.used
     }
 
     /// Predicted usage `horizon` into the future given the recorded trend.
@@ -48,15 +72,10 @@ impl ClerkAccount {
         // If no sample was ever recorded, fall back to the live value so a
         // clerk that registered between recalculations is still accounted.
         if self.trend.is_empty() {
-            self.clerk.used_bytes()
+            self.used
         } else {
             self.trend.predict(horizon)
         }
-    }
-
-    /// Estimated allocation rate in bytes/second.
-    pub fn allocation_rate(&self) -> f64 {
-        self.trend.slope_bytes_per_sec()
     }
 
     /// Record the verdict sent to this clerk, tracking changes for reports.
@@ -82,25 +101,24 @@ impl ClerkAccount {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clerk::{ClerkId, SubcomponentKind};
 
     fn account() -> ClerkAccount {
-        ClerkAccount::new(Clerk::new(ClerkId(0), SubcomponentKind::Compilation), 8)
+        ClerkAccount::new(SubcomponentKind::Compilation, 8)
     }
 
     #[test]
     fn sample_reads_live_usage() {
         let mut a = account();
-        a.clerk().allocate(500);
+        a.used = 500;
         assert_eq!(a.sample(SimTime::from_secs(1)), 500);
-        a.clerk().allocate(500);
+        a.used = 1000;
         assert_eq!(a.sample(SimTime::from_secs(2)), 1000);
     }
 
     #[test]
     fn predict_without_samples_uses_live_value() {
-        let a = account();
-        a.clerk().allocate(750);
+        let mut a = account();
+        a.used = 750;
         assert_eq!(a.predict(SimDuration::from_secs(10)), 750);
     }
 
@@ -108,13 +126,12 @@ mod tests {
     fn predict_extrapolates_growth() {
         let mut a = account();
         for s in 1..=5u64 {
-            a.clerk().allocate(1000);
+            a.used += 1000;
             a.sample(SimTime::from_secs(s));
         }
         // Growing 1000 bytes/second; prediction 10 s out should far exceed
         // the current 5000 bytes.
         assert!(a.predict(SimDuration::from_secs(10)) > 10_000);
-        assert!(a.allocation_rate() > 900.0);
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! The Memory Broker itself.
+//!
+//! [`BrokerCore`] is the accountant: every clerk's account, the running
+//! total of live bytes, and the recalculation, mutated through `&mut self`
+//! by the one owner that holds them (the simulator's memory station).
+//! [`MemoryBroker`] is that core behind one lock, for subcomponents that
+//! report from threads of their own through [`Clerk`]s.
 
 use crate::accounting::ClerkAccount;
-use crate::clerk::{Clerk, ClerkId, ClerkShared, SubcomponentKind};
+use crate::clerk::{Clerk, ClerkId, SubcomponentKind};
 use crate::config::BrokerConfig;
 use crate::notification::{Notification, NotificationKind};
 use crate::pressure::PressureLevel;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use throttledb_sim::SimTime;
 
-/// One broker verdict for one clerk, produced by [`MemoryBroker::recalculate`].
+/// One broker verdict for one clerk, produced by a recalculation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BrokerDecision {
     /// The notification delivered to the clerk.
@@ -19,14 +24,12 @@ pub struct BrokerDecision {
 }
 
 /// Point-in-time view of one clerk for reporting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClerkSnapshot {
     /// Clerk identity.
     pub id: ClerkId,
     /// Subcomponent kind.
     pub kind: SubcomponentKind,
-    /// Human-readable name.
-    pub name: String,
     /// Live bytes.
     pub used_bytes: u64,
     /// Current target (None = unconstrained).
@@ -38,7 +41,7 @@ pub struct ClerkSnapshot {
 }
 
 /// Point-in-time view of the whole broker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BrokerSnapshot {
     /// Total physical memory configured.
     pub total_memory_bytes: u64,
@@ -52,31 +55,24 @@ pub struct BrokerSnapshot {
     pub clerks: Vec<ClerkSnapshot>,
 }
 
-/// The central memory accountant (§3 of the paper).
+/// The central memory accountant (§3 of the paper), with a single owner.
 ///
-/// Thread-safe: clerks report allocations lock-free, and
-/// [`MemoryBroker::used_bytes`], [`MemoryBroker::available_bytes`] and
-/// [`MemoryBroker::pressure`] sum them along the chain of registered
-/// clerks, also lock-free; `recalculate` takes a short internal lock. In the
-/// discrete-event engine the broker is driven on a virtual-time schedule;
-/// in the threaded examples it can be called from a housekeeping thread.
+/// It holds one account per registered clerk and the running total of
+/// their live bytes, so [`BrokerCore::used_bytes`] and
+/// [`BrokerCore::available_bytes`] cost O(1). Clerks are [`ClerkId`]s;
+/// every allocation and free goes through `&mut self`.
 #[derive(Debug)]
-pub struct MemoryBroker {
+pub struct BrokerCore {
     config: BrokerConfig,
     /// `config.brokered_bytes()`, computed once.
     brokered: u64,
     /// Each kind's entitlement share of `brokered`, indexed by the kind's
     /// position in [`SubcomponentKind::ALL`].
     entitlements: [u64; SubcomponentKind::ALL.len()],
-    /// The first registered clerk; each links to the next.
-    first: OnceLock<Arc<ClerkShared>>,
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
+    /// One account per clerk, indexed by its id.
     accounts: Vec<ClerkAccount>,
-    recalculations: u64,
+    /// Σ live bytes over `accounts`.
+    used: u64,
     /// Every clerk holds the unconstrained verdict — no target, `Grow` —
     /// since the last recalculation, which left it so. A constrained
     /// recalculation or a new clerk clears it.
@@ -95,113 +91,73 @@ struct Scratch {
     fill: WaterFill,
 }
 
-impl MemoryBroker {
-    /// Create a broker with the given configuration, behind an `Arc` so
-    /// subcomponents and housekeeping threads can share it.
-    pub fn new(config: BrokerConfig) -> Arc<Self> {
-        Arc::new(MemoryBroker::unshared(config))
-    }
-
-    /// A broker with a single owner, which can recalculate through
-    /// exclusive access without taking the lock
-    /// ([`MemoryBroker::recalculate_mut`]). Its clerks work as any others.
-    pub fn unshared(config: BrokerConfig) -> Self {
+impl BrokerCore {
+    /// A broker with no clerks. Panics if `config` is inconsistent.
+    pub fn new(config: BrokerConfig) -> Self {
         config.validate();
         let brokered = config.brokered_bytes();
-        MemoryBroker {
+        BrokerCore {
             config,
             brokered,
             entitlements: SubcomponentKind::ALL
                 .map(|kind| (brokered as f64 * kind.entitlement_weight()) as u64),
-            first: OnceLock::new(),
-            inner: Mutex::new(Inner::default()),
+            accounts: Vec::new(),
+            used: 0,
+            unconstrained: false,
+            scratch: Scratch::default(),
         }
     }
 
-    /// The configuration this broker was built with.
-    pub fn config(&self) -> &BrokerConfig {
-        &self.config
+    /// Open an account for a new subcomponent clerk.
+    pub fn register(&mut self, kind: SubcomponentKind) -> ClerkId {
+        let id = ClerkId(self.accounts.len() as u32);
+        self.accounts
+            .push(ClerkAccount::new(kind, self.config.trend_window));
+        self.unconstrained = false;
+        id
     }
 
-    /// Register a new subcomponent clerk.
-    pub fn register(&self, kind: SubcomponentKind) -> Clerk {
-        let mut inner = self.inner.lock();
-        let id = ClerkId(inner.accounts.len() as u32);
-        let clerk = Clerk::new(id, kind);
-        let link = match inner.accounts.last() {
-            Some(last) => &last.clerk().shared.next,
-            None => &self.first,
-        };
-        link.set(Arc::clone(&clerk.shared))
-            .expect("a clerk is linked once, under the lock");
-        inner
-            .accounts
-            .push(ClerkAccount::new(clerk.clone(), self.config.trend_window));
-        inner.unconstrained = false;
-        clerk
+    /// Charge `bytes` to clerk `id`.
+    pub fn allocate(&mut self, id: ClerkId, bytes: u64) {
+        let account = &mut self.accounts[id.0 as usize];
+        account.used += bytes;
+        account.allocated += bytes;
+        self.used += bytes;
     }
 
-    /// Sum of live usage across all clerks, without the broker's lock.
+    /// Credit `bytes` back to clerk `id`. Freeing more than is live is a
+    /// subcomponent accounting bug, so it panics in every build.
+    pub fn free(&mut self, id: ClerkId, bytes: u64) {
+        let account = &mut self.accounts[id.0 as usize];
+        let live = account.used.checked_sub(bytes);
+        account.used = live.unwrap_or_else(|| panic!("clerk {id} freed more than allocated"));
+        self.used -= bytes;
+    }
+
+    /// Clerk `id`'s account.
+    pub fn account(&self, id: ClerkId) -> &ClerkAccount {
+        &self.accounts[id.0 as usize]
+    }
+
+    /// Every account, in registration order.
+    pub fn accounts(&self) -> &[ClerkAccount] {
+        &self.accounts
+    }
+
+    /// Sum of live usage across all clerks.
     pub fn used_bytes(&self) -> u64 {
-        let mut used = 0;
-        let mut clerk = self.first.get();
-        while let Some(c) = clerk {
-            used += c.used.load(Ordering::Relaxed);
-            clerk = c.next.get();
-        }
-        used
-    }
-
-    /// Live usage for one subcomponent kind (summed over its clerks).
-    pub fn used_by_kind(&self, kind: SubcomponentKind) -> u64 {
-        let inner = self.inner.lock();
-        inner
-            .accounts
-            .iter()
-            .filter(|a| a.clerk().kind() == kind)
-            .map(|a| a.clerk().used_bytes())
-            .sum()
-    }
-
-    /// Trend-predicted near-future usage for one subcomponent kind, summed
-    /// over its clerks: each clerk's usage extrapolated
-    /// [`BrokerConfig::prediction_horizon`](crate::config::BrokerConfig)
-    /// ahead along the trend sampled by the last
-    /// [`MemoryBroker::recalculate`] (live usage when no trend exists yet).
-    ///
-    /// The engine's PID admission policy divides this by
-    /// [`MemoryBroker::target_for_kind`] to obtain the predicted-pressure
-    /// signal it servos on.
-    pub fn predicted_by_kind(&self, kind: SubcomponentKind) -> u64 {
-        let horizon = self.config.prediction_horizon;
-        let inner = self.inner.lock();
-        inner
-            .accounts
-            .iter()
-            .filter(|a| a.clerk().kind() == kind)
-            .map(|a| a.predict(horizon))
-            .sum()
-    }
-
-    /// [`MemoryBroker::predicted_by_kind`] read off the `decisions` the last
-    /// recalculation returned (each carries its clerk's prediction).
-    pub fn predicted_in(decisions: &[BrokerDecision], kind: SubcomponentKind) -> u64 {
-        decisions
-            .iter()
-            .filter(|d| d.notification.kind_of_component == kind)
-            .map(|d| d.notification.predicted_bytes)
-            .sum()
+        self.used
     }
 
     /// Bytes still available before hitting the brokered limit (saturating).
     pub fn available_bytes(&self) -> u64 {
-        self.brokered.saturating_sub(self.used_bytes())
+        self.brokered.saturating_sub(self.used)
     }
 
     /// Current pressure based on live usage (no prediction).
     pub fn pressure(&self) -> PressureLevel {
         let brokered = self.brokered.max(1);
-        let utilization = self.used_bytes() as f64 / brokered as f64;
+        let utilization = self.used as f64 / brokered as f64;
         PressureLevel::from_utilization(
             utilization,
             self.config.medium_pressure_utilization,
@@ -216,31 +172,20 @@ impl MemoryBroker {
     /// `throttledb-core` uses the value for [`SubcomponentKind::Compilation`]
     /// to compute the *dynamic gateway thresholds* described in §4.1.
     pub fn target_for_kind(&self, kind: SubcomponentKind) -> u64 {
-        let inner = self.inner.lock();
-        let installed: u64 = inner
+        let installed: u64 = self
             .accounts
             .iter()
-            .filter(|a| a.clerk().kind() == kind)
-            .filter_map(|a| a.clerk().target_bytes())
-            .sum();
-        self.installed_or_entitlement(kind, installed)
-    }
-
-    /// [`MemoryBroker::target_for_kind`] read off the `decisions` the last
-    /// recalculation returned, without taking the broker's lock again.
-    pub fn target_in(&self, decisions: &[BrokerDecision], kind: SubcomponentKind) -> u64 {
-        let installed = decisions
-            .iter()
-            .filter(|d| d.notification.kind_of_component == kind)
-            .filter_map(|d| d.notification.target_bytes)
+            .filter(|a| a.kind() == kind)
+            .filter_map(|a| a.target_bytes())
             .sum();
         self.installed_or_entitlement(kind, installed)
     }
 
     /// The target for `kind` given the sum of its clerks' installed
     /// targets: that sum, or the kind's entitlement share of brokered
-    /// memory when nothing is installed. [`MemoryBroker::target_in`] is
-    /// this over the sum it reads off a recalculation's decisions.
+    /// memory when nothing is installed. Over the targets a
+    /// recalculation's decisions carry, this is
+    /// [`BrokerCore::target_for_kind`].
     pub fn installed_or_entitlement(&self, kind: SubcomponentKind, installed: u64) -> u64 {
         if installed > 0 {
             installed
@@ -249,88 +194,27 @@ impl MemoryBroker {
         }
     }
 
-    /// Number of times `recalculate` has run.
-    pub fn recalculations(&self) -> u64 {
-        self.inner.lock().recalculations
-    }
-
-    /// Sample every clerk, predict near-future usage, and return one verdict
-    /// per clerk. Targets are installed on the clerks so subcomponents that
-    /// poll (rather than receive notifications) see the same numbers.
-    pub fn recalculate(&self, now: SimTime) -> Vec<BrokerDecision> {
-        let mut out = Vec::new();
-        self.recalculate_into(now, &mut out);
-        out
-    }
-
-    /// [`MemoryBroker::recalculate`] into a caller-owned buffer (cleared
-    /// first). With the broker's internal working vectors reused as well,
-    /// a recalculation allocates nothing at steady state.
-    pub fn recalculate_into(&self, now: SimTime, out: &mut Vec<BrokerDecision>) {
-        let mut inner = self.inner.lock();
-        inner.recalculate(&self.config, self.brokered, now, out);
-    }
-
-    /// [`MemoryBroker::recalculate_into`] through exclusive access, which
-    /// needs no lock.
-    pub fn recalculate_mut(&mut self, now: SimTime, out: &mut Vec<BrokerDecision>) {
-        let inner = self.inner.get_mut();
-        inner.recalculate(&self.config, self.brokered, now, out);
-    }
-
-    /// A point-in-time view of the broker for reports and figures.
-    pub fn snapshot(&self) -> BrokerSnapshot {
-        let pressure = self.pressure();
-        let inner = self.inner.lock();
-        let clerks: Vec<ClerkSnapshot> = inner
-            .accounts
-            .iter()
-            .map(|a| ClerkSnapshot {
-                id: a.clerk().id(),
-                kind: a.clerk().kind(),
-                name: a.clerk().name(),
-                used_bytes: a.clerk().used_bytes(),
-                target_bytes: a.clerk().target_bytes(),
-                last_verdict: a.last_verdict(),
-                verdict_changes: a.verdict_changes(),
-            })
-            .collect();
-        BrokerSnapshot {
-            total_memory_bytes: self.config.total_memory_bytes,
-            brokered_bytes: self.brokered,
-            used_bytes: clerks.iter().map(|c| c.used_bytes).sum(),
-            pressure,
-            clerks,
-        }
-    }
-}
-
-impl Inner {
-    /// The recalculation behind [`MemoryBroker::recalculate_into`], over
-    /// the state the lock guards.
-    fn recalculate(
-        &mut self,
-        config: &BrokerConfig,
-        brokered: u64,
-        now: SimTime,
-        out: &mut Vec<BrokerDecision>,
-    ) {
+    /// Sample every clerk, predict near-future usage, and write one verdict
+    /// per clerk into `out` (cleared first). Targets are installed on the
+    /// accounts so subcomponents that poll (rather than receive
+    /// notifications) see the same numbers. With the working vectors
+    /// reused as well, a recalculation allocates nothing at steady state.
+    pub fn recalculate_into(&mut self, now: SimTime, out: &mut Vec<BrokerDecision>) {
         out.clear();
-        self.recalculations += 1;
-        let horizon = config.prediction_horizon;
+        let horizon = self.config.prediction_horizon;
 
         // Sample and predict every clerk. Each decision starts as the
         // unconstrained one, and stays so unless the predicted total
         // exceeds the brokered bytes.
         let mut predicted_total = 0u64;
-        for account in self.accounts.iter_mut() {
+        for (i, account) in self.accounts.iter_mut().enumerate() {
             let current = account.sample(now);
             let predicted = account.predict(horizon);
             predicted_total += predicted;
             out.push(BrokerDecision {
                 notification: Notification {
-                    clerk: account.clerk().id(),
-                    kind_of_component: account.clerk().kind(),
+                    clerk: ClerkId(i as u32),
+                    kind_of_component: account.kind(),
                     kind: NotificationKind::Grow,
                     current_bytes: current,
                     predicted_bytes: predicted,
@@ -341,10 +225,10 @@ impl Inner {
 
         // Unconstrained: clear targets, everyone may grow. "If the system is
         // not using all available physical memory, no action is taken."
-        if predicted_total <= brokered {
+        if predicted_total <= self.brokered {
             if !self.unconstrained {
                 for account in self.accounts.iter_mut() {
-                    account.clerk().install_target(None);
+                    account.target = None;
                     account.set_verdict(NotificationKind::Grow);
                 }
                 self.unconstrained = true;
@@ -369,9 +253,15 @@ impl Inner {
             kinds.push(n.kind_of_component);
             demands.push(n.current_bytes.max(n.predicted_bytes));
         }
-        fill.compute(kinds, demands, brokered, config.min_target_bytes, targets);
+        fill.compute(
+            kinds,
+            demands,
+            self.brokered,
+            self.config.min_target_bytes,
+            targets,
+        );
 
-        let hysteresis = config.target_hysteresis;
+        let hysteresis = self.config.target_hysteresis;
         for ((account, d), &target) in self
             .accounts
             .iter_mut()
@@ -390,9 +280,98 @@ impl Inner {
                 NotificationKind::Steady
             };
             n.target_bytes = Some(target);
-            account.clerk().install_target(Some(target));
+            account.target = Some(target);
             account.set_verdict(n.kind);
         }
+    }
+
+    /// A point-in-time view of the broker for reports and figures.
+    pub fn snapshot(&self) -> BrokerSnapshot {
+        let clerks = self
+            .accounts
+            .iter()
+            .enumerate()
+            .map(|(i, a)| ClerkSnapshot {
+                id: ClerkId(i as u32),
+                kind: a.kind(),
+                used_bytes: a.used_bytes(),
+                target_bytes: a.target_bytes(),
+                last_verdict: a.last_verdict(),
+                verdict_changes: a.verdict_changes(),
+            })
+            .collect();
+        BrokerSnapshot {
+            total_memory_bytes: self.config.total_memory_bytes,
+            brokered_bytes: self.brokered,
+            used_bytes: self.used,
+            pressure: self.pressure(),
+            clerks,
+        }
+    }
+}
+
+/// A [`BrokerCore`] behind one lock, for subcomponents that report from
+/// threads of their own: each method, and each [`Clerk`] call, takes the
+/// lock once. In the threaded examples a housekeeping thread recalculates
+/// it.
+#[derive(Debug)]
+pub struct MemoryBroker {
+    pub(crate) core: Mutex<BrokerCore>,
+}
+
+impl MemoryBroker {
+    /// Create a broker with the given configuration, behind an `Arc` so
+    /// subcomponents and housekeeping threads can share it.
+    pub fn new(config: BrokerConfig) -> Arc<Self> {
+        Arc::new(MemoryBroker {
+            core: Mutex::new(BrokerCore::new(config)),
+        })
+    }
+
+    /// Read several numbers off the core under one lock.
+    pub fn read<R>(&self, f: impl FnOnce(&BrokerCore) -> R) -> R {
+        f(&self.core.lock())
+    }
+
+    /// Register a new subcomponent clerk.
+    pub fn register(self: &Arc<Self>, kind: SubcomponentKind) -> Clerk {
+        let id = self.core.lock().register(kind);
+        Clerk {
+            broker: Arc::clone(self),
+            id,
+        }
+    }
+
+    /// [`BrokerCore::used_bytes`].
+    pub fn used_bytes(&self) -> u64 {
+        self.core.lock().used_bytes()
+    }
+
+    /// [`BrokerCore::available_bytes`].
+    pub fn available_bytes(&self) -> u64 {
+        self.core.lock().available_bytes()
+    }
+
+    /// [`BrokerCore::pressure`].
+    pub fn pressure(&self) -> PressureLevel {
+        self.core.lock().pressure()
+    }
+
+    /// [`BrokerCore::target_for_kind`].
+    pub fn target_for_kind(&self, kind: SubcomponentKind) -> u64 {
+        self.core.lock().target_for_kind(kind)
+    }
+
+    /// [`BrokerCore::recalculate_into`] into a fresh vector.
+    pub fn recalculate(&self, now: SimTime) -> Vec<BrokerDecision> {
+        let mut out = Vec::new();
+        self.core.lock().recalculate_into(now, &mut out);
+        out
+    }
+
+    /// [`BrokerCore::snapshot`].
+    pub fn snapshot(&self) -> BrokerSnapshot {
+        self.core.lock().snapshot()
     }
 }
 
@@ -502,6 +481,7 @@ impl WaterFill {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use throttledb_sim::SimDuration;
 
     const MB: u64 = 1 << 20;
     const GB: u64 = 1 << 30;
@@ -624,7 +604,7 @@ mod tests {
         let b = broker(GB);
         let _c = b.register(SubcomponentKind::Compilation);
         let t = b.target_for_kind(SubcomponentKind::Compilation);
-        let brokered = b.config().brokered_bytes();
+        let brokered = BrokerConfig::with_total_memory(GB).brokered_bytes();
         let expected = (brokered as f64 * 0.15) as u64;
         assert_eq!(t, expected);
     }
@@ -642,39 +622,14 @@ mod tests {
     }
 
     #[test]
-    fn predicted_by_kind_extrapolates_the_sampled_trend() {
-        let b = broker(4 * GB);
-        let compile = b.register(SubcomponentKind::Compilation);
-        let _pool = b.register(SubcomponentKind::BufferPool);
-        // With no samples yet, prediction falls back to live usage.
-        compile.allocate(100 * MB);
-        assert_eq!(b.predicted_by_kind(SubcomponentKind::Compilation), 100 * MB);
-        // Grow 50 MB/s across recalculations: the prediction must run ahead
-        // of live usage along the trend.
-        for s in 1..=4u64 {
-            b.recalculate(SimTime::from_secs(s));
-            compile.allocate(50 * MB);
-        }
-        let live = b.used_by_kind(SubcomponentKind::Compilation);
-        let predicted = b.predicted_by_kind(SubcomponentKind::Compilation);
-        assert!(
-            predicted > live,
-            "prediction {predicted} should exceed live {live} on a growth trend"
-        );
-        // Other kinds are excluded from the sum.
-        assert_eq!(b.predicted_by_kind(SubcomponentKind::Execution), 0);
-    }
-
-    #[test]
     fn snapshot_reports_all_clerks() {
         let b = broker(GB);
         let pool = b.register(SubcomponentKind::BufferPool);
-        pool.set_name("main pool");
         pool.allocate(10 * MB);
         let snap = b.snapshot();
         assert_eq!(snap.total_memory_bytes, GB);
         assert_eq!(snap.clerks.len(), 1);
-        assert_eq!(snap.clerks[0].name, "main pool");
+        assert_eq!(snap.clerks[0].kind, SubcomponentKind::BufferPool);
         assert_eq!(snap.used_bytes, 10 * MB);
     }
 
@@ -688,7 +643,8 @@ mod tests {
         }
         clerks[2].free(MB);
         assert_eq!(b.used_bytes(), 20 * MB);
-        assert_eq!(b.available_bytes(), b.config().brokered_bytes() - 20 * MB);
+        let brokered = BrokerConfig::with_total_memory(GB).brokered_bytes();
+        assert_eq!(b.available_bytes(), brokered - 20 * MB);
         assert_eq!(b.snapshot().used_bytes, 20 * MB);
     }
 
@@ -698,14 +654,6 @@ mod tests {
         let pool = b.register(SubcomponentKind::BufferPool);
         pool.allocate(10 * GB);
         assert_eq!(b.available_bytes(), 0);
-    }
-
-    #[test]
-    fn recalculations_counter_increments() {
-        let b = broker(GB);
-        b.recalculate(SimTime::from_secs(1));
-        b.recalculate(SimTime::from_secs(2));
-        assert_eq!(b.recalculations(), 2);
     }
 
     #[test]
@@ -821,10 +769,10 @@ mod tests {
             ),
             total_mb in 256u64..4096u64,
         ) {
-            // Two brokers fed identically: one through the allocating
-            // wrapper, one through a reused buffer. Every tick's decisions
-            // must agree, and reading targets and predictions off them must
-            // agree with the lock-taking per-kind queries.
+            // Two brokers fed identically: a shared one through the
+            // allocating recalculation, a core through a reused buffer.
+            // Every tick's decisions must agree, and reading targets off
+            // them must agree with the per-kind query.
             let kinds = [
                 SubcomponentKind::BufferPool,
                 SubcomponentKind::Compilation,
@@ -832,28 +780,82 @@ mod tests {
                 SubcomponentKind::Fixed,
             ];
             let a = broker(total_mb * MB);
-            let b = broker(total_mb * MB);
+            let mut b = BrokerCore::new(BrokerConfig::with_total_memory(total_mb * MB));
             let ca: Vec<_> = kinds.iter().map(|k| a.register(*k)).collect();
             let cb: Vec<_> = kinds.iter().map(|k| b.register(*k)).collect();
             let mut reused = Vec::new();
             for (tick, allocs) in steps.iter().enumerate() {
                 for (i, bytes) in allocs.iter().enumerate() {
                     ca[i].free(ca[i].used_bytes());
-                    cb[i].free(cb[i].used_bytes());
+                    b.free(cb[i], b.account(cb[i]).used_bytes());
                     ca[i].allocate(*bytes);
-                    cb[i].allocate(*bytes);
+                    b.allocate(cb[i], *bytes);
                 }
                 let now = SimTime::from_secs(5 * (tick as u64 + 1));
                 let fresh = a.recalculate(now);
                 b.recalculate_into(now, &mut reused);
                 prop_assert_eq!(&fresh, &reused);
                 for kind in SubcomponentKind::ALL {
-                    prop_assert_eq!(b.target_in(&reused, kind), b.target_for_kind(kind));
-                    prop_assert_eq!(
-                        MemoryBroker::predicted_in(&reused, kind),
-                        b.predicted_by_kind(kind)
-                    );
+                    let installed = reused
+                        .iter()
+                        .filter(|d| d.notification.kind_of_component == kind)
+                        .filter_map(|d| d.notification.target_bytes)
+                        .sum();
+                    prop_assert_eq!(b.installed_or_entitlement(kind, installed), b.target_for_kind(kind));
+                    prop_assert_eq!(a.target_for_kind(kind), b.target_for_kind(kind));
                 }
+            }
+        }
+
+        #[test]
+        fn prop_the_core_and_the_shared_broker_keep_one_set_of_books(
+            ops in proptest::collection::vec((0u8..4, 0usize..6, 0u64..2_000_000_000u64), 1..80),
+            total_mb in 64u64..4096u64,
+        ) {
+            // One random sequence of registrations (every kind, some late),
+            // allocations, frees and recalculations, applied to a core and
+            // to a shared broker through its clerks. After every step the
+            // two agree on decisions, snapshots and available bytes, and
+            // each running total is the sum of its accounts.
+            let config = BrokerConfig::with_total_memory(total_mb * MB);
+            let mut core = BrokerCore::new(config.clone());
+            let shared = MemoryBroker::new(config);
+            let (mut ids, mut clerks) = (Vec::new(), Vec::new());
+            let (mut by_core, mut by_shared) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            for (step, &(op, k, bytes)) in ops.iter().enumerate() {
+                match op {
+                    _ if ids.is_empty() || (op == 0 && ids.len() < 12) => {
+                        let kind = SubcomponentKind::ALL[(k + step) % 6];
+                        ids.push(core.register(kind));
+                        clerks.push(shared.register(kind));
+                        prop_assert_eq!(ids.last().copied(), clerks.last().map(Clerk::id));
+                    }
+                    1 => {
+                        let i = k % ids.len();
+                        core.allocate(ids[i], bytes);
+                        clerks[i].allocate(bytes);
+                    }
+                    2 => {
+                        let i = k % ids.len();
+                        let live = core.account(ids[i]).used_bytes();
+                        let freed = if live == 0 { 0 } else { bytes % (live + 1) };
+                        core.free(ids[i], freed);
+                        clerks[i].free(freed);
+                    }
+                    _ => {
+                        now += SimDuration::from_micros(bytes % 10_000_000);
+                        core.recalculate_into(now, &mut by_core);
+                        by_shared = shared.recalculate(now);
+                    }
+                }
+                prop_assert_eq!(&by_core, &by_shared);
+                prop_assert_eq!(core.snapshot(), shared.snapshot());
+                prop_assert_eq!(core.available_bytes(), shared.available_bytes());
+                let sum: u64 = core.accounts().iter().map(ClerkAccount::used_bytes).sum();
+                prop_assert_eq!(core.used_bytes(), sum);
+                let sum: u64 = clerks.iter().map(Clerk::used_bytes).sum();
+                prop_assert_eq!(shared.used_bytes(), sum);
             }
         }
     }

@@ -1,16 +1,17 @@
 //! Clerks: the per-subcomponent handles through which memory is reported.
 //!
-//! Every DBMS subcomponent that consumes significant memory owns a [`Clerk`].
-//! Allocations and frees are reported in bytes; the clerk maintains the
-//! subcomponent's live total and feeds the broker's accounting. Clerks are
-//! cheap to clone (they share state behind an `Arc`) so a subcomponent can
-//! hand copies to its internal workers.
+//! Every DBMS subcomponent that consumes significant memory has an account
+//! in the broker, named by a [`ClerkId`]. A single owner of the broker's
+//! accounts ([`BrokerCore`](crate::BrokerCore)) charges them through
+//! `&mut self`; a subcomponent on a thread of its own holds a [`Clerk`], the
+//! id plus the shared [`MemoryBroker`], and reports allocations and frees in
+//! bytes through the broker's one lock. Clerks are cheap to clone, so a
+//! subcomponent can hand copies to its internal workers.
 
-use parking_lot::Mutex;
+use crate::broker::MemoryBroker;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identifies a registered clerk within one broker instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -116,108 +117,49 @@ impl fmt::Display for SubcomponentKind {
     }
 }
 
-/// Shared state between a clerk and the broker.
-#[derive(Debug)]
-pub(crate) struct ClerkShared {
-    pub(crate) id: ClerkId,
-    pub(crate) kind: SubcomponentKind,
-    /// Live bytes currently allocated by the subcomponent.
-    pub(crate) used: AtomicU64,
-    /// Monotonic total for reporting (bytes ever allocated are this plus
-    /// `used`).
-    pub(crate) total_freed: AtomicU64,
-    /// Latest notification target installed by the broker (0 = no target).
-    pub(crate) current_target: AtomicU64,
-    /// Human-readable name, defaults to the kind label.
-    pub(crate) name: Mutex<String>,
-    /// The clerk registered next with the same broker: the chain along
-    /// which the broker sums live bytes without its lock.
-    pub(crate) next: OnceLock<Arc<ClerkShared>>,
-}
-
-/// A handle used by one subcomponent to report its memory use.
-///
-/// Cloning is cheap and clones share the same accounting.
+/// A subcomponent's handle on its account in a shared [`MemoryBroker`].
+/// Each call takes the broker's lock once; clones share the account.
 #[derive(Debug, Clone)]
 pub struct Clerk {
-    pub(crate) shared: Arc<ClerkShared>,
+    pub(crate) broker: Arc<MemoryBroker>,
+    pub(crate) id: ClerkId,
 }
 
 impl Clerk {
-    pub(crate) fn new(id: ClerkId, kind: SubcomponentKind) -> Self {
-        Clerk {
-            shared: Arc::new(ClerkShared {
-                id,
-                kind,
-                used: AtomicU64::new(0),
-                total_freed: AtomicU64::new(0),
-                current_target: AtomicU64::new(0),
-                name: Mutex::new(kind.label().to_string()),
-                next: OnceLock::new(),
-            }),
-        }
-    }
-
     /// This clerk's identifier.
     pub fn id(&self) -> ClerkId {
-        self.shared.id
+        self.id
     }
 
     /// The subcomponent kind this clerk reports for.
     pub fn kind(&self) -> SubcomponentKind {
-        self.shared.kind
+        self.broker.core.lock().account(self.id).kind()
     }
 
-    /// Set a human-readable name (shown in broker snapshots).
-    pub fn set_name(&self, name: impl Into<String>) {
-        *self.shared.name.lock() = name.into();
-    }
-
-    /// The human-readable name.
-    pub fn name(&self) -> String {
-        self.shared.name.lock().clone()
+    /// The human-readable name: the kind's label.
+    pub fn name(&self) -> &'static str {
+        self.kind().label()
     }
 
     /// Report that `bytes` were allocated.
     pub fn allocate(&self, bytes: u64) {
-        self.shared.used.fetch_add(bytes, Ordering::Relaxed);
+        self.broker.core.lock().allocate(self.id, bytes);
     }
 
     /// Report that `bytes` were freed. Freeing more than is live is a
     /// subcomponent accounting bug, so it panics in every build.
     pub fn free(&self, bytes: u64) {
-        let mut cur = self.shared.used.load(Ordering::Relaxed);
-        loop {
-            let next = cur
-                .checked_sub(bytes)
-                .unwrap_or_else(|| panic!("clerk {} freed more than allocated", self.shared.id));
-            match self.shared.used.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        self.shared.total_freed.fetch_add(bytes, Ordering::Relaxed);
+        self.broker.core.lock().free(self.id, bytes);
     }
 
     /// Live bytes currently reported by this subcomponent.
     pub fn used_bytes(&self) -> u64 {
-        self.shared.used.load(Ordering::Relaxed)
+        self.broker.core.lock().account(self.id).used_bytes()
     }
 
-    /// Total bytes ever reported allocated: the live bytes plus those
-    /// freed (read apart, so a concurrent free can skew one reading).
+    /// Total bytes ever reported allocated.
     pub fn total_allocated(&self) -> u64 {
-        self.used_bytes() + self.total_freed()
-    }
-
-    /// Total bytes ever reported freed.
-    pub fn total_freed(&self) -> u64 {
-        self.shared.total_freed.load(Ordering::Relaxed)
+        self.broker.core.lock().account(self.id).total_allocated()
     }
 
     /// The most recent target installed by the broker, if any.
@@ -225,33 +167,18 @@ impl Clerk {
     /// A target of `None` means the broker has not constrained this clerk
     /// (the "system behaves as if the Memory Broker was not there" case).
     pub fn target_bytes(&self) -> Option<u64> {
-        match self.shared.current_target.load(Ordering::Relaxed) {
-            0 => None,
-            t => Some(t),
-        }
-    }
-
-    /// Convenience: how far above its target this clerk currently is.
-    pub fn over_target_bytes(&self) -> u64 {
-        match self.target_bytes() {
-            Some(t) => self.used_bytes().saturating_sub(t),
-            None => 0,
-        }
-    }
-
-    pub(crate) fn install_target(&self, target: Option<u64>) {
-        self.shared
-            .current_target
-            .store(target.unwrap_or(0), Ordering::Relaxed);
+        self.broker.core.lock().account(self.id).target_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BrokerConfig;
+    use throttledb_sim::SimTime;
 
     fn clerk(kind: SubcomponentKind) -> Clerk {
-        Clerk::new(ClerkId(0), kind)
+        MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30)).register(kind)
     }
 
     #[test]
@@ -263,7 +190,6 @@ mod tests {
         c.free(60);
         assert_eq!(c.used_bytes(), 90);
         assert_eq!(c.total_allocated(), 150);
-        assert_eq!(c.total_freed(), 60);
     }
 
     #[test]
@@ -286,14 +212,17 @@ mod tests {
 
     #[test]
     fn targets_default_to_none() {
-        let c = clerk(SubcomponentKind::BufferPool);
+        let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30));
+        let c = broker.register(SubcomponentKind::BufferPool);
         assert_eq!(c.target_bytes(), None);
-        assert_eq!(c.over_target_bytes(), 0);
-        c.install_target(Some(1000));
-        c.allocate(1500);
-        assert_eq!(c.target_bytes(), Some(1000));
-        assert_eq!(c.over_target_bytes(), 500);
-        c.install_target(None);
+        // Oversubscribed, the broker installs a target...
+        c.allocate(2 << 30);
+        broker.recalculate(SimTime::from_secs(1));
+        assert!(c.target_bytes().is_some());
+        // ...and clears it once memory is released and the trend settles.
+        c.free(c.used_bytes());
+        broker.recalculate(SimTime::from_secs(2));
+        broker.recalculate(SimTime::from_secs(3));
         assert_eq!(c.target_bytes(), None);
     }
 
@@ -331,8 +260,6 @@ mod tests {
     fn names_default_to_kind_label() {
         let c = clerk(SubcomponentKind::Compilation);
         assert_eq!(c.name(), "compilation");
-        c.set_name("optimizer pool 3");
-        assert_eq!(c.name(), "optimizer pool 3");
         assert_eq!(format!("{}", c.kind()), "compilation");
         assert_eq!(format!("{}", c.id()), "clerk#0");
     }

@@ -7,7 +7,9 @@
 //! The broker is the central accountant for physical memory inside the DBMS.
 //! Each memory-consuming subcomponent — the database page buffer pool, query
 //! execution (memory grants), query compilation, the compiled-plan cache —
-//! registers a [`Clerk`] and reports every allocation and free through it.
+//! has an account in one [`BrokerCore`], charged through `&mut self` by the
+//! core's single owner; [`MemoryBroker`] puts a core behind one lock for
+//! subcomponents on threads of their own, each reporting through a [`Clerk`].
 //! Periodically (or whenever a component asks), the broker:
 //!
 //! 1. sums current usage across clerks,
@@ -58,7 +60,7 @@ pub mod notification;
 pub mod pressure;
 pub mod trend;
 
-pub use broker::{BrokerDecision, BrokerSnapshot, ClerkSnapshot, MemoryBroker};
+pub use broker::{BrokerCore, BrokerDecision, BrokerSnapshot, ClerkSnapshot, MemoryBroker};
 pub use clerk::{Clerk, ClerkId, SubcomponentKind};
 pub use config::BrokerConfig;
 pub use notification::{Notification, NotificationKind};

@@ -1,7 +1,8 @@
-//! `MemoryBroker::recalculate_into` against a reference copy of the
-//! recalculation it replaced: a two-pass tick over per-clerk working
-//! vectors, every trend fitted by the plain `f64` loop, and every clerk's
-//! target and verdict re-installed on each unconstrained tick.
+//! `BrokerCore::recalculate_into`, and the shared `MemoryBroker` over the
+//! same core, against a reference copy of the recalculation it replaced: a
+//! two-pass tick over per-clerk working vectors, every trend fitted by the
+//! plain `f64` loop, and every clerk's target and verdict re-installed on
+//! each unconstrained tick.
 //!
 //! The engine's built-in workloads seldom constrain the broker (only an
 //! open-loop scale scenario reaches the water-fill), so this oracle drives
@@ -14,9 +15,10 @@
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use throttledb_membroker::{
-    BrokerConfig, BrokerDecision, Clerk, MemoryBroker, Notification, NotificationKind,
-    SubcomponentKind,
+    BrokerConfig, BrokerCore, BrokerDecision, Clerk, ClerkId, MemoryBroker, Notification,
+    NotificationKind, SubcomponentKind,
 };
 use throttledb_sim::{SimDuration, SimTime};
 
@@ -122,7 +124,9 @@ fn water_fill(
 
 /// One clerk as the reference broker keeps it.
 struct RefClerk {
-    clerk: Clerk,
+    id: ClerkId,
+    kind: SubcomponentKind,
+    used: u64,
     window: VecDeque<(SimTime, u64)>,
     target: Option<u64>,
     last_verdict: Option<NotificationKind>,
@@ -151,7 +155,7 @@ impl Reference {
         let mut current = Vec::new();
         let mut predicted = Vec::new();
         for c in &mut self.clerks {
-            let used = c.clerk.used_bytes();
+            let used = c.used;
             if c.window.len() == self.config.trend_window {
                 c.window.pop_front();
             }
@@ -167,8 +171,8 @@ impl Reference {
                 c.set_verdict(NotificationKind::Grow);
                 out.push(BrokerDecision {
                     notification: Notification {
-                        clerk: c.clerk.id(),
-                        kind_of_component: c.clerk.kind(),
+                        clerk: c.id,
+                        kind_of_component: c.kind,
                         kind: NotificationKind::Grow,
                         current_bytes: current[i],
                         predicted_bytes: predicted[i],
@@ -183,11 +187,11 @@ impl Reference {
             .zip(&predicted)
             .map(|(c, p)| (*c).max(*p))
             .collect();
-        let kinds: Vec<SubcomponentKind> = self.clerks.iter().map(|c| c.clerk.kind()).collect();
+        let kinds: Vec<SubcomponentKind> = self.clerks.iter().map(|c| c.kind).collect();
         let targets = water_fill(&kinds, &demands, brokered, self.config.min_target_bytes);
         let hysteresis = self.config.target_hysteresis;
         for (i, c) in self.clerks.iter_mut().enumerate() {
-            let kind = c.clerk.kind();
+            let kind = c.kind;
             let target = targets[i];
             let verdict = if !kind.is_squeezable() {
                 NotificationKind::Steady
@@ -202,7 +206,7 @@ impl Reference {
             c.set_verdict(verdict);
             out.push(BrokerDecision {
                 notification: Notification {
-                    clerk: c.clerk.id(),
+                    clerk: c.id,
                     kind_of_component: kind,
                     kind: verdict,
                     current_bytes: current[i],
@@ -215,9 +219,12 @@ impl Reference {
     }
 }
 
-/// The broker and its reference, over the same clerks.
+/// The broker, as a core and as a shared wrapper, and its reference, over
+/// the same clerks.
 struct Pair {
-    broker: MemoryBroker,
+    core: BrokerCore,
+    shared: Arc<MemoryBroker>,
+    clerks: Vec<Clerk>,
     reference: Reference,
     decisions: Vec<BrokerDecision>,
     constrained_ticks: usize,
@@ -227,7 +234,9 @@ struct Pair {
 impl Pair {
     fn new(config: BrokerConfig) -> Self {
         Pair {
-            broker: MemoryBroker::unshared(config.clone()),
+            core: BrokerCore::new(config.clone()),
+            shared: MemoryBroker::new(config.clone()),
+            clerks: Vec::new(),
             reference: Reference {
                 config,
                 clerks: Vec::new(),
@@ -239,9 +248,12 @@ impl Pair {
     }
 
     fn register(&mut self, kind: SubcomponentKind) {
-        let clerk = self.broker.register(kind);
+        let id = self.core.register(kind);
+        self.clerks.push(self.shared.register(kind));
         self.reference.clerks.push(RefClerk {
-            clerk,
+            id,
+            kind,
+            used: 0,
             window: VecDeque::new(),
             target: None,
             last_verdict: None,
@@ -249,20 +261,21 @@ impl Pair {
         });
     }
 
-    /// Set every clerk's live bytes, then tick both brokers and compare.
+    /// Set every clerk's live bytes, then tick the core, the shared broker
+    /// and the reference, and compare.
     fn tick(&mut self, now: SimTime, usage: impl Fn(usize) -> u64) {
-        for (i, c) in self.reference.clerks.iter().enumerate() {
-            c.clerk.free(c.clerk.used_bytes());
-            c.clerk.allocate(usage(i));
+        for (i, c) in self.reference.clerks.iter_mut().enumerate() {
+            c.used = usage(i);
+            self.core.free(c.id, self.core.account(c.id).used_bytes());
+            self.core.allocate(c.id, c.used);
+            let clerk = &self.clerks[i];
+            clerk.free(clerk.used_bytes());
+            clerk.allocate(c.used);
         }
-        // Through the lock and through exclusive access, in turn.
-        if (self.constrained_ticks + self.unconstrained_ticks) % 2 == 0 {
-            self.broker.recalculate_into(now, &mut self.decisions);
-        } else {
-            self.broker.recalculate_mut(now, &mut self.decisions);
-        }
+        self.core.recalculate_into(now, &mut self.decisions);
         let expected = self.reference.recalculate(now);
         assert_eq!(self.decisions, expected, "decisions at {now}");
+        assert_eq!(self.shared.recalculate(now), expected, "shared at {now}");
         if expected
             .iter()
             .any(|d| d.notification.target_bytes.is_some())
@@ -271,7 +284,8 @@ impl Pair {
         } else {
             self.unconstrained_ticks += 1;
         }
-        let snapshot = self.broker.snapshot();
+        let snapshot = self.core.snapshot();
+        assert_eq!(snapshot, self.shared.snapshot(), "snapshots at {now}");
         assert_eq!(snapshot.clerks.len(), self.reference.clerks.len());
         for (got, want) in snapshot.clerks.iter().zip(&self.reference.clerks) {
             // A clerk encodes "no target" as 0.
@@ -288,13 +302,8 @@ impl Pair {
                 got.id
             );
         }
-        let used: u64 = self
-            .reference
-            .clerks
-            .iter()
-            .map(|c| c.clerk.used_bytes())
-            .sum();
-        assert_eq!(self.broker.used_bytes(), used, "the broker-wide total");
+        let used: u64 = self.reference.clerks.iter().map(|c| c.used).sum();
+        assert_eq!(self.core.used_bytes(), used, "the broker-wide total");
     }
 }
 
@@ -319,7 +328,7 @@ fn a_ramp_through_the_brokered_bytes_and_back_matches_the_reference() {
     for kind in SubcomponentKind::ALL {
         p.register(kind);
     }
-    let brokered = p.broker.config().brokered_bytes();
+    let brokered = p.reference.config.brokered_bytes();
     // Up to 150 % of the brokered bytes and back down, on the 5 s cadence.
     for tick in 0..60u64 {
         let level = if tick < 30 { tick * 5 } else { (60 - tick) * 5 };
@@ -334,7 +343,7 @@ fn usage_exactly_at_the_brokered_bytes_stays_unconstrained() {
     let mut p = Pair::new(BrokerConfig::with_total_memory(1 << 30));
     p.register(SubcomponentKind::BufferPool);
     p.register(SubcomponentKind::Compilation);
-    let brokered = p.broker.config().brokered_bytes();
+    let brokered = p.reference.config.brokered_bytes();
     // Flat usage predicts itself: the predicted total is the brokered bytes.
     let usage = |extra: u64| move |i: usize| [brokered - 64 * MB, 64 * MB + extra][i];
     for tick in 0..3u64 {

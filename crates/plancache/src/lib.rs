@@ -66,9 +66,8 @@ const CANDIDATES: usize = 32;
 /// query text — see `throttledb-engine`'s `PlanKey`.
 #[derive(Debug)]
 pub struct PlanCache<P, K = String> {
-    capacity_bytes: Mutex<u64>,
+    capacity_bytes: u64,
     inner: Mutex<Inner<P, K>>,
-    clerk: Option<Clerk>,
 }
 
 #[derive(Debug)]
@@ -180,11 +179,14 @@ impl<P, K: Eq + Hash + Clone> Inner<P, K> {
 }
 
 impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
-    /// A cache bounded by `capacity_bytes`, optionally reporting memory to a
-    /// broker clerk.
-    pub fn new(capacity_bytes: u64, clerk: Option<Clerk>) -> Self {
+    /// A cache bounded by `capacity_bytes`.
+    ///
+    /// `_clerk` has no effect: the cache reports to no broker (its owner
+    /// charges [`PlanCache::used_bytes`]), and the parameter stays only
+    /// until the benchmark's probes stop passing it.
+    pub fn new(capacity_bytes: u64, _clerk: Option<Clerk>) -> Self {
         PlanCache {
-            capacity_bytes: Mutex::new(capacity_bytes),
+            capacity_bytes,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 used_bytes: 0,
@@ -194,13 +196,12 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
                     records: Vec::new(),
                 },
             }),
-            clerk,
         }
     }
 
     /// The configured capacity.
     pub fn capacity_bytes(&self) -> u64 {
-        *self.capacity_bytes.lock()
+        self.capacity_bytes
     }
 
     /// Bytes currently cached.
@@ -264,18 +265,19 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
     }
 
     /// Insert a plan. Evicts lower-value entries as needed; if the plan is
-    /// larger than the whole cache it is simply not cached.
+    /// larger than the whole cache it is simply not cached. Returns the
+    /// bytes cached afterwards, for an owner that charges them.
     ///
     /// Panics unless `recompile_cost` is finite and non-negative: eviction
     /// ranks entries by it, and a NaN would leave them without an order.
-    pub fn insert(&self, key: impl Into<K>, plan: P, size_bytes: u64, recompile_cost: f64) {
+    pub fn insert(&self, key: impl Into<K>, plan: P, size_bytes: u64, recompile_cost: f64) -> u64 {
         assert!(
             recompile_cost.is_finite() && recompile_cost >= 0.0,
             "recompile cost must be finite and non-negative, got {recompile_cost}"
         );
-        let capacity = *self.capacity_bytes.lock();
+        let capacity = self.capacity_bytes;
         if size_bytes > capacity {
-            return;
+            return self.used_bytes();
         }
         let key = key.into();
         let mut inner = self.inner.lock();
@@ -284,11 +286,8 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
         // Replace an existing entry outright.
         if let Some(old) = inner.entries.remove(&key) {
             inner.used_bytes -= old.size_bytes;
-            if let Some(c) = &self.clerk {
-                c.free(old.size_bytes);
-            }
         }
-        self.evict_until(&mut inner, capacity.saturating_sub(size_bytes));
+        Self::evict_until(&mut inner, capacity.saturating_sub(size_bytes));
         let entry = CacheEntry {
             plan,
             size_bytes,
@@ -302,9 +301,7 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
         inner.entries.insert(key, entry);
         inner.used_bytes += size_bytes;
         inner.stats.insertions += 1;
-        if let Some(c) = &self.clerk {
-            c.allocate(size_bytes);
-        }
+        inner.used_bytes
     }
 
     /// Respond to memory pressure: shrink the cache to at most
@@ -313,13 +310,13 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
     pub fn shrink_to(&self, target_bytes: u64) -> u64 {
         let mut inner = self.inner.lock();
         let before = inner.used_bytes;
-        self.evict_until(&mut inner, target_bytes);
+        Self::evict_until(&mut inner, target_bytes);
         before - inner.used_bytes
     }
 
     /// Evict entries (lowest `value = recompile_cost·(hits+1) / size`, then
     /// least recently touched) until `used_bytes <= limit`.
-    fn evict_until(&self, inner: &mut Inner<P, K>, limit: u64) {
+    fn evict_until(inner: &mut Inner<P, K>, limit: u64) {
         while inner.used_bytes > limit {
             let Some(key) = inner.next_victim() else {
                 break;
@@ -327,9 +324,6 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
             let e = inner.entries.remove(&key).expect("victims are live");
             inner.used_bytes -= e.size_bytes;
             inner.stats.evictions += 1;
-            if let Some(c) = &self.clerk {
-                c.free(e.size_bytes);
-            }
         }
     }
 }
@@ -337,7 +331,6 @@ impl<P: Clone, K: Eq + Hash + Clone> PlanCache<P, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use throttledb_membroker::{BrokerConfig, MemoryBroker, SubcomponentKind};
 
     const MB: u64 = 1 << 20;
 
@@ -392,17 +385,15 @@ mod tests {
 
     #[test]
     fn shrink_to_responds_to_pressure() {
-        let broker = MemoryBroker::new(BrokerConfig::with_total_memory(1 << 30));
-        let clerk = broker.register(SubcomponentKind::PlanCache);
-        let cache: PlanCache<u32> = PlanCache::new(100 * MB, Some(clerk.clone()));
+        let cache: PlanCache<u32> = PlanCache::new(100 * MB, None);
         for i in 0..20u32 {
             cache.insert(format!("q{i}"), i, MB, 1.0);
         }
-        assert_eq!(clerk.used_bytes(), 20 * MB);
+        assert_eq!(cache.used_bytes(), 20 * MB);
         let released = cache.shrink_to(5 * MB);
         assert_eq!(released, 15 * MB);
         assert_eq!(cache.used_bytes(), 5 * MB);
-        assert_eq!(clerk.used_bytes(), 5 * MB);
+        assert_eq!(cache.len(), 5);
     }
 
     #[test]
