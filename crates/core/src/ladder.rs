@@ -665,6 +665,18 @@ mod tests {
             l.report_memory(TaskId(999), 500 * MB, now(3)),
             LadderDecision::Proceed
         );
+        // A stale id whose slot a live task now reuses finishes nothing:
+        // that task keeps the one-holder gateway 1, so the next waits.
+        let u = l.begin_task();
+        assert_eq!(u.slot_ref().index(), t.slot_ref().index());
+        assert_eq!(l.report_memory(u, 30 * MB, now(4)), LadderDecision::Proceed);
+        assert!(l.finish_task(t, now(5)).is_empty());
+        assert_eq!((l.active_tasks(), l.holders_at(1)), (1, 1));
+        let v = l.begin_task();
+        assert!(matches!(
+            l.report_memory(v, 30 * MB, now(6)),
+            LadderDecision::Wait { level: 1, .. }
+        ));
     }
 
     #[test]

@@ -101,14 +101,8 @@ pub(crate) struct Cpu {
 }
 
 impl Cpu {
-    /// A compilation takes a CPU; returns its first step's duration.
-    pub fn start_compile(&mut self, step_cpu_seconds: f64) -> SimDuration {
-        self.running += 1;
-        self.compile_step(step_cpu_seconds)
-    }
-
-    /// A compilation admitted past its gateway takes a CPU again.
-    pub fn resume_compile(&mut self) {
+    /// A compile step or an execution takes a CPU.
+    pub fn take(&mut self) {
         self.running += 1;
     }
 
@@ -118,10 +112,9 @@ impl Cpu {
         SimDuration::from_secs_f64(seconds.max(0.001))
     }
 
-    /// An execution takes a CPU; returns its CPU seconds, parallelized over
-    /// the machine and inflated by CPU contention.
-    pub fn start_exec(&mut self, cpu_seconds: f64) -> f64 {
-        self.running += 1;
+    /// The CPU seconds of an execution holding a CPU: its demand,
+    /// parallelized over the machine and inflated by CPU contention.
+    pub fn exec_seconds(&self, cpu_seconds: f64) -> f64 {
         cpu_seconds / self.exec_parallelism * self.load_factor()
     }
 
@@ -574,10 +567,12 @@ mod tests {
         for lost in [config.cpus - 1, config.cpus, config.cpus + 5, u32::MAX] {
             let mut cpu = machine(&config).cpu;
             cpu.set_faults(1.0, lost);
-            cpu.start_compile(1.0);
+            cpu.take();
+            cpu.take();
             // Two tasks on the one surviving CPU: each runs at half speed.
-            assert_eq!(cpu.start_compile(1.0), SimDuration::from_secs(2), "{lost}");
-            assert_eq!(cpu.start_exec(8.0), 8.0 / config.exec_parallelism * 3.0);
+            assert_eq!(cpu.compile_step(1.0), SimDuration::from_secs(2), "{lost}");
+            cpu.take();
+            assert_eq!(cpu.exec_seconds(8.0), 8.0 / config.exec_parallelism * 3.0);
         }
     }
 
@@ -586,10 +581,12 @@ mod tests {
         let config = ServerConfig::quick(1, true);
         let (mut calm, mut stalled) = (machine(&config).cpu, machine(&config).cpu);
         stalled.set_faults(4.0, 0);
-        assert_eq!(calm.start_compile(1.5), SimDuration::from_secs_f64(1.5));
-        assert_eq!(stalled.start_compile(1.5), SimDuration::from_secs(6));
+        calm.take();
+        stalled.take();
+        assert_eq!(calm.compile_step(1.5), SimDuration::from_secs_f64(1.5));
+        assert_eq!(stalled.compile_step(1.5), SimDuration::from_secs(6));
         assert_eq!(stalled.compile_step(0.5), SimDuration::from_secs(2));
-        assert_eq!(calm.start_exec(40.0), stalled.start_exec(40.0));
-        assert_eq!(calm.start_exec(40.0), 10.0);
+        assert_eq!(calm.exec_seconds(40.0), stalled.exec_seconds(40.0));
+        assert_eq!(calm.exec_seconds(40.0), 10.0);
     }
 }

@@ -139,8 +139,8 @@ pub struct Server {
     /// [`Server::set_trace_sink`]): every recorded event is forwarded here
     /// as it happens, so a run can be serialized without buffering.
     pub(crate) trace_sink: Option<Rc<RefCell<dyn TraceSink>>>,
-    /// Reused buffer for admission-policy releases (see `fail_query` /
-    /// `finish_compile`): the release path appends admitted tasks here
+    /// Reused buffer for admission-policy releases (see
+    /// `finish_policy_task`): the release path appends admitted tasks here
     /// instead of allocating a vector per completed query.
     pub(crate) scratch_resumed: Vec<u64>,
     /// Reused buffer for grant-pool admissions, same discipline.
@@ -348,7 +348,7 @@ impl Server {
             }
             Event::ExecFinish { query } => {
                 counts.exec_finish += 1;
-                self.on_exec_finish(query)
+                self.retire(query, Ok(()))
             }
             Event::FaultBegin { index } => {
                 counts.fault_begin += 1;

@@ -6,7 +6,7 @@
 //! realised as virtual-time timeout events; admission is signalled by the
 //! policy when a holder releases.
 
-use super::{task_slot, Query, QueryLifecycle, QueryOrigin};
+use super::{task_slot, Edge, Query, QueryLifecycle, QueryOrigin};
 use crate::metrics::FailureKind;
 use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
@@ -118,8 +118,9 @@ impl Server {
             grant_requested: 0,
         });
         self.classes[class].task_query.set(task_slot(task), query);
+        self.machine.cpu.take();
         let step_cpu_seconds = profile.compile_cpu_seconds / self.config.compile_steps as f64;
-        let step = self.machine.cpu.start_compile(step_cpu_seconds);
+        let step = self.machine.cpu.compile_step(step_cpu_seconds);
         self.queue
             .schedule(self.now + step, Event::CompileStep { query });
         true
@@ -142,7 +143,7 @@ impl Server {
 
         // Out-of-memory: the machine genuinely has no room for this step.
         if !self.machine.memory.grow_compile(delta) {
-            self.fail_query(query, FailureKind::OutOfMemory);
+            self.retire(query, Err(FailureKind::OutOfMemory));
             return;
         }
         let (task, bytes, step) = {
@@ -175,17 +176,7 @@ impl Server {
                 }
             }
             PolicyDecision::Wait { level, timeout } => {
-                if let Some(q) = self.queries.get_mut(query) {
-                    q.lifecycle.advance(QueryLifecycle::WaitingAtGateway {
-                        level: level as u32,
-                    });
-                }
-                self.trace_push(TraceEvent::GatewayBlocked {
-                    at: self.now,
-                    query: id,
-                    level,
-                });
-                self.machine.cpu.end_task();
+                self.advance(query, Edge::Block(level));
                 self.queue
                     .schedule(self.now + timeout, Event::CompileTimeout { query, level });
             }
@@ -210,33 +201,20 @@ impl Server {
             return;
         }
         self.classes[q.class].policy.timeout(q.task, self.now);
-        self.fail_query(query, FailureKind::CompileTimeout);
+        self.retire(query, Err(FailureKind::CompileTimeout));
     }
 
     /// Compilation produced a plan (fully or best-effort): free compile
     /// memory, release the ladder, cache the plan, and hand the query to
     /// the grant stage.
     pub(crate) fn finish_compile(&mut self, query: SlotRef) {
-        let (id, class, task, compile_bytes, template, profile) = {
-            let q = self.queries.get(query).expect("query exists");
-            (
-                q.id,
-                q.class,
-                q.task,
-                q.compile_bytes,
-                q.template,
-                q.profile,
-            )
-        };
+        let q = self.queries.get_mut(query).expect("query exists");
+        let (id, class, task, template, profile) = (q.id, q.class, q.task, q.template, q.profile);
         // Compilation memory is freed when the plan is produced.
+        let compile_bytes = std::mem::take(&mut q.compile_bytes);
         self.machine.memory.free_compile(compile_bytes);
         self.record_compile_gauge();
-        if let Some(q) = self.queries.get_mut(query) {
-            q.compile_bytes = 0;
-        }
-        self.classes[class].task_query.take(task_slot(task));
         self.finish_policy_task(class, task);
-        self.machine.cpu.end_task();
 
         // Cache the plan (uniquified submissions mean this rarely helps —
         // by design; the key is the copy-free (template, submission) pair).

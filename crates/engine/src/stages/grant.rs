@@ -6,10 +6,9 @@
 //! deadline; a queued query that outlives the deadline fails with a
 //! resource error.
 
-use super::QueryLifecycle;
+use super::{Edge, QueryLifecycle};
 use crate::metrics::FailureKind;
 use crate::server::{Event, Server};
-use crate::trace::TraceEvent;
 use throttledb_executor::GrantRequestId;
 use throttledb_governor::AdmissionDecision;
 use throttledb_sim::SlotRef;
@@ -18,55 +17,37 @@ impl Server {
     /// Ask the class grant pool for `exec_grant_bytes` of execution memory
     /// and either start execution or queue with a timeout.
     pub(crate) fn request_grant(&mut self, query: SlotRef, exec_grant_bytes: u64) {
-        let Some(q) = self.queries.get(query) else {
-            return;
-        };
-        let (id, class) = (q.id, q.class);
+        let q = self.queries.get_mut(query).expect("query exists");
         let requested = exec_grant_bytes.max(1 << 20);
         let deadline = self.now + self.config.grant_timeout;
         let memory = &mut self.machine.memory;
-        let (grant_id, decision) = memory.request_grant(class, requested, self.now, deadline);
-        if let Some(q) = self.queries.get_mut(query) {
-            q.grant_id = Some(grant_id);
-            q.grant_requested = requested;
-        }
+        let (grant_id, decision) = memory.request_grant(q.class, requested, self.now, deadline);
+        q.grant_id = Some(grant_id);
+        q.grant_requested = requested;
         match decision.units() {
             Some(bytes) => self.start_exec(query, bytes),
             None => {
-                if let Some(q) = self.queries.get_mut(query) {
-                    q.lifecycle.advance(QueryLifecycle::WaitingForGrant);
-                }
-                self.classes[class]
-                    .grant_query
-                    .set(grant_id.slot_ref().index(), query);
-                self.trace_push(TraceEvent::GrantQueued {
-                    at: self.now,
-                    query: id,
-                    bytes: requested,
-                });
+                self.advance(query, Edge::QueueGrant(requested));
                 self.queue.schedule(deadline, Event::GrantTimeout { query });
             }
         }
     }
 
-    /// A grant wait expired. Only fires if the grant was never given
-    /// (`start_exec` clears the grant's slot when it runs).
+    /// A grant wait expired. If the query still waits for its grant (none
+    /// was given since), cancel the grant and fail the query.
     pub(crate) fn on_grant_timeout(&mut self, query: SlotRef) {
         let Some(q) = self.queries.get(query) else {
             return;
         };
-        let class = q.class;
-        let Some(grant_id) = q.grant_id else { return };
-        let slot = grant_id.slot_ref().index();
-        if self.classes[class].grant_query.get(slot) != Some(&query) {
+        if q.lifecycle != QueryLifecycle::WaitingForGrant {
             return;
         }
+        let (class, grant_id) = (q.class, q.grant_id.expect("a queued grant"));
         // Cancelling may admit the waiters queued behind this one.
         if self.with_grants(class, |memory, now, out| {
             memory.cancel_grant(class, grant_id, now, out)
         }) {
-            self.classes[class].grant_query.take(slot);
-            self.fail_query(query, FailureKind::GrantTimeout);
+            self.retire(query, Err(FailureKind::GrantTimeout));
         }
     }
 

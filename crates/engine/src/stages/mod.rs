@@ -7,18 +7,18 @@
 //!    class's gateway ladder, gateway timeouts;
 //! 2. [`grant`] — the execution memory-grant request against the class's
 //!    grant pool, grant-wait timeouts;
-//! 3. [`execute`] — execution on the machine's CPU and disk, and
-//!    completion.
+//! 3. [`execute`] — execution on the machine's CPU and disk.
 //!
-//! The stages spend the machine's resources through its stations
-//! (`machine.rs`): the CPU, the disk, and memory with its broker and grant
-//! pools. [`QueryLifecycle`] is the explicit state machine tying the
-//! stages together; illegal transitions panic, so stage bugs surface
-//! immediately in the deterministic simulation. Cross-stage policy —
-//! failing a query out of any stage, resuming ladder waiters, handing the
-//! broker tick's targets to the class policies and grant pools, and the
-//! query laws debug builds check at every tick — lives here in the stage
-//! root.
+//! The stages hold the model — durations, memory, policy decisions and
+//! scheduling — and spend the machine's resources through its stations
+//! (`machine.rs`). A query's state moves in two functions only, both here:
+//! `Server::advance` takes a live query along one [`QueryLifecycle`] edge
+//! and `Server::retire` removes it. Each does all its change implies: the
+//! checked transition (an illegal one panics, so stage bugs surface
+//! immediately in the deterministic simulation), the trace event, the CPU
+//! hold and the class slot-table entries. Resuming ladder waiters, handing
+//! the broker tick's targets to the class policies and grant pools, and
+//! the query laws debug builds check at every tick live here too.
 
 pub mod compile;
 pub mod execute;
@@ -28,11 +28,11 @@ use crate::config::{PolicyKind, ServerConfig, WorkloadClassConfig};
 use crate::machine::{scaled_budget, Admitted, Memory};
 use crate::metrics::FailureKind;
 use crate::profile::CompileProfile;
-use crate::server::Server;
+use crate::server::{Event, Server};
 use crate::trace::TraceEvent;
 use throttledb_core::GatewayLadder;
 use throttledb_executor::GrantRequestId;
-use throttledb_governor::{CircuitBreaker, CostPolicy, PidPolicy, Policy};
+use throttledb_governor::{CircuitBreaker, CostPolicy, PidPolicy, Policy, PoolTag};
 use throttledb_sim::{SimTime, Slab, SlotRef, SlotTable};
 
 /// Who submitted a query — and therefore where its completion / failure
@@ -96,7 +96,7 @@ pub enum QueryLifecycle {
 
 impl QueryLifecycle {
     /// Move to `next`, panicking on an illegal transition.
-    pub fn advance(&mut self, next: QueryLifecycle) {
+    fn advance(&mut self, next: QueryLifecycle) {
         assert!(
             self.can_advance(next),
             "illegal query lifecycle transition {self:?} -> {next:?}"
@@ -129,6 +129,20 @@ impl QueryLifecycle {
     pub fn is_compiling(self) -> bool {
         matches!(self, QueryLifecycle::Compiling)
     }
+}
+
+/// One edge a live query moves along (see `Server::advance`), with the
+/// data its trace event carries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Edge {
+    /// Compiling → blocked at this gateway level.
+    Block(usize),
+    /// Blocked at a gateway → Compiling: a release admitted the waiter.
+    Admit,
+    /// Compiling → queued in the grant pool, asking for these bytes.
+    QueueGrant(u64),
+    /// Compiling or queued for a grant → Executing with these bytes.
+    Execute(u64),
 }
 
 /// One in-flight query.
@@ -247,24 +261,133 @@ impl ClassRuntime {
 }
 
 impl Server {
-    /// Resume admission waiters of `class` admitted by a release: unblock
-    /// each query and schedule its next compile step immediately.
-    pub(crate) fn resume_tasks(&mut self, class: usize, resumed: &[u64]) {
-        for &task in resumed {
-            if let Some(&query) = self.classes[class].task_query.get(task_slot(task)) {
-                if let Some(q) = self.queries.get_mut(query) {
-                    q.lifecycle.advance(QueryLifecycle::Compiling);
-                }
-                self.machine.cpu.resume_compile();
-                self.queue
-                    .schedule(self.now, crate::server::Event::CompileStep { query });
+    /// Move the live query in `slot` along `edge`. With `retire` and
+    /// `submit_query`'s insert, this is the only code that changes what a
+    /// live query holds: each arm makes one edge's checked transition,
+    /// trace event, CPU hold and class slot-table entries.
+    pub(crate) fn advance(&mut self, slot: SlotRef, edge: Edge) {
+        use QueryLifecycle::*;
+        let q = self.queries.get_mut(slot).expect("only a live query moves");
+        let (at, query, from, task) = (self.now, q.id, q.lifecycle, task_slot(q.task));
+        let grant = || q.grant_id.expect("the query asked for a grant").slot();
+        let class = &mut self.classes[q.class];
+        let cpu = &mut self.machine.cpu;
+        let event = match edge {
+            Edge::Block(level) => {
+                q.lifecycle.advance(WaitingAtGateway {
+                    level: level as u32,
+                });
+                cpu.end_task();
+                TraceEvent::GatewayBlocked { at, query, level }
             }
+            // The one untraced edge: no event records the admission yet.
+            Edge::Admit => {
+                q.lifecycle.advance(Compiling);
+                cpu.take();
+                return;
+            }
+            Edge::QueueGrant(bytes) => {
+                q.lifecycle.advance(WaitingForGrant);
+                cpu.end_task();
+                class.task_query.take(task);
+                class.grant_query.set(grant(), slot);
+                TraceEvent::GrantQueued { at, query, bytes }
+            }
+            Edge::Execute(bytes) => {
+                q.lifecycle.advance(Executing);
+                if from == WaitingForGrant {
+                    cpu.take();
+                    class.grant_query.take(grant());
+                } else {
+                    // A compilation keeps its CPU to execute.
+                    class.task_query.take(task);
+                }
+                TraceEvent::ExecStarted { at, query, bytes }
+            }
+        };
+        self.trace_push(event);
+    }
+
+    /// Remove the query in `slot`, completed (`Ok`) or failed: the only way
+    /// out of the pipeline. Release what its state holds — compile bytes,
+    /// its slot-table entry, the CPU, and its policy task or grant with the
+    /// waiters they admit — then record the outcome once and route it to
+    /// the query's origin.
+    pub(crate) fn retire(&mut self, slot: SlotRef, outcome: Result<(), FailureKind>) {
+        use QueryLifecycle::*;
+        let Some(q) = self.queries.remove(slot) else {
+            return;
+        };
+        let (at, query, class) = (self.now, q.id, q.class);
+        self.machine.memory.free_compile(q.compile_bytes);
+        let grant = || q.grant_id.expect("a compiled query asked for a grant");
+        match q.lifecycle {
+            Compiling | WaitingAtGateway { .. } => {
+                self.classes[class].task_query.take(task_slot(q.task));
+                if q.lifecycle.is_compiling() {
+                    self.machine.cpu.end_task();
+                }
+                self.finish_policy_task(class, q.task);
+            }
+            // The grant timeout that fails a queued query cancelled its grant.
+            WaitingForGrant => {
+                self.classes[class].grant_query.take(grant().slot());
+            }
+            Executing => {
+                // The CPU goes first: the grant's waiters start at its load.
+                self.machine.cpu.end_task();
+                let grant = grant();
+                self.with_grants(class, |memory, now, out| {
+                    memory.release_grant(class, grant, now, out)
+                });
+            }
+        }
+        match outcome {
+            Ok(()) => {
+                self.metrics.completed.record(at);
+                self.trace_push(TraceEvent::Completed { at, query });
+                if self.active_faults > 0 {
+                    self.metrics.completed_during_fault += 1;
+                }
+                let class = &mut self.classes[class];
+                class.completed += 1;
+                if at >= self.metrics.warmup {
+                    class.completed_after_warmup += 1;
+                }
+            }
+            Err(kind) => {
+                self.metrics.failed.record(at);
+                self.trace_push(TraceEvent::Failed { at, query, kind });
+                self.classes[class].failed += 1;
+            }
+        }
+        self.breaker_record(class, outcome.is_ok());
+        match (outcome, q.origin) {
+            // Success ends the retry chain: a closed-loop client thinks and
+            // submits fresh work; an open-loop arrival just releases its
+            // source's in-flight slot.
+            (Ok(()), QueryOrigin::Client { client, .. }) => {
+                let think = self.client_model.think_time(&mut self.rng);
+                self.schedule_submit(client, 0, SimTime::ZERO, think);
+            }
+            (Ok(()), QueryOrigin::Source { source }) => {
+                let src = &mut self.sources[source as usize];
+                src.in_flight = src
+                    .in_flight
+                    .checked_sub(1)
+                    .expect("a source query ends only after it was admitted");
+                src.completed += 1;
+            }
+            // "Those aborted queries likely need to be resubmitted to the
+            // system."
+            (Err(_), origin) => self.reschedule_after_setback(origin),
         }
     }
 
-    /// Release the admission-policy holdings of `(class, task)` and resume
-    /// every admitted waiter, recycling the server's scratch buffer so the
-    /// per-query release path does not allocate.
+    /// Release the admission-policy holdings of `(class, task)`, and move
+    /// every waiter it admits back to compiling with its next step due now.
+    /// The server's scratch buffer is recycled, so the per-query release
+    /// path does not allocate.
     pub(crate) fn finish_policy_task(&mut self, class: usize, task: u64) {
         let mut resumed = std::mem::take(&mut self.scratch_resumed);
         resumed.clear();
@@ -273,6 +396,16 @@ impl Server {
             .finish_into(task, self.now, &mut resumed);
         self.resume_tasks(class, &resumed);
         self.scratch_resumed = resumed;
+    }
+
+    /// Resume the admission waiters of `class` that a release admitted.
+    fn resume_tasks(&mut self, class: usize, resumed: &[u64]) {
+        for &task in resumed {
+            if let Some(&query) = self.classes[class].task_query.get(task_slot(task)) {
+                self.advance(query, Edge::Admit);
+                self.queue.schedule(self.now, Event::CompileStep { query });
+            }
+        }
     }
 
     /// Run one mutation of `class`'s grant pool on the memory station — a
@@ -289,50 +422,6 @@ impl Server {
         self.start_admitted(class, &admitted);
         self.scratch_admitted = admitted;
         result
-    }
-
-    /// Release the grant held by `(class, grant_id)` and start every
-    /// admitted waiter.
-    pub(crate) fn release_grant(&mut self, class: usize, grant_id: GrantRequestId) {
-        self.with_grants(class, |memory, now, out| {
-            memory.release_grant(class, grant_id, now, out)
-        });
-    }
-
-    /// Fail `query` out of whatever stage it is in: release its ladder and
-    /// grant holdings (admitting waiters), record the failure, and schedule
-    /// the client's retry — "those aborted queries likely need to be
-    /// resubmitted to the system."
-    pub(crate) fn fail_query(&mut self, query: SlotRef, kind: FailureKind) {
-        let Some(q) = self.queries.remove(query) else {
-            return;
-        };
-        self.machine.memory.free_compile(q.compile_bytes);
-        // A compiled query's task id is stale, and its slot may be another
-        // query's by now: clear only what still names this query.
-        let class = &mut self.classes[q.class];
-        class.task_query.take_if(task_slot(q.task), &query);
-        if let Some(grant_id) = q.grant_id {
-            class
-                .grant_query
-                .take_if(grant_id.slot_ref().index(), &query);
-        }
-        if q.lifecycle.is_compiling() {
-            self.machine.cpu.end_task();
-        }
-        self.finish_policy_task(q.class, q.task);
-        if let Some(grant_id) = q.grant_id {
-            self.release_grant(q.class, grant_id);
-        }
-        self.metrics.failed.record(self.now);
-        self.trace_push(TraceEvent::Failed {
-            at: self.now,
-            query: q.id,
-            kind,
-        });
-        self.classes[q.class].failed += 1;
-        self.breaker_record(q.class, false);
-        self.reschedule_after_setback(q.origin);
     }
 
     /// Broker housekeeping: recalculate, tick every class admission policy
@@ -484,7 +573,7 @@ mod tests {
     #[should_panic(expected = "running-task count disagrees")]
     fn the_cpu_law_bites_when_the_task_count_drifts() {
         let mut server = running_server();
-        server.machine.cpu.resume_compile();
+        server.machine.cpu.take();
         server.run_until(SimTime::from_secs(610));
     }
 

@@ -787,6 +787,37 @@ mod tests {
         );
         c.finish_into(999, now(1), &mut resumed);
         assert!(resumed.is_empty());
+
+        // A stale task id whose slot a live task now reuses finishes
+        // nothing: the live task keeps what it holds, so the next
+        // compilation waits.
+        let slot = |task: u64| SlotRef::from_bits(task).index();
+        let policies: [Box<dyn Policy>; 2] = [
+            Box::new(PidPolicy::new(1, EXEMPT, timeout())),
+            Box::new(CostPolicy::new(50 * MB, EXEMPT, timeout())),
+        ];
+        for mut p in policies {
+            let stale = p.begin();
+            p.report(stale, 5 * MB, &signals(40 * MB), now(0));
+            p.finish_into(stale, now(1), &mut resumed);
+            // The PID policy admits four compilations, the cost policy one
+            // 40 MB reservation.
+            let live: Vec<u64> = (0..4).map(|_| p.begin()).collect();
+            assert_eq!(slot(live[0]), slot(stale));
+            for &task in &live {
+                p.report(task, 5 * MB, &signals(40 * MB), now(2));
+            }
+            let (active, waiting) = (p.active(), p.waiting());
+            p.finish_into(stale, now(3), &mut resumed);
+            assert!(resumed.is_empty());
+            assert_eq!((p.active(), p.waiting()), (active, waiting));
+            assert_eq!(p.stats().compilations_finished, 1);
+            let next = p.begin();
+            assert!(matches!(
+                p.report(next, 5 * MB, &signals(40 * MB), now(4)),
+                PolicyDecision::Wait { .. }
+            ));
+        }
     }
 
     #[test]

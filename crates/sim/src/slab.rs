@@ -240,18 +240,6 @@ impl<V> SlotTable<V> {
         self.entries.get_mut(index)?.take()
     }
 
-    /// Clear the value at `index` if it is `value`; returns whether it was.
-    pub fn take_if(&mut self, index: usize, value: &V) -> bool
-    where
-        V: PartialEq,
-    {
-        let held = self.get(index) == Some(value);
-        if held {
-            self.entries[index] = None;
-        }
-        held
-    }
-
     /// The set values, in index order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().flatten()
@@ -302,8 +290,8 @@ mod tests {
         assert_eq!(table.take(3), None);
         assert_eq!(table.take(99), None);
         table.set(1, 'a');
-        assert!(!table.take_if(1, &'b'));
-        assert!(table.take_if(1, &'a'));
+        assert_eq!(table.values().collect::<Vec<_>>(), [&'a']);
+        assert_eq!(table.take(1), Some('a'));
         assert_eq!(table.values().count(), 0);
     }
 }
